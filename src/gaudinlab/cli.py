@@ -25,7 +25,7 @@ from .gaudin import (
     induced_map_kernel,
 )
 from .gl2rep import ProblemInstance, weight_space_dim
-from .numcore import DEFAULT_TOL, Tolerances, max_abs, identity
+from .numcore import DEFAULT_TOL, Tolerances, identity, max_abs, rank_of
 from .opscheme import schubert_dimension
 from .sov import VerificationError, bethe_vector
 from .spectral import (
@@ -60,7 +60,6 @@ CONFIG_SCHEMA = {
                 "svd_rel": {"type": "number", "exclusiveMinimum": 0},
                 "cluster": {"type": "number", "exclusiveMinimum": 0},
                 "residual": {"type": "number", "exclusiveMinimum": 0},
-                "consistency": {"type": "number", "exclusiveMinimum": 0},
             },
         },
     },
@@ -74,8 +73,7 @@ class ConfigError(ValueError):
 
 
 def _tolerances(config) -> Tolerances:
-    vals = {f: getattr(DEFAULT_TOL, f) for f in ("svd_rel", "cluster",
-                                                 "residual", "consistency")}
+    vals = {f: getattr(DEFAULT_TOL, f) for f in ("svd_rel", "cluster", "residual")}
     vals.update(config.get("tolerances", {}))
     for f in vals:
         env = os.environ.get(_ENV_PREFIX + f.upper())
@@ -120,11 +118,6 @@ def _ser_seq(seq):
     return [_ser(v) for v in seq]
 
 
-def _resid(value) -> float:
-    """Exact residuals report as literal 0.0; floats pass through."""
-    return float(value)
-
-
 def run_pipeline(inst: ProblemInstance, seed: int, tol: Tolerances):
     """Build everything for one instance; returns (report dict, failures)."""
     t0 = time.perf_counter()
@@ -132,7 +125,7 @@ def run_pipeline(inst: ProblemInstance, seed: int, tol: Tolerances):
     gate = tol.residual
 
     def check(name, residual, limit=None):
-        residual = _resid(residual)
+        residual = float(residual)
         if residual > (gate if limit is None else limit):
             failures.append(name)
         return residual
@@ -247,9 +240,7 @@ def run_pipeline(inst: ProblemInstance, seed: int, tol: Tolerances):
     check("bethe_eigen_residual", bmax)
     span_rank = 0
     if omega_ls and dim_l:
-        W = np.stack(omega_ls, axis=1)
-        s = np.linalg.svd(W, compute_uv=False)
-        span_rank = int(np.sum(s > tol.svd_rel * s[0])) if s.size and s[0] > 0 else 0
+        span_rank = rank_of(np.stack(omega_ls, axis=1), tol.svd_rel)
         if report_l.all_simple:
             check("bethe_span_rank", abs(span_rank - dim_l))
 

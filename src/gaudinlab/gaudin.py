@@ -32,7 +32,6 @@ from .gl2rep import (
 )
 from .numcore import (
     InconsistentSystemError,
-    UniPoly,
     identity,
     is_exact_array,
     kernel_basis,
@@ -50,6 +49,7 @@ __all__ = [
     "polynomial_valued_kernel",
     "apply_universal_operator",
     "bethe_algebra_basis",
+    "span_closure",
     "induced_map_kernel",
     "annihilator_ideal",
 ]
@@ -82,16 +82,6 @@ class GaudinSystem:
     @property
     def dim_sing_l(self) -> int:
         return self.shq.dim
-
-
-def _zpoly_coeffs(inst, skip=None):
-    one = 1 if inst.exact else (1 + 0j)
-    p = UniPoly.const(one)
-    for r, zr in enumerate(inst.z):
-        if r == skip:
-            continue
-        p = p * UniPoly((-zr, one))
-    return p
 
 
 def _int_array(A: np.ndarray) -> np.ndarray:
@@ -177,8 +167,7 @@ def _matrix_numerator_for(inst: ProblemInstance, mats):
     d = mats[0].shape[0]
     exact = inst.exact
     N = [zeros_like_domain((d, d), exact) for _ in range(inst.n)]
-    for s in range(inst.n):
-        w = _zpoly_coeffs(inst, skip=s)
+    for s, w in enumerate(inst.zpolys[2]):
         for k in range(w.degree + 1):
             if w[k]:
                 N[k] = N[k] + mats[s] * w[k]
@@ -196,10 +185,7 @@ def apply_universal_operator(sys: GaudinSystem, space: str, coeffs):
     d = mats[0].shape[0] if mats[0].size else 0
     exact = inst.exact
     deg = len(coeffs) - 1
-    A = _zpoly_coeffs(inst)
-    B = UniPoly.zero()
-    for s, ms in enumerate(inst.m):
-        B = B + _zpoly_coeffs(inst, skip=s) * (-ms)
+    A, B, _ = inst.zpolys
     N = _matrix_numerator_for(inst, mats)
     top = deg + inst.n - 1
     out = [zeros_like_domain((d,), exact) for _ in range(top + 1)]
@@ -237,10 +223,7 @@ def polynomial_valued_kernel(sys: GaudinSystem, space: str, v0, deg: int,
     v0 = v0 if exact else np.asarray(v0, dtype=complex)
     skip = lt - l if (deg == lt and 1 <= lt - l <= deg) else None
 
-    A = _zpoly_coeffs(inst)
-    B = UniPoly.zero()
-    for s, ms in enumerate(inst.m):
-        B = B + _zpoly_coeffs(inst, skip=s) * (-ms)
+    A, B, _ = inst.zpolys
     N = _matrix_numerator_for(inst, mats)
     scale = max(1.0, max_abs(v0), max((max_abs(Nk) for Nk in N), default=0.0))
 
@@ -323,6 +306,29 @@ class _FloatReducer:
         return True
 
 
+def span_closure(start, mats, act, tol):
+    """Basis of the smallest span holding start and closed under v -> act(v, H).
+
+    Breadth first over H in mats, keeping each image that the span does not
+    already contain; exact when start is, else gated at tol relative
+    (DEFAULT_TOL.svd_rel when tol is None).  start itself is dropped if zero.
+    """
+    red = _ExactReducer() if is_exact_array(start) else _FloatReducer(
+        DEFAULT_TOL.svd_rel if tol is None else tol)
+    basis = [start] if red.add(start.reshape(-1)) else []
+    frontier = list(basis)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for H in mats:
+                w = act(v, H)
+                if red.add(w.reshape(-1)):
+                    basis.append(w)
+                    nxt.append(w)
+        frontier = nxt
+    return basis
+
+
 def bethe_algebra_basis(mats, tol: float | None = None):
     """Basis of the unital matrix algebra generated by a commuting family.
 
@@ -334,24 +340,8 @@ def bethe_algebra_basis(mats, tol: float | None = None):
     d = mats[0].shape[0]
     if d == 0:
         return []
-    exact = is_exact_array(mats[0])
-    red = _ExactReducer() if exact else _FloatReducer(
-        DEFAULT_TOL.svd_rel if tol is None else tol)
-    basis = []
-    eye = identity(d, exact)
-    red.add(eye.reshape(-1))
-    basis.append(eye)
-    frontier = [eye]
-    while frontier:
-        nxt = []
-        for F in frontier:
-            for H in mats:
-                prod = F @ H
-                if red.add(prod.reshape(-1)):
-                    basis.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return basis
+    eye = identity(d, is_exact_array(mats[0]))
+    return span_closure(eye, mats, lambda F, H: F @ H, tol)
 
 
 def induced_map_kernel(algebra, sh: np.ndarray, tol: float | None = None):
@@ -362,13 +352,7 @@ def induced_map_kernel(algebra, sh: np.ndarray, tol: float | None = None):
     """
     if not algebra:
         return []
-    exact = is_exact_array(algebra[0])
-    cols = [(sh @ F).reshape(-1) for F in algebra]
-    M = np.empty((len(cols[0]), len(cols)), dtype=object if exact else complex)
-    for j, c in enumerate(cols):
-        M[:, j] = c
-    combos = kernel_basis(M, 0 if exact else tol)
-    return [_combine(algebra, c) for c in combos]
+    return _vanishing_combinations(algebra, [(sh @ F).reshape(-1) for F in algebra], tol)
 
 
 def annihilator_ideal(algebra, kernel, tol: float | None = None):
@@ -377,19 +361,17 @@ def annihilator_ideal(algebra, kernel, tol: float | None = None):
         return []
     if not kernel:
         return list(algebra)
+    images = [np.concatenate([(F @ K).reshape(-1) for K in kernel]) for F in algebra]
+    return _vanishing_combinations(algebra, images, tol)
+
+
+def _vanishing_combinations(algebra, images, tol):
+    """Elements sum_j c_j algebra[j] with sum_j c_j images[j] = 0, as a basis.
+
+    images[j] is the flattened image of algebra[j] under a fixed linear map.
+    """
     exact = is_exact_array(algebra[0])
-    blocks = []
-    for K in kernel:
-        blocks.append([(F @ K).reshape(-1) for F in algebra])
-    nrows = sum(len(b[0]) for b in blocks)
-    M = np.empty((nrows, len(algebra)), dtype=object if exact else complex)
-    r = 0
-    for b in blocks:
-        h = len(b[0])
-        for j, col in enumerate(b):
-            M[r:r + h, j] = col
-        r += h
-    combos = kernel_basis(M, 0 if exact else tol)
+    combos = kernel_basis(np.stack(images, axis=1), 0 if exact else tol)
     return [_combine(algebra, c) for c in combos]
 
 

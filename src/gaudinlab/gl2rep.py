@@ -21,18 +21,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .numcore import (
+    UniPoly,
     as_exact,
     as_float,
-    exact_array,
     identity,
     is_exact_scalar,
     kernel_basis,
     rref,
+    scalar_one,
     solve_linear,
+    zeros_like_domain,
 )
 
 __all__ = [
@@ -115,6 +118,31 @@ class ProblemInstance:
     def dominant(self) -> bool:
         return sum(self.m) - 2 * self.l >= 0
 
+    def zproduct(self, c, powers) -> UniPoly:
+        """c * prod_s (x - z_s)^{powers[s]}; the factors multiply onto c in order
+        of s, which fixes the float lane's rounding."""
+        one = scalar_one(self.exact)
+        p = UniPoly.const(c)
+        for zs, k in zip(self.z, powers):
+            for _ in range(k):
+                p = p * UniPoly((-zs, one))
+        return p
+
+    @cached_property
+    def zpolys(self) -> tuple:
+        """(A, B, (A_1, ..., A_n)), built once per instance.
+
+        A = prod_s (x - z_s) and A_s = prod_{r != s} (x - z_r); B = -sum_s m_s A_s.
+        A and B lead the operator A d^2/dx^2 + B d/dx + C of both sides.
+        """
+        one = scalar_one(self.exact)
+        A_s = tuple(self.zproduct(one, [int(r != s) for r in range(self.n)])
+                    for s in range(self.n))
+        B = UniPoly.zero()
+        for ms, As in zip(self.m, A_s):
+            B = B + As * (-ms)
+        return self.zproduct(one, [1] * self.n), B, A_s
+
     def to_float(self) -> "ProblemInstance":
         return ProblemInstance(self.m, self.l, tuple(as_float(v) for v in self.z),
                                require_separating=False)
@@ -164,8 +192,7 @@ def generator_matrix(inst: ProblemInstance, a: int, b: int, s: int, k: int) -> n
     src, _ = _basis_index(inst, k)
     if (a, b) == (1, 2):
         tgt, tpos = _basis_index(inst, k - 1)
-        M = exact_array([[0] * len(src) for _ in range(len(tgt))]) if tgt else \
-            np.empty((0, len(src)), dtype=object)
+        M = zeros_like_domain((len(tgt), len(src)), True)
         for c, j in enumerate(src):
             if j[s] == 0:
                 continue
@@ -174,12 +201,12 @@ def generator_matrix(inst: ProblemInstance, a: int, b: int, s: int, k: int) -> n
         return M
     if (a, b) == (2, 1):
         tgt, tpos = _basis_index(inst, k + 1)
-        M = exact_array([[0] * len(src) for _ in range(len(tgt))])
+        M = zeros_like_domain((len(tgt), len(src)), True)
         for c, j in enumerate(src):
             jj = j[:s] + (j[s] + 1,) + j[s + 1:]
             M[tpos[jj], c] = Fraction(1)
         return M
-    M = exact_array([[0] * len(src) for _ in range(len(src))])
+    M = zeros_like_domain((len(src), len(src)), True)
     if (a, b) == (1, 1):
         for c, j in enumerate(src):
             M[c, c] = Fraction(ms - 2 * j[s])
@@ -194,7 +221,7 @@ def degree_diagonal(inst: ProblemInstance, s: int, k: int) -> np.ndarray:
     and operators quadratic in the diagonal generators need this matrix.
     """
     src, _ = _basis_index(inst, k)
-    M = exact_array([[0] * len(src) for _ in range(len(src))])
+    M = zeros_like_domain((len(src), len(src)), True)
     for c, j in enumerate(src):
         M[c, c] = Fraction(j[s])
     return M
@@ -224,11 +251,7 @@ class WeightVector:
     def to_array(self, inst: ProblemInstance) -> np.ndarray:
         basis, pos = _basis_index(inst, self.k)
         exact = all(is_exact_scalar(c) or isinstance(c, Fraction) for _, c in self.coeffs)
-        if exact:
-            v = np.empty(len(basis), dtype=object)
-            v[...] = Fraction(0)
-        else:
-            v = np.zeros(len(basis), dtype=complex)
+        v = zeros_like_domain((len(basis),), exact)
         for j, c in self.coeffs:
             v[pos[j]] = c
         return v
@@ -264,7 +287,7 @@ def shapovalov_gram(inst: ProblemInstance, k: int) -> np.ndarray:
     on the highest-weight vector.
     """
     basis = weight_space_basis(inst, k)
-    G = exact_array([[0] * len(basis) for _ in range(len(basis))])
+    G = zeros_like_domain((len(basis), len(basis)), True)
     for i, j in enumerate(basis):
         val = Fraction(1)
         for s, js in enumerate(j):
@@ -303,8 +326,7 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
     ker = kernel_basis(R)
     _, pivots = rref(R)
     q = len(pivots)
-    lift = np.empty((dS, q), dtype=object)
-    lift[...] = Fraction(0)
+    lift = zeros_like_domain((dS, q), True)
     for c, p in enumerate(pivots):
         lift[p, c] = Fraction(1)
     radical = np.empty((dS, len(ker)), dtype=object)

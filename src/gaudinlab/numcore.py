@@ -36,6 +36,7 @@ __all__ = [
     "zeros_like_domain",
     "max_abs",
     "rref",
+    "solve_rows",
     "rank_of",
     "kernel_basis",
     "solve_linear",
@@ -67,7 +68,6 @@ class Tolerances:
     svd_rel: float = 1e-10      # relative singular-value cutoff for rank/kernel
     cluster: float = 1e-7       # eigenvalue clustering, unit max-norm scale
     residual: float = 1e-8      # scheme / eigenvector residual gate
-    consistency: float = 1e-10  # coordinate-model agreement gate
 
 
 DEFAULT_TOL = Tolerances()
@@ -88,17 +88,19 @@ def as_exact(x):
 
 
 def as_float(x):
+    """Explicit conversion to complex; a dual number converts its value part."""
+    if isinstance(x, Dual):
+        return as_float(x.a)
     if isinstance(x, Fraction):
         return complex(x.numerator) / complex(x.denominator)
     return complex(x)
 
 
 def is_exact_scalar(x) -> bool:
+    """Fraction or int, or a dual number whose value part is one."""
+    if isinstance(x, Dual):
+        x = x.a
     return isinstance(x, (Fraction, Integral)) and not isinstance(x, bool)
-
-
-def scalar_zero(exact: bool):
-    return Fraction(0) if exact else 0j
 
 
 def scalar_one(exact: bool):
@@ -201,11 +203,6 @@ class UniPoly:
         return UniPoly((c,))
 
     @staticmethod
-    def x(exact=True):
-        one = scalar_one(exact)
-        return UniPoly((one * 0, one))
-
-    @staticmethod
     def monomial(k, c):
         return UniPoly((0 * c,) * k + (c,))
 
@@ -215,10 +212,6 @@ class UniPoly:
         for r in roots:
             p = p * UniPoly((-r, scalar_one(exact)))
         return p
-
-    @staticmethod
-    def from_descending(coeffs):
-        return UniPoly(tuple(reversed(list(coeffs))))
 
     # -- queries
     @property
@@ -278,12 +271,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return UniPoly((0 * self.coeffs[0],) * k + self.coeffs)
 
     def divmod(self, d: "UniPoly"):
         """Euclidean division; exact over Fractions, naive over floats."""
@@ -389,7 +376,12 @@ def max_abs(A: np.ndarray) -> float:
 
 
 def _rref_inplace(M: list) -> list:
-    """Row-reduce a list of Fraction rows in place; returns pivot columns."""
+    """Gauss-Jordan on a list of rows in place; returns the pivot columns.
+
+    Generic over the scalars (Fraction, complex or Dual).  The pivot is the
+    first nonzero entry at or below the current row, so a triangular system
+    keeps its natural pivots; each pivot row is scaled by 1/pivot.
+    """
     if not M:
         return []
     ncols = len(M[0])
@@ -400,8 +392,8 @@ def _rref_inplace(M: list) -> list:
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        M[r] = [v / pv for v in M[r]]
+        inv = 1 / M[r][c]
+        M[r] = [v * inv for v in M[r]]
         for i in range(len(M)):
             if i != r and M[i][c] != 0:
                 f = M[i][c]
@@ -420,6 +412,18 @@ def rref(A: np.ndarray):
     M = [list(row) for row in A]
     pivots = _rref_inplace(M)
     return exact_array(M) if M else A.copy(), pivots
+
+
+def solve_rows(M: list, n: int) -> list:
+    """Rows of X from the augmented rows M = [A | B] of a square A (n x n).
+
+    M is reduced in place by _rref_inplace; a rank-deficient A raises
+    SingularMatrixError with its rank defect.
+    """
+    pivots = _rref_inplace(M)
+    if len(pivots) < n or any(p >= n for p in pivots):
+        raise SingularMatrixError(n - sum(1 for p in pivots if p < n))
+    return [row[n:] for row in M]
 
 
 def rank_of(A: np.ndarray, tol: float | None = None) -> int:
@@ -452,8 +456,7 @@ def kernel_basis(A: np.ndarray, tol: float | None = None) -> list:
         free = [j for j in range(n) if j not in pivots]
         basis = []
         for f in free:
-            v = np.empty(n, dtype=object)
-            v[...] = Fraction(0)
+            v = zeros_like_domain((n,), True)
             v[f] = Fraction(1)
             for r, c in enumerate(pivots):
                 v[c] = -R[r, f]
@@ -462,7 +465,9 @@ def kernel_basis(A: np.ndarray, tol: float | None = None) -> list:
     tol = DEFAULT_TOL.svd_rel if tol is None else tol
     if m == 0:
         return [np.eye(n, dtype=complex)[:, j] for j in range(n)]
-    u, s, vh = np.linalg.svd(A)
+    # a wide A needs the full vh for its null space; the full u of a tall A
+    # can run to gigabytes and is never used
+    u, s, vh = np.linalg.svd(A, full_matrices=m < n)
     smax = s[0] if s.size else 0.0
     nz = int(np.sum(s > tol * smax)) if smax > 0 else 0
     return [vh[i].conj() for i in range(nz, n)]
@@ -475,11 +480,7 @@ def solve_linear(A: np.ndarray, rhs: np.ndarray, tol: float | None = None) -> np
         raise ValueError("solve_linear expects a square matrix")
     if is_exact_array(A):
         rhs2 = rhs.reshape(n, -1)
-        M = [list(A[i]) + list(rhs2[i]) for i in range(n)]
-        pivots = _rref_inplace(M)
-        if len(pivots) < n or any(p >= n for p in pivots):
-            raise SingularMatrixError(n - sum(1 for p in pivots if p < n))
-        X = exact_array([row[n:] for row in M])
+        X = exact_array(solve_rows([list(A[i]) + list(rhs2[i]) for i in range(n)], n))
         return X.reshape(rhs.shape)
     tol = DEFAULT_TOL.svd_rel if tol is None else tol
     r = rank_of(A, tol)

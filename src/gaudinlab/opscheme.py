@@ -21,19 +21,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import cmath
 import numpy as np
 
 from .gl2rep import ProblemInstance
 from .numcore import (
+    DEFAULT_TOL,
     DomainError,
     InconsistentSystemError,
-    SingularMatrixError,
     UniPoly,
     as_float,
     exact_sqrt,
+    is_exact_scalar,
+    scalar_one,
     solve_consistent,
+    solve_rows,
     wronskian,
 )
 
@@ -46,6 +50,8 @@ __all__ = [
     "p_of_a",
     "ptilde_of",
     "apply_Dh",
+    "PLANE_PRE_GATE",
+    "constraint_plane",
     "q_coefficients",
     "a_of_h",
     "h_of_a",
@@ -75,18 +81,16 @@ class MalformedPairError(ValueError):
     """Kernel pair fails the Wronskian divisibility required of the cycle."""
 
 
-def _is_exactish(v) -> bool:
-    from .numcore import Dual, is_exact_scalar
-    if isinstance(v, Dual):
-        return _is_exactish(v.a)
-    return is_exact_scalar(v)
+# Relative gate on q_{-1}, q_0 before the triangular solves (scale from
+# constraint_plane); it only screens out points far off the plane.
+PLANE_PRE_GATE = 1e-6
 
 
 def p_of_a(a) -> UniPoly:
     """Monic polynomial x^l + a_1 x^{l-1} + ... + a_l."""
     a = list(a)
     l = len(a)
-    one = Fraction(1) if all(_is_exactish(v) for v in a) else 1 + 0j
+    one = scalar_one(all(map(is_exact_scalar, a)))
     return UniPoly(tuple(reversed(a)) + (one,)) if l else UniPoly.const(one)
 
 
@@ -102,7 +106,7 @@ def ptilde_of(inst: ProblemInstance, atilde) -> UniPoly:
     atilde = list(atilde)
     if len(atilde) != lt - 1:
         raise ValueError(f"expected {lt - 1} coefficients, got {len(atilde)}")
-    one = Fraction(1) if all(_is_exactish(v) for v in atilde) else 1 + 0j
+    one = scalar_one(all(map(is_exact_scalar, atilde)))
     coeffs = [one * 0] * (lt + 1)
     coeffs[lt] = one
     it = iter(atilde)
@@ -111,16 +115,6 @@ def ptilde_of(inst: ProblemInstance, atilde) -> UniPoly:
             continue
         coeffs[lt - i] = next(it)
     return UniPoly(tuple(coeffs))
-
-
-def _zpoly(inst, skip=None) -> UniPoly:
-    one = Fraction(1) if inst.exact else 1 + 0j
-    p = UniPoly.const(one)
-    for r, zr in enumerate(inst.z):
-        if r == skip:
-            continue
-        p = p * UniPoly((-zr, one))
-    return p
 
 
 @dataclass(frozen=True)
@@ -152,20 +146,17 @@ class DhOperator:
 
     @property
     def A(self) -> UniPoly:
-        return _zpoly(self.inst)
+        return self.inst.zpolys[0]
 
     @property
     def B(self) -> UniPoly:
-        acc = UniPoly.zero()
-        for s, ms in enumerate(self.inst.m):
-            acc = acc + _zpoly(self.inst, skip=s) * (-ms)
-        return acc
+        return self.inst.zpolys[1]
 
-    @property
+    @cached_property
     def C(self) -> UniPoly:
         acc = UniPoly.zero()
-        for s, hs in enumerate(self.h):
-            acc = acc + _zpoly(self.inst, skip=s) * hs
+        for As, hs in zip(self.inst.zpolys[2], self.h):
+            acc = acc + As * hs
         return acc
 
 
@@ -174,44 +165,51 @@ def apply_Dh(op: DhOperator, u: UniPoly) -> UniPoly:
     return op.A * u.deriv().deriv() + op.B * u.deriv() + op.C * u
 
 
-def q_coefficients(inst: ProblemInstance, a, h):
-    """(q_{-1}, q_0, [q_1, ..., q_{l+n-2}]) at the given coordinates."""
-    l, n, lt = inst.l, inst.n, inst.ltilde
+def constraint_plane(inst: ProblemInstance, h):
+    """(q_{-1}, q_0, scale) at h, with scale = max(1, max |h_s|, l * lt).
+
+    q_{-1} = sum h_s and q_0 = sum z_s h_s - l * lt; scale is the size the
+    float gates on them are relative to.
+    """
     h = tuple(h)
     qm1 = sum(h[1:], h[0])
-    q0 = sum(z * hs for z, hs in zip(inst.z, h)) - l * lt
+    q0 = sum(z * hs for z, hs in zip(inst.z, h)) - inst.l * inst.ltilde
+    scale = max(1.0, max(abs(as_float(v)) for v in h) if h else 0.0,
+                float(inst.l * abs(inst.ltilde)))
+    return qm1, q0, scale
+
+
+def _plane_scale(inst: ProblemInstance, h, tol: float) -> float:
+    """constraint_plane's scale; ValueError if |q_{-1}| or |q_0| > tol * scale."""
+    qm1, q0, scale = constraint_plane(inst, h)
+    if abs(as_float(qm1)) > tol * scale or abs(as_float(q0)) > tol * scale:
+        raise ValueError(f"h is off the constraint plane: q_-1 = {qm1}, q_0 = {q0}")
+    return scale
+
+
+def q_coefficients(inst: ProblemInstance, a, h):
+    """(q_{-1}, q_0, [q_1, ..., q_{l+n-2}]) at the given coordinates."""
+    l, n = inst.l, inst.n
+    h = tuple(h)
+    qm1, q0, _ = constraint_plane(inst, h)
     w = apply_Dh(DhOperator(inst, h), p_of_a(a))
     qs = [w[l + n - 2 - i] for i in range(1, l + n - 1)]
     return qm1, q0, qs
 
 
-def _unit_like(values) -> tuple:
-    exact = all(_is_exactish(v) for v in values) if values else True
-    return (Fraction(1), Fraction(0)) if exact else (1 + 0j, 0j)
+def _affine_system(f, k: int, one):
+    """Rows [M | rhs] of the affine map f(x) = M x - rhs in k unknowns.
 
-
-def _solve_noswap(M, rhs):
-    """Gauss-Jordan without row swaps; needs invertible natural pivots.
-
-    Suited to the (lower-Hessenberg) triangular systems of this module and
-    generic over scalars, including dual numbers.
+    f returns a list of values; it is probed at 0 and at the unit vectors.
     """
-    k = len(M)
-    M = [row[:] for row in M]
-    rhs = rhs[:]
-    for c in range(k):
-        piv = M[c][c]
-        if not piv:
-            raise SingularMatrixError(1, f"zero pivot at position {c}")
-        inv = 1 / piv
-        M[c] = [v * inv for v in M[c]]
-        rhs[c] = rhs[c] * inv
-        for i in range(k):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [u - f * v for u, v in zip(M[i], M[c])]
-                rhs[i] = rhs[i] - f * rhs[c]
-    return rhs
+    zero = 0 * one
+    base = f([zero] * k)
+    cols = []
+    for j in range(k):
+        x = [zero] * k
+        x[j] = one
+        cols.append([v - b for v, b in zip(f(x), base)])
+    return [[col[i] for col in cols] + [-b] for i, b in enumerate(base)]
 
 
 def _a_of_h_raw(inst: ProblemInstance, h):
@@ -219,20 +217,13 @@ def _a_of_h_raw(inst: ProblemInstance, h):
     l = inst.l
     if l == 0:
         return []
-    one, zero = _unit_like(list(h))
-    base = q_coefficients(inst, [zero] * l, h)[2][:l]
-    cols = []
-    for j in range(l):
-        a = [zero] * l
-        a[j] = one
-        qj = q_coefficients(inst, a, h)[2][:l]
-        cols.append([qj[i] - base[i] for i in range(l)])
-    M = [[cols[j][i] for j in range(l)] for i in range(l)]
-    rhs = [-v for v in base]
-    return _solve_noswap(M, rhs)
+    h = tuple(h)
+    rows = _affine_system(lambda a: q_coefficients(inst, a, h)[2][:l], l,
+                          scalar_one(all(map(is_exact_scalar, h))))
+    return [row[0] for row in solve_rows(rows, l)]
 
 
-def a_of_h(inst: ProblemInstance, h, tol: float = 1e-6):
+def a_of_h(inst: ProblemInstance, h, tol: float = PLANE_PRE_GATE):
     """Unique a with q_1 = ... = q_l = 0, by triangular elimination.
 
     Requires q_{-1}(h) = q_0(h) = 0 (within tol * scale in float mode) and
@@ -241,14 +232,7 @@ def a_of_h(inst: ProblemInstance, h, tol: float = 1e-6):
     for i in range(1, inst.l + 1):
         if i * (sum(inst.m) - 2 * inst.l + i + 1) == 0:
             raise SeparatingConditionError(i)
-    h = tuple(h)
-    qm1 = sum(h[1:], h[0])
-    q0 = sum(z * hs for z, hs in zip(inst.z, h)) - inst.l * inst.ltilde
-    scale = max(1.0, max(abs(as_float(v)) for v in h) if h else 0.0,
-                float(inst.l * abs(inst.ltilde)))
-    if abs(as_float(qm1)) > tol * scale or abs(as_float(q0)) > tol * scale:
-        raise ValueError(
-            f"h is off the constraint plane: q_-1 = {qm1}, q_0 = {q0}")
+    _plane_scale(inst, h, tol)
     return _a_of_h_raw(inst, h)
 
 
@@ -264,35 +248,24 @@ def h_of_a(inst: ProblemInstance, a):
     a = list(a)
     if len(a) != l:
         raise ValueError(f"expected {l} coordinates, got {len(a)}")
-    exact = inst.exact and all(_is_exactish(v) for v in a)
-    one, zero = (Fraction(1), Fraction(0)) if exact else (1 + 0j, 0j)
+    one = scalar_one(inst.exact and all(map(is_exact_scalar, a)))
     p = p_of_a(a)
-    zp = _zpoly(inst)
-    base_expr = zp * p.deriv().deriv()
-    for s, ms in enumerate(inst.m):
-        base_expr = base_expr + _zpoly(inst, skip=s) * (-ms) * p.deriv()
-
-    def qhat(g):
-        gpoly = UniPoly(tuple(reversed(g)))
-        e = base_expr + gpoly * p
-        return [e[l + n - 2 - i] for i in range(n - 1)]
-
+    A, _, A_s = inst.zpolys
+    base_expr = A * p.deriv().deriv()
+    # term by term rather than B * p': the float lane's rounding, and with it
+    # the reported scheme residual, depends on this order
+    for ms, As in zip(inst.m, A_s):
+        base_expr = base_expr + As * (-ms) * p.deriv()
     g0 = one * (l * lt)
+
+    def qhat(grest):
+        """Coefficients of x^{l+n-3}, ..., x^l in A p'' + B p' + g p."""
+        e = base_expr + UniPoly(tuple(reversed([g0] + grest))) * p
+        return [e[l + n - 2 - i] for i in range(1, n - 1)]
+
     k = n - 2
-    base = qhat([g0] + [zero] * k)
-    if k:
-        cols = []
-        for j in range(k):
-            g = [g0] + [zero] * k
-            g[1 + j] = one
-            col = qhat(g)
-            cols.append([col[i] - base[i] for i in range(n - 1)])
-        M = [[cols[j][i + 1] for j in range(k)] for i in range(k)]
-        rhs = [-base[i + 1] for i in range(k)]
-        grest = _solve_noswap(M, rhs)
-    else:
-        grest = []
-    g = UniPoly(tuple(reversed([g0] + list(grest))))
+    grest = [row[0] for row in solve_rows(_affine_system(qhat, k, one), k)]
+    g = UniPoly(tuple(reversed([g0] + grest)))
     return h_from_numerator(inst, g)
 
 
@@ -329,45 +302,27 @@ def ptilde_solve(inst: ProblemInstance, h, tol: float | None = None):
     if lt <= l:
         raise ValueError("second kernel polynomial needs sum(m) + 1 - l > l")
     h = tuple(h)
-    qm1 = sum(h[1:], h[0])
-    q0 = sum(z * hs for z, hs in zip(inst.z, h)) - l * lt
-    scale = max(1.0, max(abs(as_float(v)) for v in h) if h else 0.0,
-                float(l * abs(lt)))
-    pre_tol = 1e-6 if tol is None else max(tol, 1e-6)
-    if abs(as_float(qm1)) > pre_tol * scale or abs(as_float(q0)) > pre_tol * scale:
-        raise ValueError(f"h is off the constraint plane: q_-1 = {qm1}, q_0 = {q0}")
+    scale = _plane_scale(inst, h, PLANE_PRE_GATE if tol is None
+                         else max(tol, PLANE_PRE_GATE))
     nunk = lt - 1
-    exact = all(_is_exactish(v) for v in h)
-    one, zero = (Fraction(1), Fraction(0)) if exact else (1 + 0j, 0j)
+    exact = all(map(is_exact_scalar, h))
     op = DhOperator(inst, h)
 
     def coeffs_of(atilde):
         w = apply_Dh(op, ptilde_of(inst, atilde))
         return [w[lt + n - 2 - i] for i in range(1, lt + n - 1)]
 
-    base = coeffs_of([zero] * nunk)
-    neq = len(base)
+    rows = _affine_system(coeffs_of, nunk, scalar_one(exact))
     if nunk == 0:
-        resid = max(abs(as_float(v)) for v in base) if base else 0.0
-        if (exact and any(base)) or resid > (1e-8 if tol is None else tol) * scale:
+        resid = max((abs(as_float(r[0])) for r in rows), default=0.0)
+        gate = DEFAULT_TOL.residual if tol is None else tol
+        if (exact and any(r[0] for r in rows)) or resid > gate * scale:
             raise InconsistentSystemError("no second polynomial kernel element")
         return []
-    if exact:
-        M = np.empty((neq, nunk), dtype=object)
-        rhs = np.empty(neq, dtype=object)
-    else:
-        M = np.zeros((neq, nunk), dtype=complex)
-        rhs = np.zeros(neq, dtype=complex)
-    for j in range(nunk):
-        at = [zero] * nunk
-        at[j] = one
-        col = coeffs_of(at)
-        for i in range(neq):
-            M[i, j] = col[i] - base[i]
-    for i in range(neq):
-        rhs[i] = -base[i]
-    sol = solve_consistent(M, rhs, tol=tol)
-    return list(sol)
+    dtype = object if exact else complex
+    M = np.array([r[:-1] for r in rows], dtype=dtype)
+    rhs = np.array([r[-1] for r in rows], dtype=dtype)
+    return list(solve_consistent(M, rhs, tol=tol))
 
 
 def exponents_at(op: DhOperator, s: int | None):
@@ -381,8 +336,8 @@ def exponents_at(op: DhOperator, s: int | None):
         zs = inst.z[s]
         p0 = op.B(zs) / op.A.deriv()(zs)
         return (0 * p0, 1 - p0)
-    qm1 = sum(op.h[1:], op.h[0])
-    if (qm1 != 0) if inst.exact else abs(qm1) > 1e-6 * max(1.0, max_abs_h(op.h)):
+    qm1, _, scale = constraint_plane(inst, op.h)
+    if (qm1 != 0) if inst.exact else abs(qm1) > PLANE_PRE_GATE * scale:
         raise ValueError("exponents at infinity need q_{-1}(h) = 0")
     cinf = op.C[inst.n - 2]
     tr = 1 + sum(inst.m)
@@ -399,19 +354,11 @@ def exponents_at(op: DhOperator, s: int | None):
     return (r1, r2)
 
 
-def max_abs_h(h) -> float:
-    return max(abs(as_float(v)) for v in h) if h else 0.0
-
-
 def wronskian_check(inst: ProblemInstance, atilde, a) -> UniPoly:
     """Wr(ptilde, p) - (lt - l) prod (x - z_s)^{m_s}; zero on the cycle."""
     pt = ptilde_of(inst, atilde)
     p = p_of_a(a)
-    one = Fraction(1) if inst.exact else 1 + 0j
-    target = UniPoly.const(one * (inst.ltilde - inst.l))
-    for s, zs in enumerate(inst.z):
-        for _ in range(inst.m[s]):
-            target = target * UniPoly((-zs, one))
+    target = inst.zproduct(scalar_one(inst.exact) * (inst.ltilde - inst.l), inst.m)
     return wronskian(pt, p) - target
 
 
@@ -426,7 +373,7 @@ def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly
     The residues of b2/b0 reproduce the h coordinates of the point.
     """
     lt, l = inst.ltilde, inst.l
-    one = Fraction(1) if inst.exact else 1 + 0j
+    one = scalar_one(inst.exact)
     scale = max(1.0, ptilde.max_abs(), p.max_abs())
     for s, zs in enumerate(inst.z):
         vt, vp = ptilde(zs), p(zs)
@@ -438,15 +385,8 @@ def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly
     d2t, d2p = ptilde.deriv().deriv(), p.deriv().deriv()
     B1 = -(d2t * p - ptilde * d2p)
     B2 = d2t * p.deriv() - ptilde.deriv() * d2p
-    den = UniPoly.const(one * (lt - l))
-    extra = UniPoly.const(one)
-    for s, zs in enumerate(inst.z):
-        ms = inst.m[s]
-        if ms >= 1:
-            for _ in range(ms - 1):
-                den = den * UniPoly((-zs, one))
-        else:
-            extra = extra * UniPoly((-zs, one))
+    den = inst.zproduct(one * (lt - l), [max(ms - 1, 0) for ms in inst.m])
+    extra = inst.zproduct(one, [int(ms == 0) for ms in inst.m])
     out = []
     cscale = max(1.0, B0.max_abs(), B1.max_abs(), B2.max_abs()) * max(1.0, extra.max_abs())
     for Bi in (B0, B1, B2):
@@ -458,7 +398,7 @@ def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly
             raise MalformedPairError(
                 f"kernel pair divisibility residual {rem.max_abs():.3e}")
         out.append(qpoly)
-    drift = out[0] - _zpoly(inst)
+    drift = out[0] - inst.zpolys[0]
     if (inst.exact and not drift.is_zero()) or \
             (not inst.exact and drift.max_abs() > tol * cscale):
         raise MalformedPairError("Wronskian is not the prescribed zero divisor")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gaudin import GaudinSystem
+from .gaudin import GaudinSystem, span_closure
 from .gl2rep import ProblemInstance, WeightVector
 from .numcore import (
     DEFAULT_TOL,
@@ -27,11 +27,15 @@ from .numcore import (
     as_float,
     identity,
     is_exact_array,
+    is_exact_scalar,
     kernel_basis,
     max_abs,
+    scalar_one,
     solve_consistent,
+    to_float_array,
+    zeros_like_domain,
 )
-from .opscheme import SchemePoint, _is_exactish, p_of_a
+from .opscheme import SchemePoint, p_of_a
 
 __all__ = [
     "DegenerateCoordinatesError",
@@ -68,14 +72,9 @@ def change_of_variables(inst: ProblemInstance, x):
     u = sum(x)
     if abs(u) <= 1e-14 * max(1.0, max(abs(v) for v in x) if x else 0.0):
         raise DegenerateCoordinatesError("sum of coordinates vanishes")
-    z = [as_float(v) for v in inst.z]
     numer = UniPoly.zero()
-    for s in range(inst.n):
-        w = UniPoly.const(x[s])
-        for r in range(inst.n):
-            if r != s:
-                w = w * UniPoly((-z[r], 1 + 0j))
-        numer = numer + w
+    for xs, As in zip(x, inst.zpolys[2]):
+        numer = numer + As * xs
     if numer.degree <= 0:
         return u, ()
     roots = np.roots(list(reversed(numer.coeffs)))
@@ -85,8 +84,7 @@ def change_of_variables(inst: ProblemInstance, x):
 
 def _companion(p: UniPoly) -> np.ndarray:
     l = p.degree
-    C = np.empty((l, l), dtype=object)
-    C[...] = Fraction(0)
+    C = zeros_like_domain((l, l), True)
     for j in range(l - 1):
         C[j + 1, j] = Fraction(1)
     for i in range(l):
@@ -135,10 +133,9 @@ def weight_function(inst: ProblemInstance, a) -> WeightVector:
     a = list(a)
     if len(a) != l:
         raise ValueError(f"expected {l} coordinates, got {len(a)}")
-    exact = inst.exact and all(_is_exactish(v) for v in a)
+    exact = inst.exact and all(is_exact_scalar(v) for v in a)
     if l == 0:
-        one = Fraction(1) if exact else 1 + 0j
-        return WeightVector.from_dict({(0,) * n: one}, 0)
+        return WeightVector.from_dict({(0,) * n: scalar_one(exact)}, 0)
     p = p_of_a([Fraction(v) if exact else complex(v) for v in a])
     sign = 1 if l % 2 == 0 else -1
     if exact:
@@ -146,15 +143,8 @@ def weight_function(inst: ProblemInstance, a) -> WeightVector:
         powers = [identity(l)]
         for _ in range(n - 1):
             powers.append(powers[-1] @ C)
-        A = []
-        for s in range(n):
-            w = UniPoly.const(Fraction(1))
-            for i in range(n):
-                if i != s:
-                    w = w * UniPoly((-inst.z[i], Fraction(1)))
-            As = sum((powers[k] * w[k] for k in range(1, w.degree + 1)),
-                     powers[0] * w[0])
-            A.append(As)
+        A = [sum((powers[k] * w[k] for k in range(1, w.degree + 1)), powers[0] * w[0])
+             for w in inst.zpolys[2]]
         forms = [[[A[s][i, j] for s in range(n)] for j in range(l)]
                  for i in range(l)]
         det = _linear_form_det(forms, l, tuple(range(l)), {})
@@ -218,12 +208,12 @@ def bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
     tol = DEFAULT_TOL.residual if tol is None else tol
     omega = weight_function(inst, point.a)
     arr = omega.to_array(inst)
-    point_exact = all(_is_exactish(v) for v in point.a) and \
-        all(_is_exactish(v) for v in point.h)
-    mats = _system_mats(sys, exact=point_exact and is_exact_array(sys.sing))
-    H_big, E12, S, P, H_sing, H_L = mats
+    point_exact = all(is_exact_scalar(v) for v in point.a) and \
+        all(is_exact_scalar(v) for v in point.h)
+    conv = to_float_array if is_exact_array(sys.sing) and not point_exact else (lambda M: M)
+    H_big, H_sing, H_L = ([conv(M) for M in Hs] for Hs in (sys.H_big, sys.H_sing, sys.H_L))
+    E12, S, P = conv(sys.E12), conv(sys.sing), conv(sys.shq.sh)
     if is_exact_array(arr) and not is_exact_array(S):
-        from .numcore import to_float_array
         arr = to_float_array(arr)
     nrm = max_abs(arr)
     if nrm == 0:
@@ -247,36 +237,10 @@ def bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
                        via_subspace=via_subspace)
 
 
-def _system_mats(sys: GaudinSystem, exact: bool):
-    from .numcore import to_float_array
-    pieces = (list(sys.H_big), sys.E12, sys.sing, sys.shq.sh,
-              list(sys.H_sing), list(sys.H_L))
-    if exact or not is_exact_array(sys.sing):
-        return pieces
-    return ([to_float_array(M) for M in pieces[0]], to_float_array(pieces[1]),
-            to_float_array(pieces[2]), to_float_array(pieces[3]),
-            [to_float_array(M) for M in pieces[4]],
-            [to_float_array(M) for M in pieces[5]])
-
-
 def _eigenline_via_subspace(P, H_sing, H_L, coords, h, tol):
     """Unique eigenline inside the quotient image of the algebra closure."""
     exact = is_exact_array(coords)
-    from .gaudin import _ExactReducer, _FloatReducer
-    red = _ExactReducer() if exact else _FloatReducer(DEFAULT_TOL.svd_rel)
-    basis = []
-    if red.add(coords):
-        basis.append(coords)
-    frontier = list(basis)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for Hs in H_sing:
-                w = Hs @ v
-                if red.add(w):
-                    basis.append(w)
-                    nxt.append(w)
-        frontier = nxt
+    basis = span_closure(coords, H_sing, lambda v, H: H @ v, None)
     W = np.stack([P @ v for v in basis], axis=1)
     keep = [j for j in range(W.shape[1]) if max_abs(W[:, j]) > 0]
     W = W[:, keep] if keep else W[:, :0]

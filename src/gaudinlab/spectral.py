@@ -21,7 +21,6 @@ from .numcore import (
     DEFAULT_TOL,
     Dual,
     InconsistentSystemError,
-    is_exact_array,
     max_abs,
     to_float_array,
 )
@@ -32,6 +31,7 @@ from .opscheme import (
     SchemePoint,
     _a_of_h_raw,
     apply_Dh,
+    constraint_plane,
     exponents_at,
     h_from_numerator,
     operator_from_kernel_pair,
@@ -80,13 +80,6 @@ class SpectrumReport:
     bethe_vectors: list = field(default_factory=list)
 
 
-def _as_float_mats(mats):
-    out = []
-    for M in mats:
-        out.append(to_float_array(M) if is_exact_array(M) else np.asarray(M, dtype=complex))
-    return out
-
-
 def joint_spectrum(mats, seed: int, tol: float | None = None):
     """[(h, multiplicity, orthonormal invariant basis), ...] of the family.
 
@@ -96,7 +89,7 @@ def joint_spectrum(mats, seed: int, tol: float | None = None):
     which case the caller should reseed.
     """
     tol = DEFAULT_TOL.cluster if tol is None else tol
-    mats = _as_float_mats(mats)
+    mats = [to_float_array(M) for M in mats]
     n = len(mats)
     d = mats[0].shape[0]
     if d == 0:
@@ -161,9 +154,9 @@ def _point_residuals(inst: ProblemInstance, h, tol):
     l, n, lt = inst.l, inst.n, inst.ltilde
     h = tuple(complex(v) for v in h)
     res = {}
-    hscale = max(1.0, max(abs(v) for v in h), float(l * abs(lt)))
-    res["q_minus1"] = abs(sum(h)) / hscale
-    res["q_0"] = abs(sum(z * hs for z, hs in zip(finst.z, h)) - l * lt) / hscale
+    qm1, q0, hscale = constraint_plane(finst, h)
+    res["q_minus1"] = abs(qm1) / hscale
+    res["q_0"] = abs(q0) / hscale
     a = [complex(v) for v in _a_of_h_raw(finst, h)]
     ascale = max(hscale, max((abs(v) for v in a), default=0.0))
     res["scheme"] = max((abs(v) for v in residual_system(finst, a)),
@@ -235,9 +228,8 @@ def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
 
 def _jacobian_functions(inst: ProblemInstance, h):
     """q_{-1}, q_0, and the composed defining polynomials at possibly-dual h."""
-    l, lt, n = inst.l, inst.ltilde, inst.n
-    qm1 = sum(h[1:], h[0])
-    q0 = sum(z * hs for z, hs in zip(inst.z, h)) - l * lt
+    l, n = inst.l, inst.n
+    qm1, q0, _ = constraint_plane(inst, h)
     vals = [qm1, q0]
     if n > 2:
         a = _a_of_h_raw(inst, h)
@@ -322,7 +314,7 @@ def diagonalizability_check(mats, tol: float | None = None, seed: int = 0):
     subspace must be scalar within tol * |H|.
     """
     tol = DEFAULT_TOL.residual if tol is None else tol
-    mats = _as_float_mats(mats)
+    mats = [to_float_array(M) for M in mats]
     if mats[0].shape[0] == 0:
         return True, 0.0
     spectrum = None

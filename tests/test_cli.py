@@ -26,6 +26,9 @@ class TestConfig:
             load_config({"m": [1, 1], "l": -1, "z": ["0", "1"]})
         with pytest.raises(ConfigError):
             load_config({"m": [1, 1], "z": ["0", "1"]})
+        with pytest.raises(ConfigError):    # accepted keys: svd_rel, cluster, residual
+            load_config({"m": [1, 1], "l": 1, "z": ["0", "1"],
+                         "tolerances": {"consistency": 1e-10}})
 
     def test_exact_mode_needs_rational_z(self):
         with pytest.raises(ConfigError):

@@ -98,16 +98,22 @@ class TestKernelBasis:
 
     def test_float_residual_bound(self, rng):
         tol = 1e-10
-        for _ in range(10):
-            d = int(rng.integers(2, 7))
-            r = int(rng.integers(1, d))
-            A = (rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))
-            B = (rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d)))
+
+        def check(rows, cols, r):
+            A = (rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r)))
+            B = (rng.normal(size=(r, cols)) + 1j * rng.normal(size=(r, cols)))
             M = A @ B
             vs = kernel_basis(M, tol)
-            assert len(vs) == d - r
+            assert len(vs) == cols - r
+            d = max(rows, cols)
             for v in vs:
                 assert np.linalg.norm(M @ v) <= 10 * tol * max_abs(M) * np.linalg.norm(v) * d
+
+        for _ in range(10):
+            d = int(rng.integers(2, 7))
+            check(d, d, int(rng.integers(1, d)))
+        check(300, 5, 3)    # tall: the null space comes from the thin SVD
+        check(3, 7, 2)      # wide: the null space needs the full vh
 
     def test_exact_kernel_is_exact(self, rng):
         for _ in range(10):

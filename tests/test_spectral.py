@@ -11,6 +11,7 @@ from gaudinlab import (
     build_gaudin,
     diagonalizability_check,
     grothendieck_weights,
+    h_of_a,
     joint_spectrum,
     match_spectrum_to_scheme,
 )
@@ -127,6 +128,21 @@ class TestGrothendieck:
                           multiplicity=1, residuals={})
         (w_float,) = grothendieck_weights(E1.to_float(), [ptf])
         assert abs(w_float - 1) < 1e-6
+
+    @pytest.mark.parametrize("m, l, z, a", [
+        ((1,) * 4, 2, (0, 1, 2, 3), (1, 2)),
+        ((2,) * 4, 3, (0, 1, 3, 7), (1, -1, F(1, 2))),
+    ])
+    def test_dual_weight_through_multirow_solve(self, m, l, z, a):
+        # n = 4: the exact weight takes dual numbers through the l-row a(h) solve
+        inst = ProblemInstance(m, l, z)
+        h = tuple(h_of_a(inst, [F(v) for v in a]))
+        pt = SchemePoint(h=h, a=tuple(a), atilde=None, multiplicity=1, residuals={})
+        (w_exact,) = grothendieck_weights(inst, [pt])
+        ptf = SchemePoint(h=tuple(complex(v) for v in h), a=tuple(complex(v) for v in a),
+                          atilde=None, multiplicity=1, residuals={})
+        (w_float,) = grothendieck_weights(inst.to_float(), [ptf])
+        assert abs(w_float - complex(w_exact)) <= 1e-6 * abs(complex(w_exact))
 
     def test_form_symmetry_and_nondegeneracy(self, rng):
         for _ in range(3):
