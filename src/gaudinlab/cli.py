@@ -19,6 +19,8 @@ import numpy as np
 import jsonschema
 
 from .gaudin import (
+    GaudinFrame,
+    GaudinSystem,
     annihilator_ideal,
     bethe_algebra_basis,
     build_gaudin,
@@ -118,8 +120,8 @@ def _ser_seq(seq):
     return [_ser(v) for v in seq]
 
 
-def run_pipeline(inst: ProblemInstance, seed: int, tol: Tolerances):
-    """Build everything for one instance; returns (report dict, failures)."""
+def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
+    """Check everything for one built system; returns (report dict, failures)."""
     t0 = time.perf_counter()
     failures = []
     gate = tol.residual
@@ -130,7 +132,7 @@ def run_pipeline(inst: ProblemInstance, seed: int, tol: Tolerances):
             failures.append(name)
         return residual
 
-    sysd = build_gaudin(inst)
+    inst = sysd.inst
     n, l, lt = inst.n, inst.l, inst.ltilde
     dim_m, dim_l = sysd.dim_sing_m, sysd.dim_sing_l
     schub = schubert_dimension(inst.m, l)
@@ -218,7 +220,7 @@ def run_pipeline(inst: ProblemInstance, seed: int, tol: Tolerances):
     bmax = 0.0
     omega_ls = []
     finst = inst.to_float() if exact else inst
-    fsys = build_gaudin(finst) if (exact and report_l.points) else sysd
+    fsys = build_gaudin(finst, sysd.frame) if (exact and report_l.points) else sysd
     for p in report_l.points:
         try:
             bv = bethe_vector(finst, fsys, p, tol=gate)
@@ -304,7 +306,7 @@ def run_pipeline(inst: ProblemInstance, seed: int, tol: Tolerances):
 
 def cmd_spectrum(config: dict):
     inst, mode, seed, tol = load_config(config)
-    report, failures = run_pipeline(inst, seed, tol)
+    report, failures = run_pipeline(build_gaudin(inst), seed, tol)
     report = {
         "instance": {
             "m": list(inst.m), "l": inst.l, "z": _ser_seq(inst.z),
@@ -346,11 +348,13 @@ def cmd_verify(config: dict, samples: int):
     runs = []
     failures = []
     counts = []
+    frame = GaudinFrame(inst0)
     for k in range(samples):
         kind = "real" if k % 2 == 0 else "complex"
         z = _sample_z(rng, inst0.n, kind)
         inst = ProblemInstance(inst0.m, inst0.l, z)
-        rep, fails = run_pipeline(inst, seed + 1000 * k, tol)
+        sysd = build_gaudin(inst, frame)
+        rep, fails = run_pipeline(sysd, seed + 1000 * k, tol)
         entry = {
             "z": _ser_seq(inst.z),
             "kind": kind,
@@ -366,7 +370,6 @@ def cmd_verify(config: dict, samples: int):
         if fails:
             failures.append(f"sample_{k}:" + ",".join(fails))
         if kind == "real":
-            sysd = build_gaudin(inst)
             ok_l, worst = diagonalizability_check(list(sysd.H_L), tol=tol.residual,
                                                   seed=seed + 17 * k)
             entry["diagonalizable"] = bool(ok_l)

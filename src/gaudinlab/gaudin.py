@@ -44,6 +44,7 @@ from .numcore import (
 )
 
 __all__ = [
+    "GaudinFrame",
     "GaudinSystem",
     "build_gaudin",
     "polynomial_valued_kernel",
@@ -55,13 +56,91 @@ __all__ = [
 ]
 
 
+def _readonly(A: np.ndarray) -> np.ndarray:
+    A.flags.writeable = False
+    return A
+
+
+@dataclass(frozen=True)
+class FrameLane:
+    """A frame's matrices in one scalar domain (exact or float).
+
+    omega maps each ordered pair (s, r), s != r, to Omega_{s,r} on the
+    level-l space; sing, shq, gram and E12 are what GaudinSystem carries.
+    """
+
+    eye: np.ndarray
+    omega: dict
+    sing: np.ndarray
+    shq: ShQuotient
+    gram: np.ndarray
+    E12: np.ndarray
+
+
+class GaudinFrame:
+    """The part of build_gaudin that does not depend on z, for one (m, l).
+
+    The generator and degree matrices, the singular basis, the Shapovalov
+    quotient and Gram matrix are built exactly from the instance given;
+    its z is not read.  lane(exact) converts them, and builds Omega_{s,r},
+    in one scalar domain the first time an instance of that domain asks,
+    then keeps the result.  Every array a lane holds is read-only, since
+    all systems built on the frame share it.
+    """
+
+    def __init__(self, inst: ProblemInstance):
+        n, l = inst.n, inst.l
+        self.m, self.l = inst.m, l
+        # e12 on levels l and l+1, e21 on levels l-1 and l, degrees on level l
+        self._gens = (
+            [generator_matrix(inst, 1, 2, s, l) for s in range(n)],
+            [generator_matrix(inst, 1, 2, s, l + 1) for s in range(n)],
+            [generator_matrix(inst, 2, 1, s, l - 1) for s in range(n)],
+            [generator_matrix(inst, 2, 1, s, l) for s in range(n)],
+            [degree_diagonal(inst, s, l) for s in range(n)],
+        )
+        self._sing = singular_matrix(inst)
+        self._shq = sh_quotient(inst)
+        self._gram = shapovalov_gram(inst, l)
+        self._lanes = {}
+
+    def lane(self, exact: bool) -> FrameLane:
+        if exact not in self._lanes:
+            self._lanes[exact] = self._build_lane(exact)
+        return self._lanes[exact]
+
+    def _build_lane(self, exact: bool) -> FrameLane:
+        m, n = self.m, len(self.m)
+        conv = _int_array if exact else to_float_array
+        e12_lo, e12_hi, e21_lo, e21_hi, degs = ([conv(M) for M in mats]
+                                                for mats in self._gens)
+        eye = conv(identity(degs[0].shape[0]))
+        t11 = [m[s] * eye - degs[s] for s in range(n)]
+        omega = {(s, r): _readonly(t11[s] @ t11[r] + degs[s] @ degs[r]
+                                   + e12_hi[s] @ e21_hi[r] + e21_lo[s] @ e12_lo[r])
+                 for s in range(n) for r in range(n) if r != s}
+        e12 = self._gens[0]
+        E12 = sum(e12[1:], e12[0])
+        sing, shq, gram = self._sing, self._shq, self._gram
+        if not exact:
+            E12, sing, gram = (to_float_array(M) for M in (E12, sing, gram))
+            shq = replace(shq, sh=to_float_array(shq.sh),
+                          lift=to_float_array(shq.lift),
+                          radical=to_float_array(shq.radical),
+                          gram_sing=to_float_array(shq.gram_sing))
+        for M in (eye, E12, sing, gram, shq.sh, shq.lift, shq.radical, shq.gram_sing):
+            _readonly(M)
+        return FrameLane(eye=eye, omega=omega, sing=sing, shq=shq, gram=gram, E12=E12)
+
+
 @dataclass(frozen=True)
 class GaudinSystem:
     """Hamiltonians of one instance on the three nested spaces.
 
     G lists the numerator coefficients of sum_s H_sing[s]/(x - z_s) in
     descending powers: G[0] is the x^{n-2} coefficient, which equals
-    l (sum(m) + 1 - l) Id on the singular subspace.
+    l (sum(m) + 1 - l) Id on the singular subspace.  sing, shq, gram,
+    gram_sing and E12 are the frame's read-only arrays.
     """
 
     inst: ProblemInstance
@@ -74,6 +153,7 @@ class GaudinSystem:
     gram: np.ndarray          # Shapovalov Gram on the level-l basis
     gram_sing: np.ndarray
     E12: np.ndarray           # raising operator, level l -> level l-1
+    frame: GaudinFrame
 
     @property
     def dim_sing_m(self) -> int:
@@ -93,30 +173,20 @@ def _int_array(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_gaudin(inst: ProblemInstance) -> GaudinSystem:
-    n, l = inst.n, inst.l
-    exact = inst.exact
+def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None) -> GaudinSystem:
+    """Hamiltonians at inst's z, assembled from frame (built here if None).
 
-    e12_lo = [generator_matrix(inst, 1, 2, s, l) for s in range(n)]
-    e12_hi = [generator_matrix(inst, 1, 2, s, l + 1) for s in range(n)]
-    e21_lo = [generator_matrix(inst, 2, 1, s, l - 1) for s in range(n)]
-    e21_hi = [generator_matrix(inst, 2, 1, s, l) for s in range(n)]
-    degs = [degree_diagonal(inst, s, l) for s in range(n)]
-    E12_raw = sum(e12_lo[1:], e12_lo[0])
-    conv = _int_array if exact else to_float_array
-    e12_lo = [conv(M) for M in e12_lo]
-    e12_hi = [conv(M) for M in e12_hi]
-    e21_lo = [conv(M) for M in e21_lo]
-    e21_hi = [conv(M) for M in e21_hi]
-    degs = [conv(M) for M in degs]
-    d = degs[0].shape[0]
-    eye = conv(identity(d))
-
-    def omega(s, r):
-        t11s = inst.m[s] * eye - degs[s]
-        t11r = inst.m[r] * eye - degs[r]
-        return (t11s @ t11r + degs[s] @ degs[r]
-                + e12_hi[s] @ e21_hi[r] + e21_lo[s] @ e12_lo[r])
+    ValueError if the frame was built for another (m, l).
+    """
+    if frame is None:
+        frame = GaudinFrame(inst)
+    elif (frame.m, frame.l) != (inst.m, inst.l):
+        raise ValueError(f"frame is for (m, l) = ({frame.m}, {frame.l}), "
+                         f"instance has ({inst.m}, {inst.l})")
+    n, exact = inst.n, inst.exact
+    lane = frame.lane(exact)
+    eye = lane.eye
+    d = eye.shape[0]
 
     H_big = []
     for s in range(n):
@@ -124,24 +194,12 @@ def build_gaudin(inst: ProblemInstance) -> GaudinSystem:
         for r in range(n):
             if r == s:
                 continue
-            acc = acc + (inst.m[s] * inst.m[r] * eye - omega(s, r)) * \
+            acc = acc + (inst.m[s] * inst.m[r] * eye - lane.omega[s, r]) * \
                 (1 / (inst.z[s] - inst.z[r]))
         H_big.append(acc)
 
-    S = singular_matrix(inst)
-    shq = sh_quotient(inst)
-    gram = shapovalov_gram(inst, l)
-    E12 = E12_raw if exact else to_float_array(E12_raw)
-    if not exact:
-        S = to_float_array(S)
-        gram = to_float_array(gram)
-        shq = replace(shq, sh=to_float_array(shq.sh),
-                      lift=to_float_array(shq.lift),
-                      radical=to_float_array(shq.radical),
-                      gram_sing=to_float_array(shq.gram_sing))
-    gram_sing = shq.gram_sing
+    S, shq = lane.sing, lane.shq
     P, C = shq.sh, shq.lift
-
     H_sing = [solve_consistent(S, Hb @ S) if S.shape[1] else
               zeros_like_domain((0, 0), exact) for Hb in H_big]
     H_L = [P @ Hs @ C for Hs in H_sing]
@@ -151,7 +209,8 @@ def build_gaudin(inst: ProblemInstance) -> GaudinSystem:
 
     return GaudinSystem(inst=inst, H_big=tuple(H_big), H_sing=tuple(H_sing),
                         H_L=tuple(H_L), G=tuple(G), sing=S, shq=shq,
-                        gram=gram, gram_sing=gram_sing, E12=E12)
+                        gram=lane.gram, gram_sing=shq.gram_sing, E12=lane.E12,
+                        frame=frame)
 
 
 def _space_mats(sys: GaudinSystem, space: str):

@@ -304,10 +304,10 @@ class ShQuotient:
 
     sh is the projection in singular-basis coordinates (dim_L x dim_SingM);
     lift is a right inverse embedding the quotient back (sh @ lift = I);
-    radical columns span ker(sh).
+    radical columns span ker(sh); gram_sing is the Gram form on the
+    singular basis.
     """
 
-    basis: tuple      # WeightVectors lifting the quotient basis
     sh: np.ndarray
     lift: np.ndarray
     radical: np.ndarray
@@ -338,5 +338,4 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
         P = Binv[:q, :]
     else:
         P = np.empty((0, 0), dtype=object)
-    vecs = tuple(WeightVector.from_array(S @ lift[:, c], inst, inst.l) for c in range(q))
-    return ShQuotient(basis=vecs, sh=P, lift=lift, radical=radical, gram_sing=R)
+    return ShQuotient(sh=P, lift=lift, radical=radical, gram_sing=R)

@@ -218,8 +218,14 @@ def _a_of_h_raw(inst: ProblemInstance, h):
     if l == 0:
         return []
     h = tuple(h)
-    rows = _affine_system(lambda a: q_coefficients(inst, a, h)[2][:l], l,
-                          scalar_one(all(map(is_exact_scalar, h))))
+    op = DhOperator(inst, h)
+    top = l + inst.n - 2
+
+    def q_1_to_l(a):
+        w = apply_Dh(op, p_of_a(a))
+        return [w[top - i] for i in range(1, l + 1)]
+
+    rows = _affine_system(q_1_to_l, l, scalar_one(all(map(is_exact_scalar, h))))
     return [row[0] for row in solve_rows(rows, l)]
 
 

@@ -116,6 +116,46 @@ class TestVerifyCommand:
             cmd_verify(E1_CONFIG, 0)
 
 
+class TestFrameSharing:
+    """Each command builds one GaudinFrame and keeps none afterwards."""
+
+    FOUR_SPINS = {"m": [1, 1, 1, 1], "l": 2, "z": ["0", "1", "2", "3"], "seed": 0}
+    COUNTED = ("sh_quotient", "singular_matrix", "generator_matrix")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import gaudinlab.gaudin as gaudin
+        counts = dict.fromkeys(self.COUNTED, 0)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in self.COUNTED:
+            monkeypatch.setattr(gaudin, name, counting(name, getattr(gaudin, name)))
+        return counts
+
+    def test_verify_builds_one_frame(self, calls):
+        cmd_verify(self.FOUR_SPINS, 1)
+        one_sample = dict(calls)
+        assert one_sample["sh_quotient"] == 1
+        calls.update(dict.fromkeys(self.COUNTED, 0))
+        cmd_verify(self.FOUR_SPINS, 4)
+        assert calls == one_sample
+
+    def test_exact_spectrum_builds_one_frame(self, calls):
+        rep, _ = cmd_spectrum(E1_CONFIG)
+        assert rep["spectrum_sing_l"]["points"]  # so the float twin is built
+        assert calls["sh_quotient"] == 1
+
+    def test_no_frame_kept_between_commands(self, calls):
+        cmd_verify(self.FOUR_SPINS, 4)
+        cmd_verify(self.FOUR_SPINS, 4)
+        assert calls["sh_quotient"] == 2
+
+
 class TestMainEntry:
     def run_cli(self, *args, config=None, tmp_path=None):
         argv = [sys.executable, "-m", "gaudinlab.cli", *args]

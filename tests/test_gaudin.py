@@ -11,7 +11,7 @@ from gaudinlab import (
     induced_map_kernel,
     polynomial_valued_kernel,
 )
-from gaudinlab.gaudin import apply_universal_operator
+from gaudinlab.gaudin import GaudinFrame, apply_universal_operator
 from gaudinlab.numcore import InconsistentSystemError, identity, max_abs
 
 from conftest import random_exact_instance
@@ -95,6 +95,48 @@ class TestBuildGaudin:
         from gaudinlab.numcore import to_float_array
         for A, B in zip(se.H_big, sf.H_big):
             assert np.abs(to_float_array(A) - B).max() < 1e-12
+
+
+class TestGaudinFrame:
+    FIELDS = ("H_big", "H_sing", "H_L", "G")
+
+    def assert_same_system(self, a, b):
+        for f in self.FIELDS:
+            for A, B in zip(getattr(a, f), getattr(b, f), strict=True):
+                assert A.shape == B.shape and np.array_equal(A, B)
+
+    @pytest.mark.parametrize("lane", ["exact", "float"])
+    def test_shared_frame_matches_fresh_build(self, E1, E2, E3, lane):
+        insts = [E1, E2, E3]
+        if lane == "float":
+            insts = [inst.to_float() for inst in insts]
+        for inst in insts:
+            frame = GaudinFrame(inst)
+            build_gaudin(inst, frame)  # the build below reuses this lane
+            self.assert_same_system(build_gaudin(inst, frame), build_gaudin(inst))
+
+    def test_float_instances_share_one_frame(self, E2):
+        a = ProblemInstance(E2.m, E2.l, [0.5, -1.25, 2.0])
+        b = ProblemInstance(E2.m, E2.l, [1j, 3.0, -0.75 + 0.5j])
+        frame = GaudinFrame(E2)
+        sa, sb = build_gaudin(a, frame), build_gaudin(b, frame)
+        assert sa.frame is frame and sb.frame is frame
+        self.assert_same_system(sa, build_gaudin(a))
+        self.assert_same_system(sb, build_gaudin(b))
+
+    def test_frame_for_other_m_l_rejected(self, E1, E2):
+        with pytest.raises(ValueError):
+            build_gaudin(E2, GaudinFrame(E1))
+        with pytest.raises(ValueError):
+            build_gaudin(ProblemInstance([1, 1], 0, [0, 1]), GaudinFrame(E1))
+
+    @pytest.mark.parametrize("to_float", [False, True])
+    def test_shared_arrays_read_only(self, E1, to_float):
+        s = build_gaudin(E1.to_float() if to_float else E1)
+        with pytest.raises(ValueError):
+            s.sing[0, 0] = 0
+        with pytest.raises(ValueError):
+            s.shq.sh[0, 0] = 0
 
 
 class TestPolynomialKernel:
