@@ -18,7 +18,7 @@ from gaudinlab import (
 
 inst = ProblemInstance([1, 1, 1, 1], 2, ["0", "1", "1/2", "-3"])
 sysd = build_gaudin(inst)
-print("dims: weight space", sysd.sing.shape[0], " Sing M", sysd.dim_sing_m,
+print("dims: weight space", sysd.shq.sing.shape[0], " Sing M", sysd.dim_sing_m,
       " Sing L (= tensor multiplicity)", sysd.dim_sing_l)
 
 for space, mats, dim in [("Sing M", sysd.H_sing, sysd.dim_sing_m),

@@ -17,7 +17,7 @@ quotient (H_L).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,9 +26,7 @@ from .gl2rep import (
     ShQuotient,
     degree_diagonal,
     generator_matrix,
-    shapovalov_gram,
     sh_quotient,
-    singular_matrix,
 )
 from .numcore import (
     InconsistentSystemError,
@@ -65,27 +63,25 @@ def _readonly(A: np.ndarray) -> np.ndarray:
 class FrameLane:
     """A frame's matrices in one scalar domain (exact or float).
 
-    omega maps each ordered pair (s, r), s != r, to Omega_{s,r} on the
-    level-l space; sing, shq, gram and E12 are what GaudinSystem carries.
+    omega maps each ordered pair (s, r), s != r, to Omega_{s,r} = Omega_{r,s}
+    on the level-l space; shq and E12 are what GaudinSystem carries.
     """
 
     eye: np.ndarray
     omega: dict
-    sing: np.ndarray
     shq: ShQuotient
-    gram: np.ndarray
     E12: np.ndarray
 
 
 class GaudinFrame:
     """The part of build_gaudin that does not depend on z, for one (m, l).
 
-    The generator and degree matrices, the singular basis, the Shapovalov
-    quotient and Gram matrix are built exactly from the instance given;
-    its z is not read.  lane(exact) converts them, and builds Omega_{s,r},
-    in one scalar domain the first time an instance of that domain asks,
-    then keeps the result.  Every array a lane holds is read-only, since
-    all systems built on the frame share it.
+    The generator and degree matrices and the Shapovalov quotient, which
+    carries the singular basis and Gram matrix, are built exactly from the
+    instance given; its z is not read.  lane(exact) converts them, and
+    builds Omega_{s,r}, in one scalar domain the first time an instance of
+    that domain asks, then keeps the result.  Every array a lane holds is
+    read-only, since all systems built on the frame share it.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -99,9 +95,7 @@ class GaudinFrame:
             [generator_matrix(inst, 2, 1, s, l) for s in range(n)],
             [degree_diagonal(inst, s, l) for s in range(n)],
         )
-        self._sing = singular_matrix(inst)
         self._shq = sh_quotient(inst)
-        self._gram = shapovalov_gram(inst, l)
         self._lanes = {}
 
     def lane(self, exact: bool) -> FrameLane:
@@ -116,21 +110,22 @@ class GaudinFrame:
                                                 for mats in self._gens)
         eye = conv(identity(degs[0].shape[0]))
         t11 = [m[s] * eye - degs[s] for s in range(n)]
-        omega = {(s, r): _readonly(t11[s] @ t11[r] + degs[s] @ degs[r]
-                                   + e12_hi[s] @ e21_hi[r] + e21_lo[s] @ e12_lo[r])
-                 for s in range(n) for r in range(n) if r != s}
+        omega = {}
+        for s in range(n):
+            for r in range(s + 1, n):
+                omega[s, r] = omega[r, s] = _readonly(
+                    t11[s] @ t11[r] + degs[s] @ degs[r]
+                    + e12_hi[s] @ e21_hi[r] + e21_lo[s] @ e12_lo[r])
         e12 = self._gens[0]
         E12 = sum(e12[1:], e12[0])
-        sing, shq, gram = self._sing, self._shq, self._gram
+        shq = self._shq
         if not exact:
-            E12, sing, gram = (to_float_array(M) for M in (E12, sing, gram))
-            shq = replace(shq, sh=to_float_array(shq.sh),
-                          lift=to_float_array(shq.lift),
-                          radical=to_float_array(shq.radical),
-                          gram_sing=to_float_array(shq.gram_sing))
-        for M in (eye, E12, sing, gram, shq.sh, shq.lift, shq.radical, shq.gram_sing):
+            E12 = to_float_array(E12)
+            shq = ShQuotient(**{f.name: to_float_array(getattr(shq, f.name))
+                                for f in fields(shq)})
+        for M in (eye, E12, *(getattr(shq, f.name) for f in fields(shq))):
             _readonly(M)
-        return FrameLane(eye=eye, omega=omega, sing=sing, shq=shq, gram=gram, E12=E12)
+        return FrameLane(eye=eye, omega=omega, shq=shq, E12=E12)
 
 
 @dataclass(frozen=True)
@@ -139,8 +134,8 @@ class GaudinSystem:
 
     G lists the numerator coefficients of sum_s H_sing[s]/(x - z_s) in
     descending powers: G[0] is the x^{n-2} coefficient, which equals
-    l (sum(m) + 1 - l) Id on the singular subspace.  sing, shq, gram,
-    gram_sing and E12 are the frame's read-only arrays.
+    l (sum(m) + 1 - l) Id on the singular subspace.  shq (singular basis,
+    Gram matrices and quotient) and E12 are the frame's read-only arrays.
     """
 
     inst: ProblemInstance
@@ -148,16 +143,13 @@ class GaudinSystem:
     H_sing: tuple
     H_L: tuple
     G: tuple
-    sing: np.ndarray          # level-l coordinates of the singular basis
     shq: ShQuotient
-    gram: np.ndarray          # Shapovalov Gram on the level-l basis
-    gram_sing: np.ndarray
     E12: np.ndarray           # raising operator, level l -> level l-1
     frame: GaudinFrame
 
     @property
     def dim_sing_m(self) -> int:
-        return self.sing.shape[1]
+        return self.shq.sing.shape[1]
 
     @property
     def dim_sing_l(self) -> int:
@@ -198,8 +190,7 @@ def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None) -> Gau
                 (1 / (inst.z[s] - inst.z[r]))
         H_big.append(acc)
 
-    S, shq = lane.sing, lane.shq
-    P, C = shq.sh, shq.lift
+    S, P, C = lane.shq.sing, lane.shq.sh, lane.shq.lift
     H_sing = [solve_consistent(S, Hb @ S) if S.shape[1] else
               zeros_like_domain((0, 0), exact) for Hb in H_big]
     H_L = [P @ Hs @ C for Hs in H_sing]
@@ -208,8 +199,7 @@ def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None) -> Gau
     G = [N[n - 2 - i] for i in range(n - 1)]
 
     return GaudinSystem(inst=inst, H_big=tuple(H_big), H_sing=tuple(H_sing),
-                        H_L=tuple(H_L), G=tuple(G), sing=S, shq=shq,
-                        gram=lane.gram, gram_sing=shq.gram_sing, E12=lane.E12,
+                        H_L=tuple(H_L), G=tuple(G), shq=lane.shq, E12=lane.E12,
                         frame=frame)
 
 

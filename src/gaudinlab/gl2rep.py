@@ -300,14 +300,18 @@ def shapovalov_gram(inst: ProblemInstance, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShQuotient:
-    """Quotient of the singular subspace by the radical of the Gram form.
+    """The singular subspace and its quotient by the radical of the Gram form.
 
-    sh is the projection in singular-basis coordinates (dim_L x dim_SingM);
-    lift is a right inverse embedding the quotient back (sh @ lift = I);
-    radical columns span ker(sh); gram_sing is the Gram form on the
-    singular basis.
+    sing holds the level-l coordinates of the singular basis (columns span
+    ker E12) and gram the Shapovalov Gram matrix on the level-l basis;
+    gram_sing is the Gram form on the singular basis.  sh is the projection
+    in singular-basis coordinates (dim_L x dim_SingM); lift is a right
+    inverse embedding the quotient back (sh @ lift = I); radical columns
+    span ker(sh).
     """
 
+    sing: np.ndarray
+    gram: np.ndarray
     sh: np.ndarray
     lift: np.ndarray
     radical: np.ndarray
@@ -338,4 +342,4 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
         P = Binv[:q, :]
     else:
         P = np.empty((0, 0), dtype=object)
-    return ShQuotient(sh=P, lift=lift, radical=radical, gram_sing=R)
+    return ShQuotient(sing=S, gram=G, sh=P, lift=lift, radical=radical, gram_sing=R)

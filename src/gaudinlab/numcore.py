@@ -30,7 +30,6 @@ __all__ = [
     "as_float",
     "is_exact_array",
     "exact_array",
-    "float_array",
     "to_float_array",
     "identity",
     "zeros_like_domain",
@@ -332,10 +331,6 @@ def exact_array(rows) -> np.ndarray:
         for j, v in enumerate(row):
             A[i, j] = as_exact(v)
     return A
-
-
-def float_array(rows) -> np.ndarray:
-    return np.array(rows, dtype=complex)
 
 
 def to_float_array(A: np.ndarray) -> np.ndarray:

@@ -212,20 +212,18 @@ def _affine_system(f, k: int, one):
     return [[col[i] for col in cols] + [-b] for i, b in enumerate(base)]
 
 
-def _a_of_h_raw(inst: ProblemInstance, h):
-    """Solve q_i(a, h) = 0, i = 1..l, without precondition checks."""
-    l = inst.l
+def _a_of_h_raw(op: DhOperator):
+    """Solve q_i(a, h) = 0, i = 1..l, at op's h without precondition checks."""
+    l = op.inst.l
     if l == 0:
         return []
-    h = tuple(h)
-    op = DhOperator(inst, h)
-    top = l + inst.n - 2
+    top = l + op.inst.n - 2
 
     def q_1_to_l(a):
         w = apply_Dh(op, p_of_a(a))
         return [w[top - i] for i in range(1, l + 1)]
 
-    rows = _affine_system(q_1_to_l, l, scalar_one(all(map(is_exact_scalar, h))))
+    rows = _affine_system(q_1_to_l, l, scalar_one(all(map(is_exact_scalar, op.h))))
     return [row[0] for row in solve_rows(rows, l)]
 
 
@@ -239,7 +237,7 @@ def a_of_h(inst: ProblemInstance, h, tol: float = PLANE_PRE_GATE):
         if i * (sum(inst.m) - 2 * inst.l + i + 1) == 0:
             raise SeparatingConditionError(i)
     _plane_scale(inst, h, tol)
-    return _a_of_h_raw(inst, h)
+    return _a_of_h_raw(DhOperator(inst, tuple(h)))
 
 
 def h_of_a(inst: ProblemInstance, a):

@@ -210,9 +210,9 @@ def bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
     arr = omega.to_array(inst)
     point_exact = all(is_exact_scalar(v) for v in point.a) and \
         all(is_exact_scalar(v) for v in point.h)
-    conv = to_float_array if is_exact_array(sys.sing) and not point_exact else (lambda M: M)
+    conv = to_float_array if sys.inst.exact and not point_exact else (lambda M: M)
     H_big, H_sing, H_L = ([conv(M) for M in Hs] for Hs in (sys.H_big, sys.H_sing, sys.H_L))
-    E12, S, P = conv(sys.E12), conv(sys.sing), conv(sys.shq.sh)
+    E12, S, P = conv(sys.E12), conv(sys.shq.sing), conv(sys.shq.sh)
     if is_exact_array(arr) and not is_exact_array(S):
         arr = to_float_array(arr)
     nrm = max_abs(arr)

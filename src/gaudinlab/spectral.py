@@ -10,7 +10,7 @@ the residuals are recorded, never just booleans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +38,6 @@ from .opscheme import (
     p_of_a,
     ptilde_of,
     ptilde_solve,
-    q_coefficients,
     residual_system,
     wronskian_check,
 )
@@ -75,9 +74,6 @@ class SpectrumReport:
     total_multiplicity: int
     all_simple: bool
     residual_summary: dict
-    seed: int
-    space_dim: int
-    bethe_vectors: list = field(default_factory=list)
 
 
 def joint_spectrum(mats, seed: int, tol: float | None = None):
@@ -148,26 +144,25 @@ def joint_spectrum(mats, seed: int, tol: float | None = None):
     return out
 
 
-def _point_residuals(inst: ProblemInstance, h, tol):
-    """All scheme-side checks at one h-tuple; residuals, never booleans."""
-    finst = inst if not inst.exact else inst.to_float()
-    l, n, lt = inst.l, inst.n, inst.ltilde
+def _point_residuals(finst: ProblemInstance, h, tol):
+    """All scheme-side checks at h on the float instance finst; residuals only."""
+    l, n, lt = finst.l, finst.n, finst.ltilde
     h = tuple(complex(v) for v in h)
     res = {}
     qm1, q0, hscale = constraint_plane(finst, h)
     res["q_minus1"] = abs(qm1) / hscale
     res["q_0"] = abs(q0) / hscale
-    a = [complex(v) for v in _a_of_h_raw(finst, h)]
+    op = DhOperator(finst, h)
+    a = [complex(v) for v in _a_of_h_raw(op)]
     ascale = max(hscale, max((abs(v) for v in a), default=0.0))
     res["scheme"] = max((abs(v) for v in residual_system(finst, a)),
                         default=0.0) / ascale
-    op = DhOperator(finst, h)
     dev = 0.0
     for s in range(n):
         e = exponents_at(op, s)
-        dev = max(dev, abs(e[0]), abs(e[1] - (inst.m[s] + 1)))
+        dev = max(dev, abs(e[0]), abs(e[1] - (finst.m[s] + 1)))
     einf = exponents_at(op, None)
-    dev = max(dev, abs(einf[0] + l), abs(einf[1] - (l - 1 - sum(inst.m))))
+    dev = max(dev, abs(einf[0] + l), abs(einf[1] - (l - 1 - sum(finst.m))))
     res["exponents"] = dev / max(1.0, float(lt))
     atilde = None
     if lt > l:
@@ -199,18 +194,17 @@ def _point_residuals(inst: ProblemInstance, h, tol):
 
 
 def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
-                             tol: float | None = None,
-                             seed: int = 0) -> SpectrumReport:
+                             tol: float | None = None) -> SpectrumReport:
     """Verify every joint-spectrum point against the scheme equations.
 
     Per-point failures are recorded as infinite residuals in the report
     rather than aborting the run.
     """
     tol = DEFAULT_TOL.residual if tol is None else tol
+    finst = inst.to_float() if inst.exact else inst
     points = []
-    dim = spectrum[0][2].shape[0] if spectrum else 0
     for h, mult, _Q in spectrum:
-        a, atilde, res = _point_residuals(inst, h, tol)
+        a, atilde, res = _point_residuals(finst, h, tol)
         points.append(SchemePoint(
             h=tuple(complex(v) for v in h), a=tuple(a),
             atilde=tuple(atilde) if atilde is not None else None,
@@ -223,18 +217,18 @@ def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
     return SpectrumReport(points=points,
                           total_multiplicity=sum(p.multiplicity for p in points),
                           all_simple=all(p.multiplicity == 1 for p in points),
-                          residual_summary=summary, seed=seed, space_dim=dim)
+                          residual_summary=summary)
 
 
 def _jacobian_functions(inst: ProblemInstance, h):
-    """q_{-1}, q_0, and the composed defining polynomials at possibly-dual h."""
+    """q_{-1}, q_0 and the composed q_{l+1}, ..., q_{l+n-2} at possibly-dual h."""
     l, n = inst.l, inst.n
     qm1, q0, _ = constraint_plane(inst, h)
     vals = [qm1, q0]
     if n > 2:
-        a = _a_of_h_raw(inst, h)
-        qs = q_coefficients(inst, a, h)[2]
-        vals.extend(qs[l: l + n - 2])
+        op = DhOperator(inst, tuple(h))
+        w = apply_Dh(op, p_of_a(_a_of_h_raw(op)))
+        vals.extend(w[l + n - 2 - i] for i in range(l + 1, l + n - 1))
     return vals
 
 
@@ -267,6 +261,7 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: float | None = None
     under a global rescaling of the weights should be relied on.
     """
     tol = DEFAULT_TOL.residual if tol is None else tol
+    finst = inst.to_float() if inst.exact else inst
     weights = []
     for p in points:
         if p.multiplicity != 1:
@@ -286,7 +281,6 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: float | None = None
                 raise SingularJacobianError("exact Jacobian vanished")
             weights.append(Fraction(1) / J)
             continue
-        finst = inst.to_float() if inst.exact else inst
         hs = [complex(v) for v in h]
         scale = max(1.0, max(abs(v) for v in hs))
         step = 1e-6 * scale
@@ -306,26 +300,19 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: float | None = None
     return weights
 
 
-def diagonalizability_check(mats, tol: float | None = None, seed: int = 0):
+def diagonalizability_check(mats, spectrum, tol: float | None = None):
     """(all eigenspaces genuine, worst residual) for the commuting family.
 
-    True iff every generalized eigenspace carries a full basis of true
-    eigenvectors: the restriction of each generator to each cluster
-    subspace must be scalar within tol * |H|.
+    spectrum is the family's joint_spectrum.  True iff every generalized
+    eigenspace carries a full basis of true eigenvectors: the restriction
+    of each generator to each cluster subspace must be scalar within
+    tol * |H|.  A spectrum whose multiplicities do not add up to the matrix
+    size gives (False, inf).
     """
     tol = DEFAULT_TOL.residual if tol is None else tol
     mats = [to_float_array(M) for M in mats]
-    if mats[0].shape[0] == 0:
-        return True, 0.0
-    spectrum = None
-    for attempt in range(5):
-        try:
-            spectrum = joint_spectrum(mats, seed=seed + attempt)
-            break
-        except ClusterAmbiguityError:
-            continue
-    if spectrum is None:
-        raise ClusterAmbiguityError("no seed separated the clusters")
+    if sum(mult for _, mult, _ in spectrum) != mats[0].shape[0]:
+        return False, float("inf")
     worst = 0.0
     for h, mult, Q in spectrum:
         for s, H in enumerate(mats):

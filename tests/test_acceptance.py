@@ -108,9 +108,9 @@ def test_criterion_1_exact_algebra(exact_instances):
             r = max(r, max_abs(acc - identity(s.dim_sing_m) *
                                F(inst.l * inst.ltilde)))
         for H in s.H_big:
-            r = max(r, max_abs(s.gram @ H - H.T @ s.gram))
+            r = max(r, max_abs(s.shq.gram @ H - H.T @ s.shq.gram))
         for H in s.H_sing:
-            r = max(r, max_abs(s.gram_sing @ H - H.T @ s.gram_sing))
+            r = max(r, max_abs(s.shq.gram_sing @ H - H.T @ s.shq.gram_sing))
         if r != 0.0:
             bad.append((inst.m, inst.l, r))
     _report(1, not bad,
@@ -220,7 +220,7 @@ def test_criterion_6_real_z_multiplicity_one(real_suite):
     for inst, sysd in real_suite:
         spec = _spectrum_with_reseed(list(sysd.H_L), seed=5)
         simple = all(m == 1 for _, m, _ in spec)
-        ok, worst = diagonalizability_check(list(sysd.H_L), tol=GATE)
+        ok, worst = diagonalizability_check(list(sysd.H_L), spec, tol=GATE)
         if not (simple and ok):
             bad.append((inst.m, inst.l, simple, ok, worst))
     _report(6, not bad,

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -11,9 +12,31 @@ from gaudinlab.cli import (
     cmd_verify,
     load_config,
 )
+from gaudinlab.spectral import ClusterAmbiguityError
 
 
 E1_CONFIG = {"m": [1, 1], "l": 1, "z": ["0", "1"], "mode": "exact", "seed": 0}
+FOUR_SPINS = {"m": [1, 1, 1, 1], "l": 2, "z": ["0", "1", "2", "3"], "seed": 0}
+LAYERS = ("cli", "gaudin", "gl2rep", "numcore", "opscheme", "spectral", "sov")
+
+
+def count_calls(monkeypatch, names):
+    """{name: calls so far}, counting each named function under every name a
+    gaudinlab module holds it by."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for layer in LAYERS:
+        module = importlib.import_module(f"gaudinlab.{layer}")
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts
 
 
 class TestConfig:
@@ -115,44 +138,54 @@ class TestVerifyCommand:
         with pytest.raises(ConfigError):
             cmd_verify(E1_CONFIG, 0)
 
+    def test_real_z_check_reuses_pipeline_spectrum(self, monkeypatch):
+        # one H_L and one H_sing spectrum per sample, none drawn for the check
+        calls = count_calls(monkeypatch, ("joint_spectrum", "diagonalizability_check"))
+        cmd_verify(FOUR_SPINS, 2)
+        assert calls == {"joint_spectrum": 4, "diagonalizability_check": 1}
+
+    def test_unseparated_spectrum_not_diagonalizable(self, monkeypatch):
+        import gaudinlab.cli as cli
+
+        def never_separates(*args, **kwargs):
+            raise ClusterAmbiguityError("clusters too close")
+
+        monkeypatch.setattr(cli, "joint_spectrum", never_separates)
+        rep, fails = cmd_verify(E1_CONFIG, 1)
+        (sample,) = rep["samples"]
+        assert "cluster_separation" in sample["failures"]
+        assert sample["diagonalizable"] is False
+        assert sample["diagonalizability_residual"] == "inf"
+        assert "sample_0:real_z_multiplicity_one" in fails
+
 
 class TestFrameSharing:
-    """Each command builds one GaudinFrame and keeps none afterwards."""
+    """Each command builds one GaudinFrame and keeps none afterwards; the
+    frame's quotient builds the singular basis and Gram matrix once."""
 
-    FOUR_SPINS = {"m": [1, 1, 1, 1], "l": 2, "z": ["0", "1", "2", "3"], "seed": 0}
-    COUNTED = ("sh_quotient", "singular_matrix", "generator_matrix")
+    ONCE = ("sh_quotient", "singular_matrix", "shapovalov_gram")
+    COUNTED = ONCE + ("generator_matrix",)
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        import gaudinlab.gaudin as gaudin
-        counts = dict.fromkeys(self.COUNTED, 0)
-
-        def counting(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for name in self.COUNTED:
-            monkeypatch.setattr(gaudin, name, counting(name, getattr(gaudin, name)))
-        return counts
+        return count_calls(monkeypatch, self.COUNTED)
 
     def test_verify_builds_one_frame(self, calls):
-        cmd_verify(self.FOUR_SPINS, 1)
+        cmd_verify(FOUR_SPINS, 1)
         one_sample = dict(calls)
-        assert one_sample["sh_quotient"] == 1
+        assert all(one_sample[name] == 1 for name in self.ONCE), one_sample
         calls.update(dict.fromkeys(self.COUNTED, 0))
-        cmd_verify(self.FOUR_SPINS, 4)
+        cmd_verify(FOUR_SPINS, 4)
         assert calls == one_sample
 
     def test_exact_spectrum_builds_one_frame(self, calls):
         rep, _ = cmd_spectrum(E1_CONFIG)
         assert rep["spectrum_sing_l"]["points"]  # so the float twin is built
-        assert calls["sh_quotient"] == 1
+        assert all(calls[name] == 1 for name in self.ONCE), calls
 
     def test_no_frame_kept_between_commands(self, calls):
-        cmd_verify(self.FOUR_SPINS, 4)
-        cmd_verify(self.FOUR_SPINS, 4)
+        cmd_verify(FOUR_SPINS, 4)
+        cmd_verify(FOUR_SPINS, 4)
         assert calls["sh_quotient"] == 2
 
 

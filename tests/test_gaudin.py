@@ -75,9 +75,9 @@ class TestBuildGaudin:
             inst = random_exact_instance(rng, max_level_dim=20)
             s = build_gaudin(inst)
             for H in s.H_big:
-                assert max_abs(s.gram @ H - H.T @ s.gram) == 0.0
+                assert max_abs(s.shq.gram @ H - H.T @ s.shq.gram) == 0.0
             for H in s.H_sing:
-                assert max_abs(s.gram_sing @ H - H.T @ s.gram_sing) == 0.0
+                assert max_abs(s.shq.gram_sing @ H - H.T @ s.shq.gram_sing) == 0.0
 
     def test_quotient_well_defined(self, rng):
         # Hamiltonians preserve the radical, so the quotient action exists
@@ -134,7 +134,7 @@ class TestGaudinFrame:
     def test_shared_arrays_read_only(self, E1, to_float):
         s = build_gaudin(E1.to_float() if to_float else E1)
         with pytest.raises(ValueError):
-            s.sing[0, 0] = 0
+            s.shq.sing[0, 0] = 0
         with pytest.raises(ValueError):
             s.shq.sh[0, 0] = 0
 

@@ -252,22 +252,36 @@ class TestSchemePointsViaRootSearch:
 class TestDiagonalizability:
     def test_E1(self, E1):
         s = build_gaudin(E1)
-        ok, worst = diagonalizability_check(list(s.H_sing))
+        ok, worst = diagonalizability_check(list(s.H_sing),
+                                            joint_spectrum(list(s.H_sing), seed=0))
         assert ok and worst < 1e-12
 
     def test_nilpotent_false(self):
         N = np.array([[0, 1], [0, 0]], dtype=complex)
-        ok, worst = diagonalizability_check([N])
+        ok, worst = diagonalizability_check([N], joint_spectrum([N], seed=0))
         assert not ok and worst > 0.5
+
+    def test_incomplete_spectrum_fails(self, E2):
+        s = build_gaudin(E2)
+        mats = list(s.H_L)
+        spec = joint_spectrum(mats, seed=0)
+        assert len(spec) == 2
+        assert diagonalizability_check(mats, spec[1:]) == (False, float("inf"))
+        assert diagonalizability_check(mats, []) == (False, float("inf"))
+
+    def test_empty_family_passes(self):
+        Z = np.zeros((0, 0), dtype=complex)
+        assert diagonalizability_check([Z], []) == (True, 0.0)
 
     def test_real_z_simple(self, E2):
         s = build_gaudin(E2)
-        ok, _ = diagonalizability_check(list(s.H_L))
+        ok, _ = diagonalizability_check(list(s.H_L), joint_spectrum(list(s.H_L), seed=0))
         assert ok
 
     def test_real_z_sampled(self, rng):
         for _ in range(3):
             inst = random_dominant_float_instance(rng, max_level_dim=20, real=True)
             s = build_gaudin(inst)
-            ok, worst = diagonalizability_check(list(s.H_L))
+            ok, worst = diagonalizability_check(list(s.H_L),
+                                                joint_spectrum(list(s.H_L), seed=0))
             assert ok, worst

@@ -13,16 +13,44 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_names_resolve():
-    # the traced benchmark run looks each function up by name in its layer
+def _load_tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    # the traced benchmark run looks each function up by name in its layer
+    tracing = _load_tracing()
     for layer, names in tracing.TRACED.items():
         module = importlib.import_module(f"gaudinlab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"gaudinlab.{layer}.{name}"
+
+
+def test_traced_verify_runs_clean():
+    # the benchmark's traced run, on one small verify command
+    from gaudinlab import cli
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cli.cmd_verify({"m": [1, 1, 1, 1], "l": 2, "z": ["0", "1", "2", "3"],
+                        "seed": 0}, 2)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.pass_metrics(tracer.spans)
+    assert metrics["spectral.joint_spectrum.calls"] == 4
+    assert metrics["spectral.diagonalizability_check.calls"] == 1
+    assert metrics["gl2rep.sh_quotient.calls"] == 1
+    assert metrics["spectral.reseeds"] == 0
+    # the one error the pipeline raises by design: a Sing M point whose
+    # operator has no second polynomial kernel element (reported as ptilde_error)
+    errors = {(s[tracing.NAME], s[tracing.ERROR]) for s in tracer.spans if s[tracing.ERROR]}
+    assert errors <= {("opscheme.ptilde_solve", "InconsistentSystemError"),
+                      ("numcore.solve_consistent", "InconsistentSystemError")}
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
