@@ -47,12 +47,12 @@ for label, m, l in [("E1", [1, 1], 1), ("E3", [2, 2], 2)]:
     print("defining residuals at a:", residual_system(inst, a))
 
     # the second kernel polynomial, with its x^l coefficient pinned to 0
-    atilde = ptilde_solve(inst, h)
+    op = DhOperator(inst, h)
+    atilde = ptilde_solve(op)
     pt = ptilde_of(inst, atilde)
     print("second kernel polynomial:", pt)
 
     # both really are annihilated
-    op = DhOperator(inst, h)
     print("operator applied to p:", apply_Dh(op, p_of_a(a)),
           " to ptilde:", apply_Dh(op, pt))
 

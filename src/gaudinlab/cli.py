@@ -21,6 +21,7 @@ import jsonschema
 from .gaudin import (
     GaudinFrame,
     GaudinSystem,
+    _matrix_numerator_for,
     annihilator_ideal,
     bethe_algebra_basis,
     build_gaudin,
@@ -149,7 +150,8 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     eye_m = identity(dim_m, exact)
     zw = sum((sysd.H_sing[s] * inst.z[s] for s in range(1, n)),
              sysd.H_sing[0] * inst.z[0]) - (l * lt) * eye_m if dim_m else None
-    g0 = sysd.G[0] - (l * lt) * eye_m if dim_m else None
+    g0 = _matrix_numerator_for(inst, sysd.H_sing)[n - 2] - (l * lt) * eye_m \
+        if dim_m else None
     shq = sysd.shq
     shap = 0.0
     for H in sysd.H_big:

@@ -132,17 +132,14 @@ class GaudinFrame:
 class GaudinSystem:
     """Hamiltonians of one instance on the three nested spaces.
 
-    G lists the numerator coefficients of sum_s H_sing[s]/(x - z_s) in
-    descending powers: G[0] is the x^{n-2} coefficient, which equals
-    l (sum(m) + 1 - l) Id on the singular subspace.  shq (singular basis,
-    Gram matrices and quotient) and E12 are the frame's read-only arrays.
+    shq (singular basis, Gram matrices and quotient) and E12 are the
+    frame's read-only arrays.
     """
 
     inst: ProblemInstance
     H_big: tuple
     H_sing: tuple
     H_L: tuple
-    G: tuple
     shq: ShQuotient
     E12: np.ndarray           # raising operator, level l -> level l-1
     frame: GaudinFrame
@@ -195,12 +192,8 @@ def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None) -> Gau
               zeros_like_domain((0, 0), exact) for Hb in H_big]
     H_L = [P @ Hs @ C for Hs in H_sing]
 
-    N = _matrix_numerator_for(inst, H_sing)
-    G = [N[n - 2 - i] for i in range(n - 1)]
-
     return GaudinSystem(inst=inst, H_big=tuple(H_big), H_sing=tuple(H_sing),
-                        H_L=tuple(H_L), G=tuple(G), shq=lane.shq, E12=lane.E12,
-                        frame=frame)
+                        H_L=tuple(H_L), shq=lane.shq, E12=lane.E12, frame=frame)
 
 
 def _space_mats(sys: GaudinSystem, space: str):

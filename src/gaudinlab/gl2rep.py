@@ -29,12 +29,10 @@ from .numcore import (
     UniPoly,
     as_exact,
     as_float,
-    identity,
     is_exact_scalar,
     kernel_basis,
     rref,
     scalar_one,
-    solve_linear,
     zeros_like_domain,
 )
 
@@ -328,7 +326,9 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
     G = shapovalov_gram(inst, inst.l)
     R = S.T @ G @ S
     ker = kernel_basis(R)
-    _, pivots = rref(R)
+    # R is symmetric, so the nonzero rows of rref(R) vanish on ker R and are
+    # the identity on the pivot columns: they are the quotient map
+    Rr, pivots = rref(R)
     q = len(pivots)
     lift = zeros_like_domain((dS, q), True)
     for c, p in enumerate(pivots):
@@ -336,10 +336,4 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
     radical = np.empty((dS, len(ker)), dtype=object)
     for c, v in enumerate(ker):
         radical[:, c] = v
-    B = np.hstack([lift, radical]) if dS else np.empty((0, 0), dtype=object)
-    if dS:
-        Binv = solve_linear(B, identity(dS))
-        P = Binv[:q, :]
-    else:
-        P = np.empty((0, 0), dtype=object)
-    return ShQuotient(sing=S, gram=G, sh=P, lift=lift, radical=radical, gram_sing=R)
+    return ShQuotient(sing=S, gram=G, sh=Rr[:q], lift=lift, radical=radical, gram_sing=R)

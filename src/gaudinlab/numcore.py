@@ -24,7 +24,6 @@ __all__ = [
     "SingularMatrixError",
     "InconsistentSystemError",
     "Tolerances",
-    "Dual",
     "UniPoly",
     "as_exact",
     "as_float",
@@ -87,18 +86,14 @@ def as_exact(x):
 
 
 def as_float(x):
-    """Explicit conversion to complex; a dual number converts its value part."""
-    if isinstance(x, Dual):
-        return as_float(x.a)
+    """Explicit conversion to complex."""
     if isinstance(x, Fraction):
         return complex(x.numerator) / complex(x.denominator)
     return complex(x)
 
 
 def is_exact_scalar(x) -> bool:
-    """Fraction or int, or a dual number whose value part is one."""
-    if isinstance(x, Dual):
-        x = x.a
+    """Fraction or int (bool excluded)."""
     return isinstance(x, (Fraction, Integral)) and not isinstance(x, bool)
 
 
@@ -118,68 +113,12 @@ def exact_sqrt(x: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dual numbers (forward derivative through exact rational pipelines)
-
-class Dual:
-    """a + b*eps with eps^2 = 0; works over Fraction or complex parts."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = a
-        self.b = b
-
-    @staticmethod
-    def lift(x):
-        return x if isinstance(x, Dual) else Dual(x, 0)
-
-    def __add__(self, o):
-        o = Dual.lift(o)
-        return Dual(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.a, -self.b)
-
-    def __sub__(self, o):
-        o = Dual.lift(o)
-        return Dual(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, o):
-        return Dual.lift(o) - self
-
-    def __mul__(self, o):
-        o = Dual.lift(o)
-        return Dual(self.a * o.a, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = Dual.lift(o)
-        return Dual(self.a / o.a, (self.b * o.a - self.a * o.b) / (o.a * o.a))
-
-    def __rtruediv__(self, o):
-        return Dual.lift(o) / self
-
-    def __eq__(self, o):
-        o = Dual.lift(o)
-        return self.a == o.a and self.b == o.b
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __repr__(self):
-        return f"Dual({self.a!r}, {self.b!r})"
-
-
-# ---------------------------------------------------------------------------
 # dense univariate polynomials
 
 class UniPoly:
     """Dense univariate polynomial, coefficients in ascending degree.
 
-    Coefficients live in one scalar domain (Fraction, complex, or Dual);
+    Coefficients live in one scalar domain (Fraction or complex);
     trailing zeros are trimmed so the leading coefficient of a nonzero
     polynomial is nonzero.  Instances are immutable.
     """
@@ -373,7 +312,7 @@ def max_abs(A: np.ndarray) -> float:
 def _rref_inplace(M: list) -> list:
     """Gauss-Jordan on a list of rows in place; returns the pivot columns.
 
-    Generic over the scalars (Fraction, complex or Dual).  The pivot is the
+    Generic over the scalars (Fraction or complex).  The pivot is the
     first nonzero entry at or below the current row, so a triangular system
     keeps its natural pivots; each pivot row is scaled by 1/pivot.
     """

@@ -13,8 +13,8 @@ Coordinates and conventions:
   q_i(a,h) is the coefficient of x^{l+n-2-i} in the cleared-denominator
   polynomial D_h(p(.,a)).
 
-All functions are generic over the scalar domain (Fraction, complex, and
-dual numbers for derivative extraction), so exact pipelines stay exact.
+All functions are generic over the scalar domain (Fraction or complex),
+so exact pipelines stay exact.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "PLANE_PRE_GATE",
     "constraint_plane",
     "q_coefficients",
+    "q_values",
     "a_of_h",
     "h_of_a",
     "h_from_numerator",
@@ -187,14 +188,21 @@ def _plane_scale(inst: ProblemInstance, h, tol: float) -> float:
     return scale
 
 
+def q_values(w: UniPoly, deg: int, n: int) -> list:
+    """[q_1, ..., q_{deg+n-2}] of w = D_h u for u of degree deg.
+
+    q_i is the coefficient of x^{deg+n-2-i}, as for p in the module notes.
+    """
+    top = deg + n - 2
+    return [w[top - i] for i in range(1, top + 1)]
+
+
 def q_coefficients(inst: ProblemInstance, a, h):
     """(q_{-1}, q_0, [q_1, ..., q_{l+n-2}]) at the given coordinates."""
-    l, n = inst.l, inst.n
     h = tuple(h)
     qm1, q0, _ = constraint_plane(inst, h)
     w = apply_Dh(DhOperator(inst, h), p_of_a(a))
-    qs = [w[l + n - 2 - i] for i in range(1, l + n - 1)]
-    return qm1, q0, qs
+    return qm1, q0, q_values(w, inst.l, inst.n)
 
 
 def _affine_system(f, k: int, one):
@@ -214,14 +222,12 @@ def _affine_system(f, k: int, one):
 
 def _a_of_h_raw(op: DhOperator):
     """Solve q_i(a, h) = 0, i = 1..l, at op's h without precondition checks."""
-    l = op.inst.l
+    l, n = op.inst.l, op.inst.n
     if l == 0:
         return []
-    top = l + op.inst.n - 2
 
     def q_1_to_l(a):
-        w = apply_Dh(op, p_of_a(a))
-        return [w[top - i] for i in range(1, l + 1)]
+        return q_values(apply_Dh(op, p_of_a(a)), l, n)[:l]
 
     rows = _affine_system(q_1_to_l, l, scalar_one(all(map(is_exact_scalar, op.h))))
     return [row[0] for row in solve_rows(rows, l)]
@@ -263,9 +269,9 @@ def h_of_a(inst: ProblemInstance, a):
     g0 = one * (l * lt)
 
     def qhat(grest):
-        """Coefficients of x^{l+n-3}, ..., x^l in A p'' + B p' + g p."""
+        """q_1, ..., q_{n-2} of A p'' + B p' + g p."""
         e = base_expr + UniPoly(tuple(reversed([g0] + grest))) * p
-        return [e[l + n - 2 - i] for i in range(1, n - 1)]
+        return q_values(e, l, n)[:n - 2]
 
     k = n - 2
     grest = [row[0] for row in solve_rows(_affine_system(qhat, k, one), k)]
@@ -294,27 +300,25 @@ def residual_system(inst: ProblemInstance, a):
     return qs[inst.n - 2:]
 
 
-def ptilde_solve(inst: ProblemInstance, h, tol: float | None = None):
-    """Coefficients of the second kernel polynomial, or raise.
+def ptilde_solve(op: DhOperator, tol: float | None = None):
+    """Coefficients of the second kernel polynomial of op, or raise.
 
     Solves the overdetermined linear system 'all coefficients of
     D_h(ptilde) vanish' for the lt-1 unknowns; inconsistency means the
     operator has no second polynomial kernel element (the point lies on
     the degree-l scheme but not on the all-polynomial one).
     """
+    inst, h = op.inst, op.h
     l, n, lt = inst.l, inst.n, inst.ltilde
     if lt <= l:
         raise ValueError("second kernel polynomial needs sum(m) + 1 - l > l")
-    h = tuple(h)
     scale = _plane_scale(inst, h, PLANE_PRE_GATE if tol is None
                          else max(tol, PLANE_PRE_GATE))
     nunk = lt - 1
     exact = all(map(is_exact_scalar, h))
-    op = DhOperator(inst, h)
 
     def coeffs_of(atilde):
-        w = apply_Dh(op, ptilde_of(inst, atilde))
-        return [w[lt + n - 2 - i] for i in range(1, lt + n - 1)]
+        return q_values(apply_Dh(op, ptilde_of(inst, atilde)), lt, n)
 
     rows = _affine_system(coeffs_of, nunk, scalar_one(exact))
     if nunk == 0:

@@ -19,9 +19,12 @@ import scipy.linalg
 from .gl2rep import ProblemInstance
 from .numcore import (
     DEFAULT_TOL,
-    Dual,
     InconsistentSystemError,
+    UniPoly,
+    is_exact_scalar,
     max_abs,
+    scalar_one,
+    solve_rows,
     to_float_array,
 )
 from .opscheme import (
@@ -38,6 +41,7 @@ from .opscheme import (
     p_of_a,
     ptilde_of,
     ptilde_solve,
+    q_values,
     residual_system,
     wronskian_check,
 )
@@ -167,7 +171,7 @@ def _point_residuals(finst: ProblemInstance, h, tol):
     atilde = None
     if lt > l:
         try:
-            atilde = [complex(v) for v in ptilde_solve(finst, h, tol=tol)]
+            atilde = [complex(v) for v in ptilde_solve(op, tol=tol)]
         except InconsistentSystemError as err:
             res["ptilde"] = float("inf")
             res["ptilde_error"] = str(err)
@@ -220,16 +224,30 @@ def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
                           residual_summary=summary)
 
 
-def _jacobian_functions(inst: ProblemInstance, h):
-    """q_{-1}, q_0 and the composed q_{l+1}, ..., q_{l+n-2} at possibly-dual h."""
+def _jacobian(inst: ProblemInstance, h):
+    """Rows of d(q_{-1}, q_0, q_{l+1}, ..., q_{l+n-2})/dh at a = a(h).
+
+    D_h p is linear in a and in h: dq/da_k is read off D_h(x^{l-k}) and
+    dq/dh_s off A_s p(a).  a(h) enters by implicit differentiation of
+    q_1 = ... = q_l = 0 through the triangular block it is solved from.
+    """
     l, n = inst.l, inst.n
-    qm1, q0, _ = constraint_plane(inst, h)
-    vals = [qm1, q0]
+    one = scalar_one(all(map(is_exact_scalar, h)))
+    rows = [[one] * n, [one * z for z in inst.z]]
     if n > 2:
         op = DhOperator(inst, tuple(h))
-        w = apply_Dh(op, p_of_a(_a_of_h_raw(op)))
-        vals.extend(w[l + n - 2 - i] for i in range(l + 1, l + n - 1))
-    return vals
+        p = p_of_a(_a_of_h_raw(op))
+        # columns: dq_da[k] = d(q_1..q_{l+n-2})/da_{k+1}, dq_dh[s] = .../dh_s
+        dq_da = [q_values(apply_Dh(op, UniPoly.monomial(l - k, one)), l, n)
+                 for k in range(1, l + 1)]
+        dq_dh = [q_values(As * p, l, n) for As in inst.zpolys[2]]
+        # q_1..q_l vanish along a(h): (dq/da) da/dh = -dq/dh on those rows
+        da_dh = solve_rows([[col[i] for col in dq_da] + [-col[i] for col in dq_dh]
+                            for i in range(l)], l)
+        for i in range(l, l + n - 2):
+            rows.append([dq_dh[s][i] + sum(dq_da[k][i] * da_dh[k][s] for k in range(l))
+                         for s in range(n)])
+    return rows
 
 
 def _exact_det(M):
@@ -267,31 +285,13 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: float | None = None
         if p.multiplicity != 1:
             raise NonSimplePointError(
                 f"point with multiplicity {p.multiplicity}")
-        h = p.h
-        n = inst.n
-        exact = inst.exact and all(isinstance(v, Fraction) for v in h)
-        if exact:
-            cols = []
-            for v in range(n):
-                hd = [Dual(hs, Fraction(int(v == s))) for s, hs in enumerate(h)]
-                vals = _jacobian_functions(inst, hd)
-                cols.append([Dual.lift(val).b for val in vals])
-            J = _exact_det([[cols[v][i] for v in range(n)] for i in range(n)])
+        if inst.exact and all(isinstance(v, Fraction) for v in p.h):
+            J = _exact_det(_jacobian(inst, p.h))
             if J == 0:
                 raise SingularJacobianError("exact Jacobian vanished")
             weights.append(Fraction(1) / J)
             continue
-        hs = [complex(v) for v in h]
-        scale = max(1.0, max(abs(v) for v in hs))
-        step = 1e-6 * scale
-        Jm = np.zeros((n, n), dtype=complex)
-        for v in range(n):
-            hp = hs.copy(); hp[v] += step
-            hm = hs.copy(); hm[v] -= step
-            fp = _jacobian_functions(finst, hp)
-            fm = _jacobian_functions(finst, hm)
-            for i in range(n):
-                Jm[i, v] = (complex(fp[i]) - complex(fm[i])) / (2 * step)
+        Jm = np.array(_jacobian(finst, [complex(v) for v in p.h]), dtype=complex)
         sv = np.linalg.svd(Jm, compute_uv=False)
         if sv[0] == 0 or sv[-1] <= tol * sv[0]:
             raise SingularJacobianError(

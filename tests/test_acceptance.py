@@ -13,6 +13,7 @@ import pytest
 
 from gaudinlab import (
     ClusterAmbiguityError,
+    DhOperator,
     ProblemInstance,
     a_of_h,
     annihilator_ideal,
@@ -149,7 +150,7 @@ def test_criterion_3_closed_form_instances():
     ok &= s1.H_sing[0][0, 0] == F(-2) and s1.H_sing[1][0, 0] == F(2)
     h1 = (F(-2), F(2))
     ok &= a_of_h(E1, h1) == [F(-1, 2)]
-    ok &= ptilde_solve(E1, h1) == [F(0)]                      # ptilde = x^2
+    ok &= ptilde_solve(DhOperator(E1, h1)) == [F(0)]          # ptilde = x^2
     wr1 = UniPoly((F(0), F(-1), F(1)))                        # x(x-1)
     from gaudinlab.numcore import wronskian
     ok &= wronskian(ptilde_of(E1, [F(0)]), p_of_a([F(-1, 2)])) == wr1
@@ -159,7 +160,7 @@ def test_criterion_3_closed_form_instances():
     ok &= s3.H_sing[0][0, 0] == F(-6) and s3.H_sing[1][0, 0] == F(6)
     h3 = (F(-6), F(6))
     ok &= a_of_h(E3, h3) == [F(-1), F(1, 3)]
-    ok &= ptilde_solve(E3, h3) == [F(0), F(0)]                # ptilde = x^3
+    ok &= ptilde_solve(DhOperator(E3, h3)) == [F(0), F(0)]    # ptilde = x^3
     wr3 = UniPoly((F(0), F(0), F(1), F(-2), F(1)))            # x^2 (x-1)^2
     ok &= wronskian(ptilde_of(E3, [F(0), F(0)]), p_of_a([F(-1), F(1, 3)])) == wr3
     _, _, b2 = operator_from_kernel_pair(E3, ptilde_of(E3, [F(0), F(0)]),

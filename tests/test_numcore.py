@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gaudinlab.numcore import (
-    Dual,
     InconsistentSystemError,
     SingularMatrixError,
     UniPoly,
@@ -170,12 +169,6 @@ class TestScalars:
         assert exact_sqrt(F(9, 4)) == F(3, 2)
         with pytest.raises(ValueError):
             exact_sqrt(F(2))
-
-    def test_dual_arithmetic(self):
-        x = Dual(F(3), F(1))
-        y = (x * x + 2) / x          # f(x) = x + 2/x, f'(x) = 1 - 2/x^2
-        assert y.a == F(3) + F(2, 3)
-        assert y.b == 1 - F(2, 9)
 
     def test_to_float_array(self):
         A = exact_array([[F(1, 2)]])

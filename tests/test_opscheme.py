@@ -185,16 +185,16 @@ class TestResidualSystem:
 
 class TestPtilde:
     def test_E1(self, E1):
-        assert ptilde_solve(E1, H1) == [F(0)]
+        assert ptilde_solve(DhOperator(E1, H1)) == [F(0)]
         assert ptilde_of(E1, [F(0)]) == P(0, 0, 1)
 
     def test_E3(self, E3):
-        assert ptilde_solve(E3, H3) == [F(0), F(0)]
+        assert ptilde_solve(DhOperator(E3, H3)) == [F(0), F(0)]
         assert ptilde_of(E3, [F(0), F(0)]) == P(0, 0, 0, 1)
 
     def test_off_plane_precondition(self, E1):
         with pytest.raises(ValueError):
-            ptilde_solve(E1, (F(0), F(1)))
+            ptilde_solve(DhOperator(E1, (F(0), F(1))))
 
     def test_x_l_coefficient_pinned(self, rng):
         for _ in range(6):

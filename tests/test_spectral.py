@@ -16,6 +16,8 @@ from gaudinlab import (
     match_spectrum_to_scheme,
 )
 from gaudinlab.numcore import max_abs
+from gaudinlab.opscheme import DhOperator, _a_of_h_raw, q_coefficients
+from gaudinlab.spectral import _jacobian
 
 from conftest import random_dominant_float_instance
 
@@ -118,6 +120,13 @@ class TestTraceIdentity:
                 assert abs(acc - tr) <= 1e-8 * s.dim_sing_m * max(1.0, max_abs(H))
 
 
+# exact points with n = 4, where a(h) comes from a multi-row triangular solve
+MULTIROW_POINTS = [
+    ((1,) * 4, 2, (0, 1, 2, 3), (1, 2)),
+    ((2,) * 4, 3, (0, 1, 3, 7), (1, -1, F(1, 2))),
+]
+
+
 class TestGrothendieck:
     def test_E1_weight_exact_vs_numeric(self, E1):
         pt = SchemePoint(h=(F(-2), F(2)), a=(F(-1, 2),), atilde=None,
@@ -129,12 +138,8 @@ class TestGrothendieck:
         (w_float,) = grothendieck_weights(E1.to_float(), [ptf])
         assert abs(w_float - 1) < 1e-6
 
-    @pytest.mark.parametrize("m, l, z, a", [
-        ((1,) * 4, 2, (0, 1, 2, 3), (1, 2)),
-        ((2,) * 4, 3, (0, 1, 3, 7), (1, -1, F(1, 2))),
-    ])
-    def test_dual_weight_through_multirow_solve(self, m, l, z, a):
-        # n = 4: the exact weight takes dual numbers through the l-row a(h) solve
+    @staticmethod
+    def exact_and_float_weight(m, l, z, a):
         inst = ProblemInstance(m, l, z)
         h = tuple(h_of_a(inst, [F(v) for v in a]))
         pt = SchemePoint(h=h, a=tuple(a), atilde=None, multiplicity=1, residuals={})
@@ -142,7 +147,48 @@ class TestGrothendieck:
         ptf = SchemePoint(h=tuple(complex(v) for v in h), a=tuple(complex(v) for v in a),
                           atilde=None, multiplicity=1, residuals={})
         (w_float,) = grothendieck_weights(inst.to_float(), [ptf])
-        assert abs(w_float - complex(w_exact)) <= 1e-6 * abs(complex(w_exact))
+        return complex(w_exact), w_float
+
+    @pytest.mark.parametrize("m, l, z, a", MULTIROW_POINTS)
+    def test_dual_weight_through_multirow_solve(self, m, l, z, a):
+        # n = 4: the exact weight differentiates a(h) through the l-row solve
+        w_exact, w_float = self.exact_and_float_weight(m, l, z, a)
+        assert abs(w_float - w_exact) <= 1e-6 * abs(w_exact)
+
+    @pytest.mark.parametrize("m, l, z, a", MULTIROW_POINTS)
+    def test_float_weight_matches_exact_to_rounding(self, m, l, z, a):
+        # the float lane uses the same closed-form Jacobian as the exact lane,
+        # so only rounding separates them (a central difference gave 4.6e-10)
+        w_exact, w_float = self.exact_and_float_weight(m, l, z, a)
+        assert abs(w_float - w_exact) <= 1e-12 * abs(w_exact)
+
+    @pytest.mark.parametrize("m, l, z", [
+        ((1,) * 4, 2, (0, 1, 2, 3)),
+        ((2,) * 4, 3, (0, 1, 3, 7)),
+    ])
+    def test_jacobian_matches_central_difference(self, m, l, z):
+        # an independent check of the closed form: central differences of
+        # (q_-1, q_0, q_{l+1}, ..., q_{l+n-2}) with a = a(h) solved at each h
+        inst = ProblemInstance(m, l, z).to_float()
+
+        def equations(h):
+            a = _a_of_h_raw(DhOperator(inst, tuple(h)))
+            qm1, q0, qs = q_coefficients(inst, a, h)
+            return np.array([qm1, q0] + qs[l:], dtype=complex)
+
+        s = build_gaudin(inst)
+        points = [h for h, _, _ in joint_spectrum(list(s.H_L), seed=0)]
+        assert points
+        for h in points:
+            h = np.array(h, dtype=complex)
+            J = np.array(_jacobian(inst, list(h)), dtype=complex)
+            step = 1e-6 * max(1.0, np.abs(h).max())
+            fd = np.empty_like(J)
+            for v in range(inst.n):
+                e = np.zeros(inst.n, dtype=complex)
+                e[v] = step
+                fd[:, v] = (equations(h + e) - equations(h - e)) / (2 * step)
+            assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
 
     def test_form_symmetry_and_nondegeneracy(self, rng):
         for _ in range(3):
@@ -226,7 +272,7 @@ class TestSchemePointsViaRootSearch:
             for r in roots:
                 h = tuple(h_of_a(inst, [complex(r)]))
                 try:
-                    ptilde_solve(inst, h)
+                    ptilde_solve(DhOperator(inst, h))
                 except InconsistentSystemError:
                     continue   # on the degree-l scheme but not the full one
                 dists = [max(abs(a - b) for a, b in zip(h, hs))
@@ -246,7 +292,7 @@ class TestSchemePointsViaRootSearch:
         a = a_of_h(inst, h)
         assert all(v == 0 for v in residual_system(inst, a))
         with pytest.raises(InconsistentSystemError):
-            ptilde_solve(inst, h)
+            ptilde_solve(DhOperator(inst, h))
 
 
 class TestDiagonalizability:
