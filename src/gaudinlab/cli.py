@@ -28,7 +28,7 @@ from .gaudin import (
     induced_map_kernel,
 )
 from .gl2rep import ProblemInstance, weight_space_dim
-from .numcore import DEFAULT_TOL, Tolerances, identity, max_abs, rank_of
+from .numcore import DEFAULT_TOL, Tolerances, identity, matmul, max_abs, rank_of
 from .opscheme import schubert_dimension
 from .sov import VerificationError, bethe_vector
 from .spectral import (
@@ -143,8 +143,8 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     comm = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            comm = max(comm, max_abs(sysd.H_big[i] @ sysd.H_big[j]
-                                     - sysd.H_big[j] @ sysd.H_big[i]))
+            comm = max(comm, max_abs(matmul(sysd.H_big[i], sysd.H_big[j])
+                                     - matmul(sysd.H_big[j], sysd.H_big[i])))
     hsum = max_abs(sum(sysd.H_big[1:], sysd.H_big[0]))
     exact = inst.exact
     eye_m = identity(dim_m, exact)
@@ -155,9 +155,9 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     shq = sysd.shq
     shap = 0.0
     for H in sysd.H_big:
-        shap = max(shap, max_abs(shq.gram @ H - H.T @ shq.gram))
+        shap = max(shap, max_abs(matmul(shq.gram, H) - matmul(H.T, shq.gram)))
     for H in sysd.H_sing:
-        shap = max(shap, max_abs(shq.gram_sing @ H - H.T @ shq.gram_sing))
+        shap = max(shap, max_abs(matmul(shq.gram_sing, H) - matmul(H.T, shq.gram_sing)))
 
     alg_m = bethe_algebra_basis(list(sysd.H_sing)) if dim_m else []
     alg_l = bethe_algebra_basis(list(sysd.H_L)) if dim_l else []

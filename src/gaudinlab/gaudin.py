@@ -17,6 +17,7 @@ quotient (H_L).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,8 +32,10 @@ from .gl2rep import (
 from .numcore import (
     InconsistentSystemError,
     identity,
+    integer_numerators,
     is_exact_array,
     kernel_basis,
+    matmul,
     max_abs,
     solve_consistent,
     solve_linear,
@@ -188,9 +191,9 @@ def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None) -> Gau
         H_big.append(acc)
 
     S, P, C = lane.shq.sing, lane.shq.sh, lane.shq.lift
-    H_sing = [solve_consistent(S, Hb @ S) if S.shape[1] else
+    H_sing = [solve_consistent(S, matmul(Hb, S)) if S.shape[1] else
               zeros_like_domain((0, 0), exact) for Hb in H_big]
-    H_L = [P @ Hs @ C for Hs in H_sing]
+    H_L = [matmul(matmul(P, Hs), C) for Hs in H_sing]
 
     return GaudinSystem(inst=inst, H_big=tuple(H_big), H_sing=tuple(H_sing),
                         H_L=tuple(H_L), shq=lane.shq, E12=lane.E12, frame=frame)
@@ -307,22 +310,29 @@ def polynomial_valued_kernel(sys: GaudinSystem, space: str, v0, deg: int,
 
 
 class _ExactReducer:
-    """Incremental row reduction over Fractions for span/rank bookkeeping."""
+    """Incremental fraction-free row reduction for span/rank bookkeeping.
+
+    A vector is scaled to integers and reduced by v <- row[p] v - v[p] row
+    (both factors divided by their gcd) against each stored row; a new row is
+    stored primitive.  Scaling a row never changes the span it adds to.
+    """
 
     def __init__(self):
-        self.rows = []   # (pivot index, reduced row)
+        self.rows = []   # (pivot index, primitive integer row)
 
     def add(self, v) -> bool:
-        v = list(v)
+        v = integer_numerators(v.tolist())[0]
         for p, row in self.rows:
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        piv = next((i for i, a in enumerate(v) if a), None)
+            f = v[p]
+            if f:
+                g = math.gcd(f, row[p])
+                a, b = row[p] // g, f // g
+                v = [a * x - b * y for x, y in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        inv = 1 / v[piv]
-        self.rows.append((piv, [a * inv for a in v]))
+        g = math.gcd(*v)
+        self.rows.append((piv, [x // g for x in v]))
         return True
 
 
@@ -383,7 +393,7 @@ def bethe_algebra_basis(mats, tol: float | None = None):
     if d == 0:
         return []
     eye = identity(d, is_exact_array(mats[0]))
-    return span_closure(eye, mats, lambda F, H: F @ H, tol)
+    return span_closure(eye, mats, matmul, tol)
 
 
 def induced_map_kernel(algebra, sh: np.ndarray, tol: float | None = None):
@@ -394,7 +404,8 @@ def induced_map_kernel(algebra, sh: np.ndarray, tol: float | None = None):
     """
     if not algebra:
         return []
-    return _vanishing_combinations(algebra, [(sh @ F).reshape(-1) for F in algebra], tol)
+    return _vanishing_combinations(algebra, [matmul(sh, F).reshape(-1) for F in algebra],
+                                   tol)
 
 
 def annihilator_ideal(algebra, kernel, tol: float | None = None):
@@ -403,7 +414,7 @@ def annihilator_ideal(algebra, kernel, tol: float | None = None):
         return []
     if not kernel:
         return list(algebra)
-    images = [np.concatenate([(F @ K).reshape(-1) for K in kernel]) for F in algebra]
+    images = [np.concatenate([matmul(F, K).reshape(-1) for K in kernel]) for F in algebra]
     return _vanishing_combinations(algebra, images, tol)
 
 
@@ -414,11 +425,8 @@ def _vanishing_combinations(algebra, images, tol):
     """
     exact = is_exact_array(algebra[0])
     combos = kernel_basis(np.stack(images, axis=1), 0 if exact else tol)
-    return [_combine(algebra, c) for c in combos]
-
-
-def _combine(mats, coeffs):
-    acc = mats[0] * coeffs[0]
-    for F, c in zip(mats[1:], coeffs[1:]):
-        acc = acc + F * c
-    return acc
+    if not combos:
+        return []
+    # row j of the product is the flattened sum_i combos[j][i] algebra[i]
+    flat = matmul(np.stack(combos), np.stack([F.reshape(-1) for F in algebra]))
+    return [row.reshape(algebra[0].shape) for row in flat]

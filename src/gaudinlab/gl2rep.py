@@ -32,6 +32,7 @@ from .numcore import (
     is_exact_scalar,
     kernel_basis,
     rref,
+    rref_kernel,
     scalar_one,
     zeros_like_domain,
 )
@@ -325,10 +326,10 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
     dS = S.shape[1]
     G = shapovalov_gram(inst, inst.l)
     R = S.T @ G @ S
-    ker = kernel_basis(R)
     # R is symmetric, so the nonzero rows of rref(R) vanish on ker R and are
     # the identity on the pivot columns: they are the quotient map
     Rr, pivots = rref(R)
+    ker = rref_kernel(Rr, pivots, dS)
     q = len(pivots)
     lift = zeros_like_domain((dS, q), True)
     for c, p in enumerate(pivots):

@@ -8,6 +8,10 @@ Two scalar domains are supported and never mixed silently:
 Conversion between domains is always explicit (``to_float_array``,
 ``to_float_scalar``).  Exact mode is the default for constructions; the
 float domain is entered for eigen-decomposition and root-finding only.
+
+Exact matrix products go through ``matmul``, which multiplies integer
+numerators over one common denominator per operand instead of forming a
+``Fraction`` for every partial product.
 """
 
 from __future__ import annotations
@@ -33,7 +37,10 @@ __all__ = [
     "identity",
     "zeros_like_domain",
     "max_abs",
+    "integer_numerators",
+    "matmul",
     "rref",
+    "rref_kernel",
     "solve_rows",
     "rank_of",
     "kernel_basis",
@@ -309,6 +316,41 @@ def max_abs(A: np.ndarray) -> float:
     return float(np.abs(A).max())
 
 
+def integer_numerators(values):
+    """(numerators, D) with values[i] = numerators[i] / D, D the lcm of the
+    denominators; values is a sequence of Fraction or int."""
+    dens = [v.denominator for v in values]
+    D = math.lcm(*dens)
+    return [v.numerator * (D // d) for v, d in zip(values, dens)], D
+
+
+def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B, entry for entry and with the same entry types.
+
+    Two exact (2-D) operands are scaled to Python-int numerators over one
+    denominator each and multiplied as integers; an entry is a Fraction
+    exactly where A @ B gives one, i.e. where its row of A or its column of
+    B holds a Fraction.  Float operands and empty shapes use A @ B itself.
+    """
+    if not (is_exact_array(A) and is_exact_array(B)) or 0 in A.shape + B.shape:
+        return A @ B
+    (m, k), n = A.shape, B.shape[1]
+    a, b = A.reshape(-1).tolist(), B.reshape(-1).tolist()
+    na, da = integer_numerators(a)
+    nb, db = integer_numerators(b)
+    N = (np.array(na, dtype=object).reshape(m, k)
+         @ np.array(nb, dtype=object).reshape(k, n)).tolist()
+    row_frac = [any(isinstance(v, Fraction) for v in a[i * k:(i + 1) * k])
+                for i in range(m)]
+    col_frac = [any(isinstance(v, Fraction) for v in b[j::n]) for j in range(n)]
+    D = da * db
+    out = np.empty((m, n), dtype=object)
+    out[...] = [[Fraction(x, D) if rf or cf else x // D
+                 for x, cf in zip(row, col_frac)]
+                for row, rf in zip(N, row_frac)]
+    return out
+
+
 def _rref_inplace(M: list) -> list:
     """Gauss-Jordan on a list of rows in place; returns the pivot columns.
 
@@ -348,6 +390,19 @@ def rref(A: np.ndarray):
     return exact_array(M) if M else A.copy(), pivots
 
 
+def rref_kernel(R: np.ndarray, pivots: list, n: int) -> list:
+    """Right null space of an n-column matrix from its rref (R, pivots):
+    one vector per free column f, with 1 at f and -R[:, f] at the pivots."""
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = zeros_like_domain((n,), True)
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -R[r, f]
+        basis.append(v)
+    return basis
+
+
 def solve_rows(M: list, n: int) -> list:
     """Rows of X from the augmented rows M = [A | B] of a square A (n x n).
 
@@ -384,18 +439,7 @@ def kernel_basis(A: np.ndarray, tol: float | None = None) -> list:
     if is_exact_array(A):
         if tol not in (None, 0):
             raise DomainError("exact kernel_basis takes tol = 0")
-        if m == 0:
-            return [identity(n)[:, j] for j in range(n)]
-        R, pivots = rref(A)
-        free = [j for j in range(n) if j not in pivots]
-        basis = []
-        for f in free:
-            v = zeros_like_domain((n,), True)
-            v[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -R[r, f]
-            basis.append(v)
-        return basis
+        return rref_kernel(*rref(A), n)
     tol = DEFAULT_TOL.svd_rel if tol is None else tol
     if m == 0:
         return [np.eye(n, dtype=complex)[:, j] for j in range(n)]

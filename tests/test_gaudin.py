@@ -11,8 +11,13 @@ from gaudinlab import (
     induced_map_kernel,
     polynomial_valued_kernel,
 )
-from gaudinlab.gaudin import GaudinFrame, _matrix_numerator_for, apply_universal_operator
-from gaudinlab.numcore import InconsistentSystemError, identity, max_abs
+from gaudinlab.gaudin import (
+    GaudinFrame,
+    _ExactReducer,
+    _matrix_numerator_for,
+    apply_universal_operator,
+)
+from gaudinlab.numcore import InconsistentSystemError, identity, kernel_basis, max_abs
 
 from conftest import random_exact_instance
 
@@ -288,3 +293,129 @@ class TestAnnihilator:
             for f in J:
                 for g in ker:
                     assert max_abs(f @ g) == 0.0
+
+
+class _FractionReducer:
+    """Reference: incremental row reduction over Fractions, pivots scaled to 1."""
+
+    def __init__(self):
+        self.rows = []
+
+    def add(self, v) -> bool:
+        v = list(v)
+        for p, row in self.rows:
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        piv = next((i for i, a in enumerate(v) if a), None)
+        if piv is None:
+            return False
+        inv = 1 / v[piv]
+        self.rows.append((piv, [a * inv for a in v]))
+        return True
+
+
+def reference_algebra(mats):
+    """The closure of bethe_algebra_basis with plain @ and Fraction reduction."""
+    eye = identity(mats[0].shape[0])
+    red = _FractionReducer()
+    basis = [eye] if red.add(eye.reshape(-1)) else []
+    frontier = list(basis)
+    while frontier:
+        nxt = []
+        for M in frontier:
+            for H in mats:
+                w = M @ H
+                if red.add(w.reshape(-1)):
+                    basis.append(w)
+                    nxt.append(w)
+        frontier = nxt
+    return basis
+
+
+def reference_vanishing(algebra, images):
+    """sum_j c_j algebra[j] for each kernel vector c of the stacked images,
+    summed term by term."""
+    out = []
+    for c in kernel_basis(np.stack(images, axis=1)):
+        acc = algebra[0] * c[0]
+        for M, x in zip(algebra[1:], c[1:]):
+            acc = acc + M * x
+        out.append(acc)
+    return out
+
+
+def assert_same_matrices(got, want):
+    assert len(got) == len(want)
+    for P, Q in zip(got, want):
+        assert P.shape == Q.shape
+        for x, y in zip(P.flat, Q.flat):
+            assert x == y and type(x) is type(y)
+
+
+# E1-E3 and the largest exact-ladder rung; (3^4),4 has denominators 2, 3, 6, 7
+REFERENCE_INSTANCES = (
+    ([1, 1], 1, [0, 1]),
+    ([1, 1, 1], 1, [0, 1, 2]),
+    ([2, 2], 2, [0, 1]),
+    ([3, 3, 3, 3], 4, [0, 1, 3, 7]),
+)
+
+
+@pytest.fixture(scope="module")
+def references():
+    """(system, {space: reference algebra}, reference kernel, reference ideal)."""
+    out = []
+    for m, l, z in REFERENCE_INSTANCES:
+        s = build_gaudin(ProblemInstance(m, l, z))
+        alg = {"sing_m": reference_algebra(list(s.H_sing)),
+               "sing_l": reference_algebra(list(s.H_L))}
+        ker = reference_vanishing(alg["sing_m"],
+                                  [(s.shq.sh @ M).reshape(-1) for M in alg["sing_m"]])
+        ann = reference_vanishing(alg["sing_m"], [
+            np.concatenate([(M @ K).reshape(-1) for K in ker]) for M in alg["sing_m"]]) \
+            if ker else list(alg["sing_m"])
+        out.append((s, alg, ker, ann))
+    return out
+
+
+class TestFractionFree:
+    def test_reducer_matches_fraction_reducer(self, rng):
+        decisions = []
+        for _ in range(25):
+            n = int(rng.integers(3, 9))
+            r = int(rng.integers(1, n))
+
+            def rational():
+                return F(int(rng.integers(-20, 21)), int(rng.integers(1, 10)))
+
+            base = [[rational() for _ in range(n)] for _ in range(r)]
+            vecs = []
+            for _ in range(3 * n):
+                kind = int(rng.integers(4))
+                if kind == 0:
+                    v = [F(0)] * n
+                elif kind == 1 and vecs:
+                    v = list(vecs[int(rng.integers(len(vecs)))])
+                else:
+                    cs = [rational() if rng.random() < 0.7 else F(0) for _ in range(r)]
+                    v = [sum((c * b[i] for c, b in zip(cs, base)), F(0)) for i in range(n)]
+                vecs.append(exact_vec(v))
+            ref, red = _FractionReducer(), _ExactReducer()
+            want = [ref.add(v) for v in vecs]
+            assert [red.add(v) for v in vecs] == want
+            decisions += want
+        assert any(decisions) and not all(decisions)
+
+    def test_bethe_algebra_basis_matches_reference(self, references):
+        for s, alg, _, _ in references:
+            assert_same_matrices(bethe_algebra_basis(list(s.H_sing)), alg["sing_m"])
+            assert_same_matrices(bethe_algebra_basis(list(s.H_L)), alg["sing_l"])
+
+    def test_induced_map_kernel_matches_reference(self, references):
+        for s, alg, ker, _ in references:
+            assert_same_matrices(induced_map_kernel(alg["sing_m"], s.shq.sh), ker)
+
+    def test_annihilator_ideal_matches_reference(self, references):
+        for _, alg, ker, ann in references:
+            assert_same_matrices(annihilator_ideal(alg["sing_m"], ker), ann)

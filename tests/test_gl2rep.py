@@ -14,7 +14,7 @@ from gaudinlab import (
     weight_space_dim,
 )
 from gaudinlab.gl2rep import WeightVector, degree_diagonal, singular_matrix
-from gaudinlab.numcore import max_abs
+from gaudinlab.numcore import max_abs, rank_of
 
 from conftest import random_exact_instance, random_rational_z
 
@@ -195,6 +195,17 @@ class TestShQuotient:
                 assert max_abs(q.sh @ q.lift - np.diag([F(1)] * q.dim)) == 0.0
             if q.radical.shape[1]:
                 assert max_abs(q.sh @ q.radical) == 0.0
+
+    def test_radical_spans_kernel_of_gram(self, rng):
+        # the radical is read off the same elimination as the quotient map
+        for _ in range(8):
+            inst = random_exact_instance(rng, max_level_dim=20)
+            q = sh_quotient(inst)
+            k = q.radical.shape[1]
+            assert q.dim + k == q.gram_sing.shape[0]
+            if k:
+                assert max_abs(q.gram_sing @ q.radical) == 0.0
+                assert rank_of(q.radical) == k
 
     def test_matches_tensor_multiplicity_oracle(self, rng):
         for _ in range(10):

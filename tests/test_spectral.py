@@ -142,6 +142,9 @@ class TestGrothendieck:
     def exact_and_float_weight(m, l, z, a):
         inst = ProblemInstance(m, l, z)
         h = tuple(h_of_a(inst, [F(v) for v in a]))
+        # these h are off the scheme, where a(h) need not be a; a point
+        # carries a = a(h), as match_spectrum_to_scheme builds it
+        a = _a_of_h_raw(DhOperator(inst, h))
         pt = SchemePoint(h=h, a=tuple(a), atilde=None, multiplicity=1, residuals={})
         (w_exact,) = grothendieck_weights(inst, [pt])
         ptf = SchemePoint(h=tuple(complex(v) for v in h), a=tuple(complex(v) for v in a),

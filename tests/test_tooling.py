@@ -3,6 +3,7 @@ and the demos."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -13,17 +14,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_tracing():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_names_resolve():
     # the traced benchmark run looks each function up by name in its layer
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     for layer, names in tracing.TRACED.items():
         module = importlib.import_module(f"gaudinlab.{layer}")
         for name in names:
@@ -33,7 +35,7 @@ def test_traced_names_resolve():
 def test_traced_verify_runs_clean():
     # the benchmark's traced run, on one small verify command
     from gaudinlab import cli
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -51,6 +53,19 @@ def test_traced_verify_runs_clean():
     errors = {(s[tracing.NAME], s[tracing.ERROR]) for s in tracer.spans if s[tracing.ERROR]}
     assert errors <= {("opscheme.ptilde_solve", "InconsistentSystemError"),
                       ("numcore.solve_consistent", "InconsistentSystemError")}
+
+
+def test_small_exact_ladder_matches_reference():
+    # the certified content of the benchmark's two smallest exact rungs
+    # (dimensions, exact check values, multiplicities) against its reference
+    from gaudinlab import cli
+    outputs = _load_perfbench("outputs")
+    workloads = _load_perfbench("workloads")
+    reference = outputs.load_reference()
+    for call in workloads.exact_ladder(0)[:2]:
+        report, failures = cli.cmd_spectrum(call.config)
+        assert failures == []
+        assert outputs.check(call, json.loads(json.dumps(report)), reference) is None
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
