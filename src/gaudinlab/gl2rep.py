@@ -329,7 +329,7 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
     # R is symmetric, so the nonzero rows of rref(R) vanish on ker R and are
     # the identity on the pivot columns: they are the quotient map
     Rr, pivots = rref(R)
-    ker = rref_kernel(Rr, pivots, dS)
+    ker = rref_kernel(Rr, pivots)
     q = len(pivots)
     lift = zeros_like_domain((dS, q), True)
     for c, p in enumerate(pivots):

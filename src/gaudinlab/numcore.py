@@ -325,29 +325,23 @@ def integer_numerators(values):
 
 
 def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B, entry for entry and with the same entry types.
+    """A @ B, entry for entry.
 
     Two exact (2-D) operands are scaled to Python-int numerators over one
-    denominator each and multiplied as integers; an entry is a Fraction
-    exactly where A @ B gives one, i.e. where its row of A or its column of
-    B holds a Fraction.  Float operands and empty shapes use A @ B itself.
+    denominator each and multiplied as integers; every entry comes back as a
+    Fraction in lowest terms.  Float operands and empty shapes use A @ B
+    itself.
     """
     if not (is_exact_array(A) and is_exact_array(B)) or 0 in A.shape + B.shape:
         return A @ B
     (m, k), n = A.shape, B.shape[1]
-    a, b = A.reshape(-1).tolist(), B.reshape(-1).tolist()
-    na, da = integer_numerators(a)
-    nb, db = integer_numerators(b)
+    na, da = integer_numerators(A.reshape(-1).tolist())
+    nb, db = integer_numerators(B.reshape(-1).tolist())
     N = (np.array(na, dtype=object).reshape(m, k)
          @ np.array(nb, dtype=object).reshape(k, n)).tolist()
-    row_frac = [any(isinstance(v, Fraction) for v in a[i * k:(i + 1) * k])
-                for i in range(m)]
-    col_frac = [any(isinstance(v, Fraction) for v in b[j::n]) for j in range(n)]
     D = da * db
     out = np.empty((m, n), dtype=object)
-    out[...] = [[Fraction(x, D) if rf or cf else x // D
-                 for x, cf in zip(row, col_frac)]
-                for row, rf in zip(N, row_frac)]
+    out[...] = [[Fraction(x, D) for x in row] for row in N]
     return out
 
 
@@ -390,9 +384,10 @@ def rref(A: np.ndarray):
     return exact_array(M) if M else A.copy(), pivots
 
 
-def rref_kernel(R: np.ndarray, pivots: list, n: int) -> list:
-    """Right null space of an n-column matrix from its rref (R, pivots):
-    one vector per free column f, with 1 at f and -R[:, f] at the pivots."""
+def rref_kernel(R: np.ndarray, pivots: list) -> list:
+    """Right null space of a matrix from its rref (R, pivots): one vector
+    per free column f, with 1 at f and -R[:, f] at the pivots."""
+    n = R.shape[1]
     basis = []
     for f in (j for j in range(n) if j not in pivots):
         v = zeros_like_domain((n,), True)
@@ -439,7 +434,7 @@ def kernel_basis(A: np.ndarray, tol: float | None = None) -> list:
     if is_exact_array(A):
         if tol not in (None, 0):
             raise DomainError("exact kernel_basis takes tol = 0")
-        return rref_kernel(*rref(A), n)
+        return rref_kernel(*rref(A))
     tol = DEFAULT_TOL.svd_rel if tol is None else tol
     if m == 0:
         return [np.eye(n, dtype=complex)[:, j] for j in range(n)]

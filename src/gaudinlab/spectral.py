@@ -224,20 +224,20 @@ def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
                           residual_summary=summary)
 
 
-def _jacobian(inst: ProblemInstance, h, a=None):
+def _jacobian(inst: ProblemInstance, h, a):
     """Rows of d(q_{-1}, q_0, q_{l+1}, ..., q_{l+n-2})/dh at a = a(h).
 
     D_h p is linear in a and in h: dq/da_k is read off D_h(x^{l-k}) and
     dq/dh_s off A_s p(a).  a(h) enters by implicit differentiation of
     q_1 = ... = q_l = 0 through the triangular block it is solved from.
-    a is a(h) if already known, else it is solved for here.
+    The caller passes a = a(h); n = 2 never reads it.
     """
     l, n = inst.l, inst.n
     one = scalar_one(all(map(is_exact_scalar, h)))
     rows = [[one] * n, [one * z for z in inst.z]]
     if n > 2:
         op = DhOperator(inst, tuple(h))
-        p = p_of_a(_a_of_h_raw(op) if a is None else a)
+        p = p_of_a(a)
         # columns: dq_da[k] = d(q_1..q_{l+n-2})/da_{k+1}, dq_dh[s] = .../dh_s
         dq_da = [q_values(apply_Dh(op, UniPoly.monomial(l - k, one)), l, n)
                  for k in range(1, l + 1)]
@@ -277,8 +277,8 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: float | None = None
     The induced bilinear form (f, g) = sum_p f(p) g(p) w_p is symmetric and,
     on functions separating the points, nondegenerate.  The overall residue
     normalization is a convention of this routine; only properties invariant
-    under a global rescaling of the weights should be relied on.  A point
-    with float h must carry a = a(h), as match_spectrum_to_scheme builds it.
+    under a global rescaling of the weights should be relied on.  Every
+    point must carry a = a(h), as match_spectrum_to_scheme builds it.
     """
     tol = DEFAULT_TOL.residual if tol is None else tol
     finst = inst.to_float() if inst.exact else inst
@@ -288,7 +288,7 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: float | None = None
             raise NonSimplePointError(
                 f"point with multiplicity {p.multiplicity}")
         if inst.exact and all(isinstance(v, Fraction) for v in p.h):
-            J = _exact_det(_jacobian(inst, p.h))
+            J = _exact_det(_jacobian(inst, p.h, p.a))
             if J == 0:
                 raise SingularJacobianError("exact Jacobian vanished")
             weights.append(Fraction(1) / J)

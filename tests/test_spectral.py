@@ -184,7 +184,8 @@ class TestGrothendieck:
         assert points
         for h in points:
             h = np.array(h, dtype=complex)
-            J = np.array(_jacobian(inst, list(h)), dtype=complex)
+            J = np.array(_jacobian(inst, list(h), _a_of_h_raw(DhOperator(inst, tuple(h)))),
+                         dtype=complex)
             step = 1e-6 * max(1.0, np.abs(h).max())
             fd = np.empty_like(J)
             for v in range(inst.n):
