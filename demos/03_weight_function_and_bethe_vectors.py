@@ -46,13 +46,16 @@ for _ in range(3):
     print(f"monomial {mono:+.10f}  separated {sep:+.10f}  "
           f"diff {abs(mono - sep):.2e}")
 
-# Bethe vectors at the actual spectrum points span the quotient
+# Bethe vectors at the actual spectrum points span the quotient; the float
+# points pair with the float system built on the same frame
 spec = joint_spectrum(list(sysd.H_L), seed=1)
 rep = match_spectrum_to_scheme(inst, spec)
+finst = inst.to_float()
+fsys = build_gaudin(finst, sysd.frame)
 print(f"\n{len(rep.points)} spectrum points on the quotient:")
 vecs = []
 for p in rep.points:
-    bv = bethe_vector(inst, sysd, p)
+    bv = bethe_vector(finst, fsys, p)
     roots = np.roots([1.0] + [complex(v) for v in p.a])
     print(f"  h = ({', '.join(f'{v.real:+.6f}' for v in p.h)})  "
           f"root of p: {roots[0].real:+.6f}  "

@@ -9,6 +9,7 @@ otherwise the failed check names are listed on standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from .gaudin import (
     induced_map_kernel,
 )
 from .gl2rep import ProblemInstance, weight_space_dim
-from .numcore import DEFAULT_TOL, Tolerances, identity, matmul, max_abs, rank_of
+from .numcore import Tolerances, identity, matmul, max_abs, rank_of
 from .opscheme import schubert_dimension
 from .sov import VerificationError, bethe_vector
 from .spectral import (
@@ -76,12 +77,11 @@ class ConfigError(ValueError):
 
 
 def _tolerances(config) -> Tolerances:
-    vals = {f: getattr(DEFAULT_TOL, f) for f in ("svd_rel", "cluster", "residual")}
-    vals.update(config.get("tolerances", {}))
-    for f in vals:
-        env = os.environ.get(_ENV_PREFIX + f.upper())
+    vals = dict(config.get("tolerances", {}))
+    for f in dataclasses.fields(Tolerances):
+        env = os.environ.get(_ENV_PREFIX + f.name.upper())
         if env is not None:
-            vals[f] = float(env)
+            vals[f.name] = float(env)
     return Tolerances(**vals)
 
 
@@ -126,15 +126,15 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     spec_l), spec_l being H_L's joint spectrum ([] if no seed separated it)."""
     t0 = time.perf_counter()
     failures = []
-    gate = tol.residual
+    inst = sysd.inst
+    exact = inst.exact
 
-    def check(name, residual):
+    def check(name, residual, gate=tol.residual):
         residual = float(residual)
         if residual > gate:
             failures.append(name)
         return residual
 
-    inst = sysd.inst
     n, l, lt = inst.n, inst.l, inst.ltilde
     dim_m, dim_l = sysd.dim_sing_m, sysd.dim_sing_l
     schub = schubert_dimension(inst.m, l)
@@ -146,7 +146,6 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
             comm = max(comm, max_abs(matmul(sysd.H_big[i], sysd.H_big[j])
                                      - matmul(sysd.H_big[j], sysd.H_big[i])))
     hsum = max_abs(sum(sysd.H_big[1:], sysd.H_big[0]))
-    exact = inst.exact
     eye_m = identity(dim_m, exact)
     zw = sum((sysd.H_sing[s] * inst.z[s] for s in range(1, n)),
              sysd.H_sing[0] * inst.z[0]) - (l * lt) * eye_m if dim_m else None
@@ -159,37 +158,36 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     for H in sysd.H_sing:
         shap = max(shap, max_abs(matmul(shq.gram_sing, H) - matmul(H.T, shq.gram_sing)))
 
-    alg_m = bethe_algebra_basis(list(sysd.H_sing)) if dim_m else []
-    alg_l = bethe_algebra_basis(list(sysd.H_L)) if dim_l else []
-    ker = induced_map_kernel(alg_m, shq.sh) if alg_m else []
-    ann = annihilator_ideal(alg_m, ker) if alg_m else []
+    alg_m = bethe_algebra_basis(list(sysd.H_sing), tol) if dim_m else []
+    alg_l = bethe_algebra_basis(list(sysd.H_L), tol) if dim_l else []
+    ker = induced_map_kernel(alg_m, shq.sh, tol) if alg_m else []
+    ann = annihilator_ideal(alg_m, ker, tol) if alg_m else []
 
-    global_checks = {
-        "commutators": check("commutators", comm / hb_scale),
-        "hamiltonian_sum": check("hamiltonian_sum", hsum / hb_scale),
-        "z_weighted_identity": check(
-            "z_weighted_identity", max_abs(zw) / hb_scale if zw is not None else 0.0),
-        "g0_identity": check(
-            "g0_identity", max_abs(g0) / hb_scale if g0 is not None else 0.0),
-        "shapovalov_symmetry": check(
-            "shapovalov_symmetry", shap / (hb_scale * max(1.0, max_abs(shq.gram)))),
-        "dim_sing_m_vs_count": check(
-            "dim_sing_m_vs_count",
-            abs(dim_m - (weight_space_dim(n, l) - weight_space_dim(n, l - 1)))),
-        "dim_sing_l_vs_schubert": check("dim_sing_l_vs_schubert", abs(dim_l - schub)),
-        "bethe_dim_vs_sing_l": check("bethe_dim_vs_sing_l", abs(len(alg_l) - dim_l)),
-        "annihilator_dim_vs_sing_l": check(
-            "annihilator_dim_vs_sing_l", abs(len(ann) - dim_l)),
+    identities = {
+        "commutators": comm / hb_scale,
+        "hamiltonian_sum": hsum / hb_scale,
+        "z_weighted_identity": max_abs(zw) / hb_scale if zw is not None else 0.0,
+        "g0_identity": max_abs(g0) / hb_scale if g0 is not None else 0.0,
+        "shapovalov_symmetry": shap / (hb_scale * max(1.0, max_abs(shq.gram))),
     }
+    dim_checks = {
+        "dim_sing_m_vs_count":
+            abs(dim_m - (weight_space_dim(n, l) - weight_space_dim(n, l - 1))),
+        "dim_sing_l_vs_schubert": abs(dim_l - schub),
+        "bethe_dim_vs_sing_l": abs(len(alg_l) - dim_l),
+        "annihilator_dim_vs_sing_l": abs(len(ann) - dim_l),
+    }
+    # exact-lane identities are literal zeros, whatever tol.residual says
+    identity_gate = 0.0 if exact else tol.residual
+    global_checks = {k: check(k, v, identity_gate) for k, v in identities.items()}
+    global_checks.update((k, check(k, v)) for k, v in dim_checks.items())
 
     # spectral side (float lane)
     spec_l = spec_m = None
     for attempt in range(6):
         try:
-            spec_l = joint_spectrum(list(sysd.H_L), seed=seed + attempt,
-                                    tol=tol.cluster)
-            spec_m = joint_spectrum(list(sysd.H_sing), seed=seed + attempt,
-                                    tol=tol.cluster)
+            spec_l = joint_spectrum(list(sysd.H_L), seed=seed + attempt, tol=tol)
+            spec_m = joint_spectrum(list(sysd.H_sing), seed=seed + attempt, tol=tol)
             break
         except ClusterAmbiguityError:
             continue
@@ -197,8 +195,8 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
         failures.append("cluster_separation")
         spec_l, spec_m = [], []
 
-    report_l = match_spectrum_to_scheme(inst, spec_l, tol=gate)
-    report_m = match_spectrum_to_scheme(inst, spec_m, tol=gate)
+    report_l = match_spectrum_to_scheme(inst, spec_l, tol=tol)
+    report_m = match_spectrum_to_scheme(inst, spec_m, tol=tol)
     check("spectrum_total_sing_l", abs(report_l.total_multiplicity - dim_l))
     check("spectrum_total_sing_m", abs(report_m.total_multiplicity - dim_m))
     for rep, tag in ((report_l, "sing_l"), (report_m, "sing_m")):
@@ -227,7 +225,7 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     fsys = build_gaudin(finst, sysd.frame) if (exact and report_l.points) else sysd
     for p in report_l.points:
         try:
-            bv = bethe_vector(finst, fsys, p, tol=gate)
+            bv = bethe_vector(finst, fsys, p, tol=tol)
         except VerificationError as err:
             failures.append("bethe_vector")
             bethe_entries.append({"h": _ser_seq(p.h), "error": str(err)})
@@ -253,7 +251,7 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     groth = None
     if report_l.all_simple and report_l.points:
         try:
-            ws = grothendieck_weights(inst, report_l.points, tol=gate)
+            ws = grothendieck_weights(inst, report_l.points, tol=tol)
             funcs = [[1.0] * len(report_l.points)] + \
                 [[complex(p.h[s]) for p in report_l.points] for s in range(n)]
             gram = np.array([[sum(w * (fi * fj) for w, fi, fj in zip(ws, f1, f2))
@@ -374,7 +372,7 @@ def cmd_verify(config: dict, samples: int):
         if fails:
             failures.append(f"sample_{k}:" + ",".join(fails))
         if kind == "real":
-            ok_l, worst = diagonalizability_check(list(sysd.H_L), spec_l, tol=tol.residual)
+            ok_l, worst = diagonalizability_check(list(sysd.H_L), spec_l, tol=tol)
             entry["diagonalizable"] = bool(ok_l)
             entry["diagonalizability_residual"] = _ser(worst)
             if not (ok_l and entry["all_simple"]):

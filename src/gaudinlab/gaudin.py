@@ -42,6 +42,7 @@ from .numcore import (
     to_float_array,
     zeros_like_domain,
     DEFAULT_TOL,
+    Tolerances,
 )
 
 __all__ = [
@@ -248,14 +249,14 @@ def apply_universal_operator(sys: GaudinSystem, space: str, coeffs):
 
 
 def polynomial_valued_kernel(sys: GaudinSystem, space: str, v0, deg: int,
-                             tol: float | None = None):
+                             tol: Tolerances = DEFAULT_TOL):
     """Vector coefficients v_1..v_deg with D(v0 x^deg + v1 x^{deg-1} + ...) = 0.
 
     deg must be l or lt = sum(m)+1-l.  For deg = lt the coefficient at
     index lt - l (the x^l term) is pinned to zero, which removes the
     freedom of adding multiples of the degree-l solution.  Solved block
     by block, highest power first; the trailing equations not used by the
-    elimination are verified and raise InconsistentSystemError on failure.
+    elimination are verified (at tol.residual) and raise InconsistentSystemError.
     """
     inst = sys.inst
     l, lt, n = inst.l, inst.ltilde, inst.n
@@ -264,7 +265,7 @@ def polynomial_valued_kernel(sys: GaudinSystem, space: str, v0, deg: int,
     mats = _space_mats(sys, space)
     d = mats[0].shape[0]
     exact = inst.exact
-    tol = DEFAULT_TOL.residual if tol is None else tol
+    gate = tol.residual
     v0 = v0 if exact else np.asarray(v0, dtype=complex)
     skip = lt - l if (deg == lt and 1 <= lt - l <= deg) else None
 
@@ -290,7 +291,7 @@ def polynomial_valued_kernel(sys: GaudinSystem, space: str, v0, deg: int,
                 rhs = rhs + N[kN] @ vj
         if i == skip:
             resid = max_abs(rhs)
-            if (exact and resid != 0.0) or (not exact and resid > tol * scale):
+            if (exact and resid != 0.0) or (not exact and resid > gate * scale):
                 raise InconsistentSystemError(
                     f"pinned coefficient equation has residual {resid:.3e}")
             vs.append(zeros_like_domain((d,), exact))
@@ -299,11 +300,11 @@ def polynomial_valued_kernel(sys: GaudinSystem, space: str, v0, deg: int,
         cscal = pj_i * (pj_i - 1) + pj_i * B[n - 1]
         for r in range(d):
             blk[r, r] = blk[r, r] + cscal
-        vs.append(solve_linear(blk, -rhs))
+        vs.append(solve_linear(blk, -rhs, tol.svd_rel))
 
     full = apply_universal_operator(sys, space, vs)
     resid = max((max_abs(c) for c in full), default=0.0)
-    if (exact and resid != 0.0) or (not exact and resid > tol * scale):
+    if (exact and resid != 0.0) or (not exact and resid > gate * scale):
         raise InconsistentSystemError(
             f"trailing kernel equations have residual {resid:.3e}")
     return vs[1:]
@@ -358,15 +359,14 @@ class _FloatReducer:
         return True
 
 
-def span_closure(start, mats, act, tol):
+def span_closure(start, mats, act, tol: Tolerances = DEFAULT_TOL):
     """Basis of the smallest span holding start and closed under v -> act(v, H).
 
     Breadth first over H in mats, keeping each image that the span does not
-    already contain; exact when start is, else gated at tol relative
-    (DEFAULT_TOL.svd_rel when tol is None).  start itself is dropped if zero.
+    already contain; exact when start is, else gated at tol.svd_rel
+    relative.  start itself is dropped if zero.
     """
-    red = _ExactReducer() if is_exact_array(start) else _FloatReducer(
-        DEFAULT_TOL.svd_rel if tol is None else tol)
+    red = _ExactReducer() if is_exact_array(start) else _FloatReducer(tol.svd_rel)
     basis = [start] if red.add(start.reshape(-1)) else []
     frontier = list(basis)
     while frontier:
@@ -381,7 +381,7 @@ def span_closure(start, mats, act, tol):
     return basis
 
 
-def bethe_algebra_basis(mats, tol: float | None = None):
+def bethe_algebra_basis(mats, tol: Tolerances = DEFAULT_TOL):
     """Basis of the unital matrix algebra generated by a commuting family.
 
     Monomial closure degree by degree with rank checks; terminates because
@@ -396,7 +396,7 @@ def bethe_algebra_basis(mats, tol: float | None = None):
     return span_closure(eye, mats, matmul, tol)
 
 
-def induced_map_kernel(algebra, sh: np.ndarray, tol: float | None = None):
+def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """Elements of span(algebra) whose composition with sh vanishes.
 
     These are exactly the operators mapping the singular subspace into the
@@ -408,7 +408,7 @@ def induced_map_kernel(algebra, sh: np.ndarray, tol: float | None = None):
                                    tol)
 
 
-def annihilator_ideal(algebra, kernel, tol: float | None = None):
+def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL):
     """Basis of J = { f in span(algebra) : f g = 0 for every g in kernel }."""
     if not algebra:
         return []
@@ -424,7 +424,7 @@ def _vanishing_combinations(algebra, images, tol):
     images[j] is the flattened image of algebra[j] under a fixed linear map.
     """
     exact = is_exact_array(algebra[0])
-    combos = kernel_basis(np.stack(images, axis=1), 0 if exact else tol)
+    combos = kernel_basis(np.stack(images, axis=1), 0 if exact else tol.svd_rel)
     if not combos:
         return []
     # row j of the product is the flattened sum_i combos[j][i] algebra[i]

@@ -68,7 +68,7 @@ class InconsistentSystemError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default numeric gates; every field can be overridden per call."""
+    """Float-lane numeric gates; the one instance a run uses reaches every stage."""
 
     svd_rel: float = 1e-10      # relative singular-value cutoff for rank/kernel
     cluster: float = 1e-7       # eigenvalue clustering, unit max-norm scale

@@ -31,6 +31,7 @@ from .numcore import (
     DEFAULT_TOL,
     DomainError,
     InconsistentSystemError,
+    Tolerances,
     UniPoly,
     as_float,
     exact_sqrt,
@@ -300,20 +301,19 @@ def residual_system(inst: ProblemInstance, a):
     return qs[inst.n - 2:]
 
 
-def ptilde_solve(op: DhOperator, tol: float | None = None):
+def ptilde_solve(op: DhOperator, tol: Tolerances = DEFAULT_TOL):
     """Coefficients of the second kernel polynomial of op, or raise.
 
     Solves the overdetermined linear system 'all coefficients of
-    D_h(ptilde) vanish' for the lt-1 unknowns; inconsistency means the
-    operator has no second polynomial kernel element (the point lies on
-    the degree-l scheme but not on the all-polynomial one).
+    D_h(ptilde) vanish' for the lt-1 unknowns, at tol.residual; inconsistency
+    means the operator has no second polynomial kernel element (the point
+    lies on the degree-l scheme but not on the all-polynomial one).
     """
     inst, h = op.inst, op.h
     l, n, lt = inst.l, inst.n, inst.ltilde
     if lt <= l:
         raise ValueError("second kernel polynomial needs sum(m) + 1 - l > l")
-    scale = _plane_scale(inst, h, PLANE_PRE_GATE if tol is None
-                         else max(tol, PLANE_PRE_GATE))
+    scale = _plane_scale(inst, h, max(tol.residual, PLANE_PRE_GATE))
     nunk = lt - 1
     exact = all(map(is_exact_scalar, h))
 
@@ -323,14 +323,13 @@ def ptilde_solve(op: DhOperator, tol: float | None = None):
     rows = _affine_system(coeffs_of, nunk, scalar_one(exact))
     if nunk == 0:
         resid = max((abs(as_float(r[0])) for r in rows), default=0.0)
-        gate = DEFAULT_TOL.residual if tol is None else tol
-        if (exact and any(r[0] for r in rows)) or resid > gate * scale:
+        if (exact and any(r[0] for r in rows)) or resid > tol.residual * scale:
             raise InconsistentSystemError("no second polynomial kernel element")
         return []
     dtype = object if exact else complex
     M = np.array([r[:-1] for r in rows], dtype=dtype)
     rhs = np.array([r[-1] for r in rows], dtype=dtype)
-    return list(solve_consistent(M, rhs, tol=tol))
+    return list(solve_consistent(M, rhs, tol=tol.residual))
 
 
 def exponents_at(op: DhOperator, s: int | None):
@@ -371,22 +370,24 @@ def wronskian_check(inst: ProblemInstance, atilde, a) -> UniPoly:
 
 
 def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly,
-                              tol: float = 1e-8):
+                              tol: Tolerances = DEFAULT_TOL):
     """Monic-free form (b0, b1, b2) of the operator annihilating span(ptilde, p).
 
     The 3x3 kernel determinant gives  B0 u'' + B1 u' + B2 u  with
     B0 = Wr(ptilde, p); all three are divisible by
     (lt-l) prod (x-z_s)^{m_s-1}, and the quotient triple has
     b0 = prod(x-z_s) and b2 of degree n-2 with leading coefficient lt*l.
-    The residues of b2/b0 reproduce the h coordinates of the point.
+    The residues of b2/b0 reproduce the h coordinates of the point.  Float
+    vanishing and divisibility are decided at tol.residual relative.
     """
     lt, l = inst.ltilde, inst.l
+    gate = tol.residual
     one = scalar_one(inst.exact)
     scale = max(1.0, ptilde.max_abs(), p.max_abs())
     for s, zs in enumerate(inst.z):
         vt, vp = ptilde(zs), p(zs)
         bad = (vt == 0 and vp == 0) if inst.exact else \
-            (abs(as_float(vt)) <= tol * scale and abs(as_float(vp)) <= tol * scale)
+            (abs(as_float(vt)) <= gate * scale and abs(as_float(vp)) <= gate * scale)
         if bad:
             raise NotAdmissibleError(f"both kernel polynomials vanish at z_{s}")
     B0 = wronskian(ptilde, p)
@@ -402,13 +403,13 @@ def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly
         if inst.exact:
             if not rem.is_zero():
                 raise MalformedPairError("kernel pair fails exact divisibility")
-        elif rem.max_abs() > tol * cscale:
+        elif rem.max_abs() > gate * cscale:
             raise MalformedPairError(
                 f"kernel pair divisibility residual {rem.max_abs():.3e}")
         out.append(qpoly)
     drift = out[0] - inst.zpolys[0]
     if (inst.exact and not drift.is_zero()) or \
-            (not inst.exact and drift.max_abs() > tol * cscale):
+            (not inst.exact and drift.max_abs() > gate * cscale):
         raise MalformedPairError("Wronskian is not the prescribed zero divisor")
     return tuple(out)
 

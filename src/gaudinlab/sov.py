@@ -23,6 +23,8 @@ from .gaudin import GaudinSystem, span_closure
 from .gl2rep import ProblemInstance, WeightVector
 from .numcore import (
     DEFAULT_TOL,
+    DomainError,
+    Tolerances,
     UniPoly,
     as_float,
     identity,
@@ -198,74 +200,69 @@ class BetheVector:
 
 
 def bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
-                 tol: float | None = None) -> BetheVector:
+                 tol: Tolerances = DEFAULT_TOL) -> BetheVector:
     """Build and verify the eigenvector attached to a scheme point.
 
-    An exact system evaluated at a float point (the usual case when the
-    point came out of the eigen-decomposition) is converted to the float
-    domain here.
+    Eigen relations and the quotient image are gated at tol.residual.  A
+    float point (from the eigen-decomposition) needs the float system,
+    build_gaudin(inst.to_float(), sys.frame); an exact one raises DomainError.
     """
-    tol = DEFAULT_TOL.residual if tol is None else tol
-    omega = weight_function(inst, point.a)
-    arr = omega.to_array(inst)
     point_exact = all(is_exact_scalar(v) for v in point.a) and \
         all(is_exact_scalar(v) for v in point.h)
-    conv = to_float_array if sys.inst.exact and not point_exact else (lambda M: M)
-    H_big, H_sing, H_L = ([conv(M) for M in Hs] for Hs in (sys.H_big, sys.H_sing, sys.H_L))
-    E12, S, P = conv(sys.E12), conv(sys.shq.sing), conv(sys.shq.sh)
+    if sys.inst.exact and not point_exact:
+        raise DomainError("float point on an exact system; pass the float system")
+    omega = weight_function(inst, point.a)
+    arr = omega.to_array(inst)
+    S, P = sys.shq.sing, sys.shq.sh
     if is_exact_array(arr) and not is_exact_array(S):
         arr = to_float_array(arr)
     nrm = max_abs(arr)
     if nrm == 0:
         raise VerificationError(float("inf"), "weight function vanished")
     resids = []
-    for s, Hb in enumerate(H_big):
+    for s, Hb in enumerate(sys.H_big):
         dev = Hb @ arr - point.h[s] * arr
         resids.append(max_abs(dev) / (max(max_abs(Hb), 1e-30) * nrm))
-    e12r = max_abs(E12 @ arr) / nrm if E12.shape[0] else 0.0
+    e12r = max_abs(sys.E12 @ arr) / nrm if sys.E12.shape[0] else 0.0
     worst = max(max(resids, default=0.0), e12r)
-    if worst > tol:
+    if worst > tol.residual:
         raise VerificationError(worst)
-    coords = solve_consistent(S, arr, tol=tol)
+    coords = solve_consistent(S, arr, tol=tol.residual)
     omega_L = P @ coords if sys.dim_sing_l else coords[:0]
     via_subspace = False
-    if sys.dim_sing_l and max_abs(omega_L) <= tol * max(1.0, max_abs(coords)):
-        omega_L = _eigenline_via_subspace(P, H_sing, H_L, coords, point.h, tol)
+    if sys.dim_sing_l and max_abs(omega_L) <= tol.residual * max(1.0, max_abs(coords)):
+        omega_L = _eigenline_via_subspace(P, sys.H_sing, sys.H_L, coords, point.h, tol)
         via_subspace = True
     return BetheVector(point=point, omega_M=omega, omega_L=omega_L,
                        eigen_residuals=tuple(resids), e12_residual=e12r,
                        via_subspace=via_subspace)
 
 
-def _eigenline_via_subspace(P, H_sing, H_L, coords, h, tol):
-    """Unique eigenline inside the quotient image of the algebra closure."""
+def _eigenline_via_subspace(P, H_sing, H_L, coords, h, tol: Tolerances):
+    """Unique eigenline inside the quotient image of the algebra closure.
+
+    The closure is cut at tol.svd_rel, a float eigenline at tol.residual.
+    """
     exact = is_exact_array(coords)
-    basis = span_closure(coords, H_sing, lambda v, H: H @ v, None)
+    basis = span_closure(coords, H_sing, lambda v, H: H @ v, tol)
     W = np.stack([P @ v for v in basis], axis=1)
-    keep = [j for j in range(W.shape[1]) if max_abs(W[:, j]) > 0]
-    W = W[:, keep] if keep else W[:, :0]
+    W = W[:, [j for j in range(W.shape[1]) if max_abs(W[:, j]) > 0]]
     if W.shape[1] == 0:
         raise VerificationError(float("inf"), "algebra closure dies in the quotient")
-    rows = []
-    dim_l = P.shape[0]
-    eye = identity(dim_l, exact)
-    for s, HL in enumerate(H_L):
-        rows.append((HL - h[s] * eye) @ W)
-    stacked = np.concatenate(rows, axis=0)
-    if exact:
-        ker = kernel_basis(stacked, 0)
-    else:
+    if not exact:
         # kernel relative to the operator scale, not to the (possibly tiny)
         # largest singular value of the stacked residual matrix
         for j in range(W.shape[1]):
-            nrm = np.linalg.norm(np.asarray(W[:, j], dtype=complex))
-            W[:, j] = W[:, j] / nrm
-        stacked = np.concatenate([(HL - h[s] * eye) @ W
-                                  for s, HL in enumerate(H_L)], axis=0)
+            W[:, j] = W[:, j] / np.linalg.norm(np.asarray(W[:, j], dtype=complex))
+    eye = identity(P.shape[0], exact)
+    stacked = np.concatenate([(HL - h[s] * eye) @ W for s, HL in enumerate(H_L)], axis=0)
+    if exact:
+        ker = kernel_basis(stacked, 0)
+    else:
         scale = max(max(max_abs(HL) for HL in H_L),
                     max(abs(complex(v)) for v in h), 1.0)
         u, sv, vh = np.linalg.svd(np.asarray(stacked, dtype=complex))
-        nz = int(np.sum(sv > tol * scale))
+        nz = int(np.sum(sv > tol.residual * scale))
         ker = [vh[i].conj() for i in range(nz, W.shape[1])]
     if len(ker) != 1:
         raise VerificationError(float(len(ker)),

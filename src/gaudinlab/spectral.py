@@ -20,6 +20,7 @@ from .gl2rep import ProblemInstance
 from .numcore import (
     DEFAULT_TOL,
     InconsistentSystemError,
+    Tolerances,
     UniPoly,
     is_exact_scalar,
     max_abs,
@@ -80,15 +81,15 @@ class SpectrumReport:
     residual_summary: dict
 
 
-def joint_spectrum(mats, seed: int, tol: float | None = None):
+def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
     """[(h, multiplicity, orthonormal invariant basis), ...] of the family.
 
     mats must commute (checked exactly upstream); exact input is converted
-    here, the one sanctioned entry into float mode.  Raises
-    ClusterAmbiguityError when two clusters run closer than 10*tol, in
-    which case the caller should reseed.
+    here, the one sanctioned entry into float mode.  Eigenvalues closer
+    than tol.cluster share a cluster.  Raises ClusterAmbiguityError when
+    two clusters run closer than 10 * tol.cluster, in which case the
+    caller should reseed.
     """
-    tol = DEFAULT_TOL.cluster if tol is None else tol
     mats = [to_float_array(M) for M in mats]
     n = len(mats)
     d = mats[0].shape[0]
@@ -101,7 +102,7 @@ def joint_spectrum(mats, seed: int, tol: float | None = None):
     Tn = T / scale
     eigs = np.linalg.eigvals(Tn)
 
-    # single-linkage clustering at distance tol
+    # single-linkage clustering at distance tol.cluster
     order = sorted(range(d), key=lambda i: (eigs[i].real, eigs[i].imag))
     parent = list(range(d))
 
@@ -113,7 +114,7 @@ def joint_spectrum(mats, seed: int, tol: float | None = None):
 
     for ii in range(d):
         for jj in range(ii + 1, d):
-            if abs(eigs[order[ii]] - eigs[order[jj]]) <= tol:
+            if abs(eigs[order[ii]] - eigs[order[jj]]) <= tol.cluster:
                 ri, rj = find(order[ii]), find(order[jj])
                 if ri != rj:
                     parent[ri] = rj
@@ -126,7 +127,7 @@ def joint_spectrum(mats, seed: int, tol: float | None = None):
     centers = [complex(np.mean([eigs[i] for i in g])) for g in clusters]
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
-            if abs(centers[i] - centers[j]) < 10 * tol:
+            if abs(centers[i] - centers[j]) < 10 * tol.cluster:
                 raise ClusterAmbiguityError(
                     f"cluster centers {centers[i]:.6g} and {centers[j]:.6g} "
                     f"within 10*tol; reseed")
@@ -148,7 +149,7 @@ def joint_spectrum(mats, seed: int, tol: float | None = None):
     return out
 
 
-def _point_residuals(finst: ProblemInstance, h, tol):
+def _point_residuals(finst: ProblemInstance, h, tol: Tolerances):
     """All scheme-side checks at h on the float instance finst; residuals only."""
     l, n, lt = finst.l, finst.n, finst.ltilde
     h = tuple(complex(v) for v in h)
@@ -198,13 +199,13 @@ def _point_residuals(finst: ProblemInstance, h, tol):
 
 
 def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
-                             tol: float | None = None) -> SpectrumReport:
+                             tol: Tolerances = DEFAULT_TOL) -> SpectrumReport:
     """Verify every joint-spectrum point against the scheme equations.
 
     Per-point failures are recorded as infinite residuals in the report
-    rather than aborting the run.
+    rather than aborting the run; the second kernel polynomial and the
+    kernel-pair operator are gated at tol.residual.
     """
-    tol = DEFAULT_TOL.residual if tol is None else tol
     finst = inst.to_float() if inst.exact else inst
     points = []
     for h, mult, _Q in spectrum:
@@ -271,16 +272,16 @@ def _exact_det(M):
     return det
 
 
-def grothendieck_weights(inst: ProblemInstance, points, tol: float | None = None):
+def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAULT_TOL):
     """Inverse Jacobian weights of the n defining polynomials at simple points.
 
     The induced bilinear form (f, g) = sum_p f(p) g(p) w_p is symmetric and,
     on functions separating the points, nondegenerate.  The overall residue
     normalization is a convention of this routine; only properties invariant
     under a global rescaling of the weights should be relied on.  Every
-    point must carry a = a(h), as match_spectrum_to_scheme builds it.
+    point must carry a = a(h), as match_spectrum_to_scheme builds it.  A
+    float Jacobian with sv_min <= tol.residual * sv_max is singular.
     """
-    tol = DEFAULT_TOL.residual if tol is None else tol
     finst = inst.to_float() if inst.exact else inst
     weights = []
     for p in points:
@@ -295,23 +296,22 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: float | None = None
             continue
         Jm = np.array(_jacobian(finst, [complex(v) for v in p.h], p.a), dtype=complex)
         sv = np.linalg.svd(Jm, compute_uv=False)
-        if sv[0] == 0 or sv[-1] <= tol * sv[0]:
+        if sv[0] == 0 or sv[-1] <= tol.residual * sv[0]:
             raise SingularJacobianError(
                 f"Jacobian condition {sv[-1]:.3e}/{sv[0]:.3e} is numerically singular")
         weights.append(1 / complex(np.linalg.det(Jm)))
     return weights
 
 
-def diagonalizability_check(mats, spectrum, tol: float | None = None):
+def diagonalizability_check(mats, spectrum, tol: Tolerances = DEFAULT_TOL):
     """(all eigenspaces genuine, worst residual) for the commuting family.
 
     spectrum is the family's joint_spectrum.  True iff every generalized
     eigenspace carries a full basis of true eigenvectors: the restriction
     of each generator to each cluster subspace must be scalar within
-    tol * |H|.  A spectrum whose multiplicities do not add up to the matrix
-    size gives (False, inf).
+    tol.residual * |H|.  A spectrum whose multiplicities do not add up to
+    the matrix size gives (False, inf).
     """
-    tol = DEFAULT_TOL.residual if tol is None else tol
     mats = [to_float_array(M) for M in mats]
     if sum(mult for _, mult, _ in spectrum) != mats[0].shape[0]:
         return False, float("inf")
@@ -320,4 +320,4 @@ def diagonalizability_check(mats, spectrum, tol: float | None = None):
         for s, H in enumerate(mats):
             dev = H @ Q - h[s] * Q
             worst = max(worst, max_abs(dev) / max(max_abs(H), 1e-30))
-    return worst < tol, worst
+    return worst < tol.residual, worst

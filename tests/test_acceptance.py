@@ -31,7 +31,7 @@ from gaudinlab import (
     wronskian_check,
 )
 from gaudinlab.gl2rep import weight_space_dim
-from gaudinlab.numcore import UniPoly, identity, max_abs
+from gaudinlab.numcore import Tolerances, UniPoly, identity, max_abs
 from gaudinlab.opscheme import operator_from_kernel_pair, p_of_a, ptilde_of
 
 from conftest import (
@@ -199,7 +199,7 @@ def test_criterion_5_bethe_vectors(float_suite):
     for inst, sysd, spec, rep in float_suite:
         vecs = []
         for p in rep.points:
-            bv = bethe_vector(inst, sysd, p, tol=GATE)
+            bv = bethe_vector(inst, sysd, p, tol=Tolerances(residual=GATE))
             if max(bv.eigen_residuals, default=0.0) >= GATE or \
                     bv.e12_residual >= GATE:
                 bad.append((inst.m, inst.l, max(bv.eigen_residuals),
@@ -221,7 +221,8 @@ def test_criterion_6_real_z_multiplicity_one(real_suite):
     for inst, sysd in real_suite:
         spec = _spectrum_with_reseed(list(sysd.H_L), seed=5)
         simple = all(m == 1 for _, m, _ in spec)
-        ok, worst = diagonalizability_check(list(sysd.H_L), spec, tol=GATE)
+        ok, worst = diagonalizability_check(list(sysd.H_L), spec,
+                                            tol=Tolerances(residual=GATE))
         if not (simple and ok):
             bad.append((inst.m, inst.l, simple, ok, worst))
     _report(6, not bad,

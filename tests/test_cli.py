@@ -1,22 +1,31 @@
+import dataclasses
 import importlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from gaudinlab.cli import (
+    CONFIG_SCHEMA,
     ConfigError,
     cmd_schubert,
     cmd_spectrum,
     cmd_verify,
     load_config,
+    run_pipeline,
 )
+from gaudinlab.gaudin import build_gaudin
+from gaudinlab.gl2rep import ProblemInstance
+from gaudinlab.numcore import Tolerances
 from gaudinlab.spectral import ClusterAmbiguityError
 
 
 E1_CONFIG = {"m": [1, 1], "l": 1, "z": ["0", "1"], "mode": "exact", "seed": 0}
 FOUR_SPINS = {"m": [1, 1, 1, 1], "l": 2, "z": ["0", "1", "2", "3"], "seed": 0}
+FLOAT_2_4 = {"m": [2, 2, 2, 2], "l": 3, "z": ["0", "1", "3", "7"], "mode": "float",
+             "seed": 0}
 LAYERS = ("cli", "gaudin", "gl2rep", "numcore", "opscheme", "spectral", "sov")
 
 
@@ -61,6 +70,42 @@ class TestConfig:
         monkeypatch.setenv("GAUDINLAB_TOL_RESIDUAL", "1e-5")
         _, _, _, tol = load_config(E1_CONFIG)
         assert tol.residual == 1e-5
+
+    def test_schema_tolerances_are_the_tolerance_fields(self):
+        keys = CONFIG_SCHEMA["properties"]["tolerances"]["properties"]
+        assert set(keys) == {f.name for f in dataclasses.fields(Tolerances)}
+
+
+class TestToleranceReach:
+    """An override reaches every decision its field names, not just one."""
+
+    @pytest.fixture(scope="class")
+    def default_dims(self):
+        return cmd_spectrum(FLOAT_2_4)[0]["dims"]
+
+    def test_config_svd_rel_reaches_algebra_ranks(self, default_dims):
+        rep, fails = cmd_spectrum({**FLOAT_2_4, "tolerances": {"svd_rel": 0.5}})
+        assert rep["dims"] != default_dims
+        assert "bethe_dim_vs_sing_l" in fails
+
+    def test_env_svd_rel_reaches_algebra_ranks(self, default_dims, monkeypatch):
+        monkeypatch.setenv("GAUDINLAB_TOL_SVD_REL", "0.5")
+        rep, _ = cmd_spectrum(FLOAT_2_4)
+        assert rep["dims"] != default_dims
+
+    def test_exact_identities_gated_at_literal_zero(self):
+        # a 1e-12 slip in H_big[0] breaks commutativity and the sum identity;
+        # the exact lane fails on it, the float lane's gate lets it pass
+        inst = ProblemInstance([1, 1, 1, 1], 2, [Fraction(v) for v in range(4)])
+        for sysd, slip, failed in ((build_gaudin(inst), Fraction(1, 10**12), True),
+                                   (build_gaudin(inst.to_float()), 1e-12, False)):
+            H0 = sysd.H_big[0].copy()
+            H0[0, 0] += slip
+            sysd = dataclasses.replace(sysd, H_big=(H0,) + sysd.H_big[1:])
+            rep, fails, _ = run_pipeline(sysd, 0, Tolerances())
+            for name in ("commutators", "hamiltonian_sum"):
+                assert rep["global_checks"][name] > 0
+                assert (name in fails) is failed
 
 
 class TestSpectrumCommand:

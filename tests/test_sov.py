@@ -5,6 +5,7 @@ import pytest
 
 from gaudinlab import (
     DegenerateCoordinatesError,
+    DomainError,
     ProblemInstance,
     SchemePoint,
     VerificationError,
@@ -16,7 +17,7 @@ from gaudinlab import (
     separated_form_value,
     weight_function,
 )
-from gaudinlab.numcore import max_abs
+from gaudinlab.numcore import Tolerances, max_abs
 
 from conftest import random_dominant_float_instance, random_exact_instance
 
@@ -132,6 +133,12 @@ class TestBetheVector:
         sv = np.linalg.svd(W, compute_uv=False)
         assert sv[-1] > 1e-8 * sv[0]
 
+    def test_float_point_on_exact_system_rejected(self, E2):
+        s = build_gaudin(E2)
+        rep = match_spectrum_to_scheme(E2, joint_spectrum(list(s.H_L), seed=0))
+        with pytest.raises(DomainError):
+            bethe_vector(E2, s, rep.points[0])
+
     def test_wrong_point_rejected(self, E1):
         s = build_gaudin(E1)
         pt = SchemePoint(h=(F(-2), F(2)), a=(F(1),), atilde=None,
@@ -184,7 +191,8 @@ class TestBetheVector:
              for s, H in enumerate(fs.H_sing)], axis=0)
         (coords,) = kernel_basis(stacked)
         line = _eigenline_via_subspace(fs.shq.sh, list(fs.H_sing),
-                                       list(fs.H_L), coords, p.h, 1e-8)
+                                       list(fs.H_L), coords, p.h,
+                                       Tolerances(residual=1e-8))
         line = np.asarray(line, dtype=complex)
         for s, HL in enumerate(fs.H_L):
             dev = np.asarray(HL, dtype=complex) @ line - p.h[s] * line

@@ -15,7 +15,7 @@ from gaudinlab import (
     joint_spectrum,
     match_spectrum_to_scheme,
 )
-from gaudinlab.numcore import max_abs
+from gaudinlab.numcore import Tolerances, max_abs
 from gaudinlab.opscheme import DhOperator, _a_of_h_raw, q_coefficients
 from gaudinlab.spectral import _jacobian
 
@@ -56,7 +56,7 @@ class TestJointSpectrum:
         # eigenvalue gap of 5*tol at unit scale: distinct but inseparable
         A = np.diag([1.0, 1.0 + 5e-7]).astype(complex)
         with pytest.raises(ClusterAmbiguityError):
-            joint_spectrum([A], seed=0, tol=1e-7)
+            joint_spectrum([A], seed=0, tol=Tolerances(cluster=1e-7))
 
     def test_empty_space(self):
         pts = joint_spectrum([np.zeros((0, 0), dtype=complex)], seed=0)
