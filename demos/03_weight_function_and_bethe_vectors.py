@@ -12,6 +12,7 @@ import numpy as np
 
 from gaudinlab import (
     ProblemInstance,
+    Tolerances,
     bethe_vector,
     build_gaudin,
     change_of_variables,
@@ -47,15 +48,17 @@ for _ in range(3):
           f"diff {abs(mono - sep):.2e}")
 
 # Bethe vectors at the actual spectrum points span the quotient; the float
-# points pair with the float system built on the same frame
-spec = joint_spectrum(list(sysd.H_L), seed=1)
-rep = match_spectrum_to_scheme(inst, spec)
+# points pair with the float system built on the same frame.  One Tolerances
+# reaches every float-lane gate of the run, as it does in the command line.
+tol = Tolerances()
+spec = joint_spectrum(list(sysd.H_L), seed=1, tol=tol)
+rep = match_spectrum_to_scheme(inst, spec, tol=tol)
 finst = inst.to_float()
-fsys = build_gaudin(finst, sysd.frame)
+fsys = build_gaudin(finst, sysd.frame, tol)
 print(f"\n{len(rep.points)} spectrum points on the quotient:")
 vecs = []
 for p in rep.points:
-    bv = bethe_vector(finst, fsys, p)
+    bv = bethe_vector(finst, fsys, p, tol=tol)
     roots = np.roots([1.0] + [complex(v) for v in p.a])
     print(f"  h = ({', '.join(f'{v.real:+.6f}' for v in p.h)})  "
           f"root of p: {roots[0].real:+.6f}  "

@@ -29,7 +29,7 @@ from .gaudin import (
     induced_map_kernel,
 )
 from .gl2rep import ProblemInstance, weight_space_dim
-from .numcore import Tolerances, identity, matmul, max_abs, rank_of
+from .numcore import InconsistentSystemError, Tolerances, identity, matmul, max_abs, rank_of
 from .opscheme import schubert_dimension
 from .sov import VerificationError, bethe_vector
 from .spectral import (
@@ -222,7 +222,7 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     bmax = 0.0
     omega_ls = []
     finst = inst.to_float() if exact else inst
-    fsys = build_gaudin(finst, sysd.frame) if (exact and report_l.points) else sysd
+    fsys = build_gaudin(finst, sysd.frame, tol) if (exact and report_l.points) else sysd
     for p in report_l.points:
         try:
             bv = bethe_vector(finst, fsys, p, tol=tol)
@@ -308,7 +308,7 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
 
 def cmd_spectrum(config: dict):
     inst, mode, seed, tol = load_config(config)
-    report, failures, _ = run_pipeline(build_gaudin(inst), seed, tol)
+    report, failures, _ = run_pipeline(build_gaudin(inst, tol=tol), seed, tol)
     report = {
         "instance": {
             "m": list(inst.m), "l": inst.l, "z": _ser_seq(inst.z),
@@ -355,7 +355,7 @@ def cmd_verify(config: dict, samples: int):
         kind = "real" if k % 2 == 0 else "complex"
         z = _sample_z(rng, inst0.n, kind)
         inst = ProblemInstance(inst0.m, inst0.l, z)
-        sysd = build_gaudin(inst, frame)
+        sysd = build_gaudin(inst, frame, tol)
         rep, fails, spec_l = run_pipeline(sysd, seed + 1000 * k, tol)
         entry = {
             "z": _ser_seq(inst.z),
@@ -423,6 +423,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except InconsistentSystemError as e:
+        # a float gate that fires while the system is built, before any report
+        print(f"failed checks: {e}", file=sys.stderr)
+        return 1
     text = json.dumps(report, indent=2, sort_keys=True)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:

@@ -31,12 +31,15 @@ from .gl2rep import (
 )
 from .numcore import (
     InconsistentSystemError,
+    fraction_array,
     identity,
     integer_numerators,
     is_exact_array,
     kernel_basis,
     matmul,
     max_abs,
+    primitive,
+    row_update,
     solve_consistent,
     solve_linear,
     to_float_array,
@@ -166,10 +169,13 @@ def _int_array(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None) -> GaudinSystem:
+def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None,
+                 tol: Tolerances = DEFAULT_TOL) -> GaudinSystem:
     """Hamiltonians at inst's z, assembled from frame (built here if None).
 
-    ValueError if the frame was built for another (m, l).
+    The float restriction to Sing is gated at tol.residual; past the gate it
+    raises InconsistentSystemError naming sing_restriction.  ValueError if
+    the frame was built for another (m, l).
     """
     if frame is None:
         frame = GaudinFrame(inst)
@@ -183,17 +189,26 @@ def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None) -> Gau
 
     H_big = []
     for s in range(n):
+        others = [r for r in range(n) if r != s]
+        terms = [inst.m[s] * inst.m[r] * eye - lane.omega[s, r] for r in others]
+        coefs = [1 / (inst.z[s] - inst.z[r]) for r in others]
+        if exact:
+            # one integer combination of the lane's integer Omega over the
+            # common denominator of the coefficients
+            ks, D = integer_numerators(coefs)
+            H_big.append(fraction_array(sum((k * T for k, T in zip(ks, terms)), 0 * eye), D))
+            continue
         acc = zeros_like_domain((d, d), exact)
-        for r in range(n):
-            if r == s:
-                continue
-            acc = acc + (inst.m[s] * inst.m[r] * eye - lane.omega[s, r]) * \
-                (1 / (inst.z[s] - inst.z[r]))
+        for T, c in zip(terms, coefs):
+            acc = acc + T * c
         H_big.append(acc)
 
     S, P, C = lane.shq.sing, lane.shq.sh, lane.shq.lift
-    H_sing = [solve_consistent(S, matmul(Hb, S)) if S.shape[1] else
-              zeros_like_domain((0, 0), exact) for Hb in H_big]
+    try:
+        H_sing = [solve_consistent(S, matmul(Hb, S), tol.residual) if S.shape[1] else
+                  zeros_like_domain((0, 0), exact) for Hb in H_big]
+    except InconsistentSystemError as err:
+        raise InconsistentSystemError(f"sing_restriction: {err}") from err
     H_L = [matmul(matmul(P, Hs), C) for Hs in H_sing]
 
     return GaudinSystem(inst=inst, H_big=tuple(H_big), H_sing=tuple(H_sing),
@@ -327,13 +342,11 @@ class _ExactReducer:
             f = v[p]
             if f:
                 g = math.gcd(f, row[p])
-                a, b = row[p] // g, f // g
-                v = [a * x - b * y for x, y in zip(v, row)]
+                v = row_update(row[p] // g, v, f // g, row)
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        g = math.gcd(*v)
-        self.rows.append((piv, [x // g for x in v]))
+        self.rows.append((piv, primitive(v)))
         return True
 
 

@@ -31,6 +31,7 @@ from .numcore import (
     as_float,
     is_exact_scalar,
     kernel_basis,
+    matmul,
     rref,
     rref_kernel,
     scalar_one,
@@ -325,7 +326,7 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
     S = singular_matrix(inst)
     dS = S.shape[1]
     G = shapovalov_gram(inst, inst.l)
-    R = S.T @ G @ S
+    R = matmul(matmul(S.T, G), S)
     # R is symmetric, so the nonzero rows of rref(R) vanish on ker R and are
     # the identity on the pivot columns: they are the quotient map
     Rr, pivots = rref(R)

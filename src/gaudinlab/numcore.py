@@ -11,7 +11,13 @@ float domain is entered for eigen-decomposition and root-finding only.
 
 Exact matrix products go through ``matmul``, which multiplies integer
 numerators over one common denominator per operand instead of forming a
-``Fraction`` for every partial product.
+``Fraction`` for every partial product.  The one Gauss-Jordan elimination
+behind ``rref``, ``kernel_basis``, ``rank_of``, ``solve_linear``,
+``solve_consistent`` and ``solve_rows`` is fraction-free on rational rows
+(Bareiss 1968): rows are scaled to integers and each step divides exactly by
+the previous pivot, so no ``Fraction`` arithmetic runs inside the loop;
+``exact_det`` reads the determinant off the same elimination.  Complex rows
+take the plain Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -38,7 +44,11 @@ __all__ = [
     "zeros_like_domain",
     "max_abs",
     "integer_numerators",
+    "fraction_array",
+    "primitive",
+    "row_update",
     "matmul",
+    "exact_det",
     "rref",
     "rref_kernel",
     "solve_rows",
@@ -324,6 +334,13 @@ def integer_numerators(values):
     return [v.numerator * (D // d) for v, d in zip(values, dens)], D
 
 
+def fraction_array(N: np.ndarray, D: int) -> np.ndarray:
+    """The exact array N / D of an integer array N, one Fraction per entry."""
+    out = np.empty(N.shape, dtype=object)
+    out.reshape(-1)[:] = [Fraction(x, D) for x in N.reshape(-1).tolist()]
+    return out
+
+
 def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B, entry for entry.
 
@@ -338,22 +355,83 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     na, da = integer_numerators(A.reshape(-1).tolist())
     nb, db = integer_numerators(B.reshape(-1).tolist())
     N = (np.array(na, dtype=object).reshape(m, k)
-         @ np.array(nb, dtype=object).reshape(k, n)).tolist()
-    D = da * db
-    out = np.empty((m, n), dtype=object)
-    out[...] = [[Fraction(x, D) for x in row] for row in N]
-    return out
+         @ np.array(nb, dtype=object).reshape(k, n))
+    return fraction_array(N, da * db)
+
+
+def primitive(v: list) -> list:
+    """An integer row divided by the gcd of its entries (unchanged if zero)."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def row_update(a: int, v: list, b: int, row: list, d: int = 1) -> list:
+    """(a v - b row) / d on integer rows; d must divide every entry exactly."""
+    if d == 1:
+        return [a * x - b * y for x, y in zip(v, row)]
+    return [(a * x - b * y) // d for x, y in zip(v, row)]
+
+
+def _is_rational_rows(M: list) -> bool:
+    return all(isinstance(v, (Fraction, int)) for row in M for v in row)
+
+
+def _bareiss_inplace(M: list):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on rational rows in place.
+
+    Each row is scaled to integers; the step at pivot p in column c maps
+    each other row v to (p v - v[c] pivot_row) / prev, an exact integer
+    division by the previous pivot, so entries stay minors of the scaled
+    matrix.  At the end each
+    pivot row is divided by its pivot and the other rows are zero, all as
+    Fractions.  Returns (pivots, det), det the determinant when M is square
+    (Fraction(0) when it is singular) and None otherwise.
+    """
+    ncols = len(M[0])
+    den = 1
+    for i, row in enumerate(M):
+        M[i], d = integer_numerators(row)
+        den *= d
+    pivots = []
+    sign, prev, r = 1, 1, 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            M[r], M[pr] = M[pr], M[r]
+            sign = -sign
+        p, prow = M[r][c], M[r]
+        for i in range(len(M)):
+            # a row with a zero in column c only rescales by p / prev
+            if i != r and (M[i][c] or p != prev):
+                M[i] = row_update(p, M[i], M[i][c], prow, prev)
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == len(M):
+            break
+    for i in range(len(M)):
+        M[i] = ([Fraction(x, M[i][pivots[i]]) for x in M[i]] if i < r
+                else [Fraction(0)] * ncols)
+    det = None
+    if len(M) == ncols:
+        det = Fraction(sign * prev, den) if r == ncols else Fraction(0)
+    return pivots, det
 
 
 def _rref_inplace(M: list) -> list:
     """Gauss-Jordan on a list of rows in place; returns the pivot columns.
 
-    Generic over the scalars (Fraction or complex).  The pivot is the
-    first nonzero entry at or below the current row, so a triangular system
-    keeps its natural pivots; each pivot row is scaled by 1/pivot.
+    The pivot is the first nonzero entry at or below the current row, so a
+    triangular system keeps its natural pivots.  Rational rows (Fraction or
+    int) go through the fraction-free _bareiss_inplace; complex rows are
+    reduced directly, each pivot row scaled by 1/pivot.
     """
     if not M:
         return []
+    if _is_rational_rows(M):
+        return _bareiss_inplace(M)[0]
     ncols = len(M[0])
     pivots = []
     r = 0
@@ -373,6 +451,19 @@ def _rref_inplace(M: list) -> list:
         if r == len(M):
             break
     return pivots
+
+
+def exact_det(M: list) -> Fraction:
+    """Determinant of a square matrix given as rational rows (not modified).
+
+    Read from the same elimination as rref: the last Bareiss pivot, times
+    the sign of the row swaps, over the product of the row denominators.
+    """
+    if not M:
+        return Fraction(1)
+    if len(M) != len(M[0]) or not _is_rational_rows(M):
+        raise DomainError("exact_det takes a square matrix of rationals")
+    return _bareiss_inplace([row[:] for row in M])[1]
 
 
 def rref(A: np.ndarray):

@@ -22,6 +22,7 @@ from .numcore import (
     InconsistentSystemError,
     Tolerances,
     UniPoly,
+    exact_det,
     is_exact_scalar,
     max_abs,
     scalar_one,
@@ -252,26 +253,6 @@ def _jacobian(inst: ProblemInstance, h, a):
     return rows
 
 
-def _exact_det(M):
-    n = len(M)
-    M = [row[:] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c]:
-                f = M[r][c] * inv
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    return det
-
-
 def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAULT_TOL):
     """Inverse Jacobian weights of the n defining polynomials at simple points.
 
@@ -289,7 +270,7 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAUL
             raise NonSimplePointError(
                 f"point with multiplicity {p.multiplicity}")
         if inst.exact and all(isinstance(v, Fraction) for v in p.h):
-            J = _exact_det(_jacobian(inst, p.h, p.a))
+            J = exact_det(_jacobian(inst, p.h, p.a))
             if J == 0:
                 raise SingularJacobianError("exact Jacobian vanished")
             weights.append(Fraction(1) / J)

@@ -16,9 +16,10 @@ from gaudinlab.cli import (
     load_config,
     run_pipeline,
 )
+from gaudinlab import gaudin
 from gaudinlab.gaudin import build_gaudin
 from gaudinlab.gl2rep import ProblemInstance
-from gaudinlab.numcore import Tolerances
+from gaudinlab.numcore import InconsistentSystemError, Tolerances
 from gaudinlab.spectral import ClusterAmbiguityError
 
 
@@ -92,6 +93,37 @@ class TestToleranceReach:
         monkeypatch.setenv("GAUDINLAB_TOL_SVD_REL", "0.5")
         rep, _ = cmd_spectrum(FLOAT_2_4)
         assert rep["dims"] != default_dims
+
+    @pytest.fixture
+    def restriction_tols(self, monkeypatch):
+        """The tol of every float solve_consistent that build_gaudin makes."""
+        seen = []
+        real = gaudin.solve_consistent
+
+        def spy(A, rhs, tol=None):
+            if A.dtype != object:
+                seen.append(tol)
+            return real(A, rhs, tol)
+
+        monkeypatch.setattr(gaudin, "solve_consistent", spy)
+        return seen
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_config_residual_reaches_sing_restriction(self, restriction_tols, mode):
+        # the exact run restricts its float twin
+        cmd_spectrum({**FOUR_SPINS, "mode": mode, "tolerances": {"residual": 3e-7}})
+        assert restriction_tols and set(restriction_tols) == {3e-7}
+
+    def test_env_residual_reaches_sing_restriction(self, restriction_tols, monkeypatch):
+        monkeypatch.setenv("GAUDINLAB_TOL_RESIDUAL", "2e-6")
+        cmd_verify({**FOUR_SPINS, "mode": "float"}, 2)
+        assert len(restriction_tols) >= 2 * 4 and set(restriction_tols) == {2e-6}
+
+    def test_residual_gates_sing_restriction(self):
+        finst = ProblemInstance([1, 1, 1], 1, [0.0, 1.37, 2.91])
+        build_gaudin(finst, tol=Tolerances(residual=1e-8))
+        with pytest.raises(InconsistentSystemError, match="sing_restriction"):
+            build_gaudin(finst, tol=Tolerances(residual=1e-30))
 
     def test_exact_identities_gated_at_literal_zero(self):
         # a 1e-12 slip in H_big[0] breaks commutativity and the sum identity;

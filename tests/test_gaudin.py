@@ -103,6 +103,44 @@ class TestBuildGaudin:
             assert np.abs(to_float_array(A) - B).max() < 1e-12
 
 
+class TestHBigAssembly:
+    """H_big[s] = sum_r (m_s m_r I - Omega_sr) / (z_s - z_r), term by term."""
+
+    INST = ProblemInstance([1, 2, 1, 1], 2, [0, F(1, 2), F(-3, 7), F(5, 3)])
+
+    @staticmethod
+    def term_by_term(inst, lane, zero):
+        eye = lane.eye
+        out = []
+        for s in range(inst.n):
+            acc = zero
+            for r in range(inst.n):
+                if r != s:
+                    acc = acc + (inst.m[s] * inst.m[r] * eye - lane.omega[s, r]) * \
+                        (1 / (inst.z[s] - inst.z[r]))
+            out.append(acc)
+        return out
+
+    def test_exact_equals_fraction_sum(self):
+        inst = self.INST
+        sysd = build_gaudin(inst)
+        d = sysd.H_big[0].shape[0]
+        want = self.term_by_term(inst, sysd.frame.lane(True), identity(d) * 0)
+        for got, ref in zip(sysd.H_big, want, strict=True):
+            assert got.shape == ref.shape
+            for x, y in zip(got.flat, ref.flat):
+                assert type(x) is F and x == y
+
+    def test_float_bit_identical_to_term_by_term_sum(self):
+        finst = self.INST.to_float()
+        sysd = build_gaudin(finst)
+        d = sysd.H_big[0].shape[0]
+        want = self.term_by_term(finst, sysd.frame.lane(False),
+                                 np.zeros((d, d), dtype=complex))
+        for got, ref in zip(sysd.H_big, want, strict=True):
+            assert got.dtype == complex and got.tobytes() == ref.tobytes()
+
+
 class TestGaudinFrame:
     FIELDS = ("H_big", "H_sing", "H_L")
 

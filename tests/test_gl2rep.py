@@ -207,6 +207,15 @@ class TestShQuotient:
                 assert max_abs(q.gram_sing @ q.radical) == 0.0
                 assert rank_of(q.radical) == k
 
+    @pytest.mark.parametrize("m, l", [((1,) * 5, 2), ((2,) * 4, 3)])
+    def test_gram_sing_equals_object_product(self, m, l):
+        # the integer-numerator product against object @ with a Fraction per term
+        q = sh_quotient(ProblemInstance(m, l, list(range(len(m)))))
+        want = q.sing.T @ q.gram @ q.sing
+        assert q.gram_sing.shape == want.shape
+        for got, ref in zip(q.gram_sing.flat, want.flat):
+            assert got == ref and type(got) is F
+
     def test_matches_tensor_multiplicity_oracle(self, rng):
         for _ in range(10):
             inst = random_exact_instance(rng, max_level_dim=24)

@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from gaudinlab.numcore import (
+    DomainError,
     InconsistentSystemError,
     SingularMatrixError,
     UniPoly,
     exact_array,
+    exact_det,
     exact_sqrt,
     identity,
     kernel_basis,
     matmul,
     max_abs,
     rank_of,
+    rref,
     solve_consistent,
     solve_linear,
+    solve_rows,
     to_float_array,
     wronskian,
 )
@@ -216,6 +220,169 @@ class TestSolveLinear:
         b = exact_array([[1], [2]])[:, 0]
         with pytest.raises(InconsistentSystemError):
             solve_consistent(A, b)
+
+
+def oracle_rref(rows):
+    """Plain Gauss-Jordan over the rows' own scalars: the reference for the
+    fraction-free elimination, and bit for bit the complex path."""
+    M = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(M[0]) if M else 0):
+        pr = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [v * inv for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(M):
+            break
+    return M, pivots
+
+
+def oracle_det(M):
+    """Laplace expansion along the first row."""
+    if not M:
+        return F(1)
+    return sum((-1) ** j * M[0][j] * oracle_det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def rand_rational(rng, m, n, rank=None, zero_rows=(), max_den=12, density=1.0):
+    """m x n rational rows; rank caps the rank through a product of two
+    random factors, zero_rows are set to zero, density is the share of
+    nonzero entries in each factor."""
+    def entry():
+        if rng.random() >= density:
+            return F(0)
+        return F(int(rng.integers(-30, 31)), int(rng.integers(1, max_den + 1)))
+
+    if rank is None:
+        A = [[entry() for _ in range(n)] for _ in range(m)]
+    else:
+        B = [[entry() for _ in range(rank)] for _ in range(m)]
+        C = [[entry() for _ in range(n)] for _ in range(rank)]
+        A = [[sum((b * C[k][j] for k, b in enumerate(row)), F(0)) for j in range(n)]
+             for row in B]
+    for i in zero_rows:
+        A[i] = [F(0)] * n
+    return A
+
+
+class TestExactElimination:
+    """The fraction-free elimination against a plain Fraction Gauss-Jordan."""
+
+    @staticmethod
+    def assert_rref_matches(A):
+        R, pivots = rref(exact_array(A))
+        want, want_pivots = oracle_rref(A)
+        assert pivots == want_pivots
+        assert R.shape == (len(A), len(A[0]))
+        for got_row, want_row in zip(R.tolist(), want):
+            assert got_row == want_row
+            assert all(type(v) is F for v in got_row)
+
+    @pytest.mark.parametrize("shape, kw", [
+        ((900, 15), {"rank": 11, "density": 0.3}),
+        ((40, 15), {}),
+        ((6, 20), {}),
+        ((12, 9), {"zero_rows": (0, 4, 11)}),
+        ((10, 10), {"rank": 6}),
+        ((7, 12), {"rank": 3, "zero_rows": (2,)}),
+        ((8, 8), {"max_den": 10**12}),
+        ((5, 5), {"density": 0.4}),
+    ], ids=["tall-annihilator-shape", "tall", "wide", "zero-rows", "rank-deficient",
+            "rank-deficient-zero-row", "large-denominators", "sparse"])
+    def test_rref_matches_oracle(self, rng, shape, kw):
+        self.assert_rref_matches(rand_rational(rng, *shape, **kw))
+
+    def test_natural_pivots_of_triangular_system_kept(self):
+        A = [[F(0), F(2), F(1)], [F(0), F(0), F(3)], [F(1), F(1), F(1)]]
+        self.assert_rref_matches(A)
+        assert rref(exact_array(A))[1] == [0, 1, 2]
+
+    def test_int_rows_reduce_exactly(self):
+        R, pivots = rref(exact_array([[2, 4], [1, 3]]))
+        assert pivots == [0, 1] and R.tolist() == [[1, 0], [0, 1]]
+        assert all(type(v) is F for v in R.flat)
+
+    def test_zero_matrix(self):
+        R, pivots = rref(exact_array([[0, 0, 0], [0, 0, 0]]))
+        assert pivots == [] and all(type(v) is F and v == 0 for v in R.flat)
+
+    def test_solve_consistent_inconsistent(self, rng):
+        A = rand_rational(rng, 8, 3)
+        x = rand_rational(rng, 3, 1)
+        b = matmul(exact_array(A), exact_array(x))
+        b[5, 0] += F(1, 7)
+        with pytest.raises(InconsistentSystemError):
+            solve_consistent(exact_array(A), b)
+
+    def test_solve_consistent_underdetermined_defect(self, rng):
+        A = exact_array(rand_rational(rng, 9, 5, rank=3))
+        b = matmul(A, exact_array(rand_rational(rng, 5, 2)))
+        with pytest.raises(SingularMatrixError) as ei:
+            solve_consistent(A, b)
+        assert ei.value.defect == 2
+
+    def test_solve_consistent_tall_roundtrip(self, rng):
+        A = rand_rational(rng, 30, 6)
+        x = exact_array(rand_rational(rng, 6, 2))
+        assert (solve_consistent(exact_array(A), matmul(exact_array(A), x)) == x).all()
+
+    @pytest.mark.parametrize("rank, defect", [(2, 3), (4, 1), (0, 5)])
+    def test_solve_rows_defect(self, rng, rank, defect):
+        A = rand_rational(rng, 5, 5, rank=rank) if rank else [[F(0)] * 5] * 5
+        rows = [row + [F(1), F(-2)] for row in A]
+        with pytest.raises(SingularMatrixError) as ei:
+            solve_rows(rows, 5)
+        assert ei.value.defect == defect
+
+    def test_solve_rows_matches_oracle(self, rng):
+        rows = [row + extra for row, extra in
+                zip(rand_rational(rng, 6, 6), rand_rational(rng, 6, 3))]
+        want, _ = oracle_rref(rows)
+        assert solve_rows([r[:] for r in rows], 6) == [r[6:] for r in want]
+
+    def test_complex_rows_bit_identical_to_plain_gauss_jordan(self, rng):
+        rows = [[complex(*rng.normal(size=2)) for _ in range(7)] for _ in range(5)]
+        rows[0][0] = 0j   # forces a row swap
+        got = solve_rows([r[:] for r in rows], 5)
+        assert got == [r[5:] for r in oracle_rref(rows)[0]]
+        assert all(type(v) is complex for r in got for v in r)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_det_matches_oracle(self, rng, n):
+        for max_den in (12, 10**9):
+            A = rand_rational(rng, n, n, max_den=max_den)
+            assert exact_det(A) == oracle_det(A)
+
+    def test_det_sign_under_row_swaps(self, rng):
+        A = rand_rational(rng, 5, 5)
+        d = exact_det(A)
+        assert d == oracle_det(A) != 0
+        assert exact_det(A[1:] + A[:1]) == d          # a 5-cycle is even
+        assert exact_det([A[1], A[0]] + A[2:]) == -d
+        assert exact_det([[F(0), F(1)], [F(1), F(0)]]) == -1
+        # zero leading entry forces a pivot swap
+        B = [[F(0), F(2), F(3)], [F(4), F(5), F(6)], [F(7), F(8), F(10)]]
+        assert exact_det(B) == oracle_det(B)
+
+    def test_det_zero(self, rng):
+        assert exact_det(rand_rational(rng, 4, 4, rank=3)) == 0
+        assert exact_det(rand_rational(rng, 3, 3, zero_rows=(1,))) == 0
+        assert type(exact_det([[F(0)]])) is F
+
+    def test_det_leaves_input_and_rejects_non_square(self):
+        A = [[F(1, 2), F(1)], [F(3), F(4)]]
+        assert exact_det(A) == F(-1) and A == [[F(1, 2), F(1)], [F(3), F(4)]]
+        with pytest.raises(DomainError):
+            exact_det([[F(1), F(2)]])
 
 
 class TestScalars:
