@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +35,15 @@ from .numcore import (
     InconsistentSystemError,
     fraction_array,
     identity,
+    int_array,
+    int_bound,
+    int_matmul,
     integer_numerators,
     is_exact_array,
     kernel_basis,
     matmul,
     max_abs,
+    numerator_array,
     primitive,
     row_update,
     solve_consistent,
@@ -51,7 +57,10 @@ from .numcore import (
 __all__ = [
     "GaudinFrame",
     "GaudinSystem",
+    "IDENTITIES",
+    "DERIVED",
     "build_gaudin",
+    "assembly_residuals",
     "polynomial_valued_kernel",
     "apply_universal_operator",
     "bethe_algebra_basis",
@@ -60,10 +69,39 @@ __all__ = [
     "annihilator_ideal",
 ]
 
+# The spaces the Hamiltonians act on (level l, Sing, the Shapovalov
+# quotient), with the GaudinSystem field holding each.
+SPACES = ("big", "sing", "L")
+FAMILIES = ("H_big", "H_sing", "H_L")
+
+# The z-independent identities run_pipeline reports, and those the frame
+# certificate carries to each family (the sum rules hold on Sing and its
+# quotient, not on the whole level-l space).
+IDENTITIES = ("commutators", "hamiltonian_sum", "z_weighted_identity",
+              "g0_identity", "shapovalov_symmetry")
+DERIVED = {"H_big": ("commutators", "hamiltonian_sum", "shapovalov_symmetry"),
+           "H_sing": IDENTITIES, "H_L": IDENTITIES}
+
 
 def _readonly(A: np.ndarray) -> np.ndarray:
     A.flags.writeable = False
     return A
+
+
+def _term(c: int, W: np.ndarray) -> np.ndarray:
+    """c I - W for a square integer array W, as an int_array."""
+    return int_array(c * np.eye(W.shape[0], dtype=object) - W.astype(object))
+
+
+def _bracket(A: np.ndarray, *Bs) -> np.ndarray:
+    """[A, sum(Bs)] of integer arrays as one int_matmul product."""
+    return int_matmul(np.hstack([A] * len(Bs) + list(Bs)),
+                      np.vstack(list(Bs) + [-A] * len(Bs)))
+
+
+def _scalar(c: int, A: np.ndarray) -> np.ndarray:
+    """c I of A's size, as an int_array."""
+    return int_array(c * np.eye(A.shape[0], dtype=object))
 
 
 @dataclass(frozen=True)
@@ -71,38 +109,74 @@ class FrameLane:
     """A frame's matrices in one scalar domain (exact or float).
 
     omega maps each ordered pair (s, r), s != r, to Omega_{s,r} = Omega_{r,s}
-    on the level-l space; shq and E12 are what GaudinSystem carries.
+    on the level-l space, and eye is the identity there; shq and E12 are
+    what GaudinSystem carries.  terms maps each of SPACES to (T, D): T[s, r]
+    is D (m_s m_r I - Omega_{s,r}) on that space, with Omega restricted to
+    Sing or the quotient.  Exact T are integer arrays, float T complex with
+    D = 1.
     """
 
     eye: np.ndarray
     omega: dict
     shq: ShQuotient
     E12: np.ndarray
+    terms: dict
 
 
 class GaudinFrame:
     """The part of build_gaudin that does not depend on z, for one (m, l).
 
-    The generator and degree matrices and the Shapovalov quotient, which
-    carries the singular basis and Gram matrix, are built exactly from the
-    instance given; its z is not read.  lane(exact) converts them, and
-    builds Omega_{s,r}, in one scalar domain the first time an instance of
-    that domain asks, then keeps the result.  Every array a lane holds is
-    read-only, since all systems built on the frame share it.
+    Each Omega_{s,r} is built once, as an integer array, from the generator
+    and degree matrices of the instance given (its z is not read), and so
+    are E12 and the Shapovalov quotient.  Omega restricts to Sing as
+    Omega_hat = (Omega S)[free]: S comes from rref_kernel, so it is the
+    identity on its free rows and Omega S = S Omega_hat.  On the quotient it
+    is Omega_tilde = P Omega_hat C (P = shq.sh, C = shq.lift).  Both are
+    kept as integer numerators over one denominator per space.
+
+    lane(exact) gives these in one scalar domain the first time an instance
+    of that domain asks, and keeps them; certificate holds the integer
+    defects of the identities every H_s inherits, computed once.  Every
+    array a lane holds is read-only, since all systems built on the frame
+    share it.
     """
 
     def __init__(self, inst: ProblemInstance):
         n, l = inst.n, inst.l
-        self.m, self.l = inst.m, l
-        # e12 on levels l and l+1, e21 on levels l-1 and l, degrees on level l
-        self._gens = (
-            [generator_matrix(inst, 1, 2, s, l) for s in range(n)],
-            [generator_matrix(inst, 1, 2, s, l + 1) for s in range(n)],
-            [generator_matrix(inst, 2, 1, s, l - 1) for s in range(n)],
-            [generator_matrix(inst, 2, 1, s, l) for s in range(n)],
-            [degree_diagonal(inst, s, l) for s in range(n)],
-        )
+        self.m, self.l, self.ltilde = inst.m, l, inst.ltilde
+
+        def ints(a, b, k):
+            return [numerator_array(generator_matrix(inst, a, b, s, k))[0]
+                    for s in range(n)]
+
+        e12_lo, e12_hi, e21_lo, e21_hi = ints(1, 2, l), ints(1, 2, l + 1), \
+            ints(2, 1, l - 1), ints(2, 1, l)
+        degs = [numerator_array(degree_diagonal(inst, s, l))[0] for s in range(n)]
+        t11 = [self.m[s] * np.eye(degs[s].shape[0], dtype=np.int64) - degs[s]
+               for s in range(n)]
+        # Omega = t11 (x) t11 + t22 (x) t22 + e12 (x) e21 + e21 (x) e12, one product
+        self.omega = {}
+        for s in range(n):
+            left = np.hstack([t11[s], degs[s], e12_hi[s], e21_lo[s]])
+            for r in range(s + 1, n):
+                right = np.vstack([t11[r], degs[r], e21_hi[r], e12_lo[r]])
+                self.omega[s, r] = self.omega[r, s] = _readonly(int_matmul(left, right))
+        self.E12 = _readonly(sum(e12_lo[1:], e12_lo[0]))
         self._shq = sh_quotient(inst)
+
+        NS, self._DS = numerator_array(self._shq.sing)
+        # column j of S is the unit vector on its free row, its last nonzero entry
+        free = [int(np.flatnonzero(NS[:, j])[-1]) for j in range(NS.shape[1])]
+        NP, self._DP = numerator_array(self._shq.sh)
+        NC = numerator_array(self._shq.lift)[0]
+        self._NS, self._NP = NS, NP
+        self.omega_sing, self.omega_L = {}, {}
+        for s in range(n):
+            for r in range(s + 1, n):
+                K = int_matmul(self.omega[s, r], NS)[free]
+                self.omega_sing[s, r] = self.omega_sing[r, s] = _readonly(K)
+                self.omega_L[s, r] = self.omega_L[r, s] = _readonly(
+                    int_matmul(int_matmul(NP, K), NC))
         self._lanes = {}
 
     def lane(self, exact: bool) -> FrameLane:
@@ -110,29 +184,118 @@ class GaudinFrame:
             self._lanes[exact] = self._build_lane(exact)
         return self._lanes[exact]
 
+    def _spaces(self):
+        """(Omega numerators by pair, their denominator) for each of SPACES."""
+        DS = self._DS
+        return {"big": (self.omega, 1), "sing": (self.omega_sing, DS),
+                "L": (self.omega_L, self._DP * DS)}
+
     def _build_lane(self, exact: bool) -> FrameLane:
         m, n = self.m, len(self.m)
-        conv = _int_array if exact else to_float_array
-        e12_lo, e12_hi, e21_lo, e21_hi, degs = ([conv(M) for M in mats]
-                                                for mats in self._gens)
-        eye = conv(identity(degs[0].shape[0]))
-        t11 = [m[s] * eye - degs[s] for s in range(n)]
-        omega = {}
-        for s in range(n):
-            for r in range(s + 1, n):
-                omega[s, r] = omega[r, s] = _readonly(
-                    t11[s] @ t11[r] + degs[s] @ degs[r]
-                    + e12_hi[s] @ e21_hi[r] + e21_lo[s] @ e12_lo[r])
-        e12 = self._gens[0]
-        E12 = sum(e12[1:], e12[0])
-        shq = self._shq
-        if not exact:
-            E12 = to_float_array(E12)
-            shq = ShQuotient(**{f.name: to_float_array(getattr(shq, f.name))
-                                for f in fields(shq)})
+        pairs = [(s, r) for s in range(n) for r in range(s + 1, n)]
+
+        def per_pair(make):
+            # one array per unordered pair, shared by (s, r) and (r, s)
+            out = {}
+            for s, r in pairs:
+                out[s, r] = out[r, s] = _readonly(make(s, r))
+            return out
+
+        terms = {}
+        if exact:
+            omega = per_pair(lambda s, r: self.omega[s, r].astype(object))
+            eye = np.eye(self.E12.shape[1], dtype=object)
+            E12 = fraction_array(self.E12, 1)
+            shq = self._shq
+            for space, (W, D) in self._spaces().items():
+                terms[space] = (per_pair(lambda s, r: _term(m[s] * m[r] * D, W[s, r])), D)
+        else:
+            omega = per_pair(lambda s, r: self.omega[s, r].astype(complex))
+            eye = np.eye(self.E12.shape[1], dtype=complex)
+            E12 = self.E12.astype(complex)
+            shq = ShQuotient(**{f.name: to_float_array(getattr(self._shq, f.name))
+                                for f in fields(self._shq)})
+            for space, (W, D) in self._spaces().items():
+                I = eye if space == "big" else np.eye(W[0, 1].shape[0], dtype=complex)
+                Wf = omega if space == "big" else per_pair(lambda s, r: W[s, r].astype(float) / D)
+                terms[space] = (per_pair(lambda s, r: m[s] * m[r] * I - Wf[s, r]), 1)
         for M in (eye, E12, *(getattr(shq, f.name) for f in fields(shq))):
             _readonly(M)
-        return FrameLane(eye=eye, omega=omega, shq=shq, E12=E12)
+        return FrameLane(eye=eye, omega=omega, shq=shq, E12=E12, terms=terms)
+
+    def combination(self, inst: ProblemInstance, space: str) -> list:
+        """The frame's H_s at inst's z on one of SPACES, for each s:
+        sum_{r != s} (m_s m_r I - Omega_{s,r}) / (z_s - z_r).
+
+        Exact: (N, D) with H_s = N / D, N an integer array, the coefficients
+        taken over their common denominator.  Float: complex, term by term.
+        """
+        T, D0 = self.lane(inst.exact).terms[space]
+        n = len(self.m)
+        out = []
+        for s in range(n):
+            others = [r for r in range(n) if r != s]
+            coefs = [1 / (inst.z[s] - inst.z[r]) for r in others]
+            if inst.exact:
+                ks, D = integer_numerators(coefs)
+                cols = np.stack([T[s, r].reshape(-1) for r in others], axis=1)
+                N = int_matmul(cols, int_array(ks)[:, None])
+                out.append((N.reshape(T[s, others[0]].shape), D * D0))
+                continue
+            acc = np.zeros(T[s, others[0]].shape, dtype=complex)
+            for r, c in zip(others, coefs):
+                acc = acc + T[s, r] * c
+            out.append(acc)
+        return out
+
+    @cached_property
+    def certificate(self) -> dict:
+        return self._certify()
+
+    def _certify(self) -> dict:
+        """Integer defects of the frame identities behind each of IDENTITIES;
+        all zero on a sound frame.
+
+        commutators: the classical Yang-Baxter relations
+        [Omega_sr, Omega_sk + Omega_rk] = 0, and [Omega_sr, Omega_kj] = 0 for
+        disjoint pairs (Gaudin 1976).  shapovalov_symmetry:
+        G Omega_sr = Omega_sr^T G.  z_weighted_identity and g0_identity:
+        sum_{s<r} (m_s m_r - Omega_hat_sr) = l lt on Sing.  hamiltonian_sum:
+        Omega_{s,r} = Omega_{r,s} on each space.  Each also carries the
+        restriction defects, Omega S = S Omega_hat and
+        P Omega_hat = Omega_tilde P, through which Sing and the quotient
+        inherit it.
+        """
+        n = len(self.m)
+        om, NS, DS, NP, DP = self.omega, self._NS, self._DS, self._NP, self._DP
+        NG = numerator_array(self._shq.gram)[0]
+        pairs = [(s, r) for s in range(n) for r in range(s + 1, n)]
+        yb = shap = restricted = 0
+        for s, r in pairs:
+            A, K, L = om[s, r], self.omega_sing[s, r], self.omega_L[s, r]
+            for k in range(n):
+                if k not in (s, r):
+                    yb = max(yb, int_bound(_bracket(A, om[s, k], om[r, k])))
+            for k, j in pairs:
+                if k > s and not {k, j} & {s, r}:
+                    yb = max(yb, int_bound(_bracket(A, om[k, j])))
+            shap = max(shap, int_bound(int_matmul(np.hstack([NG, A.T]),
+                                               np.vstack([A, -NG]))))
+            # N_S K - D_S (Omega N_S) and D_P (N_P K) - L N_P
+            OS, PK = int_matmul(A, NS), int_matmul(NP, K)
+            restricted = max(
+                restricted,
+                int_bound(int_matmul(np.hstack([NS, OS]), np.vstack([K, _scalar(-DS, K)]))),
+                int_bound(int_matmul(np.hstack([_scalar(DP, L), L]), np.vstack([PK, -NP]))))
+        sym = max((int_bound(W[s, r].astype(object) - W[r, s].astype(object))
+                   for W, _ in self._spaces().values() for s, r in pairs
+                   if not np.array_equal(W[s, r], W[r, s])), default=0)
+        mm = sum(self.m[s] * self.m[r] for s, r in pairs)
+        rule = int_bound(_term(DS * (mm - self.l * self.ltilde),
+                            sum(self.omega_sing[p].astype(object) for p in pairs)))
+        defects = {"commutators": yb, "hamiltonian_sum": sym, "z_weighted_identity": rule,
+                   "g0_identity": rule, "shapovalov_symmetry": shap}
+        return {name: max(v, restricted) for name, v in defects.items()}
 
 
 @dataclass(frozen=True)
@@ -160,59 +323,72 @@ class GaudinSystem:
         return self.shq.dim
 
 
-def _int_array(A: np.ndarray) -> np.ndarray:
-    """Integer-valued exact matrix as Python ints (cheap exact products)."""
-    out = np.empty(A.shape, dtype=object)
-    flat = out.reshape(-1)
-    for i, v in enumerate(A.reshape(-1)):
-        flat[i] = int(v)
-    return out
-
-
 def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None,
                  tol: Tolerances = DEFAULT_TOL) -> GaudinSystem:
     """Hamiltonians at inst's z, assembled from frame (built here if None).
 
-    The float restriction to Sing is gated at tol.residual; past the gate it
-    raises InconsistentSystemError naming sing_restriction.  ValueError if
-    the frame was built for another (m, l).
+    The exact H_big, H_sing and H_L are the frame's combinations of Omega,
+    Omega_hat and Omega_tilde.  The float H_big is summed term by term and
+    restricted to Sing by least squares, gated at tol.residual; past the
+    gate it raises InconsistentSystemError naming sing_restriction.
+    ValueError if the frame was built for another (m, l).
     """
     if frame is None:
         frame = GaudinFrame(inst)
     elif (frame.m, frame.l) != (inst.m, inst.l):
         raise ValueError(f"frame is for (m, l) = ({frame.m}, {frame.l}), "
                          f"instance has ({inst.m}, {inst.l})")
-    n, exact = inst.n, inst.exact
-    lane = frame.lane(exact)
-    eye = lane.eye
-    d = eye.shape[0]
-
-    H_big = []
-    for s in range(n):
-        others = [r for r in range(n) if r != s]
-        terms = [inst.m[s] * inst.m[r] * eye - lane.omega[s, r] for r in others]
-        coefs = [1 / (inst.z[s] - inst.z[r]) for r in others]
-        if exact:
-            # one integer combination of the lane's integer Omega over the
-            # common denominator of the coefficients
-            ks, D = integer_numerators(coefs)
-            H_big.append(fraction_array(sum((k * T for k, T in zip(ks, terms)), 0 * eye), D))
-            continue
-        acc = zeros_like_domain((d, d), exact)
-        for T, c in zip(terms, coefs):
-            acc = acc + T * c
-        H_big.append(acc)
-
-    S, P, C = lane.shq.sing, lane.shq.sh, lane.shq.lift
-    try:
-        H_sing = [solve_consistent(S, matmul(Hb, S), tol.residual) if S.shape[1] else
-                  zeros_like_domain((0, 0), exact) for Hb in H_big]
-    except InconsistentSystemError as err:
-        raise InconsistentSystemError(f"sing_restriction: {err}") from err
-    H_L = [matmul(matmul(P, Hs), C) for Hs in H_sing]
-
+    lane = frame.lane(inst.exact)
+    if inst.exact:
+        H_big, H_sing, H_L = ([fraction_array(N, D) for N, D in frame.combination(inst, space)]
+                              for space in SPACES)
+    else:
+        H_big = frame.combination(inst, "big")
+        S, P, C = lane.shq.sing, lane.shq.sh, lane.shq.lift
+        try:
+            H_sing = [solve_consistent(S, Hb @ S, tol.residual) if S.shape[1] else
+                      np.zeros((0, 0), dtype=complex) for Hb in H_big]
+        except InconsistentSystemError as err:
+            raise InconsistentSystemError(f"sing_restriction: {err}") from err
+        H_L = [P @ Hs @ C for Hs in H_sing]
     return GaudinSystem(inst=inst, H_big=tuple(H_big), H_sing=tuple(H_sing),
                         H_L=tuple(H_L), shq=lane.shq, E12=lane.E12, frame=frame)
+
+
+def _gap(H: np.ndarray, want) -> float:
+    """max |H - want| entry for entry; an exact want is (N, D) = N / D."""
+    if not isinstance(want, tuple):
+        return max_abs(H - want) if H.shape == want.shape else math.inf
+    N, D = want
+    if H.shape != N.shape:
+        return math.inf
+    worst = 0
+    for x, y in zip(H.reshape(-1).tolist(), N.reshape(-1).tolist()):
+        if x.numerator * D != y * x.denominator:
+            worst = max(worst, abs(x - Fraction(y, D)))
+    return float(worst)
+
+
+def _size(want) -> float:
+    if isinstance(want, tuple):
+        N, D = want
+        return float(Fraction(int_bound(N), D))
+    return max_abs(want)
+
+
+def assembly_residuals(sysd: GaudinSystem) -> dict:
+    """Per family of FAMILIES: max over s of |H_s - the frame's combination|
+    at sysd's z, relative to max(1, max |combination|), entry for entry.
+
+    Exact entries compare exactly, so any mismatch is nonzero; this ties the
+    frame certificate to the matrices a system actually holds.
+    """
+    out = {}
+    for family, space in zip(FAMILIES, SPACES):
+        want = sysd.frame.combination(sysd.inst, space)
+        gap = max((_gap(H, W) for H, W in zip(getattr(sysd, family), want)), default=0.0)
+        out[family] = gap and gap / max(1.0, max(_size(W) for W in want))
+    return out
 
 
 def _space_mats(sys: GaudinSystem, space: str):

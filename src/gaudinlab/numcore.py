@@ -11,13 +11,14 @@ float domain is entered for eigen-decomposition and root-finding only.
 
 Exact matrix products go through ``matmul``, which multiplies integer
 numerators over one common denominator per operand instead of forming a
-``Fraction`` for every partial product.  The one Gauss-Jordan elimination
-behind ``rref``, ``kernel_basis``, ``rank_of``, ``solve_linear``,
-``solve_consistent`` and ``solve_rows`` is fraction-free on rational rows
-(Bareiss 1968): rows are scaled to integers and each step divides exactly by
-the previous pivot, so no ``Fraction`` arithmetic runs inside the loop;
-``exact_det`` reads the determinant off the same elimination.  Complex rows
-take the plain Gauss-Jordan.
+``Fraction`` for every partial product; ``int_matmul`` multiplies integer
+arrays in int64 where a bound rules out overflow, else on Python ints.
+The one Gauss-Jordan elimination behind ``rref``, ``kernel_basis``,
+``rank_of``, ``solve_linear``, ``solve_consistent`` and ``solve_rows`` is
+fraction-free on rational rows (Bareiss 1968): rows are scaled to integers
+and each step divides exactly by the previous pivot, so no ``Fraction``
+arithmetic runs inside the loop; ``exact_det`` reads the determinant off
+the same elimination.  Complex rows take the plain Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ __all__ = [
     "max_abs",
     "integer_numerators",
     "fraction_array",
+    "int_array",
+    "numerator_array",
+    "int_bound",
+    "int_matmul",
     "primitive",
     "row_update",
     "matmul",
@@ -290,14 +295,17 @@ def exact_array(rows) -> np.ndarray:
 
 
 def to_float_array(A: np.ndarray) -> np.ndarray:
-    """Explicit exact -> float conversion."""
+    """Explicit exact -> float conversion, entry for entry as_float.
+
+    Numerators and denominators become floats (each correctly rounded) and
+    are divided in one numpy pass; the imaginary parts are +0.0.
+    """
     if not is_exact_array(A):
         return np.asarray(A, dtype=complex)
-    out = np.zeros(A.shape, dtype=complex)
-    flat = out.reshape(-1)
-    for i, v in enumerate(A.reshape(-1)):
-        flat[i] = as_float(v)
-    return out
+    flat = A.reshape(-1).tolist()
+    num = np.array([v.numerator for v in flat], dtype=float)
+    den = np.array([v.denominator for v in flat], dtype=float)
+    return (num / den).astype(complex).reshape(A.shape)
 
 
 def identity(n: int, exact: bool = True) -> np.ndarray:
@@ -357,6 +365,39 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     N = (np.array(na, dtype=object).reshape(m, k)
          @ np.array(nb, dtype=object).reshape(k, n))
     return fraction_array(N, da * db)
+
+
+def int_array(values) -> np.ndarray:
+    """Integers (a sequence or an integer array) as an int64 array when every
+    entry fits, else as an object array of Python ints."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
+def numerator_array(A: np.ndarray):
+    """(N, D) with the exact array A = N / D: N an int_array, D the lcm of
+    the denominators."""
+    nums, D = integer_numerators(A.reshape(-1).tolist())
+    return int_array(nums).reshape(A.shape), D
+
+
+def int_bound(A: np.ndarray) -> int:
+    """max |A| of an integer array, as a Python int (0 if A is empty)."""
+    return max(abs(int(A.max())), abs(int(A.min()))) if A.size else 0
+
+
+def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B of integer arrays (int64 or Python ints), exactly.
+
+    When max|A| max|B| k < 2^63 bounds every partial sum of the k-term dot
+    products, the product runs in int64; otherwise on Python ints.  Either
+    way the values are the same.
+    """
+    if int_bound(A) * int_bound(B) * A.shape[1] < 2**63:
+        return A.astype(np.int64) @ B.astype(np.int64)
+    return A.astype(object) @ B.astype(object)
 
 
 def primitive(v: list) -> list:

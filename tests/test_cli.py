@@ -9,12 +9,14 @@ import pytest
 
 from gaudinlab.cli import (
     CONFIG_SCHEMA,
+    SCHEMA_KEYWORDS,
     ConfigError,
     cmd_schubert,
     cmd_spectrum,
     cmd_verify,
     load_config,
     run_pipeline,
+    schema_violation,
 )
 from gaudinlab import gaudin
 from gaudinlab.gaudin import build_gaudin
@@ -71,6 +73,35 @@ class TestConfig:
         monkeypatch.setenv("GAUDINLAB_TOL_RESIDUAL", "1e-5")
         _, _, _, tol = load_config(E1_CONFIG)
         assert tol.residual == 1e-5
+
+    def test_schema_checker_agrees_with_jsonschema(self):
+        import jsonschema
+        validator = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+        base = {"m": [1, 2], "l": 1, "z": ["0", 1.5], "mode": "float", "seed": 3,
+                "tolerances": {"svd_rel": 1e-9, "cluster": 1e-6, "residual": 1e-7}}
+        cases = [base, {"m": [1, 1], "l": 1, "z": ["0", "1"]}, {**base, "l": 2.0},
+                 {**base, "m": [0, 3.0]}, {**base, "tolerances": {}}]
+        for key, bad in (("m", [1]), ("m", [1, -1]), ("m", [1, True]), ("m", [1, 1.5]),
+                         ("m", {"a": 1}), ("l", -1), ("l", 1.5), ("l", True), ("l", "1"),
+                         ("z", ["0"]), ("z", ["0", None]), ("z", ["0", True]), ("z", "01"),
+                         ("mode", "fast"), ("mode", None), ("seed", 1.5), ("seed", "0"),
+                         ("tolerances", {"consistency": 1}), ("tolerances", {"residual": 0}),
+                         ("tolerances", {"residual": -1e-9}), ("tolerances", {"svd_rel": True}),
+                         ("tolerances", []), ("extra", 1)):
+            cases.append({**base, key: bad})
+        cases += [{k: v for k, v in base.items() if k != key} for key in ("m", "l", "z")]
+        cases += [[], "config", None, 3]
+        for config in cases:
+            assert (schema_violation(config, CONFIG_SCHEMA) is None) == validator.is_valid(config), config
+
+    def test_schema_checker_knows_every_keyword(self):
+        def keywords(schema):
+            yield from schema
+            for sub in (schema.get("items"), *schema.get("properties", {}).values()):
+                if isinstance(sub, dict):
+                    yield from keywords(sub)
+
+        assert set(keywords(CONFIG_SCHEMA)) <= SCHEMA_KEYWORDS
 
     def test_schema_tolerances_are_the_tolerance_fields(self):
         keys = CONFIG_SCHEMA["properties"]["tolerances"]["properties"]
@@ -234,6 +265,39 @@ class TestVerifyCommand:
         assert sample["diagonalizable"] is False
         assert sample["diagonalizability_residual"] == "inf"
         assert "sample_0:real_z_multiplicity_one" in fails
+
+
+    def test_failed_restriction_keeps_other_samples(self, monkeypatch):
+        import gaudinlab.cli as cli
+        real = cli.build_gaudin
+        built = []
+
+        def fails_on_sample_1(inst, frame, tol):
+            built.append(inst)
+            if len(built) == 2:
+                raise InconsistentSystemError("sing_restriction: least-squares residual")
+            return real(inst, frame, tol)
+
+        clean, _ = cmd_verify(FOUR_SPINS, 3)
+        monkeypatch.setattr(cli, "build_gaudin", fails_on_sample_1)
+        rep, fails = cmd_verify(FOUR_SPINS, 3)
+        assert fails == ["sample_1:sing_restriction"]
+        assert [s["z"] for s in rep["samples"]] == [s["z"] for s in clean["samples"]]
+        assert rep["samples"][0] == clean["samples"][0]
+        assert rep["samples"][2] == clean["samples"][2]
+        assert "sing_restriction" in rep["samples"][1]["error"]
+        assert rep["samples"][1]["failures"] == ["sing_restriction"]
+
+    def test_frame_certified_once(self, monkeypatch):
+        calls = []
+        real = gaudin.GaudinFrame._certify
+        monkeypatch.setattr(gaudin.GaudinFrame, "_certify",
+                            lambda frame: calls.append(frame) or real(frame))
+        cmd_verify(FOUR_SPINS, 4)
+        assert len(calls) == 1
+        calls.clear()
+        cmd_spectrum(FOUR_SPINS)
+        assert len(calls) == 1
 
 
 class TestFrameSharing:

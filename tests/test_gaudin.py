@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,13 +12,22 @@ from gaudinlab import (
     induced_map_kernel,
     polynomial_valued_kernel,
 )
+from gaudinlab.cli import run_pipeline
 from gaudinlab.gaudin import (
+    IDENTITIES,
     GaudinFrame,
     _ExactReducer,
+    assembly_residuals,
     _matrix_numerator_for,
     apply_universal_operator,
 )
-from gaudinlab.numcore import InconsistentSystemError, identity, kernel_basis, max_abs
+from gaudinlab.numcore import (
+    InconsistentSystemError,
+    Tolerances,
+    identity,
+    kernel_basis,
+    max_abs,
+)
 
 from conftest import random_exact_instance
 
@@ -181,6 +191,109 @@ class TestGaudinFrame:
             s.shq.sing[0, 0] = 0
         with pytest.raises(ValueError):
             s.shq.sh[0, 0] = 0
+
+
+class TestFrameCertificate:
+    """The z-independent identities are certified once per frame in integer
+    arithmetic; each system is tied to them by the per-z assembly check."""
+
+    FOUR_SPINS = ProblemInstance([1, 1, 1, 1], 2, [F(v) for v in range(4)])
+
+    @staticmethod
+    def corrupt_omega(frame, i, j):
+        Om = frame.omega[0, 1].copy()
+        Om[i, j] += 1
+        frame.omega[0, 1] = frame.omega[1, 0] = Om
+
+    def test_zero_on_random_instances(self, rng):
+        for _ in range(8):
+            frame = GaudinFrame(random_exact_instance(rng, max_level_dim=20))
+            assert set(frame.certificate) == set(IDENTITIES)
+            assert all(v == 0 for v in frame.certificate.values())
+
+    def test_restrictions_read_off_the_frame(self, rng):
+        # S Omega_hat = Omega S, and Omega_tilde = P Omega_hat C
+        for _ in range(5):
+            inst = random_exact_instance(rng, max_level_dim=20)
+            frame = GaudinFrame(inst)
+            shq, DS, DP = frame.lane(True).shq, frame._DS, frame._DP
+            for (s, r), Om in frame.omega.items():
+                hat = frame.omega_sing[s, r].astype(object) * F(1, DS)
+                tilde = frame.omega_L[s, r].astype(object) * F(1, DP * DS)
+                assert np.array_equal(shq.sing @ hat, Om.astype(object) @ shq.sing)
+                assert np.array_equal(shq.sh @ hat @ shq.lift, tilde)
+
+    def test_omega_corruption_fails_both_lanes(self):
+        # (2,2,2), l = 3: no singular vector involves monomial j, so a wrong
+        # Omega[i, j] leaves Sing (and the float restriction) alone but breaks
+        # the Shapovalov symmetry on the level-l space
+        inst = ProblemInstance([2, 2, 2], 3, [F(0), F(1), F(3)])
+        frame = GaudinFrame(inst)
+        j = next(j for j in range(frame._NS.shape[0]) if not frame._NS[j].any())
+        i = next(i for i in range(frame._NS.shape[0]) if frame.lane(True).shq.gram[i, i])
+        self.corrupt_omega(frame, i, j)
+        assert frame.certificate["shapovalov_symmetry"] > 0
+        for x in (inst, inst.to_float()):
+            rep, fails, _ = run_pipeline(build_gaudin(x, frame), 0, Tolerances())
+            assert "shapovalov_symmetry" in fails
+            assert rep["global_checks"]["shapovalov_symmetry"] >= 1
+
+    def test_asymmetric_pair_fails_hamiltonian_sum(self):
+        frame = GaudinFrame(self.FOUR_SPINS)
+        Om = frame.omega[1, 0].copy()
+        Om[0, 0] += 1
+        frame.omega[1, 0] = Om
+        assert frame.certificate["hamiltonian_sum"] == 1
+
+    def test_omega_corruption_on_sing_fails_every_identity(self):
+        frame = GaudinFrame(self.FOUR_SPINS)
+        self.corrupt_omega(frame, 0, 0)
+        assert all(v > 0 for v in frame.certificate.values())
+        _, fails, _ = run_pipeline(build_gaudin(self.FOUR_SPINS, frame), 0, Tolerances())
+        assert set(IDENTITIES) <= set(fails)
+
+    @pytest.mark.parametrize("family", ["H_sing", "H_L"])
+    @pytest.mark.parametrize("lane", ["exact", "float"])
+    def test_assembled_matrix_corruption_fails(self, family, lane):
+        inst, slip = self.FOUR_SPINS, F(1, 10**9)
+        if lane == "float":
+            inst, slip = inst.to_float(), 1e-6
+        sysd = build_gaudin(inst)
+        H = getattr(sysd, family)[0].copy()
+        H[0, 0] += slip
+        sysd = dataclasses.replace(sysd, **{family: (H,) + getattr(sysd, family)[1:]})
+        assert assembly_residuals(sysd)[family] > 0
+        rep, fails, _ = run_pipeline(sysd, 0, Tolerances())
+        for name in ("commutators", "shapovalov_symmetry"):
+            assert name in fails and rep["global_checks"][name] > 0
+
+    def test_clean_systems_assemble_exactly(self, rng):
+        for _ in range(5):
+            sysd = build_gaudin(random_exact_instance(rng, max_level_dim=20))
+            assert set(assembly_residuals(sysd).values()) == {0.0}
+
+    def test_exact_build_solves_nothing(self, monkeypatch):
+        import gaudinlab.gaudin as gaudin
+        calls = []
+        monkeypatch.setattr(gaudin, "solve_consistent",
+                            lambda *args, **kwargs: calls.append(args))
+        build_gaudin(self.FOUR_SPINS)
+        assert calls == []
+
+    def test_certified_once_per_frame(self, monkeypatch):
+        calls = []
+        real = GaudinFrame._certify
+
+        def spy(frame):
+            calls.append(frame)
+            return real(frame)
+
+        monkeypatch.setattr(GaudinFrame, "_certify", spy)
+        frame = GaudinFrame(self.FOUR_SPINS)
+        for z in ([0, 1, 2, 3], [F(1, 2), 5, -1, 2]):
+            inst = ProblemInstance([1, 1, 1, 1], 2, z)
+            run_pipeline(build_gaudin(inst, frame), 0, Tolerances())
+        assert calls == [frame]
 
 
 class TestPolynomialKernel:

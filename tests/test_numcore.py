@@ -8,10 +8,13 @@ from gaudinlab.numcore import (
     InconsistentSystemError,
     SingularMatrixError,
     UniPoly,
+    as_float,
     exact_array,
     exact_det,
     exact_sqrt,
     identity,
+    int_array,
+    int_matmul,
     kernel_basis,
     matmul,
     max_abs,
@@ -394,3 +397,52 @@ class TestScalars:
     def test_to_float_array(self):
         A = exact_array([[F(1, 2)]])
         assert to_float_array(A)[0, 0] == 0.5
+
+    def test_to_float_array_bit_identical_to_as_float(self, rng):
+        # numerators past 2^53 round once, as complex(int) does
+        for bits in (8, 60, 70, 200):
+            shift = bits - 62
+            vals = [F((int(rng.integers(-2**62, 2**62)) << max(shift, 0) >> max(-shift, 0))
+                      + int(rng.integers(-9, 10)), int(rng.integers(1, 2**40)))
+                    for _ in range(60)]
+            vals += [F(0), F(-3), F(2**bits + 1, 3), 7]
+            A = np.empty((8, 8), dtype=object)
+            A.reshape(-1)[:] = vals
+            want = np.array([as_float(v) for v in vals], dtype=complex).reshape(8, 8)
+            got = to_float_array(A)
+            assert got.dtype == complex and got.tobytes() == want.tobytes()
+        assert to_float_array(np.empty((0, 3), dtype=object)).shape == (0, 3)
+
+
+class TestIntMatmul:
+    @staticmethod
+    def python_product(A, B):
+        return [[sum(int(a) * int(b) for a, b in zip(row, col)) for col in B.T] for row in A]
+
+    def test_int64_path_when_bounded(self, rng):
+        A = rng.integers(-50, 51, size=(6, 7))
+        B = rng.integers(-50, 51, size=(7, 3))
+        P = int_matmul(A, B.astype(object))
+        assert P.dtype == np.int64 and P.tolist() == self.python_product(A, B)
+
+    def test_python_ints_past_the_bound(self, rng):
+        # max|A| max|B| k >= 2^63: an int64 product would wrap
+        A = rng.integers(2**40, 2**41, size=(3, 4))
+        B = rng.integers(2**40, 2**41, size=(4, 2))
+        P = int_matmul(A, B)
+        assert P.dtype == object and P.tolist() == self.python_product(A, B)
+        assert (A @ B).tolist() != P.tolist()
+
+    def test_paths_agree(self, rng):
+        # the same product, once below and once past the bound (scaled by 2^40)
+        A = rng.integers(-9, 10, size=(5, 5))
+        B = rng.integers(-9, 10, size=(5, 5))
+        small = int_matmul(A, B)
+        big = int_matmul(A.astype(object) * 2**40, B.astype(object) * 2**40)
+        assert small.dtype == np.int64 and big.dtype == object
+        assert (big == small.astype(object) * 2**80).all()
+
+    def test_int_array(self):
+        assert int_array([1, -2]).dtype == np.int64
+        assert int_array([2**63, 1]).dtype == object
+        assert int_array(np.array([3, 2**64], dtype=object)).tolist() == [3, 2**64]

@@ -56,13 +56,15 @@ def test_traced_verify_runs_clean():
 
 
 def test_small_exact_ladder_matches_reference():
-    # the certified content of the benchmark's three smallest exact rungs
+    # the certified content of every rung of the benchmark's exact ladder
     # (dimensions, exact check values, multiplicities) against its reference
     from gaudinlab import cli
     outputs = _load_perfbench("outputs")
     workloads = _load_perfbench("workloads")
     reference = outputs.load_reference()
-    for call in workloads.exact_ladder(0)[:3]:
+    calls = workloads.exact_ladder(0)
+    assert len(calls) == 4
+    for call in calls:
         report, failures = cli.cmd_spectrum(call.config)
         assert failures == []
         assert outputs.check(call, json.loads(json.dumps(report)), reference) is None
