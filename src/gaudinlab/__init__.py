@@ -40,6 +40,7 @@ from .opscheme import (
     DhOperator,
     MalformedPairError,
     NotAdmissibleError,
+    OffPlaneError,
     SchemePoint,
     SeparatingConditionError,
     a_of_h,

@@ -231,8 +231,10 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
         failures.append("cluster_separation")
         spec_l, spec_m = [], []
 
-    report_l = match_spectrum_to_scheme(inst, spec_l, tol=tol)
-    report_m = match_spectrum_to_scheme(inst, spec_m, tol=tol)
+    # one float twin, so its operator blocks are built once per pipeline
+    finst = inst.to_float() if exact else inst
+    report_l = match_spectrum_to_scheme(finst, spec_l, tol=tol)
+    report_m = match_spectrum_to_scheme(finst, spec_m, tol=tol)
     check("spectrum_total_sing_l", abs(report_l.total_multiplicity - dim_l))
     check("spectrum_total_sing_m", abs(report_m.total_multiplicity - dim_m))
     for rep, tag in ((report_l, "sing_l"), (report_m, "sing_m")):
@@ -257,7 +259,6 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     bethe_entries = []
     bmax = 0.0
     omega_ls = []
-    finst = inst.to_float() if exact else inst
     fsys = build_gaudin(finst, sysd.frame, tol) if (exact and report_l.points) else sysd
     for p in report_l.points:
         try:
@@ -287,7 +288,7 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     groth = None
     if report_l.all_simple and report_l.points:
         try:
-            ws = grothendieck_weights(inst, report_l.points, tol=tol)
+            ws = grothendieck_weights(finst, report_l.points, tol=tol)
             funcs = [[1.0] * len(report_l.points)] + \
                 [[complex(p.h[s]) for p in report_l.points] for s in range(n)]
             gram = np.array([[sum(w * (fi * fj) for w, fi, fj in zip(ws, f1, f2))

@@ -27,8 +27,8 @@ import numpy as np
 from .gl2rep import (
     ProblemInstance,
     ShQuotient,
-    degree_diagonal,
-    generator_matrix,
+    degree_int_diagonal,
+    generator_int_matrix,
     sh_quotient,
 )
 from .numcore import (
@@ -146,12 +146,11 @@ class GaudinFrame:
         self.m, self.l, self.ltilde = inst.m, l, inst.ltilde
 
         def ints(a, b, k):
-            return [numerator_array(generator_matrix(inst, a, b, s, k))[0]
-                    for s in range(n)]
+            return [generator_int_matrix(inst, a, b, s, k) for s in range(n)]
 
         e12_lo, e12_hi, e21_lo, e21_hi = ints(1, 2, l), ints(1, 2, l + 1), \
             ints(2, 1, l - 1), ints(2, 1, l)
-        degs = [numerator_array(degree_diagonal(inst, s, l))[0] for s in range(n)]
+        degs = [degree_int_diagonal(inst, s, l) for s in range(n)]
         t11 = [self.m[s] * np.eye(degs[s].shape[0], dtype=np.int64) - degs[s]
                for s in range(n)]
         # Omega = t11 (x) t11 + t22 (x) t22 + e12 (x) e21 + e21 (x) e12, one product

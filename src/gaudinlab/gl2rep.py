@@ -29,6 +29,7 @@ from .numcore import (
     UniPoly,
     as_exact,
     as_float,
+    fraction_array,
     is_exact_scalar,
     kernel_basis,
     matmul,
@@ -46,7 +47,9 @@ __all__ = [
     "weight_space_basis",
     "weight_space_dim",
     "generator_matrix",
+    "generator_int_matrix",
     "degree_diagonal",
+    "degree_int_diagonal",
     "singular_basis",
     "singular_matrix",
     "shapovalov_gram",
@@ -143,6 +146,46 @@ class ProblemInstance:
             B = B + As * (-ms)
         return self.zproduct(one, [1] * self.n), B, A_s
 
+    @cached_property
+    def dh_blocks(self) -> tuple:
+        """(M0, M), built once per instance: D_h u = (M0 + sum_s h_s M[s]) u.
+
+        On ascending coefficient vectors, column k of M0 holds
+        A (x^k)'' + B (x^k)' and column k of M[s] holds A_s x^k, for
+        k = 0..max(l, lt); D_h of a polynomial of degree d reads the leading
+        (d + n) x (d + 1) block.  Entries are Fractions on an exact instance
+        and complex otherwise; the arrays are read-only.
+        """
+        A, B, A_s = self.zpolys
+        n, deg = self.n, max(self.l, self.ltilde, 0)
+        one = scalar_one(self.exact)
+        M0 = zeros_like_domain((deg + n, deg + 1), self.exact)
+        M = zeros_like_domain((n, deg + n, deg + 1), self.exact)
+        for k in range(deg + 1):
+            u = UniPoly.monomial(k, one)
+            w = A * u.deriv().deriv() + B * u.deriv()
+            M0[:len(w.coeffs), k] = w.coeffs
+            for s, As in enumerate(A_s):
+                M[s, k:k + len(As.coeffs), k] = As.coeffs
+        M0.setflags(write=False)
+        M.setflags(write=False)
+        return M0, M
+
+    @cached_property
+    def kernel_pair_polys(self) -> tuple:
+        """(W, den, extra), built once per instance.
+
+        W = (lt - l) prod_s (x - z_s)^{m_s} is the Wronskian of a kernel pair
+        on the cycle; den = (lt - l) prod_s (x - z_s)^{max(m_s - 1, 0)}
+        divides each coefficient of the pair's operator once it is
+        multiplied by extra = prod_{m_s = 0} (x - z_s).
+        """
+        one = scalar_one(self.exact)
+        c = one * (self.ltilde - self.l)
+        return (self.zproduct(c, self.m),
+                self.zproduct(c, [max(ms - 1, 0) for ms in self.m]),
+                self.zproduct(one, [int(ms == 0) for ms in self.m]))
+
     def to_float(self) -> "ProblemInstance":
         return ProblemInstance(self.m, self.l, tuple(as_float(v) for v in self.z),
                                require_separating=False)
@@ -182,8 +225,15 @@ def generator_matrix(inst: ProblemInstance, a: int, b: int, s: int, k: int) -> n
 
     (1,2) lowers the level by one, (2,1) raises it, diagonal generators
     preserve it; e22 is the zero operator in this model.  Rows are indexed
-    by the target-level basis, columns by the level-k basis.
+    by the target-level basis, columns by the level-k basis.  Entries are
+    Fractions; generator_int_matrix gives the same matrix as int64.
     """
+    return fraction_array(generator_int_matrix(inst, a, b, s, k), 1)
+
+
+def generator_int_matrix(inst: ProblemInstance, a: int, b: int, s: int,
+                         k: int) -> np.ndarray:
+    """generator_matrix(inst, a, b, s, k) as an int64 array."""
     if (a, b) not in {(1, 1), (1, 2), (2, 1), (2, 2)}:
         raise ValueError("generator indices must be in {1,2}")
     if not 0 <= s < inst.n:
@@ -192,24 +242,24 @@ def generator_matrix(inst: ProblemInstance, a: int, b: int, s: int, k: int) -> n
     src, _ = _basis_index(inst, k)
     if (a, b) == (1, 2):
         tgt, tpos = _basis_index(inst, k - 1)
-        M = zeros_like_domain((len(tgt), len(src)), True)
+        M = np.zeros((len(tgt), len(src)), dtype=np.int64)
         for c, j in enumerate(src):
             if j[s] == 0:
                 continue
             jj = j[:s] + (j[s] - 1,) + j[s + 1:]
-            M[tpos[jj], c] = Fraction(j[s] * (ms - j[s] + 1))
+            M[tpos[jj], c] = j[s] * (ms - j[s] + 1)
         return M
     if (a, b) == (2, 1):
         tgt, tpos = _basis_index(inst, k + 1)
-        M = zeros_like_domain((len(tgt), len(src)), True)
+        M = np.zeros((len(tgt), len(src)), dtype=np.int64)
         for c, j in enumerate(src):
             jj = j[:s] + (j[s] + 1,) + j[s + 1:]
-            M[tpos[jj], c] = Fraction(1)
+            M[tpos[jj], c] = 1
         return M
-    M = zeros_like_domain((len(src), len(src)), True)
+    M = np.zeros((len(src), len(src)), dtype=np.int64)
     if (a, b) == (1, 1):
         for c, j in enumerate(src):
-            M[c, c] = Fraction(ms - 2 * j[s])
+            M[c, c] = ms - 2 * j[s]
     return M
 
 
@@ -219,12 +269,15 @@ def degree_diagonal(inst: ProblemInstance, s: int, k: int) -> np.ndarray:
     This is the untwisted action of e22^{(s)} (equivalently m_s minus the
     untwisted e11^{(s)}); the model above stores weights in shifted form,
     and operators quadratic in the diagonal generators need this matrix.
+    Entries are Fractions; degree_int_diagonal gives it as int64.
     """
+    return fraction_array(degree_int_diagonal(inst, s, k), 1)
+
+
+def degree_int_diagonal(inst: ProblemInstance, s: int, k: int) -> np.ndarray:
+    """degree_diagonal(inst, s, k) as an int64 array."""
     src, _ = _basis_index(inst, k)
-    M = zeros_like_domain((len(src), len(src)), True)
-    for c, j in enumerate(src):
-        M[c, c] = Fraction(j[s])
-    return M
+    return np.diag(np.array([j[s] for j in src], dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,12 @@ Coordinates and conventions:
   q_i(a,h) is the coefficient of x^{l+n-2-i} in the cleared-denominator
   polynomial D_h(p(.,a)).
 
+D_h u is linear in u and in h.  DhOperator.matrix is D_h at one h on
+ascending coefficient vectors, formed from the instance's h-independent
+blocks (ProblemInstance.dh_blocks); a(h), h(a), the second kernel
+polynomial and the residuals read their linear systems off it.  apply_Dh
+is the polynomial form of the same operator.
+
 All functions are generic over the scalar domain (Fraction or complex),
 so exact pipelines stay exact.
 """
@@ -46,6 +52,7 @@ __all__ = [
     "SeparatingConditionError",
     "NotAdmissibleError",
     "MalformedPairError",
+    "OffPlaneError",
     "DhOperator",
     "SchemePoint",
     "p_of_a",
@@ -81,6 +88,10 @@ class NotAdmissibleError(ValueError):
 
 class MalformedPairError(ValueError):
     """Kernel pair fails the Wronskian divisibility required of the cycle."""
+
+
+class OffPlaneError(ValueError):
+    """h fails q_{-1}(h) = 0 or q_0(h) = 0 beyond a check's gate."""
 
 
 # Relative gate on q_{-1}, q_0 before the triangular solves (scale from
@@ -161,6 +172,30 @@ class DhOperator:
             acc = acc + As * hs
         return acc
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """M0 + sum_s h_s M[s] from inst.dh_blocks: D_h on ascending
+        coefficient vectors of degree up to max(l, lt)."""
+        M0, M = self.inst.dh_blocks
+        h = np.array(self.h, dtype=M0.dtype)
+        return M0 + (h @ M.reshape(len(h), -1)).reshape(M0.shape)
+
+    def image(self, u) -> np.ndarray:
+        """Ascending coefficients of D_h u, read off matrix, for the
+        ascending coefficients u of a polynomial."""
+        d = len(u) - 1
+        if d >= self.matrix.shape[1]:
+            raise ValueError(f"degree {d} exceeds the blocks' max(l, lt)")
+        return self.matrix[:d + self.inst.n, :d + 1] @ np.array(u, dtype=self.matrix.dtype)
+
+    def q_rows(self, deg: int) -> np.ndarray:
+        """Rows of matrix giving q_1, ..., q_{deg+n-2} of D_h u, u of degree deg.
+
+        Row i-1 reads the coefficient of x^{deg+n-2-i}; column k multiplies
+        the coefficient of x^k in u.
+        """
+        return self.matrix[:deg + self.inst.n - 2, :deg + 1][::-1]
+
 
 def apply_Dh(op: DhOperator, u: UniPoly) -> UniPoly:
     """prod(x-z_s) * [u'' - sum m_s/(x-z_s) u' + sum h_s/(x-z_s) u]."""
@@ -182,10 +217,10 @@ def constraint_plane(inst: ProblemInstance, h):
 
 
 def _plane_scale(inst: ProblemInstance, h, tol: float) -> float:
-    """constraint_plane's scale; ValueError if |q_{-1}| or |q_0| > tol * scale."""
+    """constraint_plane's scale; OffPlaneError if |q_{-1}| or |q_0| > tol * scale."""
     qm1, q0, scale = constraint_plane(inst, h)
     if abs(as_float(qm1)) > tol * scale or abs(as_float(q0)) > tol * scale:
-        raise ValueError(f"h is off the constraint plane: q_-1 = {qm1}, q_0 = {q0}")
+        raise OffPlaneError(f"h is off the constraint plane: q_-1 = {qm1}, q_0 = {q0}")
     return scale
 
 
@@ -202,35 +237,20 @@ def q_coefficients(inst: ProblemInstance, a, h):
     """(q_{-1}, q_0, [q_1, ..., q_{l+n-2}]) at the given coordinates."""
     h = tuple(h)
     qm1, q0, _ = constraint_plane(inst, h)
-    w = apply_Dh(DhOperator(inst, h), p_of_a(a))
-    return qm1, q0, q_values(w, inst.l, inst.n)
-
-
-def _affine_system(f, k: int, one):
-    """Rows [M | rhs] of the affine map f(x) = M x - rhs in k unknowns.
-
-    f returns a list of values; it is probed at 0 and at the unit vectors.
-    """
-    zero = 0 * one
-    base = f([zero] * k)
-    cols = []
-    for j in range(k):
-        x = [zero] * k
-        x[j] = one
-        cols.append([v - b for v, b in zip(f(x), base)])
-    return [[col[i] for col in cols] + [-b] for i, b in enumerate(base)]
+    w = DhOperator(inst, h).image(p_of_a(a).coeffs)
+    return qm1, q0, q_values(w.tolist(), inst.l, inst.n)
 
 
 def _a_of_h_raw(op: DhOperator):
-    """Solve q_i(a, h) = 0, i = 1..l, at op's h without precondition checks."""
-    l, n = op.inst.l, op.inst.n
+    """Solve q_i(a, h) = 0, i = 1..l, at op's h without precondition checks.
+
+    a_k multiplies the column of x^{l-k} in op.q_rows(l); the monic x^l
+    column is the constant term.
+    """
+    l = op.inst.l
     if l == 0:
         return []
-
-    def q_1_to_l(a):
-        return q_values(apply_Dh(op, p_of_a(a)), l, n)[:l]
-
-    rows = _affine_system(q_1_to_l, l, scalar_one(all(map(is_exact_scalar, op.h))))
+    rows = [r[l - 1::-1] + [-r[l]] for r in op.q_rows(l)[:l].tolist()]
     return [row[0] for row in solve_rows(rows, l)]
 
 
@@ -253,29 +273,28 @@ def h_of_a(inst: ProblemInstance, a):
     The numerator g(x) = g_0 x^{n-2} + ... + g_{n-2} is pinned by
     g_0 = l*lt and the vanishing of the leading coefficients of
     A p'' + B p' + g p; the returned h automatically satisfies
-    q_{-1}(h) = q_0(h) = 0.
+    q_{-1}(h) = q_0(h) = 0.  A p'' + B p' is read off inst.dh_blocks, and
+    g_j x^{n-2-j} p contributes the coefficients of p shifted by n-2-j.
     """
     l, n, lt = inst.l, inst.n, inst.ltilde
     a = list(a)
     if len(a) != l:
         raise ValueError(f"expected {l} coordinates, got {len(a)}")
     one = scalar_one(inst.exact and all(map(is_exact_scalar, a)))
+    zero = 0 * one
     p = p_of_a(a)
-    A, _, A_s = inst.zpolys
-    base_expr = A * p.deriv().deriv()
-    # term by term rather than B * p': the float lane's rounding, and with it
-    # the reported scheme residual, depends on this order
-    for ms, As in zip(inst.m, A_s):
-        base_expr = base_expr + As * (-ms) * p.deriv()
+    M0 = inst.dh_blocks[0]
+    base = (M0[:l + n, :l + 1] @ np.array(p.coeffs, dtype=M0.dtype)).tolist()
     g0 = one * (l * lt)
 
-    def qhat(grest):
-        """q_1, ..., q_{n-2} of A p'' + B p' + g p."""
-        e = base_expr + UniPoly(tuple(reversed([g0] + grest))) * p
-        return q_values(e, l, n)[:n - 2]
+    def pc(k):
+        return p.coeffs[k] if 0 <= k <= l else zero
 
+    # row i: q_i, the coefficient of x^{l+n-2-i}
     k = n - 2
-    grest = [row[0] for row in solve_rows(_affine_system(qhat, k, one), k)]
+    rows = [[pc(l - i + j) for j in range(1, k + 1)] + [-(base[l + n - 2 - i] + g0 * pc(l - i))]
+            for i in range(1, k + 1)]
+    grest = [row[0] for row in solve_rows(rows, k)]
     g = UniPoly(tuple(reversed([g0] + grest)))
     return h_from_numerator(inst, g)
 
@@ -307,28 +326,23 @@ def ptilde_solve(op: DhOperator, tol: Tolerances = DEFAULT_TOL):
     Solves the overdetermined linear system 'all coefficients of
     D_h(ptilde) vanish' for the lt-1 unknowns, at tol.residual; inconsistency
     means the operator has no second polynomial kernel element (the point
-    lies on the degree-l scheme but not on the all-polynomial one).
+    lies on the degree-l scheme but not on the all-polynomial one).  The
+    system is op.q_rows(lt): atilde_i multiplies the column of x^{lt-i} and
+    the monic x^lt column is the constant term.
     """
     inst, h = op.inst, op.h
-    l, n, lt = inst.l, inst.n, inst.ltilde
+    l, lt = inst.l, inst.ltilde
     if lt <= l:
         raise ValueError("second kernel polynomial needs sum(m) + 1 - l > l")
     scale = _plane_scale(inst, h, max(tol.residual, PLANE_PRE_GATE))
-    nunk = lt - 1
-    exact = all(map(is_exact_scalar, h))
-
-    def coeffs_of(atilde):
-        return q_values(apply_Dh(op, ptilde_of(inst, atilde)), lt, n)
-
-    rows = _affine_system(coeffs_of, nunk, scalar_one(exact))
-    if nunk == 0:
-        resid = max((abs(as_float(r[0])) for r in rows), default=0.0)
-        if (exact and any(r[0] for r in rows)) or resid > tol.residual * scale:
+    Q = op.q_rows(lt)
+    rhs = -Q[:, lt]
+    if lt == 1:
+        resid = max((abs(as_float(v)) for v in rhs), default=0.0)
+        if (inst.exact and any(rhs)) or resid > tol.residual * scale:
             raise InconsistentSystemError("no second polynomial kernel element")
         return []
-    dtype = object if exact else complex
-    M = np.array([r[:-1] for r in rows], dtype=dtype)
-    rhs = np.array([r[-1] for r in rows], dtype=dtype)
+    M = Q[:, [lt - i for i in range(1, lt + 1) if i != lt - l]]
     return list(solve_consistent(M, rhs, tol=tol.residual))
 
 
@@ -345,8 +359,8 @@ def exponents_at(op: DhOperator, s: int | None):
         return (0 * p0, 1 - p0)
     qm1, _, scale = constraint_plane(inst, op.h)
     if (qm1 != 0) if inst.exact else abs(qm1) > PLANE_PRE_GATE * scale:
-        raise ValueError("exponents at infinity need q_{-1}(h) = 0")
-    cinf = op.C[inst.n - 2]
+        raise OffPlaneError("exponents at infinity need q_{-1}(h) = 0")
+    cinf = op.matrix[inst.n - 2, 0]    # column 0 of matrix is D_h 1 = C
     tr = 1 + sum(inst.m)
     disc = tr * tr - 4 * cinf
     if isinstance(cinf, Fraction) or isinstance(cinf, int):
@@ -363,10 +377,7 @@ def exponents_at(op: DhOperator, s: int | None):
 
 def wronskian_check(inst: ProblemInstance, atilde, a) -> UniPoly:
     """Wr(ptilde, p) - (lt - l) prod (x - z_s)^{m_s}; zero on the cycle."""
-    pt = ptilde_of(inst, atilde)
-    p = p_of_a(a)
-    target = inst.zproduct(scalar_one(inst.exact) * (inst.ltilde - inst.l), inst.m)
-    return wronskian(pt, p) - target
+    return wronskian(ptilde_of(inst, atilde), p_of_a(a)) - inst.kernel_pair_polys[0]
 
 
 def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly,
@@ -380,9 +391,7 @@ def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly
     The residues of b2/b0 reproduce the h coordinates of the point.  Float
     vanishing and divisibility are decided at tol.residual relative.
     """
-    lt, l = inst.ltilde, inst.l
     gate = tol.residual
-    one = scalar_one(inst.exact)
     scale = max(1.0, ptilde.max_abs(), p.max_abs())
     for s, zs in enumerate(inst.z):
         vt, vp = ptilde(zs), p(zs)
@@ -394,8 +403,7 @@ def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly
     d2t, d2p = ptilde.deriv().deriv(), p.deriv().deriv()
     B1 = -(d2t * p - ptilde * d2p)
     B2 = d2t * p.deriv() - ptilde.deriv() * d2p
-    den = inst.zproduct(one * (lt - l), [max(ms - 1, 0) for ms in inst.m])
-    extra = inst.zproduct(one, [int(ms == 0) for ms in inst.m])
+    _, den, extra = inst.kernel_pair_polys
     out = []
     cscale = max(1.0, B0.max_abs(), B1.max_abs(), B2.max_abs()) * max(1.0, extra.max_abs())
     for Bi in (B0, B1, B2):

@@ -152,16 +152,9 @@ def weight_function(inst: ProblemInstance, a) -> WeightVector:
         det = _linear_form_det(forms, l, tuple(range(l)), {})
         return WeightVector.from_dict({mu: sign * v for mu, v in det.items()}, l)
     roots = np.roots(list(reversed(p.to_float().coeffs)))
-    z = [as_float(v) for v in inst.z]
     coeffs = {(0,) * n: 1 + 0j}
-    for t in roots:
-        ws = []
-        for s in range(n):
-            w = 1 + 0j
-            for i in range(n):
-                if i != s:
-                    w *= t - z[i]
-            ws.append(w)
+    for t in roots.tolist():
+        ws = [complex(W(t)) for W in inst.zpolys[2]]
         nxt = {}
         for mu, v in coeffs.items():
             for s in range(n):

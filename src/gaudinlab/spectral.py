@@ -21,7 +21,6 @@ from .numcore import (
     DEFAULT_TOL,
     InconsistentSystemError,
     Tolerances,
-    UniPoly,
     exact_det,
     is_exact_scalar,
     max_abs,
@@ -33,9 +32,9 @@ from .opscheme import (
     DhOperator,
     MalformedPairError,
     NotAdmissibleError,
+    OffPlaneError,
     SchemePoint,
     _a_of_h_raw,
-    apply_Dh,
     constraint_plane,
     exponents_at,
     h_from_numerator,
@@ -43,7 +42,6 @@ from .opscheme import (
     p_of_a,
     ptilde_of,
     ptilde_solve,
-    q_values,
     residual_system,
     wronskian_check,
 )
@@ -167,19 +165,24 @@ def _point_residuals(finst: ProblemInstance, h, tol: Tolerances):
     for s in range(n):
         e = exponents_at(op, s)
         dev = max(dev, abs(e[0]), abs(e[1] - (finst.m[s] + 1)))
-    einf = exponents_at(op, None)
-    dev = max(dev, abs(einf[0] + l), abs(einf[1] - (l - 1 - sum(finst.m))))
-    res["exponents"] = dev / max(1.0, float(lt))
+    try:
+        einf = exponents_at(op, None)
+    except OffPlaneError as err:
+        res["exponents"] = float("inf")
+        res["exponents_error"] = str(err)
+    else:
+        dev = max(dev, abs(einf[0] + l), abs(einf[1] - (l - 1 - sum(finst.m))))
+        res["exponents"] = dev / max(1.0, float(lt))
     atilde = None
     if lt > l:
         try:
             atilde = [complex(v) for v in ptilde_solve(op, tol=tol)]
-        except InconsistentSystemError as err:
+        except (InconsistentSystemError, OffPlaneError) as err:
             res["ptilde"] = float("inf")
             res["ptilde_error"] = str(err)
     if atilde is not None:
         pscale = max(ascale, max((abs(v) for v in atilde), default=0.0))
-        res["ptilde"] = apply_Dh(op, ptilde_of(finst, atilde)).max_abs() / pscale
+        res["ptilde"] = max_abs(op.image(ptilde_of(finst, atilde).coeffs)) / pscale
         wr = wronskian_check(finst, atilde, a)
         res["wronskian"] = wr.max_abs() / pscale
         try:
@@ -229,26 +232,25 @@ def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
 def _jacobian(inst: ProblemInstance, h, a):
     """Rows of d(q_{-1}, q_0, q_{l+1}, ..., q_{l+n-2})/dh at a = a(h).
 
-    D_h p is linear in a and in h: dq/da_k is read off D_h(x^{l-k}) and
-    dq/dh_s off A_s p(a).  a(h) enters by implicit differentiation of
-    q_1 = ... = q_l = 0 through the triangular block it is solved from.
-    The caller passes a = a(h); n = 2 never reads it.
+    D_h p is linear in a and in h: dq/da_k is the column of x^{l-k} in the
+    operator's q_rows(l) and dq/dh_s is read off M[s] p(a) (inst.dh_blocks).
+    a(h) enters by implicit differentiation of q_1 = ... = q_l = 0 through
+    the triangular block it is solved from.  The caller passes a = a(h);
+    n = 2 never reads it.
     """
     l, n = inst.l, inst.n
     one = scalar_one(all(map(is_exact_scalar, h)))
     rows = [[one] * n, [one * z for z in inst.z]]
     if n > 2:
-        op = DhOperator(inst, tuple(h))
-        p = p_of_a(a)
-        # columns: dq_da[k] = d(q_1..q_{l+n-2})/da_{k+1}, dq_dh[s] = .../dh_s
-        dq_da = [q_values(apply_Dh(op, UniPoly.monomial(l - k, one)), l, n)
-                 for k in range(1, l + 1)]
-        dq_dh = [q_values(As * p, l, n) for As in inst.zpolys[2]]
-        # q_1..q_l vanish along a(h): (dq/da) da/dh = -dq/dh on those rows
-        da_dh = solve_rows([[col[i] for col in dq_da] + [-col[i] for col in dq_dh]
-                            for i in range(l)], l)
+        Q = DhOperator(inst, tuple(h)).q_rows(l).tolist()
+        M = inst.dh_blocks[1][:, :l + n, :l + 1]
+        # dq_dh[i][s] = dq_{i+1}/dh_s: rows of M[s] p(a), q_1 first
+        dq_dh = (M @ np.array(p_of_a(a).coeffs, dtype=M.dtype)).T[:l + n - 2][::-1].tolist()
+        # q_1..q_l vanish along a(h): (dq/da) da/dh = -dq/dh on those rows;
+        # a_k multiplies the column of x^{l-k}
+        da_dh = solve_rows([Q[i][l - 1::-1] + [-v for v in dq_dh[i]] for i in range(l)], l)
         for i in range(l, l + n - 2):
-            rows.append([dq_dh[s][i] + sum(dq_da[k][i] * da_dh[k][s] for k in range(l))
+            rows.append([dq_dh[i][s] + sum(Q[i][l - 1 - k] * da_dh[k][s] for k in range(l))
                          for s in range(n)])
     return rows
 

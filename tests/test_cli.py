@@ -211,6 +211,27 @@ class TestSpectrumCommand:
             rep, _ = cmd_spectrum(cfg)
             jsonschema.validate(json.loads(json.dumps(rep)), schema)
 
+    def test_off_plane_point_is_a_named_failure(self):
+        # one diagonal entry of Omega_{0,1} raised by 1 puts a float Sing M
+        # point at q_0 = -3.5e-3, far off the constraint plane; its checks
+        # fail by name and the spectrum still validates
+        import jsonschema
+        from pathlib import Path
+        frame = gaudin.GaudinFrame(ProblemInstance([1] * 4, 2, range(4)))
+        W = frame.omega[0, 1].copy()
+        W[0, 0] += 1
+        frame.omega[0, 1] = frame.omega[1, 0] = W
+        finst = ProblemInstance([1] * 4, 2, [0.0, 1.0, 2.0, 3.0])
+        rep, fails, _ = run_pipeline(build_gaudin(finst, frame), 0, Tolerances())
+        assert {"sing_m_q_0", "sing_m_exponents", "sing_m_scheme"} <= set(fails)
+        errors = [p["residuals"]["ptilde_error"] for p in rep["spectrum_sing_m"]["points"]
+                  if "ptilde_error" in p["residuals"]]
+        assert any("off the constraint plane" in e for e in errors)
+        schema = json.loads((Path(__file__).parent.parent / "docs"
+                             / "report_schema.json").read_text())
+        spectrum = {"$ref": "#/definitions/spectrum", "definitions": schema["definitions"]}
+        jsonschema.validate(json.loads(json.dumps(rep["spectrum_sing_m"])), spectrum)
+
     def test_shipped_config_schema_in_sync(self):
         from pathlib import Path
         from gaudinlab.cli import CONFIG_SCHEMA

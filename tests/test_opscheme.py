@@ -20,8 +20,8 @@ from gaudinlab import (
     schubert_dimension,
     wronskian_check,
 )
-from gaudinlab.numcore import UniPoly
-from gaudinlab.opscheme import h_from_numerator, p_of_a, ptilde_of
+from gaudinlab.numcore import InconsistentSystemError, UniPoly, solve_consistent, solve_rows
+from gaudinlab.opscheme import h_from_numerator, p_of_a, ptilde_of, q_values
 
 from conftest import random_exact_instance
 from test_gl2rep import cg_multiplicity_bruteforce
@@ -59,6 +59,102 @@ class TestApplyDh:
             h = h_of_a(inst, a)   # lands on the constraint plane by construction
             w = apply_Dh(DhOperator(inst, tuple(h)), p_of_a(a))
             assert w.degree <= inst.l + inst.n - 3
+
+
+def _probed_rows(f, k):
+    """Rows [M | -f(0)] of the affine map f(x) = M x + f(0) in k exact
+    unknowns, found by probing f at 0 and at the unit vectors."""
+    base = f([F(0)] * k)
+    cols = [[v - b for v, b in zip(f([F(int(i == j)) for i in range(k)]), base)]
+            for j in range(k)]
+    return [[col[i] for col in cols] + [-b] for i, b in enumerate(base)]
+
+
+def _probed_a_of_h(op):
+    l, n = op.inst.l, op.inst.n
+    rows = _probed_rows(lambda a: q_values(apply_Dh(op, p_of_a(a)), l, n)[:l], l)
+    return [row[0] for row in solve_rows(rows, l)]
+
+
+def _probed_h_of_a(inst, a):
+    l, n = inst.l, inst.n
+    A, B, _ = inst.zpolys
+    p = p_of_a(a)
+    g0 = F(l * inst.ltilde)
+
+    def qhat(grest):
+        g = UniPoly(tuple(reversed([g0] + grest)))
+        return q_values(A * p.deriv().deriv() + B * p.deriv() + g * p, l, n)[:n - 2]
+
+    grest = [row[0] for row in solve_rows(_probed_rows(qhat, n - 2), n - 2)]
+    return h_from_numerator(inst, UniPoly(tuple(reversed([g0] + grest))))
+
+
+def _probed_residual_system(inst, a):
+    op = DhOperator(inst, tuple(_probed_h_of_a(inst, a)))
+    return q_values(apply_Dh(op, p_of_a(a)), inst.l, inst.n)[inst.n - 2:]
+
+
+def _probed_ptilde_solve(op):
+    inst = op.inst
+    rows = _probed_rows(
+        lambda at: q_values(apply_Dh(op, ptilde_of(inst, at)), inst.ltilde, inst.n),
+        inst.ltilde - 1)
+    if inst.ltilde == 1:
+        if any(r[0] for r in rows):
+            raise InconsistentSystemError("no second polynomial kernel element")
+        return []
+    M = np.array([r[:-1] for r in rows], dtype=object)
+    return list(solve_consistent(M, np.array([r[-1] for r in rows], dtype=object)))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except InconsistentSystemError:
+        return InconsistentSystemError
+
+
+class TestOperatorBlocks:
+    """The per-point checks read D_h off inst.dh_blocks; apply_Dh and the
+    probed affine systems are the reference, compared exactly."""
+
+    def test_columns_are_apply_Dh_of_monomials(self, rng):
+        for _ in range(10):
+            inst = random_exact_instance(rng)
+            h = tuple(F(int(rng.integers(-9, 10)), int(rng.integers(1, 4)))
+                      for _ in range(inst.n))
+            op = DhOperator(inst, h)
+            rows, cols = op.matrix.shape
+            assert cols == max(inst.l, inst.ltilde) + 1 and rows == cols + inst.n - 1
+            for k in range(cols):
+                want = apply_Dh(op, UniPoly.monomial(k, F(1))).coeffs
+                col = op.matrix[:, k].tolist()
+                assert col == list(want) + [0] * (rows - len(want)), (inst, h, k)
+                assert all(type(v) is F for v in col)
+            for d in range(cols):
+                u = P(*(int(rng.integers(-5, 6)) for _ in range(d)), 1)
+                assert UniPoly(op.image(u.coeffs)) == apply_Dh(op, u)
+
+    def test_reads_equal_probed_reference(self, rng, E1, E3):
+        consistent = 0
+        for _ in range(16):
+            inst = random_exact_instance(rng, max_level_dim=20)
+            a = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
+                 for _ in range(inst.l)]
+            h = h_of_a(inst, a)
+            assert h == _probed_h_of_a(inst, a)
+            assert residual_system(inst, a) == _probed_residual_system(inst, a)
+            op = DhOperator(inst, tuple(h))
+            assert a_of_h(inst, h) == _probed_a_of_h(op)
+            if inst.ltilde > inst.l:
+                got = _outcome(ptilde_solve, op)
+                assert got == _outcome(_probed_ptilde_solve, op)
+                consistent += got is not InconsistentSystemError
+        for inst, h in ((E1, H1), (E3, H3)):
+            op = DhOperator(inst, h)
+            assert ptilde_solve(op) == _probed_ptilde_solve(op)
+        assert consistent
 
 
 class TestQCoefficients:

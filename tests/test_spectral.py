@@ -15,9 +15,10 @@ from gaudinlab import (
     joint_spectrum,
     match_spectrum_to_scheme,
 )
+from gaudinlab import opscheme, spectral
 from gaudinlab.numcore import Tolerances, max_abs
 from gaudinlab.opscheme import DhOperator, _a_of_h_raw, q_coefficients
-from gaudinlab.spectral import _jacobian
+from gaudinlab.spectral import _jacobian, _point_residuals
 
 from conftest import random_dominant_float_instance
 
@@ -97,6 +98,46 @@ class TestMatchSpectrum:
             for k, v in p.residuals.items():
                 if isinstance(v, float):
                     assert v < 1e-8, (k, v)
+
+    def test_operator_blocks_built_once_and_apply_Dh_unused(self, monkeypatch):
+        # the per-point checks read D_h off the instance's blocks: no probing
+        # through apply_Dh, one block build per instance, one a(h) per point
+        from functools import cached_property
+        inst = ProblemInstance([2] * 4, 3, [0.0, 1.0, 3.0, 7.0])
+        s = build_gaudin(inst)
+        spectra = [joint_spectrum(list(H), seed=0) for H in (s.H_L, s.H_sing)]
+        calls = {"apply_Dh": 0, "a_of_h": 0}
+        builds = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def counted_blocks(instance):
+            builds.append(instance)
+            return real_blocks(instance)
+
+        monkeypatch.setattr(opscheme, "apply_Dh", counting("apply_Dh", opscheme.apply_Dh))
+        monkeypatch.setattr(spectral, "_a_of_h_raw", counting("a_of_h", _a_of_h_raw))
+        real_blocks = ProblemInstance.dh_blocks.func
+        counted = cached_property(counted_blocks)
+        counted.__set_name__(ProblemInstance, "dh_blocks")
+        monkeypatch.setattr(ProblemInstance, "dh_blocks", counted)
+        reports = [match_spectrum_to_scheme(inst, spec) for spec in spectra]
+        assert calls["apply_Dh"] == 0
+        assert builds == [inst]
+        assert calls["a_of_h"] == sum(len(r.points) for r in reports) > 0
+
+    def test_off_plane_point_recorded(self, E2):
+        # a point far off the constraint plane records its failed checks
+        # instead of raising out of the spectrum
+        finst = E2.to_float()
+        _, _, res = _point_residuals(finst, (1.0, 0.5, -1.0), Tolerances())
+        assert res["exponents"] == res["ptilde"] == float("inf")
+        assert "q_{-1}" in res["exponents_error"]
+        assert "off the constraint plane" in res["ptilde_error"]
 
     def test_total_multiplicity_equals_dim(self, rng):
         for _ in range(4):

@@ -70,6 +70,25 @@ def test_small_exact_ladder_matches_reference():
         assert outputs.check(call, json.loads(json.dumps(report)), reference) is None
 
 
+def test_float_verify_matches_reference():
+    # the benchmark's float-verify calls: certified content (dimensions,
+    # multiplicity totals, count stability) against the reference, and the
+    # failures they list today; the (3^4),4 Jacobian failure is the float
+    # gate's false alarm at size (ROADMAP item 3)
+    from gaudinlab import cli
+    outputs = _load_perfbench("outputs")
+    workloads = _load_perfbench("workloads")
+    reference = outputs.load_reference()
+    calls = workloads.float_verify(0)
+    assert [call.samples for call in calls] == [8, 4]
+    failures = []
+    for call in calls:
+        report, fails = cli.cmd_verify(call.config, call.samples)
+        failures.append(fails)
+        assert outputs.check(call, json.loads(json.dumps(report)), reference) is None
+    assert failures == [[], ["sample_0:grothendieck_jacobian"]]
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
