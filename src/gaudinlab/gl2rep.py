@@ -186,6 +186,52 @@ class ProblemInstance:
                 self.zproduct(c, [max(ms - 1, 0) for ms in self.m]),
                 self.zproduct(one, [int(ms == 0) for ms in self.m]))
 
+    @cached_property
+    def kernel_pair_maps(self) -> tuple:
+        """(quo, rem), built once per instance: b -> (b * extra) divmod den.
+
+        On ascending coefficient vectors of b, of degree up to sum(m) (the
+        degree of a kernel pair's Wronskian), quo gives the n + 1
+        coefficients of the quotient and rem the deg(den) of the remainder
+        (den, extra from kernel_pair_polys).  Needs lt > l.
+        """
+        _, den, extra = self.kernel_pair_polys
+        one = scalar_one(self.exact)
+        quo = zeros_like_domain((self.n + 1, sum(self.m) + 1), self.exact)
+        rem = zeros_like_domain((den.degree, sum(self.m) + 1), self.exact)
+        for k in range(sum(self.m) + 1):
+            q, r = (UniPoly.monomial(k, one) * extra).divmod(den)
+            quo[:len(q.coeffs), k] = q.coeffs
+            rem[:len(r.coeffs), k] = r.coeffs
+        return quo, rem
+
+    @cached_property
+    def partial_fractions(self) -> np.ndarray:
+        """n x (n - 1) matrix of g -> (g(z_s) / prod_{r != s}(z_s - z_r))_s on
+        ascending coefficients of g (degree up to n - 2), built once."""
+        P = zeros_like_domain((self.n, max(self.n - 1, 0)), self.exact)
+        for s, zs in enumerate(self.z):
+            den = scalar_one(self.exact)
+            for r, zr in enumerate(self.z):
+                if r != s:
+                    den = den * (zs - zr)
+            for j in range(self.n - 1):
+                P[s, j] = zs ** j / den
+        return P
+
+    @cached_property
+    def marked_exponents(self) -> tuple:
+        """Indicial roots (0, 1 - B(z_s)/A'(z_s)) at each marked point, once
+        per instance; they do not depend on h, and B = -sum m_s A_s makes
+        them (0, m_s + 1)."""
+        A, B, _ = self.zpolys
+        dA = A.deriv()
+        out = []
+        for zs in self.z:
+            p0 = B(zs) / dA(zs)
+            out.append((0 * p0, 1 - p0))
+        return tuple(out)
+
     def to_float(self) -> "ProblemInstance":
         return ProblemInstance(self.m, self.l, tuple(as_float(v) for v in self.z),
                                require_separating=False)

@@ -58,6 +58,7 @@ __all__ = [
     "p_of_a",
     "ptilde_of",
     "apply_Dh",
+    "dh_matrices",
     "PLANE_PRE_GATE",
     "constraint_plane",
     "q_coefficients",
@@ -176,9 +177,7 @@ class DhOperator:
     def matrix(self) -> np.ndarray:
         """M0 + sum_s h_s M[s] from inst.dh_blocks: D_h on ascending
         coefficient vectors of degree up to max(l, lt)."""
-        M0, M = self.inst.dh_blocks
-        h = np.array(self.h, dtype=M0.dtype)
-        return M0 + (h @ M.reshape(len(h), -1)).reshape(M0.shape)
+        return dh_matrices(self.inst, [self.h])[0]
 
     def image(self, u) -> np.ndarray:
         """Ascending coefficients of D_h u, read off matrix, for the
@@ -195,6 +194,20 @@ class DhOperator:
         the coefficient of x^k in u.
         """
         return self.matrix[:deg + self.inst.n - 2, :deg + 1][::-1]
+
+
+def dh_matrices(inst: ProblemInstance, H) -> np.ndarray:
+    """D_h = M0 + sum_s h_s M[s] (inst.dh_blocks) at each row h of H, stacked.
+
+    The terms are added entry by entry in order of s, so a point's matrix
+    does not depend on the stack it is formed in.
+    """
+    M0, M = inst.dh_blocks
+    H = np.array(H, dtype=M0.dtype).reshape(-1, len(M))
+    D = np.broadcast_to(M0, (len(H),) + M0.shape)
+    for s in range(len(M)):
+        D = D + H[:, s, None, None] * M[s]
+    return D
 
 
 def apply_Dh(op: DhOperator, u: UniPoly) -> UniPoly:
@@ -349,14 +362,14 @@ def ptilde_solve(op: DhOperator, tol: Tolerances = DEFAULT_TOL):
 def exponents_at(op: DhOperator, s: int | None):
     """Indicial roots at the marked point z_s (s = 0..n-1) or infinity (None).
 
-    Finite points return (0, m_s + 1)-ordered roots; infinity returns the
-    descending pair, computed from the actual operator coefficients.
+    Finite points return (0, m_s + 1)-ordered roots, which do not depend on
+    h (ProblemInstance.marked_exponents); infinity returns the pair of
+    roots of e^2 + (1 + sum(m)) e + C_{n-2}, descending for display.  As a
+    set they are {-l, l - 1 - sum(m)} exactly when C_{n-2} = l * lt.
     """
     inst = op.inst
     if s is not None:
-        zs = inst.z[s]
-        p0 = op.B(zs) / op.A.deriv()(zs)
-        return (0 * p0, 1 - p0)
+        return inst.marked_exponents[s]
     qm1, _, scale = constraint_plane(inst, op.h)
     if (qm1 != 0) if inst.exact else abs(qm1) > PLANE_PRE_GATE * scale:
         raise OffPlaneError("exponents at infinity need q_{-1}(h) = 0")

@@ -19,7 +19,6 @@ import scipy.linalg
 from .gl2rep import ProblemInstance
 from .numcore import (
     DEFAULT_TOL,
-    InconsistentSystemError,
     Tolerances,
     exact_det,
     is_exact_scalar,
@@ -28,23 +27,7 @@ from .numcore import (
     solve_rows,
     to_float_array,
 )
-from .opscheme import (
-    DhOperator,
-    MalformedPairError,
-    NotAdmissibleError,
-    OffPlaneError,
-    SchemePoint,
-    _a_of_h_raw,
-    constraint_plane,
-    exponents_at,
-    h_from_numerator,
-    operator_from_kernel_pair,
-    p_of_a,
-    ptilde_of,
-    ptilde_solve,
-    residual_system,
-    wronskian_check,
-)
+from .opscheme import PLANE_PRE_GATE, DhOperator, SchemePoint, dh_matrices, p_of_a
 
 __all__ = [
     "ClusterAmbiguityError",
@@ -84,10 +67,12 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
     """[(h, multiplicity, orthonormal invariant basis), ...] of the family.
 
     mats must commute (checked exactly upstream); exact input is converted
-    here, the one sanctioned entry into float mode.  Eigenvalues closer
-    than tol.cluster share a cluster.  Raises ClusterAmbiguityError when
-    two clusters run closer than 10 * tol.cluster, in which case the
-    caller should reseed.
+    here, the one sanctioned entry into float mode.  The combination is
+    factored once, as a complex Schur form; eigenvalues on its diagonal
+    closer than tol.cluster share a cluster, and each cluster's basis is
+    read off that one factorisation reordered by LAPACK's ztrsen.  Raises
+    ClusterAmbiguityError when two clusters run closer than
+    10 * tol.cluster, in which case the caller should reseed.
     """
     mats = [to_float_array(M) for M in mats]
     n = len(mats)
@@ -98,8 +83,8 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
     c = rng.integers(1, 998, size=n)
     T = sum(int(cs) * H for cs, H in zip(c, mats))
     scale = max(1.0, float(np.abs(T).max()))
-    Tn = T / scale
-    eigs = np.linalg.eigvals(Tn)
+    S, Z = scipy.linalg.schur(T / scale, output="complex")
+    eigs = np.diag(S)
 
     # single-linkage clustering at distance tol.cluster
     order = sorted(range(d), key=lambda i: (eigs[i].real, eigs[i].imag))
@@ -131,93 +116,216 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
                     f"cluster centers {centers[i]:.6g} and {centers[j]:.6g} "
                     f"within 10*tol; reseed")
 
+    # each eigenvalue belongs to its nearest center
+    labels = np.argmin(np.abs(eigs[:, None] - np.array(centers)[None, :]), axis=1)
     out = []
     for idx, g in enumerate(clusters):
-
-        def selector(lam, _idx=idx):
-            return int(np.argmin([abs(lam - cc) for cc in centers])) == _idx
-
-        _, Z, sdim = scipy.linalg.schur(Tn, output="complex", sort=selector)
+        # the selected eigenvalues move to the top of the Schur form
+        _, Zs, _, sdim, _, _, _ = scipy.linalg.lapack.ztrsen(labels == idx, S, Z, job="N")
         if sdim != len(g):
             raise ClusterAmbiguityError(
                 f"invariant subspace dimension {sdim} != cluster size {len(g)}")
-        Q = Z[:, :sdim]
+        Q = Zs[:, :sdim]
         h = tuple(complex(np.trace(Q.conj().T @ H @ Q)) / sdim for H in mats)
         out.append((h, int(sdim), Q))
     assert sum(m for _, m, _ in out) == d
     return out
 
 
-def _point_residuals(finst: ProblemInstance, h, tol: Tolerances):
-    """All scheme-side checks at h on the float instance finst; residuals only."""
+def _pair_forms(lt: int, l: int) -> np.ndarray:
+    """The bilinear maps (ptilde, p) -> (B0, B1, B2) of the kernel-pair
+    operator B0 u'' + B1 u' + B2 u, on the products ptilde_i p_j.
+
+    For x^i and x^j: B0 = Wr = (i - j) x^{i+j-1}, B1 = (j(j-1) - i(i-1))
+    x^{i+j-2} and B2 = i j (i - j) x^{i+j-3}.  Row (l + 1) i + j of the
+    result takes ptilde_i p_j, and column k L + d gives the coefficient of
+    x^d in B_k, L = l + lt.
+    """
+    L = l + lt
+    i, j = (v.ravel() for v in np.meshgrid(np.arange(lt + 1), np.arange(l + 1), indexing="ij"))
+    S = np.zeros(((lt + 1) * (l + 1), 3 * L))
+    for k, c in enumerate((i - j, j * (j - 1) - i * (i - 1), i * j * (i - j))):
+        d = i + j - 1 - k
+        keep = (d >= 0) & (c != 0)
+        S[np.nonzero(keep)[0], k * L + d[keep]] = c[keep]
+    return S
+
+
+def _rowmax(x) -> np.ndarray:
+    """Largest modulus in each row; 0 for a row of no entries."""
+    return np.abs(x).max(axis=1) if x.shape[1] else np.zeros(len(x))
+
+
+def _scheme_residuals(finst: ProblemInstance, H: np.ndarray, tol: Tolerances):
+    """Every scheme-side check at the P points H (P x n) of the float
+    instance finst, stacked: (a, atilde, residuals), one entry per point.
+
+    Each point's systems are read off its D_h (dh_matrices) as in the
+    single-point functions of opscheme (a_of_h, residual_system,
+    ptilde_solve, wronskian_check, operator_from_kernel_pair,
+    h_from_numerator), with the same gates and scales.  A check that fails
+    at a point records inf and its *_error for that point only; atilde is
+    None where the second kernel polynomial does not exist.
+    """
     l, n, lt = finst.l, finst.n, finst.ltilde
-    h = tuple(complex(v) for v in h)
-    res = {}
-    qm1, q0, hscale = constraint_plane(finst, h)
-    res["q_minus1"] = abs(qm1) / hscale
-    res["q_0"] = abs(q0) / hscale
-    op = DhOperator(finst, h)
-    a = [complex(v) for v in _a_of_h_raw(op)]
-    ascale = max(hscale, max((abs(v) for v in a), default=0.0))
-    res["scheme"] = max((abs(v) for v in residual_system(finst, a)),
-                        default=0.0) / ascale
-    dev = 0.0
-    for s in range(n):
-        e = exponents_at(op, s)
-        dev = max(dev, abs(e[0]), abs(e[1] - (finst.m[s] + 1)))
-    try:
-        einf = exponents_at(op, None)
-    except OffPlaneError as err:
-        res["exponents"] = float("inf")
-        res["exponents_error"] = str(err)
-    else:
-        dev = max(dev, abs(einf[0] + l), abs(einf[1] - (l - 1 - sum(finst.m))))
-        res["exponents"] = dev / max(1.0, float(lt))
-    atilde = None
+    P = len(H)
+    M0 = finst.dh_blocks[0]
+    D = dh_matrices(finst, H)
+    # q_{-1}, q_0 summed in constraint_plane's order, so they keep its bits
+    qm1 = sum((H[:, s] for s in range(1, n)), H[:, 0])
+    q0 = sum(z * H[:, s] for s, z in enumerate(finst.z)) - l * lt
+    hscale = np.maximum(np.maximum(1.0, np.abs(H).max(axis=1)), float(l * abs(lt)))
+
+    # a(h): q_1 = ... = q_l = 0, where a_k multiplies the column of x^{l-k}
+    rows = np.arange(l + n - 3, n - 3, -1)
+    a = np.linalg.solve(D[:, rows][:, :, l - 1::-1] if l else np.zeros((P, 0, 0)),
+                        -D[:, rows, l, None])[:, :, 0]
+    p = np.concatenate([a[:, ::-1], np.ones((P, 1))], axis=1)
+    ascale = np.maximum(hscale, _rowmax(a))
+
+    # h(a): numerator g = l*lt x^{n-2} + g_1 x^{n-3} + ..., pinned by the
+    # leading coefficients of A p'' + B p' + g p; the scheme residual is
+    # q_{n-1}, ..., q_{l+n-2} of D_{h(a)} p, its low l coefficients
+    k = np.arange(1, n - 1)
+    base = p @ M0[:l + n, :l + 1].T
+    pz = np.concatenate([np.zeros((P, n)), p, np.zeros((P, n))], axis=1)
+    g = np.linalg.solve(pz[:, n + l - k[:, None] + k[None, :]],
+                        -(base[:, l + n - 2 - k, None] + l * lt * pz[:, n + l - k, None]))
+    ha = np.concatenate([g[:, ::-1, 0], np.full((P, 1), l * lt)], axis=1) \
+        @ finst.partial_fractions.T
+    w = dh_matrices(finst, ha)[:, :l, :l + 1] @ p[:, :, None]
+    scheme = _rowmax(w[:, :, 0]) / ascale
+
+    # exponents: (0, m_s + 1) at the marked points, once per instance; at
+    # infinity the set {-l, l - 1 - sum(m)} iff C_{n-2} = l * lt
+    marked = max((max(abs(e0), abs(e1 - (ms + 1))) for (e0, e1), ms
+                  in zip(finst.marked_exponents, finst.m)), default=0.0)
+    einf = np.abs(D[:, n - 2, 0] - l * lt) / hscale
+
     if lt > l:
-        try:
-            atilde = [complex(v) for v in ptilde_solve(op, tol=tol)]
-        except (InconsistentSystemError, OffPlaneError) as err:
-            res["ptilde"] = float("inf")
-            res["ptilde_error"] = str(err)
-    if atilde is not None:
-        pscale = max(ascale, max((abs(v) for v in atilde), default=0.0))
-        res["ptilde"] = max_abs(op.image(ptilde_of(finst, atilde).coeffs)) / pscale
-        wr = wronskian_check(finst, atilde, a)
-        res["wronskian"] = wr.max_abs() / pscale
-        try:
-            b0, b1, b2 = operator_from_kernel_pair(
-                finst, ptilde_of(finst, atilde), p_of_a(a), tol=tol)
-            hrec = h_from_numerator(finst, b2)
-            res["kernel_pair_roundtrip"] = max(
-                abs(hr - hs) for hr, hs in zip(hrec, h)) / hscale
-            b2lead = b2.leading() if not b2.is_zero() else 0.0
-            res["b2_leading"] = abs(b2lead - lt * l) / max(1.0, lt * l)
-        except NotAdmissibleError as err:
-            res["kernel_pair_roundtrip"] = float("inf")
-            res["admissible_error"] = str(err)
-        except MalformedPairError as err:
-            res["kernel_pair_roundtrip"] = float("inf")
-            res["malformed_pair_error"] = str(err)
-    return a, atilde, res
+        x, pt, ptilde_err = _second_kernel(finst, D, hscale, tol)
+        pscale = np.maximum(ascale, _rowmax(x))
+        ptilde = _rowmax((D @ pt[:, :, None])[:, :, 0]) / pscale
+        wronsk, roundtrip, b2_leading, pair_err = _kernel_pair(finst, H, hscale, pt, p, tol)
+    out = []
+    for i in range(P):
+        res = {"q_minus1": float(abs(qm1[i]) / hscale[i]),
+               "q_0": float(abs(q0[i]) / hscale[i]),
+               "scheme": float(scheme[i])}
+        if abs(qm1[i]) > PLANE_PRE_GATE * hscale[i]:
+            res["exponents"] = float("inf")
+            res["exponents_error"] = "exponents at infinity need q_{-1}(h) = 0"
+        else:
+            res["exponents"] = float(max(marked, einf[i]))
+        atilde = None
+        if lt > l:
+            plane = max(tol.residual, PLANE_PRE_GATE) * hscale[i]
+            err = (f"h is off the constraint plane: q_-1 = {complex(qm1[i])}, "
+                   f"q_0 = {complex(q0[i])}") \
+                if abs(qm1[i]) > plane or abs(q0[i]) > plane else ptilde_err[i]
+            if err is not None:
+                res["ptilde"] = float("inf")
+                res["ptilde_error"] = err
+            else:
+                atilde = tuple(complex(v) for v in x[i])
+                res["ptilde"] = float(ptilde[i])
+                res["wronskian"] = float(wronsk[i] / pscale[i])
+                if pair_err[i] is None:
+                    res["kernel_pair_roundtrip"] = float(roundtrip[i])
+                    res["b2_leading"] = float(b2_leading[i])
+                else:
+                    res["kernel_pair_roundtrip"] = float("inf")
+                    res[pair_err[i][0]] = pair_err[i][1]
+        out.append((tuple(complex(v) for v in a[i]), atilde, res))
+    return out
+
+
+def _second_kernel(finst: ProblemInstance, D: np.ndarray, hscale, tol: Tolerances):
+    """ptilde_solve at stacked operators D, without its plane pre-gate:
+    (atilde, pt, err), atilde and pt (ascending coefficients) of each
+    point's least-squares second kernel polynomial and err[i] why point i
+    has none, or None; hscale is each point's constraint_plane scale."""
+    l, n, lt = finst.l, finst.n, finst.ltilde
+    # every coefficient of D_h ptilde vanishes; atilde_i multiplies the
+    # column of x^{lt-i}, i != lt - l, and the monic x^lt column is the
+    # constant term
+    Q = D[:, lt + n - 3::-1, :]
+    cols = [lt - i for i in range(1, lt + 1) if i != lt - l]
+    Mt, rhs = Q[:, :, cols], -Q[:, :, lt]
+    x = (np.linalg.pinv(Mt) @ rhs[:, :, None])[:, :, 0]
+    resid = _rowmax((Mt @ x[:, :, None])[:, :, 0] - rhs)
+    pt = np.zeros((len(D), lt + 1), dtype=complex)
+    pt[:, cols] = x
+    pt[:, lt] = 1
+    if lt == 1:
+        err = [None if r <= tol.residual * s else "no second polynomial kernel element"
+               for r, s in zip(resid, hscale)]
+        return x, pt, err
+    scale = np.maximum(1.0, np.abs(Mt).max(axis=(1, 2)) * np.maximum(1.0, _rowmax(x)))
+    err = [None if r <= tol.residual * s else f"least-squares residual {r:.3e} exceeds gate"
+           for r, s in zip(resid, scale)]
+    return x, pt, err
+
+
+def _kernel_pair(finst: ProblemInstance, H, hscale, pt, p, tol: Tolerances):
+    """wronskian_check, operator_from_kernel_pair and h_from_numerator at
+    stacked kernel pairs (ascending coefficients pt, p) of the points H
+    (constraint_plane scales hscale):
+    (max |Wr(ptilde, p) - W|, kernel-pair roundtrip, b2 leading defect,
+    err), err[i] the failed check's (key, message) at point i, or None."""
+    l, n, lt = finst.l, finst.n, finst.ltilde
+    gate, L = tol.residual, l + lt
+    W, _, extra = finst.kernel_pair_polys
+    A = finst.zpolys[0]
+    # the operator B0 u'' + B1 u' + B2 u annihilating span(ptilde, p)
+    B = ((pt[:, :, None] * p[:, None, :]).reshape(len(H), -1)
+         @ _pair_forms(lt, l)).reshape(len(H), 3, L)
+    wronsk = _rowmax(B[:, 0] - np.array(W.coeffs))
+    # admissible: no marked point where both polynomials vanish
+    zpow = np.array(finst.z)[:, None] ** np.arange(lt + 1)
+    vscale = np.maximum(1.0, np.maximum(_rowmax(pt), _rowmax(p)))[:, None]
+    vanish = (np.abs(pt @ zpow.T) <= gate * vscale) & \
+        (np.abs(p @ zpow[:, :l + 1].T) <= gate * vscale)
+    # (B_i * extra) divmod den, then b0 = A and h from b2's partial fractions
+    quo, rem = finst.kernel_pair_maps
+    b = B @ quo.T
+    rmax = np.abs(B @ rem.T).max(axis=2, initial=0.0)
+    cscale = np.maximum(1.0, np.abs(B).max(axis=(1, 2))) * max(1.0, extra.max_abs())
+    drift = _rowmax(b[:, 0] - np.array(A.coeffs))
+    hrec = b[:, 2, :n - 1] @ finst.partial_fractions.T
+    roundtrip = _rowmax(hrec - H) / hscale
+    b2_leading = np.abs(b[:, 2, n - 2] - lt * l) / max(1.0, lt * l)
+    err = []
+    for i in range(len(H)):
+        bad = np.nonzero(rmax[i] > gate * cscale[i])[0]
+        if vanish[i].any():
+            err.append(("admissible_error",
+                        f"both kernel polynomials vanish at z_{int(np.argmax(vanish[i]))}"))
+        elif len(bad):
+            err.append(("malformed_pair_error",
+                        f"kernel pair divisibility residual {rmax[i, bad[0]]:.3e}"))
+        elif drift[i] > gate * cscale[i]:
+            err.append(("malformed_pair_error", "Wronskian is not the prescribed zero divisor"))
+        else:
+            err.append(None)
+    return wronsk, roundtrip, b2_leading, err
 
 
 def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
                              tol: Tolerances = DEFAULT_TOL) -> SpectrumReport:
     """Verify every joint-spectrum point against the scheme equations.
 
-    Per-point failures are recorded as infinite residuals in the report
-    rather than aborting the run; the second kernel polynomial and the
-    kernel-pair operator are gated at tol.residual.
+    The checks run once per spectrum, stacked over its points
+    (_scheme_residuals).  Per-point failures are recorded as infinite
+    residuals in the report rather than aborting the run; the second kernel
+    polynomial and the kernel-pair operator are gated at tol.residual.
     """
     finst = inst.to_float() if inst.exact else inst
-    points = []
-    for h, mult, _Q in spectrum:
-        a, atilde, res = _point_residuals(finst, h, tol)
-        points.append(SchemePoint(
-            h=tuple(complex(v) for v in h), a=tuple(a),
-            atilde=tuple(atilde) if atilde is not None else None,
-            multiplicity=mult, residuals=res))
+    hs = [tuple(complex(v) for v in h) for h, _, _ in spectrum]
+    checked = _scheme_residuals(finst, np.array(hs, dtype=complex).reshape(len(hs), finst.n),
+                                tol) if hs else []
+    points = [SchemePoint(h=h, a=a, atilde=atilde, multiplicity=mult, residuals=res)
+              for h, (_, mult, _), (a, atilde, res) in zip(hs, spectrum, checked)]
     summary = {}
     for p in points:
         for k, v in p.residuals.items():

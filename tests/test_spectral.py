@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gaudinlab import (
     ClusterAmbiguityError,
@@ -16,11 +17,115 @@ from gaudinlab import (
     match_spectrum_to_scheme,
 )
 from gaudinlab import opscheme, spectral
-from gaudinlab.numcore import Tolerances, max_abs
-from gaudinlab.opscheme import DhOperator, _a_of_h_raw, q_coefficients
-from gaudinlab.spectral import _jacobian, _point_residuals
+from gaudinlab.numcore import InconsistentSystemError, Tolerances, max_abs, to_float_array
+from gaudinlab.opscheme import (
+    DhOperator,
+    MalformedPairError,
+    NotAdmissibleError,
+    OffPlaneError,
+    _a_of_h_raw,
+    constraint_plane,
+    exponents_at,
+    h_from_numerator,
+    operator_from_kernel_pair,
+    p_of_a,
+    ptilde_of,
+    ptilde_solve,
+    q_coefficients,
+    residual_system,
+    wronskian_check,
+)
+from gaudinlab.spectral import _jacobian
 
 from conftest import random_dominant_float_instance
+
+
+def sorted_schur_reference(mats, seed, tol=Tolerances()):
+    """joint_spectrum by one sorted Schur factorisation per cluster, with
+    the clusters read off np.linalg.eigvals: the earlier algorithm."""
+    mats = [to_float_array(M) for M in mats]
+    d = mats[0].shape[0]
+    c = np.random.default_rng(seed).integers(1, 998, size=len(mats))
+    T = sum(int(cs) * H for cs, H in zip(c, mats))
+    Tn = T / max(1.0, float(np.abs(T).max()))
+    eigs = np.linalg.eigvals(Tn)
+    label = list(range(d))
+    for i in range(d):
+        for j in range(d):
+            if abs(eigs[i] - eigs[j]) <= tol.cluster and label[j] != label[i]:
+                old = label[j]
+                label = [label[i] if v == old else v for v in label]
+    groups = {}
+    for i in range(d):
+        groups.setdefault(label[i], []).append(i)
+    clusters = sorted(groups.values(), key=lambda g: (np.mean(eigs[g]).real,
+                                                      np.mean(eigs[g]).imag))
+    centers = [complex(np.mean(eigs[g])) for g in clusters]
+    out = []
+    for idx, g in enumerate(clusters):
+        def selector(lam, _idx=idx):
+            return int(np.argmin([abs(lam - cc) for cc in centers])) == _idx
+        _, Z, sdim = scipy.linalg.schur(Tn, output="complex", sort=selector)
+        assert sdim == len(g)
+        Q = Z[:, :sdim]
+        out.append((tuple(complex(np.trace(Q.conj().T @ H @ Q)) / sdim for H in mats),
+                    sdim, Q))
+    return out
+
+
+def reference_residuals(finst, h, tol):
+    """(a, atilde, residuals) at one point from the public single-point
+    functions of opscheme, with the pipeline's gates and scales."""
+    l, n, lt = finst.l, finst.n, finst.ltilde
+    res = {}
+    qm1, q0, hscale = constraint_plane(finst, h)
+    res["q_minus1"] = abs(qm1) / hscale
+    res["q_0"] = abs(q0) / hscale
+    op = DhOperator(finst, h)
+    a = [complex(v) for v in _a_of_h_raw(op)]
+    ascale = max(hscale, max((abs(v) for v in a), default=0.0))
+    res["scheme"] = max((abs(v) for v in residual_system(finst, a)), default=0.0) / ascale
+    try:
+        exponents_at(op, None)
+    except OffPlaneError as err:
+        res["exponents"] = float("inf")
+        res["exponents_error"] = str(err)
+    else:
+        marked = max(max(abs(e[0]), abs(e[1] - (finst.m[s] + 1)))
+                     for s, e in enumerate(exponents_at(op, s) for s in range(n)))
+        res["exponents"] = max(marked, abs(op.matrix[n - 2, 0] - l * lt) / hscale)
+    atilde = None
+    if lt > l:
+        try:
+            atilde = [complex(v) for v in ptilde_solve(op, tol=tol)]
+        except (InconsistentSystemError, OffPlaneError) as err:
+            res["ptilde"] = float("inf")
+            res["ptilde_error"] = str(err)
+    if atilde is not None:
+        pscale = max(ascale, max((abs(v) for v in atilde), default=0.0))
+        res["ptilde"] = max_abs(op.image(ptilde_of(finst, atilde).coeffs)) / pscale
+        res["wronskian"] = wronskian_check(finst, atilde, a).max_abs() / pscale
+        try:
+            _, _, b2 = operator_from_kernel_pair(finst, ptilde_of(finst, atilde),
+                                                 p_of_a(a), tol=tol)
+            hrec = h_from_numerator(finst, b2)
+            res["kernel_pair_roundtrip"] = max(abs(x - y) for x, y in zip(hrec, h)) / hscale
+            b2lead = b2.leading() if not b2.is_zero() else 0.0
+            res["b2_leading"] = abs(b2lead - lt * l) / max(1.0, lt * l)
+        except NotAdmissibleError as err:
+            res["kernel_pair_roundtrip"] = float("inf")
+            res["admissible_error"] = str(err)
+        except MalformedPairError as err:
+            res["kernel_pair_roundtrip"] = float("inf")
+            res["malformed_pair_error"] = str(err)
+    return a, atilde, res
+
+
+def rel_diff(x, y):
+    """Largest difference relative to y's largest entry, at least 1 (an
+    exact a = 0 reads as rounding, not as a relative error of one)."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    return float(np.abs(x - y).max(initial=0.0)) / max(1.0, float(np.abs(y).max(initial=0.0)))
 
 
 class TestJointSpectrum:
@@ -73,6 +178,134 @@ class TestJointSpectrum:
                     resid = max_abs(H @ Q - Q @ (Q.conj().T @ H @ Q))
                     assert resid <= 1e-8 * max(1.0, max_abs(H))
 
+    def test_one_schur_factorisation_per_call(self, monkeypatch, E2):
+        real_schur = scipy.linalg.schur
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("sort"))
+            return real_schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        s = build_gaudin(ProblemInstance([1] * 4, 2, [0.0, 1.0, 2.0, 3.0]))
+        for mats in (s.H_sing, s.H_L, build_gaudin(E2).H_L):
+            before = len(calls)
+            assert len(joint_spectrum(list(mats), seed=0)) > 1
+            assert len(calls) == before + 1
+        assert calls == [None] * 3
+
+    @staticmethod
+    def commuting_families():
+        rng = np.random.default_rng(7)
+        for d, n in ((5, 2), (7, 3), (9, 4)):
+            V = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            # a repeated eigenvalue tuple makes a non-simple cluster
+            vals = rng.integers(-9, 10, size=(d, n)).astype(complex)
+            vals[1] = vals[0]
+            yield [V @ np.diag(vals[:, s]) @ np.linalg.inv(V) for s in range(n)]
+        H = build_gaudin(ProblemInstance([1] * 4, 2, [0.0, 1.0, 2.0, 3.0])).H_sing
+        # reflection-even combinations: three clusters of multiplicity two
+        yield [(H[0] + H[3]) @ (H[0] + H[3]), (H[1] + H[2]) @ (H[1] + H[2])]
+        yield list(H)
+        for m, l, z in (((1, 3, 0), 1, (2, -2, -4)), ((1, 2, 2), 3, (5, -1, -4))):
+            yield list(build_gaudin(ProblemInstance(m, l, z)).H_sing)
+
+    def test_equals_sorted_schur_reference(self):
+        multiplicities = []
+        for mats in self.commuting_families():
+            for seed in (0, 202):
+                got = joint_spectrum(mats, seed=seed)
+                ref = sorted_schur_reference(mats, seed=seed)
+                assert [m for _, m, _ in got] == [m for _, m, _ in ref]
+                for (h, m, Q), (hr, _, Qr) in zip(got, ref):
+                    assert h == hr
+                    assert np.array_equal(Q @ Q.conj().T, Qr @ Qr.conj().T)
+                multiplicities += [m for _, m, _ in got]
+        assert max(multiplicities) == 4 and 2 in multiplicities
+
+    @pytest.mark.parametrize("gap, ambiguous", [(9.9, True), (10.5, False)])
+    def test_ambiguity_threshold_is_ten_cluster_tolerances(self, gap, ambiguous):
+        # the largest entry is 1, so the gap is the normalised combination's
+        tol = Tolerances(cluster=1e-7)
+        A = np.diag([0.5, 0.5 + gap * 1e-7, 1.0]).astype(complex)
+        if ambiguous:
+            with pytest.raises(ClusterAmbiguityError):
+                joint_spectrum([A], seed=0, tol=tol)
+        else:
+            assert [m for _, m, _ in joint_spectrum([A], seed=0, tol=tol)] == [1, 1, 1]
+
+
+# float twins of the ladder rungs, and the two exact instances whose seed-202
+# spectrum draw merges their sing_m points
+LADDER = [((1,) * 4, 2, range(4)), ((1,) * 5, 2, range(5)),
+          ((2,) * 4, 3, (0, 1, 3, 7)), ((3,) * 4, 4, (0, 1, 3, 7))]
+MERGED_AT_SEED_202 = [((1, 3, 0), 1, (2, -2, -4)), ((1, 2, 2), 3, (5, -1, -4))]
+
+
+def stacked_cases():
+    for m, l, z in LADDER:
+        yield ProblemInstance(m, l, [float(v) for v in z]), 0
+    rng = np.random.default_rng(20240817)
+    for k in range(8):
+        yield random_dominant_float_instance(rng, max_level_dim=20, real=k % 2 == 0), k
+    for m, l, z in MERGED_AT_SEED_202:
+        yield ProblemInstance(m, l, z), 202
+    # l = 0 (p = 1), lt = 1 (ptilde = x), and a point without ptilde
+    for m, l in (([2, 1], 0), ([0, 0], 0), ([2, 0, 1], 1)):
+        yield ProblemInstance(m, l, [0.0, 1.0, 3.0][:len(m)]), 0
+
+
+STACKED_CASES = list(stacked_cases())
+
+
+class TestStackedPointChecks:
+    @pytest.mark.parametrize("case", range(len(STACKED_CASES)))
+    def test_equals_per_point_reference(self, case):
+        inst, seed = STACKED_CASES[case]
+        tol = Tolerances()
+        finst = inst.to_float() if inst.exact else inst
+        s = build_gaudin(inst)
+        for mats in (s.H_L, s.H_sing):
+            spec = joint_spectrum(list(mats), seed=seed) if mats[0].shape[0] else []
+            rep = match_spectrum_to_scheme(inst, spec, tol=tol)
+            assert len(rep.points) == len(spec)
+            for pt, (h, mult, _) in zip(rep.points, spec):
+                a, atilde, res = reference_residuals(finst, h, tol)
+                assert pt.multiplicity == mult
+                assert list(pt.residuals) == list(res)
+                assert rel_diff(pt.a, a) <= 1e-12
+                assert (pt.atilde is None) == (atilde is None)
+                if atilde is not None:
+                    assert rel_diff(pt.atilde, atilde) <= 1e-12
+                for k, v in res.items():
+                    if isinstance(v, str):
+                        continue
+                    if v == float("inf"):
+                        assert pt.residuals[k] == v
+                    else:
+                        assert abs(pt.residuals[k] - v) <= 1e-3 * tol.residual, (k, v)
+
+
+    @pytest.mark.parametrize("gate, key", [(1.0, "admissible_error"),
+                                           (2e-15, "malformed_pair_error")])
+    def test_kernel_pair_failures_equal_reference(self, gate, key):
+        # at (3^4),4: a gate of 1 finds both kernel polynomials vanishing at
+        # z_0 = 0 (|p(0)| is one of p's coefficients), and at 2e-15 every
+        # divisibility defect (2.8e-14 and up) fails while every
+        # second-kernel least squares (2.7e-16 and below) passes
+        tol = Tolerances(residual=gate)
+        m, l, z = LADDER[3]
+        inst = ProblemInstance(m, l, [float(v) for v in z])
+        spec = joint_spectrum(list(build_gaudin(inst).H_L), seed=0)
+        for pt, (h, _, _) in zip(match_spectrum_to_scheme(inst, spec, tol=tol).points, spec):
+            _, _, res = reference_residuals(inst, h, tol)
+            assert list(pt.residuals) == list(res)
+            assert pt.residuals["kernel_pair_roundtrip"] == float("inf")
+            # the divisibility message ends in the residual, which may round apart
+            assert pt.residuals[key].split()[:4] == res[key].split()[:4]
+            if key == "admissible_error":
+                assert pt.residuals[key] == res[key] == "both kernel polynomials vanish at z_0"
+
 
 class TestMatchSpectrum:
     def test_E1_fully_verified(self, E1):
@@ -100,44 +333,84 @@ class TestMatchSpectrum:
                     assert v < 1e-8, (k, v)
 
     def test_operator_blocks_built_once_and_apply_Dh_unused(self, monkeypatch):
-        # the per-point checks read D_h off the instance's blocks: no probing
-        # through apply_Dh, one block build per instance, one a(h) per point
+        # the point checks read D_h off the instance's blocks: no probing
+        # through apply_Dh, one block build per instance, no single-point
+        # a(h) in the pipeline and one stacked a(h) solve per spectrum
         from functools import cached_property
         inst = ProblemInstance([2] * 4, 3, [0.0, 1.0, 3.0, 7.0])
         s = build_gaudin(inst)
         spectra = [joint_spectrum(list(H), seed=0) for H in (s.H_L, s.H_sing)]
-        calls = {"apply_Dh": 0, "a_of_h": 0}
+        single = ("apply_Dh", "_a_of_h_raw", "residual_system", "ptilde_solve",
+                  "exponents_at", "wronskian_check", "operator_from_kernel_pair",
+                  "h_from_numerator")
+        calls = dict.fromkeys(single, 0)
+        solves = []
         builds = []
 
         def counting(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
         def counted_blocks(instance):
             builds.append(instance)
             return real_blocks(instance)
 
-        monkeypatch.setattr(opscheme, "apply_Dh", counting("apply_Dh", opscheme.apply_Dh))
-        monkeypatch.setattr(spectral, "_a_of_h_raw", counting("a_of_h", _a_of_h_raw))
+        def counted_solve(A, b):
+            solves.append(A.shape)
+            return real_solve(A, b)
+
+        for name in single:
+            monkeypatch.setattr(opscheme, name, counting(name, getattr(opscheme, name)))
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
         real_blocks = ProblemInstance.dh_blocks.func
         counted = cached_property(counted_blocks)
         counted.__set_name__(ProblemInstance, "dh_blocks")
         monkeypatch.setattr(ProblemInstance, "dh_blocks", counted)
         reports = [match_spectrum_to_scheme(inst, spec) for spec in spectra]
-        assert calls["apply_Dh"] == 0
+        assert calls == dict.fromkeys(single, 0)
         assert builds == [inst]
-        assert calls["a_of_h"] == sum(len(r.points) for r in reports) > 0
+        # per spectrum: a(h) (l x l) and the numerator of h(a), each stacked
+        # over every point
+        assert solves == [shape for r in reports for shape in
+                          ((len(r.points), inst.l, inst.l), (len(r.points), 2, 2))]
 
-    def test_off_plane_point_recorded(self, E2):
-        # a point far off the constraint plane records its failed checks
-        # instead of raising out of the spectrum
-        finst = E2.to_float()
-        _, _, res = _point_residuals(finst, (1.0, 0.5, -1.0), Tolerances())
-        assert res["exponents"] == res["ptilde"] == float("inf")
-        assert "q_{-1}" in res["exponents_error"]
-        assert "off the constraint plane" in res["ptilde_error"]
+    def test_off_plane_point_recorded(self):
+        # in a stack of points, one far off the constraint plane and one
+        # Sing M point with no second kernel polynomial record inf for
+        # themselves only, instead of raising out of the spectrum
+        inst = ProblemInstance([1] * 4, 2, [0.0, 1.0, 2.0, 3.0])
+        s = build_gaudin(inst)
+        spec_l = joint_spectrum(list(s.H_L), seed=0)
+        lone = [h for h, _, _ in joint_spectrum(list(s.H_sing), seed=0)
+                if min(max(abs(x - y) for x, y in zip(h, hl)) for hl, _, _ in spec_l) > 1e-6]
+        off = (spec_l[0][0][0] + 0.5,) + spec_l[0][0][1:]
+        stack = [spec_l[0], (off, 1, None), (lone[0], 1, None), spec_l[1]]
+        rep = match_spectrum_to_scheme(inst, stack)
+        good, p_off, p_lone, good2 = rep.points
+        assert p_off.residuals["exponents"] == p_off.residuals["ptilde"] == float("inf")
+        assert "q_{-1}" in p_off.residuals["exponents_error"]
+        assert "off the constraint plane" in p_off.residuals["ptilde_error"]
+        assert p_lone.residuals["ptilde"] == float("inf") and p_lone.atilde is None
+        assert "least-squares residual" in p_lone.residuals["ptilde_error"]
+        assert p_lone.residuals["exponents"] < 1e-8 and p_lone.residuals["scheme"] < 1e-8
+        alone = match_spectrum_to_scheme(inst, spec_l).points
+        for p, ref in ((good, alone[0]), (good2, alone[1])):
+            assert p == ref
+            assert max(p.residuals.values()) < 1e-8
+
+    def test_exponents_read_no_root(self):
+        # 2l > |m| + 1 and 2l = |m| + 1: the exponents at infinity are
+        # {-l, l - 1 - |m|} as a set, and a double root reads no square root
+        for m, l, z in (((0,) * 4, 2, (-2, 4, F(-2, 3), 3)), ((1, 0), 3, (0, 1)),
+                        ((1, 1, 0, 1), 2, (F(7, 2), F(-7, 3), -2, 1))):
+            inst = ProblemInstance(m, l, z)
+            s = build_gaudin(inst)
+            rep = match_spectrum_to_scheme(inst, joint_spectrum(list(s.H_sing), seed=0))
+            assert rep.points
+            assert max(p.residuals["exponents"] for p in rep.points) < 1e-12
 
     def test_total_multiplicity_equals_dim(self, rng):
         for _ in range(4):
