@@ -18,7 +18,7 @@ quotient (H_L).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,7 +43,6 @@ from .numcore import (
     kernel_basis,
     matmul,
     max_abs,
-    numerator_array,
     primitive,
     row_update,
     solve_consistent,
@@ -128,7 +127,8 @@ class GaudinFrame:
 
     Each Omega_{s,r} is built once, as an integer array, from the generator
     and degree matrices of the instance given (its z is not read), and so
-    are E12 and the Shapovalov quotient.  Omega restricts to Sing as
+    are E12 and the Shapovalov quotient, whose integer numerators
+    (shq.numerators) the frame reads.  Omega restricts to Sing as
     Omega_hat = (Omega S)[free]: S comes from rref_kernel, so it is the
     identity on its free rows and Omega S = S Omega_hat.  On the quotient it
     is Omega_tilde = P Omega_hat C (P = shq.sh, C = shq.lift).  Both are
@@ -162,12 +162,13 @@ class GaudinFrame:
                 self.omega[s, r] = self.omega[r, s] = _readonly(int_matmul(left, right))
         self.E12 = _readonly(sum(e12_lo[1:], e12_lo[0]))
         self._shq = sh_quotient(inst)
-
-        NS, self._DS = numerator_array(self._shq.sing)
+        nums = self._shq.numerators
+        for N, _ in nums.values():
+            _readonly(N)
+        (NS, self._DS), (NP, self._DP) = nums["sing"], nums["sh"]
+        NC, self._NG = nums["lift"][0], nums["gram"][0]
         # column j of S is the unit vector on its free row, its last nonzero entry
         free = [int(np.flatnonzero(NS[:, j])[-1]) for j in range(NS.shape[1])]
-        NP, self._DP = numerator_array(self._shq.sh)
-        NC = numerator_array(self._shq.lift)[0]
         self._NS, self._NP = NS, NP
         self.omega_sing, self.omega_L = {}, {}
         for s in range(n):
@@ -212,13 +213,13 @@ class GaudinFrame:
             omega = per_pair(lambda s, r: self.omega[s, r].astype(complex))
             eye = np.eye(self.E12.shape[1], dtype=complex)
             E12 = self.E12.astype(complex)
-            shq = ShQuotient(**{f.name: to_float_array(getattr(self._shq, f.name))
-                                for f in fields(self._shq)})
+            shq = replace(self._shq, **{name: to_float_array(getattr(self._shq, name))
+                                        for name in self._shq.numerators})
             for space, (W, D) in self._spaces().items():
                 I = eye if space == "big" else np.eye(W[0, 1].shape[0], dtype=complex)
                 Wf = omega if space == "big" else per_pair(lambda s, r: W[s, r].astype(float) / D)
                 terms[space] = (per_pair(lambda s, r: m[s] * m[r] * I - Wf[s, r]), 1)
-        for M in (eye, E12, *(getattr(shq, f.name) for f in fields(shq))):
+        for M in (eye, E12, *(getattr(shq, name) for name in shq.numerators)):
             _readonly(M)
         return FrameLane(eye=eye, omega=omega, shq=shq, E12=E12, terms=terms)
 
@@ -266,8 +267,8 @@ class GaudinFrame:
         inherit it.
         """
         n = len(self.m)
-        om, NS, DS, NP, DP = self.omega, self._NS, self._DS, self._NP, self._DP
-        NG = numerator_array(self._shq.gram)[0]
+        om, NS, DS, NP, DP, NG = (self.omega, self._NS, self._DS, self._NP, self._DP,
+                                  self._NG)
         pairs = [(s, r) for s in range(n) for r in range(s + 1, n)]
         yb = shap = restricted = 0
         for s, r in pairs:
@@ -524,48 +525,81 @@ class _ExactReducer:
         self.rows.append((piv, primitive(v)))
         return True
 
+    def add_level(self, vs) -> list:
+        return [self.add(v) for v in vs]
+
 
 class _FloatReducer:
-    """Incremental orthonormal span tracking with a relative gate."""
+    """Incremental orthonormal span tracking with a relative gate.
+
+    The orthonormal basis is the first k rows of one complex array, which
+    grows by doubling.  A candidate v0 joins the span when its residual v,
+    left by classical Gram-Schmidt applied twice (v -= (v Q^H) Q), has
+    |v| > tol |v0|; the span then gains v / |v|.
+    """
 
     def __init__(self, tol):
         self.tol = tol
-        self.Q = []
+        self.Q = None
+        self.k = 0
 
-    def add(self, v) -> bool:
-        v = np.asarray(v, dtype=complex)
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0:
-            return False
+    def _residual(self, V, lo):
+        """V (one vector or rows of vectors) less its components along
+        basis rows lo..k-1."""
+        Q = self.Q[lo:self.k]
+        Qh = Q.conj().T
         for _ in range(2):
-            for q in self.Q:
-                v = v - np.vdot(q, v) * q
-        norm = np.linalg.norm(v)
-        if norm <= self.tol * norm0:
-            return False
-        self.Q.append(v / norm)
-        return True
+            V = V - (V @ Qh) @ Q
+        return V
+
+    def add_level(self, vs) -> list:
+        """Add the candidates vs in order; True for each one that joins.
+
+        They are projected against the span as one block.  A candidate whose
+        residual is already within the gate is rejected there, since a larger
+        span can only shrink it; the others are projected, one by one, against
+        the rows added since.
+        """
+        V = np.array(vs, dtype=complex)
+        gate = self.tol * np.linalg.norm(V, axis=1)
+        k0 = self.k
+        if k0:
+            V = self._residual(V, 0)
+        keep = []
+        for v, norm, g in zip(V, np.linalg.norm(V, axis=1), gate):
+            if norm > g and self.k > k0:
+                v = self._residual(v, k0)
+                norm = np.linalg.norm(v)
+            keep.append(bool(norm > g))
+            if keep[-1]:
+                self._append(v / norm)
+        return keep
+
+    def _append(self, q):
+        if self.Q is None:
+            self.Q = np.empty((8, len(q)), dtype=complex)
+        elif self.k == len(self.Q):
+            self.Q = np.concatenate([self.Q, np.empty_like(self.Q)])
+        self.Q[self.k] = q
+        self.k += 1
 
 
 def span_closure(start, mats, act, tol: Tolerances = DEFAULT_TOL):
     """Basis of the smallest span holding start and closed under v -> act(v, H).
 
-    Breadth first over H in mats, keeping each image that the span does not
-    already contain; exact when start is, else gated at tol.svd_rel
-    relative.  start itself is dropped if zero.
+    Breadth first: each level's images act(v, H), for v among the previous
+    level's new vectors and H in mats, are reduced against the span in that
+    order, and each image the span does not already contain is kept; exact
+    when start is, else gated at tol.svd_rel relative.  start itself is
+    dropped if zero.
     """
     red = _ExactReducer() if is_exact_array(start) else _FloatReducer(tol.svd_rel)
-    basis = [start] if red.add(start.reshape(-1)) else []
-    frontier = list(basis)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for H in mats:
-                w = act(v, H)
-                if red.add(w.reshape(-1)):
-                    basis.append(w)
-                    nxt.append(w)
-        frontier = nxt
+    basis, level = [], [start]
+    while level:
+        level = [w for w, new in zip(level, red.add_level([w.reshape(-1) for w in level]))
+                 if new]
+        basis += level
+        level = [act(v, H) for v in level for H in mats]
     return basis
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -30,11 +30,12 @@ from .numcore import (
     as_exact,
     as_float,
     fraction_array,
+    int_kernel,
+    int_matmul,
+    int_rref,
     is_exact_scalar,
-    kernel_basis,
-    matmul,
-    rref,
-    rref_kernel,
+    lowest_terms,
+    numerator_array,
     scalar_one,
     zeros_like_domain,
 )
@@ -244,12 +245,18 @@ def weight_space_dim(n: int, k: int) -> int:
 
 
 def weight_space_basis(inst: ProblemInstance, k: int):
-    """Multi-indices of total degree k, graded-reverse-lexicographic order."""
-    if k < 0:
-        return []
-    n = inst.n
-    idx = [tuple(c) for c in _compositions(k, n)]
-    return sorted(idx, key=lambda j: j[::-1])
+    """Multi-indices of total degree k, graded-reverse-lexicographic order,
+    as a new list."""
+    return list(_weight_basis(inst.n, k)[0])
+
+
+@cache
+def _weight_basis(n: int, k: int):
+    """(basis, position of each multi-index) of the level-k weight space of
+    n factors, built once per (n, k) and shared: callers must not mutate
+    the position map."""
+    basis = tuple(sorted(_compositions(k, n), key=lambda j: j[::-1])) if k >= 0 else ()
+    return basis, {j: i for i, j in enumerate(basis)}
 
 
 def _compositions(k, n):
@@ -262,8 +269,7 @@ def _compositions(k, n):
 
 
 def _basis_index(inst, k):
-    basis = weight_space_basis(inst, k)
-    return basis, {j: i for i, j in enumerate(basis)}
+    return _weight_basis(inst.n, k)
 
 
 def generator_matrix(inst: ProblemInstance, a: int, b: int, s: int, k: int) -> np.ndarray:
@@ -344,7 +350,7 @@ class WeightVector:
 
     @staticmethod
     def from_array(v, inst: ProblemInstance, k: int) -> "WeightVector":
-        basis = weight_space_basis(inst, k)
+        basis = _basis_index(inst, k)[0]
         return WeightVector.from_dict({j: v[i] for i, j in enumerate(basis)}, k)
 
     def to_array(self, inst: ProblemInstance) -> np.ndarray:
@@ -360,15 +366,10 @@ class WeightVector:
 
 
 def singular_matrix(inst: ProblemInstance) -> np.ndarray:
-    """Columns spanning ker E12 inside the level-l space (exact)."""
-    l = inst.l
-    E12 = sum(generator_matrix(inst, 1, 2, s, l) for s in range(inst.n))
-    cols = kernel_basis(E12)
-    d = weight_space_dim(inst.n, l)
-    S = np.empty((d, len(cols)), dtype=object)
-    for j, v in enumerate(cols):
-        S[:, j] = v
-    return S
+    """Columns spanning ker E12 inside the level-l space (exact): the
+    rref_kernel basis, found by eliminating the integer E12."""
+    E12 = sum(generator_int_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n))
+    return fraction_array(*int_kernel(*int_rref(E12)))
 
 
 def singular_basis(inst: ProblemInstance):
@@ -385,15 +386,15 @@ def shapovalov_gram(inst: ProblemInstance, k: int) -> np.ndarray:
     normalization making e12 and e21 mutually adjoint with <v, v> = 1
     on the highest-weight vector.
     """
-    basis = weight_space_basis(inst, k)
+    basis = _basis_index(inst, k)[0]
     G = zeros_like_domain((len(basis), len(basis)), True)
     for i, j in enumerate(basis):
-        val = Fraction(1)
+        val = 1
         for s, js in enumerate(j):
             val *= math.factorial(js)
             for r in range(js):
                 val *= inst.m[s] - r
-        G[i, i] = val
+        G[i, i] = Fraction(val)
     return G
 
 
@@ -406,7 +407,9 @@ class ShQuotient:
     gram_sing is the Gram form on the singular basis.  sh is the projection
     in singular-basis coordinates (dim_L x dim_SingM); lift is a right
     inverse embedding the quotient back (sh @ lift = I); radical columns
-    span ker(sh).
+    span ker(sh).  numerators maps each of these fields' names to (N, D):
+    the exact field is N / D, N an integer array and D the lcm of the
+    field's denominators (numerator_array's form).
     """
 
     sing: np.ndarray
@@ -415,6 +418,7 @@ class ShQuotient:
     lift: np.ndarray
     radical: np.ndarray
     gram_sing: np.ndarray
+    numerators: dict
 
     @property
     def dim(self) -> int:
@@ -422,19 +426,22 @@ class ShQuotient:
 
 
 def sh_quotient(inst: ProblemInstance) -> ShQuotient:
+    """The exact ShQuotient of inst's (m, l), computed on integer numerators;
+    the Fraction fields are formed once, at the end."""
     S = singular_matrix(inst)
-    dS = S.shape[1]
     G = shapovalov_gram(inst, inst.l)
-    R = matmul(matmul(S.T, G), S)
+    NS, DS = numerator_array(S)
+    NG = numerator_array(G)[0]
+    # R = S^T G S = NR / DS^2
+    NR = int_matmul(int_matmul(NS.T, NG), NS)
     # R is symmetric, so the nonzero rows of rref(R) vanish on ker R and are
     # the identity on the pivot columns: they are the quotient map
-    Rr, pivots = rref(R)
-    ker = rref_kernel(Rr, pivots)
-    q = len(pivots)
-    lift = zeros_like_domain((dS, q), True)
-    for c, p in enumerate(pivots):
-        lift[p, c] = Fraction(1)
-    radical = np.empty((dS, len(ker)), dtype=object)
-    for c, v in enumerate(ker):
-        radical[:, c] = v
-    return ShQuotient(sing=S, gram=G, sh=Rr[:q], lift=lift, radical=radical, gram_sing=R)
+    NP, pivots, d = int_rref(NR)
+    NC = np.zeros((NS.shape[1], len(pivots)), dtype=np.int64)
+    NC[pivots, range(len(pivots))] = 1
+    nums = {"sing": (NS, DS), "gram": (NG, 1), "sh": lowest_terms(NP, d), "lift": (NC, 1),
+            "radical": lowest_terms(*int_kernel(NP, pivots, d)),
+            "gram_sing": lowest_terms(NR, DS * DS)}
+    arrays = {name: fraction_array(N, D) for name, (N, D) in nums.items()
+              if name not in ("sing", "gram")}
+    return ShQuotient(sing=S, gram=G, numerators=nums, **arrays)

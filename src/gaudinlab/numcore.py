@@ -19,6 +19,8 @@ fraction-free on rational rows (Bareiss 1968): rows are scaled to integers
 and each step divides exactly by the previous pivot, so no ``Fraction``
 arithmetic runs inside the loop; ``exact_det`` reads the determinant off
 the same elimination.  Complex rows take the plain Gauss-Jordan.
+``int_rref`` and ``int_kernel`` run that elimination on an integer array
+and stop before any ``Fraction`` is formed.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ __all__ = [
     "numerator_array",
     "int_bound",
     "int_matmul",
+    "int_rref",
+    "int_kernel",
+    "lowest_terms",
     "primitive",
     "row_update",
     "matmul",
@@ -417,22 +422,17 @@ def _is_rational_rows(M: list) -> bool:
     return all(isinstance(v, (Fraction, int)) for row in M for v in row)
 
 
-def _bareiss_inplace(M: list):
-    """Fraction-free Gauss-Jordan (Bareiss 1968) on rational rows in place.
+def _bareiss_rows(M: list):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on integer rows in place.
 
-    Each row is scaled to integers; the step at pivot p in column c maps
-    each other row v to (p v - v[c] pivot_row) / prev, an exact integer
-    division by the previous pivot, so entries stay minors of the scaled
-    matrix.  At the end each
-    pivot row is divided by its pivot and the other rows are zero, all as
-    Fractions.  Returns (pivots, det), det the determinant when M is square
-    (Fraction(0) when it is singular) and None otherwise.
+    The step at pivot p in column c maps each other row v to
+    (p v - v[c] pivot_row) / prev, an exact integer division by the previous
+    pivot, so entries stay minors of the matrix.  Each step also scales the
+    earlier pivot rows by p / prev, so every pivot row ends with the last
+    pivot d in its pivot column, the rows below them are zero, and the rref
+    is M / d.  Returns (pivots, sign of the row swaps, d).
     """
     ncols = len(M[0])
-    den = 1
-    for i, row in enumerate(M):
-        M[i], d = integer_numerators(row)
-        den *= d
     pivots = []
     sign, prev, r = 1, 1, 0
     for c in range(ncols):
@@ -452,6 +452,24 @@ def _bareiss_inplace(M: list):
         r += 1
         if r == len(M):
             break
+    return pivots, sign, prev
+
+
+def _bareiss_inplace(M: list):
+    """_bareiss_rows on rational rows in place, ending in Fractions.
+
+    Each row is scaled to integers first; at the end each pivot row is
+    divided by its pivot and the other rows are zero, all as Fractions.
+    Returns (pivots, det), det the determinant when M is square
+    (Fraction(0) when it is singular) and None otherwise.
+    """
+    ncols = len(M[0])
+    den = 1
+    for i, row in enumerate(M):
+        M[i], d = integer_numerators(row)
+        den *= d
+    pivots, sign, prev = _bareiss_rows(M)
+    r = len(pivots)
     for i in range(len(M)):
         M[i] = ([Fraction(x, M[i][pivots[i]]) for x in M[i]] if i < r
                 else [Fraction(0)] * ncols)
@@ -459,6 +477,41 @@ def _bareiss_inplace(M: list):
     if len(M) == ncols:
         det = Fraction(sign * prev, den) if r == ncols else Fraction(0)
     return pivots, det
+
+
+def int_rref(N: np.ndarray):
+    """rref of an integer array N, kept on integers: (R, pivots, d).
+
+    R (an int_array) holds the pivot rows of the fraction-free elimination
+    (_bareiss_rows), so rref(N) is R / d followed by zero rows; d is the
+    last pivot, and R is d on its pivot columns.
+    """
+    M = N.tolist()
+    pivots, _, d = _bareiss_rows(M) if M else ([], 1, 1)
+    return int_array(M[:len(pivots)]).reshape(len(pivots), N.shape[1]), pivots, d
+
+
+def int_kernel(R: np.ndarray, pivots: list, d: int):
+    """Right null space from int_rref's (R, pivots, d), as (K, d): column j
+    of K / d is rref_kernel's j-th vector, 1 at the j-th free column f and
+    -R[:, f] / d at the pivots."""
+    n = R.shape[1]
+    free = [j for j in range(n) if j not in pivots]
+    K = np.zeros((n, len(free)), dtype=object)
+    K[free, range(len(free))] = d
+    K[pivots] = -R[:, free].astype(object)
+    return int_array(K), d
+
+
+def lowest_terms(N: np.ndarray, D: int):
+    """(N', D') with N' / D' = N / D and D' the lcm of the denominators of
+    N / D's entries (numerator_array's form), for an integer array N."""
+    g = math.gcd(D, *N.reshape(-1).tolist())
+    if D < 0:
+        g = -g
+    if g == 1:
+        return N, D
+    return int_array([x // g for x in N.reshape(-1).tolist()]).reshape(N.shape), D // g
 
 
 def _rref_inplace(M: list) -> list:

@@ -56,6 +56,7 @@ __all__ = [
     "DhOperator",
     "SchemePoint",
     "p_of_a",
+    "root_on_marked_point",
     "ptilde_of",
     "apply_Dh",
     "dh_matrices",
@@ -106,6 +107,24 @@ def p_of_a(a) -> UniPoly:
     l = len(a)
     one = scalar_one(all(map(is_exact_scalar, a)))
     return UniPoly(tuple(reversed(a)) + (one,)) if l else UniPoly.const(one)
+
+
+def root_on_marked_point(inst: ProblemInstance, a, tol: Tolerances = DEFAULT_TOL):
+    """Why the weight formula breaks down at a, or None.
+
+    Names the first marked point z_s that is a root of p = p_of_a(a): p(z_s)
+    = 0 exactly when a and z are exact, else within tol.residual of the
+    size sum_k |p_k| |z_s|^k of the terms.
+    """
+    p = p_of_a(a)
+    exact = inst.exact and all(map(is_exact_scalar, a))
+    for s, zs in enumerate(inst.z):
+        v = p(zs)
+        if v == 0 or not exact and abs(v) <= tol.residual * sum(
+                abs(c) * abs(zs) ** k for k, c in enumerate(p.coeffs)):
+            shown = zs.real if isinstance(zs, complex) and not zs.imag else zs
+            return f"a Bethe root lies on the marked point z_{s} = {shown}"
+    return None
 
 
 def ptilde_of(inst: ProblemInstance, atilde) -> UniPoly:

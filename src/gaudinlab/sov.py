@@ -37,7 +37,7 @@ from .numcore import (
     to_float_array,
     zeros_like_domain,
 )
-from .opscheme import SchemePoint, p_of_a
+from .opscheme import SchemePoint, p_of_a, root_on_marked_point
 
 __all__ = [
     "DegenerateCoordinatesError",
@@ -199,7 +199,20 @@ def bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
     Eigen relations and the quotient image are gated at tol.residual.  A
     float point (from the eigen-decomposition) needs the float system,
     build_gaudin(inst.to_float(), sys.frame); an exact one raises DomainError.
+    A VerificationError names a Bethe root on a marked point when there is
+    one (root_on_marked_point).
     """
+    try:
+        return _bethe_vector(inst, sys, point, tol)
+    except VerificationError as err:
+        cause = root_on_marked_point(inst, point.a, tol)
+        if cause is None:
+            raise
+        raise VerificationError(err.residual, f"{err}; {cause}") from err
+
+
+def _bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
+                  tol: Tolerances) -> BetheVector:
     point_exact = all(is_exact_scalar(v) for v in point.a) and \
         all(is_exact_scalar(v) for v in point.h)
     if sys.inst.exact and not point_exact:

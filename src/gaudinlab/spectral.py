@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .gl2rep import ProblemInstance
 from .numcore import (
@@ -27,7 +26,14 @@ from .numcore import (
     solve_rows,
     to_float_array,
 )
-from .opscheme import PLANE_PRE_GATE, DhOperator, SchemePoint, dh_matrices, p_of_a
+from .opscheme import (
+    PLANE_PRE_GATE,
+    DhOperator,
+    SchemePoint,
+    dh_matrices,
+    p_of_a,
+    root_on_marked_point,
+)
 
 __all__ = [
     "ClusterAmbiguityError",
@@ -72,8 +78,13 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
     closer than tol.cluster share a cluster, and each cluster's basis is
     read off that one factorisation reordered by LAPACK's ztrsen.  Raises
     ClusterAmbiguityError when two clusters run closer than
-    10 * tol.cluster, in which case the caller should reseed.
+    10 * tol.cluster, in which case the caller should reseed.  Clusters are
+    listed by the real part of their centers on a grid of tol.cluster, then
+    by the imaginary part, so a conjugate pair whose real parts agree to
+    rounding keeps one order.
     """
+    import scipy.linalg  # about 0.3 s of start-up, so loaded on first use
+
     mats = [to_float_array(M) for M in mats]
     n = len(mats)
     d = mats[0].shape[0]
@@ -105,10 +116,10 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
     groups = {}
     for i in range(d):
         groups.setdefault(find(i), []).append(i)
-    clusters = sorted(groups.values(),
-                      key=lambda g: (np.mean([eigs[i] for i in g]).real,
-                                     np.mean([eigs[i] for i in g]).imag))
-    centers = [complex(np.mean([eigs[i] for i in g])) for g in clusters]
+    mean = {r: complex(np.mean([eigs[i] for i in g])) for r, g in groups.items()}
+    roots = sorted(groups, key=lambda r: (round(mean[r].real / tol.cluster), mean[r].imag))
+    clusters = [groups[r] for r in roots]
+    centers = [mean[r] for r in roots]
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             if abs(centers[i] - centers[j]) < 10 * tol.cluster:
@@ -371,7 +382,9 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAUL
     normalization is a convention of this routine; only properties invariant
     under a global rescaling of the weights should be relied on.  Every
     point must carry a = a(h), as match_spectrum_to_scheme builds it.  A
-    float Jacobian with sv_min <= tol.residual * sv_max is singular.
+    float Jacobian with sv_min <= tol.residual * sv_max is singular; the
+    error names a Bethe root on a marked point when there is one
+    (root_on_marked_point).
     """
     finst = inst.to_float() if inst.exact else inst
     weights = []
@@ -382,16 +395,21 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAUL
         if inst.exact and all(isinstance(v, Fraction) for v in p.h):
             J = exact_det(_jacobian(inst, p.h, p.a))
             if J == 0:
-                raise SingularJacobianError("exact Jacobian vanished")
+                raise _singular(inst, p, "exact Jacobian vanished", tol)
             weights.append(Fraction(1) / J)
             continue
         Jm = np.array(_jacobian(finst, [complex(v) for v in p.h], p.a), dtype=complex)
         sv = np.linalg.svd(Jm, compute_uv=False)
         if sv[0] == 0 or sv[-1] <= tol.residual * sv[0]:
-            raise SingularJacobianError(
-                f"Jacobian condition {sv[-1]:.3e}/{sv[0]:.3e} is numerically singular")
+            raise _singular(finst, p, f"Jacobian condition {sv[-1]:.3e}/{sv[0]:.3e} "
+                                      "is numerically singular", tol)
         weights.append(1 / complex(np.linalg.det(Jm)))
     return weights
+
+
+def _singular(inst: ProblemInstance, point, msg: str, tol: Tolerances):
+    cause = root_on_marked_point(inst, point.a, tol)
+    return SingularJacobianError(f"{msg}; {cause}" if cause else msg)
 
 
 def diagonalizability_check(mats, spectrum, tol: Tolerances = DEFAULT_TOL):

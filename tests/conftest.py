@@ -4,13 +4,26 @@ Everything is deterministic: samplers take a numpy Generator and the tests
 fix their seeds, so failures replay exactly.
 """
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaudinlab import ProblemInstance, NonSeparatingError, schubert_dimension
 from gaudinlab.gl2rep import weight_space_dim
+
+
+def load_perfbench(name):
+    """The benchmark module perfbench/<name>.py, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_rational_z(rng, n):

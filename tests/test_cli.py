@@ -232,6 +232,21 @@ class TestSpectrumCommand:
         spectrum = {"$ref": "#/definitions/spectrum", "definitions": schema["definitions"]}
         jsonschema.validate(json.loads(json.dumps(rep["spectrum_sing_m"])), spectrum)
 
+    @pytest.mark.parametrize("m, l, z, s, failed", [
+        ([1, 0, 1, 2], 2, ["-1", "1/2", "5", "8"], 2, ["grothendieck_jacobian"]),
+        ([0, 3, 0, 2], 1, ["2", "5", "-1", "0"], 0, ["bethe_vector", "grothendieck_jacobian"]),
+    ])
+    def test_root_on_marked_point_named(self, m, l, z, s, failed):
+        # p = (x - 5)^2 and p = x - 2: a Bethe root on a marked point, where
+        # the weight formula does not apply; the failures stay and say why
+        rep, fails = cmd_spectrum({"m": m, "l": l, "z": z, "seed": 0})
+        assert fails == failed
+        cause = f"a Bethe root lies on the marked point z_{s} = {float(z[s])}"
+        errors = [rep["grothendieck"]["error"]] + \
+            [b["error"] for b in rep["bethe_vectors"] if "error" in b]
+        assert len(errors) == len(failed)
+        assert all(e.endswith("; " + cause) for e in errors)
+
     def test_shipped_config_schema_in_sync(self):
         from pathlib import Path
         from gaudinlab.cli import CONFIG_SCHEMA
@@ -336,6 +351,8 @@ class TestFrameSharing:
         cmd_verify(FOUR_SPINS, 1)
         one_sample = dict(calls)
         assert all(one_sample[name] == 1 for name in self.ONCE), one_sample
+        # the frame and its quotient take the integer generator matrices
+        assert one_sample["generator_matrix"] == 0
         calls.update(dict.fromkeys(self.COUNTED, 0))
         cmd_verify(FOUR_SPINS, 4)
         assert calls == one_sample
@@ -344,6 +361,7 @@ class TestFrameSharing:
         rep, _ = cmd_spectrum(E1_CONFIG)
         assert rep["spectrum_sing_l"]["points"]  # so the float twin is built
         assert all(calls[name] == 1 for name in self.ONCE), calls
+        assert calls["generator_matrix"] == 0
 
     def test_no_frame_kept_between_commands(self, calls):
         cmd_verify(FOUR_SPINS, 4)
@@ -359,6 +377,12 @@ class TestMainEntry:
             path.write_text(json.dumps(config))
             argv += ["--config", str(path)]
         return subprocess.run(argv, capture_output=True, text=True)
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.linalg loads on the first joint spectrum, not at start-up
+        code = "import sys, gaudinlab.cli; assert 'scipy' not in sys.modules"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
     def test_schubert_cli(self):
         out = self.run_cli("schubert", "--m", "1,1,1,1", "--l", "2")

@@ -17,6 +17,8 @@ from gaudinlab.gaudin import (
     IDENTITIES,
     GaudinFrame,
     _ExactReducer,
+    _FloatReducer,
+    span_closure,
     assembly_residuals,
     _matrix_numerator_for,
     apply_universal_operator,
@@ -26,10 +28,11 @@ from gaudinlab.numcore import (
     Tolerances,
     identity,
     kernel_basis,
+    matmul,
     max_abs,
 )
 
-from conftest import random_exact_instance
+from conftest import random_exact_instance, random_float_z
 
 
 def exact_vec(vals):
@@ -466,22 +469,50 @@ class _FractionReducer:
         return True
 
 
-def reference_algebra(mats):
-    """The closure of bethe_algebra_basis with plain @ and Fraction reduction."""
-    eye = identity(mats[0].shape[0])
-    red = _FractionReducer()
-    basis = [eye] if red.add(eye.reshape(-1)) else []
+class _LoopReducer:
+    """Reference: the per-vector float reducer, modified Gram-Schmidt one
+    np.vdot at a time, applied twice, with the same relative gate."""
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.Q = []
+
+    def add(self, v) -> bool:
+        v = np.asarray(v, dtype=complex)
+        norm0 = np.linalg.norm(v)
+        if norm0 == 0:
+            return False
+        for _ in range(2):
+            for q in self.Q:
+                v = v - np.vdot(q, v) * q
+        norm = np.linalg.norm(v)
+        if norm <= self.tol * norm0:
+            return False
+        self.Q.append(v / norm)
+        return True
+
+
+def loop_closure(start, mats, act, red):
+    """span_closure's breadth-first closure, one candidate at a time through
+    red.add."""
+    basis = [start] if red.add(start.reshape(-1)) else []
     frontier = list(basis)
     while frontier:
         nxt = []
-        for M in frontier:
+        for v in frontier:
             for H in mats:
-                w = M @ H
+                w = act(v, H)
                 if red.add(w.reshape(-1)):
                     basis.append(w)
                     nxt.append(w)
         frontier = nxt
     return basis
+
+
+def reference_algebra(mats):
+    """The closure of bethe_algebra_basis with plain @ and Fraction reduction."""
+    return loop_closure(identity(mats[0].shape[0]), mats, lambda M, H: M @ H,
+                        _FractionReducer())
 
 
 def reference_vanishing(algebra, images):
@@ -570,3 +601,72 @@ class TestFractionFree:
     def test_annihilator_ideal_matches_reference(self, references):
         for _, alg, ker, ann in references:
             assert_same_matrices(annihilator_ideal(alg["sing_m"], ker), ann)
+
+
+# the exact-ladder rungs, (m, l)
+LADDER = (((1,) * 4, 2), ((1,) * 5, 2), ((2,) * 4, 3), ((3,) * 4, 4))
+
+
+class TestBlockReducer:
+    """The float span closure projects each breadth-first level as one block.
+    It accepts exactly the candidates the per-vector loop accepts, so the
+    basis (the products themselves) is the same, array for array."""
+
+    @staticmethod
+    def assert_same_closure(start, mats, act):
+        tol = Tolerances()
+        want = loop_closure(start, mats, act, _LoopReducer(tol.svd_rel))
+        got = span_closure(start, mats, act, tol)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+        return got
+
+    def test_ladder_families_at_seeded_z(self, rng):
+        for m, l in LADDER:
+            for real in (True, False):
+                s = build_gaudin(ProblemInstance(m, l, random_float_z(rng, len(m), real)))
+                for mats in (list(s.H_sing), list(s.H_L)):
+                    d = mats[0].shape[0]
+                    alg = self.assert_same_closure(np.eye(d, dtype=complex), mats, matmul)
+                    assert len(alg) == d
+                    # the cyclic span of one vector, as sov's eigenline search takes it
+                    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+                    self.assert_same_closure(v, mats, lambda u, H: H @ u)
+
+    def test_nearly_dependent_candidate(self, rng):
+        # H2 is H1^2 up to delta, so a level-2 candidate lies within about
+        # delta of the span; as delta crosses the gate the decisions change,
+        # and the two reducers still agree on every one
+        d = 6
+        P = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        lam, mu = rng.normal(size=d), rng.normal(size=d)
+        sizes = set()
+        for delta in (0.0, 1e-14, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6):
+            H1 = P @ np.diag(lam) @ P.conj().T
+            H2 = P @ np.diag(lam ** 2 + delta * mu) @ P.conj().T
+            alg = self.assert_same_closure(np.eye(d, dtype=complex), [H1, H2], matmul)
+            if delta == 0.0:
+                assert len(alg) == d
+            sizes.add(len(alg))
+        assert len(sizes) > 1
+
+    def test_levels_match_the_loop(self, rng):
+        # candidates near the span of earlier ones, on both sides of the
+        # gate, fed to the block reducer in levels of random size
+        base = rng.normal(size=(4, 12)) + 1j * rng.normal(size=(4, 12))
+        cands = [np.zeros(12, dtype=complex)]
+        for delta in (0.0, 1e-13, 1e-11, 1e-9, 1e-6, 1.0) * 4:
+            noise = rng.normal(size=12) + 1j * rng.normal(size=12)
+            cands.append(rng.normal(size=4) @ base + delta * noise)
+        order = rng.permutation(len(cands))
+        cands = [cands[i] for i in order]
+        cuts = sorted(rng.choice(np.arange(1, len(cands)), size=6, replace=False))
+        red, ref = _FloatReducer(1e-10), _LoopReducer(1e-10)
+        got = [keep for level in np.split(np.array(cands), cuts)
+               for keep in red.add_level(list(level))]
+        want = [ref.add(v) for v in cands]
+        assert got == want
+        assert any(want) and not all(want)
+        # the basis array grows by doubling, not to its largest possible size
+        assert red.k == sum(want) and len(red.Q) < 2 * red.k

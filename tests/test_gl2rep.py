@@ -14,9 +14,18 @@ from gaudinlab import (
     weight_space_dim,
 )
 from gaudinlab.gl2rep import WeightVector, degree_diagonal, singular_matrix
-from gaudinlab.numcore import max_abs, rank_of
+from gaudinlab.numcore import (
+    kernel_basis,
+    matmul,
+    max_abs,
+    numerator_array,
+    rank_of,
+    rref,
+    rref_kernel,
+    zeros_like_domain,
+)
 
-from conftest import random_exact_instance, random_rational_z
+from conftest import load_perfbench, random_exact_instance, random_rational_z
 
 
 def cg_multiplicity_bruteforce(m, l):
@@ -222,6 +231,47 @@ class TestShQuotient:
             assert sh_quotient(inst).dim == cg_multiplicity_bruteforce(inst.m, inst.l)
 
 
+def fraction_sh_quotient(inst):
+    """Reference: the ShQuotient fields by Fraction arithmetic, from the
+    Fraction generator matrices through kernel_basis, matmul and rref."""
+    E12 = sum(generator_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n))
+    cols = kernel_basis(E12)
+    S = np.empty((weight_space_dim(inst.n, inst.l), len(cols)), dtype=object)
+    for j, v in enumerate(cols):
+        S[:, j] = v
+    G = shapovalov_gram(inst, inst.l)
+    R = matmul(matmul(S.T, G), S)
+    Rr, pivots = rref(R)
+    ker = rref_kernel(Rr, pivots)
+    lift = zeros_like_domain((S.shape[1], len(pivots)), True)
+    for c, p in enumerate(pivots):
+        lift[p, c] = F(1)
+    radical = np.empty((S.shape[1], len(ker)), dtype=object)
+    for c, v in enumerate(ker):
+        radical[:, c] = v
+    return {"sing": S, "gram": G, "sh": Rr[:len(pivots)], "lift": lift,
+            "radical": radical, "gram_sing": R}
+
+
+class TestIntegerShQuotient:
+    def test_matches_fraction_reference_on_sweep_universe(self):
+        # every 7th instance of the benchmark's exact-sweep universe; the
+        # quotient does not read z
+        universe = load_perfbench("workloads").sweep_universe()
+        for m, l in universe[::7]:
+            inst = ProblemInstance(m, l, list(range(len(m))))
+            q, want = sh_quotient(inst), fraction_sh_quotient(inst)
+            assert set(q.numerators) == set(want)
+            for name, ref in want.items():
+                got = getattr(q, name)
+                assert got.shape == ref.shape, (m, l, name)
+                for x, y in zip(got.flat, ref.flat):
+                    assert x == y and type(x) is F, (m, l, name)
+                N, D = q.numerators[name]
+                N_ref, D_ref = numerator_array(ref)
+                assert D == D_ref and np.array_equal(N, N_ref), (m, l, name)
+
+
 class TestWeightVector:
     def test_roundtrip(self, E2):
         basis = weight_space_basis(E2, 1)
@@ -232,3 +282,19 @@ class TestWeightVector:
     def test_level_mismatch(self):
         with pytest.raises(ValueError):
             WeightVector.from_dict({(1, 0): F(1), (2, 0): F(1)}, 1)
+
+
+class TestWeightSpaceBasis:
+    def test_list_is_the_callers_own(self, E2):
+        first = weight_space_basis(E2, 2)
+        assert isinstance(first, list)
+        want = list(first)
+        first.append((9, 9, 9))
+        first.reverse()
+        assert weight_space_basis(E2, 2) == want
+        # the shared basis behind the coordinates is untouched too
+        v = np.arange(len(want))
+        assert WeightVector.from_array(v, E2, 2).to_array(E2).tolist() == v.tolist()
+
+    def test_negative_level_is_empty(self, E2):
+        assert weight_space_basis(E2, -1) == []

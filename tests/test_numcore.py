@@ -14,12 +14,17 @@ from gaudinlab.numcore import (
     exact_sqrt,
     identity,
     int_array,
+    int_kernel,
     int_matmul,
+    int_rref,
     kernel_basis,
+    lowest_terms,
     matmul,
     max_abs,
+    numerator_array,
     rank_of,
     rref,
+    rref_kernel,
     solve_consistent,
     solve_linear,
     solve_rows,
@@ -446,3 +451,40 @@ class TestIntMatmul:
         assert int_array([1, -2]).dtype == np.int64
         assert int_array([2**63, 1]).dtype == object
         assert int_array(np.array([3, 2**64], dtype=object)).tolist() == [3, 2**64]
+
+
+class TestIntegerElimination:
+    """int_rref and int_kernel against the Fraction rref and rref_kernel."""
+
+    @pytest.mark.parametrize("shape, rank, big", [
+        ((6, 9), 4, False), ((9, 6), 6, False), ((7, 7), 3, False), ((5, 8), 5, True),
+        ((0, 4), 0, False), ((4, 0), 0, False), ((3, 3), 0, False)])
+    def test_matches_fraction_elimination(self, rng, shape, rank, big):
+        m, n = shape
+        N = (rng.integers(-6, 7, size=(m, rank)) @ rng.integers(-6, 7, size=(rank, n))
+             if rank else np.zeros(shape, dtype=np.int64))
+        if big:
+            N = N.astype(object) * 2**70 + 1
+        R, pivots, d = int_rref(N)
+        A = exact_array(N.tolist()) if m else np.empty(shape, dtype=object)
+        want, want_pivots = rref(A)
+        assert pivots == want_pivots
+        assert R.shape == (len(pivots), n)
+        assert all(R[i, c] == d for i, c in enumerate(pivots))
+        for got_row, want_row in zip(R.tolist(), want.tolist()):
+            assert [F(x, d) for x in got_row] == want_row
+        K, dk = int_kernel(R, pivots, d)
+        ker = rref_kernel(want, want_pivots)
+        assert K.shape == (n, len(ker)) and dk == d
+        for j, v in enumerate(ker):
+            assert [F(x, dk) for x in K[:, j].tolist()] == v.tolist()
+
+    def test_lowest_terms_is_numerator_array(self, rng):
+        for D in (6, -6, 35, -1):
+            N = rng.integers(-5, 6, size=(4, 3)) * 3
+            A = exact_array([[F(x, D) for x in row] for row in N.tolist()])
+            got, g = lowest_terms(N, D)
+            want, w = numerator_array(A)
+            assert g == w and np.array_equal(got, want)
+        got, g = lowest_terms(np.zeros((2, 2), dtype=np.int64), 12)
+        assert g == 1 and not got.any()

@@ -20,8 +20,20 @@ from gaudinlab import (
     schubert_dimension,
     wronskian_check,
 )
-from gaudinlab.numcore import InconsistentSystemError, UniPoly, solve_consistent, solve_rows
-from gaudinlab.opscheme import h_from_numerator, p_of_a, ptilde_of, q_values
+from gaudinlab.numcore import (
+    InconsistentSystemError,
+    Tolerances,
+    UniPoly,
+    solve_consistent,
+    solve_rows,
+)
+from gaudinlab.opscheme import (
+    h_from_numerator,
+    p_of_a,
+    ptilde_of,
+    q_values,
+    root_on_marked_point,
+)
 
 from conftest import random_exact_instance
 from test_gl2rep import cg_multiplicity_bruteforce
@@ -384,3 +396,22 @@ class TestSchubert:
             m = tuple(int(rng.integers(0, 5)) for _ in range(n))
             l = int(rng.integers(0, 7))
             assert schubert_dimension(m, l) == cg_multiplicity_bruteforce(m, l)
+
+
+class TestRootOnMarkedPoint:
+    INST = ProblemInstance([1, 0, 1, 2], 2, [F(-1), F(1, 2), F(5), F(8)])
+
+    def test_exact(self):
+        # p = (x - 5)^2 vanishes at z_2; p = (x - 5)(x - 6) too; x^2 + 1 nowhere
+        assert root_on_marked_point(self.INST, (F(-10), F(25))) == \
+            "a Bethe root lies on the marked point z_2 = 5"
+        assert "z_2" in root_on_marked_point(self.INST, (F(-11), F(30)))
+        assert root_on_marked_point(self.INST, (F(0), F(1))) is None
+
+    def test_float_within_the_residual_gate(self):
+        finst = self.INST.to_float()
+        assert root_on_marked_point(finst, (-10.0, 25.0 + 1e-12)) == \
+            "a Bethe root lies on the marked point z_2 = 5.0"
+        assert root_on_marked_point(finst, (-10.0, 25.0 + 1e-3)) is None
+        assert root_on_marked_point(finst, (-10.0, 25.0 + 1e-3),
+                                    Tolerances(residual=1e-4)) is not None

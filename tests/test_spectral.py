@@ -178,6 +178,17 @@ class TestJointSpectrum:
                     resid = max_abs(H @ Q - Q @ (Q.conj().T @ H @ Q))
                     assert resid <= 1e-8 * max(1.0, max_abs(H))
 
+    def test_conjugate_pair_order_ignores_last_bits(self):
+        # a conjugate pair whose real parts differ by one ulp either way is
+        # listed in one order: by the imaginary part
+        x = 0.5
+        orders = []
+        for lo, hi in ((np.nextafter(x, 0), np.nextafter(x, 1)),
+                       (np.nextafter(x, 1), np.nextafter(x, 0))):
+            H = np.diag([2.0, complex(lo, 1.0), complex(hi, -1.0), -1.0])
+            orders.append([round(h[0].imag) for h, _, _ in joint_spectrum([H], seed=0)])
+        assert orders[0] == orders[1] == [0, -1, 1, 0]
+
     def test_one_schur_factorisation_per_call(self, monkeypatch, E2):
         real_schur = scipy.linalg.schur
         calls = []

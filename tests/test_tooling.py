@@ -2,7 +2,6 @@
 and the demos."""
 
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -11,21 +10,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_perfbench
+
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module     # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_traced_names_resolve():
     # the traced benchmark run looks each function up by name in its layer
-    tracing = _load_perfbench("tracing")
+    tracing = load_perfbench("tracing")
     for layer, names in tracing.TRACED.items():
         module = importlib.import_module(f"gaudinlab.{layer}")
         for name in names:
@@ -35,7 +27,7 @@ def test_traced_names_resolve():
 def test_traced_verify_runs_clean():
     # the benchmark's traced run, on one small verify command
     from gaudinlab import cli
-    tracing = _load_perfbench("tracing")
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -59,8 +51,8 @@ def test_small_exact_ladder_matches_reference():
     # the certified content of every rung of the benchmark's exact ladder
     # (dimensions, exact check values, multiplicities) against its reference
     from gaudinlab import cli
-    outputs = _load_perfbench("outputs")
-    workloads = _load_perfbench("workloads")
+    outputs = load_perfbench("outputs")
+    workloads = load_perfbench("workloads")
     reference = outputs.load_reference()
     calls = workloads.exact_ladder(0)
     assert len(calls) == 4
@@ -76,8 +68,8 @@ def test_float_verify_matches_reference():
     # failures they list today; the (3^4),4 Jacobian failure is the float
     # gate's false alarm at size (ROADMAP item 3)
     from gaudinlab import cli
-    outputs = _load_perfbench("outputs")
-    workloads = _load_perfbench("workloads")
+    outputs = load_perfbench("outputs")
+    workloads = load_perfbench("workloads")
     reference = outputs.load_reference()
     calls = workloads.float_verify(0)
     assert [call.samples for call in calls] == [8, 4]
