@@ -54,7 +54,7 @@ tol = Tolerances()
 spec = joint_spectrum(list(sysd.H_L), seed=1, tol=tol)
 rep = match_spectrum_to_scheme(inst, spec, tol=tol)
 finst = inst.to_float()
-fsys = build_gaudin(finst, sysd.frame, tol)
+fsys = build_gaudin(finst, sysd.frame)
 print(f"\n{len(rep.points)} spectrum points on the quotient:")
 vecs = []
 for p in rep.points:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -45,7 +44,6 @@ from .numcore import (
     max_abs,
     primitive,
     row_update,
-    solve_consistent,
     solve_linear,
     to_float_array,
     zeros_like_domain,
@@ -57,9 +55,7 @@ __all__ = [
     "GaudinFrame",
     "GaudinSystem",
     "IDENTITIES",
-    "DERIVED",
     "build_gaudin",
-    "assembly_residuals",
     "polynomial_valued_kernel",
     "apply_universal_operator",
     "bethe_algebra_basis",
@@ -68,18 +64,13 @@ __all__ = [
     "annihilator_ideal",
 ]
 
-# The spaces the Hamiltonians act on (level l, Sing, the Shapovalov
-# quotient), with the GaudinSystem field holding each.
+# The spaces the Hamiltonians act on: level l, Sing, the Shapovalov quotient.
 SPACES = ("big", "sing", "L")
-FAMILIES = ("H_big", "H_sing", "H_L")
 
-# The z-independent identities run_pipeline reports, and those the frame
-# certificate carries to each family (the sum rules hold on Sing and its
-# quotient, not on the whole level-l space).
+# The z-independent identities run_pipeline reports, gated on the frame
+# certificate.
 IDENTITIES = ("commutators", "hamiltonian_sum", "z_weighted_identity",
               "g0_identity", "shapovalov_symmetry")
-DERIVED = {"H_big": ("commutators", "hamiltonian_sum", "shapovalov_symmetry"),
-           "H_sing": IDENTITIES, "H_L": IDENTITIES}
 
 
 def _readonly(A: np.ndarray) -> np.ndarray:
@@ -107,32 +98,28 @@ def _scalar(c: int, A: np.ndarray) -> np.ndarray:
 class FrameLane:
     """A frame's matrices in one scalar domain (exact or float).
 
-    omega maps each ordered pair (s, r), s != r, to Omega_{s,r} = Omega_{r,s}
-    on the level-l space, and eye is the identity there; shq and E12 are
-    what GaudinSystem carries.  terms maps each of SPACES to (T, D): T[s, r]
-    is D (m_s m_r I - Omega_{s,r}) on that space, with Omega restricted to
-    Sing or the quotient.  Exact T are integer arrays, float T complex with
-    D = 1.
+    shq and E12 are what GaudinSystem carries.  terms maps each of SPACES to
+    (T, D): T[s, r] is D (m_s m_r I - Omega_{s,r}) on that space, with Omega
+    restricted to Sing or the quotient.  Exact T are integer arrays, float T
+    complex with D = 1.
     """
 
-    eye: np.ndarray
-    omega: dict
     shq: ShQuotient
     E12: np.ndarray
     terms: dict
 
 
 class GaudinFrame:
-    """The part of build_gaudin that does not depend on z, for one (m, l).
+    """The part of the Hamiltonians that does not depend on z, for one (m, l).
 
     Each Omega_{s,r} is built once, as an integer array, from the generator
     and degree matrices of the instance given (its z is not read), and so
     are E12 and the Shapovalov quotient, whose integer numerators
     (shq.numerators) the frame reads.  Omega restricts to Sing as
-    Omega_hat = (Omega S)[free]: S comes from rref_kernel, so it is the
-    identity on its free rows and Omega S = S Omega_hat.  On the quotient it
-    is Omega_tilde = P Omega_hat C (P = shq.sh, C = shq.lift).  Both are
-    kept as integer numerators over one denominator per space.
+    Omega_hat = (Omega S)[shq.free]: S is the identity on its free rows, so
+    Omega S = S Omega_hat.  On the quotient it is Omega_tilde = P Omega_hat C
+    (P = shq.sh, C = shq.lift).  Both are kept as integer numerators over one
+    denominator per space.
 
     lane(exact) gives these in one scalar domain the first time an instance
     of that domain asks, and keeps them; certificate holds the integer
@@ -167,8 +154,7 @@ class GaudinFrame:
             _readonly(N)
         (NS, self._DS), (NP, self._DP) = nums["sing"], nums["sh"]
         NC, self._NG = nums["lift"][0], nums["gram"][0]
-        # column j of S is the unit vector on its free row, its last nonzero entry
-        free = [int(np.flatnonzero(NS[:, j])[-1]) for j in range(NS.shape[1])]
+        free = self._shq.free
         self._NS, self._NP = NS, NP
         self.omega_sing, self.omega_L = {}, {}
         for s in range(n):
@@ -192,36 +178,28 @@ class GaudinFrame:
 
     def _build_lane(self, exact: bool) -> FrameLane:
         m, n = self.m, len(self.m)
-        pairs = [(s, r) for s in range(n) for r in range(s + 1, n)]
-
-        def per_pair(make):
-            # one array per unordered pair, shared by (s, r) and (r, s)
-            out = {}
-            for s, r in pairs:
-                out[s, r] = out[r, s] = _readonly(make(s, r))
-            return out
-
         terms = {}
+        for space, (W, D) in self._spaces().items():
+            T = {}
+            for s in range(n):
+                for r in range(s + 1, n):
+                    # one array per unordered pair, shared by (s, r) and (r, s)
+                    if exact:
+                        t = _term(m[s] * m[r] * D, W[s, r])
+                    else:
+                        k = W[s, r].shape[0]
+                        t = m[s] * m[r] * np.eye(k, dtype=complex) - W[s, r].astype(float) / D
+                    T[s, r] = T[r, s] = _readonly(t)
+            terms[space] = (T, D if exact else 1)
         if exact:
-            omega = per_pair(lambda s, r: self.omega[s, r].astype(object))
-            eye = np.eye(self.E12.shape[1], dtype=object)
-            E12 = fraction_array(self.E12, 1)
-            shq = self._shq
-            for space, (W, D) in self._spaces().items():
-                terms[space] = (per_pair(lambda s, r: _term(m[s] * m[r] * D, W[s, r])), D)
+            E12, shq = fraction_array(self.E12, 1), self._shq
         else:
-            omega = per_pair(lambda s, r: self.omega[s, r].astype(complex))
-            eye = np.eye(self.E12.shape[1], dtype=complex)
             E12 = self.E12.astype(complex)
             shq = replace(self._shq, **{name: to_float_array(getattr(self._shq, name))
                                         for name in self._shq.numerators})
-            for space, (W, D) in self._spaces().items():
-                I = eye if space == "big" else np.eye(W[0, 1].shape[0], dtype=complex)
-                Wf = omega if space == "big" else per_pair(lambda s, r: W[s, r].astype(float) / D)
-                terms[space] = (per_pair(lambda s, r: m[s] * m[r] * I - Wf[s, r]), 1)
-        for M in (eye, E12, *(getattr(shq, name) for name in shq.numerators)):
+        for M in (E12, *(getattr(shq, name) for name in shq.numerators)):
             _readonly(M)
-        return FrameLane(eye=eye, omega=omega, shq=shq, E12=E12, terms=terms)
+        return FrameLane(shq=shq, E12=E12, terms=terms)
 
     def combination(self, inst: ProblemInstance, space: str) -> list:
         """The frame's H_s at inst's z on one of SPACES, for each s:
@@ -300,19 +278,41 @@ class GaudinFrame:
 
 @dataclass(frozen=True)
 class GaudinSystem:
-    """Hamiltonians of one instance on the three nested spaces.
+    """The frame's Hamiltonians at inst's z, on the three nested spaces.
 
-    shq (singular basis, Gram matrices and quotient) and E12 are the
-    frame's read-only arrays.
+    H_big, H_sing and H_L are frame.combination(inst, space), formed the
+    first time each is read and then kept: Fraction arrays on an exact
+    instance, complex arrays otherwise.  shq (singular basis, Gram matrices
+    and quotient) and E12 are the frame lane's read-only arrays.
     """
 
     inst: ProblemInstance
-    H_big: tuple
-    H_sing: tuple
-    H_L: tuple
-    shq: ShQuotient
-    E12: np.ndarray           # raising operator, level l -> level l-1
     frame: GaudinFrame
+
+    def _family(self, space: str) -> tuple:
+        H = self.frame.combination(self.inst, space)
+        return tuple(fraction_array(N, D) for N, D in H) if self.inst.exact else tuple(H)
+
+    @cached_property
+    def H_big(self) -> tuple:
+        return self._family("big")
+
+    @cached_property
+    def H_sing(self) -> tuple:
+        return self._family("sing")
+
+    @cached_property
+    def H_L(self) -> tuple:
+        return self._family("L")
+
+    @property
+    def shq(self) -> ShQuotient:
+        return self.frame.lane(self.inst.exact).shq
+
+    @property
+    def E12(self) -> np.ndarray:
+        """The raising operator, level l -> level l-1."""
+        return self.frame.lane(self.inst.exact).E12
 
     @property
     def dim_sing_m(self) -> int:
@@ -323,14 +323,9 @@ class GaudinSystem:
         return self.shq.dim
 
 
-def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None,
-                 tol: Tolerances = DEFAULT_TOL) -> GaudinSystem:
-    """Hamiltonians at inst's z, assembled from frame (built here if None).
+def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None) -> GaudinSystem:
+    """The system of inst on frame (built here if None).
 
-    The exact H_big, H_sing and H_L are the frame's combinations of Omega,
-    Omega_hat and Omega_tilde.  The float H_big is summed term by term and
-    restricted to Sing by least squares, gated at tol.residual; past the
-    gate it raises InconsistentSystemError naming sing_restriction.
     ValueError if the frame was built for another (m, l).
     """
     if frame is None:
@@ -338,57 +333,7 @@ def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None,
     elif (frame.m, frame.l) != (inst.m, inst.l):
         raise ValueError(f"frame is for (m, l) = ({frame.m}, {frame.l}), "
                          f"instance has ({inst.m}, {inst.l})")
-    lane = frame.lane(inst.exact)
-    if inst.exact:
-        H_big, H_sing, H_L = ([fraction_array(N, D) for N, D in frame.combination(inst, space)]
-                              for space in SPACES)
-    else:
-        H_big = frame.combination(inst, "big")
-        S, P, C = lane.shq.sing, lane.shq.sh, lane.shq.lift
-        try:
-            H_sing = [solve_consistent(S, Hb @ S, tol.residual) if S.shape[1] else
-                      np.zeros((0, 0), dtype=complex) for Hb in H_big]
-        except InconsistentSystemError as err:
-            raise InconsistentSystemError(f"sing_restriction: {err}") from err
-        H_L = [P @ Hs @ C for Hs in H_sing]
-    return GaudinSystem(inst=inst, H_big=tuple(H_big), H_sing=tuple(H_sing),
-                        H_L=tuple(H_L), shq=lane.shq, E12=lane.E12, frame=frame)
-
-
-def _gap(H: np.ndarray, want) -> float:
-    """max |H - want| entry for entry; an exact want is (N, D) = N / D."""
-    if not isinstance(want, tuple):
-        return max_abs(H - want) if H.shape == want.shape else math.inf
-    N, D = want
-    if H.shape != N.shape:
-        return math.inf
-    worst = 0
-    for x, y in zip(H.reshape(-1).tolist(), N.reshape(-1).tolist()):
-        if x.numerator * D != y * x.denominator:
-            worst = max(worst, abs(x - Fraction(y, D)))
-    return float(worst)
-
-
-def _size(want) -> float:
-    if isinstance(want, tuple):
-        N, D = want
-        return float(Fraction(int_bound(N), D))
-    return max_abs(want)
-
-
-def assembly_residuals(sysd: GaudinSystem) -> dict:
-    """Per family of FAMILIES: max over s of |H_s - the frame's combination|
-    at sysd's z, relative to max(1, max |combination|), entry for entry.
-
-    Exact entries compare exactly, so any mismatch is nonzero; this ties the
-    frame certificate to the matrices a system actually holds.
-    """
-    out = {}
-    for family, space in zip(FAMILIES, SPACES):
-        want = sysd.frame.combination(sysd.inst, space)
-        gap = max((_gap(H, W) for H, W in zip(getattr(sysd, family), want)), default=0.0)
-        out[family] = gap and gap / max(1.0, max(_size(W) for W in want))
-    return out
+    return GaudinSystem(inst, frame)
 
 
 def _space_mats(sys: GaudinSystem, space: str):

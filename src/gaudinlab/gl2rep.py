@@ -407,9 +407,11 @@ class ShQuotient:
     gram_sing is the Gram form on the singular basis.  sh is the projection
     in singular-basis coordinates (dim_L x dim_SingM); lift is a right
     inverse embedding the quotient back (sh @ lift = I); radical columns
-    span ker(sh).  numerators maps each of these fields' names to (N, D):
-    the exact field is N / D, N an integer array and D the lcm of the
-    field's denominators (numerator_array's form).
+    span ker(sh).  free[j] is the row on which column j of sing is the unit
+    vector, so the singular-basis coordinates of v in Sing are v[free].
+    numerators maps each array field's name to (N, D): the exact field is
+    N / D, N an integer array and D the lcm of the field's denominators
+    (numerator_array's form).
     """
 
     sing: np.ndarray
@@ -418,6 +420,7 @@ class ShQuotient:
     lift: np.ndarray
     radical: np.ndarray
     gram_sing: np.ndarray
+    free: np.ndarray
     numerators: dict
 
     @property
@@ -444,4 +447,7 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
             "gram_sing": lowest_terms(NR, DS * DS)}
     arrays = {name: fraction_array(N, D) for name, (N, D) in nums.items()
               if name not in ("sing", "gram")}
-    return ShQuotient(sing=S, gram=G, numerators=nums, **arrays)
+    # S is rref_kernel's basis: column j is 1 on its free row, its last nonzero entry
+    free = np.array([np.flatnonzero(NS[:, j])[-1] for j in range(NS.shape[1])], dtype=int)
+    free.flags.writeable = False
+    return ShQuotient(sing=S, gram=G, free=free, numerators=nums, **arrays)

@@ -33,7 +33,6 @@ from .numcore import (
     kernel_basis,
     max_abs,
     scalar_one,
-    solve_consistent,
     to_float_array,
     zeros_like_domain,
 )
@@ -219,8 +218,7 @@ def _bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
         raise DomainError("float point on an exact system; pass the float system")
     omega = weight_function(inst, point.a)
     arr = omega.to_array(inst)
-    S, P = sys.shq.sing, sys.shq.sh
-    if is_exact_array(arr) and not is_exact_array(S):
+    if is_exact_array(arr) and not sys.inst.exact:
         arr = to_float_array(arr)
     nrm = max_abs(arr)
     if nrm == 0:
@@ -233,7 +231,9 @@ def _bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
     worst = max(max(resids, default=0.0), e12r)
     if worst > tol.residual:
         raise VerificationError(worst)
-    coords = solve_consistent(S, arr, tol=tol.residual)
+    # arr is in Sing (the E12 gate), and S is the identity on its free rows
+    coords = arr[sys.shq.free]
+    P = sys.shq.sh
     omega_L = P @ coords if sys.dim_sing_l else coords[:0]
     via_subspace = False
     if sys.dim_sing_l and max_abs(omega_L) <= tol.residual * max(1.0, max_abs(coords)):

@@ -78,7 +78,9 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
     closer than tol.cluster share a cluster, and each cluster's basis is
     read off that one factorisation reordered by LAPACK's ztrsen.  Raises
     ClusterAmbiguityError when two clusters run closer than
-    10 * tol.cluster, in which case the caller should reseed.  Clusters are
+    10 * tol.cluster, or when a cluster is not one joint eigenvalue (two
+    eigenvalues of some Q^H H_s Q / max(1, max|H_s|) lie 10 * tol.cluster or
+    more apart), in which case the caller should reseed.  Clusters are
     listed by the real part of their centers on a grid of tol.cluster, then
     by the imaginary part, so a conjugate pair whose real parts agree to
     rounding keeps one order.
@@ -129,6 +131,7 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
 
     # each eigenvalue belongs to its nearest center
     labels = np.argmin(np.abs(eigs[:, None] - np.array(centers)[None, :]), axis=1)
+    scales = [max(1.0, max_abs(H)) for H in mats]
     out = []
     for idx, g in enumerate(clusters):
         # the selected eigenvalues move to the top of the Schur form
@@ -137,7 +140,14 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
             raise ClusterAmbiguityError(
                 f"invariant subspace dimension {sdim} != cluster size {len(g)}")
         Q = Zs[:, :sdim]
-        h = tuple(complex(np.trace(Q.conj().T @ H @ Q)) / sdim for H in mats)
+        blocks = [Q.conj().T @ H @ Q for H in mats]
+        for s, B in enumerate(blocks if sdim > 1 else ()):
+            # a cluster of the combination must be one joint eigenvalue
+            ev = np.linalg.eigvals(B / scales[s])
+            if np.abs(ev[:, None] - ev[None, :]).max() >= 10 * tol.cluster:
+                raise ClusterAmbiguityError(
+                    f"cluster of size {sdim} splits under generator {s}; reseed")
+        h = tuple(complex(np.trace(B)) / sdim for B in blocks)
         out.append((h, int(sdim), Q))
     assert sum(m for _, m, _ in out) == d
     return out

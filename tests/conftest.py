@@ -26,6 +26,11 @@ def load_perfbench(name):
     return module
 
 
+# the benchmark's exact ladder rungs, (m, l, z)
+LADDER = [((1,) * 4, 2, range(4)), ((1,) * 5, 2, range(5)),
+          ((2,) * 4, 3, (0, 1, 3, 7)), ((3,) * 4, 4, (0, 1, 3, 7))]
+
+
 def random_rational_z(rng, n):
     z = []
     while len(z) < n:

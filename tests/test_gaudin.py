@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,9 +7,13 @@ from gaudinlab import (
     ProblemInstance,
     annihilator_ideal,
     bethe_algebra_basis,
+    bethe_vector,
     build_gaudin,
     induced_map_kernel,
+    joint_spectrum,
+    match_spectrum_to_scheme,
     polynomial_valued_kernel,
+    weight_function,
 )
 from gaudinlab.cli import run_pipeline
 from gaudinlab.gaudin import (
@@ -19,7 +22,6 @@ from gaudinlab.gaudin import (
     _ExactReducer,
     _FloatReducer,
     span_closure,
-    assembly_residuals,
     _matrix_numerator_for,
     apply_universal_operator,
 )
@@ -32,7 +34,7 @@ from gaudinlab.numcore import (
     max_abs,
 )
 
-from conftest import random_exact_instance, random_float_z
+from conftest import LADDER, random_exact_instance, random_float_z
 
 
 def exact_vec(vals):
@@ -122,15 +124,14 @@ class TestHBigAssembly:
     INST = ProblemInstance([1, 2, 1, 1], 2, [0, F(1, 2), F(-3, 7), F(5, 3)])
 
     @staticmethod
-    def term_by_term(inst, lane, zero):
-        eye = lane.eye
+    def term_by_term(inst, frame, eye):
         out = []
         for s in range(inst.n):
-            acc = zero
+            acc = eye * 0
             for r in range(inst.n):
                 if r != s:
-                    acc = acc + (inst.m[s] * inst.m[r] * eye - lane.omega[s, r]) * \
-                        (1 / (inst.z[s] - inst.z[r]))
+                    W = frame.omega[s, r].astype(eye.dtype)
+                    acc = acc + (inst.m[s] * inst.m[r] * eye - W) * (1 / (inst.z[s] - inst.z[r]))
             out.append(acc)
         return out
 
@@ -138,7 +139,7 @@ class TestHBigAssembly:
         inst = self.INST
         sysd = build_gaudin(inst)
         d = sysd.H_big[0].shape[0]
-        want = self.term_by_term(inst, sysd.frame.lane(True), identity(d) * 0)
+        want = self.term_by_term(inst, sysd.frame, identity(d))
         for got, ref in zip(sysd.H_big, want, strict=True):
             assert got.shape == ref.shape
             for x, y in zip(got.flat, ref.flat):
@@ -148,10 +149,67 @@ class TestHBigAssembly:
         finst = self.INST.to_float()
         sysd = build_gaudin(finst)
         d = sysd.H_big[0].shape[0]
-        want = self.term_by_term(finst, sysd.frame.lane(False),
-                                 np.zeros((d, d), dtype=complex))
+        want = self.term_by_term(finst, sysd.frame, np.eye(d, dtype=complex))
         for got, ref in zip(sysd.H_big, want, strict=True):
             assert got.dtype == complex and got.tobytes() == ref.tobytes()
+
+
+def least_squares_restrictions(sysd):
+    """H_sing by least squares from S H_sing = H_big S, and H_L = P H_sing C."""
+    S, P, C = sysd.shq.sing, sysd.shq.sh, sysd.shq.lift
+    H_sing = [np.linalg.lstsq(S, Hb @ S, rcond=None)[0] for Hb in sysd.H_big]
+    return H_sing, [P @ H @ C for H in H_sing]
+
+
+class TestFloatRestrictions:
+    """The float H_sing and H_L read off the frame agree with the least-squares
+    restriction of H_big."""
+
+    @staticmethod
+    def assert_close(got, want):
+        for G, W in zip(got, want, strict=True):
+            assert G.shape == W.shape
+            if G.size:
+                assert max_abs(G - W) <= 1e-12 * max(1.0, max_abs(W))
+
+    def check(self, finst):
+        sysd = build_gaudin(finst)
+        H_sing, H_L = least_squares_restrictions(sysd)
+        self.assert_close(sysd.H_sing, H_sing)
+        self.assert_close(sysd.H_L, H_L)
+
+    @pytest.mark.parametrize("m, l, z", LADDER, ids=lambda v: str(v))
+    def test_ladder(self, m, l, z):
+        self.check(ProblemInstance(m, l, [complex(v) for v in z]))
+
+    @pytest.mark.parametrize("m, l, z", LADDER, ids=lambda v: str(v))
+    def test_bethe_coordinates_read_off_free_rows(self, m, l, z):
+        # a weight vector in Sing has its singular-basis coordinates on the
+        # free rows of S, where S is the identity; the float weight vector
+        # lies in Sing only to rounding, and the two readings differ by no
+        # more than its distance from Sing
+        finst = ProblemInstance(m, l, [complex(v) for v in z])
+        sysd = build_gaudin(finst)
+        S, free = sysd.shq.sing, sysd.shq.free
+        assert np.array_equal(S[free], np.eye(S.shape[1]))
+        spec = joint_spectrum(list(sysd.H_L), seed=0)
+        points = match_spectrum_to_scheme(finst, spec).points
+        assert points
+        for p in points:
+            omega = weight_function(finst, p.a).to_array(finst)
+            coords = np.linalg.lstsq(S, omega, rcond=None)[0]
+            off = max_abs(omega - S @ coords)
+            assert off <= 1e-8 * max_abs(omega)
+            assert max_abs(omega[free] - coords) <= off + 1e-12 * max(1.0, max_abs(coords))
+            bv = bethe_vector(finst, sysd, p)
+            assert not bv.via_subspace
+            assert np.array_equal(bv.omega_L, sysd.shq.sh @ omega[free])
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_random_float_instances(self, rng, real):
+        for _ in range(4):
+            inst = random_exact_instance(rng, max_level_dim=20)
+            self.check(ProblemInstance(inst.m, inst.l, random_float_z(rng, inst.n, real)))
 
 
 class TestGaudinFrame:
@@ -198,7 +256,7 @@ class TestGaudinFrame:
 
 class TestFrameCertificate:
     """The z-independent identities are certified once per frame in integer
-    arithmetic; each system is tied to them by the per-z assembly check."""
+    arithmetic; every system's Hamiltonians are the frame's combinations."""
 
     FOUR_SPINS = ProblemInstance([1, 1, 1, 1], 2, [F(v) for v in range(4)])
 
@@ -258,30 +316,42 @@ class TestFrameCertificate:
     @pytest.mark.parametrize("family", ["H_sing", "H_L"])
     @pytest.mark.parametrize("lane", ["exact", "float"])
     def test_assembled_matrix_corruption_fails(self, family, lane):
-        inst, slip = self.FOUR_SPINS, F(1, 10**9)
-        if lane == "float":
-            inst, slip = inst.to_float(), 1e-6
-        sysd = build_gaudin(inst)
-        H = getattr(sysd, family)[0].copy()
-        H[0, 0] += slip
-        sysd = dataclasses.replace(sysd, **{family: (H,) + getattr(sysd, family)[1:]})
-        assert assembly_residuals(sysd)[family] > 0
+        # a wrong Omega_hat or Omega_tilde, which H_sing or H_L is assembled
+        # from, breaks Omega S = S Omega_hat or P Omega_hat = Omega_tilde P,
+        # which every identity carries
+        inst = self.FOUR_SPINS if lane == "exact" else self.FOUR_SPINS.to_float()
+        frame = GaudinFrame(inst)
+        omega = {"H_sing": frame.omega_sing, "H_L": frame.omega_L}[family]
+        W = omega[0, 1].copy()
+        W[0, 0] += 1
+        omega[0, 1] = omega[1, 0] = W
+        sysd = build_gaudin(inst, frame)
+        assert not np.array_equal(getattr(sysd, family)[0], getattr(build_gaudin(inst), family)[0])
         rep, fails, _ = run_pipeline(sysd, 0, Tolerances())
         for name in ("commutators", "shapovalov_symmetry"):
             assert name in fails and rep["global_checks"][name] > 0
 
-    def test_clean_systems_assemble_exactly(self, rng):
-        for _ in range(5):
-            sysd = build_gaudin(random_exact_instance(rng, max_level_dim=20))
-            assert set(assembly_residuals(sysd).values()) == {0.0}
-
     def test_exact_build_solves_nothing(self, monkeypatch):
-        import gaudinlab.gaudin as gaudin
+        # both lanes read every family off the frame: no least squares and no
+        # consistent-system solve
+        import gaudinlab.numcore as numcore
+        import gaudinlab.opscheme as opscheme
         calls = []
-        monkeypatch.setattr(gaudin, "solve_consistent",
-                            lambda *args, **kwargs: calls.append(args))
-        build_gaudin(self.FOUR_SPINS)
+        spy = lambda *args, **kwargs: calls.append(args)  # noqa: E731
+        for module in (numcore, opscheme):
+            monkeypatch.setattr(module, "solve_consistent", spy)
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        for inst in (self.FOUR_SPINS, self.FOUR_SPINS.to_float()):
+            sysd = build_gaudin(inst)
+            for family in (sysd.H_big, sysd.H_sing, sysd.H_L):
+                assert len(family) == inst.n
         assert calls == []
+
+    def test_exact_pipeline_never_forms_H_big(self):
+        sysd = build_gaudin(self.FOUR_SPINS)
+        _, fails, _ = run_pipeline(sysd, 0, Tolerances())
+        assert fails == []
+        assert "H_big" not in vars(sysd) and "H_sing" in vars(sysd)
 
     def test_certified_once_per_frame(self, monkeypatch):
         calls = []

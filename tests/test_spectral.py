@@ -37,7 +37,7 @@ from gaudinlab.opscheme import (
 )
 from gaudinlab.spectral import _jacobian
 
-from conftest import random_dominant_float_instance
+from conftest import LADDER, random_dominant_float_instance
 
 
 def sorted_schur_reference(mats, seed, tol=Tolerances()):
@@ -128,6 +128,22 @@ def rel_diff(x, y):
     return float(np.abs(x - y).max(initial=0.0)) / max(1.0, float(np.abs(y).max(initial=0.0)))
 
 
+# the two exact instances whose seed-202 spectrum draw merges their sing_m
+# points (joint_spectrum rejects that draw)
+MERGED_AT_SEED_202 = [((1, 3, 0), 1, (2, -2, -4)), ((1, 2, 2), 3, (5, -1, -4))]
+
+
+def pipeline_spectrum(mats, seed):
+    """joint_spectrum at the first of seed, seed + 1, ... whose draw it
+    accepts, as run_pipeline reseeds."""
+    for attempt in range(6):
+        try:
+            return joint_spectrum(mats, seed=seed + attempt)
+        except ClusterAmbiguityError:
+            continue
+    raise ClusterAmbiguityError(f"no draw from seed {seed} separates")
+
+
 class TestJointSpectrum:
     def test_commuting_diagonal_pair(self):
         A = np.diag([1.0, 2.0]).astype(complex)
@@ -214,25 +230,44 @@ class TestJointSpectrum:
             vals = rng.integers(-9, 10, size=(d, n)).astype(complex)
             vals[1] = vals[0]
             yield [V @ np.diag(vals[:, s]) @ np.linalg.inv(V) for s in range(n)]
+        # one joint eigenvalue of multiplicity four
+        V = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        vals = rng.integers(-9, 10, size=(7, 3)).astype(complex)
+        vals[1:4] = vals[0]
+        yield [V @ np.diag(vals[:, s]) @ np.linalg.inv(V) for s in range(3)]
         H = build_gaudin(ProblemInstance([1] * 4, 2, [0.0, 1.0, 2.0, 3.0])).H_sing
         # reflection-even combinations: three clusters of multiplicity two
         yield [(H[0] + H[3]) @ (H[0] + H[3]), (H[1] + H[2]) @ (H[1] + H[2])]
         yield list(H)
-        for m, l, z in (((1, 3, 0), 1, (2, -2, -4)), ((1, 2, 2), 3, (5, -1, -4))):
-            yield list(build_gaudin(ProblemInstance(m, l, z)).H_sing)
+
+    @staticmethod
+    def assert_equals_reference(mats, seed):
+        got = joint_spectrum(mats, seed=seed)
+        ref = sorted_schur_reference(mats, seed=seed)
+        assert [m for _, m, _ in got] == [m for _, m, _ in ref]
+        for (h, m, Q), (hr, _, Qr) in zip(got, ref):
+            assert h == hr
+            assert np.array_equal(Q @ Q.conj().T, Qr @ Qr.conj().T)
+        return [m for _, m, _ in got]
 
     def test_equals_sorted_schur_reference(self):
         multiplicities = []
         for mats in self.commuting_families():
             for seed in (0, 202):
-                got = joint_spectrum(mats, seed=seed)
-                ref = sorted_schur_reference(mats, seed=seed)
-                assert [m for _, m, _ in got] == [m for _, m, _ in ref]
-                for (h, m, Q), (hr, _, Qr) in zip(got, ref):
-                    assert h == hr
-                    assert np.array_equal(Q @ Q.conj().T, Qr @ Qr.conj().T)
-                multiplicities += [m for _, m, _ in got]
+                multiplicities += self.assert_equals_reference(mats, seed)
         assert max(multiplicities) == 4 and 2 in multiplicities
+
+    @pytest.mark.parametrize("m, l, z", MERGED_AT_SEED_202)
+    def test_cluster_must_be_a_joint_eigenvalue(self, m, l, z):
+        # the seed-202 combination takes one value on every sing_m point, as
+        # the generators do not: that draw is rejected, and the next one
+        # separates every point
+        mats = list(build_gaudin(ProblemInstance(m, l, z)).H_sing)
+        assert [mult for _, mult, _ in sorted_schur_reference(mats, seed=202)] == [len(mats[0])]
+        with pytest.raises(ClusterAmbiguityError, match="splits under generator"):
+            joint_spectrum(mats, seed=202)
+        assert self.assert_equals_reference(mats, seed=203) == [1] * len(mats[0])
+        assert self.assert_equals_reference(mats, seed=0) == [1] * len(mats[0])
 
     @pytest.mark.parametrize("gap, ambiguous", [(9.9, True), (10.5, False)])
     def test_ambiguity_threshold_is_ten_cluster_tolerances(self, gap, ambiguous):
@@ -244,13 +279,6 @@ class TestJointSpectrum:
                 joint_spectrum([A], seed=0, tol=tol)
         else:
             assert [m for _, m, _ in joint_spectrum([A], seed=0, tol=tol)] == [1, 1, 1]
-
-
-# float twins of the ladder rungs, and the two exact instances whose seed-202
-# spectrum draw merges their sing_m points
-LADDER = [((1,) * 4, 2, range(4)), ((1,) * 5, 2, range(5)),
-          ((2,) * 4, 3, (0, 1, 3, 7)), ((3,) * 4, 4, (0, 1, 3, 7))]
-MERGED_AT_SEED_202 = [((1, 3, 0), 1, (2, -2, -4)), ((1, 2, 2), 3, (5, -1, -4))]
 
 
 def stacked_cases():
@@ -277,7 +305,7 @@ class TestStackedPointChecks:
         finst = inst.to_float() if inst.exact else inst
         s = build_gaudin(inst)
         for mats in (s.H_L, s.H_sing):
-            spec = joint_spectrum(list(mats), seed=seed) if mats[0].shape[0] else []
+            spec = pipeline_spectrum(list(mats), seed) if mats[0].shape[0] else []
             rep = match_spectrum_to_scheme(inst, spec, tol=tol)
             assert len(rep.points) == len(spec)
             for pt, (h, mult, _) in zip(rep.points, spec):
