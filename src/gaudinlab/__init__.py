@@ -24,7 +24,6 @@ from .gl2rep import (
     generator_matrix,
     sh_quotient,
     shapovalov_gram,
-    singular_basis,
     weight_space_basis,
     weight_space_dim,
 )

@@ -207,15 +207,17 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     schub = schubert_dimension(inst.m, l)
 
     alg_m = bethe_algebra_basis(list(sysd.H_sing), tol) if dim_m else []
-    alg_l = bethe_algebra_basis(list(sysd.H_L), tol) if dim_l else []
     ker = induced_map_kernel(alg_m, sysd.shq.sh, tol) if alg_m else []
     ann = annihilator_ideal(alg_m, ker, tol) if alg_m else []
+    # the certified P Omega_hat = Omega_tilde P makes f -> f~ (P f = f~ P) a map
+    # of the algebra onto B_L with kernel ker: dim B_L = dim B - dim ker
+    dim_bethe_l = len(alg_m) - len(ker)
 
     dim_checks = {
         "dim_sing_m_vs_count":
             abs(dim_m - (weight_space_dim(n, l) - weight_space_dim(n, l - 1))),
         "dim_sing_l_vs_schubert": abs(dim_l - schub),
-        "bethe_dim_vs_sing_l": abs(len(alg_l) - dim_l),
+        "bethe_dim_vs_sing_l": abs(dim_bethe_l - dim_l),
         "annihilator_dim_vs_sing_l": abs(len(ann) - dim_l),
     }
     # Every H_s is the frame's combination at this z, so the identities hold
@@ -226,17 +228,18 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     global_checks.update((k, check(k, v)) for k, v in dim_checks.items())
 
     # spectral side (float lane)
-    spec_l = spec_m = None
-    for attempt in range(6):
-        try:
-            spec_l = joint_spectrum(list(sysd.H_L), seed=seed + attempt, tol=tol)
-            spec_m = joint_spectrum(list(sysd.H_sing), seed=seed + attempt, tol=tol)
-            break
-        except ClusterAmbiguityError:
-            continue
-    if spec_l is None or spec_m is None:
+    def draw(mats):
+        """(joint spectrum, its seed) at the first of six seeds that separates it, or None."""
+        for s in range(seed, seed + 6):
+            try:
+                return joint_spectrum(list(mats), seed=s, tol=tol), s
+            except ClusterAmbiguityError:
+                continue
+
+    drawn = [draw(sysd.H_L), draw(sysd.H_sing)]
+    if None in drawn:
         failures.append("cluster_separation")
-        spec_l, spec_m = [], []
+    (spec_l, seed_l), (spec_m, seed_m) = (d or ([], seed) for d in drawn)
 
     # one float twin, so its operator blocks are built once per pipeline
     finst = inst.to_float() if exact else inst
@@ -323,12 +326,12 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
             "sing_l": dim_l,
             "schubert": schub,
             "bethe_algebra_sing_m": len(alg_m),
-            "bethe_algebra_sing_l": len(alg_l),
+            "bethe_algebra_sing_l": dim_bethe_l,
             "annihilator": len(ann),
         },
         "global_checks": global_checks,
         "spectrum_sing_l": {
-            "seed": seed,
+            "seed": seed_l,
             "total_multiplicity": report_l.total_multiplicity,
             "all_simple": report_l.all_simple,
             "points": [point_dict(p) for p in report_l.points],
@@ -336,7 +339,7 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
                                  report_l.residual_summary.items()},
         },
         "spectrum_sing_m": {
-            "seed": seed,
+            "seed": seed_m,
             "total_multiplicity": report_m.total_multiplicity,
             "all_simple": report_m.all_simple,
             "points": [point_dict(p) for p in report_m.points],

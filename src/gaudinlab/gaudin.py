@@ -336,113 +336,75 @@ def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None) -> Gau
     return GaudinSystem(inst, frame)
 
 
-def _space_mats(sys: GaudinSystem, space: str):
-    if space == "sing_m":
-        return list(sys.H_sing)
-    if space == "sing_l":
-        return list(sys.H_L)
-    raise ValueError("space must be 'sing_m' or 'sing_l'")
-
-
-def _matrix_numerator_for(inst: ProblemInstance, mats):
-    """Coefficients N_k of sum_s mats[s] * prod_{r != s}(x - z_r)."""
-    d = mats[0].shape[0]
-    exact = inst.exact
-    N = [zeros_like_domain((d, d), exact) for _ in range(inst.n)]
-    for s, w in enumerate(inst.zpolys[2]):
-        for k in range(w.degree + 1):
-            if w[k]:
-                N[k] = N[k] + mats[s] * w[k]
-    return N
+def _universal_operator(sys: GaudinSystem, space: str, deg: int):
+    """(H_s on space, M0, M) of the universal operator
+    A d^2/dx^2 + B d/dx + sum_s H_s A_s on vector polynomials of degree deg:
+    M0 and M are the leading deg + n rows and deg + 1 columns of
+    inst.dh_blocks."""
+    if space not in ("sing_m", "sing_l"):
+        raise ValueError("space must be 'sing_m' or 'sing_l'")
+    M0, M = sys.inst.dh_blocks
+    rows, cols = deg + sys.inst.n, deg + 1
+    return list(sys.H_sing if space == "sing_m" else sys.H_L), M0[:rows, :cols], M[:, :rows, :cols]
 
 
 def apply_universal_operator(sys: GaudinSystem, space: str, coeffs):
-    """Coefficient vectors of  A v'' + B v' + N v  for a vector polynomial.
+    """Coefficient vectors of  A v'' + B v' + sum_s H_s A_s v  for a vector
+    polynomial: D U = U M0^T + sum_s H_s U M[s]^T, as one product, on the
+    d x (deg + 1) block U of ascending coefficients (_universal_operator).
 
     coeffs lists the vector coefficients of v(x) in descending powers
     (v = coeffs[0] x^deg + ... + coeffs[deg]); the result is ascending.
     """
-    inst = sys.inst
-    mats = _space_mats(sys, space)
-    d = mats[0].shape[0] if mats[0].size else 0
-    exact = inst.exact
-    deg = len(coeffs) - 1
-    A, B, _ = inst.zpolys
-    N = _matrix_numerator_for(inst, mats)
-    top = deg + inst.n - 1
-    out = [zeros_like_domain((d,), exact) for _ in range(top + 1)]
-    for j, vj in enumerate(coeffs):
-        pj = deg - j
-        for k in range(A.degree + 1):
-            if pj >= 2 and A[k]:
-                out[k + pj - 2] = out[k + pj - 2] + (pj * (pj - 1) * A[k]) * vj
-        for k in range(B.degree + 1):
-            if pj >= 1 and B[k]:
-                out[k + pj - 1] = out[k + pj - 1] + (pj * B[k]) * vj
-        for k in range(len(N)):
-            out[k + pj] = out[k + pj] + N[k] @ vj
-    return out
+    mats, M0, M = _universal_operator(sys, space, len(coeffs) - 1)
+    U = np.stack(coeffs[::-1], axis=1)
+    d = U.shape[0]
+    HU = matmul(np.vstack(mats), U)
+    parts = [U] + [HU[s * d:(s + 1) * d] for s in range(len(mats))]
+    return list(matmul(np.hstack(parts), np.vstack([M0.T] + [Ms.T for Ms in M])).T)
 
 
 def polynomial_valued_kernel(sys: GaudinSystem, space: str, v0, deg: int,
                              tol: Tolerances = DEFAULT_TOL):
     """Vector coefficients v_1..v_deg with D(v0 x^deg + v1 x^{deg-1} + ...) = 0.
 
-    deg must be l or lt = sum(m)+1-l.  For deg = lt the coefficient at
-    index lt - l (the x^l term) is pinned to zero, which removes the
-    freedom of adding multiples of the degree-l solution.  Solved block
-    by block, highest power first; the trailing equations not used by the
-    elimination are verified (at tol.residual) and raise InconsistentSystemError.
+    deg must be l or lt = sum(m)+1-l.  For deg = lt the coefficient of x^l
+    is pinned to zero, which removes the freedom of adding multiples of the
+    degree-l solution.  v_i is solved from the coefficient r = deg - i + n - 2
+    of D v, highest power first, with the block M0[r, k] I + sum_s M[s][r, k] H_s
+    (k = deg - i; _universal_operator); all of D v is then verified (at
+    tol.residual) and raises InconsistentSystemError.
     """
     inst = sys.inst
     l, lt, n = inst.l, inst.ltilde, inst.n
     if deg not in (l, lt):
         raise ValueError(f"deg must be {l} or {lt}")
-    mats = _space_mats(sys, space)
-    d = mats[0].shape[0]
+    mats, M0, M = _universal_operator(sys, space, deg)
     exact = inst.exact
-    gate = tol.residual
     v0 = v0 if exact else np.asarray(v0, dtype=complex)
-    skip = lt - l if (deg == lt and 1 <= lt - l <= deg) else None
+    eye = identity(len(v0), exact)
 
-    A, B, _ = inst.zpolys
-    N = _matrix_numerator_for(inst, mats)
-    scale = max(1.0, max_abs(v0), max((max_abs(Nk) for Nk in N), default=0.0))
+    def block(r, k):
+        return eye * M0[r, k] + sum(H * M[s, r, k] for s, H in enumerate(mats))
 
-    vs = [v0]
+    # column 0 of M[s] holds A_s: block(k, 0) is the x^k coefficient of sum_s H_s A_s
+    scale = max(1.0, max_abs(v0), max(max_abs(block(k, 0)) for k in range(n)))
+
+    def check(coeffs, what):
+        resid = max(max_abs(c) for c in coeffs)
+        if resid != 0.0 if exact else resid > tol.residual * scale:
+            raise InconsistentSystemError(f"{what} {resid:.3e}")
+
+    vs = [v0] + [zeros_like_domain((len(v0),), exact) for _ in range(deg)]
     for i in range(1, deg + 1):
-        pj_i = deg - i
-        rhs = zeros_like_domain((d,), exact)
-        for j in range(0, i):
-            vj = vs[j]
-            pj = deg - j
-            kA = n - (i - j)
-            if pj >= 2 and 0 <= kA <= A.degree and A[kA]:
-                rhs = rhs + (pj * (pj - 1) * A[kA]) * vj
-            kB = n - 1 - (i - j)
-            if pj >= 1 and 0 <= kB <= B.degree and B[kB]:
-                rhs = rhs + (pj * B[kB]) * vj
-            kN = n - 2 - (i - j)
-            if 0 <= kN < len(N):
-                rhs = rhs + N[kN] @ vj
-        if i == skip:
-            resid = max_abs(rhs)
-            if (exact and resid != 0.0) or (not exact and resid > gate * scale):
-                raise InconsistentSystemError(
-                    f"pinned coefficient equation has residual {resid:.3e}")
-            vs.append(zeros_like_domain((d,), exact))
-            continue
-        blk = zeros_like_domain((d, d), exact) + N[n - 2]
-        cscal = pj_i * (pj_i - 1) + pj_i * B[n - 1]
-        for r in range(d):
-            blk[r, r] = blk[r, r] + cscal
-        vs.append(solve_linear(blk, -rhs, tol.svd_rel))
-
-    full = apply_universal_operator(sys, space, vs)
-    resid = max((max_abs(c) for c in full), default=0.0)
-    if (exact and resid != 0.0) or (not exact and resid > gate * scale):
-        raise InconsistentSystemError(
-            f"trailing kernel equations have residual {resid:.3e}")
+        # v_i, ..., v_deg are still zero, so coefficient r of D v is the right side
+        r = deg - i + n - 2
+        rhs = apply_universal_operator(sys, space, vs)[r]
+        if deg - i == l and deg == lt > l:
+            check([rhs], "pinned coefficient equation has residual")
+        else:
+            vs[i] = solve_linear(block(r, deg - i), -rhs, tol.svd_rel)
+    check(apply_universal_operator(sys, space, vs), "trailing kernel equations have residual")
     return vs[1:]
 
 
@@ -581,8 +543,9 @@ def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL):
         return []
     if not kernel:
         return list(algebra)
-    images = [np.concatenate([matmul(F, K).reshape(-1) for K in kernel]) for F in algebra]
-    return _vanishing_combinations(algebra, images, tol)
+    # f g = 0 for every g in kernel exactly when f kills every column of each g
+    K = np.hstack(kernel)
+    return _vanishing_combinations(algebra, [matmul(F, K).reshape(-1) for F in algebra], tol)
 
 
 def _vanishing_combinations(algebra, images, tol):

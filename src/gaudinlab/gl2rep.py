@@ -51,7 +51,6 @@ __all__ = [
     "generator_int_matrix",
     "degree_diagonal",
     "degree_int_diagonal",
-    "singular_basis",
     "singular_matrix",
     "shapovalov_gram",
     "sh_quotient",
@@ -370,12 +369,6 @@ def singular_matrix(inst: ProblemInstance) -> np.ndarray:
     rref_kernel basis, found by eliminating the integer E12."""
     E12 = sum(generator_int_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n))
     return fraction_array(*int_kernel(*int_rref(E12)))
-
-
-def singular_basis(inst: ProblemInstance):
-    """Basis of the singular subspace at level l, as WeightVectors."""
-    S = singular_matrix(inst)
-    return [WeightVector.from_array(S[:, j], inst, inst.l) for j in range(S.shape[1])]
 
 
 def shapovalov_gram(inst: ProblemInstance, k: int) -> np.ndarray:

@@ -392,9 +392,9 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAUL
     normalization is a convention of this routine; only properties invariant
     under a global rescaling of the weights should be relied on.  Every
     point must carry a = a(h), as match_spectrum_to_scheme builds it.  A
-    float Jacobian with sv_min <= tol.residual * sv_max is singular; the
-    error names a Bethe root on a marked point when there is one
-    (root_on_marked_point).
+    float Jacobian is singular when sv_min <= tol.residual * sv_max after
+    _equilibrated, as its rows differ in scale by orders of magnitude; the
+    error names a Bethe root on a marked point when there is one.
     """
     finst = inst.to_float() if inst.exact else inst
     weights = []
@@ -409,12 +409,24 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAUL
             weights.append(Fraction(1) / J)
             continue
         Jm = np.array(_jacobian(finst, [complex(v) for v in p.h], p.a), dtype=complex)
-        sv = np.linalg.svd(Jm, compute_uv=False)
+        sv = np.linalg.svd(_equilibrated(Jm), compute_uv=False)
         if sv[0] == 0 or sv[-1] <= tol.residual * sv[0]:
-            raise _singular(finst, p, f"Jacobian condition {sv[-1]:.3e}/{sv[0]:.3e} "
-                                      "is numerically singular", tol)
+            raise _singular(finst, p, "equilibrated Jacobian condition "
+                            f"{sv[-1]:.3e}/{sv[0]:.3e} is numerically singular", tol)
         weights.append(1 / complex(np.linalg.det(Jm)))
     return weights
+
+
+def _equilibrated(J: np.ndarray) -> np.ndarray:
+    """diag(r) J diag(c) with each row, then each column, scaled to largest modulus
+    1 (a zero row or column keeps scale 1); each row keeps its largest entry 1 through
+    the column scaling, so more sweeps change nothing.  A singular J stays singular."""
+    E = np.abs(J)
+    r = E.max(axis=1)
+    r[r == 0] = 1.0
+    c = (E / r[:, None]).max(axis=0)
+    c[c == 0] = 1.0
+    return J / r[:, None] / c
 
 
 def _singular(inst: ProblemInstance, point, msg: str, tol: Tolerances):

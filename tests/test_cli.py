@@ -149,7 +149,7 @@ class TestToleranceReach:
         assert rep["dims"] != default_dims
 
     @pytest.fixture
-    def restriction_tols(self, monkeypatch):
+    def bethe_vector_tols(self, monkeypatch):
         """The residual gate of every Bethe vector check the run makes: the
         weight vector must lie in Sing (E12 kills it) and be an eigenvector."""
         import gaudinlab.sov as sov
@@ -164,15 +164,15 @@ class TestToleranceReach:
         return seen
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_config_residual_reaches_sing_restriction(self, restriction_tols, mode):
+    def test_config_residual_reaches_bethe_vector_gate(self, bethe_vector_tols, mode):
         # the exact run checks its Bethe vectors on its float twin
         cmd_spectrum({**FOUR_SPINS, "mode": mode, "tolerances": {"residual": 3e-7}})
-        assert restriction_tols and set(restriction_tols) == {3e-7}
+        assert bethe_vector_tols and set(bethe_vector_tols) == {3e-7}
 
-    def test_env_residual_reaches_sing_restriction(self, restriction_tols, monkeypatch):
+    def test_env_residual_reaches_bethe_vector_gate(self, bethe_vector_tols, monkeypatch):
         monkeypatch.setenv("GAUDINLAB_TOL_RESIDUAL", "2e-6")
         cmd_verify({**FOUR_SPINS, "mode": "float"}, 2)
-        assert len(restriction_tols) == 2 * 2 and set(restriction_tols) == {2e-6}
+        assert len(bethe_vector_tols) == 2 * 2 and set(bethe_vector_tols) == {2e-6}
 
     def test_exact_identities_gated_at_literal_zero(self):
         # Omega_{1,0} one off Omega_{0,1}: a certificate defect of 1, which
@@ -262,6 +262,31 @@ class TestSpectrumCommand:
             [b["error"] for b in rep["bethe_vectors"] if "error" in b]
         assert len(errors) == len(failed)
         assert all(e.endswith("; " + cause) for e in errors)
+
+    def test_each_spectrum_reseeds_alone(self, monkeypatch):
+        # at seed 202 the H_sing draw does not separate its points and is
+        # redrawn at 203; the H_L spectrum drawn at 202 stands, and each
+        # block reports the seed its points came from
+        import gaudinlab.cli as cli
+        calls = []
+        real = cli.joint_spectrum
+        sysd = build_gaudin(ProblemInstance([1, 3, 0], 1, ["2", "-2", "-4"]))
+
+        def spy(mats, seed, tol):
+            name = "H_L" if mats[0] is sysd.H_L[0] else "H_sing"
+            try:
+                out = real(mats, seed=seed, tol=tol)
+            except ClusterAmbiguityError:
+                calls.append((name, seed, "rejected"))
+                raise
+            calls.append((name, seed))
+            return out
+
+        monkeypatch.setattr(cli, "joint_spectrum", spy)
+        rep, fails, _ = run_pipeline(sysd, 202, Tolerances())
+        assert calls == [("H_L", 202), ("H_sing", 202, "rejected"), ("H_sing", 203)]
+        assert (rep["spectrum_sing_l"]["seed"], rep["spectrum_sing_m"]["seed"]) == (202, 203)
+        assert fails == []
 
     @pytest.mark.parametrize("m, l, z, dim", [([1, 3, 0], 1, ["2", "-2", "-4"], 2),
                                               ([1, 2, 2], 3, ["5", "-1", "-4"], 4)])

@@ -21,8 +21,8 @@ from gaudinlab.gaudin import (
     GaudinFrame,
     _ExactReducer,
     _FloatReducer,
+    _vanishing_combinations,
     span_closure,
-    _matrix_numerator_for,
     apply_universal_operator,
 )
 from gaudinlab.numcore import (
@@ -32,8 +32,10 @@ from gaudinlab.numcore import (
     kernel_basis,
     matmul,
     max_abs,
+    zeros_like_domain,
 )
 
+import conftest
 from conftest import LADDER, random_exact_instance, random_float_z
 
 
@@ -88,8 +90,9 @@ class TestBuildGaudin:
             s = build_gaudin(inst)
             if s.dim_sing_m:
                 tgt = identity(s.dim_sing_m) * F(inst.l * inst.ltilde)
-                N = _matrix_numerator_for(inst, s.H_sing)
-                assert max_abs(N[inst.n - 2] - tgt) == 0.0
+                A_s = inst.zpolys[2]
+                g0 = sum(H * A_s[k][inst.n - 2] for k, H in enumerate(s.H_sing))
+                assert max_abs(g0 - tgt) == 0.0
 
     def test_shapovalov_symmetry(self, rng):
         for _ in range(5):
@@ -369,6 +372,89 @@ class TestFrameCertificate:
         assert calls == [frame]
 
 
+def reference_space_mats(sys, space: str):
+    if space == "sing_m":
+        return list(sys.H_sing)
+    if space == "sing_l":
+        return list(sys.H_L)
+    raise ValueError("space must be 'sing_m' or 'sing_l'")
+
+
+def reference_matrix_numerator_for(inst: ProblemInstance, mats):
+    """Coefficients N_k of sum_s mats[s] * prod_{r != s}(x - z_r)."""
+    d = mats[0].shape[0]
+    exact = inst.exact
+    N = [zeros_like_domain((d, d), exact) for _ in range(inst.n)]
+    for s, w in enumerate(inst.zpolys[2]):
+        for k in range(w.degree + 1):
+            if w[k]:
+                N[k] = N[k] + mats[s] * w[k]
+    return N
+
+
+def reference_universal_operator(sys, space: str, coeffs):
+    """Coefficient vectors of  A v'' + B v' + N v  for a vector polynomial,
+    coefficient by coefficient of A, B and N (the loop apply_universal_operator
+    replaced by its read of inst.dh_blocks).
+
+    coeffs lists the vector coefficients of v(x) in descending powers
+    (v = coeffs[0] x^deg + ... + coeffs[deg]); the result is ascending.
+    """
+    inst = sys.inst
+    mats = reference_space_mats(sys, space)
+    d = mats[0].shape[0] if mats[0].size else 0
+    exact = inst.exact
+    deg = len(coeffs) - 1
+    A, B, _ = inst.zpolys
+    N = reference_matrix_numerator_for(inst, mats)
+    top = deg + inst.n - 1
+    out = [zeros_like_domain((d,), exact) for _ in range(top + 1)]
+    for j, vj in enumerate(coeffs):
+        pj = deg - j
+        for k in range(A.degree + 1):
+            if pj >= 2 and A[k]:
+                out[k + pj - 2] = out[k + pj - 2] + (pj * (pj - 1) * A[k]) * vj
+        for k in range(B.degree + 1):
+            if pj >= 1 and B[k]:
+                out[k + pj - 1] = out[k + pj - 1] + (pj * B[k]) * vj
+        for k in range(len(N)):
+            out[k + pj] = out[k + pj] + N[k] @ vj
+    return out
+
+
+class TestUniversalOperator:
+    """apply_universal_operator is D U = U M0^T + sum_s H_s U M[s]^T on the
+    block U of ascending coefficients, read off inst.dh_blocks; the loop
+    over the coefficients of A, B and the A_s is its reference."""
+
+    def test_matches_loop_reference(self, rng):
+        checked = 0
+        while checked < 8:
+            inst = random_exact_instance(rng, max_level_dim=20)
+            s = build_gaudin(inst)
+            fs = build_gaudin(inst.to_float())
+            for space, d in (("sing_m", s.dim_sing_m), ("sing_l", s.dim_sing_l)):
+                for deg in sorted({inst.l, inst.ltilde}) if d else ():
+                    coeffs = [exact_vec([F(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+                                         for _ in range(d)]) for _ in range(deg + 1)]
+                    want = reference_universal_operator(s, space, coeffs)
+                    got = apply_universal_operator(s, space, coeffs)
+                    assert len(got) == len(want) == deg + inst.n
+                    for x, y in zip(got, want):
+                        assert x.shape == y.shape == (d,)
+                        assert all(a == b and type(a) is type(b) for a, b in zip(x, y))
+                    fc = [c.astype(complex) for c in coeffs]
+                    fwant = reference_universal_operator(fs, space, fc)
+                    fgot = apply_universal_operator(fs, space, fc)
+                    scale = max(1.0, max(max_abs(c) for c in fwant))
+                    assert max(max_abs(x - y) for x, y in zip(fgot, fwant)) <= 1e-12 * scale
+                    checked += 1
+
+    def test_bad_space_rejected(self, E1):
+        with pytest.raises(ValueError, match="space must be"):
+            apply_universal_operator(build_gaudin(E1), "big", [exact_vec([1])])
+
+
 class TestPolynomialKernel:
     def test_E1_unique_coefficients(self, E1):
         s = build_gaudin(E1)
@@ -517,6 +603,50 @@ class TestAnnihilator:
             for f in J:
                 for g in ker:
                     assert max_abs(f @ g) == 0.0
+
+
+class TestQuotientAlgebraDimension:
+    """run_pipeline reports dim B_L as dim B - dim ker: the frame certifies
+    P Omega_hat = Omega_tilde P, so f -> f~ (P f = f~ P) maps the algebra on
+    Sing onto the algebra of the H_L, with kernel induced_map_kernel.  The
+    closure of the H_L is the reference."""
+
+    @staticmethod
+    def assert_rank_nullity(s):
+        alg = bethe_algebra_basis(list(s.H_sing)) if s.dim_sing_m else []
+        ker = induced_map_kernel(alg, s.shq.sh) if alg else []
+        want = len(bethe_algebra_basis(list(s.H_L))) if s.dim_sing_l else 0
+        assert len(alg) - len(ker) == want
+
+    def test_ladder(self):
+        for m, l, z in conftest.LADDER:
+            self.assert_rank_nullity(build_gaudin(ProblemInstance(m, l, z)))
+
+    def test_random_exact(self, rng):
+        for _ in range(8):
+            self.assert_rank_nullity(build_gaudin(random_exact_instance(rng, max_level_dim=20)))
+
+    def test_random_float(self, rng):
+        for k in range(8):
+            inst = random_exact_instance(rng, max_level_dim=20)
+            z = random_float_z(rng, inst.n, real=k % 2 == 0)
+            self.assert_rank_nullity(build_gaudin(ProblemInstance(inst.m, inst.l, z)))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_one_closure_per_pipeline(self, monkeypatch, mode):
+        import gaudinlab.cli as cli
+        calls = []
+
+        def counted(mats, tol=Tolerances()):
+            calls.append(len(mats))
+            return bethe_algebra_basis(mats, tol)
+
+        monkeypatch.setattr(cli, "bethe_algebra_basis", counted)
+        z = [0, 1, 2, 3] if mode == "exact" else [0.0, 1.0, 2.0, 3.0]
+        rep, fails, _ = run_pipeline(build_gaudin(ProblemInstance([1] * 4, 2, z)), 0,
+                                     Tolerances())
+        assert calls == [4] and fails == []
+        assert rep["dims"]["bethe_algebra_sing_l"] == rep["dims"]["sing_l"] == 2
 
 
 class _FractionReducer:
@@ -671,6 +801,22 @@ class TestFractionFree:
     def test_annihilator_ideal_matches_reference(self, references):
         for _, alg, ker, ann in references:
             assert_same_matrices(annihilator_ideal(alg["sing_m"], ker), ann)
+
+    def test_annihilator_ideal_matches_per_kernel_concatenation(self, rng):
+        # one product per algebra element against the side-by-side kernel
+        # columns, and the images of every kernel element concatenated, have
+        # the same null space, so the same RREF and the same elements
+        seen = 0
+        while seen < 6:
+            s = build_gaudin(random_exact_instance(rng, max_level_dim=20))
+            alg = bethe_algebra_basis(list(s.H_sing)) if s.dim_sing_m else []
+            ker = induced_map_kernel(alg, s.shq.sh) if alg else []
+            if not ker:
+                continue
+            images = [np.concatenate([matmul(F_, K).reshape(-1) for K in ker]) for F_ in alg]
+            assert_same_matrices(annihilator_ideal(alg, ker),
+                                 _vanishing_combinations(alg, images, Tolerances()))
+            seen += 1
 
 
 # the exact-ladder rungs, (m, l)

@@ -9,6 +9,7 @@ from gaudinlab import (
     NonSimplePointError,
     ProblemInstance,
     SchemePoint,
+    SingularJacobianError,
     build_gaudin,
     diagonalizability_check,
     grothendieck_weights,
@@ -568,6 +569,55 @@ class TestGrothendieck:
             if ranks == len(rep.points):
                 sub = E.T * np.sqrt(np.asarray(ws, dtype=complex))[:, None]
                 assert np.linalg.matrix_rank(sub) == len(rep.points)
+
+    @staticmethod
+    def weights_at_jacobian(monkeypatch, J):
+        """grothendieck_weights at one point of E2's float twin, whose
+        Jacobian is replaced by J."""
+        monkeypatch.setattr(spectral, "_jacobian", lambda inst, h, a: J)
+        pt = SchemePoint(h=(1 + 0j, 0j, -1 + 0j), a=(0.5 + 0j,), atilde=None,
+                         multiplicity=1, residuals={})
+        return grothendieck_weights(ProblemInstance([1, 1, 1], 1, [0, 1, 2]).to_float(), [pt])
+
+    def test_rows_far_apart_in_scale_pass(self, monkeypatch):
+        # a well-conditioned Jacobian with rows scaled by 1e4, 1 and 1e-4:
+        # its raw sv_min / sv_max is below the gate, the equilibrated one is not
+        J = np.diag([1e4, 1.0, 1e-4]) @ np.array([[2.0, 1, 0], [1, 3, 1], [0, 1, 2]])
+        sv = np.linalg.svd(J, compute_uv=False)
+        assert sv[-1] <= Tolerances().residual * sv[0]
+        (w,) = self.weights_at_jacobian(monkeypatch, J.tolist())
+        assert w == 1 / complex(np.linalg.det(J))
+
+    def test_exactly_singular_still_raises(self, monkeypatch):
+        # the second row is 1e8 times the first: no diagonal scaling separates them
+        J = [[1.0, 2.0, 3.0], [1e8, 2e8, 3e8], [0.0, 1.0, 5.0]]
+        with pytest.raises(SingularJacobianError, match="equilibrated Jacobian condition"):
+            self.weights_at_jacobian(monkeypatch, J)
+
+    def test_one_sweep_is_ten(self, rng):
+        # after one row-then-column max-scaling every row and column has
+        # largest modulus 1, so ten sweeps give the same singular values
+        def ten_sweeps(J):
+            E, r, c = np.abs(J), np.ones(len(J)), np.ones(len(J))
+            for _ in range(10):
+                f = E.max(axis=1)
+                f[f == 0] = 1
+                r, E = r / f, E / f[:, None]
+                g = E.max(axis=0)
+                g[g == 0] = 1
+                c, E = c / g, E / g
+            return r[:, None] * J * c
+
+        for _ in range(50):
+            J = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) \
+                * 10.0 ** rng.uniform(-8, 8, size=(5, 1)) * 10.0 ** rng.uniform(-4, 4, size=5)
+            J[rng.random((5, 5)) < 0.2] = 0
+            E = np.abs(spectral._equilibrated(J))
+            maxima = np.concatenate([E.max(axis=1), E.max(axis=0)])
+            assert np.all((maxima == 0) | (np.abs(maxima - 1) <= 1e-15))
+            want = np.linalg.svd(ten_sweeps(J), compute_uv=False)
+            got = np.linalg.svd(spectral._equilibrated(J), compute_uv=False)
+            assert np.abs(got - want).max() <= 1e-14 * want[0]
 
     def test_multiplicity_two_rejected(self, E1):
         pt = SchemePoint(h=(F(-2), F(2)), a=(F(-1, 2),), atilde=None,

@@ -62,9 +62,9 @@ def test_small_exact_ladder_matches_reference():
 
 def test_float_verify_matches_reference():
     # the benchmark's float-verify calls: certified content (dimensions,
-    # multiplicity totals, count stability) against the reference, and the
-    # failures they list today; the (3^4),4 Jacobian failure is the float
-    # gate's false alarm at size (ROADMAP item 3)
+    # multiplicity totals, count stability) against the reference, and no
+    # failure; the Jacobian gate reads the equilibrated Jacobian, so the
+    # rows' spread in scale at (3^4),4 no longer reads as singular
     from gaudinlab import cli
     outputs = load_perfbench("outputs")
     workloads = load_perfbench("workloads")
@@ -76,7 +76,7 @@ def test_float_verify_matches_reference():
         report, fails = cli.cmd_verify(call.config, call.samples)
         failures.append(fails)
         assert outputs.check(call, json.loads(json.dumps(report)), reference) is None
-    assert failures == [[], ["sample_0:grothendieck_jacobian"]]
+    assert failures == [[], []]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
