@@ -68,6 +68,7 @@ from .sov import (
     DegenerateCoordinatesError,
     VerificationError,
     bethe_vector,
+    bethe_vectors,
     change_of_variables,
     separated_form_value,
     weight_function,

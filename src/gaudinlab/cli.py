@@ -31,7 +31,7 @@ from .gaudin import (
 from .gl2rep import ProblemInstance, weight_space_dim
 from .numcore import Tolerances, max_abs, rank_of
 from .opscheme import schubert_dimension
-from .sov import VerificationError, bethe_vector
+from .sov import VerificationError, bethe_vectors
 from .spectral import (
     ClusterAmbiguityError,
     SingularJacobianError,
@@ -270,20 +270,16 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     bmax = 0.0
     omega_ls = []
     fsys = build_gaudin(finst, sysd.frame) if (exact and report_l.points) else sysd
-    for p in report_l.points:
-        try:
-            bv = bethe_vector(finst, fsys, p, tol=tol)
-        except VerificationError as err:
+    for p, bv in zip(report_l.points, bethe_vectors(finst, fsys, report_l.points, tol=tol)):
+        if isinstance(bv, VerificationError):
             failures.append("bethe_vector")
-            bethe_entries.append({"h": _ser_seq(p.h), "error": str(err)})
+            bethe_entries.append({"h": _ser_seq(p.h), "error": str(bv)})
             continue
         bmax = max(bmax, max(bv.eigen_residuals, default=0.0), bv.e12_residual)
         omega_ls.append(np.asarray(bv.omega_L, dtype=complex))
-        roots = sorted(np.roots([1.0] + [complex(v) for v in p.a]).tolist(),
-                       key=lambda c: (c.real, c.imag)) if l else []
         bethe_entries.append({
             "h": _ser_seq(p.h),
-            "bethe_roots": _ser_seq(roots),
+            "bethe_roots": _ser_seq(bv.roots),
             "eigen_residuals": _ser_seq(bv.eigen_residuals),
             "e12_residual": _ser(bv.e12_residual),
             "via_subspace": bv.via_subspace,

@@ -349,8 +349,9 @@ class WeightVector:
 
     @staticmethod
     def from_array(v, inst: ProblemInstance, k: int) -> "WeightVector":
+        # the level-k basis is already in from_dict's order
         basis = _basis_index(inst, k)[0]
-        return WeightVector.from_dict({j: v[i] for i, j in enumerate(basis)}, k)
+        return WeightVector(tuple((j, c) for j, c in zip(basis, v) if c), k)
 
     def to_array(self, inst: ProblemInstance) -> np.ndarray:
         basis, pos = _basis_index(inst, self.k)

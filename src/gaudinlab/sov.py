@@ -9,18 +9,20 @@ monomial form agree with the separated form (-1)^{l n} u^l prod_j p(y^(j))
 under the change of variables below.  The coefficients are symmetric in the
 roots, hence polynomial in a: the exact path computes them root-free as
 (-1)^l det( sum_s x^(s) W_s(Cp) ) with Cp the companion matrix of p and
-W_s(t) = prod_{i != s}(t - z_i); the float path uses numeric roots.
+W_s(t) = prod_{i != s}(t - z_i); the float path uses numeric roots, for
+all the points of a spectrum at once (bethe_vectors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .gaudin import GaudinSystem, span_closure
-from .gl2rep import ProblemInstance, WeightVector
+from .gl2rep import ProblemInstance, WeightVector, _weight_basis, weight_space_dim
 from .numcore import (
     DEFAULT_TOL,
     DomainError,
@@ -33,10 +35,10 @@ from .numcore import (
     kernel_basis,
     max_abs,
     scalar_one,
-    to_float_array,
     zeros_like_domain,
 )
 from .opscheme import SchemePoint, p_of_a, root_on_marked_point
+from .spectral import _rowmax
 
 __all__ = [
     "DegenerateCoordinatesError",
@@ -46,6 +48,7 @@ __all__ = [
     "weight_function",
     "separated_form_value",
     "bethe_vector",
+    "bethe_vectors",
 ]
 
 
@@ -129,7 +132,8 @@ def _bump(mu, s, n):
 
 
 def weight_function(inst: ProblemInstance, a) -> WeightVector:
-    """The level-l weight vector attached to the coordinates a."""
+    """The level-l weight vector attached to the coordinates a; float
+    coordinates take bethe_vectors' stacked code at one point."""
     l, n = inst.l, inst.n
     a = list(a)
     if len(a) != l:
@@ -137,31 +141,65 @@ def weight_function(inst: ProblemInstance, a) -> WeightVector:
     exact = inst.exact and all(is_exact_scalar(v) for v in a)
     if l == 0:
         return WeightVector.from_dict({(0,) * n: scalar_one(exact)}, 0)
-    p = p_of_a([Fraction(v) if exact else complex(v) for v in a])
+    if not exact:
+        roots = _roots(np.array([a], dtype=complex))
+        return WeightVector.from_array(_float_weights(inst, roots)[0], inst, l)
+    p = p_of_a([Fraction(v) for v in a])
+    C = _companion(p)
+    powers = [identity(l)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ C)
+    A = [sum((powers[k] * w[k] for k in range(1, w.degree + 1)), powers[0] * w[0])
+         for w in inst.zpolys[2]]
+    forms = [[[A[s][i, j] for s in range(n)] for j in range(l)]
+             for i in range(l)]
+    det = _linear_form_det(forms, l, tuple(range(l)), {})
     sign = 1 if l % 2 == 0 else -1
-    if exact:
-        C = _companion(p)
-        powers = [identity(l)]
-        for _ in range(n - 1):
-            powers.append(powers[-1] @ C)
-        A = [sum((powers[k] * w[k] for k in range(1, w.degree + 1)), powers[0] * w[0])
-             for w in inst.zpolys[2]]
-        forms = [[[A[s][i, j] for s in range(n)] for j in range(l)]
-                 for i in range(l)]
-        det = _linear_form_det(forms, l, tuple(range(l)), {})
-        return WeightVector.from_dict({mu: sign * v for mu, v in det.items()}, l)
-    roots = np.roots(list(reversed(p.to_float().coeffs)))
-    coeffs = {(0,) * n: 1 + 0j}
-    for t in roots.tolist():
-        ws = [complex(W(t)) for W in inst.zpolys[2]]
-        nxt = {}
-        for mu, v in coeffs.items():
-            for s in range(n):
-                if ws[s]:
-                    nu = _bump(mu, s, n)
-                    nxt[nu] = nxt.get(nu, 0j) + v * ws[s]
-        coeffs = nxt
-    return WeightVector.from_dict({mu: sign * v for mu, v in coeffs.items()}, l)
+    return WeightVector.from_dict({mu: sign * v for mu, v in det.items()}, l)
+
+
+def _roots(A: np.ndarray) -> np.ndarray:
+    """Roots of p(a) at each row a of A (P x l), as np.roots finds them: the
+    eigenvalues of the companion matrices, in one stacked call."""
+    P, l = A.shape
+    if l == 0:
+        return np.zeros((P, 0), dtype=complex)
+    C = np.zeros((P, l, l), dtype=complex)
+    # np.roots divides by the leading coefficient, which sets the sign of
+    # zero imaginary parts; the eigenvalues' last bits depend on it
+    C[:, 0, :] = -A / (1 + 0j)
+    C[:, np.arange(1, l), np.arange(l - 1)] = 1
+    return np.linalg.eigvals(C)
+
+
+@cache
+def _raise_maps(n: int, k: int) -> np.ndarray:
+    """Position of mu + e_s in the level-(k+1) basis, for each multi-index mu
+    of the level-k basis (rows) and factor s (columns)."""
+    basis, _ = _weight_basis(n, k)
+    _, pos = _weight_basis(n, k + 1)
+    return np.array([[pos[_bump(mu, s, n)] for s in range(n)] for mu in basis],
+                    dtype=np.intp).reshape(len(basis), n)
+
+
+def _float_weights(inst: ProblemInstance, T: np.ndarray) -> np.ndarray:
+    """The weight vectors at the roots T (P x l) of P points, as the rows of a
+    P x dim array: the product over roots t of sum_s x^(s) W_s(t), one
+    scatter step mu -> mu + e_s per root, times (-1)^l."""
+    P, l = T.shape
+    n = inst.n
+    W = np.array([w.coeffs for w in inst.zpolys[2]], dtype=complex)
+    ws = np.zeros((P, l, n), dtype=complex)
+    for c in W.T[::-1]:     # W_s(t) by Horner, as UniPoly evaluates it
+        ws = ws * T[:, :, None] + c
+    V = np.ones((P, 1), dtype=complex)
+    for k in range(l):
+        up = _raise_maps(n, k)
+        nxt = np.zeros((P, weight_space_dim(n, k + 1)), dtype=complex)
+        for s in range(n):
+            nxt[:, up[:, s]] += V * ws[:, k, s, None]
+        V = nxt
+    return V if l % 2 == 0 else -V
 
 
 def separated_form_value(inst: ProblemInstance, a, x):
@@ -180,7 +218,8 @@ class BetheVector:
 
     omega_L is the image in quotient coordinates; when it vanishes the
     eigenline is recovered from the algebra closure of omega_M and
-    via_subspace is set.
+    via_subspace is set.  roots are the Bethe roots, the roots of p(a)
+    sorted by (real, imaginary) part.
     """
 
     point: SchemePoint
@@ -189,59 +228,92 @@ class BetheVector:
     eigen_residuals: tuple
     e12_residual: float
     via_subspace: bool = False
+    roots: tuple = ()
 
 
 def bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
                  tol: Tolerances = DEFAULT_TOL) -> BetheVector:
-    """Build and verify the eigenvector attached to a scheme point.
+    """bethe_vectors at one point; raises its VerificationError."""
+    (bv,) = bethe_vectors(inst, sys, [point], tol)
+    if isinstance(bv, VerificationError):
+        raise bv
+    return bv
+
+
+def bethe_vectors(inst: ProblemInstance, sys: GaudinSystem, points,
+                  tol: Tolerances = DEFAULT_TOL) -> list:
+    """Build and verify the eigenvector attached to each scheme point: one
+    BetheVector, or the VerificationError that rejects it, per point.
 
     Eigen relations and the quotient image are gated at tol.residual.  A
     float point (from the eigen-decomposition) needs the float system,
     build_gaudin(inst.to_float(), sys.frame); an exact one raises DomainError.
-    A VerificationError names a Bethe root on a marked point when there is
-    one (root_on_marked_point).
+    On a float system every point is computed in floats, all in one pass: the
+    roots of every p(a) (_roots), the weight vectors (_float_weights), and
+    each eigen relation as one product on the P x dim stack.  An exact system
+    takes the exact weight function and the same gates on Fraction arrays.
+    Only the eigenline fallback (_eigenline_via_subspace) runs per point.  A
+    VerificationError names a Bethe root on a marked point when there is one
+    (root_on_marked_point).
     """
-    try:
-        return _bethe_vector(inst, sys, point, tol)
-    except VerificationError as err:
-        cause = root_on_marked_point(inst, point.a, tol)
-        if cause is None:
-            raise
-        raise VerificationError(err.residual, f"{err}; {cause}") from err
-
-
-def _bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
-                  tol: Tolerances) -> BetheVector:
-    point_exact = all(is_exact_scalar(v) for v in point.a) and \
-        all(is_exact_scalar(v) for v in point.h)
-    if sys.inst.exact and not point_exact:
+    points = list(points)
+    if not points:
+        return []
+    l = inst.l
+    exact = sys.inst.exact
+    if exact and not all(is_exact_scalar(v) for p in points for v in p.a + p.h):
         raise DomainError("float point on an exact system; pass the float system")
-    omega = weight_function(inst, point.a)
-    arr = omega.to_array(inst)
-    if is_exact_array(arr) and not sys.inst.exact:
-        arr = to_float_array(arr)
-    nrm = max_abs(arr)
-    if nrm == 0:
-        raise VerificationError(float("inf"), "weight function vanished")
-    resids = []
-    for s, Hb in enumerate(sys.H_big):
-        dev = Hb @ arr - point.h[s] * arr
-        resids.append(max_abs(dev) / (max(max_abs(Hb), 1e-30) * nrm))
-    e12r = max_abs(sys.E12 @ arr) / nrm if sys.E12.shape[0] else 0.0
-    worst = max(max(resids, default=0.0), e12r)
-    if worst > tol.residual:
-        raise VerificationError(worst)
-    # arr is in Sing (the E12 gate), and S is the identity on its free rows
-    coords = arr[sys.shq.free]
-    P = sys.shq.sh
-    omega_L = P @ coords if sys.dim_sing_l else coords[:0]
-    via_subspace = False
-    if sys.dim_sing_l and max_abs(omega_L) <= tol.residual * max(1.0, max_abs(coords)):
-        omega_L = _eigenline_via_subspace(P, sys.H_sing, sys.H_L, coords, point.h, tol)
-        via_subspace = True
-    return BetheVector(point=point, omega_M=omega, omega_L=omega_L,
-                       eigen_residuals=tuple(resids), e12_residual=e12r,
-                       via_subspace=via_subspace)
+    roots = _roots(np.array([p.a for p in points], dtype=complex).reshape(len(points), l))
+    if exact:
+        V = np.stack([weight_function(inst, p.a).to_array(inst) for p in points])
+    else:
+        V = _float_weights(inst, roots)
+    resids, e12r, errors = _eigen_gate(sys, V, np.array([p.h for p in points], dtype=V.dtype), tol)
+    # V is in Sing (the E12 gate), and S is the identity on its free rows
+    coords = V[:, sys.shq.free]
+    omega_L = coords @ sys.shq.sh.T if sys.dim_sing_l else coords[:, :0]
+    dead = _rowmax(omega_L).astype(float) <= \
+        tol.residual * np.maximum(1.0, _rowmax(coords).astype(float))
+    out = []
+    for i, p in enumerate(points):
+        err, line = errors[i], omega_L[i]
+        via_subspace = bool(sys.dim_sing_l and dead[i])
+        if err is None and via_subspace:
+            try:
+                line = _eigenline_via_subspace(sys.shq.sh, sys.H_sing, sys.H_L,
+                                               coords[i], p.h, tol)
+            except VerificationError as e:
+                err = e
+        if err is not None:
+            cause = root_on_marked_point(inst, p.a, tol)
+            out.append(VerificationError(err.residual, f"{err}; {cause}") if cause else err)
+            continue
+        out.append(BetheVector(
+            point=p, omega_M=WeightVector.from_array(V[i], inst, l), omega_L=line,
+            eigen_residuals=tuple(float(r) for r in resids[i]),
+            e12_residual=float(e12r[i]), via_subspace=via_subspace,
+            roots=tuple(sorted(roots[i].tolist(), key=lambda c: (c.real, c.imag)))))
+    return out
+
+
+def _eigen_gate(sys: GaudinSystem, V: np.ndarray, H: np.ndarray, tol: Tolerances):
+    """(eigen residuals, E12 residuals, errors) of the weight vectors V (P x
+    dim) as eigenvectors with the joint eigenvalues H (P x n): each relation
+    is one product on the stack, relative to |H_s| and the vector's largest
+    entry; errors[i] is the VerificationError of row i at tol.residual, or
+    None."""
+    nrm = _rowmax(V).astype(float)
+    safe = np.where(nrm > 0, nrm, 1.0)
+    resids = np.stack([_rowmax(V @ Hb.T - H[:, s, None] * V).astype(float)
+                       / (max(max_abs(Hb), 1e-30) * safe)
+                       for s, Hb in enumerate(sys.H_big)], axis=1)
+    e12r = _rowmax(V @ sys.E12.T).astype(float) / safe if sys.E12.shape[0] \
+        else np.zeros(len(V))
+    worst = np.maximum(resids.max(axis=1, initial=0.0), e12r)
+    errors = [VerificationError(float("inf"), "weight function vanished") if r == 0 else
+              VerificationError(float(w)) if w > tol.residual else None
+              for r, w in zip(nrm, worst)]
+    return resids, e12r, errors
 
 
 def _eigenline_via_subspace(P, H_sing, H_L, coords, h, tol: Tolerances):

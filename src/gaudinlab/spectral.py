@@ -359,7 +359,8 @@ def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
 
 
 def _jacobian(inst: ProblemInstance, h, a):
-    """Rows of d(q_{-1}, q_0, q_{l+1}, ..., q_{l+n-2})/dh at a = a(h).
+    """Rows of d(q_{-1}, q_0, q_{l+1}, ..., q_{l+n-2})/dh at a = a(h), at an
+    exact point; _float_jacobians is the same Jacobian at float points.
 
     D_h p is linear in a and in h: dq/da_k is the column of x^{l-k} in the
     operator's q_rows(l) and dq/dh_s is read off M[s] p(a) (inst.dh_blocks).
@@ -384,6 +385,27 @@ def _jacobian(inst: ProblemInstance, h, a):
     return rows
 
 
+def _float_jacobians(finst: ProblemInstance, H: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """_jacobian at the P float points H (P x n) of finst, with a = a(h) the
+    rows of A (P x l), stacked as P x n x n: the q rows are read off the
+    dh_matrices stack and da/dh comes from one stacked solve."""
+    l, n = finst.l, finst.n
+    P = len(H)
+    J = np.empty((P, n, n), dtype=complex)
+    J[:, 0] = 1
+    J[:, 1] = finst.z
+    if n > 2:
+        # rows: q_1, ..., q_{l+n-2} of D_h p (DhOperator.q_rows); column k
+        # of Qa multiplies a_{k+1}, the coefficient of x^{l-1-k}
+        Qa = dh_matrices(finst, H)[:, l + n - 3::-1, :l][:, :, ::-1]
+        p = np.concatenate([A[:, ::-1], np.ones((P, 1))], axis=1)
+        # dq_dh[:, i, s] = dq_{i+1}/dh_s: rows of M[s] p(a), q_1 first
+        dq_dh = (finst.dh_blocks[1][:, l + n - 3::-1, :l + 1] @ p.T).transpose(2, 1, 0)
+        da_dh = np.linalg.solve(Qa[:, :l], -dq_dh[:, :l])
+        J[:, 2:] = dq_dh[:, l:] + Qa[:, l:] @ da_dh
+    return J
+
+
 def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAULT_TOL):
     """Inverse Jacobian weights of the n defining polynomials at simple points.
 
@@ -391,42 +413,50 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAUL
     on functions separating the points, nondegenerate.  The overall residue
     normalization is a convention of this routine; only properties invariant
     under a global rescaling of the weights should be relied on.  Every
-    point must carry a = a(h), as match_spectrum_to_scheme builds it.  A
-    float Jacobian is singular when sv_min <= tol.residual * sv_max after
-    _equilibrated, as its rows differ in scale by orders of magnitude; the
-    error names a Bethe root on a marked point when there is one.
+    point must carry a = a(h), as match_spectrum_to_scheme builds it.  The
+    float points' Jacobians are built, gated and inverted as one stack
+    (_float_jacobians).  A float Jacobian is singular when sv_min <=
+    tol.residual * sv_max after _equilibrated, as its rows differ in scale
+    by orders of magnitude; the error names a Bethe root on a marked point
+    when there is one.
     """
     finst = inst.to_float() if inst.exact else inst
+    points = list(points)
+    exact = [inst.exact and all(isinstance(v, Fraction) for v in p.h) for p in points]
+    fl = [p for p, e in zip(points, exact) if not e]
+    J = _float_jacobians(finst, np.array([p.h for p in fl], dtype=complex).reshape(len(fl), finst.n),
+                         np.array([p.a for p in fl], dtype=complex).reshape(len(fl), finst.l))
+    gated = zip(np.linalg.svd(_equilibrated(J), compute_uv=False), np.linalg.det(J))
     weights = []
-    for p in points:
+    for p, e in zip(points, exact):
         if p.multiplicity != 1:
             raise NonSimplePointError(
                 f"point with multiplicity {p.multiplicity}")
-        if inst.exact and all(isinstance(v, Fraction) for v in p.h):
-            J = exact_det(_jacobian(inst, p.h, p.a))
-            if J == 0:
+        if e:
+            det = exact_det(_jacobian(inst, p.h, p.a))
+            if det == 0:
                 raise _singular(inst, p, "exact Jacobian vanished", tol)
-            weights.append(Fraction(1) / J)
+            weights.append(Fraction(1) / det)
             continue
-        Jm = np.array(_jacobian(finst, [complex(v) for v in p.h], p.a), dtype=complex)
-        sv = np.linalg.svd(_equilibrated(Jm), compute_uv=False)
+        sv, det = next(gated)
         if sv[0] == 0 or sv[-1] <= tol.residual * sv[0]:
             raise _singular(finst, p, "equilibrated Jacobian condition "
                             f"{sv[-1]:.3e}/{sv[0]:.3e} is numerically singular", tol)
-        weights.append(1 / complex(np.linalg.det(Jm)))
+        weights.append(1 / complex(det))
     return weights
 
 
 def _equilibrated(J: np.ndarray) -> np.ndarray:
     """diag(r) J diag(c) with each row, then each column, scaled to largest modulus
     1 (a zero row or column keeps scale 1); each row keeps its largest entry 1 through
-    the column scaling, so more sweeps change nothing.  A singular J stays singular."""
+    the column scaling, so more sweeps change nothing.  A singular J stays singular.
+    J may be a stack of matrices (... x n x n), each scaled on its own."""
     E = np.abs(J)
-    r = E.max(axis=1)
+    r = E.max(axis=-1)
     r[r == 0] = 1.0
-    c = (E / r[:, None]).max(axis=0)
+    c = (E / r[..., None]).max(axis=-2)
     c[c == 0] = 1.0
-    return J / r[:, None] / c
+    return J / r[..., None] / c[..., None, :]
 
 
 def _singular(inst: ProblemInstance, point, msg: str, tol: Tolerances):

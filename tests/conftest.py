@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaudinlab import ProblemInstance, NonSeparatingError, schubert_dimension
+from gaudinlab import (
+    ClusterAmbiguityError,
+    NonSeparatingError,
+    ProblemInstance,
+    joint_spectrum,
+    schubert_dimension,
+)
 from gaudinlab.gl2rep import weight_space_dim
 
 
@@ -29,6 +35,17 @@ def load_perfbench(name):
 # the benchmark's exact ladder rungs, (m, l, z)
 LADDER = [((1,) * 4, 2, range(4)), ((1,) * 5, 2, range(5)),
           ((2,) * 4, 3, (0, 1, 3, 7)), ((3,) * 4, 4, (0, 1, 3, 7))]
+
+
+def pipeline_spectrum(mats, seed):
+    """joint_spectrum at the first of seed, seed + 1, ... whose draw it
+    accepts, as run_pipeline reseeds."""
+    for attempt in range(6):
+        try:
+            return joint_spectrum(mats, seed=seed + attempt)
+        except ClusterAmbiguityError:
+            continue
+    raise ClusterAmbiguityError(f"no draw from seed {seed} separates")
 
 
 def random_rational_z(rng, n):

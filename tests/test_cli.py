@@ -150,17 +150,18 @@ class TestToleranceReach:
 
     @pytest.fixture
     def bethe_vector_tols(self, monkeypatch):
-        """The residual gate of every Bethe vector check the run makes: the
-        weight vector must lie in Sing (E12 kills it) and be an eigenvector."""
+        """The residual gate of every Bethe vector check the run makes, once
+        per gated point: the weight vector must lie in Sing (E12 kills it)
+        and be an eigenvector."""
         import gaudinlab.sov as sov
         seen = []
-        real = sov._bethe_vector
+        real = sov._eigen_gate
 
-        def spy(inst, sys, point, tol):
-            seen.append(tol.residual)
-            return real(inst, sys, point, tol)
+        def spy(sys, V, H, tol):
+            seen.extend([tol.residual] * len(V))
+            return real(sys, V, H, tol)
 
-        monkeypatch.setattr(sov, "_bethe_vector", spy)
+        monkeypatch.setattr(sov, "_eigen_gate", spy)
         return seen
 
     @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -36,9 +36,9 @@ from gaudinlab.opscheme import (
     residual_system,
     wronskian_check,
 )
-from gaudinlab.spectral import _jacobian
+from gaudinlab.spectral import _float_jacobians
 
-from conftest import LADDER, random_dominant_float_instance
+from conftest import LADDER, pipeline_spectrum, random_dominant_float_instance
 
 
 def sorted_schur_reference(mats, seed, tol=Tolerances()):
@@ -132,17 +132,6 @@ def rel_diff(x, y):
 # the two exact instances whose seed-202 spectrum draw merges their sing_m
 # points (joint_spectrum rejects that draw)
 MERGED_AT_SEED_202 = [((1, 3, 0), 1, (2, -2, -4)), ((1, 2, 2), 3, (5, -1, -4))]
-
-
-def pipeline_spectrum(mats, seed):
-    """joint_spectrum at the first of seed, seed + 1, ... whose draw it
-    accepts, as run_pipeline reseeds."""
-    for attempt in range(6):
-        try:
-            return joint_spectrum(mats, seed=seed + attempt)
-        except ClusterAmbiguityError:
-            continue
-    raise ClusterAmbiguityError(f"no draw from seed {seed} separates")
 
 
 class TestJointSpectrum:
@@ -538,8 +527,8 @@ class TestGrothendieck:
         assert points
         for h in points:
             h = np.array(h, dtype=complex)
-            J = np.array(_jacobian(inst, list(h), _a_of_h_raw(DhOperator(inst, tuple(h)))),
-                         dtype=complex)
+            a = np.array(_a_of_h_raw(DhOperator(inst, tuple(h))), dtype=complex)
+            J = _float_jacobians(inst, h[None], a[None])[0]
             step = 1e-6 * max(1.0, np.abs(h).max())
             fd = np.empty_like(J)
             for v in range(inst.n):
@@ -574,7 +563,8 @@ class TestGrothendieck:
     def weights_at_jacobian(monkeypatch, J):
         """grothendieck_weights at one point of E2's float twin, whose
         Jacobian is replaced by J."""
-        monkeypatch.setattr(spectral, "_jacobian", lambda inst, h, a: J)
+        monkeypatch.setattr(spectral, "_float_jacobians",
+                            lambda inst, H, A: np.array([J], dtype=complex))
         pt = SchemePoint(h=(1 + 0j, 0j, -1 + 0j), a=(0.5 + 0j,), atilde=None,
                          multiplicity=1, residuals={})
         return grothendieck_weights(ProblemInstance([1, 1, 1], 1, [0, 1, 2]).to_float(), [pt])
