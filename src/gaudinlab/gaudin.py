@@ -43,6 +43,7 @@ from .numcore import (
     matmul,
     max_abs,
     primitive,
+    rank_of,
     row_update,
     solve_linear,
     to_float_array,
@@ -525,27 +526,67 @@ def bethe_algebra_basis(mats, tol: Tolerances = DEFAULT_TOL):
     return span_closure(eye, mats, matmul, tol)
 
 
+def _side_by_side(mats, V) -> np.ndarray:
+    """[M_1 V | ... | M_c V] for square matrices M_i, as one product."""
+    c, (d, k) = len(mats), V.shape
+    return matmul(np.vstack(mats), V).reshape(c, d, k).transpose(1, 0, 2).reshape(d, c * k)
+
+
+def _cyclic_block(algebra, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """V (d x k) with rank [F_1 V | ... | F_m V] = d over the algebra basis.
+
+    V is the all-ones column, then the unit columns e_0, e_1, ... until the
+    rank is d: exact on an exact algebra, else gated at tol.svd_rel.  The
+    identity is in the algebra, so k <= d + 1, and at k = d + 1 (which
+    skips the check) f V holds every column of f.  On a commutative algebra
+    f -> f V is injective: f V = 0 gives f g V = g f V = 0 for every g, and
+    the g V span the space.
+    """
+    d = algebra[0].shape[0]
+    one = identity(d, is_exact_array(algebra[0]))
+    cands = np.hstack([one.sum(axis=1, keepdims=True), one])
+    for k in range(1, d + 1):
+        if rank_of(_side_by_side(algebra, cands[:, :k]), tol.svd_rel) == d:
+            return cands[:, :k]
+    return cands
+
+
 def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """Elements of span(algebra) whose composition with sh vanishes.
 
     These are exactly the operators mapping the singular subspace into the
-    radical, i.e. the kernel of the quotient-algebra map.
+    radical, i.e. the kernel of the quotient-algebra map.  The algebra must
+    be commutative and sh must intertwine it (sh g = g~ sh for some g~,
+    which the frame certifies for the Bethe algebra).  Then
+    sh f g V = g~ sh f V, and the g V span the space (V = _cyclic_block),
+    so sh f = 0 exactly when sh f V = 0: the images reduced are the blocks
+    sh F V, not the matrices sh F.
     """
     if not algebra:
         return []
-    return _vanishing_combinations(algebra, [matmul(sh, F).reshape(-1) for F in algebra],
-                                   tol)
+    V = _cyclic_block(algebra, tol)
+    k = V.shape[1]
+    # column block j is sh F_j V
+    PFV = matmul(sh, _side_by_side(algebra, V))
+    return _vanishing_combinations(
+        algebra, [PFV[:, j * k:(j + 1) * k].reshape(-1) for j in range(len(algebra))], tol)
 
 
 def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL):
-    """Basis of J = { f in span(algebra) : f g = 0 for every g in kernel }."""
+    """Basis of J = { f in span(algebra) : f g = 0 for every g in kernel }.
+
+    The algebra must be commutative and hold kernel.  Then f g is in the
+    algebra, so f g = 0 exactly when f g V = 0, V = _cyclic_block: the
+    images reduced are F [g_1 V | ... | g_c V], not F [g_1 | ... | g_c].
+    """
     if not algebra:
         return []
     if not kernel:
         return list(algebra)
-    # f g = 0 for every g in kernel exactly when f kills every column of each g
-    K = np.hstack(kernel)
-    return _vanishing_combinations(algebra, [matmul(F, K).reshape(-1) for F in algebra], tol)
+    KV = _side_by_side(kernel, _cyclic_block(algebra, tol))
+    # row j is F_j KV, flattened
+    images = matmul(np.vstack(algebra), KV).reshape(len(algebra), -1)
+    return _vanishing_combinations(algebra, list(images), tol)
 
 
 def _vanishing_combinations(algebra, images, tol):

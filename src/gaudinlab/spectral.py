@@ -74,10 +74,12 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
 
     mats must commute (checked exactly upstream); exact input is converted
     here, the one sanctioned entry into float mode.  The combination is
-    factored once, as a complex Schur form; eigenvalues on its diagonal
-    closer than tol.cluster share a cluster, and each cluster's basis is
-    read off that one factorisation reordered by LAPACK's ztrsen.  Raises
-    ClusterAmbiguityError when two clusters run closer than
+    diagonalised once (np.linalg.eig); eigenvalues closer than tol.cluster
+    share a cluster.  A cluster of size 1 takes its unit eigenvector as
+    basis, and h is the Rayleigh quotient of each generator on it.  Only a
+    spectrum with a larger cluster factors the combination as a complex
+    Schur form, and reads each such cluster's basis off it (_schur_bases).
+    Raises ClusterAmbiguityError when two clusters run closer than
     10 * tol.cluster, or when a cluster is not one joint eigenvalue (two
     eigenvalues of some Q^H H_s Q / max(1, max|H_s|) lie 10 * tol.cluster or
     more apart), in which case the caller should reseed.  Clusters are
@@ -85,8 +87,6 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
     by the imaginary part, so a conjugate pair whose real parts agree to
     rounding keeps one order.
     """
-    import scipy.linalg  # about 0.3 s of start-up, so loaded on first use
-
     mats = [to_float_array(M) for M in mats]
     n = len(mats)
     d = mats[0].shape[0]
@@ -96,8 +96,7 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
     c = rng.integers(1, 998, size=n)
     T = sum(int(cs) * H for cs, H in zip(c, mats))
     scale = max(1.0, float(np.abs(T).max()))
-    S, Z = scipy.linalg.schur(T / scale, output="complex")
-    eigs = np.diag(S)
+    eigs, vecs = np.linalg.eig(T / scale)
 
     # single-linkage clustering at distance tol.cluster
     order = sorted(range(d), key=lambda i: (eigs[i].real, eigs[i].imag))
@@ -129,27 +128,53 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
                     f"cluster centers {centers[i]:.6g} and {centers[j]:.6g} "
                     f"within 10*tol; reseed")
 
-    # each eigenvalue belongs to its nearest center
-    labels = np.argmin(np.abs(eigs[:, None] - np.array(centers)[None, :]), axis=1)
-    scales = [max(1.0, max_abs(H)) for H in mats]
+    # a simple cluster's basis is its unit eigenvector, and every simple h
+    # is one stacked Rayleigh quotient
+    simple = [g[0] for g in clusters if len(g) == 1]
+    Vs = vecs[:, simple]
+    hs = dict(zip(simple, np.einsum("ij,sij->js", Vs.conj(), np.stack(mats) @ Vs)))
+    if len(simple) < len(clusters):
+        schur = _schur_bases(T / scale, centers, clusters, mats, tol)
     out = []
     for idx, g in enumerate(clusters):
-        # the selected eigenvalues move to the top of the Schur form
+        if len(g) == 1:
+            out.append((tuple(complex(v) for v in hs[g[0]]), 1, vecs[:, g]))
+        else:
+            out.append(schur[idx])
+    assert sum(m for _, m, _ in out) == d
+    return out
+
+
+def _schur_bases(Tn, centers, clusters, mats, tol):
+    """{cluster index: (h, multiplicity, Q)} for each cluster of size > 1 of
+    the normalised combination Tn, read off its complex Schur form, which
+    LAPACK's ztrsen reorders to bring the cluster's eigenvalues to the top.
+    Eigenvectors cannot span a defective cluster, an invariant basis can.
+    Raises ClusterAmbiguityError when the cluster is not one joint
+    eigenvalue (see joint_spectrum)."""
+    import scipy.linalg  # about 28 MB and 0.25 s to import, so loaded only here
+
+    S, Z = scipy.linalg.schur(Tn, output="complex")
+    # each eigenvalue on the Schur diagonal belongs to its nearest center
+    labels = np.argmin(np.abs(np.diag(S)[:, None] - np.array(centers)[None, :]), axis=1)
+    scales = [max(1.0, max_abs(H)) for H in mats]
+    out = {}
+    for idx, g in enumerate(clusters):
+        if len(g) == 1:
+            continue
         _, Zs, _, sdim, _, _, _ = scipy.linalg.lapack.ztrsen(labels == idx, S, Z, job="N")
         if sdim != len(g):
             raise ClusterAmbiguityError(
                 f"invariant subspace dimension {sdim} != cluster size {len(g)}")
         Q = Zs[:, :sdim]
         blocks = [Q.conj().T @ H @ Q for H in mats]
-        for s, B in enumerate(blocks if sdim > 1 else ()):
+        for s, B in enumerate(blocks):
             # a cluster of the combination must be one joint eigenvalue
             ev = np.linalg.eigvals(B / scales[s])
             if np.abs(ev[:, None] - ev[None, :]).max() >= 10 * tol.cluster:
                 raise ClusterAmbiguityError(
                     f"cluster of size {sdim} splits under generator {s}; reseed")
-        h = tuple(complex(np.trace(B)) / sdim for B in blocks)
-        out.append((h, int(sdim), Q))
-    assert sum(m for _, m, _ in out) == d
+        out[idx] = (tuple(complex(np.trace(B)) / sdim for B in blocks), int(sdim), Q)
     return out
 
 

@@ -209,6 +209,14 @@ class TestSpectrumCommand:
         assert len(rep["spectrum_sing_l"]["points"]) == 2
         assert rep["spectrum_sing_l"]["all_simple"] is True
 
+    def test_float_annihilator_keeps_every_element(self):
+        # the matrix images F K once lost one element of the float ideal
+        # here (annihilator 4 against sing_l 5); the vectors F K V keep it
+        rep, fails = cmd_spectrum({"m": [3, 2, 3, 1], "l": 2, "z": ["7", "1/4", "0", "8/3"],
+                                   "mode": "float", "seed": 0})
+        assert rep["dims"]["annihilator"] == rep["dims"]["sing_l"] == 5
+        assert fails == []
+
     def test_exact_report_deterministic(self):
         rep1, _ = cmd_spectrum(E1_CONFIG)
         rep2, _ = cmd_spectrum(E1_CONFIG)
@@ -409,8 +417,17 @@ class TestMainEntry:
         return subprocess.run(argv, capture_output=True, text=True)
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy.linalg loads on the first joint spectrum, not at start-up
+        # scipy.linalg loads only for a spectrum with a cluster of size > 1,
+        # never at start-up
         code = "import sys, gaudinlab.cli; assert 'scipy' not in sys.modules"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
+    def test_simple_float_spectrum_leaves_scipy_linalg_unloaded(self):
+        code = ("import sys; from gaudinlab.cli import cmd_spectrum; "
+                f"rep, fails = cmd_spectrum({FLOAT_2_4!r}); "
+                "assert rep['spectrum_sing_l']['all_simple'] and fails == []; "
+                "assert 'scipy.linalg' not in sys.modules")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
 

@@ -21,6 +21,7 @@ from gaudinlab.gaudin import (
     GaudinFrame,
     _ExactReducer,
     _FloatReducer,
+    _cyclic_block,
     _vanishing_combinations,
     span_closure,
     apply_universal_operator,
@@ -28,10 +29,14 @@ from gaudinlab.gaudin import (
 from gaudinlab.numcore import (
     InconsistentSystemError,
     Tolerances,
+    exact_array,
     identity,
+    is_exact_array,
     kernel_basis,
     matmul,
     max_abs,
+    solve_linear,
+    to_float_array,
     zeros_like_domain,
 )
 
@@ -817,6 +822,115 @@ class TestFractionFree:
             assert_same_matrices(annihilator_ideal(alg, ker),
                                  _vanishing_combinations(alg, images, Tolerances()))
             seen += 1
+
+
+def matrix_image_induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = Tolerances()):
+    """induced_map_kernel on the matrices sh F: the earlier code, kept
+    verbatim (only its name, this line and its default tol changed).
+
+    Elements of span(algebra) whose composition with sh vanishes.
+
+    These are exactly the operators mapping the singular subspace into the
+    radical, i.e. the kernel of the quotient-algebra map.
+    """
+    if not algebra:
+        return []
+    return _vanishing_combinations(algebra, [matmul(sh, F).reshape(-1) for F in algebra],
+                                   tol)
+
+
+def matrix_image_annihilator_ideal(algebra, kernel, tol: Tolerances = Tolerances()):
+    """annihilator_ideal on the matrices F [g_1 | ... | g_c]: the earlier
+    code, kept verbatim (only its name, this line and its default tol
+    changed).
+
+    Basis of J = { f in span(algebra) : f g = 0 for every g in kernel }."""
+    if not algebra:
+        return []
+    if not kernel:
+        return list(algebra)
+    # f g = 0 for every g in kernel exactly when f kills every column of each g
+    K = np.hstack(kernel)
+    return _vanishing_combinations(algebra, [matmul(F, K).reshape(-1) for F in algebra], tol)
+
+
+class TestCyclicBlock:
+    """induced_map_kernel and annihilator_ideal reduce the vectors F V,
+    V = _cyclic_block(algebra), where the matrix-image references reduce
+    matrices.  In the exact lane both reduce images with the same null
+    space, whose rref basis is unique, so the results are the same
+    matrices (and so the same spans); in the float lane they have the same
+    dimensions."""
+
+    @staticmethod
+    def assert_matches_reference(alg, sh):
+        """(k, dim kernel, dim annihilator), k the columns of V."""
+        tol = Tolerances()
+        ker = induced_map_kernel(alg, sh, tol)
+        ann = annihilator_ideal(alg, ker, tol)
+        ref_ker = matrix_image_induced_map_kernel(alg, sh, tol)
+        ref_ann = matrix_image_annihilator_ideal(alg, ref_ker, tol)
+        if is_exact_array(alg[0]):
+            assert_same_matrices(ker, ref_ker)
+            assert_same_matrices(ann, ref_ann)
+        else:
+            assert (len(ker), len(ann)) == (len(ref_ker), len(ref_ann))
+        return _cyclic_block(alg, tol).shape[1], len(ker), len(ann)
+
+    def check_system(self, s):
+        alg = bethe_algebra_basis(list(s.H_sing)) if s.dim_sing_m else []
+        if not alg:
+            return None
+        k, _, dim_ann = self.assert_matches_reference(alg, s.shq.sh)
+        assert dim_ann == s.dim_sing_l
+        return k
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_ladder_one_column(self, exact):
+        # the all-ones vector is cyclic on every rung
+        for m, l, z in conftest.LADDER:
+            z = list(z) if exact else [float(v) for v in z]
+            assert self.check_system(build_gaudin(ProblemInstance(m, l, z))) == 1
+
+    def test_random_exact(self, rng):
+        ks = [self.check_system(build_gaudin(random_exact_instance(rng, max_level_dim=20)))
+              for _ in range(10)]
+        assert sum(k is not None for k in ks) >= 5
+
+    def test_random_float(self, rng):
+        ks = []
+        for k in range(10):
+            inst = random_exact_instance(rng, max_level_dim=20)
+            z = random_float_z(rng, inst.n, real=k % 2 == 0)
+            ks.append(self.check_system(build_gaudin(ProblemInstance(inst.m, inst.l, z))))
+        assert sum(k is not None for k in ks) >= 5
+
+    @staticmethod
+    def eigenvector_family(lams, keep):
+        """(H_1, H_2, sh): H_s = P diag(lams[s]) P^-1 with the all-ones
+        vector as P's first column, so it is a common eigenvector and A 1
+        is one line; sh the rows keep of P^-1, which intertwine every H_s
+        (sh H_s = diag(lams[s][keep]) sh)."""
+        P = exact_array([[1, 0, 0, 0], [1, 1, 0, 0], [1, 2, 1, 0], [1, 3, 4, 1]])
+        Pinv = solve_linear(P, identity(4))
+        Hs = [matmul(matmul(P, exact_array(np.diag(lam).tolist())), Pinv) for lam in lams]
+        return Hs, Pinv[keep]
+
+    @pytest.mark.parametrize("lams, keep, dims", [
+        # four joint eigenvalues: the algebra is all functions on them
+        (([1, 2, 3, 4], [0, 5, -1, 2]), [0, 2], (4, 2, 2)),
+        # a repeated joint eigenvalue: no cyclic vector exists at all
+        (([1, 1, 2, 3], [5, 5, 7, 0]), [1, 2], (3, 1, 2)),
+    ])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_block_grows_past_one_column(self, lams, keep, dims, exact):
+        Hs, sh = self.eigenvector_family(lams, keep)
+        if not exact:
+            Hs, sh = [to_float_array(H) for H in Hs], to_float_array(sh)
+        alg = bethe_algebra_basis(Hs)
+        assert len(alg) == dims[0]
+        k, dim_ker, dim_ann = self.assert_matches_reference(alg, sh)
+        assert k >= 2 and (dim_ker, dim_ann) == dims[1:]
 
 
 # the exact-ladder rungs, (m, l)

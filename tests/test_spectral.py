@@ -74,6 +74,94 @@ def sorted_schur_reference(mats, seed, tol=Tolerances()):
     return out
 
 
+def schur_ztrsen_reference(mats, seed: int, tol: Tolerances = Tolerances()):
+    """joint_spectrum as one complex Schur factorisation per spectrum, every
+    cluster's basis read off it by ztrsen: the earlier code, kept verbatim
+    (only its name, this line and its default tol changed).
+
+    [(h, multiplicity, orthonormal invariant basis), ...] of the family.
+
+    mats must commute (checked exactly upstream); exact input is converted
+    here, the one sanctioned entry into float mode.  The combination is
+    factored once, as a complex Schur form; eigenvalues on its diagonal
+    closer than tol.cluster share a cluster, and each cluster's basis is
+    read off that one factorisation reordered by LAPACK's ztrsen.  Raises
+    ClusterAmbiguityError when two clusters run closer than
+    10 * tol.cluster, or when a cluster is not one joint eigenvalue (two
+    eigenvalues of some Q^H H_s Q / max(1, max|H_s|) lie 10 * tol.cluster or
+    more apart), in which case the caller should reseed.  Clusters are
+    listed by the real part of their centers on a grid of tol.cluster, then
+    by the imaginary part, so a conjugate pair whose real parts agree to
+    rounding keeps one order.
+    """
+    import scipy.linalg  # about 0.3 s of start-up, so loaded on first use
+
+    mats = [to_float_array(M) for M in mats]
+    n = len(mats)
+    d = mats[0].shape[0]
+    if d == 0:
+        return []
+    rng = np.random.default_rng(seed)
+    c = rng.integers(1, 998, size=n)
+    T = sum(int(cs) * H for cs, H in zip(c, mats))
+    scale = max(1.0, float(np.abs(T).max()))
+    S, Z = scipy.linalg.schur(T / scale, output="complex")
+    eigs = np.diag(S)
+
+    # single-linkage clustering at distance tol.cluster
+    order = sorted(range(d), key=lambda i: (eigs[i].real, eigs[i].imag))
+    parent = list(range(d))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for ii in range(d):
+        for jj in range(ii + 1, d):
+            if abs(eigs[order[ii]] - eigs[order[jj]]) <= tol.cluster:
+                ri, rj = find(order[ii]), find(order[jj])
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(d):
+        groups.setdefault(find(i), []).append(i)
+    mean = {r: complex(np.mean([eigs[i] for i in g])) for r, g in groups.items()}
+    roots = sorted(groups, key=lambda r: (round(mean[r].real / tol.cluster), mean[r].imag))
+    clusters = [groups[r] for r in roots]
+    centers = [mean[r] for r in roots]
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            if abs(centers[i] - centers[j]) < 10 * tol.cluster:
+                raise ClusterAmbiguityError(
+                    f"cluster centers {centers[i]:.6g} and {centers[j]:.6g} "
+                    f"within 10*tol; reseed")
+
+    # each eigenvalue belongs to its nearest center
+    labels = np.argmin(np.abs(eigs[:, None] - np.array(centers)[None, :]), axis=1)
+    scales = [max(1.0, max_abs(H)) for H in mats]
+    out = []
+    for idx, g in enumerate(clusters):
+        # the selected eigenvalues move to the top of the Schur form
+        _, Zs, _, sdim, _, _, _ = scipy.linalg.lapack.ztrsen(labels == idx, S, Z, job="N")
+        if sdim != len(g):
+            raise ClusterAmbiguityError(
+                f"invariant subspace dimension {sdim} != cluster size {len(g)}")
+        Q = Zs[:, :sdim]
+        blocks = [Q.conj().T @ H @ Q for H in mats]
+        for s, B in enumerate(blocks if sdim > 1 else ()):
+            # a cluster of the combination must be one joint eigenvalue
+            ev = np.linalg.eigvals(B / scales[s])
+            if np.abs(ev[:, None] - ev[None, :]).max() >= 10 * tol.cluster:
+                raise ClusterAmbiguityError(
+                    f"cluster of size {sdim} splits under generator {s}; reseed")
+        h = tuple(complex(np.trace(B)) / sdim for B in blocks)
+        out.append((h, int(sdim), Q))
+    assert sum(m for _, m, _ in out) == d
+    return out
+
+
 def reference_residuals(finst, h, tol):
     """(a, atilde, residuals) at one point from the public single-point
     functions of opscheme, with the pipeline's gates and scales."""
@@ -127,6 +215,14 @@ def rel_diff(x, y):
     exact a = 0 reads as rounding, not as a relative error of one)."""
     x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
     return float(np.abs(x - y).max(initial=0.0)) / max(1.0, float(np.abs(y).max(initial=0.0)))
+
+
+# joint_spectrum against the Schur references on a simple cluster: h
+# relative to its largest entry (rel_diff), and the projector Q Q^H entry by
+# entry.  Largest differences measured: 3.6e-13 and 1.4e-13 on the random
+# non-normal commuting_families, 2.1e-15 and 1.6e-15 on the ladder rungs.
+SIMPLE_H_REL = 1e-12
+SIMPLE_PROJECTOR_ABS = 1e-12
 
 
 # the two exact instances whose seed-202 spectrum draw merges their sing_m
@@ -196,6 +292,8 @@ class TestJointSpectrum:
         assert orders[0] == orders[1] == [0, -1, 1, 0]
 
     def test_one_schur_factorisation_per_call(self, monkeypatch, E2):
+        # none on an all-simple spectrum, exactly one when a cluster has
+        # size > 1
         real_schur = scipy.linalg.schur
         calls = []
 
@@ -206,10 +304,15 @@ class TestJointSpectrum:
         monkeypatch.setattr(scipy.linalg, "schur", counting)
         s = build_gaudin(ProblemInstance([1] * 4, 2, [0.0, 1.0, 2.0, 3.0]))
         for mats in (s.H_sing, s.H_L, build_gaudin(E2).H_L):
+            spectrum = joint_spectrum(list(mats), seed=0)
+            assert len(spectrum) > 1 and {m for _, m, _ in spectrum} == {1}
+        assert calls == []
+        for mats in self.commuting_families():
             before = len(calls)
-            assert len(joint_spectrum(list(mats), seed=0)) > 1
-            assert len(calls) == before + 1
-        assert calls == [None] * 3
+            fat = max(m for _, m, _ in joint_spectrum(mats, seed=0)) > 1
+            assert len(calls) == before + fat
+        # five of the six families have a cluster of size > 1
+        assert calls == [None] * 5
 
     @staticmethod
     def commuting_families():
@@ -231,20 +334,41 @@ class TestJointSpectrum:
         yield list(H)
 
     @staticmethod
-    def assert_equals_reference(mats, seed):
+    def assert_equals_reference(mats, seed, reference=schur_ztrsen_reference):
+        """A cluster of size > 1 is read off the reference's Schur form, so
+        it is the same to the bit; a simple cluster's unit eigenvector and
+        Rayleigh quotient agree with it to rounding (SIMPLE_H_REL,
+        SIMPLE_PROJECTOR_ABS)."""
         got = joint_spectrum(mats, seed=seed)
-        ref = sorted_schur_reference(mats, seed=seed)
+        ref = reference(mats, seed=seed)
         assert [m for _, m, _ in got] == [m for _, m, _ in ref]
         for (h, m, Q), (hr, _, Qr) in zip(got, ref):
-            assert h == hr
-            assert np.array_equal(Q @ Q.conj().T, Qr @ Qr.conj().T)
+            P, Pr = Q @ Q.conj().T, Qr @ Qr.conj().T
+            if m > 1:
+                assert h == hr
+                assert np.array_equal(P, Pr)
+            else:
+                assert rel_diff(h, hr) <= SIMPLE_H_REL
+                assert np.abs(P - Pr).max() <= SIMPLE_PROJECTOR_ABS
         return [m for _, m, _ in got]
 
     def test_equals_sorted_schur_reference(self):
         multiplicities = []
         for mats in self.commuting_families():
             for seed in (0, 202):
+                multiplicities += self.assert_equals_reference(mats, seed,
+                                                               sorted_schur_reference)
+        assert max(multiplicities) == 4 and 2 in multiplicities
+
+    def test_equals_schur_ztrsen_reference(self):
+        multiplicities = []
+        for mats in self.commuting_families():
+            for seed in (0, 202):
                 multiplicities += self.assert_equals_reference(mats, seed)
+        for m, l, z in LADDER:
+            s = build_gaudin(ProblemInstance(m, l, z))
+            for mats in (list(s.H_sing), list(s.H_L)):
+                multiplicities += self.assert_equals_reference(mats, 0)
         assert max(multiplicities) == 4 and 2 in multiplicities
 
     @pytest.mark.parametrize("m, l, z", MERGED_AT_SEED_202)
