@@ -23,6 +23,7 @@ from .gaudin import (
     IDENTITIES,
     GaudinFrame,
     GaudinSystem,
+    _cyclic_block,
     annihilator_ideal,
     bethe_algebra_basis,
     build_gaudin,
@@ -38,7 +39,7 @@ from .spectral import (
     grothendieck_weights,
     diagonalizability_check,
     joint_spectrum,
-    match_spectrum_to_scheme,
+    match_spectra_to_scheme,
 )
 
 __all__ = ["CONFIG_SCHEMA", "cmd_spectrum", "cmd_schubert", "cmd_verify", "main"]
@@ -188,30 +189,50 @@ def _ser_seq(seq):
     return [_ser(v) for v in seq]
 
 
-def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
-    """Check everything for one built system; returns (report dict, failures,
-    spec_l), spec_l being H_L's joint spectrum ([] if no seed separated it)."""
-    t0 = time.perf_counter()
-    failures = []
-    inst = sysd.inst
-    exact = inst.exact
+class _Run:
+    """One system between the phases of the pipeline (run_pipeline): what
+    the scheme pass and the back phase read, the gates' failures and the
+    values the report carries."""
 
-    def check(name, residual, gate=tol.residual):
+    def __init__(self, sysd: GaudinSystem, tol: Tolerances):
+        self.sysd, self.tol = sysd, tol
+        # one float twin, so its operator blocks are built once per pipeline
+        self.finst = sysd.inst.to_float() if sysd.inst.exact else sysd.inst
+        self.failures = []
+
+    def check(self, name, residual, gate=None):
         residual = float(residual)
-        if residual > gate:
-            failures.append(name)
+        if residual > (self.tol.residual if gate is None else gate):
+            self.failures.append(name)
         return residual
 
+
+def _front(sysd: GaudinSystem, seed: int, tol: Tolerances) -> _Run:
+    """The pipeline's per-system front: the algebra side, the certificate
+    and dimension gates, and both joint spectra."""
+    run = _Run(sysd, tol)
+    inst = sysd.inst
     n, l = inst.n, inst.l
     dim_m, dim_l = sysd.dim_sing_m, sysd.dim_sing_l
     schub = schubert_dimension(inst.m, l)
 
     alg_m = bethe_algebra_basis(list(sysd.H_sing), tol) if dim_m else []
-    ker = induced_map_kernel(alg_m, sysd.shq.sh, tol) if alg_m else []
-    ann = annihilator_ideal(alg_m, ker, tol) if alg_m else []
+    # one cyclic block serves the quotient kernel and the annihilator
+    V = _cyclic_block(alg_m, tol) if alg_m else None
+    ker = induced_map_kernel(alg_m, sysd.shq.sh, tol, V) if alg_m else []
+    ann = annihilator_ideal(alg_m, ker, tol, V) if alg_m else []
     # the certified P Omega_hat = Omega_tilde P makes f -> f~ (P f = f~ P) a map
     # of the algebra onto B_L with kernel ker: dim B_L = dim B - dim ker
     dim_bethe_l = len(alg_m) - len(ker)
+    run.dims = {
+        "weight_space": weight_space_dim(n, l),
+        "sing_m": dim_m,
+        "sing_l": dim_l,
+        "schubert": schub,
+        "bethe_algebra_sing_m": len(alg_m),
+        "bethe_algebra_sing_l": dim_bethe_l,
+        "annihilator": len(ann),
+    }
 
     dim_checks = {
         "dim_sing_m_vs_count":
@@ -224,8 +245,8 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     # for every z once the frame certificate (integer, computed once per
     # frame) holds; a certificate defect fails at literal zero in both lanes.
     cert = sysd.frame.certificate
-    global_checks = {k: check(k, cert[k], 0.0) for k in IDENTITIES}
-    global_checks.update((k, check(k, v)) for k, v in dim_checks.items())
+    run.global_checks = {k: run.check(k, cert[k], 0.0) for k in IDENTITIES}
+    run.global_checks.update((k, run.check(k, v)) for k, v in dim_checks.items())
 
     # spectral side (float lane)
     def draw(mats):
@@ -238,13 +259,25 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
 
     drawn = [draw(sysd.H_L), draw(sysd.H_sing)]
     if None in drawn:
-        failures.append("cluster_separation")
-    (spec_l, seed_l), (spec_m, seed_m) = (d or ([], seed) for d in drawn)
+        run.failures.append("cluster_separation")
+    (run.spec_l, run.seed_l), (run.spec_m, run.seed_m) = (d or ([], seed) for d in drawn)
+    return run
 
-    # one float twin, so its operator blocks are built once per pipeline
-    finst = inst.to_float() if exact else inst
-    report_l = match_spectrum_to_scheme(finst, spec_l, tol=tol)
-    report_m = match_spectrum_to_scheme(finst, spec_m, tol=tol)
+
+def _check_schemes(runs, tol: Tolerances):
+    """Both spectra of every run against the scheme, in one stacked pass."""
+    reports = iter(match_spectra_to_scheme(
+        [(run.finst, spec) for run in runs for spec in (run.spec_l, run.spec_m)], tol))
+    for run in runs:
+        run.report_l, run.report_m = next(reports), next(reports)
+
+
+def _back(run: _Run):
+    """The pipeline's per-system back, after the scheme pass: totals, trace
+    identity, Bethe vectors, Grothendieck and their gates."""
+    sysd, finst, tol, check = run.sysd, run.finst, run.tol, run.check
+    report_l, report_m = run.report_l, run.report_m
+    n, dim_m, dim_l = sysd.inst.n, sysd.dim_sing_m, sysd.dim_sing_l
     check("spectrum_total_sing_l", abs(report_l.total_multiplicity - dim_l))
     check("spectrum_total_sing_m", abs(report_m.total_multiplicity - dim_m))
     for rep, tag in ((report_l, "sing_l"), (report_m, "sing_m")):
@@ -263,35 +296,27 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
             acc = sum(p.multiplicity * p.h[s] for p in rep.points)
             trace_resid = max(trace_resid,
                               abs(acc - tr) / (dim * max(1.0, max_abs(mats[s]))))
-    check("trace_identity", trace_resid)
+    run.trace_identity = check("trace_identity", trace_resid)
 
     # Bethe vectors on the quotient spectrum
-    bethe_entries = []
+    fsys = build_gaudin(finst, sysd.frame) if (sysd.inst.exact and report_l.points) else sysd
+    run.bethe = bethe_vectors(finst, fsys, report_l.points, tol=tol)
     bmax = 0.0
     omega_ls = []
-    fsys = build_gaudin(finst, sysd.frame) if (exact and report_l.points) else sysd
-    for p, bv in zip(report_l.points, bethe_vectors(finst, fsys, report_l.points, tol=tol)):
+    for bv in run.bethe:
         if isinstance(bv, VerificationError):
-            failures.append("bethe_vector")
-            bethe_entries.append({"h": _ser_seq(p.h), "error": str(bv)})
+            run.failures.append("bethe_vector")
             continue
         bmax = max(bmax, max(bv.eigen_residuals, default=0.0), bv.e12_residual)
         omega_ls.append(np.asarray(bv.omega_L, dtype=complex))
-        bethe_entries.append({
-            "h": _ser_seq(p.h),
-            "bethe_roots": _ser_seq(bv.roots),
-            "eigen_residuals": _ser_seq(bv.eigen_residuals),
-            "e12_residual": _ser(bv.e12_residual),
-            "via_subspace": bv.via_subspace,
-        })
     check("bethe_eigen_residual", bmax)
-    span_rank = 0
+    run.span_rank = 0
     if omega_ls and dim_l:
-        span_rank = rank_of(np.stack(omega_ls, axis=1), tol.svd_rel)
+        run.span_rank = rank_of(np.stack(omega_ls, axis=1), tol.svd_rel)
         if report_l.all_simple:
-            check("bethe_span_rank", abs(span_rank - dim_l))
+            check("bethe_span_rank", abs(run.span_rank - dim_l))
 
-    groth = None
+    run.groth = None
     if report_l.all_simple and report_l.points:
         try:
             ws = grothendieck_weights(finst, report_l.points, tol=tol)
@@ -300,53 +325,78 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
             gram = np.array([[sum(w * (fi * fj) for w, fi, fj in zip(ws, f1, f2))
                               for f2 in funcs] for f1 in funcs])
             sym = float(np.abs(gram - gram.T).max())
-            groth = {"weights": _ser_seq(ws),
-                     "form_symmetry": check("grothendieck_symmetry", sym)}
+            run.groth = {"weights": _ser_seq(ws),
+                         "form_symmetry": check("grothendieck_symmetry", sym)}
         except SingularJacobianError as err:
-            failures.append("grothendieck_jacobian")
-            groth = {"error": str(err)}
+            run.failures.append("grothendieck_jacobian")
+            run.groth = {"error": str(err)}
 
-    def point_dict(p):
-        return {
-            "h": _ser_seq(p.h),
-            "a": _ser_seq(p.a),
-            "atilde": _ser_seq(p.atilde) if p.atilde is not None else None,
-            "multiplicity": p.multiplicity,
-            "residuals": {k: _ser(v) for k, v in p.residuals.items()},
-        }
 
-    report = {
-        "dims": {
-            "weight_space": weight_space_dim(n, l),
-            "sing_m": dim_m,
-            "sing_l": dim_l,
-            "schubert": schub,
-            "bethe_algebra_sing_m": len(alg_m),
-            "bethe_algebra_sing_l": dim_bethe_l,
-            "annihilator": len(ann),
-        },
-        "global_checks": global_checks,
+def _point_dict(p) -> dict:
+    return {
+        "h": _ser_seq(p.h),
+        "a": _ser_seq(p.a),
+        "atilde": _ser_seq(p.atilde) if p.atilde is not None else None,
+        "multiplicity": p.multiplicity,
+        "residuals": {k: _ser(v) for k, v in p.residuals.items()},
+    }
+
+
+def _bethe_dict(p, bv) -> dict:
+    if isinstance(bv, VerificationError):
+        return {"h": _ser_seq(p.h), "error": str(bv)}
+    return {
+        "h": _ser_seq(p.h),
+        "bethe_roots": _ser_seq(bv.roots),
+        "eigen_residuals": _ser_seq(bv.eigen_residuals),
+        "e12_residual": _ser(bv.e12_residual),
+        "via_subspace": bv.via_subspace,
+    }
+
+
+def _report(run: _Run) -> dict:
+    """The pipeline's report of one checked system, without its timing."""
+    report_l, report_m = run.report_l, run.report_m
+    return {
+        "dims": run.dims,
+        "global_checks": run.global_checks,
         "spectrum_sing_l": {
-            "seed": seed_l,
+            "seed": run.seed_l,
             "total_multiplicity": report_l.total_multiplicity,
             "all_simple": report_l.all_simple,
-            "points": [point_dict(p) for p in report_l.points],
+            "points": [_point_dict(p) for p in report_l.points],
             "residual_summary": {k: _ser(v) for k, v in
                                  report_l.residual_summary.items()},
         },
         "spectrum_sing_m": {
-            "seed": seed_m,
+            "seed": run.seed_m,
             "total_multiplicity": report_m.total_multiplicity,
             "all_simple": report_m.all_simple,
-            "points": [point_dict(p) for p in report_m.points],
+            "points": [_point_dict(p) for p in report_m.points],
         },
-        "trace_identity": trace_resid,
-        "bethe_vectors": bethe_entries,
-        "bethe_span_rank": span_rank,
-        "grothendieck": groth,
-        "timing": time.perf_counter() - t0,
+        "trace_identity": run.trace_identity,
+        "bethe_vectors": [_bethe_dict(p, bv) for p, bv in zip(report_l.points, run.bethe)],
+        "bethe_span_rank": run.span_rank,
+        "grothendieck": run.groth,
     }
-    return report, failures, spec_l
+
+
+def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
+    """Check everything for one built system; returns (report dict, failures,
+    spec_l), spec_l being H_L's joint spectrum ([] if no seed separated it).
+
+    The pipeline computes in three phases, then serialises: the per-system
+    front (_front), the scheme pass over both spectra (_check_schemes) and
+    the per-system back (_back).  cmd_verify runs the same phases with one
+    scheme pass over every sample.
+    """
+    t0 = time.perf_counter()
+    run = _front(sysd, seed, tol)
+    _check_schemes([run], tol)
+    _back(run)
+    report = _report(run)
+    report["timing"] = time.perf_counter() - t0
+    return report, run.failures, run.spec_l
 
 
 def cmd_spectrum(config: dict):
@@ -386,48 +436,51 @@ def cmd_verify(config: dict, samples: int):
     draws and equal the space dimensions, and that real draws produce a
     simple, honestly diagonalizable spectrum.  Every draw is built on one
     frame; a gate that fails in one draw is listed in that draw's entry.
+    The draws run run_pipeline's phases: every draw's front, then one
+    scheme pass over every draw's spectra, then every draw's back; no
+    point or Bethe-vector report is built.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     inst0, mode, seed, tol = load_config(config)
     rng = np.random.default_rng(seed)
-    runs = []
-    failures = []
-    counts = []
     frame = GaudinFrame(inst0)
-    for k in range(samples):
-        kind = "real" if k % 2 == 0 else "complex"
-        z = _sample_z(rng, inst0.n, kind)
-        inst = ProblemInstance(inst0.m, inst0.l, z)
-        sysd = build_gaudin(inst, frame)
-        rep, fails, spec_l = run_pipeline(sysd, seed + 1000 * k, tol)
+    kinds = ["real" if k % 2 == 0 else "complex" for k in range(samples)]
+    runs = [_front(build_gaudin(ProblemInstance(inst0.m, inst0.l, _sample_z(rng, inst0.n, kind)),
+                                frame), seed + 1000 * k, tol)
+            for k, kind in enumerate(kinds)]
+    _check_schemes(runs, tol)
+    entries = []
+    failures = []
+    for k, kind in enumerate(kinds):
+        run = runs.pop(0)   # a draw's system is dropped once its entry is made
+        _back(run)
         entry = {
-            "z": _ser_seq(inst.z),
+            "z": _ser_seq(run.sysd.inst.z),
             "kind": kind,
-            "totals": {"sing_m": rep["spectrum_sing_m"]["total_multiplicity"],
-                       "sing_l": rep["spectrum_sing_l"]["total_multiplicity"]},
-            "distinct_points": {
-                "sing_m": len(rep["spectrum_sing_m"]["points"]),
-                "sing_l": len(rep["spectrum_sing_l"]["points"])},
-            "all_simple": rep["spectrum_sing_l"]["all_simple"],
-            "failures": fails,
+            "totals": {"sing_m": run.report_m.total_multiplicity,
+                       "sing_l": run.report_l.total_multiplicity},
+            "distinct_points": {"sing_m": len(run.report_m.points),
+                                "sing_l": len(run.report_l.points)},
+            "all_simple": run.report_l.all_simple,
+            "failures": run.failures,
         }
-        counts.append((entry["totals"]["sing_m"], entry["totals"]["sing_l"]))
-        if fails:
-            failures.append(f"sample_{k}:" + ",".join(fails))
+        if run.failures:
+            failures.append(f"sample_{k}:" + ",".join(run.failures))
         if kind == "real":
-            ok_l, worst = diagonalizability_check(list(sysd.H_L), spec_l, tol=tol)
+            ok_l, worst = diagonalizability_check(list(run.sysd.H_L), run.spec_l, tol=tol)
             entry["diagonalizable"] = bool(ok_l)
             entry["diagonalizability_residual"] = _ser(worst)
             if not (ok_l and entry["all_simple"]):
                 failures.append(f"sample_{k}:real_z_multiplicity_one")
-        runs.append(entry)
-    if len(set(counts)) != 1:
+        entries.append(entry)
+    counts = {(e["totals"]["sing_m"], e["totals"]["sing_l"]) for e in entries}
+    if len(counts) != 1:
         failures.append("counts_vary_across_z")
     report = {
         "instance": {"m": list(inst0.m), "l": inst0.l, "mode": mode, "seed": seed},
-        "samples": runs,
-        "counts_constant": len(set(counts)) == 1,
+        "samples": entries,
+        "counts_constant": len(counts) == 1,
         "failures": failures,
     }
     return report, failures

@@ -551,7 +551,7 @@ def _cyclic_block(algebra, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return cands
 
 
-def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL, V=None):
     """Elements of span(algebra) whose composition with sh vanishes.
 
     These are exactly the operators mapping the singular subspace into the
@@ -560,11 +560,12 @@ def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     which the frame certifies for the Bethe algebra).  Then
     sh f g V = g~ sh f V, and the g V span the space (V = _cyclic_block),
     so sh f = 0 exactly when sh f V = 0: the images reduced are the blocks
-    sh F V, not the matrices sh F.
+    sh F V, not the matrices sh F.  V is computed here unless the caller
+    passes the algebra's _cyclic_block.
     """
     if not algebra:
         return []
-    V = _cyclic_block(algebra, tol)
+    V = _cyclic_block(algebra, tol) if V is None else V
     k = V.shape[1]
     # column block j is sh F_j V
     PFV = matmul(sh, _side_by_side(algebra, V))
@@ -572,18 +573,19 @@ def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL):
         algebra, [PFV[:, j * k:(j + 1) * k].reshape(-1) for j in range(len(algebra))], tol)
 
 
-def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL):
+def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL, V=None):
     """Basis of J = { f in span(algebra) : f g = 0 for every g in kernel }.
 
     The algebra must be commutative and hold kernel.  Then f g is in the
     algebra, so f g = 0 exactly when f g V = 0, V = _cyclic_block: the
     images reduced are F [g_1 V | ... | g_c V], not F [g_1 | ... | g_c].
+    V is computed here unless the caller passes it.
     """
     if not algebra:
         return []
     if not kernel:
         return list(algebra)
-    KV = _side_by_side(kernel, _cyclic_block(algebra, tol))
+    KV = _side_by_side(kernel, _cyclic_block(algebra, tol) if V is None else V)
     # row j is F_j KV, flattened
     images = matmul(np.vstack(algebra), KV).reshape(len(algebra), -1)
     return _vanishing_combinations(algebra, list(images), tol)

@@ -94,6 +94,12 @@ class Tolerances:
     cluster: float = 1e-7       # eigenvalue clustering, unit max-norm scale
     residual: float = 1e-8      # scheme / eigenvector residual gate
 
+    def cluster_key(self, c: complex) -> tuple:
+        """Sort key of a complex value: its real part on a grid of
+        self.cluster, then its imaginary part, so a conjugate pair whose
+        real parts agree to rounding keeps one order."""
+        return (round(c.real / self.cluster), c.imag)
+
 
 DEFAULT_TOL = Tolerances()
 

@@ -68,7 +68,7 @@ def change_of_variables(inst: ProblemInstance, x):
     """(u, y) with sum_s x_s/(t-z_s) = u prod_k (t-y_k) / prod_s (t-z_s).
 
     u = sum(x); the y are the roots (with multiplicity) of the numerator,
-    found numerically and sorted by (real, imaginary) for determinism.
+    found numerically and sorted by DEFAULT_TOL.cluster_key for determinism.
     """
     x = [as_float(v) for v in x]
     if len(x) != inst.n:
@@ -82,7 +82,7 @@ def change_of_variables(inst: ProblemInstance, x):
     if numer.degree <= 0:
         return u, ()
     roots = np.roots(list(reversed(numer.coeffs)))
-    y = sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))
+    y = sorted((complex(r) for r in roots), key=DEFAULT_TOL.cluster_key)
     return u, tuple(y)
 
 
@@ -219,7 +219,7 @@ class BetheVector:
     omega_L is the image in quotient coordinates; when it vanishes the
     eigenline is recovered from the algebra closure of omega_M and
     via_subspace is set.  roots are the Bethe roots, the roots of p(a)
-    sorted by (real, imaginary) part.
+    sorted by the run's Tolerances.cluster_key.
     """
 
     point: SchemePoint
@@ -292,7 +292,7 @@ def bethe_vectors(inst: ProblemInstance, sys: GaudinSystem, points,
             point=p, omega_M=WeightVector.from_array(V[i], inst, l), omega_L=line,
             eigen_residuals=tuple(float(r) for r in resids[i]),
             e12_residual=float(e12r[i]), via_subspace=via_subspace,
-            roots=tuple(sorted(roots[i].tolist(), key=lambda c: (c.real, c.imag)))))
+            roots=tuple(sorted(roots[i].tolist(), key=tol.cluster_key))))
     return out
 
 

@@ -10,6 +10,7 @@ the residuals are recorded, never just booleans.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ __all__ = [
     "SpectrumReport",
     "joint_spectrum",
     "match_spectrum_to_scheme",
+    "match_spectra_to_scheme",
     "grothendieck_weights",
     "diagonalizability_check",
 ]
@@ -118,7 +120,7 @@ def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
     for i in range(d):
         groups.setdefault(find(i), []).append(i)
     mean = {r: complex(np.mean([eigs[i] for i in g])) for r, g in groups.items()}
-    roots = sorted(groups, key=lambda r: (round(mean[r].real / tol.cluster), mean[r].imag))
+    roots = sorted(groups, key=lambda r: tol.cluster_key(mean[r]))
     clusters = [groups[r] for r in roots]
     centers = [mean[r] for r in roots]
     for i in range(len(centers)):
@@ -202,24 +204,51 @@ def _rowmax(x) -> np.ndarray:
     return np.abs(x).max(axis=1) if x.shape[1] else np.zeros(len(x))
 
 
-def _scheme_residuals(finst: ProblemInstance, H: np.ndarray, tol: Tolerances):
-    """Every scheme-side check at the P points H (P x n) of the float
-    instance finst, stacked: (a, atilde, residuals), one entry per point.
+def _per_group(parts, fn, *stacks):
+    """fn(finst, *(the group's rows of each stack)) for each (finst, rows)
+    of parts, each of fn's outputs concatenated over the groups."""
+    outs = [fn(f, *(X[rows] for X in stacks)) for f, rows in parts]
+    return [np.concatenate(col) for col in zip(*outs)]
+
+
+def _scheme_residuals(groups, tol: Tolerances):
+    """Every scheme-side check at the points of every group, in one pass.
+
+    groups is [(finst, H), ...]: float instances of one (m, l), each with
+    the points H (P_g x n) to check there.  Returns one list per group, of
+    one (a, atilde, residuals) per point.
 
     Each point's systems are read off its D_h (dh_matrices) as in the
     single-point functions of opscheme (a_of_h, residual_system,
     ptilde_solve, wronskian_check, operator_from_kernel_pair,
-    h_from_numerator), with the same gates and scales.  A check that fails
-    at a point records inf and its *_error for that point only; atilde is
-    None where the second kernel polynomial does not exist.
+    h_from_numerator), with the same gates and scales.  Each product that
+    reads a group's z (its D_h blocks, partial fractions, kernel-pair maps
+    and powers of z) runs per group, and so does the kernel-pair product,
+    as the rows of a 2-D product can round differently with their number;
+    the solves, the pinv and the gates run once on the concatenated stack.
+    So a point's values do not depend on the other groups.  A check that
+    fails at a point records inf and its *_error for that point only;
+    atilde is None where the second kernel polynomial does not exist.
     """
+    ends = list(itertools.accumulate(len(H) for _, H in groups))
+    if not ends or not ends[-1]:
+        return [[] for _ in groups]
+    finst = groups[0][0]
     l, n, lt = finst.l, finst.n, finst.ltilde
+    parts = [(f, slice(end - len(H), end)) for (f, H), end in zip(groups, ends)]
+    H = np.concatenate([H for _, H in groups])
     P = len(H)
-    M0 = finst.dh_blocks[0]
-    D = dh_matrices(finst, H)
-    # q_{-1}, q_0 summed in constraint_plane's order, so they keep its bits
+
+    def operators(f, Hg):
+        # q_0 summed in constraint_plane's order, so it keeps its bits;
+        # exponents (0, m_s + 1) at the marked points, once per instance
+        q0 = sum(z * Hg[:, s] for s, z in enumerate(f.z)) - l * lt
+        marked = max((max(abs(e0), abs(e1 - (ms + 1))) for (e0, e1), ms
+                      in zip(f.marked_exponents, f.m)), default=0.0)
+        return dh_matrices(f, Hg), q0, np.full(len(Hg), marked)
+
+    D, q0, marked = _per_group(parts, operators, H)
     qm1 = sum((H[:, s] for s in range(1, n)), H[:, 0])
-    q0 = sum(z * H[:, s] for s, z in enumerate(finst.z)) - l * lt
     hscale = np.maximum(np.maximum(1.0, np.abs(H).max(axis=1)), float(l * abs(lt)))
 
     # a(h): q_1 = ... = q_l = 0, where a_k multiplies the column of x^{l-k}
@@ -233,57 +262,60 @@ def _scheme_residuals(finst: ProblemInstance, H: np.ndarray, tol: Tolerances):
     # leading coefficients of A p'' + B p' + g p; the scheme residual is
     # q_{n-1}, ..., q_{l+n-2} of D_{h(a)} p, its low l coefficients
     k = np.arange(1, n - 1)
-    base = p @ M0[:l + n, :l + 1].T
+    (base,) = _per_group(parts, lambda f, pg: (pg @ f.dh_blocks[0][:l + n, :l + 1].T,), p)
     pz = np.concatenate([np.zeros((P, n)), p, np.zeros((P, n))], axis=1)
     g = np.linalg.solve(pz[:, n + l - k[:, None] + k[None, :]],
                         -(base[:, l + n - 2 - k, None] + l * lt * pz[:, n + l - k, None]))
-    ha = np.concatenate([g[:, ::-1, 0], np.full((P, 1), l * lt)], axis=1) \
-        @ finst.partial_fractions.T
-    w = dh_matrices(finst, ha)[:, :l, :l + 1] @ p[:, :, None]
-    scheme = _rowmax(w[:, :, 0]) / ascale
 
-    # exponents: (0, m_s + 1) at the marked points, once per instance; at
-    # infinity the set {-l, l - 1 - sum(m)} iff C_{n-2} = l * lt
-    marked = max((max(abs(e0), abs(e1 - (ms + 1))) for (e0, e1), ms
-                  in zip(finst.marked_exponents, finst.m)), default=0.0)
+    def residual(f, gg, pg):
+        ha = np.concatenate([gg[:, ::-1, 0], np.full((len(gg), 1), l * lt)], axis=1) \
+            @ f.partial_fractions.T
+        return (dh_matrices(f, ha)[:, :l, :l + 1] @ pg[:, :, None],)
+
+    (w,) = _per_group(parts, residual, g, p)
+    scheme = _rowmax(w[:, :, 0]) / ascale
+    # at infinity the exponents are the set {-l, l - 1 - sum(m)} iff
+    # C_{n-2} = l * lt
     einf = np.abs(D[:, n - 2, 0] - l * lt) / hscale
 
+    cols = [qm1.tolist(), q0.tolist(), hscale.tolist(), scheme.tolist(),
+            marked.tolist(), einf.tolist(), a.tolist()]
     if lt > l:
         x, pt, ptilde_err = _second_kernel(finst, D, hscale, tol)
         pscale = np.maximum(ascale, _rowmax(x))
         ptilde = _rowmax((D @ pt[:, :, None])[:, :, 0]) / pscale
-        wronsk, roundtrip, b2_leading, pair_err = _kernel_pair(finst, H, hscale, pt, p, tol)
+        wronsk, roundtrip, b2_leading, pair_err = _kernel_pair(parts, H, hscale, pt, p, tol)
+        cols += [x.tolist(), ptilde_err, ptilde.tolist(), (wronsk / pscale).tolist(),
+                 roundtrip.tolist(), b2_leading.tolist(), pair_err]
+    plane_gate = max(tol.residual, PLANE_PRE_GATE)
     out = []
-    for i in range(P):
-        res = {"q_minus1": float(abs(qm1[i]) / hscale[i]),
-               "q_0": float(abs(q0[i]) / hscale[i]),
-               "scheme": float(scheme[i])}
-        if abs(qm1[i]) > PLANE_PRE_GATE * hscale[i]:
+    for qm, q, hs, sch, mk, ei, ai, *second in zip(*cols):
+        res = {"q_minus1": abs(qm) / hs, "q_0": abs(q) / hs, "scheme": sch}
+        if abs(qm) > PLANE_PRE_GATE * hs:
             res["exponents"] = float("inf")
             res["exponents_error"] = "exponents at infinity need q_{-1}(h) = 0"
         else:
-            res["exponents"] = float(max(marked, einf[i]))
+            res["exponents"] = max(mk, ei)
         atilde = None
-        if lt > l:
-            plane = max(tol.residual, PLANE_PRE_GATE) * hscale[i]
-            err = (f"h is off the constraint plane: q_-1 = {complex(qm1[i])}, "
-                   f"q_0 = {complex(q0[i])}") \
-                if abs(qm1[i]) > plane or abs(q0[i]) > plane else ptilde_err[i]
+        if second:
+            xi, err, pti, wr, rt, b2, perr = second
+            if abs(qm) > plane_gate * hs or abs(q) > plane_gate * hs:
+                err = f"h is off the constraint plane: q_-1 = {qm}, q_0 = {q}"
             if err is not None:
                 res["ptilde"] = float("inf")
                 res["ptilde_error"] = err
             else:
-                atilde = tuple(complex(v) for v in x[i])
-                res["ptilde"] = float(ptilde[i])
-                res["wronskian"] = float(wronsk[i] / pscale[i])
-                if pair_err[i] is None:
-                    res["kernel_pair_roundtrip"] = float(roundtrip[i])
-                    res["b2_leading"] = float(b2_leading[i])
+                atilde = tuple(xi)
+                res["ptilde"] = pti
+                res["wronskian"] = wr
+                if perr is None:
+                    res["kernel_pair_roundtrip"] = rt
+                    res["b2_leading"] = b2
                 else:
                     res["kernel_pair_roundtrip"] = float("inf")
-                    res[pair_err[i][0]] = pair_err[i][1]
-        out.append((tuple(complex(v) for v in a[i]), atilde, res))
-    return out
+                    res[perr[0]] = perr[1]
+        out.append((tuple(ai), atilde, res))
+    return [out[rows] for _, rows in parts]
 
 
 def _second_kernel(finst: ProblemInstance, D: np.ndarray, hscale, tol: Tolerances):
@@ -313,74 +345,94 @@ def _second_kernel(finst: ProblemInstance, D: np.ndarray, hscale, tol: Tolerance
     return x, pt, err
 
 
-def _kernel_pair(finst: ProblemInstance, H, hscale, pt, p, tol: Tolerances):
+def _kernel_pair(parts, H, hscale, pt, p, tol: Tolerances):
     """wronskian_check, operator_from_kernel_pair and h_from_numerator at
     stacked kernel pairs (ascending coefficients pt, p) of the points H
-    (constraint_plane scales hscale):
+    (constraint_plane scales hscale), the rows of each (finst, rows) of
+    parts at its instance (see _scheme_residuals):
     (max |Wr(ptilde, p) - W|, kernel-pair roundtrip, b2 leading defect,
     err), err[i] the failed check's (key, message) at point i, or None."""
+    finst = parts[0][0]
     l, n, lt = finst.l, finst.n, finst.ltilde
-    gate, L = tol.residual, l + lt
-    W, _, extra = finst.kernel_pair_polys
-    A = finst.zpolys[0]
-    # the operator B0 u'' + B1 u' + B2 u annihilating span(ptilde, p)
-    B = ((pt[:, :, None] * p[:, None, :]).reshape(len(H), -1)
-         @ _pair_forms(lt, l)).reshape(len(H), 3, L)
-    wronsk = _rowmax(B[:, 0] - np.array(W.coeffs))
-    # admissible: no marked point where both polynomials vanish
-    zpow = np.array(finst.z)[:, None] ** np.arange(lt + 1)
-    vscale = np.maximum(1.0, np.maximum(_rowmax(pt), _rowmax(p)))[:, None]
-    vanish = (np.abs(pt @ zpow.T) <= gate * vscale) & \
-        (np.abs(p @ zpow[:, :l + 1].T) <= gate * vscale)
-    # (B_i * extra) divmod den, then b0 = A and h from b2's partial fractions
-    quo, rem = finst.kernel_pair_maps
-    b = B @ quo.T
-    rmax = np.abs(B @ rem.T).max(axis=2, initial=0.0)
-    cscale = np.maximum(1.0, np.abs(B).max(axis=(1, 2))) * max(1.0, extra.max_abs())
-    drift = _rowmax(b[:, 0] - np.array(A.coeffs))
-    hrec = b[:, 2, :n - 1] @ finst.partial_fractions.T
+    gate, forms = tol.residual, _pair_forms(lt, l)
+
+    def operator(f, Hg, ptg, pg):
+        W, _, extra = f.kernel_pair_polys
+        # the operator B0 u'' + B1 u' + B2 u annihilating span(ptilde, p)
+        B = ((ptg[:, :, None] * pg[:, None, :]).reshape(len(Hg), (lt + 1) * (l + 1))
+             @ forms).reshape(len(Hg), 3, l + lt)
+        # admissible: no marked point where both polynomials vanish
+        zpow = np.array(f.z)[:, None] ** np.arange(lt + 1)
+        vscale = np.maximum(1.0, np.maximum(_rowmax(ptg), _rowmax(pg)))[:, None]
+        vanish = (np.abs(ptg @ zpow.T) <= gate * vscale) & \
+            (np.abs(pg @ zpow[:, :l + 1].T) <= gate * vscale)
+        # (B_i * extra) divmod den, then b0 = A and h from b2's partial fractions
+        quo, rem = f.kernel_pair_maps
+        b = B @ quo.T
+        cscale = np.maximum(1.0, np.abs(B).max(axis=(1, 2))) * max(1.0, extra.max_abs())
+        return (_rowmax(B[:, 0] - np.array(W.coeffs)), vanish,
+                np.abs(B @ rem.T).max(axis=2, initial=0.0), cscale,
+                _rowmax(b[:, 0] - np.array(f.zpolys[0].coeffs)),
+                b[:, 2, :n - 1] @ f.partial_fractions.T, b[:, 2, n - 2])
+
+    wronsk, vanish, rmax, cscale, drift, hrec, b2 = _per_group(parts, operator, H, pt, p)
     roundtrip = _rowmax(hrec - H) / hscale
-    b2_leading = np.abs(b[:, 2, n - 2] - lt * l) / max(1.0, lt * l)
+    b2_leading = np.abs(b2 - lt * l) / max(1.0, lt * l)
+    bad = rmax > gate * cscale[:, None]
     err = []
-    for i in range(len(H)):
-        bad = np.nonzero(rmax[i] > gate * cscale[i])[0]
-        if vanish[i].any():
+    for i, (vz, bz, dr) in enumerate(zip(vanish.any(axis=1).tolist(), bad.any(axis=1).tolist(),
+                                         (drift > gate * cscale).tolist())):
+        if vz:
             err.append(("admissible_error",
                         f"both kernel polynomials vanish at z_{int(np.argmax(vanish[i]))}"))
-        elif len(bad):
+        elif bz:
             err.append(("malformed_pair_error",
-                        f"kernel pair divisibility residual {rmax[i, bad[0]]:.3e}"))
-        elif drift[i] > gate * cscale[i]:
+                        f"kernel pair divisibility residual {rmax[i, np.argmax(bad[i])]:.3e}"))
+        elif dr:
             err.append(("malformed_pair_error", "Wronskian is not the prescribed zero divisor"))
         else:
             err.append(None)
     return wronsk, roundtrip, b2_leading, err
 
 
-def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
-                             tol: Tolerances = DEFAULT_TOL) -> SpectrumReport:
-    """Verify every joint-spectrum point against the scheme equations.
+def match_spectra_to_scheme(spectra, tol: Tolerances = DEFAULT_TOL) -> list:
+    """One SpectrumReport per (inst, spectrum) of spectra, every instance of
+    one (m, l), from one stacked pass of the scheme checks.
 
-    The checks run once per spectrum, stacked over its points
-    (_scheme_residuals).  Per-point failures are recorded as infinite
+    The checks run once, stacked over every point of every spectrum
+    (_scheme_residuals); a point's residuals are those a pass over its
+    spectrum alone gives.  Per-point failures are recorded as infinite
     residuals in the report rather than aborting the run; the second kernel
     polynomial and the kernel-pair operator are gated at tol.residual.
     """
-    finst = inst.to_float() if inst.exact else inst
-    hs = [tuple(complex(v) for v in h) for h, _, _ in spectrum]
-    checked = _scheme_residuals(finst, np.array(hs, dtype=complex).reshape(len(hs), finst.n),
-                                tol) if hs else []
-    points = [SchemePoint(h=h, a=a, atilde=atilde, multiplicity=mult, residuals=res)
-              for h, (_, mult, _), (a, atilde, res) in zip(hs, spectrum, checked)]
-    summary = {}
-    for p in points:
-        for k, v in p.residuals.items():
-            if isinstance(v, (int, float)):
-                summary[k] = max(summary.get(k, 0.0), float(v))
-    return SpectrumReport(points=points,
-                          total_multiplicity=sum(p.multiplicity for p in points),
-                          all_simple=all(p.multiplicity == 1 for p in points),
-                          residual_summary=summary)
+    groups, hss = [], []
+    for inst, spectrum in spectra:
+        finst = inst.to_float() if inst.exact else inst
+        hs = [tuple(complex(v) for v in h) for h, _, _ in spectrum]
+        groups.append((finst, np.array(hs, dtype=complex).reshape(len(hs), finst.n)))
+        hss.append(hs)
+    reports = []
+    for (_, spectrum), hs, checked in zip(spectra, hss, _scheme_residuals(groups, tol)):
+        points = [SchemePoint(h=h, a=a, atilde=atilde, multiplicity=mult, residuals=res)
+                  for h, (_, mult, _), (a, atilde, res) in zip(hs, spectrum, checked)]
+        summary = {}
+        for p in points:
+            for k, v in p.residuals.items():
+                if isinstance(v, (int, float)):
+                    summary[k] = max(summary.get(k, 0.0), float(v))
+        reports.append(SpectrumReport(points=points,
+                                      total_multiplicity=sum(p.multiplicity for p in points),
+                                      all_simple=all(p.multiplicity == 1 for p in points),
+                                      residual_summary=summary))
+    return reports
+
+
+def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
+                             tol: Tolerances = DEFAULT_TOL) -> SpectrumReport:
+    """Verify every joint-spectrum point against the scheme equations: the
+    one-spectrum call of match_spectra_to_scheme."""
+    (report,) = match_spectra_to_scheme([(inst, spectrum)], tol)
+    return report
 
 
 def _jacobian(inst: ProblemInstance, h, a):

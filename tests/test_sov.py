@@ -10,6 +10,7 @@ from gaudinlab import (
     SchemePoint,
     VerificationError,
     bethe_vector,
+    bethe_vectors,
     build_gaudin,
     change_of_variables,
     joint_spectrum,
@@ -59,6 +60,19 @@ class TestChangeOfVariables:
         u1, y1 = change_of_variables(E2, x)
         u2, y2 = change_of_variables(E2, list(x))
         assert y1 == y2
+
+    def test_conjugate_pair_order_ignores_last_bits(self, E2, monkeypatch):
+        # numerator roots whose real parts differ by one ulp either way are
+        # listed in one order: by the imaginary part
+        x = 0.5
+        orders = []
+        for lo, hi in ((np.nextafter(x, 0), np.nextafter(x, 1)),
+                       (np.nextafter(x, 1), np.nextafter(x, 0))):
+            monkeypatch.setattr(np, "roots", lambda c: np.array([complex(lo, 1.0),
+                                                                 complex(hi, -1.0)]))
+            _, y = change_of_variables(E2, [3.0, 1.0, 2.0])
+            orders.append([v.imag for v in y])
+        assert orders[0] == orders[1] == [-1.0, 1.0]
 
 
 class TestWeightFunction:
@@ -197,3 +211,30 @@ class TestBetheVector:
         for s, HL in enumerate(fs.H_L):
             dev = np.asarray(HL, dtype=complex) @ line - p.h[s] * line
             assert np.abs(dev).max() < 1e-8 * max(1.0, np.abs(line).max())
+
+
+class TestBetheRootOrder:
+    def test_conjugate_pair_order_ignores_last_bits(self, monkeypatch):
+        # at (1^4),2, z = 0..3, one quotient point has the Bethe roots
+        # 3/2 +- 0.43i, which np.roots returns with real parts a few ulps
+        # apart; with the pair's real parts one ulp either side of 3/2, in
+        # either direction, the roots are listed in one order
+        import gaudinlab.sov as sov
+        inst = ProblemInstance([1] * 4, 2, [0.0, 1.0, 2.0, 3.0])
+        s = build_gaudin(inst)
+        points = match_spectrum_to_scheme(inst, joint_spectrum(list(s.H_L), seed=0)).points
+        real = sov._roots
+        orders = []
+        for step in (-1.0, 1.0):
+            def nudged(A):
+                R = real(A)
+                pair = np.abs(R.real - 1.5) < 1e-9
+                R[pair] = np.nextafter(1.5, 1.5 + step * np.sign(R[pair].imag)) + 1j * R[pair].imag
+                return R
+
+            monkeypatch.setattr(sov, "_roots", nudged)
+            bvs = bethe_vectors(inst, s, points)
+            roots = [r for bv in bvs for r in bv.roots if abs(r.real - 1.5) < 1e-9]
+            assert len(roots) == 2 and roots[0].real != roots[1].real
+            orders.append([np.sign(r.imag) for r in roots])
+        assert orders[0] == orders[1] == [-1.0, 1.0]

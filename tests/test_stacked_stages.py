@@ -134,9 +134,11 @@ def _reference_bethe_vector(inst, sys, point, tol):
 
 
 def reference_roots(p, l):
-    """The Bethe roots as run_pipeline read them off each point."""
+    """The Bethe roots as run_pipeline read them off each point, listed as
+    the pipeline lists them (real part on the cluster grid, then imaginary
+    part)."""
     return sorted(np.roots([1.0] + [complex(v) for v in p.a]).tolist(),
-                  key=lambda c: (c.real, c.imag)) if l else []
+                  key=DEFAULT_TOL.cluster_key) if l else []
 
 
 def reference_jacobian(inst, h, a):
