@@ -30,7 +30,7 @@ from .gaudin import (
     induced_map_kernel,
 )
 from .gl2rep import ProblemInstance, weight_space_dim
-from .numcore import Tolerances, max_abs, rank_of
+from .numcore import Tolerances, as_float, max_abs, rank_of
 from .opscheme import schubert_dimension
 from .sov import VerificationError, bethe_vectors
 from .spectral import (
@@ -160,16 +160,18 @@ def load_config(config: dict):
         raise ConfigError(f"config schema violation: {why}")
     mode = config.get("mode", "exact")
     z = config["z"]
-    if mode == "exact":
-        for v in z:
-            if isinstance(v, float) and not float(v).is_integer():
-                raise ConfigError(
-                    "exact mode needs rational z entries ('p/q' strings or integers)")
-        zz = [Fraction(v) if isinstance(v, str) else Fraction(int(v)) for v in z]
-    else:
-        zz = [complex(Fraction(v)) if isinstance(v, str) else complex(v) for v in z]
-    if len(set(zz)) != len(zz):
-        raise ConfigError("marked points z must be pairwise distinct")
+    if mode == "exact" and any(isinstance(v, float) and not v.is_integer() for v in z):
+        raise ConfigError("exact mode needs rational z entries ('p/q' strings or integers)")
+    try:
+        if mode == "exact":
+            zz = [Fraction(v) if isinstance(v, str) else Fraction(int(v)) for v in z]
+            twin = [as_float(v) for v in zz]   # the z of the float twin
+        else:
+            zz = twin = [complex(Fraction(v)) if isinstance(v, str) else complex(v) for v in z]
+    except (ValueError, ZeroDivisionError, OverflowError) as err:
+        raise ConfigError(f"z entries must be finite rationals: {err}") from None
+    if len(set(zz)) != len(zz) or len(set(twin)) != len(twin):
+        raise ConfigError("marked points z must be pairwise distinct, also as floats")
     inst = ProblemInstance(config["m"], config["l"], zz)
     return inst, mode, int(config.get("seed", 0)), _tolerances(config)
 
@@ -418,13 +420,18 @@ def cmd_schubert(m, l: int) -> int:
 
 
 def _sample_z(rng, n: int, kind: str):
+    """n points more than 0.5 apart, drawn uniformly with |Re z| <= w (and
+    |Im z| <= 1.5 for kind "complex") until they are: w = 3 up to n = 6 and
+    3 (n/6)^2 beyond, which keeps the chance that a real draw is kept
+    between 4% and 5% for every n >= 6, where a fixed w lets it fall
+    exponentially in n."""
+    w = 3.0 * max(1.0, n / 6) ** 2
     while True:
         if kind == "real":
-            z = rng.uniform(-3.0, 3.0, size=n)
-            z = [complex(v) for v in z]
+            z = [complex(v) for v in rng.uniform(-w, w, size=n)]
         else:
             z = [complex(a, b) for a, b in
-                 zip(rng.uniform(-3.0, 3.0, size=n), rng.uniform(-1.5, 1.5, size=n))]
+                 zip(rng.uniform(-w, w, size=n), rng.uniform(-1.5, 1.5, size=n))]
         if min(abs(z[i] - z[j]) for i in range(n) for j in range(i + 1, n)) > 0.5:
             return z
 

@@ -46,6 +46,7 @@ __all__ = [
     "identity",
     "zeros_like_domain",
     "max_abs",
+    "rowmax",
     "integer_numerators",
     "fraction_array",
     "int_array",
@@ -343,6 +344,11 @@ def max_abs(A: np.ndarray) -> float:
     if is_exact_array(A):
         return max(abs(as_float(v)) for v in A.flat)
     return float(np.abs(A).max())
+
+
+def rowmax(x) -> np.ndarray:
+    """Largest modulus in each row; 0 for a row of no entries."""
+    return np.abs(x).max(axis=1) if x.shape[1] else np.zeros(len(x))
 
 
 def integer_numerators(values):

@@ -13,14 +13,22 @@ Coordinates and conventions:
   q_i(a,h) is the coefficient of x^{l+n-2-i} in the cleared-denominator
   polynomial D_h(p(.,a)).
 
-D_h u is linear in u and in h.  DhOperator.matrix is D_h at one h on
-ascending coefficient vectors, formed from the instance's h-independent
-blocks (ProblemInstance.dh_blocks); a(h), h(a), the second kernel
-polynomial and the residuals read their linear systems off it.  apply_Dh
-is the polynomial form of the same operator.
+D_h u is linear in u and in h.  dh_matrices forms D_h on ascending
+coefficient vectors at a stack of points from the instance's
+h-independent blocks (ProblemInstance.dh_blocks); DhOperator.matrix is
+one of them, and apply_Dh is the polynomial form of the same operator.
 
-All functions are generic over the scalar domain (Fraction or complex),
-so exact pipelines stay exact.
+Each linear system of the scheme has one implementation, a stage over a
+stack of P points (stacked_*): a(h), h(a) with the scheme residual, the
+second kernel polynomial, the kernel-pair operator and the Jacobian.  A
+complex stack is the float lane (batched solve and pseudo-inverse, gates at
+tol.residual), an object stack of Fractions the exact lane (solve_rows
+point by point, least squares by the normal equations, gates at literal
+zero).  A stage that reads z takes parts, [(inst, rows), ...]: instances of
+one (m, l), each with its slice of the stack, and runs those products per
+part, so a point's values do not depend on the other parts.  a_of_h, h_of_a,
+residual_system, ptilde_solve and operator_from_kernel_pair are the stages'
+P = 1 calls, generic over the scalar domain.
 """
 
 from __future__ import annotations
@@ -42,8 +50,8 @@ from .numcore import (
     as_float,
     exact_sqrt,
     is_exact_scalar,
+    rowmax,
     scalar_one,
-    solve_consistent,
     solve_rows,
     wronskian,
 )
@@ -140,14 +148,15 @@ def ptilde_of(inst: ProblemInstance, atilde) -> UniPoly:
     if len(atilde) != lt - 1:
         raise ValueError(f"expected {lt - 1} coefficients, got {len(atilde)}")
     one = scalar_one(all(map(is_exact_scalar, atilde)))
-    coeffs = [one * 0] * (lt + 1)
-    coeffs[lt] = one
-    it = iter(atilde)
-    for i in range(1, lt + 1):
-        if i == lt - l:
-            continue
-        coeffs[lt - i] = next(it)
+    coeffs = [one * 0] * lt + [one]
+    for k, v in zip(_atilde_columns(lt, l), atilde):
+        coeffs[k] = v
     return UniPoly(tuple(coeffs))
+
+
+def _atilde_columns(lt: int, l: int) -> list:
+    """The power of x that each entry of atilde multiplies: x^{lt-i}, i != lt - l."""
+    return [lt - i for i in range(1, lt + 1) if i != lt - l]
 
 
 @dataclass(frozen=True)
@@ -177,21 +186,6 @@ class DhOperator:
         if self.inst.exact and any(isinstance(v, complex) for v in self.h):
             raise DomainError("float h on an exact instance; convert the instance first")
 
-    @property
-    def A(self) -> UniPoly:
-        return self.inst.zpolys[0]
-
-    @property
-    def B(self) -> UniPoly:
-        return self.inst.zpolys[1]
-
-    @cached_property
-    def C(self) -> UniPoly:
-        acc = UniPoly.zero()
-        for As, hs in zip(self.inst.zpolys[2], self.h):
-            acc = acc + As * hs
-        return acc
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """M0 + sum_s h_s M[s] from inst.dh_blocks: D_h on ascending
@@ -205,14 +199,6 @@ class DhOperator:
         if d >= self.matrix.shape[1]:
             raise ValueError(f"degree {d} exceeds the blocks' max(l, lt)")
         return self.matrix[:d + self.inst.n, :d + 1] @ np.array(u, dtype=self.matrix.dtype)
-
-    def q_rows(self, deg: int) -> np.ndarray:
-        """Rows of matrix giving q_1, ..., q_{deg+n-2} of D_h u, u of degree deg.
-
-        Row i-1 reads the coefficient of x^{deg+n-2-i}; column k multiplies
-        the coefficient of x^k in u.
-        """
-        return self.matrix[:deg + self.inst.n - 2, :deg + 1][::-1]
 
 
 def dh_matrices(inst: ProblemInstance, H) -> np.ndarray:
@@ -231,7 +217,9 @@ def dh_matrices(inst: ProblemInstance, H) -> np.ndarray:
 
 def apply_Dh(op: DhOperator, u: UniPoly) -> UniPoly:
     """prod(x-z_s) * [u'' - sum m_s/(x-z_s) u' + sum h_s/(x-z_s) u]."""
-    return op.A * u.deriv().deriv() + op.B * u.deriv() + op.C * u
+    A, B, A_s = op.inst.zpolys
+    C = sum((As * hs for As, hs in zip(A_s, op.h)), UniPoly.zero())
+    return A * u.deriv().deriv() + B * u.deriv() + C * u
 
 
 def constraint_plane(inst: ProblemInstance, h):
@@ -273,17 +261,195 @@ def q_coefficients(inst: ProblemInstance, a, h):
     return qm1, q0, q_values(w.tolist(), inst.l, inst.n)
 
 
-def _a_of_h_raw(op: DhOperator):
-    """Solve q_i(a, h) = 0, i = 1..l, at op's h without precondition checks.
+# --- the stacked stages -----------------------------------------------------
 
-    a_k multiplies the column of x^{l-k} in op.q_rows(l); the monic x^l
-    column is the constant term.
-    """
-    l = op.inst.l
-    if l == 0:
-        return []
-    rows = [r[l - 1::-1] + [-r[l]] for r in op.q_rows(l)[:l].tolist()]
-    return [row[0] for row in solve_rows(rows, l)]
+def per_group(parts, fn, *stacks):
+    """fn(inst, *(the part's rows of each stack)) for each (inst, rows) of
+    parts, each of fn's outputs concatenated over the parts."""
+    outs = [fn(f, *(X[rows] for X in stacks)) for f, rows in parts]
+    return [np.concatenate(col) for col in zip(*outs)]
+
+
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with A X = B at each square A of the stack: numpy's batched solve on
+    a complex stack, solve_rows point by point on an exact one."""
+    if A.dtype != object:
+        return np.linalg.solve(A, B)
+    return np.array([solve_rows([r + s for r, s in zip(Ai.tolist(), Bi.tolist())], A.shape[1])
+                     for Ai, Bi in zip(A, B)], dtype=object).reshape(B.shape)
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x minimising |A x - b| at each A (of full column rank) of the stack:
+    numpy's pinv on a complex stack, the normal equations A^H A x = A^H b
+    solved exactly on an exact one, whose residual is then zero exactly when
+    the system is consistent."""
+    if A.dtype != object:
+        return (np.linalg.pinv(A) @ b[:, :, None])[:, :, 0]
+    Ah = A.conj().transpose(0, 2, 1)
+    return _solve(Ah @ A, Ah @ b[:, :, None])[:, :, 0]
+
+
+def p_coefficients(a: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of p_of_a at each row of the stack a (P x l)."""
+    one = np.full((len(a), 1), scalar_one(a.dtype == object), dtype=a.dtype)
+    return np.concatenate([a[:, ::-1], one], axis=1)
+
+
+def stacked_a_of_h(inst: ProblemInstance, D: np.ndarray) -> np.ndarray:
+    """a(h) at each operator of the stack D (dh_matrices), P x l: q_1 = ... =
+    q_l = 0, where a_k multiplies the column of x^{l-k} and the monic x^l
+    column is the constant term."""
+    l, n = inst.l, inst.n
+    rows = np.arange(l + n - 3, n - 3, -1)
+    return _solve(D[:, rows, :l][:, :, ::-1], -D[:, rows, l, None])[:, :, 0]
+
+
+def stacked_h_of_a(parts, p: np.ndarray):
+    """(h, w) at each row of p, the ascending coefficients of p(a): h = h(a),
+    on the constraint plane, and the scheme residual w, the coefficients of
+    x^0, ..., x^{l-1} of D_h p (q_{l+n-2}, ..., q_{n-1}).  The numerator
+    g = l*lt x^{n-2} + g_1 x^{n-3} + ... is pinned by q_1 = ... = q_{n-2} = 0
+    in A p'' + B p' + g p (A p'' + B p' read off M0, g_j x^{n-2-j} p a shift
+    of p), and h is its partial fractions (inst.partial_fractions)."""
+    inst = parts[0][0]
+    l, n, lt = inst.l, inst.n, inst.ltilde
+    k = np.arange(1, n - 1)
+    (base,) = per_group(parts, lambda f, pg: (pg @ f.dh_blocks[0][:l + n, :l + 1].T,), p)
+    pad = np.zeros((len(p), n), dtype=p.dtype)
+    pz = np.concatenate([pad, p, pad], axis=1)
+    g = _solve(pz[:, n + l - k[:, None] + k[None, :]],
+               -(base[:, l + n - 2 - k, None] + l * lt * pz[:, n + l - k, None]))
+
+    def residual(f, gg, pg):
+        h = np.concatenate([gg[:, ::-1, 0], np.full((len(gg), 1), l * lt)], axis=1) \
+            @ f.partial_fractions.T
+        return h, (dh_matrices(f, h)[:, :l, :l + 1] @ pg[:, :, None])[:, :, 0]
+
+    return per_group(parts, residual, g, p)
+
+
+def stacked_second_kernel(inst: ProblemInstance, D: np.ndarray, hscale, tol: Tolerances):
+    """(atilde, pt, err) at each operator of the stack D: the least-squares
+    second kernel polynomial (every coefficient of D_h ptilde vanishes; pt
+    its ascending coefficients) and err[i] why point i has none, or None.
+    No plane pre-gate; the residual is gated at tol.residual (0 on an exact
+    stack) times hscale (constraint_plane's scale) if lt = 1, else times
+    max(1, max |M| * max(1, max |atilde|))."""
+    l, n, lt = inst.l, inst.n, inst.ltilde
+    exact = D.dtype == object
+    Q = D[:, lt + n - 3::-1, :]
+    cols = _atilde_columns(lt, l)
+    Mt, rhs = Q[:, :, cols], -Q[:, :, lt]
+    x = _lstsq(Mt, rhs)
+    resid = rowmax((Mt @ x[:, :, None])[:, :, 0] - rhs)
+    pt = np.zeros((len(D), lt + 1), dtype=D.dtype)
+    pt[:, cols] = x
+    pt[:, lt] = scalar_one(exact)
+    scale = hscale if lt == 1 else \
+        np.maximum(1.0, np.abs(Mt).max(axis=(1, 2)) * np.maximum(1.0, rowmax(x)))
+    gate = 0 if exact else tol.residual
+    err = [None if r <= gate * s else "no second polynomial kernel element" if lt == 1
+           else f"least-squares residual {float(r):.3e} exceeds gate" for r, s in zip(resid, scale)]
+    return x, pt, err
+
+
+def _pair_forms(lt: int, l: int) -> np.ndarray:
+    """The bilinear maps (ptilde, p) -> (B0, B1, B2) of the kernel-pair
+    operator B0 u'' + B1 u' + B2 u, on the products ptilde_i p_j, as int64:
+    for x^i and x^j, B0 = Wr = (i - j) x^{i+j-1}, B1 = (j(j-1) - i(i-1))
+    x^{i+j-2} and B2 = i j (i - j) x^{i+j-3}.  Row (l + 1) i + j takes
+    ptilde_i p_j; column k L + d gives x^d in B_k, L = l + lt."""
+    L = l + lt
+    i, j = (v.ravel() for v in np.meshgrid(np.arange(lt + 1), np.arange(l + 1), indexing="ij"))
+    S = np.zeros(((lt + 1) * (l + 1), 3 * L), dtype=np.int64)
+    for k, c in enumerate((i - j, j * (j - 1) - i * (i - 1), i * j * (i - j))):
+        d = i + j - 1 - k
+        keep = (d >= 0) & (c != 0)
+        S[np.nonzero(keep)[0], k * L + d[keep]] = c[keep]
+    return S
+
+
+def stacked_kernel_pair(parts, pt: np.ndarray, p: np.ndarray, tol: Tolerances):
+    """(b, h, wronsk, err) of the kernel pairs (ascending coefficients pt of
+    ptilde, degree up to lt, and p of p, up to l) of the stack: b (P x 3 x
+    (n + 1)) the triple of operator_from_kernel_pair, h the residues of
+    b2 / b0, wronsk max |Wr(ptilde, p) - W| (inst.kernel_pair_polys), err[i]
+    the (key, message) of the check failing at point i, or None; gated at
+    tol.residual relative, 0 on an exact stack."""
+    inst = parts[0][0]
+    l, n, lt = inst.l, inst.n, inst.ltilde
+    gate, forms = (0 if pt.dtype == object else tol.residual), _pair_forms(lt, l)
+
+    def operator(f, ptg, pg):
+        W, _, extra = f.kernel_pair_polys
+        # the operator B0 u'' + B1 u' + B2 u annihilating span(ptilde, p)
+        B = ((ptg[:, :, None] * pg[:, None, :]).reshape(len(pg), (lt + 1) * (l + 1))
+             @ forms).reshape(len(pg), 3, l + lt)
+        # admissible: no marked point where both polynomials vanish
+        zpow = np.array(f.z)[:, None] ** np.arange(lt + 1)
+        vscale = np.maximum(1.0, np.maximum(rowmax(ptg), rowmax(pg)))[:, None]
+        vanish = (np.abs(ptg @ zpow.T) <= gate * vscale) & \
+            (np.abs(pg @ zpow[:, :l + 1].T) <= gate * vscale)
+        # (B_i * extra) divmod den, then b0 = A and h from b2's partial fractions
+        quo, rem = f.kernel_pair_maps
+        b = B @ quo.T
+        cscale = np.maximum(1.0, np.abs(B).max(axis=(1, 2))) * max(1.0, extra.max_abs())
+        return (b, b[:, 2, :n - 1] @ f.partial_fractions.T, rowmax(B[:, 0] - np.array(W.coeffs)),
+                vanish, np.abs(B @ rem.T).max(axis=2, initial=0.0), cscale,
+                rowmax(b[:, 0] - np.array(f.zpolys[0].coeffs)))
+
+    b, h, wronsk, vanish, rmax, cscale, drift = per_group(parts, operator, pt, p)
+    bad = rmax > gate * cscale[:, None]
+    err = [("admissible_error", f"both kernel polynomials vanish at z_{int(np.argmax(vanish[i]))}")
+           if vz else ("malformed_pair_error", "kernel pair divisibility residual "
+                       f"{float(rmax[i, np.argmax(bad[i])]):.3e}")
+           if bz else ("malformed_pair_error", "Wronskian is not the prescribed zero divisor")
+           if dr else None
+           for i, (vz, bz, dr) in enumerate(zip(vanish.any(axis=1).tolist(),
+                                                bad.any(axis=1).tolist(),
+                                                (drift > gate * cscale).tolist()))]
+    return b, h, wronsk, err
+
+
+def stacked_jacobian(inst: ProblemInstance, H: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """d(q_{-1}, q_0, q_{l+1}, ..., q_{l+n-2})/dh at the points H (P x n) of
+    inst with a = a(h) the rows of A (P x l), as P x n x n.  D_h p is linear
+    in a and h: dq/da_k is the column of x^{l-k} of D_h, dq/dh_s is read off
+    M[s] p(a) (inst.dh_blocks), and a(h) enters by implicit differentiation
+    of q_1 = ... = q_l = 0.  n = 2 never reads A."""
+    l, n = inst.l, inst.n
+    J = np.empty((len(H), n, n), dtype=H.dtype)
+    J[:, 0] = scalar_one(H.dtype == object)
+    J[:, 1] = inst.z
+    if n > 2:
+        # rows q_1, ..., q_{l+n-2}; column k of Qa multiplies a_{k+1}
+        Qa = dh_matrices(inst, H)[:, l + n - 3::-1, :l][:, :, ::-1]
+        # dq_dh[:, i, s] = dq_{i+1}/dh_s: rows of M[s] p(a), q_1 first
+        dq_dh = (inst.dh_blocks[1][:, l + n - 3::-1, :l + 1] @ p_coefficients(A).T) \
+            .transpose(2, 1, 0)
+        da_dh = _solve(Qa[:, :l], -dq_dh[:, :l])
+        J[:, 2:] = dq_dh[:, l:] + Qa[:, l:] @ da_dh
+    return J
+
+
+# --- single points: the stages' P = 1 calls ---------------------------------
+
+def _one_point(inst: ProblemInstance, a):
+    """(parts, stack p(a)) of one point a, exact when inst and a both are;
+    float a on an exact instance reads its float twin."""
+    a = list(a)
+    if len(a) != inst.l:
+        raise ValueError(f"expected {inst.l} coordinates, got {len(a)}")
+    exact = inst.exact and all(map(is_exact_scalar, a))
+    inst = inst if exact or not inst.exact else inst.to_float()
+    A = np.array(a, dtype=object if exact else complex).reshape(1, inst.l)
+    return [(inst, slice(0, 1))], p_coefficients(A)
+
+
+def _a_of_h_raw(op: DhOperator):
+    """a(h) at op's h without precondition checks (stacked_a_of_h)."""
+    return stacked_a_of_h(op.inst, op.matrix[None])[0].tolist()
 
 
 def a_of_h(inst: ProblemInstance, h, tol: float = PLANE_PRE_GATE):
@@ -300,82 +466,57 @@ def a_of_h(inst: ProblemInstance, h, tol: float = PLANE_PRE_GATE):
 
 
 def h_of_a(inst: ProblemInstance, a):
-    """Recover h from a: numerator coefficients first, then simple fractions.
-
-    The numerator g(x) = g_0 x^{n-2} + ... + g_{n-2} is pinned by
-    g_0 = l*lt and the vanishing of the leading coefficients of
-    A p'' + B p' + g p; the returned h automatically satisfies
-    q_{-1}(h) = q_0(h) = 0.  A p'' + B p' is read off inst.dh_blocks, and
-    g_j x^{n-2-j} p contributes the coefficients of p shifted by n-2-j.
-    """
-    l, n, lt = inst.l, inst.n, inst.ltilde
-    a = list(a)
-    if len(a) != l:
-        raise ValueError(f"expected {l} coordinates, got {len(a)}")
-    one = scalar_one(inst.exact and all(map(is_exact_scalar, a)))
-    zero = 0 * one
-    p = p_of_a(a)
-    M0 = inst.dh_blocks[0]
-    base = (M0[:l + n, :l + 1] @ np.array(p.coeffs, dtype=M0.dtype)).tolist()
-    g0 = one * (l * lt)
-
-    def pc(k):
-        return p.coeffs[k] if 0 <= k <= l else zero
-
-    # row i: q_i, the coefficient of x^{l+n-2-i}
-    k = n - 2
-    rows = [[pc(l - i + j) for j in range(1, k + 1)] + [-(base[l + n - 2 - i] + g0 * pc(l - i))]
-            for i in range(1, k + 1)]
-    grest = [row[0] for row in solve_rows(rows, k)]
-    g = UniPoly(tuple(reversed([g0] + grest)))
-    return h_from_numerator(inst, g)
+    """h(a), on the constraint plane (stacked_h_of_a)."""
+    return stacked_h_of_a(*_one_point(inst, a))[0][0].tolist()
 
 
 def h_from_numerator(inst: ProblemInstance, g: UniPoly):
     """Partial fractions: h_s = g(z_s) / prod_{r != s}(z_s - z_r)."""
     if g.degree > inst.n - 2:
         raise ValueError("numerator degree exceeds n - 2")
-    hs = []
-    for s, zs in enumerate(inst.z):
-        den = 1
-        for r, zr in enumerate(inst.z):
-            if r != s:
-                den = den * (zs - zr)
-        hs.append(g(zs) / den)
-    return hs
+    P = inst.partial_fractions[:, :len(g.coeffs)]
+    return (P @ np.array(g.coeffs, dtype=P.dtype)).tolist()
 
 
 def residual_system(inst: ProblemInstance, a):
-    """q_j(a, h(a)) for j = n-1, ..., l+n-2; all zero iff a is on the scheme."""
-    h = h_of_a(inst, a)
-    _, _, qs = q_coefficients(inst, a, h)
-    return qs[inst.n - 2:]
+    """q_j(a, h(a)) for j = n-1, ..., l+n-2; all zero iff a is on the scheme
+    (stacked_h_of_a)."""
+    if inst.exact and not all(map(is_exact_scalar, a)):
+        raise DomainError("float a on an exact instance; convert the instance first")
+    return stacked_h_of_a(*_one_point(inst, a))[1][0, ::-1].tolist()
 
 
 def ptilde_solve(op: DhOperator, tol: Tolerances = DEFAULT_TOL):
-    """Coefficients of the second kernel polynomial of op, or raise.
-
-    Solves the overdetermined linear system 'all coefficients of
-    D_h(ptilde) vanish' for the lt-1 unknowns, at tol.residual; inconsistency
-    means the operator has no second polynomial kernel element (the point
-    lies on the degree-l scheme but not on the all-polynomial one).  The
-    system is op.q_rows(lt): atilde_i multiplies the column of x^{lt-i} and
-    the monic x^lt column is the constant term.
-    """
-    inst, h = op.inst, op.h
-    l, lt = inst.l, inst.ltilde
-    if lt <= l:
+    """atilde of op's second kernel polynomial (stacked_second_kernel) after
+    the plane pre-gate; InconsistentSystemError means it has none (a point
+    of the degree-l scheme off the all-polynomial one)."""
+    inst = op.inst
+    if inst.ltilde <= inst.l:
         raise ValueError("second kernel polynomial needs sum(m) + 1 - l > l")
-    scale = _plane_scale(inst, h, max(tol.residual, PLANE_PRE_GATE))
-    Q = op.q_rows(lt)
-    rhs = -Q[:, lt]
-    if lt == 1:
-        resid = max((abs(as_float(v)) for v in rhs), default=0.0)
-        if (inst.exact and any(rhs)) or resid > tol.residual * scale:
-            raise InconsistentSystemError("no second polynomial kernel element")
-        return []
-    M = Q[:, [lt - i for i in range(1, lt + 1) if i != lt - l]]
-    return list(solve_consistent(M, rhs, tol=tol.residual))
+    scale = _plane_scale(inst, op.h, max(tol.residual, PLANE_PRE_GATE))
+    x, _, (err,) = stacked_second_kernel(inst, op.matrix[None], [scale], tol)
+    if err is not None:
+        raise InconsistentSystemError(err)
+    return list(x[0])
+
+
+def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly,
+                              tol: Tolerances = DEFAULT_TOL):
+    """Monic-free form (b0, b1, b2) of the operator annihilating span(ptilde, p)
+    (stacked_kernel_pair): B0 u'' + B1 u' + B2 u from the 3x3 kernel
+    determinant, B0 = Wr(ptilde, p), each divided by (lt-l) prod
+    (x-z_s)^{m_s-1}; b0 = prod(x-z_s), b2 has degree n-2 and leading
+    coefficient lt*l, and the residues of b2/b0 are the point's h."""
+    lt, l = inst.ltilde, inst.l
+    if ptilde.degree > lt or p.degree > l:
+        raise MalformedPairError(f"kernel pair degrees exceed (lt, l) = ({lt}, {l})")
+    zero = scalar_one(inst.exact) * 0
+    pt, pp = (np.array([list(q.coeffs) + [zero] * (d + 1 - len(q.coeffs))],
+                       dtype=object if inst.exact else complex) for q, d in ((ptilde, lt), (p, l)))
+    b, _, _, (err,) = stacked_kernel_pair([(inst, slice(0, 1))], pt, pp, tol)
+    if err is not None:
+        raise (NotAdmissibleError if err[0] == "admissible_error" else MalformedPairError)(err[1])
+    return tuple(UniPoly(tuple(row)) for row in b[0].tolist())
 
 
 def exponents_at(op: DhOperator, s: int | None):
@@ -395,11 +536,9 @@ def exponents_at(op: DhOperator, s: int | None):
     cinf = op.matrix[inst.n - 2, 0]    # column 0 of matrix is D_h 1 = C
     tr = 1 + sum(inst.m)
     disc = tr * tr - 4 * cinf
-    if isinstance(cinf, Fraction) or isinstance(cinf, int):
+    if isinstance(cinf, (Fraction, int)):
         root = exact_sqrt(Fraction(disc))
-        r1 = Fraction(-tr + root, 2)
-        r2 = Fraction(-tr - root, 2)
-        return (r1, r2)
+        return (Fraction(-tr + root, 2), Fraction(-tr - root, 2))
     root = cmath.sqrt(disc)
     r1, r2 = (-tr + root) / 2, (-tr - root) / 2
     if (r1.real, r1.imag) < (r2.real, r2.imag):
@@ -410,48 +549,6 @@ def exponents_at(op: DhOperator, s: int | None):
 def wronskian_check(inst: ProblemInstance, atilde, a) -> UniPoly:
     """Wr(ptilde, p) - (lt - l) prod (x - z_s)^{m_s}; zero on the cycle."""
     return wronskian(ptilde_of(inst, atilde), p_of_a(a)) - inst.kernel_pair_polys[0]
-
-
-def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly,
-                              tol: Tolerances = DEFAULT_TOL):
-    """Monic-free form (b0, b1, b2) of the operator annihilating span(ptilde, p).
-
-    The 3x3 kernel determinant gives  B0 u'' + B1 u' + B2 u  with
-    B0 = Wr(ptilde, p); all three are divisible by
-    (lt-l) prod (x-z_s)^{m_s-1}, and the quotient triple has
-    b0 = prod(x-z_s) and b2 of degree n-2 with leading coefficient lt*l.
-    The residues of b2/b0 reproduce the h coordinates of the point.  Float
-    vanishing and divisibility are decided at tol.residual relative.
-    """
-    gate = tol.residual
-    scale = max(1.0, ptilde.max_abs(), p.max_abs())
-    for s, zs in enumerate(inst.z):
-        vt, vp = ptilde(zs), p(zs)
-        bad = (vt == 0 and vp == 0) if inst.exact else \
-            (abs(as_float(vt)) <= gate * scale and abs(as_float(vp)) <= gate * scale)
-        if bad:
-            raise NotAdmissibleError(f"both kernel polynomials vanish at z_{s}")
-    B0 = wronskian(ptilde, p)
-    d2t, d2p = ptilde.deriv().deriv(), p.deriv().deriv()
-    B1 = -(d2t * p - ptilde * d2p)
-    B2 = d2t * p.deriv() - ptilde.deriv() * d2p
-    _, den, extra = inst.kernel_pair_polys
-    out = []
-    cscale = max(1.0, B0.max_abs(), B1.max_abs(), B2.max_abs()) * max(1.0, extra.max_abs())
-    for Bi in (B0, B1, B2):
-        qpoly, rem = (Bi * extra).divmod(den)
-        if inst.exact:
-            if not rem.is_zero():
-                raise MalformedPairError("kernel pair fails exact divisibility")
-        elif rem.max_abs() > gate * cscale:
-            raise MalformedPairError(
-                f"kernel pair divisibility residual {rem.max_abs():.3e}")
-        out.append(qpoly)
-    drift = out[0] - inst.zpolys[0]
-    if (inst.exact and not drift.is_zero()) or \
-            (not inst.exact and drift.max_abs() > gate * cscale):
-        raise MalformedPairError("Wronskian is not the prescribed zero divisor")
-    return tuple(out)
 
 
 def schubert_dimension(m, l: int) -> int:

@@ -34,11 +34,11 @@ from .numcore import (
     is_exact_scalar,
     kernel_basis,
     max_abs,
+    rowmax,
     scalar_one,
     zeros_like_domain,
 )
 from .opscheme import SchemePoint, p_of_a, root_on_marked_point
-from .spectral import _rowmax
 
 __all__ = [
     "DegenerateCoordinatesError",
@@ -272,8 +272,8 @@ def bethe_vectors(inst: ProblemInstance, sys: GaudinSystem, points,
     # V is in Sing (the E12 gate), and S is the identity on its free rows
     coords = V[:, sys.shq.free]
     omega_L = coords @ sys.shq.sh.T if sys.dim_sing_l else coords[:, :0]
-    dead = _rowmax(omega_L).astype(float) <= \
-        tol.residual * np.maximum(1.0, _rowmax(coords).astype(float))
+    dead = rowmax(omega_L).astype(float) <= \
+        tol.residual * np.maximum(1.0, rowmax(coords).astype(float))
     out = []
     for i, p in enumerate(points):
         err, line = errors[i], omega_L[i]
@@ -302,12 +302,12 @@ def _eigen_gate(sys: GaudinSystem, V: np.ndarray, H: np.ndarray, tol: Tolerances
     is one product on the stack, relative to |H_s| and the vector's largest
     entry; errors[i] is the VerificationError of row i at tol.residual, or
     None."""
-    nrm = _rowmax(V).astype(float)
+    nrm = rowmax(V).astype(float)
     safe = np.where(nrm > 0, nrm, 1.0)
-    resids = np.stack([_rowmax(V @ Hb.T - H[:, s, None] * V).astype(float)
+    resids = np.stack([rowmax(V @ Hb.T - H[:, s, None] * V).astype(float)
                        / (max(max_abs(Hb), 1e-30) * safe)
                        for s, Hb in enumerate(sys.H_big)], axis=1)
-    e12r = _rowmax(V @ sys.E12.T).astype(float) / safe if sys.E12.shape[0] \
+    e12r = rowmax(V @ sys.E12.T).astype(float) / safe if sys.E12.shape[0] \
         else np.zeros(len(V))
     worst = np.maximum(resids.max(axis=1, initial=0.0), e12r)
     errors = [VerificationError(float("inf"), "weight function vanished") if r == 0 else

@@ -4,8 +4,10 @@ The spectrum of the family is read off a seeded random integer combination
 of the generators: eigenvalue clusters of the combination give the points,
 generalized-eigenspace dimensions give multiplicities, and the h-tuple at a
 point is the Rayleigh value of each generator on the cluster's invariant
-subspace.  Every point is then pushed through the scheme-side checks and
-the residuals are recorded, never just booleans.
+subspace.  Every point is then pushed through the scheme-side checks,
+opscheme's stacked stages run once over every spectrum of a command, and
+the residuals are recorded, never just booleans; the Grothendieck weights
+invert the same stages' Jacobians.
 """
 
 from __future__ import annotations
@@ -17,23 +19,19 @@ from fractions import Fraction
 import numpy as np
 
 from .gl2rep import ProblemInstance
-from .numcore import (
-    DEFAULT_TOL,
-    Tolerances,
-    exact_det,
-    is_exact_scalar,
-    max_abs,
-    scalar_one,
-    solve_rows,
-    to_float_array,
-)
+from .numcore import DEFAULT_TOL, Tolerances, exact_det, max_abs, rowmax, to_float_array
 from .opscheme import (
     PLANE_PRE_GATE,
-    DhOperator,
     SchemePoint,
     dh_matrices,
-    p_of_a,
+    p_coefficients,
+    per_group,
     root_on_marked_point,
+    stacked_a_of_h,
+    stacked_h_of_a,
+    stacked_jacobian,
+    stacked_kernel_pair,
+    stacked_second_kernel,
 )
 
 __all__ = [
@@ -180,64 +178,25 @@ def _schur_bases(Tn, centers, clusters, mats, tol):
     return out
 
 
-def _pair_forms(lt: int, l: int) -> np.ndarray:
-    """The bilinear maps (ptilde, p) -> (B0, B1, B2) of the kernel-pair
-    operator B0 u'' + B1 u' + B2 u, on the products ptilde_i p_j.
-
-    For x^i and x^j: B0 = Wr = (i - j) x^{i+j-1}, B1 = (j(j-1) - i(i-1))
-    x^{i+j-2} and B2 = i j (i - j) x^{i+j-3}.  Row (l + 1) i + j of the
-    result takes ptilde_i p_j, and column k L + d gives the coefficient of
-    x^d in B_k, L = l + lt.
-    """
-    L = l + lt
-    i, j = (v.ravel() for v in np.meshgrid(np.arange(lt + 1), np.arange(l + 1), indexing="ij"))
-    S = np.zeros(((lt + 1) * (l + 1), 3 * L))
-    for k, c in enumerate((i - j, j * (j - 1) - i * (i - 1), i * j * (i - j))):
-        d = i + j - 1 - k
-        keep = (d >= 0) & (c != 0)
-        S[np.nonzero(keep)[0], k * L + d[keep]] = c[keep]
-    return S
-
-
-def _rowmax(x) -> np.ndarray:
-    """Largest modulus in each row; 0 for a row of no entries."""
-    return np.abs(x).max(axis=1) if x.shape[1] else np.zeros(len(x))
-
-
-def _per_group(parts, fn, *stacks):
-    """fn(finst, *(the group's rows of each stack)) for each (finst, rows)
-    of parts, each of fn's outputs concatenated over the groups."""
-    outs = [fn(f, *(X[rows] for X in stacks)) for f, rows in parts]
-    return [np.concatenate(col) for col in zip(*outs)]
-
-
 def _scheme_residuals(groups, tol: Tolerances):
-    """Every scheme-side check at the points of every group, in one pass.
+    """Every scheme-side check at the points of every group, in one pass:
+    one list per group of one (a, atilde, residuals) per point.
 
-    groups is [(finst, H), ...]: float instances of one (m, l), each with
-    the points H (P_g x n) to check there.  Returns one list per group, of
-    one (a, atilde, residuals) per point.
-
-    Each point's systems are read off its D_h (dh_matrices) as in the
-    single-point functions of opscheme (a_of_h, residual_system,
-    ptilde_solve, wronskian_check, operator_from_kernel_pair,
-    h_from_numerator), with the same gates and scales.  Each product that
-    reads a group's z (its D_h blocks, partial fractions, kernel-pair maps
-    and powers of z) runs per group, and so does the kernel-pair product,
-    as the rows of a 2-D product can round differently with their number;
-    the solves, the pinv and the gates run once on the concatenated stack.
-    So a point's values do not depend on the other groups.  A check that
-    fails at a point records inf and its *_error for that point only;
-    atilde is None where the second kernel polynomial does not exist.
+    groups is [(inst, H), ...], instances of one (m, l) with the points H
+    (P_g x n) to check there, all complex (float lane) or all Fractions in
+    object arrays (exact lane, gated at literal zero).  The checks are
+    opscheme's stacked stages on the concatenated stack, and a point's
+    values do not depend on the other groups.  A check that fails at a
+    point records inf and its *_error for that point only; atilde is None
+    where the second kernel polynomial does not exist.
     """
     ends = list(itertools.accumulate(len(H) for _, H in groups))
     if not ends or not ends[-1]:
         return [[] for _ in groups]
-    finst = groups[0][0]
-    l, n, lt = finst.l, finst.n, finst.ltilde
+    inst = groups[0][0]
+    l, n, lt = inst.l, inst.n, inst.ltilde
     parts = [(f, slice(end - len(H), end)) for (f, H), end in zip(groups, ends)]
     H = np.concatenate([H for _, H in groups])
-    P = len(H)
 
     def operators(f, Hg):
         # q_0 summed in constraint_plane's order, so it keeps its bits;
@@ -247,33 +206,15 @@ def _scheme_residuals(groups, tol: Tolerances):
                       in zip(f.marked_exponents, f.m)), default=0.0)
         return dh_matrices(f, Hg), q0, np.full(len(Hg), marked)
 
-    D, q0, marked = _per_group(parts, operators, H)
+    D, q0, marked = per_group(parts, operators, H)
     qm1 = sum((H[:, s] for s in range(1, n)), H[:, 0])
-    hscale = np.maximum(np.maximum(1.0, np.abs(H).max(axis=1)), float(l * abs(lt)))
-
-    # a(h): q_1 = ... = q_l = 0, where a_k multiplies the column of x^{l-k}
-    rows = np.arange(l + n - 3, n - 3, -1)
-    a = np.linalg.solve(D[:, rows][:, :, l - 1::-1] if l else np.zeros((P, 0, 0)),
-                        -D[:, rows, l, None])[:, :, 0]
-    p = np.concatenate([a[:, ::-1], np.ones((P, 1))], axis=1)
-    ascale = np.maximum(hscale, _rowmax(a))
-
-    # h(a): numerator g = l*lt x^{n-2} + g_1 x^{n-3} + ..., pinned by the
-    # leading coefficients of A p'' + B p' + g p; the scheme residual is
-    # q_{n-1}, ..., q_{l+n-2} of D_{h(a)} p, its low l coefficients
-    k = np.arange(1, n - 1)
-    (base,) = _per_group(parts, lambda f, pg: (pg @ f.dh_blocks[0][:l + n, :l + 1].T,), p)
-    pz = np.concatenate([np.zeros((P, n)), p, np.zeros((P, n))], axis=1)
-    g = np.linalg.solve(pz[:, n + l - k[:, None] + k[None, :]],
-                        -(base[:, l + n - 2 - k, None] + l * lt * pz[:, n + l - k, None]))
-
-    def residual(f, gg, pg):
-        ha = np.concatenate([gg[:, ::-1, 0], np.full((len(gg), 1), l * lt)], axis=1) \
-            @ f.partial_fractions.T
-        return (dh_matrices(f, ha)[:, :l, :l + 1] @ pg[:, :, None],)
-
-    (w,) = _per_group(parts, residual, g, p)
-    scheme = _rowmax(w[:, :, 0]) / ascale
+    hscale = np.maximum(np.maximum(1.0, np.abs(H).max(axis=1).astype(float)),
+                        float(l * abs(lt)))
+    a = stacked_a_of_h(inst, D)
+    p = p_coefficients(a)
+    ascale = np.maximum(hscale, rowmax(a))
+    _, w = stacked_h_of_a(parts, p)
+    scheme = rowmax(w) / ascale
     # at infinity the exponents are the set {-l, l - 1 - sum(m)} iff
     # C_{n-2} = l * lt
     einf = np.abs(D[:, n - 2, 0] - l * lt) / hscale
@@ -281,17 +222,20 @@ def _scheme_residuals(groups, tol: Tolerances):
     cols = [qm1.tolist(), q0.tolist(), hscale.tolist(), scheme.tolist(),
             marked.tolist(), einf.tolist(), a.tolist()]
     if lt > l:
-        x, pt, ptilde_err = _second_kernel(finst, D, hscale, tol)
-        pscale = np.maximum(ascale, _rowmax(x))
-        ptilde = _rowmax((D @ pt[:, :, None])[:, :, 0]) / pscale
-        wronsk, roundtrip, b2_leading, pair_err = _kernel_pair(parts, H, hscale, pt, p, tol)
+        x, pt, ptilde_err = stacked_second_kernel(inst, D, hscale, tol)
+        pscale = np.maximum(ascale, rowmax(x))
+        ptilde = rowmax((D @ pt[:, :, None])[:, :, 0]) / pscale
+        b, hrec, wronsk, pair_err = stacked_kernel_pair(parts, pt, p, tol)
+        roundtrip = rowmax(hrec - H) / hscale
+        b2_leading = np.abs(b[:, 2, n - 2] - lt * l) / max(1.0, lt * l)
         cols += [x.tolist(), ptilde_err, ptilde.tolist(), (wronsk / pscale).tolist(),
                  roundtrip.tolist(), b2_leading.tolist(), pair_err]
-    plane_gate = max(tol.residual, PLANE_PRE_GATE)
+    pre_gate, plane_gate = (0, 0) if H.dtype == object else \
+        (PLANE_PRE_GATE, max(tol.residual, PLANE_PRE_GATE))
     out = []
     for qm, q, hs, sch, mk, ei, ai, *second in zip(*cols):
         res = {"q_minus1": abs(qm) / hs, "q_0": abs(q) / hs, "scheme": sch}
-        if abs(qm) > PLANE_PRE_GATE * hs:
+        if abs(qm) > pre_gate * hs:
             res["exponents"] = float("inf")
             res["exponents_error"] = "exponents at infinity need q_{-1}(h) = 0"
         else:
@@ -316,83 +260,6 @@ def _scheme_residuals(groups, tol: Tolerances):
                     res[perr[0]] = perr[1]
         out.append((tuple(ai), atilde, res))
     return [out[rows] for _, rows in parts]
-
-
-def _second_kernel(finst: ProblemInstance, D: np.ndarray, hscale, tol: Tolerances):
-    """ptilde_solve at stacked operators D, without its plane pre-gate:
-    (atilde, pt, err), atilde and pt (ascending coefficients) of each
-    point's least-squares second kernel polynomial and err[i] why point i
-    has none, or None; hscale is each point's constraint_plane scale."""
-    l, n, lt = finst.l, finst.n, finst.ltilde
-    # every coefficient of D_h ptilde vanishes; atilde_i multiplies the
-    # column of x^{lt-i}, i != lt - l, and the monic x^lt column is the
-    # constant term
-    Q = D[:, lt + n - 3::-1, :]
-    cols = [lt - i for i in range(1, lt + 1) if i != lt - l]
-    Mt, rhs = Q[:, :, cols], -Q[:, :, lt]
-    x = (np.linalg.pinv(Mt) @ rhs[:, :, None])[:, :, 0]
-    resid = _rowmax((Mt @ x[:, :, None])[:, :, 0] - rhs)
-    pt = np.zeros((len(D), lt + 1), dtype=complex)
-    pt[:, cols] = x
-    pt[:, lt] = 1
-    if lt == 1:
-        err = [None if r <= tol.residual * s else "no second polynomial kernel element"
-               for r, s in zip(resid, hscale)]
-        return x, pt, err
-    scale = np.maximum(1.0, np.abs(Mt).max(axis=(1, 2)) * np.maximum(1.0, _rowmax(x)))
-    err = [None if r <= tol.residual * s else f"least-squares residual {r:.3e} exceeds gate"
-           for r, s in zip(resid, scale)]
-    return x, pt, err
-
-
-def _kernel_pair(parts, H, hscale, pt, p, tol: Tolerances):
-    """wronskian_check, operator_from_kernel_pair and h_from_numerator at
-    stacked kernel pairs (ascending coefficients pt, p) of the points H
-    (constraint_plane scales hscale), the rows of each (finst, rows) of
-    parts at its instance (see _scheme_residuals):
-    (max |Wr(ptilde, p) - W|, kernel-pair roundtrip, b2 leading defect,
-    err), err[i] the failed check's (key, message) at point i, or None."""
-    finst = parts[0][0]
-    l, n, lt = finst.l, finst.n, finst.ltilde
-    gate, forms = tol.residual, _pair_forms(lt, l)
-
-    def operator(f, Hg, ptg, pg):
-        W, _, extra = f.kernel_pair_polys
-        # the operator B0 u'' + B1 u' + B2 u annihilating span(ptilde, p)
-        B = ((ptg[:, :, None] * pg[:, None, :]).reshape(len(Hg), (lt + 1) * (l + 1))
-             @ forms).reshape(len(Hg), 3, l + lt)
-        # admissible: no marked point where both polynomials vanish
-        zpow = np.array(f.z)[:, None] ** np.arange(lt + 1)
-        vscale = np.maximum(1.0, np.maximum(_rowmax(ptg), _rowmax(pg)))[:, None]
-        vanish = (np.abs(ptg @ zpow.T) <= gate * vscale) & \
-            (np.abs(pg @ zpow[:, :l + 1].T) <= gate * vscale)
-        # (B_i * extra) divmod den, then b0 = A and h from b2's partial fractions
-        quo, rem = f.kernel_pair_maps
-        b = B @ quo.T
-        cscale = np.maximum(1.0, np.abs(B).max(axis=(1, 2))) * max(1.0, extra.max_abs())
-        return (_rowmax(B[:, 0] - np.array(W.coeffs)), vanish,
-                np.abs(B @ rem.T).max(axis=2, initial=0.0), cscale,
-                _rowmax(b[:, 0] - np.array(f.zpolys[0].coeffs)),
-                b[:, 2, :n - 1] @ f.partial_fractions.T, b[:, 2, n - 2])
-
-    wronsk, vanish, rmax, cscale, drift, hrec, b2 = _per_group(parts, operator, H, pt, p)
-    roundtrip = _rowmax(hrec - H) / hscale
-    b2_leading = np.abs(b2 - lt * l) / max(1.0, lt * l)
-    bad = rmax > gate * cscale[:, None]
-    err = []
-    for i, (vz, bz, dr) in enumerate(zip(vanish.any(axis=1).tolist(), bad.any(axis=1).tolist(),
-                                         (drift > gate * cscale).tolist())):
-        if vz:
-            err.append(("admissible_error",
-                        f"both kernel polynomials vanish at z_{int(np.argmax(vanish[i]))}"))
-        elif bz:
-            err.append(("malformed_pair_error",
-                        f"kernel pair divisibility residual {rmax[i, np.argmax(bad[i])]:.3e}"))
-        elif dr:
-            err.append(("malformed_pair_error", "Wronskian is not the prescribed zero divisor"))
-        else:
-            err.append(None)
-    return wronsk, roundtrip, b2_leading, err
 
 
 def match_spectra_to_scheme(spectra, tol: Tolerances = DEFAULT_TOL) -> list:
@@ -435,54 +302,6 @@ def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
     return report
 
 
-def _jacobian(inst: ProblemInstance, h, a):
-    """Rows of d(q_{-1}, q_0, q_{l+1}, ..., q_{l+n-2})/dh at a = a(h), at an
-    exact point; _float_jacobians is the same Jacobian at float points.
-
-    D_h p is linear in a and in h: dq/da_k is the column of x^{l-k} in the
-    operator's q_rows(l) and dq/dh_s is read off M[s] p(a) (inst.dh_blocks).
-    a(h) enters by implicit differentiation of q_1 = ... = q_l = 0 through
-    the triangular block it is solved from.  The caller passes a = a(h);
-    n = 2 never reads it.
-    """
-    l, n = inst.l, inst.n
-    one = scalar_one(all(map(is_exact_scalar, h)))
-    rows = [[one] * n, [one * z for z in inst.z]]
-    if n > 2:
-        Q = DhOperator(inst, tuple(h)).q_rows(l).tolist()
-        M = inst.dh_blocks[1][:, :l + n, :l + 1]
-        # dq_dh[i][s] = dq_{i+1}/dh_s: rows of M[s] p(a), q_1 first
-        dq_dh = (M @ np.array(p_of_a(a).coeffs, dtype=M.dtype)).T[:l + n - 2][::-1].tolist()
-        # q_1..q_l vanish along a(h): (dq/da) da/dh = -dq/dh on those rows;
-        # a_k multiplies the column of x^{l-k}
-        da_dh = solve_rows([Q[i][l - 1::-1] + [-v for v in dq_dh[i]] for i in range(l)], l)
-        for i in range(l, l + n - 2):
-            rows.append([dq_dh[i][s] + sum(Q[i][l - 1 - k] * da_dh[k][s] for k in range(l))
-                         for s in range(n)])
-    return rows
-
-
-def _float_jacobians(finst: ProblemInstance, H: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """_jacobian at the P float points H (P x n) of finst, with a = a(h) the
-    rows of A (P x l), stacked as P x n x n: the q rows are read off the
-    dh_matrices stack and da/dh comes from one stacked solve."""
-    l, n = finst.l, finst.n
-    P = len(H)
-    J = np.empty((P, n, n), dtype=complex)
-    J[:, 0] = 1
-    J[:, 1] = finst.z
-    if n > 2:
-        # rows: q_1, ..., q_{l+n-2} of D_h p (DhOperator.q_rows); column k
-        # of Qa multiplies a_{k+1}, the coefficient of x^{l-1-k}
-        Qa = dh_matrices(finst, H)[:, l + n - 3::-1, :l][:, :, ::-1]
-        p = np.concatenate([A[:, ::-1], np.ones((P, 1))], axis=1)
-        # dq_dh[:, i, s] = dq_{i+1}/dh_s: rows of M[s] p(a), q_1 first
-        dq_dh = (finst.dh_blocks[1][:, l + n - 3::-1, :l + 1] @ p.T).transpose(2, 1, 0)
-        da_dh = np.linalg.solve(Qa[:, :l], -dq_dh[:, :l])
-        J[:, 2:] = dq_dh[:, l:] + Qa[:, l:] @ da_dh
-    return J
-
-
 def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAULT_TOL):
     """Inverse Jacobian weights of the n defining polynomials at simple points.
 
@@ -491,8 +310,8 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAUL
     normalization is a convention of this routine; only properties invariant
     under a global rescaling of the weights should be relied on.  Every
     point must carry a = a(h), as match_spectrum_to_scheme builds it.  The
-    float points' Jacobians are built, gated and inverted as one stack
-    (_float_jacobians).  A float Jacobian is singular when sv_min <=
+    Jacobians are opscheme.stacked_jacobian, one stack of the exact points
+    and one of the float points.  A float Jacobian is singular when sv_min <=
     tol.residual * sv_max after _equilibrated, as its rows differ in scale
     by orders of magnitude; the error names a Bethe root on a marked point
     when there is one.
@@ -500,17 +319,22 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAUL
     finst = inst.to_float() if inst.exact else inst
     points = list(points)
     exact = [inst.exact and all(isinstance(v, Fraction) for v in p.h) for p in points]
-    fl = [p for p, e in zip(points, exact) if not e]
-    J = _float_jacobians(finst, np.array([p.h for p in fl], dtype=complex).reshape(len(fl), finst.n),
-                         np.array([p.a for p in fl], dtype=complex).reshape(len(fl), finst.l))
+
+    def jacobians(f, pts, dtype):
+        return stacked_jacobian(f, np.array([p.h for p in pts], dtype=dtype).reshape(len(pts), f.n),
+                                np.array([p.a for p in pts], dtype=dtype).reshape(len(pts), f.l))
+
+    J = jacobians(finst, [p for p, e in zip(points, exact) if not e], complex)
     gated = zip(np.linalg.svd(_equilibrated(J), compute_uv=False), np.linalg.det(J))
+    ex = [p for p, e in zip(points, exact) if e]
+    dets = (exact_det(Jp.tolist()) for Jp in (jacobians(inst, ex, object) if ex else []))
     weights = []
     for p, e in zip(points, exact):
         if p.multiplicity != 1:
             raise NonSimplePointError(
                 f"point with multiplicity {p.multiplicity}")
         if e:
-            det = exact_det(_jacobian(inst, p.h, p.a))
+            det = next(dets)
             if det == 0:
                 raise _singular(inst, p, "exact Jacobian vanished", tol)
             weights.append(Fraction(1) / det)

@@ -1,0 +1,218 @@
+"""The single-point scheme functions as they stood before the stacked
+stages of opscheme (stacked_a_of_h, stacked_h_of_a,
+stacked_scheme_residual, stacked_second_kernel, stacked_kernel_pair,
+stacked_jacobian) became their one implementation: the independent
+reference the tests compare those stages and their P = 1 calls against.
+
+The bodies are verbatim, apart from q_rows, which was a method of
+DhOperator, and the Jacobian's docstring.
+"""
+
+import numpy as np
+
+from gaudinlab.gl2rep import ProblemInstance
+from gaudinlab.numcore import (
+    DEFAULT_TOL,
+    InconsistentSystemError,
+    Tolerances,
+    UniPoly,
+    as_float,
+    is_exact_scalar,
+    scalar_one,
+    solve_consistent,
+    solve_rows,
+    wronskian,
+)
+from gaudinlab.opscheme import (
+    PLANE_PRE_GATE,
+    DhOperator,
+    MalformedPairError,
+    NotAdmissibleError,
+    SeparatingConditionError,
+    _plane_scale,
+    p_of_a,
+    q_coefficients,
+)
+
+
+def q_rows(op: DhOperator, deg: int) -> np.ndarray:
+    """Rows of matrix giving q_1, ..., q_{deg+n-2} of D_h u, u of degree deg.
+
+    Row i-1 reads the coefficient of x^{deg+n-2-i}; column k multiplies
+    the coefficient of x^k in u.
+    """
+    return op.matrix[:deg + op.inst.n - 2, :deg + 1][::-1]
+
+
+def _a_of_h_raw(op: DhOperator):
+    """Solve q_i(a, h) = 0, i = 1..l, at op's h without precondition checks.
+
+    a_k multiplies the column of x^{l-k} in q_rows(op, l); the monic x^l
+    column is the constant term.
+    """
+    l = op.inst.l
+    if l == 0:
+        return []
+    rows = [r[l - 1::-1] + [-r[l]] for r in q_rows(op, l)[:l].tolist()]
+    return [row[0] for row in solve_rows(rows, l)]
+
+
+def a_of_h(inst: ProblemInstance, h, tol: float = PLANE_PRE_GATE):
+    """Unique a with q_1 = ... = q_l = 0, by triangular elimination.
+
+    Requires q_{-1}(h) = q_0(h) = 0 (within tol * scale in float mode) and
+    the separating condition; the offending index is reported otherwise.
+    """
+    for i in range(1, inst.l + 1):
+        if i * (sum(inst.m) - 2 * inst.l + i + 1) == 0:
+            raise SeparatingConditionError(i)
+    _plane_scale(inst, h, tol)
+    return _a_of_h_raw(DhOperator(inst, tuple(h)))
+
+
+def h_of_a(inst: ProblemInstance, a):
+    """Recover h from a: numerator coefficients first, then simple fractions.
+
+    The numerator g(x) = g_0 x^{n-2} + ... + g_{n-2} is pinned by
+    g_0 = l*lt and the vanishing of the leading coefficients of
+    A p'' + B p' + g p; the returned h automatically satisfies
+    q_{-1}(h) = q_0(h) = 0.  A p'' + B p' is read off inst.dh_blocks, and
+    g_j x^{n-2-j} p contributes the coefficients of p shifted by n-2-j.
+    """
+    l, n, lt = inst.l, inst.n, inst.ltilde
+    a = list(a)
+    if len(a) != l:
+        raise ValueError(f"expected {l} coordinates, got {len(a)}")
+    one = scalar_one(inst.exact and all(map(is_exact_scalar, a)))
+    zero = 0 * one
+    p = p_of_a(a)
+    M0 = inst.dh_blocks[0]
+    base = (M0[:l + n, :l + 1] @ np.array(p.coeffs, dtype=M0.dtype)).tolist()
+    g0 = one * (l * lt)
+
+    def pc(k):
+        return p.coeffs[k] if 0 <= k <= l else zero
+
+    # row i: q_i, the coefficient of x^{l+n-2-i}
+    k = n - 2
+    rows = [[pc(l - i + j) for j in range(1, k + 1)] + [-(base[l + n - 2 - i] + g0 * pc(l - i))]
+            for i in range(1, k + 1)]
+    grest = [row[0] for row in solve_rows(rows, k)]
+    g = UniPoly(tuple(reversed([g0] + grest)))
+    return h_from_numerator(inst, g)
+
+
+def h_from_numerator(inst: ProblemInstance, g: UniPoly):
+    """Partial fractions: h_s = g(z_s) / prod_{r != s}(z_s - z_r)."""
+    if g.degree > inst.n - 2:
+        raise ValueError("numerator degree exceeds n - 2")
+    hs = []
+    for s, zs in enumerate(inst.z):
+        den = 1
+        for r, zr in enumerate(inst.z):
+            if r != s:
+                den = den * (zs - zr)
+        hs.append(g(zs) / den)
+    return hs
+
+
+def residual_system(inst: ProblemInstance, a):
+    """q_j(a, h(a)) for j = n-1, ..., l+n-2; all zero iff a is on the scheme."""
+    h = h_of_a(inst, a)
+    _, _, qs = q_coefficients(inst, a, h)
+    return qs[inst.n - 2:]
+
+
+def ptilde_solve(op: DhOperator, tol: Tolerances = DEFAULT_TOL):
+    """Coefficients of the second kernel polynomial of op, or raise.
+
+    Solves the overdetermined linear system 'all coefficients of
+    D_h(ptilde) vanish' for the lt-1 unknowns, at tol.residual; inconsistency
+    means the operator has no second polynomial kernel element (the point
+    lies on the degree-l scheme but not on the all-polynomial one).  The
+    system is q_rows(op, lt): atilde_i multiplies the column of x^{lt-i} and
+    the monic x^lt column is the constant term.
+    """
+    inst, h = op.inst, op.h
+    l, lt = inst.l, inst.ltilde
+    if lt <= l:
+        raise ValueError("second kernel polynomial needs sum(m) + 1 - l > l")
+    scale = _plane_scale(inst, h, max(tol.residual, PLANE_PRE_GATE))
+    Q = q_rows(op, lt)
+    rhs = -Q[:, lt]
+    if lt == 1:
+        resid = max((abs(as_float(v)) for v in rhs), default=0.0)
+        if (inst.exact and any(rhs)) or resid > tol.residual * scale:
+            raise InconsistentSystemError("no second polynomial kernel element")
+        return []
+    M = Q[:, [lt - i for i in range(1, lt + 1) if i != lt - l]]
+    return list(solve_consistent(M, rhs, tol=tol.residual))
+
+
+def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly,
+                              tol: Tolerances = DEFAULT_TOL):
+    """Monic-free form (b0, b1, b2) of the operator annihilating span(ptilde, p).
+
+    The 3x3 kernel determinant gives  B0 u'' + B1 u' + B2 u  with
+    B0 = Wr(ptilde, p); all three are divisible by
+    (lt-l) prod (x-z_s)^{m_s-1}, and the quotient triple has
+    b0 = prod(x-z_s) and b2 of degree n-2 with leading coefficient lt*l.
+    The residues of b2/b0 reproduce the h coordinates of the point.  Float
+    vanishing and divisibility are decided at tol.residual relative.
+    """
+    gate = tol.residual
+    scale = max(1.0, ptilde.max_abs(), p.max_abs())
+    for s, zs in enumerate(inst.z):
+        vt, vp = ptilde(zs), p(zs)
+        bad = (vt == 0 and vp == 0) if inst.exact else \
+            (abs(as_float(vt)) <= gate * scale and abs(as_float(vp)) <= gate * scale)
+        if bad:
+            raise NotAdmissibleError(f"both kernel polynomials vanish at z_{s}")
+    B0 = wronskian(ptilde, p)
+    d2t, d2p = ptilde.deriv().deriv(), p.deriv().deriv()
+    B1 = -(d2t * p - ptilde * d2p)
+    B2 = d2t * p.deriv() - ptilde.deriv() * d2p
+    _, den, extra = inst.kernel_pair_polys
+    out = []
+    cscale = max(1.0, B0.max_abs(), B1.max_abs(), B2.max_abs()) * max(1.0, extra.max_abs())
+    for Bi in (B0, B1, B2):
+        qpoly, rem = (Bi * extra).divmod(den)
+        if inst.exact:
+            if not rem.is_zero():
+                raise MalformedPairError("kernel pair fails exact divisibility")
+        elif rem.max_abs() > gate * cscale:
+            raise MalformedPairError(
+                f"kernel pair divisibility residual {rem.max_abs():.3e}")
+        out.append(qpoly)
+    drift = out[0] - inst.zpolys[0]
+    if (inst.exact and not drift.is_zero()) or \
+            (not inst.exact and drift.max_abs() > gate * cscale):
+        raise MalformedPairError("Wronskian is not the prescribed zero divisor")
+    return tuple(out)
+
+
+def _jacobian(inst: ProblemInstance, h, a):
+    """Rows of d(q_{-1}, q_0, q_{l+1}, ..., q_{l+n-2})/dh at a = a(h), at an
+    exact point.
+
+    D_h p is linear in a and in h: dq/da_k is the column of x^{l-k} in the
+    operator's q_rows(l) and dq/dh_s is read off M[s] p(a) (inst.dh_blocks).
+    a(h) enters by implicit differentiation of q_1 = ... = q_l = 0 through
+    the triangular block it is solved from.  The caller passes a = a(h);
+    n = 2 never reads it.
+    """
+    l, n = inst.l, inst.n
+    one = scalar_one(all(map(is_exact_scalar, h)))
+    rows = [[one] * n, [one * z for z in inst.z]]
+    if n > 2:
+        Q = q_rows(DhOperator(inst, tuple(h)), l).tolist()
+        M = inst.dh_blocks[1][:, :l + n, :l + 1]
+        # dq_dh[i][s] = dq_{i+1}/dh_s: rows of M[s] p(a), q_1 first
+        dq_dh = (M @ np.array(p_of_a(a).coeffs, dtype=M.dtype)).T[:l + n - 2][::-1].tolist()
+        # q_1..q_l vanish along a(h): (dq/da) da/dh = -dq/dh on those rows;
+        # a_k multiplies the column of x^{l-k}
+        da_dh = solve_rows([Q[i][l - 1::-1] + [-v for v in dq_dh[i]] for i in range(l)], l)
+        for i in range(l, l + n - 2):
+            rows.append([dq_dh[i][s] + sum(Q[i][l - 1 - k] * da_dh[k][s] for k in range(l))
+                         for s in range(n)])
+    return rows

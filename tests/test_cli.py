@@ -3,14 +3,17 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gaudinlab.cli import (
     CONFIG_SCHEMA,
     SCHEMA_KEYWORDS,
     ConfigError,
+    _sample_z,
     cmd_schubert,
     cmd_spectrum,
     cmd_verify,
@@ -56,6 +59,9 @@ class TestConfig:
     def test_duplicate_z_rejected(self):
         with pytest.raises(ConfigError):
             load_config({"m": [1, 1], "l": 1, "z": ["0", "0"]})
+        # distinct rationals whose float twins coincide
+        with pytest.raises(ConfigError, match="also as floats"):
+            load_config({"m": [1, 1], "l": 1, "z": ["1", "1.00000000000000000001"]})
 
     def test_schema_violation(self):
         with pytest.raises(ConfigError):
@@ -69,6 +75,17 @@ class TestConfig:
     def test_exact_mode_needs_rational_z(self):
         with pytest.raises(ConfigError):
             load_config({"m": [1, 1], "l": 1, "z": [0.25, 1.1], "mode": "exact"})
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("bad", ["1/0", "abc", "1e400"])
+    def test_malformed_z_string_exits_2(self, mode, bad, tmp_path, capsys):
+        # 1/0 divides by zero, abc is no number, and 1e400 has no float twin
+        with pytest.raises(ConfigError, match="z entries must be finite rationals"):
+            load_config({"m": [1, 1], "l": 1, "z": ["0", bad], "mode": mode})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"m": [1, 1], "l": 1, "z": ["0", bad], "mode": mode}))
+        assert main(["spectrum", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: z entries")
 
     def test_tolerance_override(self, monkeypatch):
         monkeypatch.setenv("GAUDINLAB_TOL_RESIDUAL", "1e-5")
@@ -341,6 +358,30 @@ class TestVerifyCommand:
     def test_zero_samples_rejected(self):
         with pytest.raises(ConfigError):
             cmd_verify(E1_CONFIG, 0)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_sample_z_ends_for_many_points(self, n):
+        # the box widens past n = 6, so a draw is kept about one time in 20
+        rng = np.random.default_rng(0)
+        t0 = time.perf_counter()
+        for kind in ("real", "complex"):
+            z = _sample_z(rng, n, kind)
+            assert len(z) == n and all(isinstance(v, complex) for v in z)
+            assert min(abs(z[i] - z[j]) for i in range(n) for j in range(i)) > 0.5
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_sample_z_draws_kept_up_to_six_points(self):
+        # up to n = 6 the box is [-3, 3] (and [-1.5, 1.5] imaginary), as before
+        for n in (2, 4, 6):
+            for kind in ("real", "complex"):
+                rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+                while True:
+                    want = [complex(v) for v in ref.uniform(-3.0, 3.0, size=n)] if kind == "real" \
+                        else [complex(a, b) for a, b in zip(ref.uniform(-3.0, 3.0, size=n),
+                                                            ref.uniform(-1.5, 1.5, size=n))]
+                    if min(abs(want[i] - want[j]) for i in range(n) for j in range(i)) > 0.5:
+                        break
+                assert _sample_z(rng, n, kind) == want
 
     def test_real_z_check_reuses_pipeline_spectrum(self, monkeypatch):
         # one H_L and one H_sing spectrum per sample, none drawn for the check

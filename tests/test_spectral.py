@@ -27,17 +27,14 @@ from gaudinlab.opscheme import (
     _a_of_h_raw,
     constraint_plane,
     exponents_at,
-    h_from_numerator,
-    operator_from_kernel_pair,
     p_of_a,
     ptilde_of,
-    ptilde_solve,
     q_coefficients,
-    residual_system,
+    stacked_jacobian,
     wronskian_check,
 )
-from gaudinlab.spectral import _float_jacobians
 
+import scheme_reference
 from conftest import LADDER, pipeline_spectrum, random_dominant_float_instance
 
 
@@ -163,17 +160,18 @@ def schur_ztrsen_reference(mats, seed: int, tol: Tolerances = Tolerances()):
 
 
 def reference_residuals(finst, h, tol):
-    """(a, atilde, residuals) at one point from the public single-point
-    functions of opscheme, with the pipeline's gates and scales."""
+    """(a, atilde, residuals) at one point from the earlier single-point
+    functions (scheme_reference), with the pipeline's gates and scales."""
     l, n, lt = finst.l, finst.n, finst.ltilde
     res = {}
     qm1, q0, hscale = constraint_plane(finst, h)
     res["q_minus1"] = abs(qm1) / hscale
     res["q_0"] = abs(q0) / hscale
     op = DhOperator(finst, h)
-    a = [complex(v) for v in _a_of_h_raw(op)]
+    a = [complex(v) for v in scheme_reference._a_of_h_raw(op)]
     ascale = max(hscale, max((abs(v) for v in a), default=0.0))
-    res["scheme"] = max((abs(v) for v in residual_system(finst, a)), default=0.0) / ascale
+    res["scheme"] = max((abs(v) for v in scheme_reference.residual_system(finst, a)),
+                        default=0.0) / ascale
     try:
         exponents_at(op, None)
     except OffPlaneError as err:
@@ -186,7 +184,7 @@ def reference_residuals(finst, h, tol):
     atilde = None
     if lt > l:
         try:
-            atilde = [complex(v) for v in ptilde_solve(op, tol=tol)]
+            atilde = [complex(v) for v in scheme_reference.ptilde_solve(op, tol=tol)]
         except (InconsistentSystemError, OffPlaneError) as err:
             res["ptilde"] = float("inf")
             res["ptilde_error"] = str(err)
@@ -195,9 +193,9 @@ def reference_residuals(finst, h, tol):
         res["ptilde"] = max_abs(op.image(ptilde_of(finst, atilde).coeffs)) / pscale
         res["wronskian"] = wronskian_check(finst, atilde, a).max_abs() / pscale
         try:
-            _, _, b2 = operator_from_kernel_pair(finst, ptilde_of(finst, atilde),
-                                                 p_of_a(a), tol=tol)
-            hrec = h_from_numerator(finst, b2)
+            _, _, b2 = scheme_reference.operator_from_kernel_pair(
+                finst, ptilde_of(finst, atilde), p_of_a(a), tol=tol)
+            hrec = scheme_reference.h_from_numerator(finst, b2)
             res["kernel_pair_roundtrip"] = max(abs(x - y) for x, y in zip(hrec, h)) / hscale
             b2lead = b2.leading() if not b2.is_zero() else 0.0
             res["b2_leading"] = abs(b2lead - lt * l) / max(1.0, lt * l)
@@ -652,7 +650,7 @@ class TestGrothendieck:
         for h in points:
             h = np.array(h, dtype=complex)
             a = np.array(_a_of_h_raw(DhOperator(inst, tuple(h))), dtype=complex)
-            J = _float_jacobians(inst, h[None], a[None])[0]
+            J = stacked_jacobian(inst, h[None], a[None])[0]
             step = 1e-6 * max(1.0, np.abs(h).max())
             fd = np.empty_like(J)
             for v in range(inst.n):
@@ -687,7 +685,7 @@ class TestGrothendieck:
     def weights_at_jacobian(monkeypatch, J):
         """grothendieck_weights at one point of E2's float twin, whose
         Jacobian is replaced by J."""
-        monkeypatch.setattr(spectral, "_float_jacobians",
+        monkeypatch.setattr(spectral, "stacked_jacobian",
                             lambda inst, H, A: np.array([J], dtype=complex))
         pt = SchemePoint(h=(1 + 0j, 0j, -1 + 0j), a=(0.5 + 0j,), atilde=None,
                          multiplicity=1, residuals={})

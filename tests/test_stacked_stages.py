@@ -1,13 +1,16 @@
-"""The pipeline's stacked float stages against the per-point code they
-replaced: sov.bethe_vectors (roots, weight vectors, eigen gate and quotient
-image) and the float branch of spectral.grothendieck_weights (Jacobians, the
-equilibrated SVD gate and the determinants).
+"""The pipeline's stacked stages against the per-point code they replaced:
+sov.bethe_vectors (roots, weight vectors, eigen gate and quotient image),
+the float branch of spectral.grothendieck_weights (Jacobians, the
+equilibrated SVD gate and the determinants), and opscheme's scheme stages in
+both lanes, with their single-point calls.
 
 The reference functions below are that per-point code, kept verbatim apart
-from their names.  The cases are the benchmark's four ladder rungs at ten z
-each, drawn as cmd_verify draws them (cli._sample_z, seed 0), on both the
-quotient and the singular-space spectrum, plus l = 0, n = 2, no point and
-one point.
+from their names; the scheme stages' reference is scheme_reference.  The
+float cases are the benchmark's four ladder rungs at ten z each, drawn as
+cmd_verify draws them (cli._sample_z, seed 0), on both the quotient and the
+singular-space spectrum, plus l = 0, n = 2, no point and one point; the
+exact cases are stacks of two groups of one (m, l), with E1's and E3's
+closed-form points and points h_of_a gives at seeded random a.
 """
 
 from fractions import Fraction
@@ -19,16 +22,25 @@ import numpy as np
 import pytest
 
 from gaudinlab import (
+    DhOperator,
+    MalformedPairError,
+    NotAdmissibleError,
+    OffPlaneError,
     ProblemInstance,
     SchemePoint,
     SingularJacobianError,
     VerificationError,
+    a_of_h,
     bethe_vector,
     bethe_vectors,
     build_gaudin,
     grothendieck_weights,
+    h_of_a,
     joint_spectrum,
     match_spectrum_to_scheme,
+    operator_from_kernel_pair,
+    ptilde_solve,
+    residual_system,
     weight_function,
 )
 from gaudinlab.cli import _sample_z
@@ -37,23 +49,34 @@ from gaudinlab.gl2rep import WeightVector
 from gaudinlab.numcore import (
     DEFAULT_TOL,
     DomainError,
+    InconsistentSystemError,
+    UniPoly,
     is_exact_array,
     is_exact_scalar,
     max_abs,
     scalar_one,
-    solve_rows,
     to_float_array,
 )
-from gaudinlab.opscheme import DhOperator, p_of_a, root_on_marked_point
-from gaudinlab.sov import BetheVector, _bump, _eigenline_via_subspace
-from gaudinlab.spectral import (
-    NonSimplePointError,
-    _equilibrated,
-    _float_jacobians,
-    _singular,
+from gaudinlab.opscheme import (
+    _a_of_h_raw,
+    constraint_plane,
+    dh_matrices,
+    p_coefficients,
+    p_of_a,
+    ptilde_of,
+    root_on_marked_point,
+    stacked_a_of_h,
+    stacked_h_of_a,
+    stacked_jacobian,
+    stacked_kernel_pair,
+    stacked_second_kernel,
 )
+from gaudinlab.sov import BetheVector, _bump, _eigenline_via_subspace
+from gaudinlab.spectral import NonSimplePointError, _equilibrated, _scheme_residuals, _singular
 
-from conftest import LADDER, pipeline_spectrum
+import scheme_reference
+from conftest import LADDER, pipeline_spectrum, random_exact_instance
+from scheme_reference import _jacobian as reference_jacobian
 
 # Bounds on the differences from the reference.  Measured on these cases:
 # omega_M 1.3e-14, the residuals 2.8e-14, omega_L 1.2e-14, the Jacobians
@@ -64,6 +87,7 @@ RESIDUAL_ABS = 1e-12        # eigen and E12 residuals (gate 1e-8)
 OMEGA_L_REL = 1e-10         # omega_L, relative to its largest entry
 JACOBIAN_REL = 1e-13        # each Jacobian, relative to its largest entry
 GROTHENDIECK_REL = 2e-7     # the weights: LAPACK pivots where solve_rows does not
+SINGLE_POINT_REL = 1e-12    # a scheme stage's P = 1 call against a stack of points
 
 
 # --- the per-point reference code ------------------------------------------
@@ -141,24 +165,6 @@ def reference_roots(p, l):
                   key=DEFAULT_TOL.cluster_key) if l else []
 
 
-def reference_jacobian(inst, h, a):
-    l, n = inst.l, inst.n
-    one = scalar_one(all(map(is_exact_scalar, h)))
-    rows = [[one] * n, [one * z for z in inst.z]]
-    if n > 2:
-        Q = DhOperator(inst, tuple(h)).q_rows(l).tolist()
-        M = inst.dh_blocks[1][:, :l + n, :l + 1]
-        # dq_dh[i][s] = dq_{i+1}/dh_s: rows of M[s] p(a), q_1 first
-        dq_dh = (M @ np.array(p_of_a(a).coeffs, dtype=M.dtype)).T[:l + n - 2][::-1].tolist()
-        # q_1..q_l vanish along a(h): (dq/da) da/dh = -dq/dh on those rows;
-        # a_k multiplies the column of x^{l-k}
-        da_dh = solve_rows([Q[i][l - 1::-1] + [-v for v in dq_dh[i]] for i in range(l)], l)
-        for i in range(l, l + n - 2):
-            rows.append([dq_dh[i][s] + sum(Q[i][l - 1 - k] * da_dh[k][s] for k in range(l))
-                         for s in range(n)])
-    return rows
-
-
 def reference_weights(inst, points, tol=DEFAULT_TOL):
     """The float branch of grothendieck_weights, one point at a time."""
     finst = inst.to_float() if inst.exact else inst
@@ -223,7 +229,8 @@ def rel(x, y):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except (VerificationError, SingularJacobianError) as err:
+    except (VerificationError, SingularJacobianError, InconsistentSystemError,
+            NotAdmissibleError, MalformedPairError) as err:
         return err
 
 
@@ -307,7 +314,7 @@ class TestStackedJacobians:
         if simple:
             H = np.array([p.h for p in simple], dtype=complex)
             A = np.array([p.a for p in simple], dtype=complex).reshape(len(simple), inst.l)
-            for J, p in zip(_float_jacobians(inst, H, A), simple):
+            for J, p in zip(stacked_jacobian(inst, H, A), simple):
                 want = np.array(reference_jacobian(inst, list(p.h), p.a), dtype=complex)
                 assert rel(J, want) <= JACOBIAN_REL
         for pts in [simple] + [[p] for p in simple]:
@@ -353,3 +360,229 @@ class TestStackedJacobians:
         number = r"\d\.\d{3}e[+-]\d+"
         assert re.sub(number, "#", str(got)) == re.sub(number, "#", str(want))
         assert str(got).endswith("a Bethe root lies on the marked point z_2 = 5.0")
+
+
+# --- the scheme stages in the exact lane -----------------------------------
+
+def exact_groups(m, l, zs, rng, closed_form=()):
+    """[(inst, H, A), ...]: one exact group per z of zs, of (m, l), with the
+    points H h_of_a (the moved reference) gives at seeded random a (the rows
+    of A), after closed_form's points (h, a) on the first group."""
+    groups = []
+    for k, z in enumerate(zs):
+        inst = ProblemInstance(m, l, z)
+        pts = list(closed_form) if k == 0 else []
+        for _ in range(3):
+            a = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(l)]
+            pts.append((tuple(scheme_reference.h_of_a(inst, a)), tuple(a)))
+        groups.append((inst, np.array([h for h, _ in pts], dtype=object),
+                       np.array([a for _, a in pts], dtype=object).reshape(len(pts), l)))
+    return groups
+
+
+def exact_cases():
+    rng = np.random.default_rng(20)
+    half = Fraction(1, 2)
+    yield exact_groups((1, 1), 1, [(0, 1), (half, 3)], rng,
+                       [((Fraction(-2), Fraction(2)), (Fraction(-1, 2),))])
+    yield exact_groups((2, 2), 2, [(0, 1), (-2, half)], rng,
+                       [((Fraction(-6), Fraction(6)), (Fraction(-1), Fraction(1, 3)))])
+    for m, l, z in (((1,) * 4, 2, (0, 1, 2, 3)), ((2,) * 4, 3, (0, 1, 3, 7)),
+                    ((1, 1, 1), 1, (half, 2, -1)), ((3, 1, 2), 2, (0, Fraction(5, 3), -2)),
+                    ((2, 1), 0, (0, 1)), ((2, 1, 1), 0, (0, 1, 3)),
+                    ((1, 1, 0, 1), 2, (0, 1, 3, -2)),
+                    ((1, 0), 3, (0, 1))):
+        yield exact_groups(m, l, [z, tuple(v + Fraction(1, 3) for v in z)], rng)
+    for _ in range(6):
+        inst = random_exact_instance(rng, max_level_dim=20)
+        z = inst.z
+        yield exact_groups(inst.m, inst.l, [z, tuple(v - half for v in z)], rng)
+
+
+EXACT_CASES = list(exact_cases())
+TINY = Fraction(1, 10 ** 12)    # below every float gate, not zero
+ERROR_KEYS = {NotAdmissibleError: "admissible_error", MalformedPairError: "malformed_pair_error"}
+
+
+def reference_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InconsistentSystemError, NotAdmissibleError, MalformedPairError,
+            OffPlaneError) as err:
+        return type(err)
+
+
+def all_fractions(rows):
+    return all(type(v) is Fraction for row in rows for v in row)
+
+
+class TestExactStages:
+    """Each stacked stage on exact stacks of several groups against the moved
+    single-point reference, Fraction for Fraction."""
+
+    @pytest.mark.parametrize("case", range(len(EXACT_CASES)))
+    def test_stages_equal_reference(self, case):
+        groups = EXACT_CASES[case]
+        inst = groups[0][0]
+        l, lt = inst.l, inst.ltilde
+        ends = np.cumsum([len(H) for _, H, _ in groups])
+        parts = [(f, slice(end - len(H), end)) for (f, H, _), end in zip(groups, ends)]
+        H = np.concatenate([H for _, H, _ in groups])
+        A = np.concatenate([A for _, _, A in groups])
+        D = np.concatenate([dh_matrices(f, Hg) for f, Hg, _ in groups])
+        ops = [DhOperator(f, tuple(h)) for f, Hg, _ in groups for h in Hg.tolist()]
+        insts = [op.inst for op in ops]
+
+        a = stacked_a_of_h(inst, D).tolist()
+        assert a == [scheme_reference._a_of_h_raw(op) for op in ops] and all_fractions(a)
+        h, w = stacked_h_of_a(parts, p_coefficients(A))
+        assert h.tolist() == [scheme_reference.h_of_a(f, ai) for f, ai in zip(insts, A.tolist())]
+        assert w[:, ::-1].tolist() == [scheme_reference.residual_system(f, ai)
+                                       for f, ai in zip(insts, A.tolist())]
+        assert all_fractions(h.tolist()) and all_fractions(w.tolist())
+        J = stacked_jacobian(inst, H[parts[0][1]], np.array(a, dtype=object)[parts[0][1]])
+        assert J.tolist() == [scheme_reference._jacobian(inst, hp, ap)
+                              for hp, ap in zip(H[parts[0][1]].tolist(), a)]
+        if lt <= l:
+            return
+        _, _, hscale = zip(*(constraint_plane(op.inst, op.h) for op in ops))
+        x, pt, err = stacked_second_kernel(inst, D, hscale, DEFAULT_TOL)
+        pairs = []
+        for op, xi, e, ai, pti in zip(ops, x.tolist(), err, a, pt):
+            want = reference_outcome(scheme_reference.ptilde_solve, op)
+            assert (e is not None) == (want is InconsistentSystemError), e
+            if e is None:
+                assert xi == want and all_fractions([xi])
+                pairs.append((op.inst, pti, ai))
+        # the kernel pairs of the points that have one, as one stack, then
+        # with each atilde moved by 1/7 and by 1e-12, which an exact stack
+        # rejects: the operator against the reference
+        if not pairs:
+            return
+        fs = [f for f, _, _ in pairs]
+        ends = [i + 1 for i in range(len(fs)) if i + 1 == len(fs) or fs[i + 1] is not fs[i]]
+        pair_parts = [(fs[end - 1], slice(start, end)) for start, end in zip([0] + ends, ends)]
+        A = np.array([ai for _, _, ai in pairs], dtype=object).reshape(len(pairs), l)
+        for shift in (0, Fraction(1, 7), TINY):
+            PT = np.array([pti for _, pti, _ in pairs], dtype=object).reshape(len(pairs), lt + 1) \
+                + np.array([shift] * lt + [0], dtype=object)
+            b, hr, _, errs = stacked_kernel_pair(pair_parts, PT, p_coefficients(A), DEFAULT_TOL)
+            for f, pti, ai, bi, hi, e in zip(fs, PT.tolist(), A.tolist(), b.tolist(), hr, errs):
+                want = reference_outcome(scheme_reference.operator_from_kernel_pair, f,
+                                         UniPoly(tuple(pti)), p_of_a(ai))
+                if isinstance(want, tuple):
+                    assert e is None
+                    assert [UniPoly(tuple(r)) for r in bi] == list(want)
+                    assert hi.tolist() == scheme_reference.h_from_numerator(f, want[2])
+                else:
+                    assert e is not None and e[0] == ERROR_KEYS[want]
+
+    @pytest.mark.parametrize("case", range(len(EXACT_CASES)))
+    def test_scheme_pass_at_literal_zero(self, case):
+        # the closed-form points of E1 and E3 pass every check at literal
+        # zero, in a stack with off-scheme points and a second group
+        groups = [(f, H) for f, H, _ in EXACT_CASES[case]]
+        stacked = _scheme_residuals(groups, DEFAULT_TOL)
+        assert repr(stacked) == repr([_scheme_residuals([g], DEFAULT_TOL)[0] for g in groups])
+        for (f, H), out in zip(groups, stacked):
+            for h, (a, atilde, res) in zip(H.tolist(), out):
+                assert list(a) == scheme_reference._a_of_h_raw(DhOperator(f, tuple(h)))
+                assert res["q_minus1"] == res["q_0"] == res["exponents"] == 0
+        # 1e-12 off the plane is off it in the exact lane
+        f, H = groups[0]
+        off = H.copy()
+        off[:, 0] += TINY
+        for _, _, res in _scheme_residuals([(f, off)], DEFAULT_TOL)[0]:
+            assert res["exponents"] == float("inf") and "exponents_error" in res
+            if f.ltilde > f.l:
+                assert res["ptilde_error"].startswith("h is off the constraint plane")
+        if case < 2:
+            a, atilde, res = stacked[0][0]
+            assert a == ((Fraction(-1, 2),), (Fraction(-1), Fraction(1, 3)))[case]
+            assert atilde == (Fraction(0),) * (case + 1)
+            for key in ("scheme", "ptilde", "wronskian", "kernel_pair_roundtrip", "b2_leading"):
+                assert res[key] == 0, key
+            assert not any(key.endswith("_error") for key in res)
+
+    @pytest.mark.parametrize("case", range(len(EXACT_CASES)))
+    def test_single_point_calls_raise_as_the_reference(self, case):
+        # perturbed a, atilde and off-plane h through the P = 1 calls: the
+        # same values, or the same exception type, as the moved reference
+        for f, H, A in EXACT_CASES[case]:
+            l, lt = f.l, f.ltilde
+            for h, a in zip(H.tolist(), A.tolist()):
+                for da in (0, Fraction(1, 7), TINY):
+                    ap = [v + da for v in a]
+                    hp = scheme_reference.h_of_a(f, ap)
+                    assert h_of_a(f, ap) == hp
+                    assert residual_system(f, ap) == scheme_reference.residual_system(f, ap)
+                    off = [hp[0] + Fraction(1, 7)] + hp[1:]
+                    # 1e-12 along the plane, off the scheme: no second kernel
+                    z = f.z
+                    along = [hp[0] + TINY * (z[1] - z[2]), hp[1] + TINY * (z[2] - z[0]),
+                             hp[2] + TINY * (z[0] - z[1])] + hp[3:] if f.n > 2 else hp
+                    for hh in (hp, off, along):
+                        assert reference_outcome(a_of_h, f, hh) == \
+                            reference_outcome(scheme_reference.a_of_h, f, hh)
+                        if lt > l:
+                            op = DhOperator(f, tuple(hh))
+                            assert reference_outcome(ptilde_solve, op) == \
+                                reference_outcome(scheme_reference.ptilde_solve, op)
+                if lt > l:
+                    atilde = reference_outcome(scheme_reference.ptilde_solve,
+                                               DhOperator(f, tuple(h)))
+                    if isinstance(atilde, type):
+                        atilde = [Fraction(0)] * (lt - 1)
+                    for dt in (0, Fraction(1, 7), TINY):
+                        pair = (ptilde_of(f, [v + dt for v in atilde]), p_of_a(a))
+                        assert reference_outcome(operator_from_kernel_pair, f, *pair) == \
+                            reference_outcome(scheme_reference.operator_from_kernel_pair, f, *pair)
+
+    def test_both_polynomials_vanish_at_a_marked_point(self):
+        # E1 at z = (0, 1): x^2 and x both vanish at z_0
+        inst = ProblemInstance([1, 1], 1, [0, 1])
+        pair = (ptilde_of(inst, [Fraction(0)]), p_of_a([Fraction(0)]))
+        assert reference_outcome(operator_from_kernel_pair, inst, *pair) is NotAdmissibleError
+        assert reference_outcome(scheme_reference.operator_from_kernel_pair, inst, *pair) \
+            is NotAdmissibleError
+
+
+class TestFloatSinglePointCalls:
+    @pytest.mark.parametrize("rung", range(len(LADDER)))
+    def test_agree_with_the_stacked_stages(self, rung):
+        # the P = 1 calls against the same stages on a stack of every point
+        # of two draws: 2-D products can round apart with their row count,
+        # so the bound is 1e-12 relative, not bitwise
+        draws = verify_draws(rung)[:2]
+        inst = draws[0][0]
+        l, lt = inst.l, inst.ltilde
+        finsts = [f for f, _, points in draws for _ in points]
+        ends = np.cumsum([len(points) for _, _, points in draws])
+        parts = [(f, slice(end - len(points), end)) for (f, _, points), end in zip(draws, ends)]
+        H = np.array([p.h for _, _, points in draws for p in points], dtype=complex)
+        D = np.concatenate([dh_matrices(f, H[rows]) for f, rows in parts])
+        a = stacked_a_of_h(inst, D)
+        h, w = stacked_h_of_a(parts, p_coefficients(a))
+        x, pt, err = stacked_second_kernel(inst, D, [constraint_plane(f, hi)[2]
+                                                     for f, hi in zip(finsts, H)], DEFAULT_TOL)
+        b, _, _, pair_err = stacked_kernel_pair(parts, pt, p_coefficients(a), DEFAULT_TOL)
+        for i, f in enumerate(finsts):
+            op = DhOperator(f, tuple(H[i].tolist()))
+            assert rel(_a_of_h_raw(op), a[i]) <= SINGLE_POINT_REL
+            assert rel(h_of_a(f, a[i]), h[i]) <= SINGLE_POINT_REL
+            # the residual cancels: relative to the size of its terms
+            terms = np.abs(dh_matrices(f, h[i])).max() * np.abs(p_coefficients(a[i:i + 1])).max()
+            assert np.abs(np.subtract(residual_system(f, a[i]), w[i, ::-1])).max(initial=0.0) \
+                <= SINGLE_POINT_REL * terms
+            if lt <= l:
+                continue
+            got = outcome(ptilde_solve, op)
+            assert isinstance(got, InconsistentSystemError) == (err[i] is not None)
+            if err[i] is None:
+                assert rel(got, x[i]) <= SINGLE_POINT_REL
+                got = outcome(operator_from_kernel_pair, f, ptilde_of(f, x[i]), p_of_a(a[i]))
+                assert isinstance(got, tuple) == (pair_err[i] is None)
+                if pair_err[i] is None:
+                    for poly, row in zip(got, b[i]):
+                        coeffs = list(poly.coeffs) + [0] * (len(row) - len(poly.coeffs))
+                        assert rel(coeffs, row) <= SINGLE_POINT_REL
