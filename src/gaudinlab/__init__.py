@@ -12,9 +12,6 @@ from .numcore import (
     SingularMatrixError,
     Tolerances,
     UniPoly,
-    kernel_basis,
-    solve_linear,
-    wronskian,
 )
 from .gl2rep import (
     NonSeparatingError,
@@ -24,7 +21,6 @@ from .gl2rep import (
     generator_matrix,
     sh_quotient,
     shapovalov_gram,
-    weight_space_basis,
     weight_space_dim,
 )
 from .gaudin import (
@@ -41,14 +37,12 @@ from .opscheme import (
     NotAdmissibleError,
     OffPlaneError,
     SchemePoint,
-    SeparatingConditionError,
     a_of_h,
     apply_Dh,
     exponents_at,
     h_of_a,
     operator_from_kernel_pair,
     ptilde_solve,
-    q_coefficients,
     residual_system,
     schubert_dimension,
     wronskian_check,

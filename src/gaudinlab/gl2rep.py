@@ -45,7 +45,6 @@ __all__ = [
     "ProblemInstance",
     "WeightVector",
     "ShQuotient",
-    "weight_space_basis",
     "weight_space_dim",
     "generator_matrix",
     "generator_int_matrix",
@@ -74,14 +73,15 @@ class ProblemInstance:
 
     z entries are either all exact rationals (ints, Fractions, 'p/q'
     strings) or all floats/complex; the choice fixes the scalar domain of
-    every matrix built from the instance.
+    every matrix built from the instance.  (m, l) must be separating
+    (NonSeparatingError otherwise).
     """
 
     m: tuple
     l: int
     z: tuple
 
-    def __init__(self, m, l, z, require_separating=True):
+    def __init__(self, m, l, z):
         m = tuple(int(v) for v in m)
         if any(v < 0 for v in m):
             raise ValueError("highest-weight parameters m_s must be >= 0")
@@ -95,12 +95,11 @@ class ProblemInstance:
         else:
             z = tuple(complex(v) for v in z)
         _check_z(z)
-        if require_separating:
-            for i in range(1, l + 1):
-                if sum(m) - 2 * l + 1 + i == 0:
-                    raise NonSeparatingError(
-                        f"sum(m) - 2l + 1 + {i} = 0: the pair (m, l) is not separating"
-                    )
+        for i in range(1, l + 1):
+            if sum(m) - 2 * l + 1 + i == 0:
+                raise NonSeparatingError(
+                    f"sum(m) - 2l + 1 + {i} = 0: the pair (m, l) is not separating"
+                )
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "z", z)
@@ -116,10 +115,6 @@ class ProblemInstance:
     @property
     def exact(self) -> bool:
         return bool(self.z) and isinstance(self.z[0], Fraction)
-
-    @property
-    def dominant(self) -> bool:
-        return sum(self.m) - 2 * self.l >= 0
 
     def zproduct(self, c, powers) -> UniPoly:
         """c * prod_s (x - z_s)^{powers[s]}; the factors multiply onto c in order
@@ -233,20 +228,13 @@ class ProblemInstance:
         return tuple(out)
 
     def to_float(self) -> "ProblemInstance":
-        return ProblemInstance(self.m, self.l, tuple(as_float(v) for v in self.z),
-                               require_separating=False)
+        return ProblemInstance(self.m, self.l, tuple(as_float(v) for v in self.z))
 
 
 def weight_space_dim(n: int, k: int) -> int:
     if k < 0:
         return 0
     return math.comb(k + n - 1, n - 1)
-
-
-def weight_space_basis(inst: ProblemInstance, k: int):
-    """Multi-indices of total degree k, graded-reverse-lexicographic order,
-    as a new list."""
-    return list(_weight_basis(inst.n, k)[0])
 
 
 @cache
@@ -265,10 +253,6 @@ def _compositions(k, n):
     for first in range(k, -1, -1):
         for rest in _compositions(k - first, n - 1):
             yield (first,) + rest
-
-
-def _basis_index(inst, k):
-    return _weight_basis(inst.n, k)
 
 
 def generator_matrix(inst: ProblemInstance, a: int, b: int, s: int, k: int) -> np.ndarray:
@@ -290,9 +274,9 @@ def generator_int_matrix(inst: ProblemInstance, a: int, b: int, s: int,
     if not 0 <= s < inst.n:
         raise ValueError("factor index out of range")
     ms = inst.m[s]
-    src, _ = _basis_index(inst, k)
+    src, _ = _weight_basis(inst.n, k)
     if (a, b) == (1, 2):
-        tgt, tpos = _basis_index(inst, k - 1)
+        tgt, tpos = _weight_basis(inst.n, k - 1)
         M = np.zeros((len(tgt), len(src)), dtype=np.int64)
         for c, j in enumerate(src):
             if j[s] == 0:
@@ -301,7 +285,7 @@ def generator_int_matrix(inst: ProblemInstance, a: int, b: int, s: int,
             M[tpos[jj], c] = j[s] * (ms - j[s] + 1)
         return M
     if (a, b) == (2, 1):
-        tgt, tpos = _basis_index(inst, k + 1)
+        tgt, tpos = _weight_basis(inst.n, k + 1)
         M = np.zeros((len(tgt), len(src)), dtype=np.int64)
         for c, j in enumerate(src):
             jj = j[:s] + (j[s] + 1,) + j[s + 1:]
@@ -327,7 +311,7 @@ def degree_diagonal(inst: ProblemInstance, s: int, k: int) -> np.ndarray:
 
 def degree_int_diagonal(inst: ProblemInstance, s: int, k: int) -> np.ndarray:
     """degree_diagonal(inst, s, k) as an int64 array."""
-    src, _ = _basis_index(inst, k)
+    src, _ = _weight_basis(inst.n, k)
     return np.diag(np.array([j[s] for j in src], dtype=np.int64))
 
 
@@ -350,19 +334,16 @@ class WeightVector:
     @staticmethod
     def from_array(v, inst: ProblemInstance, k: int) -> "WeightVector":
         # the level-k basis is already in from_dict's order
-        basis = _basis_index(inst, k)[0]
+        basis = _weight_basis(inst.n, k)[0]
         return WeightVector(tuple((j, c) for j, c in zip(basis, v) if c), k)
 
     def to_array(self, inst: ProblemInstance) -> np.ndarray:
-        basis, pos = _basis_index(inst, self.k)
+        basis, pos = _weight_basis(inst.n, self.k)
         exact = all(is_exact_scalar(c) or isinstance(c, Fraction) for _, c in self.coeffs)
         v = zeros_like_domain((len(basis),), exact)
         for j, c in self.coeffs:
             v[pos[j]] = c
         return v
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
 
 def singular_matrix(inst: ProblemInstance) -> np.ndarray:
@@ -380,7 +361,7 @@ def shapovalov_gram(inst: ProblemInstance, k: int) -> np.ndarray:
     normalization making e12 and e21 mutually adjoint with <v, v> = 1
     on the highest-weight vector.
     """
-    basis = _basis_index(inst, k)[0]
+    basis = _weight_basis(inst.n, k)[0]
     G = zeros_like_domain((len(basis), len(basis)), True)
     for i, j in enumerate(basis):
         val = 1

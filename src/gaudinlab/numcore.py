@@ -14,13 +14,13 @@ numerators over one common denominator per operand instead of forming a
 ``Fraction`` for every partial product; ``int_matmul`` multiplies integer
 arrays in int64 where a bound rules out overflow, else on Python ints.
 The one Gauss-Jordan elimination behind ``rref``, ``kernel_basis``,
-``rank_of``, ``solve_linear``, ``solve_consistent`` and ``solve_rows`` is
-fraction-free on rational rows (Bareiss 1968): rows are scaled to integers
-and each step divides exactly by the previous pivot, so no ``Fraction``
-arithmetic runs inside the loop; ``exact_det`` reads the determinant off
-the same elimination.  Complex rows take the plain Gauss-Jordan.
-``int_rref`` and ``int_kernel`` run that elimination on an integer array
-and stop before any ``Fraction`` is formed.
+``rank_of``, ``solve_linear``, ``solve_consistent``, ``solve_rows`` and
+``exact_det`` is fraction-free (Bareiss 1968): rational rows are scaled to
+integers and each step divides exactly by the previous pivot, so no
+``Fraction`` arithmetic runs inside the loop.  It takes rational rows only;
+a row holding any other scalar raises ``DomainError``, and float systems go
+to LAPACK.  ``int_rref`` and ``int_kernel`` run that elimination on an
+integer array and stop before any ``Fraction`` is formed.
 """
 
 from __future__ import annotations
@@ -120,9 +120,7 @@ def as_exact(x):
 
 
 def as_float(x):
-    """Explicit conversion to complex."""
-    if isinstance(x, Fraction):
-        return complex(x.numerator) / complex(x.denominator)
+    """Explicit conversion to complex; a Fraction is rounded once."""
     return complex(x)
 
 
@@ -178,13 +176,6 @@ class UniPoly:
     def monomial(k, c):
         return UniPoly((0 * c,) * k + (c,))
 
-    @staticmethod
-    def from_roots(roots, exact=True):
-        p = UniPoly.const(scalar_one(exact))
-        for r in roots:
-            p = p * UniPoly((-r, scalar_one(exact)))
-        return p
-
     # -- queries
     @property
     def degree(self) -> int:
@@ -197,11 +188,6 @@ class UniPoly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     # -- arithmetic
     def __add__(self, o):
@@ -231,9 +217,6 @@ class UniPoly:
                     out[i + j] = out[i + j] + a * b
             return UniPoly(tuple(out))
         return UniPoly(tuple(c * o for c in self.coeffs))
-
-    def __rmul__(self, o):
-        return self * o
 
     def deriv(self) -> "UniPoly":
         return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
@@ -309,15 +292,13 @@ def exact_array(rows) -> np.ndarray:
 def to_float_array(A: np.ndarray) -> np.ndarray:
     """Explicit exact -> float conversion, entry for entry as_float.
 
-    Numerators and denominators become floats (each correctly rounded) and
-    are divided in one numpy pass; the imaginary parts are +0.0.
+    Each entry's numerator is divided by its denominator as integers, which
+    rounds once; the imaginary parts are +0.0.
     """
     if not is_exact_array(A):
         return np.asarray(A, dtype=complex)
-    flat = A.reshape(-1).tolist()
-    num = np.array([v.numerator for v in flat], dtype=float)
-    den = np.array([v.denominator for v in flat], dtype=float)
-    return (num / den).astype(complex).reshape(A.shape)
+    flat = [v.numerator / v.denominator for v in A.reshape(-1).tolist()]
+    return np.array(flat, dtype=complex).reshape(A.shape)
 
 
 def identity(n: int, exact: bool = True) -> np.ndarray:
@@ -527,36 +508,15 @@ def lowest_terms(N: np.ndarray, D: int):
 
 
 def _rref_inplace(M: list) -> list:
-    """Gauss-Jordan on a list of rows in place; returns the pivot columns.
-
-    The pivot is the first nonzero entry at or below the current row, so a
-    triangular system keeps its natural pivots.  Rational rows (Fraction or
-    int) go through the fraction-free _bareiss_inplace; complex rows are
-    reduced directly, each pivot row scaled by 1/pivot.
+    """Gauss-Jordan (_bareiss_inplace) on a list of rational rows in place;
+    returns the pivot columns.  The pivot is the first nonzero entry at or
+    below the current row, so a triangular system keeps its natural pivots.
     """
     if not M:
         return []
-    if _is_rational_rows(M):
-        return _bareiss_inplace(M)[0]
-    ncols = len(M[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [v * inv for v in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(M):
-            break
-    return pivots
+    if not _is_rational_rows(M):
+        raise DomainError("the exact elimination takes rational rows only")
+    return _bareiss_inplace(M)[0]
 
 
 def exact_det(M: list) -> Fraction:

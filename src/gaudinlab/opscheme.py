@@ -11,7 +11,8 @@ Coordinates and conventions:
   index lt-l is omitted from atilde);
 * q_{-1} = sum h_s, q_0 = sum z_s h_s - l*lt, and for i >= 1 the value
   q_i(a,h) is the coefficient of x^{l+n-2-i} in the cleared-denominator
-  polynomial D_h(p(.,a)).
+  polynomial D_h(p(.,a)); q_1..q_l are triangular in a with diagonal
+  i(sum(m)-2l+i+1), nonzero as every ProblemInstance is separating.
 
 D_h u is linear in u and in h.  dh_matrices forms D_h on ascending
 coefficient vectors at a stack of points from the instance's
@@ -57,7 +58,6 @@ from .numcore import (
 )
 
 __all__ = [
-    "SeparatingConditionError",
     "NotAdmissibleError",
     "MalformedPairError",
     "OffPlaneError",
@@ -70,8 +70,6 @@ __all__ = [
     "dh_matrices",
     "PLANE_PRE_GATE",
     "constraint_plane",
-    "q_coefficients",
-    "q_values",
     "a_of_h",
     "h_of_a",
     "h_from_numerator",
@@ -82,14 +80,6 @@ __all__ = [
     "operator_from_kernel_pair",
     "schubert_dimension",
 ]
-
-
-class SeparatingConditionError(ValueError):
-    """A triangular diagonal entry i*(sum(m)-2l+i+1) vanished."""
-
-    def __init__(self, i):
-        self.i = i
-        super().__init__(f"separating condition fails at i = {i}")
 
 
 class NotAdmissibleError(ValueError):
@@ -192,14 +182,6 @@ class DhOperator:
         coefficient vectors of degree up to max(l, lt)."""
         return dh_matrices(self.inst, [self.h])[0]
 
-    def image(self, u) -> np.ndarray:
-        """Ascending coefficients of D_h u, read off matrix, for the
-        ascending coefficients u of a polynomial."""
-        d = len(u) - 1
-        if d >= self.matrix.shape[1]:
-            raise ValueError(f"degree {d} exceeds the blocks' max(l, lt)")
-        return self.matrix[:d + self.inst.n, :d + 1] @ np.array(u, dtype=self.matrix.dtype)
-
 
 def dh_matrices(inst: ProblemInstance, H) -> np.ndarray:
     """D_h = M0 + sum_s h_s M[s] (inst.dh_blocks) at each row h of H, stacked.
@@ -242,23 +224,6 @@ def _plane_scale(inst: ProblemInstance, h, tol: float) -> float:
     if abs(as_float(qm1)) > tol * scale or abs(as_float(q0)) > tol * scale:
         raise OffPlaneError(f"h is off the constraint plane: q_-1 = {qm1}, q_0 = {q0}")
     return scale
-
-
-def q_values(w: UniPoly, deg: int, n: int) -> list:
-    """[q_1, ..., q_{deg+n-2}] of w = D_h u for u of degree deg.
-
-    q_i is the coefficient of x^{deg+n-2-i}, as for p in the module notes.
-    """
-    top = deg + n - 2
-    return [w[top - i] for i in range(1, top + 1)]
-
-
-def q_coefficients(inst: ProblemInstance, a, h):
-    """(q_{-1}, q_0, [q_1, ..., q_{l+n-2}]) at the given coordinates."""
-    h = tuple(h)
-    qm1, q0, _ = constraint_plane(inst, h)
-    w = DhOperator(inst, h).image(p_of_a(a).coeffs)
-    return qm1, q0, q_values(w.tolist(), inst.l, inst.n)
 
 
 # --- the stacked stages -----------------------------------------------------
@@ -455,12 +420,9 @@ def _a_of_h_raw(op: DhOperator):
 def a_of_h(inst: ProblemInstance, h, tol: float = PLANE_PRE_GATE):
     """Unique a with q_1 = ... = q_l = 0, by triangular elimination.
 
-    Requires q_{-1}(h) = q_0(h) = 0 (within tol * scale in float mode) and
-    the separating condition; the offending index is reported otherwise.
+    Requires q_{-1}(h) = q_0(h) = 0 (within tol * scale in float mode);
+    OffPlaneError otherwise.
     """
-    for i in range(1, inst.l + 1):
-        if i * (sum(inst.m) - 2 * inst.l + i + 1) == 0:
-            raise SeparatingConditionError(i)
     _plane_scale(inst, h, tol)
     return _a_of_h_raw(DhOperator(inst, tuple(h)))
 

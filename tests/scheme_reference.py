@@ -4,8 +4,12 @@ stacked_scheme_residual, stacked_second_kernel, stacked_kernel_pair,
 stacked_jacobian) became their one implementation: the independent
 reference the tests compare those stages and their P = 1 calls against.
 
-The bodies are verbatim, apart from q_rows, which was a method of
-DhOperator, and the Jacobian's docstring.
+The bodies are verbatim, apart from q_rows and image, which were methods
+of DhOperator, the Jacobian's docstring, and a_of_h, whose separating
+guard is gone: every ProblemInstance is separating.  q_values,
+q_coefficients and image read the q_i off D_h; solve_rows is numcore's
+with the plain complex Gauss-Jordan it had before the exact elimination
+took rational rows only, which the float reference bodies solve with.
 """
 
 import numpy as np
@@ -14,13 +18,15 @@ from gaudinlab.gl2rep import ProblemInstance
 from gaudinlab.numcore import (
     DEFAULT_TOL,
     InconsistentSystemError,
+    SingularMatrixError,
     Tolerances,
     UniPoly,
+    _bareiss_inplace,
+    _is_rational_rows,
     as_float,
     is_exact_scalar,
     scalar_one,
     solve_consistent,
-    solve_rows,
     wronskian,
 )
 from gaudinlab.opscheme import (
@@ -28,11 +34,81 @@ from gaudinlab.opscheme import (
     DhOperator,
     MalformedPairError,
     NotAdmissibleError,
-    SeparatingConditionError,
     _plane_scale,
+    constraint_plane,
     p_of_a,
-    q_coefficients,
 )
+
+
+def _rref_inplace(M: list) -> list:
+    """Gauss-Jordan on a list of rows in place; returns the pivot columns.
+
+    The pivot is the first nonzero entry at or below the current row, so a
+    triangular system keeps its natural pivots.  Rational rows (Fraction or
+    int) go through the fraction-free _bareiss_inplace; complex rows are
+    reduced directly, each pivot row scaled by 1/pivot.
+    """
+    if not M:
+        return []
+    if _is_rational_rows(M):
+        return _bareiss_inplace(M)[0]
+    ncols = len(M[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [v * inv for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(M):
+            break
+    return pivots
+
+
+def solve_rows(M: list, n: int) -> list:
+    """Rows of X from the augmented rows M = [A | B] of a square A (n x n).
+
+    M is reduced in place by _rref_inplace; a rank-deficient A raises
+    SingularMatrixError with its rank defect.
+    """
+    pivots = _rref_inplace(M)
+    if len(pivots) < n or any(p >= n for p in pivots):
+        raise SingularMatrixError(n - sum(1 for p in pivots if p < n))
+    return [row[n:] for row in M]
+
+
+def image(op: DhOperator, u) -> np.ndarray:
+    """Ascending coefficients of D_h u, read off matrix, for the
+    ascending coefficients u of a polynomial."""
+    d = len(u) - 1
+    if d >= op.matrix.shape[1]:
+        raise ValueError(f"degree {d} exceeds the blocks' max(l, lt)")
+    return op.matrix[:d + op.inst.n, :d + 1] @ np.array(u, dtype=op.matrix.dtype)
+
+
+def q_values(w: UniPoly, deg: int, n: int) -> list:
+    """[q_1, ..., q_{deg+n-2}] of w = D_h u for u of degree deg.
+
+    q_i is the coefficient of x^{deg+n-2-i}, as for p in opscheme's notes.
+    """
+    top = deg + n - 2
+    return [w[top - i] for i in range(1, top + 1)]
+
+
+def q_coefficients(inst: ProblemInstance, a, h):
+    """(q_{-1}, q_0, [q_1, ..., q_{l+n-2}]) at the given coordinates."""
+    h = tuple(h)
+    qm1, q0, _ = constraint_plane(inst, h)
+    w = image(DhOperator(inst, h), p_of_a(a).coeffs)
+    return qm1, q0, q_values(w.tolist(), inst.l, inst.n)
 
 
 def q_rows(op: DhOperator, deg: int) -> np.ndarray:
@@ -60,12 +136,8 @@ def _a_of_h_raw(op: DhOperator):
 def a_of_h(inst: ProblemInstance, h, tol: float = PLANE_PRE_GATE):
     """Unique a with q_1 = ... = q_l = 0, by triangular elimination.
 
-    Requires q_{-1}(h) = q_0(h) = 0 (within tol * scale in float mode) and
-    the separating condition; the offending index is reported otherwise.
+    Requires q_{-1}(h) = q_0(h) = 0 (within tol * scale in float mode).
     """
-    for i in range(1, inst.l + 1):
-        if i * (sum(inst.m) - 2 * inst.l + i + 1) == 0:
-            raise SeparatingConditionError(i)
     _plane_scale(inst, h, tol)
     return _a_of_h_raw(DhOperator(inst, tuple(h)))
 

@@ -87,6 +87,12 @@ class TestConfig:
         assert main(["spectrum", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: z entries")
 
+    def test_tiny_z_has_a_float_twin(self):
+        # 1e-400 = 1/10^400: both parts overflow a float, the value rounds to 0
+        inst, _, _, _ = load_config({"m": [1, 1], "l": 1, "z": ["1", "1e-400"]})
+        assert inst.z == (1, Fraction(1, 10**400))
+        assert inst.to_float().z == (1 + 0j, 0j)
+
     def test_tolerance_override(self, monkeypatch):
         monkeypatch.setenv("GAUDINLAB_TOL_RESIDUAL", "1e-5")
         _, _, _, tol = load_config(E1_CONFIG)
@@ -402,6 +408,23 @@ class TestVerifyCommand:
         assert sample["diagonalizable"] is False
         assert sample["diagonalizability_residual"] == "inf"
         assert "sample_0:real_z_multiplicity_one" in fails
+
+    def test_counts_varying_across_z_fail(self, monkeypatch):
+        # one draw's sing_l total off by one: the totals differ across z
+        import gaudinlab.cli as cli
+        real = cli._check_schemes
+
+        def shifted(runs, tol):
+            real(runs, tol)
+            runs[1].report_l = dataclasses.replace(
+                runs[1].report_l, total_multiplicity=runs[1].report_l.total_multiplicity + 1)
+
+        monkeypatch.setattr(cli, "_check_schemes", shifted)
+        rep, fails = cmd_verify(E1_CONFIG, 2)
+        assert [s["totals"]["sing_l"] for s in rep["samples"]] == [1, 2]
+        assert rep["counts_constant"] is False
+        assert "counts_vary_across_z" in fails and rep["failures"] == fails
+        assert "spectrum_total_sing_l" in rep["samples"][1]["failures"]
 
     def test_frame_certified_once(self, monkeypatch):
         calls = []

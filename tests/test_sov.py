@@ -101,7 +101,7 @@ class TestWeightFunction:
         for _ in range(100):
             a = [F(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
                  for _ in range(inst.l)]
-            assert not weight_function(inst, a).is_zero()
+            assert weight_function(inst, a).coeffs
 
     def test_monomial_vs_separated_form(self, rng):
         # the executable coordinate-change identity, 50 points per instance

@@ -24,6 +24,15 @@ def test_traced_names_resolve():
             assert callable(getattr(module, name, None)), f"gaudinlab.{layer}.{name}"
 
 
+def test_module_exports_resolve():
+    # every name a layer module exports is defined there, once
+    tracing = load_perfbench("tracing")
+    for layer in tracing.LAYERS:
+        module = importlib.import_module(f"gaudinlab.{layer}")
+        assert len(set(module.__all__)) == len(module.__all__), layer
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], layer
+
+
 def test_traced_verify_runs_clean():
     # the benchmark's traced run, on one small verify command
     from gaudinlab import cli
