@@ -27,19 +27,20 @@ from .gaudin import (
     annihilator_ideal,
     bethe_algebra_basis,
     build_gaudin,
+    build_gaudins,
     induced_map_kernel,
 )
 from .gl2rep import ProblemInstance, weight_space_dim
 from .numcore import Tolerances, as_float, max_abs, rank_of
 from .opscheme import schubert_dimension
-from .sov import VerificationError, bethe_vectors
+from .sov import VerificationError, stacked_bethe_vectors
 from .spectral import (
     ClusterAmbiguityError,
     SingularJacobianError,
-    grothendieck_weights,
-    diagonalizability_check,
-    joint_spectrum,
+    joint_spectra,
     match_spectra_to_scheme,
+    stacked_diagonalizability_checks,
+    stacked_grothendieck_weights,
 )
 
 __all__ = ["CONFIG_SCHEMA", "cmd_spectrum", "cmd_schubert", "cmd_verify", "main"]
@@ -193,11 +194,11 @@ def _ser_seq(seq):
 
 class _Run:
     """One system between the phases of the pipeline (run_pipeline): what
-    the scheme pass and the back phase read, the gates' failures and the
-    values the report carries."""
+    the later phases read, the gates' failures and the values the report
+    carries."""
 
-    def __init__(self, sysd: GaudinSystem, tol: Tolerances):
-        self.sysd, self.tol = sysd, tol
+    def __init__(self, sysd: GaudinSystem, seed: int, tol: Tolerances):
+        self.sysd, self.seed, self.tol = sysd, seed, tol
         # one float twin, so its operator blocks are built once per pipeline
         self.finst = sysd.inst.to_float() if sysd.inst.exact else sysd.inst
         self.failures = []
@@ -210,9 +211,9 @@ class _Run:
 
 
 def _front(sysd: GaudinSystem, seed: int, tol: Tolerances) -> _Run:
-    """The pipeline's per-system front: the algebra side, the certificate
-    and dimension gates, and both joint spectra."""
-    run = _Run(sysd, tol)
+    """The pipeline's per-system front: the algebra side, and the
+    certificate and dimension gates."""
+    run = _Run(sysd, seed, tol)
     inst = sysd.inst
     n, l = inst.n, inst.l
     dim_m, dim_l = sysd.dim_sing_m, sysd.dim_sing_l
@@ -249,21 +250,28 @@ def _front(sysd: GaudinSystem, seed: int, tol: Tolerances) -> _Run:
     cert = sysd.frame.certificate
     run.global_checks = {k: run.check(k, cert[k], 0.0) for k in IDENTITIES}
     run.global_checks.update((k, run.check(k, v)) for k, v in dim_checks.items())
-
-    # spectral side (float lane)
-    def draw(mats):
-        """(joint spectrum, its seed) at the first of six seeds that separates it, or None."""
-        for s in range(seed, seed + 6):
-            try:
-                return joint_spectrum(list(mats), seed=s, tol=tol), s
-            except ClusterAmbiguityError:
-                continue
-
-    drawn = [draw(sysd.H_L), draw(sysd.H_sing)]
-    if None in drawn:
-        run.failures.append("cluster_separation")
-    (run.spec_l, run.seed_l), (run.spec_m, run.seed_m) = (d or ([], seed) for d in drawn)
     return run
+
+
+def _draw_spectra(runs, tol: Tolerances):
+    """Both joint spectra of every run (float lane), each at the first of six
+    seeds from the run's seed that separates it: one joint_spectra pass per
+    seed over every spectrum still undrawn."""
+    wanted = [(run, mats) for run in runs for mats in (run.sysd.H_L, run.sysd.H_sing)]
+    drawn = [None] * len(wanted)
+    for attempt in range(6):
+        todo = [i for i, d in enumerate(drawn) if d is None]
+        if not todo:
+            break
+        seeds = [wanted[i][0].seed + attempt for i in todo]
+        spectra = joint_spectra([list(wanted[i][1]) for i in todo], seeds, tol)
+        for i, seed, spectrum in zip(todo, seeds, spectra):
+            if not isinstance(spectrum, ClusterAmbiguityError):
+                drawn[i] = (spectrum, seed)
+    for run, pair in zip(runs, zip(drawn[::2], drawn[1::2])):
+        if None in pair:
+            run.failures.append("cluster_separation")
+        (run.spec_l, run.seed_l), (run.spec_m, run.seed_m) = (d or ([], run.seed) for d in pair)
 
 
 def _check_schemes(runs, tol: Tolerances):
@@ -274,10 +282,29 @@ def _check_schemes(runs, tol: Tolerances):
         run.report_l, run.report_m = next(reports), next(reports)
 
 
-def _back(run: _Run):
-    """The pipeline's per-system back, after the scheme pass: totals, trace
-    identity, Bethe vectors, Grothendieck and their gates."""
-    sysd, finst, tol, check = run.sysd, run.finst, run.tol, run.check
+def _back(runs, tol: Tolerances):
+    """The pipeline's back, after the scheme pass: each run's totals and
+    trace identity, then the Bethe vectors and the Grothendieck weights of
+    every run, one stacked pass each, and their gates."""
+    for run in runs:
+        _totals(run)
+    bethe = stacked_bethe_vectors(
+        [(run.finst, build_gaudin(run.finst, run.sysd.frame)
+          if (run.sysd.inst.exact and run.report_l.points) else run.sysd, run.report_l.points)
+         for run in runs], tol)
+    for run, vectors in zip(runs, bethe):
+        _bethe_gates(run, vectors)
+    simple = [run for run in runs if run.report_l.all_simple and run.report_l.points]
+    weights = stacked_grothendieck_weights([(run.finst, run.report_l.points) for run in simple], tol)
+    for run in runs:
+        run.groth = None
+    for run, ws in zip(simple, weights):
+        _grothendieck_gates(run, ws)
+
+
+def _totals(run: _Run):
+    """A run's totals, scheme residuals and trace identity, and their gates."""
+    sysd, check = run.sysd, run.check
     report_l, report_m = run.report_l, run.report_m
     n, dim_m, dim_l = sysd.inst.n, sysd.dim_sing_m, sysd.dim_sing_l
     check("spectrum_total_sing_l", abs(report_l.total_multiplicity - dim_l))
@@ -300,9 +327,11 @@ def _back(run: _Run):
                               abs(acc - tr) / (dim * max(1.0, max_abs(mats[s]))))
     run.trace_identity = check("trace_identity", trace_resid)
 
-    # Bethe vectors on the quotient spectrum
-    fsys = build_gaudin(finst, sysd.frame) if (sysd.inst.exact and report_l.points) else sysd
-    run.bethe = bethe_vectors(finst, fsys, report_l.points, tol=tol)
+
+def _bethe_gates(run: _Run, vectors):
+    """The gates on a run's Bethe vectors, on its quotient spectrum."""
+    run.bethe = vectors
+    dim_l = run.sysd.dim_sing_l
     bmax = 0.0
     omega_ls = []
     for bv in run.bethe:
@@ -311,27 +340,31 @@ def _back(run: _Run):
             continue
         bmax = max(bmax, max(bv.eigen_residuals, default=0.0), bv.e12_residual)
         omega_ls.append(np.asarray(bv.omega_L, dtype=complex))
-    check("bethe_eigen_residual", bmax)
+    run.check("bethe_eigen_residual", bmax)
     run.span_rank = 0
     if omega_ls and dim_l:
-        run.span_rank = rank_of(np.stack(omega_ls, axis=1), tol.svd_rel)
-        if report_l.all_simple:
-            check("bethe_span_rank", abs(run.span_rank - dim_l))
+        run.span_rank = rank_of(np.stack(omega_ls, axis=1), run.tol.svd_rel)
+        if run.report_l.all_simple:
+            run.check("bethe_span_rank", abs(run.span_rank - dim_l))
 
-    run.groth = None
-    if report_l.all_simple and report_l.points:
-        try:
-            ws = grothendieck_weights(finst, report_l.points, tol=tol)
-            funcs = [[1.0] * len(report_l.points)] + \
-                [[complex(p.h[s]) for p in report_l.points] for s in range(n)]
-            gram = np.array([[sum(w * (fi * fj) for w, fi, fj in zip(ws, f1, f2))
-                              for f2 in funcs] for f1 in funcs])
-            sym = float(np.abs(gram - gram.T).max())
-            run.groth = {"weights": _ser_seq(ws),
-                         "form_symmetry": check("grothendieck_symmetry", sym)}
-        except SingularJacobianError as err:
-            run.failures.append("grothendieck_jacobian")
-            run.groth = {"error": str(err)}
+
+def _grothendieck_gates(run: _Run, ws):
+    """The Grothendieck form of a run's simple quotient spectrum from its
+    weights ws, or its failure when ws is the SingularJacobianError."""
+    if isinstance(ws, SingularJacobianError):
+        run.failures.append("grothendieck_jacobian")
+        run.groth = {"error": str(ws)}
+        return
+    if isinstance(ws, Exception):
+        raise ws
+    points = run.report_l.points
+    funcs = [[1.0] * len(points)] + \
+        [[complex(p.h[s]) for p in points] for s in range(run.sysd.inst.n)]
+    gram = np.array([[sum(w * (fi * fj) for w, fi, fj in zip(ws, f1, f2))
+                      for f2 in funcs] for f1 in funcs])
+    sym = float(np.abs(gram - gram.T).max())
+    run.groth = {"weights": _ser_seq(ws),
+                 "form_symmetry": run.check("grothendieck_symmetry", sym)}
 
 
 def _point_dict(p) -> dict:
@@ -387,15 +420,17 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     """Check everything for one built system; returns (report dict, failures,
     spec_l), spec_l being H_L's joint spectrum ([] if no seed separated it).
 
-    The pipeline computes in three phases, then serialises: the per-system
-    front (_front), the scheme pass over both spectra (_check_schemes) and
-    the per-system back (_back).  cmd_verify runs the same phases with one
-    scheme pass over every sample.
+    The pipeline computes in phases, then serialises: the per-system front
+    (_front), then the joint spectra (_draw_spectra), the scheme pass over
+    both spectra (_check_schemes) and the back (_back).  cmd_verify runs
+    the same phases with each of the later ones a single pass over every
+    sample; this is its one-system case.
     """
     t0 = time.perf_counter()
     run = _front(sysd, seed, tol)
+    _draw_spectra([run], tol)
     _check_schemes([run], tol)
-    _back(run)
+    _back([run], tol)
     report = _report(run)
     report["timing"] = time.perf_counter() - t0
     return report, run.failures, run.spec_l
@@ -442,26 +477,29 @@ def cmd_verify(config: dict, samples: int):
     Checks that the multiplicity-weighted point counts are constant across
     draws and equal the space dimensions, and that real draws produce a
     simple, honestly diagonalizable spectrum.  Every draw is built on one
-    frame; a gate that fails in one draw is listed in that draw's entry.
-    The draws run run_pipeline's phases: every draw's front, then one
-    scheme pass over every draw's spectra, then every draw's back; no
-    point or Bethe-vector report is built.
+    frame, its Hamiltonians formed for every draw at once (build_gaudins);
+    a gate that fails in one draw is listed in that draw's entry.  The
+    draws run run_pipeline's phases: every draw's front (the algebra side,
+    per draw), then one pass over every draw for the joint spectra, the
+    scheme checks and the back, then one diagonalizability pass over the
+    real draws; no point or Bethe-vector report is built.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     inst0, mode, seed, tol = load_config(config)
     rng = np.random.default_rng(seed)
-    frame = GaudinFrame(inst0)
     kinds = ["real" if k % 2 == 0 else "complex" for k in range(samples)]
-    runs = [_front(build_gaudin(ProblemInstance(inst0.m, inst0.l, _sample_z(rng, inst0.n, kind)),
-                                frame), seed + 1000 * k, tol)
-            for k, kind in enumerate(kinds)]
+    insts = [ProblemInstance(inst0.m, inst0.l, _sample_z(rng, inst0.n, kind)) for kind in kinds]
+    runs = [_front(sysd, seed + 1000 * k, tol)
+            for k, sysd in enumerate(build_gaudins(insts, GaudinFrame(inst0)))]
+    _draw_spectra(runs, tol)
     _check_schemes(runs, tol)
+    _back(runs, tol)
+    real = iter(stacked_diagonalizability_checks(
+        [(run.sysd.H_L, run.spec_l) for run, kind in zip(runs, kinds) if kind == "real"], tol))
     entries = []
     failures = []
-    for k, kind in enumerate(kinds):
-        run = runs.pop(0)   # a draw's system is dropped once its entry is made
-        _back(run)
+    for k, (run, kind) in enumerate(zip(runs, kinds)):
         entry = {
             "z": _ser_seq(run.sysd.inst.z),
             "kind": kind,
@@ -475,7 +513,7 @@ def cmd_verify(config: dict, samples: int):
         if run.failures:
             failures.append(f"sample_{k}:" + ",".join(run.failures))
         if kind == "real":
-            ok_l, worst = diagonalizability_check(list(run.sysd.H_L), run.spec_l, tol=tol)
+            ok_l, worst = next(real)
             entry["diagonalizable"] = bool(ok_l)
             entry["diagonalizability_residual"] = _ser(worst)
             if not (ok_l and entry["all_simple"]):

@@ -18,7 +18,7 @@ quotient (H_L).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -57,6 +57,7 @@ __all__ = [
     "GaudinSystem",
     "IDENTITIES",
     "build_gaudin",
+    "build_gaudins",
     "polynomial_valued_kernel",
     "apply_universal_operator",
     "bethe_algebra_basis",
@@ -202,29 +203,37 @@ class GaudinFrame:
             _readonly(M)
         return FrameLane(shq=shq, E12=E12, terms=terms)
 
-    def combination(self, inst: ProblemInstance, space: str) -> list:
-        """The frame's H_s at inst's z on one of SPACES, for each s:
-        sum_{r != s} (m_s m_r I - Omega_{s,r}) / (z_s - z_r).
+    def combination(self, insts, space: str) -> list:
+        """The frame's H_s at each instance of insts (one lane) on one of
+        SPACES, for each s: sum_{r != s} (m_s m_r I - Omega_{s,r}) / (z_s - z_r).
 
-        Exact: (N, D) with H_s = N / D, N an integer array, the coefficients
-        taken over their common denominator.  Float: complex, term by term.
+        Exact: for each instance a list of (N, D) with H_s = N / D, N an
+        integer array, the coefficients taken over their common denominator.
+        Float: one complex S x n x d x d stack, term by term, each term for
+        every instance at once; an instance's H_s does not depend on the
+        others in the stack.
         """
-        T, D0 = self.lane(inst.exact).terms[space]
+        T, D0 = self.lane(insts[0].exact).terms[space]
         n = len(self.m)
-        out = []
-        for s in range(n):
-            others = [r for r in range(n) if r != s]
-            coefs = [1 / (inst.z[s] - inst.z[r]) for r in others]
-            if inst.exact:
-                ks, D = integer_numerators(coefs)
-                cols = np.stack([T[s, r].reshape(-1) for r in others], axis=1)
-                N = int_matmul(cols, int_array(ks)[:, None])
-                out.append((N.reshape(T[s, others[0]].shape), D * D0))
-                continue
-            acc = np.zeros(T[s, others[0]].shape, dtype=complex)
-            for r, c in zip(others, coefs):
-                acc = acc + T[s, r] * c
-            out.append(acc)
+        pairs = [[r for r in range(n) if r != s] for s in range(n)]
+        if insts[0].exact:
+            out = []
+            for inst in insts:
+                out.append([])
+                for s, others in enumerate(pairs):
+                    ks, D = integer_numerators([1 / (inst.z[s] - inst.z[r]) for r in others])
+                    cols = np.stack([T[s, r].reshape(-1) for r in others], axis=1)
+                    N = int_matmul(cols, int_array(ks)[:, None])
+                    out[-1].append((N.reshape(T[s, others[0]].shape), D * D0))
+            return out
+        d = T[0, 1].shape[0]
+        out = np.zeros((len(insts), n, d, d), dtype=complex)
+        for s, others in enumerate(pairs):
+            coefs = np.array([[1 / (inst.z[s] - inst.z[r]) for r in others] for inst in insts])
+            acc = out[:, s]
+            for j, r in enumerate(others):
+                acc = acc + T[s, r] * coefs[:, j, None, None]
+            out[:, s] = acc
         return out
 
     @cached_property
@@ -281,18 +290,21 @@ class GaudinFrame:
 class GaudinSystem:
     """The frame's Hamiltonians at inst's z, on the three nested spaces.
 
-    H_big, H_sing and H_L are frame.combination(inst, space), formed the
+    H_big, H_sing and H_L are frame.combination([inst], space), formed the
     first time each is read and then kept: Fraction arrays on an exact
-    instance, complex arrays otherwise.  shq (singular basis, Gram matrices
-    and quotient) and E12 are the frame lane's read-only arrays.
+    instance, complex arrays otherwise; families holds a space's H_s formed
+    beforehand (build_gaudins).  shq (singular basis, Gram matrices and
+    quotient) and E12 are the frame lane's read-only arrays.
     """
 
     inst: ProblemInstance
     frame: GaudinFrame
+    families: dict = field(default_factory=dict, compare=False, repr=False)
 
     def _family(self, space: str) -> tuple:
-        H = self.frame.combination(self.inst, space)
-        return tuple(fraction_array(N, D) for N, D in H) if self.inst.exact else tuple(H)
+        if space in self.families:
+            return self.families[space]
+        return _families(self.frame, [self.inst], space)[0]
 
     @cached_property
     def H_big(self) -> tuple:
@@ -335,6 +347,26 @@ def build_gaudin(inst: ProblemInstance, frame: GaudinFrame | None = None) -> Gau
         raise ValueError(f"frame is for (m, l) = ({frame.m}, {frame.l}), "
                          f"instance has ({inst.m}, {inst.l})")
     return GaudinSystem(inst, frame)
+
+
+def build_gaudins(insts, frame: GaudinFrame) -> list:
+    """The systems of the instances insts (one lane) on frame, each space's
+    Hamiltonians formed for every instance at once (GaudinFrame.combination:
+    one stack in the float lane), equal to build_gaudin's."""
+    systems = [build_gaudin(inst, frame) for inst in insts]
+    for space in SPACES:
+        for sysd, H in zip(systems, _families(frame, insts, space)):
+            sysd.families[space] = H
+    return systems
+
+
+def _families(frame: GaudinFrame, insts, space: str) -> list:
+    """Each instance's H_s on space as a GaudinSystem holds them: Fraction
+    arrays on an exact instance, complex arrays otherwise."""
+    H = frame.combination(insts, space)
+    if insts[0].exact:
+        return [tuple(fraction_array(N, D) for N, D in h) for h in H]
+    return [tuple(h) for h in H]
 
 
 def _universal_operator(sys: GaudinSystem, space: str, deg: int):

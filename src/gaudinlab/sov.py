@@ -10,11 +10,12 @@ under the change of variables below.  The coefficients are symmetric in the
 roots, hence polynomial in a: the exact path computes them root-free as
 (-1)^l det( sum_s x^(s) W_s(Cp) ) with Cp the companion matrix of p and
 W_s(t) = prod_{i != s}(t - z_i); the float path uses numeric roots, for
-all the points of a spectrum at once (bethe_vectors).
+all the points of several spectra at once (stacked_bethe_vectors).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -49,6 +50,7 @@ __all__ = [
     "separated_form_value",
     "bethe_vector",
     "bethe_vectors",
+    "stacked_bethe_vectors",
 ]
 
 
@@ -143,7 +145,7 @@ def weight_function(inst: ProblemInstance, a) -> WeightVector:
         return WeightVector.from_dict({(0,) * n: scalar_one(exact)}, 0)
     if not exact:
         roots = _roots(np.array([a], dtype=complex))
-        return WeightVector.from_array(_float_weights(inst, roots)[0], inst, l)
+        return WeightVector.from_array(_float_weights(_w_coeffs(inst)[None], roots)[0], inst, l)
     p = p_of_a([Fraction(v) for v in a])
     C = _companion(p)
     powers = [identity(l)]
@@ -182,16 +184,22 @@ def _raise_maps(n: int, k: int) -> np.ndarray:
                     dtype=np.intp).reshape(len(basis), n)
 
 
-def _float_weights(inst: ProblemInstance, T: np.ndarray) -> np.ndarray:
+def _w_coeffs(inst: ProblemInstance) -> np.ndarray:
+    """Ascending coefficients of W_s(t) = prod_{i != s}(t - z_i), one row per s."""
+    return np.array([w.coeffs for w in inst.zpolys[2]], dtype=complex)
+
+
+def _float_weights(W: np.ndarray, T: np.ndarray) -> np.ndarray:
     """The weight vectors at the roots T (P x l) of P points, as the rows of a
-    P x dim array: the product over roots t of sum_s x^(s) W_s(t), one
-    scatter step mu -> mu + e_s per root, times (-1)^l."""
+    P x dim array, with W the _w_coeffs of each point's instance (P x n x n,
+    or 1 x n x n for one instance): the product over roots t of
+    sum_s x^(s) W_s(t), one scatter step mu -> mu + e_s per root, times
+    (-1)^l."""
     P, l = T.shape
-    n = inst.n
-    W = np.array([w.coeffs for w in inst.zpolys[2]], dtype=complex)
+    n = W.shape[1]
     ws = np.zeros((P, l, n), dtype=complex)
-    for c in W.T[::-1]:     # W_s(t) by Horner, as UniPoly evaluates it
-        ws = ws * T[:, :, None] + c
+    for j in range(W.shape[2] - 1, -1, -1):     # W_s(t) by Horner, as UniPoly evaluates it
+        ws = ws * T[:, :, None] + W[:, None, :, j]
     V = np.ones((P, 1), dtype=complex)
     for k in range(l):
         up = _raise_maps(n, k)
@@ -242,32 +250,58 @@ def bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
 
 def bethe_vectors(inst: ProblemInstance, sys: GaudinSystem, points,
                   tol: Tolerances = DEFAULT_TOL) -> list:
-    """Build and verify the eigenvector attached to each scheme point: one
-    BetheVector, or the VerificationError that rejects it, per point.
+    """stacked_bethe_vectors at the points of the one system sys: one
+    BetheVector, or the VerificationError that rejects it, per point."""
+    (out,) = stacked_bethe_vectors([(inst, sys, points)], tol)
+    return out
+
+
+def stacked_bethe_vectors(groups, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Build and verify the eigenvector attached to each scheme point of every
+    group (inst, sys, points) of groups, systems of one (m, l) and one lane:
+    per group, one BetheVector, or the VerificationError that rejects it,
+    per point.
 
     Eigen relations and the quotient image are gated at tol.residual.  A
     float point (from the eigen-decomposition) needs the float system,
     build_gaudin(inst.to_float(), sys.frame); an exact one raises DomainError.
-    On a float system every point is computed in floats, all in one pass: the
-    roots of every p(a) (_roots), the weight vectors (_float_weights), and
-    each eigen relation as one product on the P x dim stack.  An exact system
-    takes the exact weight function and the same gates on Fraction arrays.
-    Only the eigenline fallback (_eigenline_via_subspace) runs per point.  A
-    VerificationError names a Bethe root on a marked point when there is one
-    (root_on_marked_point).
+    A float system computes its points in floats, and every group's in one
+    pass: the roots of every p(a) (_roots) and the weight vectors
+    (_float_weights).  An exact system takes the exact weight function and
+    the same gates on Fraction arrays.  Each eigen relation is one product
+    on a group's P x dim stack, and only the eigenline fallback
+    (_eigenline_via_subspace) runs per point, so a point's vector does not
+    depend on the other groups.  A VerificationError names a Bethe root on a
+    marked point when there is one (root_on_marked_point).
     """
-    points = list(points)
-    if not points:
-        return []
-    l = inst.l
-    exact = sys.inst.exact
-    if exact and not all(is_exact_scalar(v) for p in points for v in p.a + p.h):
-        raise DomainError("float point on an exact system; pass the float system")
-    roots = _roots(np.array([p.a for p in points], dtype=complex).reshape(len(points), l))
-    if exact:
-        V = np.stack([weight_function(inst, p.a).to_array(inst) for p in points])
+    groups = [(inst, sys, list(points)) for inst, sys, points in groups]
+    if len({sys.inst.exact for _, sys, _ in groups}) > 1:
+        raise ValueError("the systems of one call must share a lane")
+    for _, sys, points in groups:
+        if sys.inst.exact and not all(is_exact_scalar(v) for p in points for v in p.a + p.h):
+            raise DomainError("float point on an exact system; pass the float system")
+    pts = [p for _, _, points in groups for p in points]
+    if not pts:
+        return [[] for _ in groups]
+    roots = _roots(np.array([p.a for p in pts], dtype=complex).reshape(len(pts), groups[0][0].l))
+    if groups[0][1].inst.exact:
+        V = np.stack([weight_function(inst, p.a).to_array(inst)
+                      for inst, _, points in groups for p in points])
     else:
-        V = _float_weights(inst, roots)
+        # each point at its own instance's W_s
+        W = [np.broadcast_to(_w_coeffs(inst), (len(points), inst.n, inst.n))
+             for inst, _, points in groups]
+        V = _float_weights(np.concatenate(W), roots)
+    ends = itertools.accumulate(len(points) for _, _, points in groups)
+    return [_group_vectors(inst, sys, points, V[end - len(points):end],
+                           roots[end - len(points):end], tol) if points else []
+            for (inst, sys, points), end in zip(groups, ends)]
+
+
+def _group_vectors(inst: ProblemInstance, sys: GaudinSystem, points, V: np.ndarray,
+                   roots: np.ndarray, tol: Tolerances) -> list:
+    """stacked_bethe_vectors' output at one group's points, from their weight
+    vectors V (P x dim) and the roots of their p(a) (P x l)."""
     resids, e12r, errors = _eigen_gate(sys, V, np.array([p.h for p in points], dtype=V.dtype), tol)
     # V is in Sing (the E12 gate), and S is the identity on its free rows
     coords = V[:, sys.shq.free]
@@ -275,9 +309,10 @@ def bethe_vectors(inst: ProblemInstance, sys: GaudinSystem, points,
     dead = rowmax(omega_L).astype(float) <= \
         tol.residual * np.maximum(1.0, rowmax(coords).astype(float))
     out = []
+    has_quotient = bool(sys.dim_sing_l)
     for i, p in enumerate(points):
         err, line = errors[i], omega_L[i]
-        via_subspace = bool(sys.dim_sing_l and dead[i])
+        via_subspace = has_quotient and bool(dead[i])
         if err is None and via_subspace:
             try:
                 line = _eigenline_via_subspace(sys.shq.sh, sys.H_sing, sys.H_L,
@@ -289,7 +324,7 @@ def bethe_vectors(inst: ProblemInstance, sys: GaudinSystem, points,
             out.append(VerificationError(err.residual, f"{err}; {cause}") if cause else err)
             continue
         out.append(BetheVector(
-            point=p, omega_M=WeightVector.from_array(V[i], inst, l), omega_L=line,
+            point=p, omega_M=WeightVector.from_array(V[i], inst, inst.l), omega_L=line,
             eigen_residuals=tuple(float(r) for r in resids[i]),
             e12_residual=float(e12r[i]), via_subspace=via_subspace,
             roots=tuple(sorted(roots[i].tolist(), key=tol.cluster_key))))
@@ -323,6 +358,8 @@ def _eigenline_via_subspace(P, H_sing, H_L, coords, h, tol: Tolerances):
     """
     exact = is_exact_array(coords)
     basis = span_closure(coords, H_sing, lambda v, H: H @ v, tol)
+    if not basis:
+        raise VerificationError(float("inf"), "algebra closure of the weight vector is empty")
     W = np.stack([P @ v for v in basis], axis=1)
     W = W[:, [j for j in range(W.shape[1]) if max_abs(W[:, j]) > 0]]
     if W.shape[1] == 0:

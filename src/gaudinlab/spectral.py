@@ -4,10 +4,12 @@ The spectrum of the family is read off a seeded random integer combination
 of the generators: eigenvalue clusters of the combination give the points,
 generalized-eigenspace dimensions give multiplicities, and the h-tuple at a
 point is the Rayleigh value of each generator on the cluster's invariant
-subspace.  Every point is then pushed through the scheme-side checks,
-opscheme's stacked stages run once over every spectrum of a command, and
-the residuals are recorded, never just booleans; the Grothendieck weights
-invert the same stages' Jacobians.
+subspace; every family of a command is decomposed in one pass
+(joint_spectra).  Every point is then pushed through the scheme-side
+checks, opscheme's stacked stages run once over every spectrum of a
+command, and the residuals are recorded, never just booleans; the
+Grothendieck weights invert the same stages' Jacobians, also once over
+every spectrum.
 """
 
 from __future__ import annotations
@@ -40,10 +42,13 @@ __all__ = [
     "SingularJacobianError",
     "SpectrumReport",
     "joint_spectrum",
+    "joint_spectra",
     "match_spectrum_to_scheme",
     "match_spectra_to_scheme",
     "grothendieck_weights",
+    "stacked_grothendieck_weights",
     "diagonalizability_check",
+    "stacked_diagonalizability_checks",
 ]
 
 
@@ -69,80 +74,121 @@ class SpectrumReport:
     residual_summary: dict
 
 
-def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
-    """[(h, multiplicity, orthonormal invariant basis), ...] of the family.
+def joint_spectra(families, seeds, tol: Tolerances = DEFAULT_TOL) -> list:
+    """The joint spectrum of each commuting family of families at its seed of
+    seeds, or the ClusterAmbiguityError that rejects that draw: one stacked
+    pass over every family.
 
-    mats must commute (checked exactly upstream); exact input is converted
-    here, the one sanctioned entry into float mode.  The combination is
-    diagonalised once (np.linalg.eig); eigenvalues closer than tol.cluster
-    share a cluster.  A cluster of size 1 takes its unit eigenvector as
-    basis, and h is the Rayleigh quotient of each generator on it.  Only a
-    spectrum with a larger cluster factors the combination as a complex
-    Schur form, and reads each such cluster's basis off it (_schur_bases).
-    Raises ClusterAmbiguityError when two clusters run closer than
-    10 * tol.cluster, or when a cluster is not one joint eigenvalue (two
-    eigenvalues of some Q^H H_s Q / max(1, max|H_s|) lie 10 * tol.cluster or
-    more apart), in which case the caller should reseed.  Clusters are
-    listed by the real part of their centers on a grid of tol.cluster, then
-    by the imaginary part, so a conjugate pair whose real parts agree to
-    rounding keeps one order.
+    A spectrum is [(h, multiplicity, orthonormal invariant basis), ...].
+    Each family must commute (checked exactly upstream); exact input is
+    converted here, the one sanctioned entry into float mode.  A family's
+    seeded random integer combination is diagonalised (np.linalg.eig, one
+    batched call per matrix shape); eigenvalues closer than tol.cluster share
+    a cluster (single linkage).  A cluster of size 1 takes its unit
+    eigenvector as basis, and h is the Rayleigh quotient of each generator
+    on it, every family's in one product.  Only a spectrum with a larger
+    cluster factors its combination as a complex Schur form, and reads each
+    such cluster's basis off it (_schur_bases).  A draw is rejected when two
+    clusters run closer than 10 * tol.cluster, or when a cluster is not one
+    joint eigenvalue (two eigenvalues of some Q^H H_s Q / max(1, max|H_s|)
+    lie 10 * tol.cluster or more apart); the caller should reseed.  Clusters
+    are listed by the real part of their centers on a grid of tol.cluster,
+    then by the imaginary part, then by first eigenvalue index, so a
+    conjugate pair whose real parts agree to rounding keeps one order.  A
+    family's spectrum does not depend on the others in the stack.
     """
-    mats = [to_float_array(M) for M in mats]
-    n = len(mats)
-    d = mats[0].shape[0]
-    if d == 0:
-        return []
-    rng = np.random.default_rng(seed)
-    c = rng.integers(1, 998, size=n)
-    T = sum(int(cs) * H for cs, H in zip(c, mats))
-    scale = max(1.0, float(np.abs(T).max()))
-    eigs, vecs = np.linalg.eig(T / scale)
-
-    # single-linkage clustering at distance tol.cluster
-    order = sorted(range(d), key=lambda i: (eigs[i].real, eigs[i].imag))
-    parent = list(range(d))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for ii in range(d):
-        for jj in range(ii + 1, d):
-            if abs(eigs[order[ii]] - eigs[order[jj]]) <= tol.cluster:
-                ri, rj = find(order[ii]), find(order[jj])
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(d):
-        groups.setdefault(find(i), []).append(i)
-    mean = {r: complex(np.mean([eigs[i] for i in g])) for r, g in groups.items()}
-    roots = sorted(groups, key=lambda r: tol.cluster_key(mean[r]))
-    clusters = [groups[r] for r in roots]
-    centers = [mean[r] for r in roots]
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if abs(centers[i] - centers[j]) < 10 * tol.cluster:
-                raise ClusterAmbiguityError(
-                    f"cluster centers {centers[i]:.6g} and {centers[j]:.6g} "
-                    f"within 10*tol; reseed")
-
-    # a simple cluster's basis is its unit eigenvector, and every simple h
-    # is one stacked Rayleigh quotient
-    simple = [g[0] for g in clusters if len(g) == 1]
-    Vs = vecs[:, simple]
-    hs = dict(zip(simple, np.einsum("ij,sij->js", Vs.conj(), np.stack(mats) @ Vs)))
-    if len(simple) < len(clusters):
-        schur = _schur_bases(T / scale, centers, clusters, mats, tol)
-    out = []
-    for idx, g in enumerate(clusters):
-        if len(g) == 1:
-            out.append((tuple(complex(v) for v in hs[g[0]]), 1, vecs[:, g]))
-        else:
-            out.append(schur[idx])
-    assert sum(m for _, m, _ in out) == d
+    out = [[] for _ in families]
+    shapes = {}
+    for i, mats in enumerate(families):
+        M = np.stack([to_float_array(H) for H in mats])
+        if M.shape[-1]:
+            shapes.setdefault(M.shape, []).append((i, M))
+    for rows in shapes.values():
+        for i, spectrum in zip((i for i, _ in rows),
+                               _same_shape_spectra(np.stack([M for _, M in rows]),
+                                                   [seeds[i] for i, _ in rows], tol)):
+            out[i] = spectrum
     return out
+
+
+def _same_shape_spectra(M, seeds, tol: Tolerances) -> list:
+    """joint_spectra of the families M (G x n x d x d, d > 0)."""
+    G, n, d, _ = M.shape
+    c = np.array([np.random.default_rng(seed).integers(1, 998, size=n) for seed in seeds])
+    # summed from 0 in order of s, as a family's own sum of c_s H_s: each
+    # family keeps its bits here, in the batched eig and in the products
+    T = 0
+    for s in range(n):
+        T = T + c[:, s, None, None] * M[:, s]
+    Tn = T / np.maximum(1.0, np.abs(T).max(axis=(1, 2)))[:, None, None]
+    eigs, vecs = np.linalg.eig(Tn)
+
+    # single-linkage clusters at distance tol.cluster, each labelled by the
+    # first index it holds
+    near = np.abs(eigs[:, :, None] - eigs[:, None, :]) <= tol.cluster
+    label = np.broadcast_to(np.arange(d), (G, d))
+    while True:
+        nxt = np.where(near, label[:, None, :], d).min(axis=2)
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    first = label == np.arange(d)
+    size = (label[:, :, None] == np.arange(d)).sum(axis=1)
+    centers = eigs.copy()
+    for g, j in zip(*np.nonzero(first & (size > 1))):
+        centers[g, j] = np.mean(eigs[g][label[g] == j])
+    # each family's clusters first, in order; the rest of a row is padding
+    order = np.lexsort((centers.imag, np.rint(centers.real / tol.cluster), ~first), axis=-1)
+    k = first.sum(axis=1)
+    centers = np.take_along_axis(centers, order, axis=1)
+    size = np.take_along_axis(size, order, axis=1)
+    live = np.arange(d) < k[:, None]
+    close = (np.abs(centers[:, :, None] - centers[:, None, :]) < 10 * tol.cluster) & \
+        np.triu(live[:, :, None] & live[:, None, :], 1)
+
+    # every simple cluster's basis is its unit eigenvector, and every simple h
+    # is one stacked Rayleigh quotient per count of simple clusters
+    by_count = {}
+    for g in np.flatnonzero(~close.any(axis=(1, 2))):
+        cols = order[g, :k[g]][size[g, :k[g]] == 1]
+        by_count.setdefault(len(cols), []).append((g, cols))
+    simple = {}
+    for items in by_count.values():
+        gs = [g for g, _ in items]
+        V = np.take_along_axis(vecs[gs], np.stack([cols for _, cols in items])[:, None, :], axis=2)
+        hs = np.einsum("gij,gsij->gjs", V.conj(), M[gs] @ V[:, None]).tolist()
+        bases = V.transpose(0, 2, 1)[..., None]
+        simple.update((g, zip(h, Q)) for g, h, Q in zip(gs, hs, bases))
+
+    out = []
+    for g in range(G):
+        if g not in simple:
+            a, b = np.argwhere(close[g])[0]
+            out.append(ClusterAmbiguityError(
+                f"cluster centers {complex(centers[g, a]):.6g} and "
+                f"{complex(centers[g, b]):.6g} within 10*tol; reseed"))
+            continue
+        ones = ((tuple(h), 1, Q) for h, Q in simple[g])
+        if k[g] == d:
+            out.append(list(ones))
+            continue
+        clusters = [np.flatnonzero(label[g] == j).tolist() for j in order[g, :k[g]]]
+        try:
+            fat = _schur_bases(Tn[g], centers[g, :k[g]].tolist(), clusters, list(M[g]), tol)
+        except ClusterAmbiguityError as err:
+            out.append(err)
+            continue
+        out.append([next(ones) if len(cl) == 1 else fat[idx] for idx, cl in enumerate(clusters)])
+    return out
+
+
+def joint_spectrum(mats, seed: int, tol: Tolerances = DEFAULT_TOL):
+    """joint_spectra of the one family mats at seed; raises its
+    ClusterAmbiguityError."""
+    (spectrum,) = joint_spectra([mats], [seed], tol)
+    if isinstance(spectrum, ClusterAmbiguityError):
+        raise spectrum
+    return spectrum
 
 
 def _schur_bases(Tn, centers, clusters, mats, tol):
@@ -151,7 +197,7 @@ def _schur_bases(Tn, centers, clusters, mats, tol):
     LAPACK's ztrsen reorders to bring the cluster's eigenvalues to the top.
     Eigenvectors cannot span a defective cluster, an invariant basis can.
     Raises ClusterAmbiguityError when the cluster is not one joint
-    eigenvalue (see joint_spectrum)."""
+    eigenvalue (see joint_spectra)."""
     import scipy.linalg  # about 28 MB and 0.25 s to import, so loaded only here
 
     S, Z = scipy.linalg.schur(Tn, output="complex")
@@ -303,31 +349,62 @@ def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
 
 
 def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAULT_TOL):
-    """Inverse Jacobian weights of the n defining polynomials at simple points.
+    """stacked_grothendieck_weights at the points of the one instance inst;
+    raises its NonSimplePointError or SingularJacobianError."""
+    (weights,) = stacked_grothendieck_weights([(inst, points)], tol)
+    if isinstance(weights, Exception):
+        raise weights
+    return weights
+
+
+def stacked_grothendieck_weights(groups, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Inverse Jacobian weights of the n defining polynomials at the simple
+    points of every group (inst, points) of groups, instances of one (m, l):
+    per group, its list of weights, or the NonSimplePointError or
+    SingularJacobianError of its first point that has one.
 
     The induced bilinear form (f, g) = sum_p f(p) g(p) w_p is symmetric and,
     on functions separating the points, nondegenerate.  The overall residue
     normalization is a convention of this routine; only properties invariant
     under a global rescaling of the weights should be relied on.  Every
     point must carry a = a(h), as match_spectrum_to_scheme builds it.  The
-    Jacobians are opscheme.stacked_jacobian, one stack of the exact points
-    and one of the float points.  A float Jacobian is singular when sv_min <=
+    Jacobians are opscheme.stacked_jacobian, per group, of its exact points
+    and of its float points.  Every float Jacobian of every group is gated
+    in one pass, one equilibrated SVD and one determinant of the stack
+    (_float_gates).  A float Jacobian is singular when sv_min <=
     tol.residual * sv_max after _equilibrated, as its rows differ in scale
-    by orders of magnitude; the error names a Bethe root on a marked point
-    when there is one.
+    by orders of magnitude, when that SVD does not converge, or when its
+    determinant underflows to 0; the error names a Bethe root on a marked
+    point when there is one.
     """
-    finst = inst.to_float() if inst.exact else inst
-    points = list(points)
-    exact = [inst.exact and all(isinstance(v, Fraction) for v in p.h) for p in points]
+    groups = [(inst, inst.to_float() if inst.exact else inst, list(points))
+              for inst, points in groups]
+    exact = [[inst.exact and all(isinstance(v, Fraction) for v in p.h) for p in points]
+             for inst, _, points in groups]
 
     def jacobians(f, pts, dtype):
         return stacked_jacobian(f, np.array([p.h for p in pts], dtype=dtype).reshape(len(pts), f.n),
                                 np.array([p.a for p in pts], dtype=dtype).reshape(len(pts), f.l))
 
-    J = jacobians(finst, [p for p, e in zip(points, exact) if not e], complex)
-    gated = zip(np.linalg.svd(_equilibrated(J), compute_uv=False), np.linalg.det(J))
-    ex = [p for p, e in zip(points, exact) if e]
-    dets = (exact_det(Jp.tolist()) for Jp in (jacobians(inst, ex, object) if ex else []))
+    J = [jacobians(finst, [p for p, e in zip(points, ex) if not e], complex)
+         for (_, finst, points), ex in zip(groups, exact)]
+    gated = _float_gates(np.concatenate(J)) if J else []
+    out = []
+    ends = itertools.accumulate(len(Jg) for Jg in J)
+    for (inst, finst, points), ex, Jg, end in zip(groups, exact, J, ends):
+        pts = [p for p, e in zip(points, ex) if e]
+        dets = (exact_det(Jp.tolist()) for Jp in (jacobians(inst, pts, object) if pts else []))
+        try:
+            out.append(_group_weights(inst, finst, points, ex, dets,
+                                      iter(gated[end - len(Jg):end]), tol))
+        except (NonSimplePointError, SingularJacobianError) as err:
+            out.append(err)
+    return out
+
+
+def _group_weights(inst, finst, points, exact, dets, gates, tol: Tolerances) -> list:
+    """One group's weights from its exact determinants dets and its float
+    gates, in order of points; raises at the first point that fails."""
     weights = []
     for p, e in zip(points, exact):
         if p.multiplicity != 1:
@@ -339,12 +416,34 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAUL
                 raise _singular(inst, p, "exact Jacobian vanished", tol)
             weights.append(Fraction(1) / det)
             continue
-        sv, det = next(gated)
+        sv, det = next(gates)
+        if sv is None:
+            raise _singular(finst, p, "Jacobian SVD did not converge", tol)
         if sv[0] == 0 or sv[-1] <= tol.residual * sv[0]:
             raise _singular(finst, p, "equilibrated Jacobian condition "
                             f"{sv[-1]:.3e}/{sv[0]:.3e} is numerically singular", tol)
+        if det == 0:
+            raise _singular(finst, p, "Jacobian determinant underflows to 0", tol)
         weights.append(1 / complex(det))
     return weights
+
+
+def _float_gates(J: np.ndarray) -> list:
+    """(singular values of _equilibrated(J_i), det J_i) at each matrix J_i of
+    the stack J, one SVD and one determinant for the stack; the singular
+    values are None at a matrix whose SVD does not converge, which then
+    takes its own call so that the others keep theirs."""
+    E = _equilibrated(J)
+    try:
+        sv = list(np.linalg.svd(E, compute_uv=False))
+    except np.linalg.LinAlgError:
+        sv = []
+        for Ei in E:
+            try:
+                sv.append(np.linalg.svd(Ei, compute_uv=False))
+            except np.linalg.LinAlgError:
+                sv.append(None)
+    return list(zip(sv, np.linalg.det(J)))
 
 
 def _equilibrated(J: np.ndarray) -> np.ndarray:
@@ -366,20 +465,51 @@ def _singular(inst: ProblemInstance, point, msg: str, tol: Tolerances):
 
 
 def diagonalizability_check(mats, spectrum, tol: Tolerances = DEFAULT_TOL):
-    """(all eigenspaces genuine, worst residual) for the commuting family.
+    """stacked_diagonalizability_checks at the one family mats."""
+    (out,) = stacked_diagonalizability_checks([(mats, spectrum)], tol)
+    return out
 
-    spectrum is the family's joint_spectrum.  True iff every generalized
-    eigenspace carries a full basis of true eigenvectors: the restriction
-    of each generator to each cluster subspace must be scalar within
-    tol.residual * |H|.  A spectrum whose multiplicities do not add up to
-    the matrix size gives (False, inf).
+
+def stacked_diagonalizability_checks(groups, tol: Tolerances = DEFAULT_TOL) -> list:
+    """(all eigenspaces genuine, worst residual) for each commuting family
+    of groups [(mats, spectrum), ...], spectrum the family's joint_spectrum.
+
+    True iff every generalized eigenspace carries a full basis of true
+    eigenvectors: the restriction of each generator to each cluster
+    subspace must be scalar within tol.residual * |H|.  A spectrum whose
+    multiplicities do not add up to the matrix size gives (False, inf).
+    The simple clusters of the families of one shape and one count of
+    simple clusters take one product; a larger cluster takes its own.
     """
-    mats = [to_float_array(M) for M in mats]
-    if sum(mult for _, mult, _ in spectrum) != mats[0].shape[0]:
-        return False, float("inf")
-    worst = 0.0
-    for h, mult, Q in spectrum:
-        for s, H in enumerate(mats):
-            dev = H @ Q - h[s] * Q
-            worst = max(worst, max_abs(dev) / max(max_abs(H), 1e-30))
-    return worst < tol.residual, worst
+    out = [(False, float("inf"))] * len(groups)
+    worst = {}
+    stacks = {}
+    for g, (mats, spectrum) in enumerate(groups):
+        M = np.stack([to_float_array(H) for H in mats])
+        if sum(mult for _, mult, _ in spectrum) != M.shape[-1]:
+            continue
+        scale = np.maximum(np.abs(M).max(axis=(1, 2), initial=0.0), 1e-30)
+        worst[g] = [0.0]
+        ones = [(h, Q) for h, mult, Q in spectrum if mult == 1]
+        for h, mult, Q in spectrum:
+            if mult > 1:
+                worst[g].append((_cluster_residuals(M, Q, np.array(h)) / scale).max())
+        if ones:
+            stacks.setdefault((M.shape, len(ones)), []).append((g, M, ones, scale))
+    for items in stacks.values():
+        M = np.stack([M for _, M, _, _ in items])[:, None]
+        Q = np.array([[Q for _, Q in ones] for _, _, ones, _ in items])[:, :, None]
+        h = np.array([[h for h, _ in ones] for _, _, ones, _ in items])
+        scale = np.stack([scale for _, _, _, scale in items])[:, None]
+        for (g, *_), r in zip(items, _cluster_residuals(M, Q, h) / scale):
+            worst[g].append(r.max(initial=0.0))
+    for g, rs in worst.items():
+        w = float(max(rs))
+        out[g] = (w < tol.residual, w)
+    return out
+
+
+def _cluster_residuals(M, Q, h):
+    """max |H_s Q - h_s Q| for each generator H_s of M (... x n x d x d) on the
+    basis Q (... x 1 x d x mult) with eigenvalues h (... x n)."""
+    return np.abs(M @ Q - h[..., None, None] * Q).max(axis=(-2, -1), initial=0.0)

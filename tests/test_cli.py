@@ -301,20 +301,18 @@ class TestSpectrumCommand:
         # block reports the seed its points came from
         import gaudinlab.cli as cli
         calls = []
-        real = cli.joint_spectrum
+        real = cli.joint_spectra
         sysd = build_gaudin(ProblemInstance([1, 3, 0], 1, ["2", "-2", "-4"]))
 
-        def spy(mats, seed, tol):
-            name = "H_L" if mats[0] is sysd.H_L[0] else "H_sing"
-            try:
-                out = real(mats, seed=seed, tol=tol)
-            except ClusterAmbiguityError:
-                calls.append((name, seed, "rejected"))
-                raise
-            calls.append((name, seed))
+        def spy(families, seeds, tol):
+            out = real(families, seeds, tol)
+            for mats, seed, spectrum in zip(families, seeds, out):
+                name = "H_L" if mats[0] is sysd.H_L[0] else "H_sing"
+                rejected = isinstance(spectrum, ClusterAmbiguityError)
+                calls.append((name, seed, "rejected") if rejected else (name, seed))
             return out
 
-        monkeypatch.setattr(cli, "joint_spectrum", spy)
+        monkeypatch.setattr(cli, "joint_spectra", spy)
         rep, fails, _ = run_pipeline(sysd, 202, Tolerances())
         assert calls == [("H_L", 202), ("H_sing", 202, "rejected"), ("H_sing", 203)]
         assert (rep["spectrum_sing_l"]["seed"], rep["spectrum_sing_m"]["seed"]) == (202, 203)
@@ -391,17 +389,23 @@ class TestVerifyCommand:
 
     def test_real_z_check_reuses_pipeline_spectrum(self, monkeypatch):
         # one H_L and one H_sing spectrum per sample, none drawn for the check
-        calls = count_calls(monkeypatch, ("joint_spectrum", "diagonalizability_check"))
+        import gaudinlab.cli as cli
+        families = []
+        real = cli.joint_spectra
+        monkeypatch.setattr(cli, "joint_spectra", lambda fams, seeds, tol:
+                            families.append(len(fams)) or real(fams, seeds, tol))
+        calls = count_calls(monkeypatch, ("stacked_diagonalizability_checks",))
         cmd_verify(FOUR_SPINS, 2)
-        assert calls == {"joint_spectrum": 4, "diagonalizability_check": 1}
+        assert families == [4]
+        assert calls == {"stacked_diagonalizability_checks": 1}
 
     def test_unseparated_spectrum_not_diagonalizable(self, monkeypatch):
         import gaudinlab.cli as cli
 
-        def never_separates(*args, **kwargs):
-            raise ClusterAmbiguityError("clusters too close")
+        def never_separates(families, seeds, tol):
+            return [ClusterAmbiguityError("clusters too close") for _ in families]
 
-        monkeypatch.setattr(cli, "joint_spectrum", never_separates)
+        monkeypatch.setattr(cli, "joint_spectra", never_separates)
         rep, fails = cmd_verify(E1_CONFIG, 1)
         (sample,) = rep["samples"]
         assert "cluster_separation" in sample["failures"]
