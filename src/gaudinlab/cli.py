@@ -482,7 +482,9 @@ def cmd_verify(config: dict, samples: int):
     draws run run_pipeline's phases: every draw's front (the algebra side,
     per draw), then one pass over every draw for the joint spectra, the
     scheme checks and the back, then one diagonalizability pass over the
-    real draws; no point or Bethe-vector report is built.
+    real draws; no point or Bethe-vector report is built.  Every draw's z is
+    complex, so the samples always run in the float lane, and the config's
+    mode reaches only the report's instance.mode.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")

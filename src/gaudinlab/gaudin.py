@@ -26,8 +26,8 @@ import numpy as np
 from .gl2rep import (
     ProblemInstance,
     ShQuotient,
-    degree_int_diagonal,
-    generator_int_matrix,
+    degree_diagonal,
+    generator_matrix,
     sh_quotient,
 )
 from .numcore import (
@@ -98,48 +98,42 @@ def _scalar(c: int, A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameLane:
-    """A frame's matrices in one scalar domain (exact or float).
-
-    shq and E12 are what GaudinSystem carries.  terms maps each of SPACES to
-    (T, D): T[s, r] is D (m_s m_r I - Omega_{s,r}) on that space, with Omega
-    restricted to Sing or the quotient.  Exact T are integer arrays, float T
-    complex with D = 1.
-    """
+    """A frame's singular basis, quotient and E12 in one scalar domain
+    (exact or float): what GaudinSystem carries."""
 
     shq: ShQuotient
     E12: np.ndarray
-    terms: dict
 
 
 class GaudinFrame:
     """The part of the Hamiltonians that does not depend on z, for one (m, l).
 
-    Each Omega_{s,r} is built once, as an integer array, from the generator
-    and degree matrices of the instance given (its z is not read), and so
-    are E12 and the Shapovalov quotient, whose integer numerators
+    Each Omega_{s,r} is built once, as an integer array, from the integer
+    generator and degree matrices of the instance given (its z is not read),
+    and so are E12 and the Shapovalov quotient, whose integer numerators
     (shq.numerators) the frame reads.  Omega restricts to Sing as
     Omega_hat = (Omega S)[shq.free]: S is the identity on its free rows, so
     Omega S = S Omega_hat.  On the quotient it is Omega_tilde = P Omega_hat C
     (P = shq.sh, C = shq.lift).  Both are kept as integer numerators over one
     denominator per space.
 
-    lane(exact) gives these in one scalar domain the first time an instance
-    of that domain asks, and keeps them; certificate holds the integer
-    defects of the identities every H_s inherits, computed once.  Every
-    array a lane holds is read-only, since all systems built on the frame
-    share it.
+    combination forms the Hamiltonians on the one space asked;
+    lane(exact) gives shq and E12 in one scalar domain the first time an
+    instance of that domain asks, and keeps them, read-only, since all
+    systems built on the frame share them; certificate holds the integer
+    defects of the identities every H_s inherits, computed once.
     """
 
     def __init__(self, inst: ProblemInstance):
         n, l = inst.n, inst.l
         self.m, self.l, self.ltilde = inst.m, l, inst.ltilde
 
-        def ints(a, b, k):
-            return [generator_int_matrix(inst, a, b, s, k) for s in range(n)]
+        def gens(a, b, k):
+            return [generator_matrix(inst, a, b, s, k) for s in range(n)]
 
-        e12_lo, e12_hi, e21_lo, e21_hi = ints(1, 2, l), ints(1, 2, l + 1), \
-            ints(2, 1, l - 1), ints(2, 1, l)
-        degs = [degree_int_diagonal(inst, s, l) for s in range(n)]
+        e12_lo, e12_hi, e21_lo, e21_hi = gens(1, 2, l), gens(1, 2, l + 1), \
+            gens(2, 1, l - 1), gens(2, 1, l)
+        degs = [degree_diagonal(inst, s, l) for s in range(n)]
         t11 = [self.m[s] * np.eye(degs[s].shape[0], dtype=np.int64) - degs[s]
                for s in range(n)]
         # Omega = t11 (x) t11 + t22 (x) t22 + e12 (x) e21 + e21 (x) e12, one product
@@ -169,64 +163,50 @@ class GaudinFrame:
 
     def lane(self, exact: bool) -> FrameLane:
         if exact not in self._lanes:
-            self._lanes[exact] = self._build_lane(exact)
+            if exact:
+                E12, shq = fraction_array(self.E12, 1), self._shq
+            else:
+                E12 = self.E12.astype(complex)
+                shq = replace(self._shq, **{name: to_float_array(getattr(self._shq, name))
+                                            for name in self._shq.numerators})
+            for M in (E12, *(getattr(shq, name) for name in shq.numerators)):
+                _readonly(M)
+            self._lanes[exact] = FrameLane(shq=shq, E12=E12)
         return self._lanes[exact]
-
-    def _spaces(self):
-        """(Omega numerators by pair, their denominator) for each of SPACES."""
-        DS = self._DS
-        return {"big": (self.omega, 1), "sing": (self.omega_sing, DS),
-                "L": (self.omega_L, self._DP * DS)}
-
-    def _build_lane(self, exact: bool) -> FrameLane:
-        m, n = self.m, len(self.m)
-        terms = {}
-        for space, (W, D) in self._spaces().items():
-            T = {}
-            for s in range(n):
-                for r in range(s + 1, n):
-                    # one array per unordered pair, shared by (s, r) and (r, s)
-                    if exact:
-                        t = _term(m[s] * m[r] * D, W[s, r])
-                    else:
-                        k = W[s, r].shape[0]
-                        t = m[s] * m[r] * np.eye(k, dtype=complex) - W[s, r].astype(float) / D
-                    T[s, r] = T[r, s] = _readonly(t)
-            terms[space] = (T, D if exact else 1)
-        if exact:
-            E12, shq = fraction_array(self.E12, 1), self._shq
-        else:
-            E12 = self.E12.astype(complex)
-            shq = replace(self._shq, **{name: to_float_array(getattr(self._shq, name))
-                                        for name in self._shq.numerators})
-        for M in (E12, *(getattr(shq, name) for name in shq.numerators)):
-            _readonly(M)
-        return FrameLane(shq=shq, E12=E12, terms=terms)
 
     def combination(self, insts, space: str) -> list:
         """The frame's H_s at each instance of insts (one lane) on one of
-        SPACES, for each s: sum_{r != s} (m_s m_r I - Omega_{s,r}) / (z_s - z_r).
+        SPACES, for each s: sum_{r != s} (m_s m_r I - Omega_{s,r}) / (z_s - z_r),
+        one tuple per instance, as GaudinSystem holds them.
 
-        Exact: for each instance a list of (N, D) with H_s = N / D, N an
-        integer array, the coefficients taken over their common denominator.
-        Float: one complex S x n x d x d stack, term by term, each term for
-        every instance at once; an instance's H_s does not depend on the
-        others in the stack.
+        The terms m_s m_r I - Omega_{s,r} are formed here, for this space
+        only, one per unordered pair.  Exact: integer terms D m_s m_r I - W
+        (Omega = W / D on the space), each H_s their integer combination
+        over the coefficients' common denominator, as Fraction arrays.
+        Float: complex terms m_s m_r I - W / D, summed term by term into one
+        S x n x d x d stack, each term for every instance at once; an
+        instance's H_s does not depend on the others in the stack.
         """
-        T, D0 = self.lane(insts[0].exact).terms[space]
-        n = len(self.m)
+        W, D = {"big": (self.omega, 1), "sing": (self.omega_sing, self._DS),
+                "L": (self.omega_L, self._DP * self._DS)}[space]
+        m, n, d, exact = self.m, len(self.m), len(W[0, 1]), insts[0].exact
+        T = {}
+        for s in range(n):
+            for r in range(s + 1, n):
+                # one term per unordered pair, shared by (s, r) and (r, s)
+                c = m[s] * m[r]
+                T[s, r] = T[r, s] = _term(c * D, W[s, r]) if exact else \
+                    c * np.eye(d, dtype=complex) - W[s, r].astype(float) / D
         pairs = [[r for r in range(n) if r != s] for s in range(n)]
-        if insts[0].exact:
-            out = []
-            for inst in insts:
-                out.append([])
-                for s, others in enumerate(pairs):
-                    ks, D = integer_numerators([1 / (inst.z[s] - inst.z[r]) for r in others])
-                    cols = np.stack([T[s, r].reshape(-1) for r in others], axis=1)
-                    N = int_matmul(cols, int_array(ks)[:, None])
-                    out[-1].append((N.reshape(T[s, others[0]].shape), D * D0))
-            return out
-        d = T[0, 1].shape[0]
+        if exact:
+            def H_s(z, s, others):
+                ks, Dz = integer_numerators([1 / (z[s] - z[r]) for r in others])
+                cols = np.stack([T[s, r].reshape(-1) for r in others], axis=1)
+                return fraction_array(int_matmul(cols, int_array(ks)[:, None]).reshape(d, d),
+                                      Dz * D)
+
+            return [tuple(H_s(inst.z, s, others) for s, others in enumerate(pairs))
+                    for inst in insts]
         out = np.zeros((len(insts), n, d, d), dtype=complex)
         for s, others in enumerate(pairs):
             coefs = np.array([[1 / (inst.z[s] - inst.z[r]) for r in others] for inst in insts])
@@ -234,7 +214,7 @@ class GaudinFrame:
             for j, r in enumerate(others):
                 acc = acc + T[s, r] * coefs[:, j, None, None]
             out[:, s] = acc
-        return out
+        return [tuple(h) for h in out]
 
     @cached_property
     def certificate(self) -> dict:
@@ -276,7 +256,7 @@ class GaudinFrame:
                 int_bound(int_matmul(np.hstack([NS, OS]), np.vstack([K, _scalar(-DS, K)]))),
                 int_bound(int_matmul(np.hstack([_scalar(DP, L), L]), np.vstack([PK, -NP]))))
         sym = max((int_bound(W[s, r].astype(object) - W[r, s].astype(object))
-                   for W, _ in self._spaces().values() for s, r in pairs
+                   for W in (om, self.omega_sing, self.omega_L) for s, r in pairs
                    if not np.array_equal(W[s, r], W[r, s])), default=0)
         mm = sum(self.m[s] * self.m[r] for s, r in pairs)
         rule = int_bound(_term(DS * (mm - self.l * self.ltilde),
@@ -302,9 +282,7 @@ class GaudinSystem:
     families: dict = field(default_factory=dict, compare=False, repr=False)
 
     def _family(self, space: str) -> tuple:
-        if space in self.families:
-            return self.families[space]
-        return _families(self.frame, [self.inst], space)[0]
+        return self.families.get(space) or self.frame.combination([self.inst], space)[0]
 
     @cached_property
     def H_big(self) -> tuple:
@@ -355,18 +333,9 @@ def build_gaudins(insts, frame: GaudinFrame) -> list:
     one stack in the float lane), equal to build_gaudin's."""
     systems = [build_gaudin(inst, frame) for inst in insts]
     for space in SPACES:
-        for sysd, H in zip(systems, _families(frame, insts, space)):
+        for sysd, H in zip(systems, frame.combination(insts, space)):
             sysd.families[space] = H
     return systems
-
-
-def _families(frame: GaudinFrame, insts, space: str) -> list:
-    """Each instance's H_s on space as a GaudinSystem holds them: Fraction
-    arrays on an exact instance, complex arrays otherwise."""
-    H = frame.combination(insts, space)
-    if insts[0].exact:
-        return [tuple(fraction_array(N, D) for N, D in h) for h in H]
-    return [tuple(h) for h in H]
 
 
 def _universal_operator(sys: GaudinSystem, space: str, deg: int):

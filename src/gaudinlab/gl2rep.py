@@ -13,7 +13,10 @@ space of e11-eigenvalue (sum m_s - 2k) is the span of monomials of total
 degree k, and "degree l" encodes the second weight coordinate l.
 
 Monomial bases are ordered graded-reverse-lexicographically, fixed globally,
-so every matrix here is deterministic across runs.
+so every matrix here is deterministic across runs.  The generator, degree
+and Gram matrices are integer arrays, the one exact form below the Bethe
+algebra; only the singular basis and the Shapovalov quotient (ShQuotient)
+are Fraction arrays, formed once from integer numerators.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .numcore import (
     as_exact,
     as_float,
     fraction_array,
+    int_array,
     int_kernel,
     int_matmul,
     int_rref,
@@ -47,9 +51,7 @@ __all__ = [
     "ShQuotient",
     "weight_space_dim",
     "generator_matrix",
-    "generator_int_matrix",
     "degree_diagonal",
-    "degree_int_diagonal",
     "singular_matrix",
     "shapovalov_gram",
     "sh_quotient",
@@ -256,19 +258,12 @@ def _compositions(k, n):
 
 
 def generator_matrix(inst: ProblemInstance, a: int, b: int, s: int, k: int) -> np.ndarray:
-    """Exact matrix of e_ab^{(s)} from level k to its target level.
+    """Matrix of e_ab^{(s)} from level k to its target level, as int64.
 
     (1,2) lowers the level by one, (2,1) raises it, diagonal generators
     preserve it; e22 is the zero operator in this model.  Rows are indexed
-    by the target-level basis, columns by the level-k basis.  Entries are
-    Fractions; generator_int_matrix gives the same matrix as int64.
+    by the target-level basis, columns by the level-k basis.
     """
-    return fraction_array(generator_int_matrix(inst, a, b, s, k), 1)
-
-
-def generator_int_matrix(inst: ProblemInstance, a: int, b: int, s: int,
-                         k: int) -> np.ndarray:
-    """generator_matrix(inst, a, b, s, k) as an int64 array."""
     if (a, b) not in {(1, 1), (1, 2), (2, 1), (2, 2)}:
         raise ValueError("generator indices must be in {1,2}")
     if not 0 <= s < inst.n:
@@ -299,18 +294,12 @@ def generator_int_matrix(inst: ProblemInstance, a: int, b: int, s: int,
 
 
 def degree_diagonal(inst: ProblemInstance, s: int, k: int) -> np.ndarray:
-    """Diagonal matrix of the degree in factor s on the level-k basis.
+    """Diagonal matrix of the degree in factor s on the level-k basis, as int64.
 
     This is the untwisted action of e22^{(s)} (equivalently m_s minus the
     untwisted e11^{(s)}); the model above stores weights in shifted form,
     and operators quadratic in the diagonal generators need this matrix.
-    Entries are Fractions; degree_int_diagonal gives it as int64.
     """
-    return fraction_array(degree_int_diagonal(inst, s, k), 1)
-
-
-def degree_int_diagonal(inst: ProblemInstance, s: int, k: int) -> np.ndarray:
-    """degree_diagonal(inst, s, k) as an int64 array."""
     src, _ = _weight_basis(inst.n, k)
     return np.diag(np.array([j[s] for j in src], dtype=np.int64))
 
@@ -349,7 +338,7 @@ class WeightVector:
 def singular_matrix(inst: ProblemInstance) -> np.ndarray:
     """Columns spanning ker E12 inside the level-l space (exact): the
     rref_kernel basis, found by eliminating the integer E12."""
-    E12 = sum(generator_int_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n))
+    E12 = sum(generator_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n))
     return fraction_array(*int_kernel(*int_rref(E12)))
 
 
@@ -359,18 +348,11 @@ def shapovalov_gram(inst: ProblemInstance, k: int) -> np.ndarray:
     Diagonal in the monomial basis; the entry at multi-index j is
     prod_s [ j_s! * prod_{r=0}^{j_s-1} (m_s - r) ], which is the unique
     normalization making e12 and e21 mutually adjoint with <v, v> = 1
-    on the highest-weight vector.
+    on the highest-weight vector.  Entries are integers (an int_array).
     """
-    basis = _weight_basis(inst.n, k)[0]
-    G = zeros_like_domain((len(basis), len(basis)), True)
-    for i, j in enumerate(basis):
-        val = 1
-        for s, js in enumerate(j):
-            val *= math.factorial(js)
-            for r in range(js):
-                val *= inst.m[s] - r
-        G[i, i] = Fraction(val)
-    return G
+    vals = [math.prod(math.factorial(js) * math.perm(ms, js) for ms, js in zip(inst.m, j))
+            for j in _weight_basis(inst.n, k)[0]]
+    return int_array(np.diag(np.array(vals, dtype=object)))
 
 
 @dataclass(frozen=True)
@@ -407,9 +389,8 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
     """The exact ShQuotient of inst's (m, l), computed on integer numerators;
     the Fraction fields are formed once, at the end."""
     S = singular_matrix(inst)
-    G = shapovalov_gram(inst, inst.l)
+    NG = shapovalov_gram(inst, inst.l)
     NS, DS = numerator_array(S)
-    NG = numerator_array(G)[0]
     # R = S^T G S = NR / DS^2
     NR = int_matmul(int_matmul(NS.T, NG), NS)
     # R is symmetric, so the nonzero rows of rref(R) vanish on ker R and are
@@ -420,9 +401,8 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
     nums = {"sing": (NS, DS), "gram": (NG, 1), "sh": lowest_terms(NP, d), "lift": (NC, 1),
             "radical": lowest_terms(*int_kernel(NP, pivots, d)),
             "gram_sing": lowest_terms(NR, DS * DS)}
-    arrays = {name: fraction_array(N, D) for name, (N, D) in nums.items()
-              if name not in ("sing", "gram")}
+    arrays = {name: fraction_array(N, D) for name, (N, D) in nums.items() if name != "sing"}
     # S is rref_kernel's basis: column j is 1 on its free row, its last nonzero entry
     free = np.array([np.flatnonzero(NS[:, j])[-1] for j in range(NS.shape[1])], dtype=int)
     free.flags.writeable = False
-    return ShQuotient(sing=S, gram=G, free=free, numerators=nums, **arrays)
+    return ShQuotient(sing=S, free=free, numerators=nums, **arrays)

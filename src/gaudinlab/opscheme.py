@@ -48,7 +48,6 @@ from .numcore import (
     InconsistentSystemError,
     Tolerances,
     UniPoly,
-    as_float,
     exact_sqrt,
     is_exact_scalar,
     rowmax,
@@ -70,6 +69,7 @@ __all__ = [
     "dh_matrices",
     "PLANE_PRE_GATE",
     "constraint_plane",
+    "off_plane",
     "a_of_h",
     "h_of_a",
     "h_from_numerator",
@@ -204,25 +204,36 @@ def apply_Dh(op: DhOperator, u: UniPoly) -> UniPoly:
     return A * u.deriv().deriv() + B * u.deriv() + C * u
 
 
-def constraint_plane(inst: ProblemInstance, h):
-    """(q_{-1}, q_0, scale) at h, with scale = max(1, max |h_s|, l * lt).
+def constraint_plane(inst: ProblemInstance, H):
+    """(q_{-1}, q_0, scale) at each point of the stack H (P x n), each an
+    array over the points; one point h (length n) gives three scalars.
 
-    q_{-1} = sum h_s and q_0 = sum z_s h_s - l * lt; scale is the size the
-    float gates on them are relative to.
+    q_{-1} = sum h_s and q_0 = sum z_s h_s - l * lt, summed in order of s;
+    scale = max(1, max |h_s|, l * lt) is the size the float gates on them
+    are relative to.
     """
-    h = tuple(h)
-    qm1 = sum(h[1:], h[0])
-    q0 = sum(z * hs for z, hs in zip(inst.z, h)) - inst.l * inst.ltilde
-    scale = max(1.0, max(abs(as_float(v)) for v in h) if h else 0.0,
-                float(inst.l * abs(inst.ltilde)))
+    H = np.asarray(H)
+    if H.ndim == 1:
+        return tuple(v.tolist()[0] for v in constraint_plane(inst, H[None]))
+    qm1 = sum((H[:, s] for s in range(1, inst.n)), H[:, 0])
+    q0 = sum(z * H[:, s] for s, z in enumerate(inst.z)) - inst.l * inst.ltilde
+    scale = np.maximum(np.maximum(1.0, np.abs(H).max(axis=1).astype(float)),
+                       float(inst.l * abs(inst.ltilde)))
     return qm1, q0, scale
+
+
+def off_plane(qm1, q0, scale, tol: float):
+    """The error of a point with |q_{-1}| or |q_0| > tol * scale, else None."""
+    if abs(qm1) > tol * scale or abs(q0) > tol * scale:
+        return f"h is off the constraint plane: q_-1 = {qm1}, q_0 = {q0}"
+    return None
 
 
 def _plane_scale(inst: ProblemInstance, h, tol: float) -> float:
     """constraint_plane's scale; OffPlaneError if |q_{-1}| or |q_0| > tol * scale."""
     qm1, q0, scale = constraint_plane(inst, h)
-    if abs(as_float(qm1)) > tol * scale or abs(as_float(q0)) > tol * scale:
-        raise OffPlaneError(f"h is off the constraint plane: q_-1 = {qm1}, q_0 = {q0}")
+    if err := off_plane(qm1, q0, scale, tol):
+        raise OffPlaneError(err)
     return scale
 
 

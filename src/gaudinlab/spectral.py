@@ -25,7 +25,9 @@ from .numcore import DEFAULT_TOL, Tolerances, exact_det, max_abs, rowmax, to_flo
 from .opscheme import (
     PLANE_PRE_GATE,
     SchemePoint,
+    constraint_plane,
     dh_matrices,
+    off_plane,
     p_coefficients,
     per_group,
     root_on_marked_point,
@@ -245,17 +247,12 @@ def _scheme_residuals(groups, tol: Tolerances):
     H = np.concatenate([H for _, H in groups])
 
     def operators(f, Hg):
-        # q_0 summed in constraint_plane's order, so it keeps its bits;
         # exponents (0, m_s + 1) at the marked points, once per instance
-        q0 = sum(z * Hg[:, s] for s, z in enumerate(f.z)) - l * lt
         marked = max((max(abs(e0), abs(e1 - (ms + 1))) for (e0, e1), ms
                       in zip(f.marked_exponents, f.m)), default=0.0)
-        return dh_matrices(f, Hg), q0, np.full(len(Hg), marked)
+        return (dh_matrices(f, Hg), *constraint_plane(f, Hg), np.full(len(Hg), marked))
 
-    D, q0, marked = per_group(parts, operators, H)
-    qm1 = sum((H[:, s] for s in range(1, n)), H[:, 0])
-    hscale = np.maximum(np.maximum(1.0, np.abs(H).max(axis=1).astype(float)),
-                        float(l * abs(lt)))
+    D, qm1, q0, hscale, marked = per_group(parts, operators, H)
     a = stacked_a_of_h(inst, D)
     p = p_coefficients(a)
     ascale = np.maximum(hscale, rowmax(a))
@@ -289,8 +286,7 @@ def _scheme_residuals(groups, tol: Tolerances):
         atilde = None
         if second:
             xi, err, pti, wr, rt, b2, perr = second
-            if abs(qm) > plane_gate * hs or abs(q) > plane_gate * hs:
-                err = f"h is off the constraint plane: q_-1 = {qm}, q_0 = {q}"
+            err = off_plane(qm, q, hs, plane_gate) or err
             if err is not None:
                 res["ptilde"] = float("inf")
                 res["ptilde_error"] = err
@@ -454,9 +450,12 @@ def _equilibrated(J: np.ndarray) -> np.ndarray:
     E = np.abs(J)
     r = E.max(axis=-1)
     r[r == 0] = 1.0
-    c = (E / r[..., None]).max(axis=-2)
-    c[c == 0] = 1.0
-    return J / r[..., None] / c[..., None, :]
+    # a row maximum that underflows makes the scaled J non-finite; its SVD
+    # then fails, and the point fails grothendieck_jacobian by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (E / r[..., None]).max(axis=-2)
+        c[c == 0] = 1.0
+        return J / r[..., None] / c[..., None, :]
 
 
 def _singular(inst: ProblemInstance, point, msg: str, tol: Tolerances):

@@ -350,6 +350,13 @@ class TestVerifyCommand:
         assert rep["counts_constant"]
         assert [s["totals"]["sing_l"] for s in rep["samples"]] == [1, 1, 1]
 
+    def test_mode_reaches_only_the_report(self):
+        # every draw's z is complex, so both modes run the float lane
+        reps = {mode: cmd_verify({**FLOAT_2_4, "mode": mode}, 2) for mode in ("exact", "float")}
+        for mode, (rep, _) in reps.items():
+            assert rep["instance"].pop("mode") == mode
+        assert json.dumps(reps["exact"], sort_keys=True) == json.dumps(reps["float"], sort_keys=True)
+
     def test_three_spins(self):
         rep, fails = cmd_verify(
             {"m": [1, 1, 1], "l": 1, "z": ["0", "1", "2"], "seed": 5}, 3)
@@ -457,8 +464,9 @@ class TestFrameSharing:
         cmd_verify(FOUR_SPINS, 1)
         one_sample = dict(calls)
         assert all(one_sample[name] == 1 for name in self.ONCE), one_sample
-        # the frame and its quotient take the integer generator matrices
-        assert one_sample["generator_matrix"] == 0
+        # one frame's generator matrices: four families for Omega and one
+        # for the singular basis's E12, one matrix per factor
+        assert one_sample["generator_matrix"] == 5 * 4
         calls.update(dict.fromkeys(self.COUNTED, 0))
         cmd_verify(FOUR_SPINS, 4)
         assert calls == one_sample
@@ -467,7 +475,7 @@ class TestFrameSharing:
         rep, _ = cmd_spectrum(E1_CONFIG)
         assert rep["spectrum_sing_l"]["points"]  # so the float twin is built
         assert all(calls[name] == 1 for name in self.ONCE), calls
-        assert calls["generator_matrix"] == 0
+        assert calls["generator_matrix"] == 5 * 2
 
     def test_no_frame_kept_between_commands(self, calls):
         cmd_verify(FOUR_SPINS, 4)

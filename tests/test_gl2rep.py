@@ -13,6 +13,7 @@ from gaudinlab import (
 )
 from gaudinlab.gl2rep import WeightVector, _weight_basis, degree_diagonal, singular_matrix
 from gaudinlab.numcore import (
+    fraction_array,
     kernel_basis,
     matmul,
     max_abs,
@@ -169,6 +170,73 @@ class TestSingularBasis:
             weight_space_dim(5, 6) - weight_space_dim(5, 5)
 
 
+def monomial_image(inst, a, b, s, j):
+    """{multi-index: Fraction} of e_ab^(s) on the monomial x^j, read off the
+    model's differential operators on factor s: e12 = -x d^2/dx^2 + m d/dx,
+    e21 = x, e11 = -2x d/dx + m, e22 = 0."""
+    m, js = F(inst.m[s]), j[s]
+
+    def shifted(d):
+        return j[:s] + (js + d,) + j[s + 1:]
+
+    if (a, b) == (1, 2):
+        return {shifted(-1): -js * (js - 1) + m * js} if js else {}
+    if (a, b) == (2, 1):
+        return {shifted(1): F(1)}
+    if (a, b) == (1, 1):
+        return {j: -2 * js + m}
+    return {}
+
+
+def gram_entry(inst, j):
+    """<x^j, x^j> as a Fraction: prod_s prod_{r < j_s} (r + 1) (m_s - r),
+    which is 0 once j_s > m_s."""
+    out = F(1)
+    for ms, js in zip(inst.m, j):
+        for r in range(js):
+            out *= F((r + 1) * (ms - r))
+    return out
+
+
+def assert_integers_equal(M, want):
+    assert M.shape == want.shape
+    assert all(type(x) is int for x in M.reshape(-1).tolist())
+    assert all(x == y for x, y in zip(M.reshape(-1).tolist(), want.reshape(-1).tolist()))
+
+
+class TestIntegerBuilders:
+    """Each builder's integers against a Fraction formula, entry for entry."""
+
+    @pytest.mark.parametrize("m, l", [((1, 1), 1), ((2, 0, 3), 2), ((3, 1, 2, 1), 3)])
+    def test_generator_and_degree_matrices(self, m, l):
+        inst = ProblemInstance(m, l, list(range(len(m))))
+        for k in range(l + 2):
+            src = _weight_basis(inst.n, k)[0]
+            for s in range(inst.n):
+                for a, b in ((1, 2), (2, 1), (1, 1), (2, 2)):
+                    tgt, pos = _weight_basis(inst.n, k + {(1, 2): -1, (2, 1): 1}.get((a, b), 0))
+                    want = np.full((len(tgt), len(src)), F(0), dtype=object)
+                    for c, j in enumerate(src):
+                        for jj, v in monomial_image(inst, a, b, s, j).items():
+                            want[pos[jj], c] = v
+                    M = generator_matrix(inst, a, b, s, k)
+                    assert M.dtype == np.int64
+                    assert_integers_equal(M, want)
+                D = degree_diagonal(inst, s, k)
+                assert D.dtype == np.int64
+                assert_integers_equal(D, np.diag([F(j[s]) for j in src]))
+
+    @pytest.mark.parametrize("m, l", [((2, 0, 3), 2), ((3, 1, 2, 1), 3), ((30, 30), 30)])
+    def test_shapovalov_gram(self, m, l):
+        # at (30, 30), l = 30 the entries reach 30!^2, past int64
+        inst = ProblemInstance(m, l, list(range(len(m))))
+        for k in range(l + 2):
+            want = [gram_entry(inst, j) for j in _weight_basis(inst.n, k)[0]]
+            G = shapovalov_gram(inst, k)
+            assert_integers_equal(G, np.diag(want))
+            assert G.dtype == (np.int64 if max(want) < 2**63 else object)
+
+
 class TestShapovalov:
     def test_examples(self):
         i1 = ProblemInstance([2], 0, [0])
@@ -238,13 +306,14 @@ class TestShQuotient:
 
 def fraction_sh_quotient(inst):
     """Reference: the ShQuotient fields by Fraction arithmetic, from the
-    Fraction generator matrices through kernel_basis, matmul and rref."""
-    E12 = sum(generator_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n))
+    integer generator and Gram matrices, taken as Fractions, through
+    kernel_basis, matmul and rref."""
+    E12 = fraction_array(sum(generator_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n)), 1)
     cols = kernel_basis(E12)
     S = np.empty((weight_space_dim(inst.n, inst.l), len(cols)), dtype=object)
     for j, v in enumerate(cols):
         S[:, j] = v
-    G = shapovalov_gram(inst, inst.l)
+    G = fraction_array(shapovalov_gram(inst, inst.l), 1)
     R = matmul(matmul(S.T, G), S)
     Rr, pivots = rref(R)
     ker = rref_kernel(Rr, pivots)

@@ -10,6 +10,8 @@ spectrum and check must equal theirs to the bit (h, multiplicities and
 bases), whatever else shares its stack.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -409,6 +411,17 @@ class TestDegeneratePoints:
         errors = [b.get("error", "") for b in rep["bethe_vectors"]] + \
             [(rep["grothendieck"] or {}).get("error", "")]
         assert any(e.startswith(message) for e in errors)
+
+    def test_unconverged_svd_warns_nothing(self):
+        # a Jacobian row maximum underflows, so the equilibrated Jacobian is
+        # not finite: its SVD fails by name, and numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep, fails = cmd_spectrum({"m": [1, 1, 1, 1], "l": 2,
+                                       "z": ["0", "1e-80", "2e-80", "3e-80"], "seed": 0})
+        assert fails == ["sing_l_kernel_pair_roundtrip", "bethe_vector", "bethe_vector",
+                         "grothendieck_jacobian"]
+        assert rep["grothendieck"] == {"error": "Jacobian SVD did not converge"}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_unconverged_svd_leaves_the_rest(self, monkeypatch):
