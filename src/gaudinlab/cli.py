@@ -30,7 +30,7 @@ from .gaudin import (
     build_gaudins,
     induced_map_kernel,
 )
-from .gl2rep import ProblemInstance, weight_space_dim
+from .gl2rep import ProblemInstance, weight_space_dim, z_tables
 from .numcore import Tolerances, as_float, max_abs, rank_of
 from .opscheme import schubert_dimension
 from .sov import VerificationError, stacked_bethe_vectors
@@ -199,8 +199,9 @@ class _Run:
 
     def __init__(self, sysd: GaudinSystem, seed: int, tol: Tolerances):
         self.sysd, self.seed, self.tol = sysd, seed, tol
-        # one float twin, so its operator blocks are built once per pipeline
+        # one float twin, whose z-tables are sample `sample` of `tables`
         self.finst = sysd.inst.to_float() if sysd.inst.exact else sysd.inst
+        self.tables, self.sample = None, 0
         self.failures = []
 
     def check(self, name, residual, gate=None):
@@ -274,10 +275,24 @@ def _draw_spectra(runs, tol: Tolerances):
         (run.spec_l, run.seed_l), (run.spec_m, run.seed_m) = (d or ([], run.seed) for d in pair)
 
 
+def _share_tables(runs):
+    """One z-table stack of every run's float instance, built once, which
+    the scheme pass and the back read."""
+    tables = z_tables([run.finst for run in runs])
+    for k, run in enumerate(runs):
+        run.tables, run.sample = tables, k
+
+
+def _tables_of(runs):
+    """The z-tables of runs, one sample per run (None for no run)."""
+    return runs[0].tables.take([run.sample for run in runs]) if runs else None
+
+
 def _check_schemes(runs, tol: Tolerances):
     """Both spectra of every run against the scheme, in one stacked pass."""
     reports = iter(match_spectra_to_scheme(
-        [(run.finst, spec) for run in runs for spec in (run.spec_l, run.spec_m)], tol))
+        [(run.finst, spec) for run in runs for spec in (run.spec_l, run.spec_m)], tol,
+        _tables_of([run for run in runs for _ in (0, 1)])))
     for run in runs:
         run.report_l, run.report_m = next(reports), next(reports)
 
@@ -291,11 +306,12 @@ def _back(runs, tol: Tolerances):
     bethe = stacked_bethe_vectors(
         [(run.finst, build_gaudin(run.finst, run.sysd.frame)
           if (run.sysd.inst.exact and run.report_l.points) else run.sysd, run.report_l.points)
-         for run in runs], tol)
+         for run in runs], tol, _tables_of(runs))
     for run, vectors in zip(runs, bethe):
         _bethe_gates(run, vectors)
     simple = [run for run in runs if run.report_l.all_simple and run.report_l.points]
-    weights = stacked_grothendieck_weights([(run.finst, run.report_l.points) for run in simple], tol)
+    weights = stacked_grothendieck_weights([(run.finst, run.report_l.points) for run in simple],
+                                           tol, _tables_of(simple))
     for run in runs:
         run.groth = None
     for run, ws in zip(simple, weights):
@@ -422,13 +438,15 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
 
     The pipeline computes in phases, then serialises: the per-system front
     (_front), then the joint spectra (_draw_spectra), the scheme pass over
-    both spectra (_check_schemes) and the back (_back).  cmd_verify runs
-    the same phases with each of the later ones a single pass over every
-    sample; this is its one-system case.
+    both spectra (_check_schemes) and the back (_back), these two on the
+    float instance's z-tables (_share_tables).  cmd_verify runs the same
+    phases with each of the later ones a single pass over every sample; this
+    is its one-system case.
     """
     t0 = time.perf_counter()
     run = _front(sysd, seed, tol)
     _draw_spectra([run], tol)
+    _share_tables([run])
     _check_schemes([run], tol)
     _back([run], tol)
     report = _report(run)
@@ -481,8 +499,9 @@ def cmd_verify(config: dict, samples: int):
     a gate that fails in one draw is listed in that draw's entry.  The
     draws run run_pipeline's phases: every draw's front (the algebra side,
     per draw), then one pass over every draw for the joint spectra, the
-    scheme checks and the back, then one diagonalizability pass over the
-    real draws; no point or Bethe-vector report is built.  Every draw's z is
+    scheme checks and the back, which read one stack of every draw's
+    z-tables (_share_tables), then one diagonalizability pass over the real
+    draws; no point or Bethe-vector report is built.  Every draw's z is
     complex, so the samples always run in the float lane, and the config's
     mode reaches only the report's instance.mode.
     """
@@ -495,6 +514,7 @@ def cmd_verify(config: dict, samples: int):
     runs = [_front(sysd, seed + 1000 * k, tol)
             for k, sysd in enumerate(build_gaudins(insts, GaudinFrame(inst0)))]
     _draw_spectra(runs, tol)
+    _share_tables(runs)
     _check_schemes(runs, tol)
     _back(runs, tol)
     real = iter(stacked_diagonalizability_checks(

@@ -46,7 +46,6 @@ from .numcore import (
     rank_of,
     row_update,
     solve_linear,
-    to_float_array,
     zeros_like_domain,
     DEFAULT_TOL,
     Tolerances,
@@ -118,10 +117,11 @@ class GaudinFrame:
     denominator per space.
 
     combination forms the Hamiltonians on the one space asked;
-    lane(exact) gives shq and E12 in one scalar domain the first time an
-    instance of that domain asks, and keeps them, read-only, since all
-    systems built on the frame share them; certificate holds the integer
-    defects of the identities every H_s inherits, computed once.
+    lane(exact) gives E12 and shq in one scalar domain the first time an
+    instance of that domain asks, and keeps them, since all systems built on
+    the frame share them: shq forms each of its fields in that domain, from
+    the integer numerators, when it is first read.  certificate holds the
+    integer defects of the identities every H_s inherits, computed once.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -163,15 +163,9 @@ class GaudinFrame:
 
     def lane(self, exact: bool) -> FrameLane:
         if exact not in self._lanes:
-            if exact:
-                E12, shq = fraction_array(self.E12, 1), self._shq
-            else:
-                E12 = self.E12.astype(complex)
-                shq = replace(self._shq, **{name: to_float_array(getattr(self._shq, name))
-                                            for name in self._shq.numerators})
-            for M in (E12, *(getattr(shq, name) for name in shq.numerators)):
-                _readonly(M)
-            self._lanes[exact] = FrameLane(shq=shq, E12=E12)
+            E12 = fraction_array(self.E12, 1) if exact else self.E12.astype(complex)
+            self._lanes[exact] = FrameLane(shq=replace(self._shq, exact=exact),
+                                           E12=_readonly(E12))
         return self._lanes[exact]
 
     def combination(self, insts, space: str) -> list:
@@ -307,7 +301,7 @@ class GaudinSystem:
 
     @property
     def dim_sing_m(self) -> int:
-        return self.shq.sing.shape[1]
+        return len(self.shq.free)
 
     @property
     def dim_sing_l(self) -> int:
@@ -470,18 +464,23 @@ class _FloatReducer:
         the rows added since.
         """
         V = np.array(vs, dtype=complex)
-        gate = self.tol * np.linalg.norm(V, axis=1)
-        k0 = self.k
-        if k0:
-            V = self._residual(V, 0)
-        keep = []
-        for v, norm, g in zip(V, np.linalg.norm(V, axis=1), gate):
-            if norm > g and self.k > k0:
-                v = self._residual(v, k0)
-                norm = np.linalg.norm(v)
-            keep.append(bool(norm > g))
-            if keep[-1]:
-                self._append(v / norm)
+        # a candidate with entries past about 1e154 (products of Hamiltonians
+        # at marked points about 1e-100 apart) overflows its squared norm to
+        # inf; its gate is then inf and it does not join, and the dimension
+        # gates downstream fail by name
+        with np.errstate(over="ignore"):
+            gate = self.tol * np.linalg.norm(V, axis=1)
+            k0 = self.k
+            if k0:
+                V = self._residual(V, 0)
+            keep = []
+            for v, norm, g in zip(V, np.linalg.norm(V, axis=1), gate):
+                if norm > g and self.k > k0:
+                    v = self._residual(v, k0)
+                    norm = np.linalg.norm(v)
+                keep.append(bool(norm > g))
+                if keep[-1]:
+                    self._append(v / norm)
         return keep
 
     def _append(self, q):

@@ -15,14 +15,18 @@ degree k, and "degree l" encodes the second weight coordinate l.
 Monomial bases are ordered graded-reverse-lexicographically, fixed globally,
 so every matrix here is deterministic across runs.  The generator, degree
 and Gram matrices are integer arrays, the one exact form below the Bethe
-algebra; only the singular basis and the Shapovalov quotient (ShQuotient)
-are Fraction arrays, formed once from integer numerators.
+algebra; the singular basis and the Shapovalov quotient (ShQuotient) are
+kept as integer numerators, each field formed in the lane that reads it.
+
+The operator side's z-dependent data, polynomials in prod_s (x - z_s), is
+built here too: z_tables forms every table of a stack of instances of one
+(m, l) at once (ZTables), and ProblemInstance reads its own at S = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -39,7 +43,6 @@ from .numcore import (
     int_rref,
     is_exact_scalar,
     lowest_terms,
-    numerator_array,
     scalar_one,
     zeros_like_domain,
 )
@@ -118,119 +121,354 @@ class ProblemInstance:
     def exact(self) -> bool:
         return bool(self.z) and isinstance(self.z[0], Fraction)
 
-    def zproduct(self, c, powers) -> UniPoly:
-        """c * prod_s (x - z_s)^{powers[s]}; the factors multiply onto c in order
-        of s, which fixes the float lane's rounding."""
-        one = scalar_one(self.exact)
-        p = UniPoly.const(c)
-        for zs, k in zip(self.z, powers):
-            for _ in range(k):
-                p = p * UniPoly((-zs, one))
-        return p
-
     @cached_property
+    def tables(self) -> "ZTables":
+        """This instance's z-tables (z_tables at S = 1), built on first read;
+        the properties below read them."""
+        return _build_tables([self])
+
+    @property
     def zpolys(self) -> tuple:
-        """(A, B, (A_1, ..., A_n)), built once per instance.
+        """(A, B, (A_1, ..., A_n)) as UniPolys: A = prod_s (x - z_s),
+        A_s = prod_{r != s} (x - z_r) and B = -sum_s m_s A_s, which lead the
+        operator A d^2/dx^2 + B d/dx + C of both sides."""
+        t = self.tables
+        return UniPoly(t.A[0].tolist()), UniPoly(t.B[0].tolist()), \
+            tuple(UniPoly(row) for row in t.A_s[0].tolist())
 
-        A = prod_s (x - z_s) and A_s = prod_{r != s} (x - z_r); B = -sum_s m_s A_s.
-        A and B lead the operator A d^2/dx^2 + B d/dx + C of both sides.
-        """
-        one = scalar_one(self.exact)
-        A_s = tuple(self.zproduct(one, [int(r != s) for r in range(self.n)])
-                    for s in range(self.n))
-        B = UniPoly.zero()
-        for ms, As in zip(self.m, A_s):
-            B = B + As * (-ms)
-        return self.zproduct(one, [1] * self.n), B, A_s
-
-    @cached_property
+    @property
     def dh_blocks(self) -> tuple:
-        """(M0, M), built once per instance: D_h u = (M0 + sum_s h_s M[s]) u.
+        """(M0, M): D_h u = (M0 + sum_s h_s M[s]) u (ZTables.M0, ZTables.M)."""
+        return self.tables.M0[0], self.tables.M[0]
 
-        On ascending coefficient vectors, column k of M0 holds
-        A (x^k)'' + B (x^k)' and column k of M[s] holds A_s x^k, for
-        k = 0..max(l, lt); D_h of a polynomial of degree d reads the leading
-        (d + n) x (d + 1) block.  Entries are Fractions on an exact instance
-        and complex otherwise; the arrays are read-only.
-        """
-        A, B, A_s = self.zpolys
-        n, deg = self.n, max(self.l, self.ltilde, 0)
-        one = scalar_one(self.exact)
-        M0 = zeros_like_domain((deg + n, deg + 1), self.exact)
-        M = zeros_like_domain((n, deg + n, deg + 1), self.exact)
-        for k in range(deg + 1):
-            u = UniPoly.monomial(k, one)
-            w = A * u.deriv().deriv() + B * u.deriv()
-            M0[:len(w.coeffs), k] = w.coeffs
-            for s, As in enumerate(A_s):
-                M[s, k:k + len(As.coeffs), k] = As.coeffs
-        M0.setflags(write=False)
-        M.setflags(write=False)
-        return M0, M
-
-    @cached_property
+    @property
     def kernel_pair_polys(self) -> tuple:
-        """(W, den, extra), built once per instance.
+        """(W, den, extra) as UniPolys (ZTables.W, .den, .extra)."""
+        t = self.tables
+        return tuple(UniPoly(c[0].tolist()) for c in (t.W, t.den, t.extra))
 
-        W = (lt - l) prod_s (x - z_s)^{m_s} is the Wronskian of a kernel pair
-        on the cycle; den = (lt - l) prod_s (x - z_s)^{max(m_s - 1, 0)}
-        divides each coefficient of the pair's operator once it is
-        multiplied by extra = prod_{m_s = 0} (x - z_s).
-        """
-        one = scalar_one(self.exact)
-        c = one * (self.ltilde - self.l)
-        return (self.zproduct(c, self.m),
-                self.zproduct(c, [max(ms - 1, 0) for ms in self.m]),
-                self.zproduct(one, [int(ms == 0) for ms in self.m]))
-
-    @cached_property
-    def kernel_pair_maps(self) -> tuple:
-        """(quo, rem), built once per instance: b -> (b * extra) divmod den.
-
-        On ascending coefficient vectors of b, of degree up to sum(m) (the
-        degree of a kernel pair's Wronskian), quo gives the n + 1
-        coefficients of the quotient and rem the deg(den) of the remainder
-        (den, extra from kernel_pair_polys).  Needs lt > l.
-        """
-        _, den, extra = self.kernel_pair_polys
-        one = scalar_one(self.exact)
-        quo = zeros_like_domain((self.n + 1, sum(self.m) + 1), self.exact)
-        rem = zeros_like_domain((den.degree, sum(self.m) + 1), self.exact)
-        for k in range(sum(self.m) + 1):
-            q, r = (UniPoly.monomial(k, one) * extra).divmod(den)
-            quo[:len(q.coeffs), k] = q.coeffs
-            rem[:len(r.coeffs), k] = r.coeffs
-        return quo, rem
-
-    @cached_property
+    @property
     def partial_fractions(self) -> np.ndarray:
-        """n x (n - 1) matrix of g -> (g(z_s) / prod_{r != s}(z_s - z_r))_s on
-        ascending coefficients of g (degree up to n - 2), built once."""
-        P = zeros_like_domain((self.n, max(self.n - 1, 0)), self.exact)
-        for s, zs in enumerate(self.z):
-            den = scalar_one(self.exact)
-            for r, zr in enumerate(self.z):
-                if r != s:
-                    den = den * (zs - zr)
-            for j in range(self.n - 1):
-                P[s, j] = zs ** j / den
-        return P
+        """g -> (g(z_s) / prod_{r != s}(z_s - z_r))_s (ZTables.partial_fractions)."""
+        return self.tables.partial_fractions[0]
 
-    @cached_property
+    @property
     def marked_exponents(self) -> tuple:
-        """Indicial roots (0, 1 - B(z_s)/A'(z_s)) at each marked point, once
-        per instance; they do not depend on h, and B = -sum m_s A_s makes
-        them (0, m_s + 1)."""
-        A, B, _ = self.zpolys
-        dA = A.deriv()
-        out = []
-        for zs in self.z:
-            p0 = B(zs) / dA(zs)
-            out.append((0 * p0, 1 - p0))
-        return tuple(out)
+        """Indicial roots (0, m_s + 1) at each marked point, as computed
+        (ZTables.marked_exponents)."""
+        return tuple(map(tuple, self.tables.marked_exponents[0].tolist()))
 
     def to_float(self) -> "ProblemInstance":
         return ProblemInstance(self.m, self.l, tuple(as_float(v) for v in self.z))
+
+
+class _Split:
+    """A complex array held as its real and imaginary float64 parts, whose
+    arithmetic rounds as CPython's complex scalars do: (a + bi)(c + di) is
+    (ac - bd) + (ad + bc)i, a quotient is Smith's (CPython's _Py_c_quot),
+    and an int operand is the complex number (k, 0.0).  numpy's complex
+    multiply can differ from CPython's in the last bit, and the float tables
+    keep the bits of UniPoly's scalar arithmetic."""
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, _Split):
+            return x
+        if isinstance(x, (int, float, complex)):
+            return _Split(float(x.real), float(x.imag))
+        x = np.asarray(x, dtype=complex)
+        return _Split(x.real.copy(), x.imag.copy())
+
+    @property
+    def shape(self) -> tuple:
+        return self.re.shape
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def array(self) -> np.ndarray:
+        out = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
+        out.real, out.imag = self.re, self.im
+        return out
+
+    def __getitem__(self, i):
+        return _Split(self.re[i], self.im[i])
+
+    def __setitem__(self, i, v):
+        v = _Split.of(v)
+        self.re[i], self.im[i] = v.re, v.im
+
+    def __neg__(self):
+        return _Split(-self.re, -self.im)
+
+    def __add__(self, o):
+        o = _Split.of(o)
+        return _Split(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        o = _Split.of(o)
+        return _Split(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, o):
+        return _Split.of(o) - self
+
+    def __mul__(self, o):
+        o = _Split.of(o)
+        return _Split(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        o = _Split.of(o)
+        if np.any((o.re == 0) & (o.im == 0)):
+            raise ZeroDivisionError("complex division by zero")
+        big = np.abs(o.re) >= np.abs(o.im)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = o.im / o.re
+            d = o.re + o.im * r
+            re, im = (self.re + self.im * r) / d, (self.im - self.re * r) / d
+            if np.all(big):
+                return _Split(re, im)
+            r = o.re / o.im
+            d = o.re * r + o.im
+            return _Split(np.where(big, re, (self.re * r + self.im) / d),
+                          np.where(big, im, (self.im * r - self.re) / d))
+
+    __radd__ = __add__
+
+
+def _zeros(shape, exact: bool):
+    return zeros_like_domain(shape, True) if exact else \
+        _Split(np.zeros(shape), np.zeros(shape))
+
+
+def _where(mask, X, Y):
+    if not isinstance(X, _Split):
+        return np.where(mask, X, Y)
+    Y = _Split.of(Y)
+    return _Split(np.where(mask, X.re, Y.re), np.where(mask, X.im, Y.im))
+
+
+def _gather(X, index, exact: bool):
+    """X (S x k) at the positions index (any shape) along its last axis, and
+    0 where index is -1."""
+    pad = np.concatenate([X, zeros_like_domain((len(X), 1), True)], axis=1) if exact else \
+        _Split(*(np.concatenate([Y, np.zeros((len(Y), 1))], axis=1) for Y in (X.re, X.im)))
+    return pad[:, index]
+
+
+def _products(Z, c, powers, exact: bool):
+    """Row i: c[i] * prod_s (x - z_s)^{powers[i][s]} at each row of Z
+    (S x n), as ascending coefficients (S x rows x (1 + max degree)).
+
+    The factors multiply onto c in order of s, every row that takes a
+    factor in one step, and each product adds its terms as UniPoly does:
+    from 0, in ascending order of the left factor's coefficients.  A row's
+    zero coefficients above its degree change nothing.
+    """
+    powers, one = np.array(powers), scalar_one(exact)
+    P = _zeros((len(Z), len(c), 1 + powers.sum(axis=1).max()), exact)
+    P[:, :, 0] = np.array(c, dtype=object if exact else complex)
+    deg = np.zeros(len(c), dtype=int)
+    for s in range(Z.shape[1]):
+        for rep in range(powers[:, s].max(initial=0)):
+            grow = powers[:, s] > rep
+            deg += grow
+            w = deg.max()
+            Q, out = P[:, :, :w], _zeros((len(Z), len(c), w + 1), exact)
+            out[:, :, 1:] = out[:, :, 1:] + Q * one
+            out[:, :, :w] = out[:, :, :w] + Q * -Z[:, s, None, None]
+            P[:, :, :w + 1] = _where(grow[:, None], out, P[:, :, :w + 1])
+    return P
+
+
+def _power(x, j: int, exact: bool):
+    """x ** j for an integer j >= 0, by CPython's binary powering (c_powi)."""
+    if exact:
+        return x ** j
+    if j == 0:
+        return _Split(np.ones_like(x.re), np.zeros_like(x.re))
+    r, mask = scalar_one(False), 1
+    while mask <= j:
+        if j & mask:
+            r = x * r
+        mask <<= 1
+        x = x * x
+    return r
+
+
+def _horner(C, x, exact: bool):
+    """The polynomials of ascending coefficients C (S x k) at each column of
+    x (S x n), by Horner's rule from 0, as UniPoly evaluates them."""
+    acc = _zeros(x.shape, exact)
+    for j in range(C.shape[1] - 1, -1, -1):
+        acc = acc * x + C[:, j, None]
+    return acc
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ZTables:
+    """Every z-dependent table of a stack of S instances of one (m, l) and
+    one lane, each array with a leading sample axis (ascending coefficient
+    vectors along its last axis):
+
+    * z (S x n); A = prod_s (x - z_s) (S x (n + 1)); A_s = prod_{r != s}
+      (x - z_r) (S x n x n, row s; also sov's W_s rows); B = -sum_s m_s A_s
+      (S x n).  A and B lead the operator A d^2/dx^2 + B d/dx + C of both
+      sides.
+    * M0 and M, D_h u = (M0 + sum_s h_s M[s]) u on ascending coefficient
+      vectors: column k of M0 holds A (x^k)'' + B (x^k)' and column k of
+      M[s] holds A_s x^k, k = 0..max(l, lt) (S x (deg + n) x (deg + 1) and
+      S x n x (deg + n) x (deg + 1)); D_h of a polynomial of degree d reads
+      the leading (d + n) x (d + 1) block.
+    * W = (lt - l) prod_s (x - z_s)^{m_s}, the Wronskian of a kernel pair on
+      the cycle; den = (lt - l) prod_s (x - z_s)^{max(m_s - 1, 0)}, which
+      divides each coefficient of the pair's operator once it is multiplied
+      by extra = prod_{m_s = 0} (x - z_s).
+    * quo and rem, b -> (b * extra) divmod den on ascending coefficients of
+      b of degree up to sum(m): the n + 1 coefficients of the quotient and
+      the deg(den) of the remainder (S x (n + 1) x (sum(m) + 1) and
+      S x deg(den) x (sum(m) + 1)); None unless lt > l.
+    * partial_fractions (S x n x (n - 1)): g -> (g(z_s) / prod_{r != s}
+      (z_s - z_r))_s on ascending coefficients of g (degree up to n - 2).
+    * marked_exponents (S x n x 2): the indicial roots (0 * p, 1 - p),
+      p = B(z_s) / A'(z_s), at each marked point; B = -sum m_s A_s makes
+      them (0, m_s + 1), and they do not depend on h.
+
+    Entries are Fractions (object arrays) in the exact lane and complex
+    otherwise, with the bits of UniPoly's scalar arithmetic; the arrays are
+    read-only, and tables are not compared.
+    """
+
+    m: tuple
+    l: int
+    exact: bool
+    z: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    A_s: np.ndarray
+    M0: np.ndarray
+    M: np.ndarray
+    W: np.ndarray
+    den: np.ndarray
+    extra: np.ndarray
+    quo: np.ndarray | None
+    rem: np.ndarray | None
+    partial_fractions: np.ndarray
+    marked_exponents: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.m)
+
+    @property
+    def ltilde(self) -> int:
+        return sum(self.m) + 1 - self.l
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+    def take(self, index) -> "ZTables":
+        """The tables of the samples index (a sequence of sample positions)."""
+        return replace(self, **{f.name: v[index] for f in fields(self)
+                                if isinstance(v := getattr(self, f.name), np.ndarray)})
+
+
+def z_tables(insts) -> ZTables:
+    """The ZTables of insts (one (m, l), one lane), sample i holding
+    insts[i]'s; each distinct instance is built once, one instance alone
+    reads its own cached tables (ProblemInstance.tables)."""
+    pos = {}
+    for f in insts:
+        pos.setdefault(id(f), (len(pos), f))
+    distinct = [f for _, f in pos.values()]
+    tables = distinct[0].tables if len(distinct) == 1 else _build_tables(distinct)
+    return tables if len(distinct) == len(insts) else \
+        tables.take([pos[id(f)][0] for f in insts])
+
+
+def _build_tables(insts) -> ZTables:
+    """The one builder of the z-tables: every table of every instance of
+    insts at once, each step one array operation over the stack."""
+    f = insts[0]
+    m, l, n, lt, exact = f.m, f.l, f.n, f.ltilde, f.exact
+    if any((g.m, g.l, g.exact) != (m, l, exact) for g in insts):
+        raise ValueError("one table stack holds instances of one (m, l) and one lane")
+    S, one, deg = len(insts), scalar_one(exact), max(l, lt, 0)
+    if exact:
+        Z = np.empty((S, n), dtype=object)
+        Z[...] = [g.z for g in insts]
+    else:
+        Z = _Split.of(np.array([g.z for g in insts], dtype=complex).reshape(S, n))
+
+    # A, the A_s, W, den and extra, as one stack of products
+    c = one * (lt - l)
+    nz = sum(ms > 0 for ms in m)
+    rows = [[1] * n] + [[int(r != s) for r in range(n)] for s in range(n)] + \
+        [list(m), [max(ms - 1, 0) for ms in m], [int(ms == 0) for ms in m]]
+    P = _products(Z, [one] * (n + 1) + [c, c, one], rows, exact)
+    A, A_s, W = P[:, 0, :n + 1], P[:, 1:n + 1, :n], P[:, n + 1, :sum(m) + 1]
+    den, extra = P[:, n + 2, :sum(m) - nz + 1], P[:, n + 3, :n - nz + 1]
+    B = _zeros((S, n), exact)
+    for s, ms in enumerate(m):
+        B = B + A_s[:, s] * -ms
+
+    # column k of M0: A (x^k)'' + B (x^k)', (x^k)'' = k(k-1) x^{k-2}, each
+    # product added to 0
+    t, k = np.arange(deg + n)[:, None], np.arange(deg + 1)[None, :]
+    ia, ib = t - k + 2, t - k + 1
+    M0 = (0 + _gather(A, np.where((k >= 2) & (ia >= 0) & (ia <= n), ia, -1), exact)
+          * (k * (k - 1))) + \
+        (0 + _gather(B, np.where((ib >= 0) & (ib < n), ib, -1), exact) * k)
+
+    quo = rem = None
+    if lt > l:
+        # long division of x^k extra by den for every k at once; a row
+        # shorter than the longest meets zero leading coefficients first,
+        # which change nothing
+        K, dd, e = sum(m) + 1, sum(m) - nz, n - nz + 1
+        t, k = np.arange(K - 1 + e)[None, :], np.arange(K)[:, None]
+        R = 0 + _gather(extra, np.where((t >= k) & (t < k + e), t - k, -1), exact) * one
+        quo = _zeros((S, n + 1, K), exact)
+        for kk in range(K - 2 + e, dd - 1, -1):
+            q = R[:, :, kk] / den[:, dd, None]
+            quo[:, kk - dd] = q
+            R[:, :, kk - dd:kk + 1] = R[:, :, kk - dd:kk + 1] - q[:, :, None] * den[:, None, :]
+        rem = R[:, :, :dd]
+
+    # prod_{r != s} (z_s - z_r), multiplied in order of r, at every s
+    d, cols = one, np.arange(n)
+    for r in range(n):
+        d = _where(cols != r, (Z - Z[:, r, None]) * d, d)
+    P = _zeros((S, n, max(n - 1, 0)), exact)
+    for j in range(n - 1):
+        P[:, :, j] = _power(Z, j, exact) / d
+    dA = _zeros((S, n), exact)
+    for j in range(1, n + 1):
+        dA[:, j - 1] = A[:, j] * j
+    p0 = _horner(B, Z, exact) / _horner(dA, Z, exact)
+    marked = (p0 * 0, 1 - p0)
+
+    def final(X):
+        return None if X is None else np.ascontiguousarray(X if exact else X.array())
+
+    out = {name: final(X) for name, X in (
+        ("z", Z), ("A", A), ("B", B), ("A_s", A_s), ("M0", M0), ("W", W), ("den", den),
+        ("extra", extra), ("quo", quo), ("partial_fractions", P))}
+    out["rem"] = None if rem is None else np.ascontiguousarray(final(rem).transpose(0, 2, 1))
+    out["marked_exponents"] = np.stack([final(X) for X in marked], axis=2)
+    # column k of M[s]: A_s x^k
+    out["M"] = zeros_like_domain((S, n, deg + n, deg + 1), exact)
+    for k in range(deg + 1):
+        out["M"][:, :, k:k + n, k] = out["A_s"]
+    for X in out.values():
+        if X is not None:
+            X.flags.writeable = False
+    return ZTables(m=m, l=l, exact=exact, **out)
 
 
 def weight_space_dim(n: int, k: int) -> int:
@@ -335,11 +573,17 @@ class WeightVector:
         return v
 
 
+def _singular_numerators(inst: ProblemInstance):
+    """(N, D), N / D the rref_kernel basis of ker E12 inside the level-l space
+    in numerator_array's form, found by eliminating the integer E12."""
+    E12 = sum(generator_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n))
+    return lowest_terms(*int_kernel(*int_rref(E12)))
+
+
 def singular_matrix(inst: ProblemInstance) -> np.ndarray:
     """Columns spanning ker E12 inside the level-l space (exact): the
-    rref_kernel basis, found by eliminating the integer E12."""
-    E12 = sum(generator_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n))
-    return fraction_array(*int_kernel(*int_rref(E12)))
+    rref_kernel basis."""
+    return fraction_array(*_singular_numerators(inst))
 
 
 def shapovalov_gram(inst: ProblemInstance, k: int) -> np.ndarray:
@@ -355,6 +599,27 @@ def shapovalov_gram(inst: ProblemInstance, k: int) -> np.ndarray:
     return int_array(np.diag(np.array(vals, dtype=object)))
 
 
+class _NumeratorField:
+    """An array field of ShQuotient, formed from its integer numerators the
+    first time it is read and kept, read-only: N / D as Fractions in the
+    exact lane, else each entry's N / D divided as integers, which rounds
+    once (as to_float_array rounds a Fraction)."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, q, owner=None):
+        if q is None:
+            return self
+        if self.name not in q.__dict__:
+            N, D = q.numerators[self.name]
+            A = fraction_array(N, D) if q.exact else \
+                np.array([x / D for x in N.reshape(-1).tolist()], dtype=complex).reshape(N.shape)
+            A.flags.writeable = False
+            q.__dict__[self.name] = A
+        return q.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class ShQuotient:
     """The singular subspace and its quotient by the radical of the Gram form.
@@ -368,29 +633,26 @@ class ShQuotient:
     vector, so the singular-basis coordinates of v in Sing are v[free].
     numerators maps each array field's name to (N, D): the exact field is
     N / D, N an integer array and D the lcm of the field's denominators
-    (numerator_array's form).
+    (numerator_array's form).  The array fields are formed from numerators
+    when first read (_NumeratorField): Fraction arrays if exact, complex
+    arrays otherwise.
     """
 
-    sing: np.ndarray
-    gram: np.ndarray
-    sh: np.ndarray
-    lift: np.ndarray
-    radical: np.ndarray
-    gram_sing: np.ndarray
-    free: np.ndarray
     numerators: dict
+    free: np.ndarray
+    exact: bool = True
+
+    sing, gram, sh, lift, radical, gram_sing = (_NumeratorField() for _ in range(6))
 
     @property
     def dim(self) -> int:
-        return self.sh.shape[0]
+        return self.numerators["sh"][0].shape[0]
 
 
 def sh_quotient(inst: ProblemInstance) -> ShQuotient:
-    """The exact ShQuotient of inst's (m, l), computed on integer numerators;
-    the Fraction fields are formed once, at the end."""
-    S = singular_matrix(inst)
+    """The exact ShQuotient of inst's (m, l), computed on integer numerators."""
+    NS, DS = _singular_numerators(inst)
     NG = shapovalov_gram(inst, inst.l)
-    NS, DS = numerator_array(S)
     # R = S^T G S = NR / DS^2
     NR = int_matmul(int_matmul(NS.T, NG), NS)
     # R is symmetric, so the nonzero rows of rref(R) vanish on ker R and are
@@ -401,8 +663,7 @@ def sh_quotient(inst: ProblemInstance) -> ShQuotient:
     nums = {"sing": (NS, DS), "gram": (NG, 1), "sh": lowest_terms(NP, d), "lift": (NC, 1),
             "radical": lowest_terms(*int_kernel(NP, pivots, d)),
             "gram_sing": lowest_terms(NR, DS * DS)}
-    arrays = {name: fraction_array(N, D) for name, (N, D) in nums.items() if name != "sing"}
     # S is rref_kernel's basis: column j is 1 on its free row, its last nonzero entry
     free = np.array([np.flatnonzero(NS[:, j])[-1] for j in range(NS.shape[1])], dtype=int)
     free.flags.writeable = False
-    return ShQuotient(sing=S, free=free, numerators=nums, **arrays)
+    return ShQuotient(numerators=nums, free=free)

@@ -14,10 +14,12 @@ Coordinates and conventions:
   polynomial D_h(p(.,a)); q_1..q_l are triangular in a with diagonal
   i(sum(m)-2l+i+1), nonzero as every ProblemInstance is separating.
 
-D_h u is linear in u and in h.  dh_matrices forms D_h on ascending
-coefficient vectors at a stack of points from the instance's
-h-independent blocks (ProblemInstance.dh_blocks); DhOperator.matrix is
-one of them, and apply_Dh is the polynomial form of the same operator.
+D_h u is linear in u and in h.  Everything z-dependent is polynomial data
+of prod_s (x - z_s), built once per stack of instances (gl2rep.ZTables,
+ProblemInstance.tables at one instance).  dh_stack forms D_h on ascending
+coefficient vectors at a stack of points from those h-independent blocks;
+dh_matrices is its one-instance call, DhOperator.matrix one of them, and
+apply_Dh the polynomial form of the same operator.
 
 Each linear system of the scheme has one implementation, a stage over a
 stack of P points (stacked_*): a(h), h(a) with the scheme residual, the
@@ -25,11 +27,14 @@ second kernel polynomial, the kernel-pair operator and the Jacobian.  A
 complex stack is the float lane (batched solve and pseudo-inverse, gates at
 tol.residual), an object stack of Fractions the exact lane (solve_rows
 point by point, least squares by the normal equations, gates at literal
-zero).  A stage that reads z takes parts, [(inst, rows), ...]: instances of
-one (m, l), each with its slice of the stack, and runs those products per
-part, so a point's values do not depend on the other parts.  a_of_h, h_of_a,
-residual_system, ptilde_solve and operator_from_kernel_pair are the stages'
-P = 1 calls, generic over the scalar domain.
+zero).  A stage that reads z takes a table stack and each point's sample
+index into it (sample, P ints).  Its elementwise work is one operation over
+every point, each gathering its own sample's tables.  A group is a run of
+consecutive points on one sample.  A 2-D product whose rows are points
+rounds by its row count, so each group takes its own product, and a point's
+values do not depend on the other groups.  a_of_h, h_of_a, residual_system,
+ptilde_solve and operator_from_kernel_pair are the stages' P = 1 calls,
+generic over the scalar domain.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from functools import cached_property
 import cmath
 import numpy as np
 
-from .gl2rep import ProblemInstance
+from .gl2rep import ProblemInstance, ZTables
 from .numcore import (
     DEFAULT_TOL,
     DomainError,
@@ -67,6 +72,7 @@ __all__ = [
     "ptilde_of",
     "apply_Dh",
     "dh_matrices",
+    "dh_stack",
     "PLANE_PRE_GATE",
     "constraint_plane",
     "off_plane",
@@ -178,22 +184,32 @@ class DhOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """M0 + sum_s h_s M[s] from inst.dh_blocks: D_h on ascending
+        """M0 + sum_s h_s M[s] from inst.tables: D_h on ascending
         coefficient vectors of degree up to max(l, lt)."""
         return dh_matrices(self.inst, [self.h])[0]
 
 
 def dh_matrices(inst: ProblemInstance, H) -> np.ndarray:
-    """D_h = M0 + sum_s h_s M[s] (inst.dh_blocks) at each row h of H, stacked.
+    """D_h (dh_stack) at each row h of H on inst's blocks, stacked."""
+    H = np.array(H, dtype=inst.tables.M0.dtype).reshape(-1, inst.n)
+    return dh_stack(inst.tables, np.zeros(len(H), dtype=int), H)
 
-    The terms are added entry by entry in order of s, so a point's matrix
-    does not depend on the stack it is formed in.
-    """
-    M0, M = inst.dh_blocks
-    H = np.array(H, dtype=M0.dtype).reshape(-1, len(M))
-    D = np.broadcast_to(M0, (len(H),) + M0.shape)
-    for s in range(len(M)):
-        D = D + H[:, s, None, None] * M[s]
+
+def dh_stack(tables: ZTables, sample, H: np.ndarray) -> np.ndarray:
+    """D_h = M0 + sum_s h_s M[s] at each row h of H (P x n), on the blocks of
+    its sample of tables (ZTables.M0 and .M).  M[s] holds the coefficient j
+    of A_s on its diagonal j, so h_s A_s[j] is added on that diagonal, in
+    order of s; elsewhere M[s] is 0, whose terms change no entry of M0.
+    Each entry is summed on its own, so a point's matrix does not depend on
+    the stack it is formed in."""
+    D = tables.M0[sample]
+    T = H[:, :, None] * tables.A_s[sample]      # T[:, s, j] = h_s A_s[j]
+    k = np.arange(D.shape[2])
+    for j in range(tables.n):
+        band = D[:, k + j, k]
+        for s in range(tables.n):
+            band = band + T[:, s, j, None]
+        D[:, k + j, k] = band
     return D
 
 
@@ -215,10 +231,16 @@ def constraint_plane(inst: ProblemInstance, H):
     H = np.asarray(H)
     if H.ndim == 1:
         return tuple(v.tolist()[0] for v in constraint_plane(inst, H[None]))
-    qm1 = sum((H[:, s] for s in range(1, inst.n)), H[:, 0])
-    q0 = sum(z * H[:, s] for s, z in enumerate(inst.z)) - inst.l * inst.ltilde
-    scale = np.maximum(np.maximum(1.0, np.abs(H).max(axis=1).astype(float)),
-                       float(inst.l * abs(inst.ltilde)))
+    return _plane(np.array([inst.z], dtype=object if inst.exact else complex), H,
+                  inst.l * inst.ltilde)
+
+
+def _plane(Z, H, llt):
+    """constraint_plane at the points H with marked points the rows of Z
+    (P x n, or 1 x n for one instance), l * lt = llt."""
+    qm1 = sum((H[:, s] for s in range(1, H.shape[1])), H[:, 0])
+    q0 = sum(Z[:, s] * H[:, s] for s in range(H.shape[1])) - llt
+    scale = np.maximum(np.maximum(1.0, np.abs(H).max(axis=1).astype(float)), float(abs(llt)))
     return qm1, q0, scale
 
 
@@ -239,11 +261,19 @@ def _plane_scale(inst: ProblemInstance, h, tol: float) -> float:
 
 # --- the stacked stages -----------------------------------------------------
 
-def per_group(parts, fn, *stacks):
-    """fn(inst, *(the part's rows of each stack)) for each (inst, rows) of
-    parts, each of fn's outputs concatenated over the parts."""
-    outs = [fn(f, *(X[rows] for X in stacks)) for f, rows in parts]
-    return [np.concatenate(col) for col in zip(*outs)]
+def _groups(sample) -> list:
+    """(lo, hi, entry) of each group of a stack: a run of consecutive points
+    on one sample of the tables."""
+    sample = np.asarray(sample)
+    cuts = (np.flatnonzero(sample[1:] != sample[:-1]) + 1).tolist()
+    return [(lo, hi, int(sample[lo])) for lo, hi in zip([0] + cuts, cuts + [len(sample)])
+            if hi > lo]
+
+
+def _by_group(sample, X: np.ndarray, R) -> np.ndarray:
+    """X @ R[entry] on each group's rows of X (R a stack over the samples),
+    one product per group."""
+    return np.concatenate([X[lo:hi] @ R[e] for lo, hi, e in _groups(sample)])
 
 
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -281,28 +311,24 @@ def stacked_a_of_h(inst: ProblemInstance, D: np.ndarray) -> np.ndarray:
     return _solve(D[:, rows, :l][:, :, ::-1], -D[:, rows, l, None])[:, :, 0]
 
 
-def stacked_h_of_a(parts, p: np.ndarray):
-    """(h, w) at each row of p, the ascending coefficients of p(a): h = h(a),
-    on the constraint plane, and the scheme residual w, the coefficients of
-    x^0, ..., x^{l-1} of D_h p (q_{l+n-2}, ..., q_{n-1}).  The numerator
-    g = l*lt x^{n-2} + g_1 x^{n-3} + ... is pinned by q_1 = ... = q_{n-2} = 0
-    in A p'' + B p' + g p (A p'' + B p' read off M0, g_j x^{n-2-j} p a shift
-    of p), and h is its partial fractions (inst.partial_fractions)."""
-    inst = parts[0][0]
-    l, n, lt = inst.l, inst.n, inst.ltilde
+def stacked_h_of_a(tables: ZTables, sample, p: np.ndarray):
+    """(h, w) at each row of p, the ascending coefficients of p(a), on its
+    sample of tables: h = h(a), on the constraint plane, and the scheme
+    residual w, the coefficients of x^0, ..., x^{l-1} of D_h p (q_{l+n-2},
+    ..., q_{n-1}).  The numerator g = l*lt x^{n-2} + g_1 x^{n-3} + ... is
+    pinned by q_1 = ... = q_{n-2} = 0 in A p'' + B p' + g p (A p'' + B p'
+    read off M0, g_j x^{n-2-j} p a shift of p), and h is its partial
+    fractions (ZTables.partial_fractions)."""
+    l, n, lt = tables.l, tables.n, tables.ltilde
     k = np.arange(1, n - 1)
-    (base,) = per_group(parts, lambda f, pg: (pg @ f.dh_blocks[0][:l + n, :l + 1].T,), p)
+    base = _by_group(sample, p, tables.M0[:, :l + n, :l + 1].transpose(0, 2, 1))
     pad = np.zeros((len(p), n), dtype=p.dtype)
     pz = np.concatenate([pad, p, pad], axis=1)
     g = _solve(pz[:, n + l - k[:, None] + k[None, :]],
                -(base[:, l + n - 2 - k, None] + l * lt * pz[:, n + l - k, None]))
-
-    def residual(f, gg, pg):
-        h = np.concatenate([gg[:, ::-1, 0], np.full((len(gg), 1), l * lt)], axis=1) \
-            @ f.partial_fractions.T
-        return h, (dh_matrices(f, h)[:, :l, :l + 1] @ pg[:, :, None])[:, :, 0]
-
-    return per_group(parts, residual, g, p)
+    g = np.concatenate([g[:, ::-1, 0], np.full((len(g), 1), l * lt)], axis=1)
+    h = _by_group(sample, g, tables.partial_fractions.transpose(0, 2, 1))
+    return h, (dh_stack(tables, sample, h)[:, :l, :l + 1] @ p[:, :, None])[:, :, 0]
 
 
 def stacked_second_kernel(inst: ProblemInstance, D: np.ndarray, hscale, tol: Tolerances):
@@ -346,36 +372,33 @@ def _pair_forms(lt: int, l: int) -> np.ndarray:
     return S
 
 
-def stacked_kernel_pair(parts, pt: np.ndarray, p: np.ndarray, tol: Tolerances):
+def stacked_kernel_pair(tables: ZTables, sample, pt: np.ndarray, p: np.ndarray,
+                        tol: Tolerances):
     """(b, h, wronsk, err) of the kernel pairs (ascending coefficients pt of
-    ptilde, degree up to lt, and p of p, up to l) of the stack: b (P x 3 x
-    (n + 1)) the triple of operator_from_kernel_pair, h the residues of
-    b2 / b0, wronsk max |Wr(ptilde, p) - W| (inst.kernel_pair_polys), err[i]
-    the (key, message) of the check failing at point i, or None; gated at
-    tol.residual relative, 0 on an exact stack."""
-    inst = parts[0][0]
-    l, n, lt = inst.l, inst.n, inst.ltilde
+    ptilde, degree up to lt, and p of p, up to l) of the stack, each on its
+    sample of tables: b (P x 3 x (n + 1)) the triple of
+    operator_from_kernel_pair, h the residues of b2 / b0, wronsk
+    max |Wr(ptilde, p) - W| (ZTables.W), err[i] the (key, message) of the
+    check failing at point i, or None; gated at tol.residual relative, 0 on
+    an exact stack."""
+    l, n, lt = tables.l, tables.n, tables.ltilde
     gate, forms = (0 if pt.dtype == object else tol.residual), _pair_forms(lt, l)
-
-    def operator(f, ptg, pg):
-        W, _, extra = f.kernel_pair_polys
-        # the operator B0 u'' + B1 u' + B2 u annihilating span(ptilde, p)
-        B = ((ptg[:, :, None] * pg[:, None, :]).reshape(len(pg), (lt + 1) * (l + 1))
-             @ forms).reshape(len(pg), 3, l + lt)
-        # admissible: no marked point where both polynomials vanish
-        zpow = np.array(f.z)[:, None] ** np.arange(lt + 1)
-        vscale = np.maximum(1.0, np.maximum(rowmax(ptg), rowmax(pg)))[:, None]
-        vanish = (np.abs(ptg @ zpow.T) <= gate * vscale) & \
-            (np.abs(pg @ zpow[:, :l + 1].T) <= gate * vscale)
-        # (B_i * extra) divmod den, then b0 = A and h from b2's partial fractions
-        quo, rem = f.kernel_pair_maps
-        b = B @ quo.T
-        cscale = np.maximum(1.0, np.abs(B).max(axis=(1, 2))) * max(1.0, extra.max_abs())
-        return (b, b[:, 2, :n - 1] @ f.partial_fractions.T, rowmax(B[:, 0] - np.array(W.coeffs)),
-                vanish, np.abs(B @ rem.T).max(axis=2, initial=0.0), cscale,
-                rowmax(b[:, 0] - np.array(f.zpolys[0].coeffs)))
-
-    b, h, wronsk, vanish, rmax, cscale, drift = per_group(parts, operator, pt, p)
+    # the operator B0 u'' + B1 u' + B2 u annihilating span(ptilde, p)
+    B = _by_group(sample, (pt[:, :, None] * p[:, None, :]).reshape(len(p), (lt + 1) * (l + 1)),
+                  np.broadcast_to(forms, (len(tables),) + forms.shape)).reshape(len(p), 3, l + lt)
+    # admissible: no marked point where both polynomials vanish
+    zpow = (tables.z[:, :, None] ** np.arange(lt + 1)).transpose(0, 2, 1)
+    vscale = np.maximum(1.0, np.maximum(rowmax(pt), rowmax(p)))[:, None]
+    vanish = (np.abs(_by_group(sample, pt, zpow)) <= gate * vscale) & \
+        (np.abs(_by_group(sample, p, zpow[:, :l + 1])) <= gate * vscale)
+    # (B_i * extra) divmod den, then b0 = A and h from b2's partial fractions
+    b = B @ tables.quo[sample].transpose(0, 2, 1)
+    escale = np.array([max(1.0, UniPoly(e).max_abs()) for e in tables.extra.tolist()])
+    cscale = np.maximum(1.0, np.abs(B).max(axis=(1, 2))) * escale[sample]
+    h = _by_group(sample, b[:, 2, :n - 1], tables.partial_fractions.transpose(0, 2, 1))
+    wronsk = rowmax(B[:, 0] - tables.W[sample])
+    rmax = np.abs(B @ tables.rem[sample].transpose(0, 2, 1)).max(axis=2, initial=0.0)
+    drift = rowmax(b[:, 0] - tables.A[sample])
     bad = rmax > gate * cscale[:, None]
     err = [("admissible_error", f"both kernel polynomials vanish at z_{int(np.argmax(vanish[i]))}")
            if vz else ("malformed_pair_error", "kernel pair divisibility residual "
@@ -388,22 +411,23 @@ def stacked_kernel_pair(parts, pt: np.ndarray, p: np.ndarray, tol: Tolerances):
     return b, h, wronsk, err
 
 
-def stacked_jacobian(inst: ProblemInstance, H: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """d(q_{-1}, q_0, q_{l+1}, ..., q_{l+n-2})/dh at the points H (P x n) of
-    inst with a = a(h) the rows of A (P x l), as P x n x n.  D_h p is linear
-    in a and h: dq/da_k is the column of x^{l-k} of D_h, dq/dh_s is read off
-    M[s] p(a) (inst.dh_blocks), and a(h) enters by implicit differentiation
-    of q_1 = ... = q_l = 0.  n = 2 never reads A."""
-    l, n = inst.l, inst.n
+def stacked_jacobian(tables: ZTables, sample, H: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """d(q_{-1}, q_0, q_{l+1}, ..., q_{l+n-2})/dh at the points H (P x n),
+    each on its sample of tables, with a = a(h) the rows of A (P x l), as
+    P x n x n.  D_h p is linear in a and h: dq/da_k is the column of x^{l-k}
+    of D_h, dq/dh_s is read off M[s] p(a) (ZTables.M), and a(h) enters by
+    implicit differentiation of q_1 = ... = q_l = 0.  n = 2 never reads A."""
+    l, n = tables.l, tables.n
     J = np.empty((len(H), n, n), dtype=H.dtype)
     J[:, 0] = scalar_one(H.dtype == object)
-    J[:, 1] = inst.z
-    if n > 2:
+    J[:, 1] = tables.z[sample]
+    if n > 2 and len(H):
         # rows q_1, ..., q_{l+n-2}; column k of Qa multiplies a_{k+1}
-        Qa = dh_matrices(inst, H)[:, l + n - 3::-1, :l][:, :, ::-1]
+        Qa = dh_stack(tables, sample, H)[:, l + n - 3::-1, :l][:, :, ::-1]
         # dq_dh[:, i, s] = dq_{i+1}/dh_s: rows of M[s] p(a), q_1 first
-        dq_dh = (inst.dh_blocks[1][:, l + n - 3::-1, :l + 1] @ p_coefficients(A).T) \
-            .transpose(2, 1, 0)
+        M, pc = tables.M[:, :, l + n - 3::-1, :l + 1], p_coefficients(A)
+        dq_dh = np.concatenate([(M[e] @ pc[lo:hi].T).transpose(2, 1, 0)
+                                for lo, hi, e in _groups(sample)])
         da_dh = _solve(Qa[:, :l], -dq_dh[:, :l])
         J[:, 2:] = dq_dh[:, l:] + Qa[:, l:] @ da_dh
     return J
@@ -412,15 +436,15 @@ def stacked_jacobian(inst: ProblemInstance, H: np.ndarray, A: np.ndarray) -> np.
 # --- single points: the stages' P = 1 calls ---------------------------------
 
 def _one_point(inst: ProblemInstance, a):
-    """(parts, stack p(a)) of one point a, exact when inst and a both are;
-    float a on an exact instance reads its float twin."""
+    """(tables, sample, stack p(a)) of one point a, exact when inst and a
+    both are; float a on an exact instance reads its float twin."""
     a = list(a)
     if len(a) != inst.l:
         raise ValueError(f"expected {inst.l} coordinates, got {len(a)}")
     exact = inst.exact and all(map(is_exact_scalar, a))
     inst = inst if exact or not inst.exact else inst.to_float()
     A = np.array(a, dtype=object if exact else complex).reshape(1, inst.l)
-    return [(inst, slice(0, 1))], p_coefficients(A)
+    return inst.tables, [0], p_coefficients(A)
 
 
 def _a_of_h_raw(op: DhOperator):
@@ -486,7 +510,7 @@ def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly
     zero = scalar_one(inst.exact) * 0
     pt, pp = (np.array([list(q.coeffs) + [zero] * (d + 1 - len(q.coeffs))],
                        dtype=object if inst.exact else complex) for q, d in ((ptilde, lt), (p, l)))
-    b, _, _, (err,) = stacked_kernel_pair([(inst, slice(0, 1))], pt, pp, tol)
+    b, _, _, (err,) = stacked_kernel_pair(inst.tables, [0], pt, pp, tol)
     if err is not None:
         raise (NotAdmissibleError if err[0] == "admissible_error" else MalformedPairError)(err[1])
     return tuple(UniPoly(tuple(row)) for row in b[0].tolist())

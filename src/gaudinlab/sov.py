@@ -18,12 +18,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from .gaudin import GaudinSystem, span_closure
-from .gl2rep import ProblemInstance, WeightVector, _weight_basis, weight_space_dim
+from .gl2rep import (
+    ProblemInstance,
+    WeightVector,
+    ZTables,
+    _weight_basis,
+    weight_space_dim,
+    z_tables,
+)
 from .numcore import (
     DEFAULT_TOL,
     DomainError,
@@ -145,7 +152,8 @@ def weight_function(inst: ProblemInstance, a) -> WeightVector:
         return WeightVector.from_dict({(0,) * n: scalar_one(exact)}, 0)
     if not exact:
         roots = _roots(np.array([a], dtype=complex))
-        return WeightVector.from_array(_float_weights(_w_coeffs(inst)[None], roots)[0], inst, l)
+        W = np.asarray(inst.tables.A_s, dtype=complex)
+        return WeightVector.from_array(_float_weights(W, roots)[0], inst, l)
     p = p_of_a([Fraction(v) for v in a])
     C = _companion(p)
     powers = [identity(l)]
@@ -184,17 +192,12 @@ def _raise_maps(n: int, k: int) -> np.ndarray:
                     dtype=np.intp).reshape(len(basis), n)
 
 
-def _w_coeffs(inst: ProblemInstance) -> np.ndarray:
-    """Ascending coefficients of W_s(t) = prod_{i != s}(t - z_i), one row per s."""
-    return np.array([w.coeffs for w in inst.zpolys[2]], dtype=complex)
-
-
 def _float_weights(W: np.ndarray, T: np.ndarray) -> np.ndarray:
     """The weight vectors at the roots T (P x l) of P points, as the rows of a
-    P x dim array, with W the _w_coeffs of each point's instance (P x n x n,
-    or 1 x n x n for one instance): the product over roots t of
-    sum_s x^(s) W_s(t), one scatter step mu -> mu + e_s per root, times
-    (-1)^l."""
+    P x dim array, with W the ascending coefficients of each point's W_s
+    (ZTables.A_s, P x n x n, or 1 x n x n for one instance): the product
+    over roots t of sum_s x^(s) W_s(t), one scatter step mu -> mu + e_s per
+    root, times (-1)^l."""
     P, l = T.shape
     n = W.shape[1]
     ws = np.zeros((P, l, n), dtype=complex)
@@ -224,19 +227,27 @@ def separated_form_value(inst: ProblemInstance, a, x):
 class BetheVector:
     """Weight-function eigenvector at one scheme point.
 
-    omega_L is the image in quotient coordinates; when it vanishes the
-    eigenline is recovered from the algebra closure of omega_M and
+    weights holds its level-l monomial coefficients (the basis order of
+    WeightVector), and omega_M is formed from them the first time it is
+    read.  omega_L is the image in quotient coordinates; when it vanishes
+    the eigenline is recovered from the algebra closure of omega_M and
     via_subspace is set.  roots are the Bethe roots, the roots of p(a)
     sorted by the run's Tolerances.cluster_key.
     """
 
     point: SchemePoint
-    omega_M: WeightVector
+    weights: np.ndarray
     omega_L: np.ndarray
     eigen_residuals: tuple
     e12_residual: float
     via_subspace: bool = False
     roots: tuple = ()
+
+    @cached_property
+    def omega_M(self) -> WeightVector:
+        l = len(self.point.a)
+        basis = _weight_basis(len(self.point.h), l)[0]
+        return WeightVector(tuple((j, c) for j, c in zip(basis, self.weights) if c), l)
 
 
 def bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
@@ -256,7 +267,8 @@ def bethe_vectors(inst: ProblemInstance, sys: GaudinSystem, points,
     return out
 
 
-def stacked_bethe_vectors(groups, tol: Tolerances = DEFAULT_TOL) -> list:
+def stacked_bethe_vectors(groups, tol: Tolerances = DEFAULT_TOL,
+                          tables: ZTables | None = None) -> list:
     """Build and verify the eigenvector attached to each scheme point of every
     group (inst, sys, points) of groups, systems of one (m, l) and one lane:
     per group, one BetheVector, or the VerificationError that rejects it,
@@ -267,12 +279,14 @@ def stacked_bethe_vectors(groups, tol: Tolerances = DEFAULT_TOL) -> list:
     build_gaudin(inst.to_float(), sys.frame); an exact one raises DomainError.
     A float system computes its points in floats, and every group's in one
     pass: the roots of every p(a) (_roots) and the weight vectors
-    (_float_weights).  An exact system takes the exact weight function and
-    the same gates on Fraction arrays.  Each eigen relation is one product
-    on a group's P x dim stack, and only the eigenline fallback
-    (_eigenline_via_subspace) runs per point, so a point's vector does not
-    depend on the other groups.  A VerificationError names a Bethe root on a
-    marked point when there is one (root_on_marked_point).
+    (_float_weights), each point on its group's W_s (tables, one sample per
+    group; z_tables of the groups' instances if None).  An exact system
+    takes the exact weight function and the same gates on Fraction arrays.
+    Each eigen relation is one product on a group's P x dim stack, and only
+    the eigenline fallback (_eigenline_via_subspace) runs per point, so a
+    point's vector does not depend on the other groups.  A VerificationError
+    names a Bethe root on a marked point when there is one
+    (root_on_marked_point).
     """
     groups = [(inst, sys, list(points)) for inst, sys, points in groups]
     if len({sys.inst.exact for _, sys, _ in groups}) > 1:
@@ -288,10 +302,12 @@ def stacked_bethe_vectors(groups, tol: Tolerances = DEFAULT_TOL) -> list:
         V = np.stack([weight_function(inst, p.a).to_array(inst)
                       for inst, _, points in groups for p in points])
     else:
+        if tables is None:
+            tables = z_tables([inst for inst, _, _ in groups])
         # each point at its own instance's W_s
-        W = [np.broadcast_to(_w_coeffs(inst), (len(points), inst.n, inst.n))
-             for inst, _, points in groups]
-        V = _float_weights(np.concatenate(W), roots)
+        W = np.asarray(tables.A_s, dtype=complex)
+        V = _float_weights(W[np.repeat(np.arange(len(groups)), [len(ps) for _, _, ps in groups])],
+                           roots)
     ends = itertools.accumulate(len(points) for _, _, points in groups)
     return [_group_vectors(inst, sys, points, V[end - len(points):end],
                            roots[end - len(points):end], tol) if points else []
@@ -324,7 +340,7 @@ def _group_vectors(inst: ProblemInstance, sys: GaudinSystem, points, V: np.ndarr
             out.append(VerificationError(err.residual, f"{err}; {cause}") if cause else err)
             continue
         out.append(BetheVector(
-            point=p, omega_M=WeightVector.from_array(V[i], inst, inst.l), omega_L=line,
+            point=p, weights=V[i], omega_L=line,
             eigen_residuals=tuple(float(r) for r in resids[i]),
             e12_residual=float(e12r[i]), via_subspace=via_subspace,
             roots=tuple(sorted(roots[i].tolist(), key=tol.cluster_key))))

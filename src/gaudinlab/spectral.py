@@ -20,16 +20,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gl2rep import ProblemInstance
+from .gl2rep import ProblemInstance, ZTables, z_tables
 from .numcore import DEFAULT_TOL, Tolerances, exact_det, max_abs, rowmax, to_float_array
 from .opscheme import (
     PLANE_PRE_GATE,
     SchemePoint,
-    constraint_plane,
-    dh_matrices,
+    _plane,
+    dh_stack,
     off_plane,
     p_coefficients,
-    per_group,
     root_on_marked_point,
     stacked_a_of_h,
     stacked_h_of_a,
@@ -226,37 +225,38 @@ def _schur_bases(Tn, centers, clusters, mats, tol):
     return out
 
 
-def _scheme_residuals(groups, tol: Tolerances):
+def _scheme_residuals(groups, tol: Tolerances, tables: ZTables | None = None):
     """Every scheme-side check at the points of every group, in one pass:
     one list per group of one (a, atilde, residuals) per point.
 
     groups is [(inst, H), ...], instances of one (m, l) with the points H
     (P_g x n) to check there, all complex (float lane) or all Fractions in
-    object arrays (exact lane, gated at literal zero).  The checks are
-    opscheme's stacked stages on the concatenated stack, and a point's
-    values do not depend on the other groups.  A check that fails at a
-    point records inf and its *_error for that point only; atilde is None
-    where the second kernel polynomial does not exist.
+    object arrays (exact lane, gated at literal zero); tables holds one
+    sample per group (z_tables of the groups' instances if None).  The
+    checks are opscheme's stacked stages on the concatenated stack, each
+    point on its group's sample, and a point's values do not depend on the
+    other groups.  A check that fails at a point records inf and its
+    *_error for that point only; atilde is None where the second kernel
+    polynomial does not exist.
     """
     ends = list(itertools.accumulate(len(H) for _, H in groups))
     if not ends or not ends[-1]:
         return [[] for _ in groups]
-    inst = groups[0][0]
-    l, n, lt = inst.l, inst.n, inst.ltilde
-    parts = [(f, slice(end - len(H), end)) for (f, H), end in zip(groups, ends)]
+    if tables is None:
+        tables = z_tables([f for f, _ in groups])
+    l, n, lt = tables.l, tables.n, tables.ltilde
+    sample = np.repeat(np.arange(len(groups)), [len(H) for _, H in groups])
     H = np.concatenate([H for _, H in groups])
-
-    def operators(f, Hg):
-        # exponents (0, m_s + 1) at the marked points, once per instance
-        marked = max((max(abs(e0), abs(e1 - (ms + 1))) for (e0, e1), ms
-                      in zip(f.marked_exponents, f.m)), default=0.0)
-        return (dh_matrices(f, Hg), *constraint_plane(f, Hg), np.full(len(Hg), marked))
-
-    D, qm1, q0, hscale, marked = per_group(parts, operators, H)
-    a = stacked_a_of_h(inst, D)
+    D = dh_stack(tables, sample, H)
+    qm1, q0, hscale = _plane(tables.z[sample], H, l * lt)
+    # exponents (0, m_s + 1) at the marked points, once per sample
+    marked = np.array([max((max(abs(e0), abs(e1 - (ms + 1))) for (e0, e1), ms
+                            in zip(row, tables.m)), default=0.0)
+                       for row in tables.marked_exponents.tolist()])[sample]
+    a = stacked_a_of_h(groups[0][0], D)
     p = p_coefficients(a)
     ascale = np.maximum(hscale, rowmax(a))
-    _, w = stacked_h_of_a(parts, p)
+    _, w = stacked_h_of_a(tables, sample, p)
     scheme = rowmax(w) / ascale
     # at infinity the exponents are the set {-l, l - 1 - sum(m)} iff
     # C_{n-2} = l * lt
@@ -265,10 +265,10 @@ def _scheme_residuals(groups, tol: Tolerances):
     cols = [qm1.tolist(), q0.tolist(), hscale.tolist(), scheme.tolist(),
             marked.tolist(), einf.tolist(), a.tolist()]
     if lt > l:
-        x, pt, ptilde_err = stacked_second_kernel(inst, D, hscale, tol)
+        x, pt, ptilde_err = stacked_second_kernel(groups[0][0], D, hscale, tol)
         pscale = np.maximum(ascale, rowmax(x))
         ptilde = rowmax((D @ pt[:, :, None])[:, :, 0]) / pscale
-        b, hrec, wronsk, pair_err = stacked_kernel_pair(parts, pt, p, tol)
+        b, hrec, wronsk, pair_err = stacked_kernel_pair(tables, sample, pt, p, tol)
         roundtrip = rowmax(hrec - H) / hscale
         b2_leading = np.abs(b[:, 2, n - 2] - lt * l) / max(1.0, lt * l)
         cols += [x.tolist(), ptilde_err, ptilde.tolist(), (wronsk / pscale).tolist(),
@@ -301,27 +301,30 @@ def _scheme_residuals(groups, tol: Tolerances):
                     res["kernel_pair_roundtrip"] = float("inf")
                     res[perr[0]] = perr[1]
         out.append((tuple(ai), atilde, res))
-    return [out[rows] for _, rows in parts]
+    return [out[end - len(H):end] for (_, H), end in zip(groups, ends)]
 
 
-def match_spectra_to_scheme(spectra, tol: Tolerances = DEFAULT_TOL) -> list:
+def match_spectra_to_scheme(spectra, tol: Tolerances = DEFAULT_TOL,
+                            tables: ZTables | None = None) -> list:
     """One SpectrumReport per (inst, spectrum) of spectra, every instance of
     one (m, l), from one stacked pass of the scheme checks.
 
     The checks run once, stacked over every point of every spectrum
-    (_scheme_residuals); a point's residuals are those a pass over its
+    (_scheme_residuals) on tables, one sample per spectrum of the float
+    instances (z_tables of the instances' float twins, one twin per
+    instance, if None); a point's residuals are those a pass over its
     spectrum alone gives.  Per-point failures are recorded as infinite
     residuals in the report rather than aborting the run; the second kernel
     polynomial and the kernel-pair operator are gated at tol.residual.
     """
-    groups, hss = [], []
+    twins, groups, hss = {}, [], []
     for inst, spectrum in spectra:
-        finst = inst.to_float() if inst.exact else inst
+        finst = twins.setdefault(id(inst), inst.to_float() if inst.exact else inst)
         hs = [tuple(complex(v) for v in h) for h, _, _ in spectrum]
         groups.append((finst, np.array(hs, dtype=complex).reshape(len(hs), finst.n)))
         hss.append(hs)
     reports = []
-    for (_, spectrum), hs, checked in zip(spectra, hss, _scheme_residuals(groups, tol)):
+    for (_, spectrum), hs, checked in zip(spectra, hss, _scheme_residuals(groups, tol, tables)):
         points = [SchemePoint(h=h, a=a, atilde=atilde, multiplicity=mult, residuals=res)
                   for h, (_, mult, _), (a, atilde, res) in zip(hs, spectrum, checked)]
         summary = {}
@@ -353,7 +356,8 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAUL
     return weights
 
 
-def stacked_grothendieck_weights(groups, tol: Tolerances = DEFAULT_TOL) -> list:
+def stacked_grothendieck_weights(groups, tol: Tolerances = DEFAULT_TOL,
+                                 tables: ZTables | None = None) -> list:
     """Inverse Jacobian weights of the n defining polynomials at the simple
     points of every group (inst, points) of groups, instances of one (m, l):
     per group, its list of weights, or the NonSimplePointError or
@@ -364,35 +368,42 @@ def stacked_grothendieck_weights(groups, tol: Tolerances = DEFAULT_TOL) -> list:
     normalization is a convention of this routine; only properties invariant
     under a global rescaling of the weights should be relied on.  Every
     point must carry a = a(h), as match_spectrum_to_scheme builds it.  The
-    Jacobians are opscheme.stacked_jacobian, per group, of its exact points
-    and of its float points.  Every float Jacobian of every group is gated
-    in one pass, one equilibrated SVD and one determinant of the stack
+    Jacobians are opscheme.stacked_jacobian: every group's float points in
+    one stack on tables (one sample per group of the float instances,
+    z_tables of the float twins if None), each group's exact points on its
+    exact instance.  Every float Jacobian of every group is gated in one
+    pass, one equilibrated SVD and one determinant of the stack
     (_float_gates).  A float Jacobian is singular when sv_min <=
     tol.residual * sv_max after _equilibrated, as its rows differ in scale
     by orders of magnitude, when that SVD does not converge, or when its
     determinant underflows to 0; the error names a Bethe root on a marked
     point when there is one.
     """
+    if not groups:
+        return []
     groups = [(inst, inst.to_float() if inst.exact else inst, list(points))
               for inst, points in groups]
     exact = [[inst.exact and all(isinstance(v, Fraction) for v in p.h) for p in points]
              for inst, _, points in groups]
+    if tables is None:
+        tables = z_tables([finst for _, finst, _ in groups])
 
-    def jacobians(f, pts, dtype):
-        return stacked_jacobian(f, np.array([p.h for p in pts], dtype=dtype).reshape(len(pts), f.n),
-                                np.array([p.a for p in pts], dtype=dtype).reshape(len(pts), f.l))
+    def coordinates(pts, dtype):
+        return (np.array([p.h for p in pts], dtype=dtype).reshape(len(pts), tables.n),
+                np.array([p.a for p in pts], dtype=dtype).reshape(len(pts), tables.l))
 
-    J = [jacobians(finst, [p for p, e in zip(points, ex) if not e], complex)
-         for (_, finst, points), ex in zip(groups, exact)]
-    gated = _float_gates(np.concatenate(J)) if J else []
+    floats = [[p for p, e in zip(points, ex) if not e] for (_, _, points), ex in zip(groups, exact)]
+    gated = iter(_float_gates(stacked_jacobian(
+        tables, np.repeat(np.arange(len(groups)), [len(ps) for ps in floats]),
+        *coordinates([p for ps in floats for p in ps], complex))))
     out = []
-    ends = itertools.accumulate(len(Jg) for Jg in J)
-    for (inst, finst, points), ex, Jg, end in zip(groups, exact, J, ends):
-        pts = [p for p, e in zip(points, ex) if e]
-        dets = (exact_det(Jp.tolist()) for Jp in (jacobians(inst, pts, object) if pts else []))
+    for (inst, finst, points), ex, ps in zip(groups, exact, floats):
+        ep = [p for p, e in zip(points, ex) if e]
+        dets = (exact_det(Jp.tolist()) for Jp in (stacked_jacobian(
+            inst.tables, [0] * len(ep), *coordinates(ep, object)) if ep else []))
+        gates = [next(gated) for _ in ps]
         try:
-            out.append(_group_weights(inst, finst, points, ex, dets,
-                                      iter(gated[end - len(Jg):end]), tol))
+            out.append(_group_weights(inst, finst, points, ex, dets, iter(gates), tol))
         except (NonSimplePointError, SingularJacobianError) as err:
             out.append(err)
     return out

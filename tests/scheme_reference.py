@@ -10,6 +10,13 @@ guard is gone: every ProblemInstance is separating.  q_values,
 q_coefficients and image read the q_i off D_h; solve_rows is numcore's
 with the plain complex Gauss-Jordan it had before the exact elimination
 took rational rows only, which the float reference bodies solve with.
+
+The z-tables these bodies read (zpolys, dh_blocks, kernel_pair_polys,
+kernel_pair_maps, partial_fractions, marked_exponents, w_coeffs) are
+ProblemInstance's UniPoly bodies as they stood before gl2rep.z_tables
+became their one builder, kept verbatim apart from taking inst as an
+argument: the reference the stacked tables are compared against, bit for
+bit.
 """
 
 import numpy as np
@@ -17,6 +24,7 @@ import numpy as np
 from gaudinlab.gl2rep import ProblemInstance
 from gaudinlab.numcore import (
     DEFAULT_TOL,
+    zeros_like_domain,
     InconsistentSystemError,
     SingularMatrixError,
     Tolerances,
@@ -158,7 +166,7 @@ def h_of_a(inst: ProblemInstance, a):
     one = scalar_one(inst.exact and all(map(is_exact_scalar, a)))
     zero = 0 * one
     p = p_of_a(a)
-    M0 = inst.dh_blocks[0]
+    M0 = dh_blocks(inst)[0]
     base = (M0[:l + n, :l + 1] @ np.array(p.coeffs, dtype=M0.dtype)).tolist()
     g0 = one * (l * lt)
 
@@ -244,7 +252,7 @@ def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly
     d2t, d2p = ptilde.deriv().deriv(), p.deriv().deriv()
     B1 = -(d2t * p - ptilde * d2p)
     B2 = d2t * p.deriv() - ptilde.deriv() * d2p
-    _, den, extra = inst.kernel_pair_polys
+    _, den, extra = kernel_pair_polys(inst)
     out = []
     cscale = max(1.0, B0.max_abs(), B1.max_abs(), B2.max_abs()) * max(1.0, extra.max_abs())
     for Bi in (B0, B1, B2):
@@ -256,7 +264,7 @@ def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly
             raise MalformedPairError(
                 f"kernel pair divisibility residual {rem.max_abs():.3e}")
         out.append(qpoly)
-    drift = out[0] - inst.zpolys[0]
+    drift = out[0] - zpolys(inst)[0]
     if (inst.exact and not drift.is_zero()) or \
             (not inst.exact and drift.max_abs() > gate * cscale):
         raise MalformedPairError("Wronskian is not the prescribed zero divisor")
@@ -278,7 +286,7 @@ def _jacobian(inst: ProblemInstance, h, a):
     rows = [[one] * n, [one * z for z in inst.z]]
     if n > 2:
         Q = q_rows(DhOperator(inst, tuple(h)), l).tolist()
-        M = inst.dh_blocks[1][:, :l + n, :l + 1]
+        M = dh_blocks(inst)[1][:, :l + n, :l + 1]
         # dq_dh[i][s] = dq_{i+1}/dh_s: rows of M[s] p(a), q_1 first
         dq_dh = (M @ np.array(p_of_a(a).coeffs, dtype=M.dtype)).T[:l + n - 2][::-1].tolist()
         # q_1..q_l vanish along a(h): (dq/da) da/dh = -dq/dh on those rows;
@@ -288,3 +296,122 @@ def _jacobian(inst: ProblemInstance, h, a):
             rows.append([dq_dh[i][s] + sum(Q[i][l - 1 - k] * da_dh[k][s] for k in range(l))
                          for s in range(n)])
     return rows
+
+
+# --- the z-tables, as UniPoly built them ----------------------------------
+
+def zproduct(inst, c, powers) -> UniPoly:
+    """c * prod_s (x - z_s)^{powers[s]}; the factors multiply onto c in order
+    of s, which fixes the float lane's rounding."""
+    one = scalar_one(inst.exact)
+    p = UniPoly.const(c)
+    for zs, k in zip(inst.z, powers):
+        for _ in range(k):
+            p = p * UniPoly((-zs, one))
+    return p
+
+
+def zpolys(inst) -> tuple:
+    """(A, B, (A_1, ..., A_n)).
+
+    A = prod_s (x - z_s) and A_s = prod_{r != s} (x - z_r); B = -sum_s m_s A_s.
+    A and B lead the operator A d^2/dx^2 + B d/dx + C of both sides.
+    """
+    one = scalar_one(inst.exact)
+    A_s = tuple(zproduct(inst, one, [int(r != s) for r in range(inst.n)])
+                for s in range(inst.n))
+    B = UniPoly.zero()
+    for ms, As in zip(inst.m, A_s):
+        B = B + As * (-ms)
+    return zproduct(inst, one, [1] * inst.n), B, A_s
+
+
+def dh_blocks(inst) -> tuple:
+    """(M0, M): D_h u = (M0 + sum_s h_s M[s]) u.
+
+    On ascending coefficient vectors, column k of M0 holds
+    A (x^k)'' + B (x^k)' and column k of M[s] holds A_s x^k, for
+    k = 0..max(l, lt); D_h of a polynomial of degree d reads the leading
+    (d + n) x (d + 1) block.  Entries are Fractions on an exact instance
+    and complex otherwise; the arrays are read-only.
+    """
+    A, B, A_s = zpolys(inst)
+    n, deg = inst.n, max(inst.l, inst.ltilde, 0)
+    one = scalar_one(inst.exact)
+    M0 = zeros_like_domain((deg + n, deg + 1), inst.exact)
+    M = zeros_like_domain((n, deg + n, deg + 1), inst.exact)
+    for k in range(deg + 1):
+        u = UniPoly.monomial(k, one)
+        w = A * u.deriv().deriv() + B * u.deriv()
+        M0[:len(w.coeffs), k] = w.coeffs
+        for s, As in enumerate(A_s):
+            M[s, k:k + len(As.coeffs), k] = As.coeffs
+    M0.setflags(write=False)
+    M.setflags(write=False)
+    return M0, M
+
+
+def kernel_pair_polys(inst) -> tuple:
+    """(W, den, extra).
+
+    W = (lt - l) prod_s (x - z_s)^{m_s} is the Wronskian of a kernel pair
+    on the cycle; den = (lt - l) prod_s (x - z_s)^{max(m_s - 1, 0)}
+    divides each coefficient of the pair's operator once it is
+    multiplied by extra = prod_{m_s = 0} (x - z_s).
+    """
+    one = scalar_one(inst.exact)
+    c = one * (inst.ltilde - inst.l)
+    return (zproduct(inst, c, inst.m),
+            zproduct(inst, c, [max(ms - 1, 0) for ms in inst.m]),
+            zproduct(inst, one, [int(ms == 0) for ms in inst.m]))
+
+
+def kernel_pair_maps(inst) -> tuple:
+    """(quo, rem): b -> (b * extra) divmod den.
+
+    On ascending coefficient vectors of b, of degree up to sum(m) (the
+    degree of a kernel pair's Wronskian), quo gives the n + 1
+    coefficients of the quotient and rem the deg(den) of the remainder
+    (den, extra from kernel_pair_polys).  Needs lt > l.
+    """
+    _, den, extra = kernel_pair_polys(inst)
+    one = scalar_one(inst.exact)
+    quo = zeros_like_domain((inst.n + 1, sum(inst.m) + 1), inst.exact)
+    rem = zeros_like_domain((den.degree, sum(inst.m) + 1), inst.exact)
+    for k in range(sum(inst.m) + 1):
+        q, r = (UniPoly.monomial(k, one) * extra).divmod(den)
+        quo[:len(q.coeffs), k] = q.coeffs
+        rem[:len(r.coeffs), k] = r.coeffs
+    return quo, rem
+
+
+def partial_fractions(inst) -> np.ndarray:
+    """n x (n - 1) matrix of g -> (g(z_s) / prod_{r != s}(z_s - z_r))_s on
+    ascending coefficients of g (degree up to n - 2)."""
+    P = zeros_like_domain((inst.n, max(inst.n - 1, 0)), inst.exact)
+    for s, zs in enumerate(inst.z):
+        den = scalar_one(inst.exact)
+        for r, zr in enumerate(inst.z):
+            if r != s:
+                den = den * (zs - zr)
+        for j in range(inst.n - 1):
+            P[s, j] = zs ** j / den
+    return P
+
+
+def marked_exponents(inst) -> tuple:
+    """Indicial roots (0, 1 - B(z_s)/A'(z_s)) at each marked point; they do
+    not depend on h, and B = -sum m_s A_s makes them (0, m_s + 1)."""
+    A, B, _ = zpolys(inst)
+    dA = A.deriv()
+    out = []
+    for zs in inst.z:
+        p0 = B(zs) / dA(zs)
+        out.append((0 * p0, 1 - p0))
+    return tuple(out)
+
+
+
+def w_coeffs(inst) -> np.ndarray:
+    """Ascending coefficients of W_s(t) = prod_{i != s}(t - z_i), one row per s."""
+    return np.array([w.coeffs for w in zpolys(inst)[2]], dtype=complex)

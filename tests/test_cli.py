@@ -451,10 +451,12 @@ class TestVerifyCommand:
 
 class TestFrameSharing:
     """Each command builds one GaudinFrame and keeps none afterwards; the
-    frame's quotient builds the singular basis and Gram matrix once."""
+    frame's quotient builds the Gram matrix once and reads the singular
+    basis as integers, never as singular_matrix's Fraction array."""
 
-    ONCE = ("sh_quotient", "singular_matrix", "shapovalov_gram")
-    COUNTED = ONCE + ("generator_matrix",)
+    ONCE = ("sh_quotient", "shapovalov_gram")
+    NEVER = ("singular_matrix",)
+    COUNTED = ONCE + NEVER + ("generator_matrix",)
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -464,6 +466,7 @@ class TestFrameSharing:
         cmd_verify(FOUR_SPINS, 1)
         one_sample = dict(calls)
         assert all(one_sample[name] == 1 for name in self.ONCE), one_sample
+        assert all(one_sample[name] == 0 for name in self.NEVER), one_sample
         # one frame's generator matrices: four families for Omega and one
         # for the singular basis's E12, one matrix per factor
         assert one_sample["generator_matrix"] == 5 * 4
@@ -475,6 +478,7 @@ class TestFrameSharing:
         rep, _ = cmd_spectrum(E1_CONFIG)
         assert rep["spectrum_sing_l"]["points"]  # so the float twin is built
         assert all(calls[name] == 1 for name in self.ONCE), calls
+        assert all(calls[name] == 0 for name in self.NEVER), calls
         assert calls["generator_matrix"] == 5 * 2
 
     def test_no_frame_kept_between_commands(self, calls):

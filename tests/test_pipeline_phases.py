@@ -415,9 +415,9 @@ class TestOnePassPerCommand:
         calls = []
         real = spectral._scheme_residuals
 
-        def spy(groups, tol):
+        def spy(groups, tol, tables=None):
             calls.append(len(groups))
-            return real(groups, tol)
+            return real(groups, tol, tables)
 
         monkeypatch.setattr(spectral, "_scheme_residuals", spy)
         return calls

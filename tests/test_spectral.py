@@ -17,7 +17,7 @@ from gaudinlab import (
     joint_spectrum,
     match_spectrum_to_scheme,
 )
-from gaudinlab import opscheme, spectral
+from gaudinlab import gl2rep, opscheme, spectral
 from gaudinlab.numcore import InconsistentSystemError, Tolerances, max_abs, to_float_array
 from gaudinlab.opscheme import (
     DhOperator,
@@ -487,7 +487,6 @@ class TestMatchSpectrum:
         # the point checks read D_h off the instance's blocks: no probing
         # through apply_Dh, one block build per instance, no single-point
         # a(h) in the pipeline and one stacked a(h) solve per spectrum
-        from functools import cached_property
         inst = ProblemInstance([2] * 4, 3, [0.0, 1.0, 3.0, 7.0])
         s = build_gaudin(inst)
         spectra = [joint_spectrum(list(H), seed=0) for H in (s.H_L, s.H_sing)]
@@ -504,9 +503,9 @@ class TestMatchSpectrum:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def counted_blocks(instance):
-            builds.append(instance)
-            return real_blocks(instance)
+        def counted_blocks(insts):
+            builds.append(list(insts))
+            return real_blocks(insts)
 
         def counted_solve(A, b):
             solves.append(A.shape)
@@ -516,13 +515,11 @@ class TestMatchSpectrum:
             monkeypatch.setattr(opscheme, name, counting(name, getattr(opscheme, name)))
         real_solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
-        real_blocks = ProblemInstance.dh_blocks.func
-        counted = cached_property(counted_blocks)
-        counted.__set_name__(ProblemInstance, "dh_blocks")
-        monkeypatch.setattr(ProblemInstance, "dh_blocks", counted)
+        real_blocks = gl2rep._build_tables
+        monkeypatch.setattr(gl2rep, "_build_tables", counted_blocks)
         reports = [match_spectrum_to_scheme(inst, spec) for spec in spectra]
         assert calls == dict.fromkeys(single, 0)
-        assert builds == [inst]
+        assert builds == [[inst]]
         # per spectrum: a(h) (l x l) and the numerator of h(a), each stacked
         # over every point
         assert solves == [shape for r in reports for shape in
@@ -650,7 +647,7 @@ class TestGrothendieck:
         for h in points:
             h = np.array(h, dtype=complex)
             a = np.array(_a_of_h_raw(DhOperator(inst, tuple(h))), dtype=complex)
-            J = stacked_jacobian(inst, h[None], a[None])[0]
+            J = stacked_jacobian(inst.tables, [0], h[None], a[None])[0]
             step = 1e-6 * max(1.0, np.abs(h).max())
             fd = np.empty_like(J)
             for v in range(inst.n):
@@ -686,7 +683,7 @@ class TestGrothendieck:
         """grothendieck_weights at one point of E2's float twin, whose
         Jacobian is replaced by J."""
         monkeypatch.setattr(spectral, "stacked_jacobian",
-                            lambda inst, H, A: np.array([J], dtype=complex))
+                            lambda tables, sample, H, A: np.array([J], dtype=complex))
         pt = SchemePoint(h=(1 + 0j, 0j, -1 + 0j), a=(0.5 + 0j,), atilde=None,
                          multiplicity=1, residuals={})
         return grothendieck_weights(ProblemInstance([1, 1, 1], 1, [0, 1, 2]).to_float(), [pt])

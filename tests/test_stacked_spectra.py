@@ -423,6 +423,19 @@ class TestDegeneratePoints:
                          "grothendieck_jacobian"]
         assert rep["grothendieck"] == {"error": "Jacobian SVD did not converge"}
 
+    def test_overflowing_closure_warns_nothing(self):
+        # float (1,1,1),1 at z about 1e-100 apart: level-2 products of the
+        # Hamiltonians reach 1e200, whose squared norms overflow in the
+        # algebra closure; the gates fail by name, and numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep, fails = cmd_spectrum({"m": [1, 1, 1], "l": 1, "z": ["0", "1e-100", "2e-100"],
+                                       "mode": "float", "seed": 0})
+        assert fails == ["bethe_dim_vs_sing_l", "annihilator_dim_vs_sing_l",
+                         "sing_l_kernel_pair_roundtrip", "bethe_vector", "bethe_vector",
+                         "grothendieck_jacobian"]
+        assert rep["failures"] == fails
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_unconverged_svd_leaves_the_rest(self, monkeypatch):
         # three (2^4),3 draws of verify, a NaN in one Jacobian: that
@@ -431,10 +444,9 @@ class TestDegeneratePoints:
         want = stacked_grothendieck_weights(groups)
         real = spectral.stacked_jacobian
 
-        def poisoned(inst, H, A):
-            J = real(inst, H, A)
-            if inst is groups[1][0]:
-                J[0, 0, 0] = np.nan
+        def poisoned(tables, sample, H, A):
+            J = real(tables, sample, H, A)
+            J[np.flatnonzero(np.asarray(sample) == 1)[0], 0, 0] = np.nan
             return J
 
         monkeypatch.setattr(spectral, "stacked_jacobian", poisoned)

@@ -45,7 +45,7 @@ from gaudinlab import (
 )
 from gaudinlab.cli import _sample_z
 from gaudinlab.gaudin import GaudinFrame
-from gaudinlab.gl2rep import WeightVector
+from gaudinlab.gl2rep import WeightVector, z_tables
 from gaudinlab.numcore import (
     DEFAULT_TOL,
     DomainError,
@@ -152,7 +152,7 @@ def _reference_bethe_vector(inst, sys, point, tol):
     if sys.dim_sing_l and max_abs(omega_L) <= tol.residual * max(1.0, max_abs(coords)):
         omega_L = _eigenline_via_subspace(P, sys.H_sing, sys.H_L, coords, point.h, tol)
         via_subspace = True
-    return BetheVector(point=point, omega_M=omega, omega_L=omega_L,
+    return BetheVector(point=point, weights=arr, omega_L=omega_L,
                        eigen_residuals=tuple(resids), e12_residual=e12r,
                        via_subspace=via_subspace)
 
@@ -314,7 +314,7 @@ class TestStackedJacobians:
         if simple:
             H = np.array([p.h for p in simple], dtype=complex)
             A = np.array([p.a for p in simple], dtype=complex).reshape(len(simple), inst.l)
-            for J, p in zip(stacked_jacobian(inst, H, A), simple):
+            for J, p in zip(stacked_jacobian(inst.tables, [0] * len(H), H, A), simple):
                 want = np.array(reference_jacobian(inst, list(p.h), p.a), dtype=complex)
                 assert rel(J, want) <= JACOBIAN_REL
         for pts in [simple] + [[p] for p in simple]:
@@ -425,8 +425,9 @@ class TestExactStages:
         groups = EXACT_CASES[case]
         inst = groups[0][0]
         l, lt = inst.l, inst.ltilde
-        ends = np.cumsum([len(H) for _, H, _ in groups])
-        parts = [(f, slice(end - len(H), end)) for (f, H, _), end in zip(groups, ends)]
+        tables = z_tables([f for f, _, _ in groups])
+        sample = np.repeat(np.arange(len(groups)), [len(H) for _, H, _ in groups])
+        first = sample == 0
         H = np.concatenate([H for _, H, _ in groups])
         A = np.concatenate([A for _, _, A in groups])
         D = np.concatenate([dh_matrices(f, Hg) for f, Hg, _ in groups])
@@ -435,14 +436,14 @@ class TestExactStages:
 
         a = stacked_a_of_h(inst, D).tolist()
         assert a == [scheme_reference._a_of_h_raw(op) for op in ops] and all_fractions(a)
-        h, w = stacked_h_of_a(parts, p_coefficients(A))
+        h, w = stacked_h_of_a(tables, sample, p_coefficients(A))
         assert h.tolist() == [scheme_reference.h_of_a(f, ai) for f, ai in zip(insts, A.tolist())]
         assert w[:, ::-1].tolist() == [scheme_reference.residual_system(f, ai)
                                        for f, ai in zip(insts, A.tolist())]
         assert all_fractions(h.tolist()) and all_fractions(w.tolist())
-        J = stacked_jacobian(inst, H[parts[0][1]], np.array(a, dtype=object)[parts[0][1]])
+        J = stacked_jacobian(tables, sample[first], H[first], np.array(a, dtype=object)[first])
         assert J.tolist() == [scheme_reference._jacobian(inst, hp, ap)
-                              for hp, ap in zip(H[parts[0][1]].tolist(), a)]
+                              for hp, ap in zip(H[first].tolist(), a)]
         if lt <= l:
             return
         _, _, hscale = zip(*(constraint_plane(op.inst, op.h) for op in ops))
@@ -460,13 +461,13 @@ class TestExactStages:
         if not pairs:
             return
         fs = [f for f, _, _ in pairs]
-        ends = [i + 1 for i in range(len(fs)) if i + 1 == len(fs) or fs[i + 1] is not fs[i]]
-        pair_parts = [(fs[end - 1], slice(start, end)) for start, end in zip([0] + ends, ends)]
+        pair_sample = [next(g for g, (f, _, _) in enumerate(groups) if f is fi) for fi in fs]
         A = np.array([ai for _, _, ai in pairs], dtype=object).reshape(len(pairs), l)
         for shift in (0, Fraction(1, 7), TINY):
             PT = np.array([pti for _, pti, _ in pairs], dtype=object).reshape(len(pairs), lt + 1) \
                 + np.array([shift] * lt + [0], dtype=object)
-            b, hr, _, errs = stacked_kernel_pair(pair_parts, PT, p_coefficients(A), DEFAULT_TOL)
+            b, hr, _, errs = stacked_kernel_pair(tables, pair_sample, PT, p_coefficients(A),
+                                                 DEFAULT_TOL)
             for f, pti, ai, bi, hi, e in zip(fs, PT.tolist(), A.tolist(), b.tolist(), hr, errs):
                 want = reference_outcome(scheme_reference.operator_from_kernel_pair, f,
                                          UniPoly(tuple(pti)), p_of_a(ai))
@@ -557,15 +558,16 @@ class TestFloatSinglePointCalls:
         inst = draws[0][0]
         l, lt = inst.l, inst.ltilde
         finsts = [f for f, _, points in draws for _ in points]
-        ends = np.cumsum([len(points) for _, _, points in draws])
-        parts = [(f, slice(end - len(points), end)) for (f, _, points), end in zip(draws, ends)]
+        tables = z_tables([f for f, _, _ in draws])
+        sample = np.repeat(np.arange(len(draws)), [len(points) for _, _, points in draws])
         H = np.array([p.h for _, _, points in draws for p in points], dtype=complex)
-        D = np.concatenate([dh_matrices(f, H[rows]) for f, rows in parts])
+        D = np.concatenate([dh_matrices(f, H[sample == g]) for g, (f, _, _) in enumerate(draws)])
         a = stacked_a_of_h(inst, D)
-        h, w = stacked_h_of_a(parts, p_coefficients(a))
+        h, w = stacked_h_of_a(tables, sample, p_coefficients(a))
         x, pt, err = stacked_second_kernel(inst, D, [constraint_plane(f, hi)[2]
                                                      for f, hi in zip(finsts, H)], DEFAULT_TOL)
-        b, _, _, pair_err = stacked_kernel_pair(parts, pt, p_coefficients(a), DEFAULT_TOL)
+        b, _, _, pair_err = stacked_kernel_pair(tables, sample, pt, p_coefficients(a),
+                                                DEFAULT_TOL)
         for i, f in enumerate(finsts):
             op = DhOperator(f, tuple(H[i].tolist()))
             assert rel(_a_of_h_raw(op), a[i]) <= SINGLE_POINT_REL
