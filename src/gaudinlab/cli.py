@@ -205,10 +205,14 @@ class _Run:
         self.failures = []
 
     def check(self, name, residual, gate=None):
+        """Gate residual at gate (tol.residual if None) and return it as the
+        report carries it; a NaN residual is recorded as inf, and fails."""
         residual = float(residual)
+        if math.isnan(residual):
+            residual = math.inf
         if residual > (self.tol.residual if gate is None else gate):
             self.failures.append(name)
-        return residual
+        return _ser(residual)
 
 
 def _front(sysd: GaudinSystem, seed: int, tol: Tolerances) -> _Run:

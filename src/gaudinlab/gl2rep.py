@@ -20,13 +20,15 @@ kept as integer numerators, each field formed in the lane that reads it.
 
 The operator side's z-dependent data, polynomials in prod_s (x - z_s), is
 built here too: z_tables forms every table of a stack of instances of one
-(m, l) at once (ZTables), and ProblemInstance reads its own at S = 1.
+(m, l) at once (ZTables), and ProblemInstance reads its own at S = 1.  It
+runs CPython's scalar arithmetic on object arrays of Fractions or complex,
+and float tables become complex128 once, when built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -78,13 +80,15 @@ class ProblemInstance:
 
     z entries are either all exact rationals (ints, Fractions, 'p/q'
     strings) or all floats/complex; the choice fixes the scalar domain of
-    every matrix built from the instance.  (m, l) must be separating
-    (NonSeparatingError otherwise).
+    every matrix built from the instance, and exact records it.  (m, l) must
+    be separating (NonSeparatingError otherwise).  Instances are equal when
+    their data and lane are: an exact instance is not its float twin.
     """
 
     m: tuple
     l: int
     z: tuple
+    exact: bool = field(init=False, repr=False)
 
     def __init__(self, m, l, z):
         m = tuple(int(v) for v in m)
@@ -108,6 +112,7 @@ class ProblemInstance:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "z", z)
+        object.__setattr__(self, "exact", bool(z) and isinstance(z[0], Fraction))
 
     @property
     def n(self) -> int:
@@ -116,10 +121,6 @@ class ProblemInstance:
     @property
     def ltilde(self) -> int:
         return sum(self.m) + 1 - self.l
-
-    @property
-    def exact(self) -> bool:
-        return bool(self.z) and isinstance(self.z[0], Fraction)
 
     @cached_property
     def tables(self) -> "ZTables":
@@ -162,103 +163,17 @@ class ProblemInstance:
         return ProblemInstance(self.m, self.l, tuple(as_float(v) for v in self.z))
 
 
-class _Split:
-    """A complex array held as its real and imaginary float64 parts, whose
-    arithmetic rounds as CPython's complex scalars do: (a + bi)(c + di) is
-    (ac - bd) + (ad + bc)i, a quotient is Smith's (CPython's _Py_c_quot),
-    and an int operand is the complex number (k, 0.0).  numpy's complex
-    multiply can differ from CPython's in the last bit, and the float tables
-    keep the bits of UniPoly's scalar arithmetic."""
-
-    __slots__ = ("re", "im")
-    __array_ufunc__ = None
-
-    def __init__(self, re, im):
-        self.re, self.im = re, im
-
-    @staticmethod
-    def of(x):
-        if isinstance(x, _Split):
-            return x
-        if isinstance(x, (int, float, complex)):
-            return _Split(float(x.real), float(x.imag))
-        x = np.asarray(x, dtype=complex)
-        return _Split(x.real.copy(), x.imag.copy())
-
-    @property
-    def shape(self) -> tuple:
-        return self.re.shape
-
-    def __len__(self) -> int:
-        return len(self.re)
-
-    def array(self) -> np.ndarray:
-        out = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
-        out.real, out.imag = self.re, self.im
-        return out
-
-    def __getitem__(self, i):
-        return _Split(self.re[i], self.im[i])
-
-    def __setitem__(self, i, v):
-        v = _Split.of(v)
-        self.re[i], self.im[i] = v.re, v.im
-
-    def __neg__(self):
-        return _Split(-self.re, -self.im)
-
-    def __add__(self, o):
-        o = _Split.of(o)
-        return _Split(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        o = _Split.of(o)
-        return _Split(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, o):
-        return _Split.of(o) - self
-
-    def __mul__(self, o):
-        o = _Split.of(o)
-        return _Split(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def __truediv__(self, o):
-        o = _Split.of(o)
-        if np.any((o.re == 0) & (o.im == 0)):
-            raise ZeroDivisionError("complex division by zero")
-        big = np.abs(o.re) >= np.abs(o.im)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = o.im / o.re
-            d = o.re + o.im * r
-            re, im = (self.re + self.im * r) / d, (self.im - self.re * r) / d
-            if np.all(big):
-                return _Split(re, im)
-            r = o.re / o.im
-            d = o.re * r + o.im
-            return _Split(np.where(big, re, (self.re * r + self.im) / d),
-                          np.where(big, im, (self.im * r - self.re) / d))
-
-    __radd__ = __add__
-
-
-def _zeros(shape, exact: bool):
-    return zeros_like_domain(shape, True) if exact else \
-        _Split(np.zeros(shape), np.zeros(shape))
-
-
-def _where(mask, X, Y):
-    if not isinstance(X, _Split):
-        return np.where(mask, X, Y)
-    Y = _Split.of(Y)
-    return _Split(np.where(mask, X.re, Y.re), np.where(mask, X.im, Y.im))
+def _zeros(shape, exact: bool) -> np.ndarray:
+    """An object array of the lane's zero, Fraction(0) or 0j."""
+    X = np.empty(shape, dtype=object)
+    X[...] = Fraction(0) if exact else 0j
+    return X
 
 
 def _gather(X, index, exact: bool):
     """X (S x k) at the positions index (any shape) along its last axis, and
     0 where index is -1."""
-    pad = np.concatenate([X, zeros_like_domain((len(X), 1), True)], axis=1) if exact else \
-        _Split(*(np.concatenate([Y, np.zeros((len(Y), 1))], axis=1) for Y in (X.re, X.im)))
-    return pad[:, index]
+    return np.concatenate([X, _zeros((len(X), 1), exact)], axis=1)[:, index]
 
 
 def _products(Z, c, powers, exact: bool):
@@ -272,7 +187,7 @@ def _products(Z, c, powers, exact: bool):
     """
     powers, one = np.array(powers), scalar_one(exact)
     P = _zeros((len(Z), len(c), 1 + powers.sum(axis=1).max()), exact)
-    P[:, :, 0] = np.array(c, dtype=object if exact else complex)
+    P[:, :, 0] = np.array(c, dtype=object)
     deg = np.zeros(len(c), dtype=int)
     for s in range(Z.shape[1]):
         for rep in range(powers[:, s].max(initial=0)):
@@ -282,17 +197,15 @@ def _products(Z, c, powers, exact: bool):
             Q, out = P[:, :, :w], _zeros((len(Z), len(c), w + 1), exact)
             out[:, :, 1:] = out[:, :, 1:] + Q * one
             out[:, :, :w] = out[:, :, :w] + Q * -Z[:, s, None, None]
-            P[:, :, :w + 1] = _where(grow[:, None], out, P[:, :, :w + 1])
+            P[:, :, :w + 1] = np.where(grow[:, None], out, P[:, :, :w + 1])
     return P
 
 
 def _power(x, j: int, exact: bool):
-    """x ** j for an integer j >= 0, by CPython's binary powering (c_powi)."""
-    if exact:
-        return x ** j
-    if j == 0:
-        return _Split(np.ones_like(x.re), np.zeros_like(x.re))
-    r, mask = scalar_one(False), 1
+    """x ** j for an integer j >= 0, by CPython's binary powering (c_powi),
+    one product at a time: a product that overflows is inf, where complex
+    ** raises OverflowError."""
+    r, mask = scalar_one(exact), 1
     while mask <= j:
         if j & mask:
             r = x * r
@@ -339,9 +252,9 @@ class ZTables:
       p = B(z_s) / A'(z_s), at each marked point; B = -sum m_s A_s makes
       them (0, m_s + 1), and they do not depend on h.
 
-    Entries are Fractions (object arrays) in the exact lane and complex
-    otherwise, with the bits of UniPoly's scalar arithmetic; the arrays are
-    read-only, and tables are not compared.
+    Entries are Fractions (object arrays) in the exact lane and complex128
+    otherwise, each formed by CPython's scalar arithmetic, as UniPoly forms
+    it; the arrays are read-only, and tables are not compared.
     """
 
     m: tuple
@@ -399,11 +312,7 @@ def _build_tables(insts) -> ZTables:
     if any((g.m, g.l, g.exact) != (m, l, exact) for g in insts):
         raise ValueError("one table stack holds instances of one (m, l) and one lane")
     S, one, deg = len(insts), scalar_one(exact), max(l, lt, 0)
-    if exact:
-        Z = np.empty((S, n), dtype=object)
-        Z[...] = [g.z for g in insts]
-    else:
-        Z = _Split.of(np.array([g.z for g in insts], dtype=complex).reshape(S, n))
+    Z = np.array([g.z for g in insts], dtype=object).reshape(S, n)
 
     # A, the A_s, W, den and extra, as one stack of products
     c = one * (lt - l)
@@ -443,7 +352,7 @@ def _build_tables(insts) -> ZTables:
     # prod_{r != s} (z_s - z_r), multiplied in order of r, at every s
     d, cols = one, np.arange(n)
     for r in range(n):
-        d = _where(cols != r, (Z - Z[:, r, None]) * d, d)
+        d = np.where(cols != r, (Z - Z[:, r, None]) * d, d)
     P = _zeros((S, n, max(n - 1, 0)), exact)
     for j in range(n - 1):
         P[:, :, j] = _power(Z, j, exact) / d
@@ -454,7 +363,7 @@ def _build_tables(insts) -> ZTables:
     marked = (p0 * 0, 1 - p0)
 
     def final(X):
-        return None if X is None else np.ascontiguousarray(X if exact else X.array())
+        return None if X is None else np.ascontiguousarray(X, dtype=None if exact else complex)
 
     out = {name: final(X) for name, X in (
         ("z", Z), ("A", A), ("B", B), ("A_s", A_s), ("M0", M0), ("W", W), ("den", den),

@@ -298,20 +298,23 @@ def stacked_bethe_vectors(groups, tol: Tolerances = DEFAULT_TOL,
     if not pts:
         return [[] for _ in groups]
     roots = _roots(np.array([p.a for p in pts], dtype=complex).reshape(len(pts), groups[0][0].l))
-    if groups[0][1].inst.exact:
-        V = np.stack([weight_function(inst, p.a).to_array(inst)
-                      for inst, _, points in groups for p in points])
-    else:
-        if tables is None:
-            tables = z_tables([inst for inst, _, _ in groups])
-        # each point at its own instance's W_s
-        W = np.asarray(tables.A_s, dtype=complex)
-        V = _float_weights(W[np.repeat(np.arange(len(groups)), [len(ps) for _, _, ps in groups])],
-                           roots)
-    ends = itertools.accumulate(len(points) for _, _, points in groups)
-    return [_group_vectors(inst, sys, points, V[end - len(points):end],
-                           roots[end - len(points):end], tol) if points else []
-            for (inst, sys, points), end in zip(groups, ends)]
+    # W_s(t) overflows where marked points lie far apart (about 1e60): the
+    # point's weight vector is then not finite, and _eigen_gate fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if groups[0][1].inst.exact:
+            V = np.stack([weight_function(inst, p.a).to_array(inst)
+                          for inst, _, points in groups for p in points])
+        else:
+            if tables is None:
+                tables = z_tables([inst for inst, _, _ in groups])
+            # each point at its own instance's W_s
+            W = np.asarray(tables.A_s, dtype=complex)
+            sample = np.repeat(np.arange(len(groups)), [len(ps) for _, _, ps in groups])
+            V = _float_weights(W[sample], roots)
+        ends = itertools.accumulate(len(points) for _, _, points in groups)
+        return [_group_vectors(inst, sys, points, V[end - len(points):end],
+                               roots[end - len(points):end], tol) if points else []
+                for (inst, sys, points), end in zip(groups, ends)]
 
 
 def _group_vectors(inst: ProblemInstance, sys: GaudinSystem, points, V: np.ndarray,
@@ -361,6 +364,7 @@ def _eigen_gate(sys: GaudinSystem, V: np.ndarray, H: np.ndarray, tol: Tolerances
     e12r = rowmax(V @ sys.E12.T).astype(float) / safe if sys.E12.shape[0] \
         else np.zeros(len(V))
     worst = np.maximum(resids.max(axis=1, initial=0.0), e12r)
+    worst[np.isnan(worst)] = np.inf    # a non-finite vector fails as inf
     errors = [VerificationError(float("inf"), "weight function vanished") if r == 0 else
               VerificationError(float(w)) if w > tol.residual else None
               for r, w in zip(nrm, worst)]

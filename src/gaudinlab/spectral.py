@@ -325,7 +325,9 @@ def match_spectra_to_scheme(spectra, tol: Tolerances = DEFAULT_TOL,
         hss.append(hs)
     reports = []
     for (_, spectrum), hs, checked in zip(spectra, hss, _scheme_residuals(groups, tol, tables)):
-        points = [SchemePoint(h=h, a=a, atilde=atilde, multiplicity=mult, residuals=res)
+        # a NaN residual (non-finite data) is recorded as inf, which fails
+        points = [SchemePoint(h=h, a=a, atilde=atilde, multiplicity=mult,
+                              residuals={k: float("inf") if v != v else v for k, v in res.items()})
                   for h, (_, mult, _), (a, atilde, res) in zip(hs, spectrum, checked)]
         summary = {}
         for p in points:

@@ -68,6 +68,18 @@ class TestProblemInstance:
         assert E1.exact
         assert not E1.to_float().exact
 
+    def test_equality_and_hash_keep_the_lane(self):
+        # Fraction(k) == complex(k) and their hashes agree, so comparing z
+        # alone would make an exact instance equal to its float twin
+        exact = ProblemInstance([1, 1], 1, [0, 1])
+        twin = exact.to_float()
+        assert exact != twin and hash(exact) != hash(twin)
+        assert {exact: "exact"}.get(twin) is None
+        assert exact == ProblemInstance([1, 1], 1, ["0", F(1)])
+        assert hash(exact) == hash(ProblemInstance([1, 1], 1, ["0", F(1)]))
+        assert twin == ProblemInstance([1, 1], 1, [0.0, 1 + 0j])
+        assert "exact" not in repr(exact)
+
 
 class TestWeightBasis:
     def test_examples(self, E1, E2):

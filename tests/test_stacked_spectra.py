@@ -10,6 +10,7 @@ spectrum and check must equal theirs to the bit (h, multiplicities and
 bases), whatever else shares its stack.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -435,6 +436,37 @@ class TestDegeneratePoints:
                          "sing_l_kernel_pair_roundtrip", "bethe_vector", "bethe_vector",
                          "grothendieck_jacobian"]
         assert rep["failures"] == fails
+
+    @pytest.mark.parametrize("mode, dims", [
+        ("exact", []), ("float", ["bethe_dim_vs_sing_l", "annihilator_dim_vs_sing_l"])])
+    def test_non_finite_residuals_fail_as_inf(self, mode, dims):
+        # (1^4),2 at z about 1e60 apart: W_s(t) overflows, so a weight vector
+        # and the scheme residuals are NaN; each is recorded as inf and fails
+        # by name, the report is valid JSON, and numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep, fails = cmd_spectrum({"m": [1, 1, 1, 1], "l": 2,
+                                       "z": ["0", "1e60", "2e60", "3e60"], "mode": mode,
+                                       "seed": 0})
+        assert fails == dims + ["sing_l_scheme", "sing_l_ptilde", "sing_m_scheme",
+                                "bethe_vector"]
+        assert rep["bethe_vectors"][0]["error"] == "eigen-relation residual inf"
+        json.dumps(rep, allow_nan=False)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_scheme_residual_is_reported_as_inf(self):
+        # float (1^4),2 at z about 1e100 apart: the scheme residual is NaN
+        rep, fails = cmd_spectrum({"m": [1, 1, 1, 1], "l": 2, "mode": "float", "seed": 0,
+                                   "z": ["0", "1e100", "2e100", "3e100"]})
+        assert {"sing_l_scheme", "sing_m_scheme"} <= set(fails)
+        assert rep["spectrum_sing_l"]["residual_summary"]["scheme"] == "inf"
+        assert {p["residuals"]["scheme"] for p in rep["spectrum_sing_m"]["points"]} == {"inf"}
+        json.dumps(rep, allow_nan=False)
+
+    def test_nan_residual_is_recorded_as_inf(self):
+        run = cli._Run(build_gaudin(ProblemInstance([1, 1], 1, [0, 1])), 0, DEFAULT_TOL)
+        assert [run.check("a", float("nan")), run.check("b", 0.0)] == ["inf", 0.0]
+        assert run.failures == ["a"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_unconverged_svd_leaves_the_rest(self, monkeypatch):

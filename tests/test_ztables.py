@@ -129,6 +129,27 @@ def test_dh_stack_is_the_entrywise_sum(case):
     assert dh_matrices(f, H[:3]).tobytes() == dh_stack(f.tables, [0] * 3, H[:3]).tobytes()
 
 
+def test_huge_float_z_powers_by_products():
+    # complex ** raises OverflowError where a product is inf: at z about
+    # 1e200 apart the tables still build, z_s ** j binary-powered
+    f = ProblemInstance((1,) * 4, 2, [0, 1e200, 2e200, 3e200])
+    with pytest.raises(OverflowError):
+        f.z[1] ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables, (A, B, A_s) = f.tables, scheme_reference.zpolys(f)
+    for name, want in (("A", A), ("B", B), ("A_s", A_s)):
+        got = getattr(tables, name)[0]
+        assert_same(got, padded(want, got.shape, False), False, name)
+    one = 1 + 0j
+    for s, zs in enumerate(f.z):
+        d = one
+        for r, zr in enumerate(f.z):
+            if r != s:
+                d = d * (zs - zr)
+        want = np.array([one / d, zs * one / d, zs * zs * one / d])
+        assert tables.partial_fractions[0, s].tobytes() == want.tobytes()
+
+
 def test_repeated_instances_are_built_once(monkeypatch):
     builds = []
     real = gl2rep._build_tables
