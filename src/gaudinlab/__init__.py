@@ -1,9 +1,10 @@
 """Workbench for the gl(2) Gaudin Bethe algebra and the scheme of
 second-order operators with prescribed exponents and polynomial kernels.
 
-Everything is built twice over: exact rational matrices for the algebraic
-identities, and a float lane for joint eigen-decomposition, with the two
-sides matched point by point.
+Exact rational matrices carry the algebraic identities; the joint spectrum
+is float in both lanes, so everything past it (scheme matching, Bethe
+vectors, Grothendieck weights) runs on the instance's float twin, and the
+two sides are matched point by point there.
 """
 
 from .numcore import (

@@ -200,7 +200,7 @@ class _Run:
     def __init__(self, sysd: GaudinSystem, seed: int, tol: Tolerances):
         self.sysd, self.seed, self.tol = sysd, seed, tol
         # one float twin, whose z-tables are sample `sample` of `tables`
-        self.finst = sysd.inst.to_float() if sysd.inst.exact else sysd.inst
+        self.finst = sysd.inst.to_float()
         self.tables, self.sample = None, 0
         self.failures = []
 
@@ -308,9 +308,8 @@ def _back(runs, tol: Tolerances):
     for run in runs:
         _totals(run)
     bethe = stacked_bethe_vectors(
-        [(run.finst, build_gaudin(run.finst, run.sysd.frame)
-          if (run.sysd.inst.exact and run.report_l.points) else run.sysd, run.report_l.points)
-         for run in runs], tol, _tables_of(runs))
+        [(run.finst, build_gaudin(run.finst, run.sysd.frame) if run.sysd.inst.exact
+          else run.sysd, run.report_l.points) for run in runs], tol, _tables_of(runs))
     for run, vectors in zip(runs, bethe):
         _bethe_gates(run, vectors)
     simple = [run for run in runs if run.report_l.all_simple and run.report_l.points]

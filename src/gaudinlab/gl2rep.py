@@ -160,6 +160,9 @@ class ProblemInstance:
         return tuple(map(tuple, self.tables.marked_exponents[0].tolist()))
 
     def to_float(self) -> "ProblemInstance":
+        """The float twin: z rounded once; a float instance is its own."""
+        if not self.exact:
+            return self
         return ProblemInstance(self.m, self.l, tuple(as_float(v) for v in self.z))
 
 
@@ -472,14 +475,6 @@ class WeightVector:
         # the level-k basis is already in from_dict's order
         basis = _weight_basis(inst.n, k)[0]
         return WeightVector(tuple((j, c) for j, c in zip(basis, v) if c), k)
-
-    def to_array(self, inst: ProblemInstance) -> np.ndarray:
-        basis, pos = _weight_basis(inst.n, self.k)
-        exact = all(is_exact_scalar(c) or isinstance(c, Fraction) for _, c in self.coeffs)
-        v = zeros_like_domain((len(basis),), exact)
-        for j, c in self.coeffs:
-            v[pos[j]] = c
-        return v
 
 
 def _singular_numerators(inst: ProblemInstance):

@@ -14,8 +14,8 @@ numerators over one common denominator per operand instead of forming a
 ``Fraction`` for every partial product; ``int_matmul`` multiplies integer
 arrays in int64 where a bound rules out overflow, else on Python ints.
 The one Gauss-Jordan elimination behind ``rref``, ``kernel_basis``,
-``rank_of``, ``solve_linear``, ``solve_consistent``, ``solve_rows`` and
-``exact_det`` is fraction-free (Bareiss 1968): rational rows are scaled to
+``rank_of``, ``solve_linear``, ``solve_consistent`` and ``solve_rows`` is
+fraction-free (Bareiss 1968): rational rows are scaled to
 integers and each step divides exactly by the previous pivot, so no
 ``Fraction`` arithmetic runs inside the loop.  It takes rational rows only;
 a row holding any other scalar raises ``DomainError``, and float systems go
@@ -59,7 +59,6 @@ __all__ = [
     "primitive",
     "row_update",
     "matmul",
-    "exact_det",
     "rref",
     "rref_kernel",
     "solve_rows",
@@ -423,18 +422,17 @@ def _bareiss_rows(M: list):
     pivot, so entries stay minors of the matrix.  Each step also scales the
     earlier pivot rows by p / prev, so every pivot row ends with the last
     pivot d in its pivot column, the rows below them are zero, and the rref
-    is M / d.  Returns (pivots, sign of the row swaps, d).
+    is M / d.  Returns (pivots, d).
     """
     ncols = len(M[0])
     pivots = []
-    sign, prev, r = 1, 1, 0
+    prev, r = 1, 0
     for c in range(ncols):
         pr = next((i for i in range(r, len(M)) if M[i][c]), None)
         if pr is None:
             continue
         if pr != r:
             M[r], M[pr] = M[pr], M[r]
-            sign = -sign
         p, prow = M[r][c], M[r]
         for i in range(len(M)):
             # a row with a zero in column c only rescales by p / prev
@@ -445,31 +443,7 @@ def _bareiss_rows(M: list):
         r += 1
         if r == len(M):
             break
-    return pivots, sign, prev
-
-
-def _bareiss_inplace(M: list):
-    """_bareiss_rows on rational rows in place, ending in Fractions.
-
-    Each row is scaled to integers first; at the end each pivot row is
-    divided by its pivot and the other rows are zero, all as Fractions.
-    Returns (pivots, det), det the determinant when M is square
-    (Fraction(0) when it is singular) and None otherwise.
-    """
-    ncols = len(M[0])
-    den = 1
-    for i, row in enumerate(M):
-        M[i], d = integer_numerators(row)
-        den *= d
-    pivots, sign, prev = _bareiss_rows(M)
-    r = len(pivots)
-    for i in range(len(M)):
-        M[i] = ([Fraction(x, M[i][pivots[i]]) for x in M[i]] if i < r
-                else [Fraction(0)] * ncols)
-    det = None
-    if len(M) == ncols:
-        det = Fraction(sign * prev, den) if r == ncols else Fraction(0)
-    return pivots, det
+    return pivots, prev
 
 
 def int_rref(N: np.ndarray):
@@ -480,7 +454,7 @@ def int_rref(N: np.ndarray):
     last pivot, and R is d on its pivot columns.
     """
     M = N.tolist()
-    pivots, _, d = _bareiss_rows(M) if M else ([], 1, 1)
+    pivots, d = _bareiss_rows(M) if M else ([], 1)
     return int_array(M[:len(pivots)]).reshape(len(pivots), N.shape[1]), pivots, d
 
 
@@ -508,28 +482,25 @@ def lowest_terms(N: np.ndarray, D: int):
 
 
 def _rref_inplace(M: list) -> list:
-    """Gauss-Jordan (_bareiss_inplace) on a list of rational rows in place;
+    """Gauss-Jordan (_bareiss_rows) on a list of rational rows in place;
     returns the pivot columns.  The pivot is the first nonzero entry at or
     below the current row, so a triangular system keeps its natural pivots.
+    Each row is scaled to integers first; at the end each pivot row is
+    divided by its pivot and the other rows are zero, all as Fractions.
     """
     if not M:
         return []
     if not _is_rational_rows(M):
         raise DomainError("the exact elimination takes rational rows only")
-    return _bareiss_inplace(M)[0]
-
-
-def exact_det(M: list) -> Fraction:
-    """Determinant of a square matrix given as rational rows (not modified).
-
-    Read from the same elimination as rref: the last Bareiss pivot, times
-    the sign of the row swaps, over the product of the row denominators.
-    """
-    if not M:
-        return Fraction(1)
-    if len(M) != len(M[0]) or not _is_rational_rows(M):
-        raise DomainError("exact_det takes a square matrix of rationals")
-    return _bareiss_inplace([row[:] for row in M])[1]
+    ncols = len(M[0])
+    for i, row in enumerate(M):
+        M[i] = integer_numerators(row)[0]
+    pivots, _ = _bareiss_rows(M)
+    r = len(pivots)
+    for i in range(len(M)):
+        M[i] = ([Fraction(x, M[i][pivots[i]]) for x in M[i]] if i < r
+                else [Fraction(0)] * ncols)
+    return pivots
 
 
 def rref(A: np.ndarray):

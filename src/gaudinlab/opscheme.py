@@ -442,7 +442,7 @@ def _one_point(inst: ProblemInstance, a):
     if len(a) != inst.l:
         raise ValueError(f"expected {inst.l} coordinates, got {len(a)}")
     exact = inst.exact and all(map(is_exact_scalar, a))
-    inst = inst if exact or not inst.exact else inst.to_float()
+    inst = inst if exact else inst.to_float()
     A = np.array(a, dtype=object if exact else complex).reshape(1, inst.l)
     return inst.tables, [0], p_coefficients(A)
 

@@ -10,7 +10,9 @@ under the change of variables below.  The coefficients are symmetric in the
 roots, hence polynomial in a: the exact path computes them root-free as
 (-1)^l det( sum_s x^(s) W_s(Cp) ) with Cp the companion matrix of p and
 W_s(t) = prod_{i != s}(t - z_i); the float path uses numeric roots, for
-all the points of several spectra at once (stacked_bethe_vectors).
+all the points of several spectra at once (stacked_bethe_vectors).  The
+points come from the joint spectrum, which is float in both lanes, so the
+Bethe vectors are built on float systems only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -38,9 +40,7 @@ from .numcore import (
     UniPoly,
     as_float,
     identity,
-    is_exact_array,
     is_exact_scalar,
-    kernel_basis,
     max_abs,
     rowmax,
     scalar_one,
@@ -228,11 +228,10 @@ class BetheVector:
     """Weight-function eigenvector at one scheme point.
 
     weights holds its level-l monomial coefficients (the basis order of
-    WeightVector), and omega_M is formed from them the first time it is
-    read.  omega_L is the image in quotient coordinates; when it vanishes
-    the eigenline is recovered from the algebra closure of omega_M and
-    via_subspace is set.  roots are the Bethe roots, the roots of p(a)
-    sorted by the run's Tolerances.cluster_key.
+    WeightVector).  omega_L is the image in quotient coordinates; when it
+    vanishes the eigenline is recovered from the algebra closure of the
+    weight vector and via_subspace is set.  roots are the Bethe roots, the
+    roots of p(a) sorted by the run's Tolerances.cluster_key.
     """
 
     point: SchemePoint
@@ -242,12 +241,6 @@ class BetheVector:
     e12_residual: float
     via_subspace: bool = False
     roots: tuple = ()
-
-    @cached_property
-    def omega_M(self) -> WeightVector:
-        l = len(self.point.a)
-        basis = _weight_basis(len(self.point.h), l)[0]
-        return WeightVector(tuple((j, c) for j, c in zip(basis, self.weights) if c), l)
 
 
 def bethe_vector(inst: ProblemInstance, sys: GaudinSystem, point: SchemePoint,
@@ -270,30 +263,25 @@ def bethe_vectors(inst: ProblemInstance, sys: GaudinSystem, points,
 def stacked_bethe_vectors(groups, tol: Tolerances = DEFAULT_TOL,
                           tables: ZTables | None = None) -> list:
     """Build and verify the eigenvector attached to each scheme point of every
-    group (inst, sys, points) of groups, systems of one (m, l) and one lane:
-    per group, one BetheVector, or the VerificationError that rejects it,
-    per point.
+    group (inst, sys, points) of groups, float systems of one (m, l): per
+    group, one BetheVector, or the VerificationError that rejects it, per
+    point.
 
-    Eigen relations and the quotient image are gated at tol.residual.  A
-    float point (from the eigen-decomposition) needs the float system,
-    build_gaudin(inst.to_float(), sys.frame); an exact one raises DomainError.
-    A float system computes its points in floats, and every group's in one
-    pass: the roots of every p(a) (_roots) and the weight vectors
-    (_float_weights), each point on its group's W_s (tables, one sample per
-    group; z_tables of the groups' instances if None).  An exact system
-    takes the exact weight function and the same gates on Fraction arrays.
-    Each eigen relation is one product on a group's P x dim stack, and only
+    Eigen relations and the quotient image are gated at tol.residual.  An
+    exact system raises DomainError: pass its float twin,
+    build_gaudin(inst.to_float(), sys.frame).  Every group's points are
+    computed in one pass: the roots of every p(a) (_roots) and the weight
+    vectors (_float_weights), each point on its group's W_s (tables, one
+    sample per group; z_tables of the groups' instances if None).  Each
+    eigen relation is one product on a group's P x dim stack, and only
     the eigenline fallback (_eigenline_via_subspace) runs per point, so a
     point's vector does not depend on the other groups.  A VerificationError
     names a Bethe root on a marked point when there is one
     (root_on_marked_point).
     """
     groups = [(inst, sys, list(points)) for inst, sys, points in groups]
-    if len({sys.inst.exact for _, sys, _ in groups}) > 1:
-        raise ValueError("the systems of one call must share a lane")
-    for _, sys, points in groups:
-        if sys.inst.exact and not all(is_exact_scalar(v) for p in points for v in p.a + p.h):
-            raise DomainError("float point on an exact system; pass the float system")
+    if any(sys.inst.exact for _, sys, _ in groups):
+        raise DomainError("exact system; pass the float system")
     pts = [p for _, _, points in groups for p in points]
     if not pts:
         return [[] for _ in groups]
@@ -301,16 +289,12 @@ def stacked_bethe_vectors(groups, tol: Tolerances = DEFAULT_TOL,
     # W_s(t) overflows where marked points lie far apart (about 1e60): the
     # point's weight vector is then not finite, and _eigen_gate fails it
     with np.errstate(over="ignore", invalid="ignore"):
-        if groups[0][1].inst.exact:
-            V = np.stack([weight_function(inst, p.a).to_array(inst)
-                          for inst, _, points in groups for p in points])
-        else:
-            if tables is None:
-                tables = z_tables([inst for inst, _, _ in groups])
-            # each point at its own instance's W_s
-            W = np.asarray(tables.A_s, dtype=complex)
-            sample = np.repeat(np.arange(len(groups)), [len(ps) for _, _, ps in groups])
-            V = _float_weights(W[sample], roots)
+        if tables is None:
+            tables = z_tables([inst for inst, _, _ in groups])
+        # each point at its own instance's W_s
+        W = np.asarray(tables.A_s, dtype=complex)
+        sample = np.repeat(np.arange(len(groups)), [len(ps) for _, _, ps in groups])
+        V = _float_weights(W[sample], roots)
         ends = itertools.accumulate(len(points) for _, _, points in groups)
         return [_group_vectors(inst, sys, points, V[end - len(points):end],
                                roots[end - len(points):end], tol) if points else []
@@ -374,9 +358,8 @@ def _eigen_gate(sys: GaudinSystem, V: np.ndarray, H: np.ndarray, tol: Tolerances
 def _eigenline_via_subspace(P, H_sing, H_L, coords, h, tol: Tolerances):
     """Unique eigenline inside the quotient image of the algebra closure.
 
-    The closure is cut at tol.svd_rel, a float eigenline at tol.residual.
+    The closure is cut at tol.svd_rel, the eigenline at tol.residual.
     """
-    exact = is_exact_array(coords)
     basis = span_closure(coords, H_sing, lambda v, H: H @ v, tol)
     if not basis:
         raise VerificationError(float("inf"), "algebra closure of the weight vector is empty")
@@ -384,21 +367,16 @@ def _eigenline_via_subspace(P, H_sing, H_L, coords, h, tol: Tolerances):
     W = W[:, [j for j in range(W.shape[1]) if max_abs(W[:, j]) > 0]]
     if W.shape[1] == 0:
         raise VerificationError(float("inf"), "algebra closure dies in the quotient")
-    if not exact:
-        # kernel relative to the operator scale, not to the (possibly tiny)
-        # largest singular value of the stacked residual matrix
-        for j in range(W.shape[1]):
-            W[:, j] = W[:, j] / np.linalg.norm(np.asarray(W[:, j], dtype=complex))
-    eye = identity(P.shape[0], exact)
+    # kernel relative to the operator scale, not to the (possibly tiny)
+    # largest singular value of the stacked residual matrix
+    for j in range(W.shape[1]):
+        W[:, j] = W[:, j] / np.linalg.norm(W[:, j])
+    eye = identity(P.shape[0], False)
     stacked = np.concatenate([(HL - h[s] * eye) @ W for s, HL in enumerate(H_L)], axis=0)
-    if exact:
-        ker = kernel_basis(stacked, 0)
-    else:
-        scale = max(max(max_abs(HL) for HL in H_L),
-                    max(abs(complex(v)) for v in h), 1.0)
-        u, sv, vh = np.linalg.svd(np.asarray(stacked, dtype=complex))
-        nz = int(np.sum(sv > tol.residual * scale))
-        ker = [vh[i].conj() for i in range(nz, W.shape[1])]
+    scale = max(max(max_abs(HL) for HL in H_L), max(abs(complex(v)) for v in h), 1.0)
+    _, sv, vh = np.linalg.svd(stacked)
+    nz = int(np.sum(sv > tol.residual * scale))
+    ker = [vh[i].conj() for i in range(nz, W.shape[1])]
     if len(ker) != 1:
         raise VerificationError(float(len(ker)),
                                 f"expected a unique eigenline, found {len(ker)}")

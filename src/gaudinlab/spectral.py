@@ -9,19 +9,19 @@ subspace; every family of a command is decomposed in one pass
 checks, opscheme's stacked stages run once over every spectrum of a
 command, and the residuals are recorded, never just booleans; the
 Grothendieck weights invert the same stages' Jacobians, also once over
-every spectrum.
+every spectrum.  The spectrum is float in both lanes, so everything past it
+runs on the float twin of the instance (ProblemInstance.to_float).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .gl2rep import ProblemInstance, ZTables, z_tables
-from .numcore import DEFAULT_TOL, Tolerances, exact_det, max_abs, rowmax, to_float_array
+from .numcore import DEFAULT_TOL, DomainError, Tolerances, max_abs, rowmax, to_float_array
 from .opscheme import (
     PLANE_PRE_GATE,
     SchemePoint,
@@ -229,15 +229,13 @@ def _scheme_residuals(groups, tol: Tolerances, tables: ZTables | None = None):
     """Every scheme-side check at the points of every group, in one pass:
     one list per group of one (a, atilde, residuals) per point.
 
-    groups is [(inst, H), ...], instances of one (m, l) with the points H
-    (P_g x n) to check there, all complex (float lane) or all Fractions in
-    object arrays (exact lane, gated at literal zero); tables holds one
-    sample per group (z_tables of the groups' instances if None).  The
-    checks are opscheme's stacked stages on the concatenated stack, each
-    point on its group's sample, and a point's values do not depend on the
-    other groups.  A check that fails at a point records inf and its
-    *_error for that point only; atilde is None where the second kernel
-    polynomial does not exist.
+    groups is [(inst, H), ...], float instances of one (m, l) with the
+    complex points H (P_g x n) to check there; tables holds one sample per
+    group (z_tables of the groups' instances if None).  The checks are
+    opscheme's stacked stages on the concatenated stack, each point on its
+    group's sample, and a point's values do not depend on the other groups.
+    A check that fails at a point records inf and its *_error for that point
+    only; atilde is None where the second kernel polynomial does not exist.
     """
     ends = list(itertools.accumulate(len(H) for _, H in groups))
     if not ends or not ends[-1]:
@@ -273,12 +271,11 @@ def _scheme_residuals(groups, tol: Tolerances, tables: ZTables | None = None):
         b2_leading = np.abs(b[:, 2, n - 2] - lt * l) / max(1.0, lt * l)
         cols += [x.tolist(), ptilde_err, ptilde.tolist(), (wronsk / pscale).tolist(),
                  roundtrip.tolist(), b2_leading.tolist(), pair_err]
-    pre_gate, plane_gate = (0, 0) if H.dtype == object else \
-        (PLANE_PRE_GATE, max(tol.residual, PLANE_PRE_GATE))
+    plane_gate = max(tol.residual, PLANE_PRE_GATE)
     out = []
     for qm, q, hs, sch, mk, ei, ai, *second in zip(*cols):
         res = {"q_minus1": abs(qm) / hs, "q_0": abs(q) / hs, "scheme": sch}
-        if abs(qm) > pre_gate * hs:
+        if abs(qm) > PLANE_PRE_GATE * hs:
             res["exponents"] = float("inf")
             res["exponents_error"] = "exponents at infinity need q_{-1}(h) = 0"
         else:
@@ -304,24 +301,30 @@ def _scheme_residuals(groups, tol: Tolerances, tables: ZTables | None = None):
     return [out[end - len(H):end] for (_, H), end in zip(groups, ends)]
 
 
+def _float_only(insts):
+    """Raise DomainError at an exact instance among insts."""
+    if any(inst.exact for inst in insts):
+        raise DomainError("exact instance; pass its float twin, inst.to_float()")
+
+
 def match_spectra_to_scheme(spectra, tol: Tolerances = DEFAULT_TOL,
                             tables: ZTables | None = None) -> list:
-    """One SpectrumReport per (inst, spectrum) of spectra, every instance of
-    one (m, l), from one stacked pass of the scheme checks.
+    """One SpectrumReport per (inst, spectrum) of spectra, every inst a float
+    instance of one (m, l) (an exact one raises DomainError), from one
+    stacked pass of the scheme checks.
 
     The checks run once, stacked over every point of every spectrum
-    (_scheme_residuals) on tables, one sample per spectrum of the float
-    instances (z_tables of the instances' float twins, one twin per
-    instance, if None); a point's residuals are those a pass over its
+    (_scheme_residuals) on tables, one sample per spectrum (z_tables of the
+    instances if None); a point's residuals are those a pass over its
     spectrum alone gives.  Per-point failures are recorded as infinite
     residuals in the report rather than aborting the run; the second kernel
     polynomial and the kernel-pair operator are gated at tol.residual.
     """
-    twins, groups, hss = {}, [], []
+    _float_only(inst for inst, _ in spectra)
+    groups, hss = [], []
     for inst, spectrum in spectra:
-        finst = twins.setdefault(id(inst), inst.to_float() if inst.exact else inst)
         hs = [tuple(complex(v) for v in h) for h, _, _ in spectrum]
-        groups.append((finst, np.array(hs, dtype=complex).reshape(len(hs), finst.n)))
+        groups.append((inst, np.array(hs, dtype=complex).reshape(len(hs), inst.n)))
         hss.append(hs)
     reports = []
     for (_, spectrum), hs, checked in zip(spectra, hss, _scheme_residuals(groups, tol, tables)):
@@ -344,15 +347,16 @@ def match_spectra_to_scheme(spectra, tol: Tolerances = DEFAULT_TOL,
 def match_spectrum_to_scheme(inst: ProblemInstance, spectrum,
                              tol: Tolerances = DEFAULT_TOL) -> SpectrumReport:
     """Verify every joint-spectrum point against the scheme equations: the
-    one-spectrum call of match_spectra_to_scheme."""
-    (report,) = match_spectra_to_scheme([(inst, spectrum)], tol)
+    one-spectrum call of match_spectra_to_scheme, on inst's float twin."""
+    (report,) = match_spectra_to_scheme([(inst.to_float(), spectrum)], tol)
     return report
 
 
 def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAULT_TOL):
-    """stacked_grothendieck_weights at the points of the one instance inst;
-    raises its NonSimplePointError or SingularJacobianError."""
-    (weights,) = stacked_grothendieck_weights([(inst, points)], tol)
+    """stacked_grothendieck_weights at the points of the one instance inst,
+    on its float twin; raises its NonSimplePointError or
+    SingularJacobianError."""
+    (weights,) = stacked_grothendieck_weights([(inst.to_float(), points)], tol)
     if isinstance(weights, Exception):
         raise weights
     return weights
@@ -361,78 +365,60 @@ def grothendieck_weights(inst: ProblemInstance, points, tol: Tolerances = DEFAUL
 def stacked_grothendieck_weights(groups, tol: Tolerances = DEFAULT_TOL,
                                  tables: ZTables | None = None) -> list:
     """Inverse Jacobian weights of the n defining polynomials at the simple
-    points of every group (inst, points) of groups, instances of one (m, l):
-    per group, its list of weights, or the NonSimplePointError or
-    SingularJacobianError of its first point that has one.
+    points of every group (inst, points) of groups, float instances of one
+    (m, l) (an exact one raises DomainError): per group, its list of complex
+    weights, or the NonSimplePointError or SingularJacobianError of its
+    first point that has one.
 
     The induced bilinear form (f, g) = sum_p f(p) g(p) w_p is symmetric and,
     on functions separating the points, nondegenerate.  The overall residue
     normalization is a convention of this routine; only properties invariant
     under a global rescaling of the weights should be relied on.  Every
     point must carry a = a(h), as match_spectrum_to_scheme builds it.  The
-    Jacobians are opscheme.stacked_jacobian: every group's float points in
-    one stack on tables (one sample per group of the float instances,
-    z_tables of the float twins if None), each group's exact points on its
-    exact instance.  Every float Jacobian of every group is gated in one
-    pass, one equilibrated SVD and one determinant of the stack
-    (_float_gates).  A float Jacobian is singular when sv_min <=
-    tol.residual * sv_max after _equilibrated, as its rows differ in scale
-    by orders of magnitude, when that SVD does not converge, or when its
-    determinant underflows to 0; the error names a Bethe root on a marked
-    point when there is one.
+    Jacobians are opscheme.stacked_jacobian: every group's points in one
+    stack on tables (one sample per group, z_tables of the instances if
+    None).  Every Jacobian of every group is gated in one pass, one
+    equilibrated SVD and one determinant of the stack (_float_gates).  A
+    Jacobian is singular when sv_min <= tol.residual * sv_max after
+    _equilibrated, as its rows differ in scale by orders of magnitude, when
+    that SVD does not converge, or when its determinant underflows to 0;
+    the error names a Bethe root on a marked point when there is one.
     """
     if not groups:
         return []
-    groups = [(inst, inst.to_float() if inst.exact else inst, list(points))
-              for inst, points in groups]
-    exact = [[inst.exact and all(isinstance(v, Fraction) for v in p.h) for p in points]
-             for inst, _, points in groups]
+    groups = [(inst, list(points)) for inst, points in groups]
+    _float_only(inst for inst, _ in groups)
     if tables is None:
-        tables = z_tables([finst for _, finst, _ in groups])
-
-    def coordinates(pts, dtype):
-        return (np.array([p.h for p in pts], dtype=dtype).reshape(len(pts), tables.n),
-                np.array([p.a for p in pts], dtype=dtype).reshape(len(pts), tables.l))
-
-    floats = [[p for p, e in zip(points, ex) if not e] for (_, _, points), ex in zip(groups, exact)]
-    gated = iter(_float_gates(stacked_jacobian(
-        tables, np.repeat(np.arange(len(groups)), [len(ps) for ps in floats]),
-        *coordinates([p for ps in floats for p in ps], complex))))
+        tables = z_tables([inst for inst, _ in groups])
+    pts = [p for _, points in groups for p in points]
+    gates = iter(_float_gates(stacked_jacobian(
+        tables, np.repeat(np.arange(len(groups)), [len(points) for _, points in groups]),
+        np.array([p.h for p in pts], dtype=complex).reshape(len(pts), tables.n),
+        np.array([p.a for p in pts], dtype=complex).reshape(len(pts), tables.l))))
     out = []
-    for (inst, finst, points), ex, ps in zip(groups, exact, floats):
-        ep = [p for p, e in zip(points, ex) if e]
-        dets = (exact_det(Jp.tolist()) for Jp in (stacked_jacobian(
-            inst.tables, [0] * len(ep), *coordinates(ep, object)) if ep else []))
-        gates = [next(gated) for _ in ps]
+    for inst, points in groups:
         try:
-            out.append(_group_weights(inst, finst, points, ex, dets, iter(gates), tol))
+            out.append(_group_weights(inst, points, [next(gates) for _ in points], tol))
         except (NonSimplePointError, SingularJacobianError) as err:
             out.append(err)
     return out
 
 
-def _group_weights(inst, finst, points, exact, dets, gates, tol: Tolerances) -> list:
-    """One group's weights from its exact determinants dets and its float
-    gates, in order of points; raises at the first point that fails."""
+def _group_weights(inst, points, gates, tol: Tolerances) -> list:
+    """One group's weights from its gates, (singular values, determinant)
+    per point in order of points; raises at the first point that fails."""
     weights = []
-    for p, e in zip(points, exact):
+    for p, (sv, det) in zip(points, gates):
         if p.multiplicity != 1:
             raise NonSimplePointError(
                 f"point with multiplicity {p.multiplicity}")
-        if e:
-            det = next(dets)
-            if det == 0:
-                raise _singular(inst, p, "exact Jacobian vanished", tol)
-            weights.append(Fraction(1) / det)
-            continue
-        sv, det = next(gates)
         if sv is None:
-            raise _singular(finst, p, "Jacobian SVD did not converge", tol)
+            raise _singular(inst, p, "Jacobian SVD did not converge", tol)
         if sv[0] == 0 or sv[-1] <= tol.residual * sv[0]:
-            raise _singular(finst, p, "equilibrated Jacobian condition "
+            raise _singular(inst, p, "equilibrated Jacobian condition "
                             f"{sv[-1]:.3e}/{sv[0]:.3e} is numerically singular", tol)
         if det == 0:
-            raise _singular(finst, p, "Jacobian determinant underflows to 0", tol)
+            raise _singular(inst, p, "Jacobian determinant underflows to 0", tol)
         weights.append(1 / complex(det))
     return weights
 

@@ -37,6 +37,15 @@ LADDER = [((1,) * 4, 2, range(4)), ((1,) * 5, 2, range(5)),
           ((2,) * 4, 3, (0, 1, 3, 7)), ((3,) * 4, 4, (0, 1, 3, 7))]
 
 
+def oracle_det(M):
+    """Determinant of a square list of rows by Laplace expansion along the
+    first row: exact on Fractions, and independent of the package."""
+    if not M:
+        return Fraction(1)
+    return sum((-1) ** j * M[0][j] * oracle_det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
 def pipeline_spectrum(mats, seed):
     """joint_spectrum at the first of seed, seed + 1, ... whose draw it
     accepts, as run_pipeline reseeds."""

@@ -29,8 +29,8 @@ from gaudinlab.numcore import (
     SingularMatrixError,
     Tolerances,
     UniPoly,
-    _bareiss_inplace,
     _is_rational_rows,
+    _rref_inplace as _exact_rref_inplace,
     as_float,
     is_exact_scalar,
     scalar_one,
@@ -53,13 +53,13 @@ def _rref_inplace(M: list) -> list:
 
     The pivot is the first nonzero entry at or below the current row, so a
     triangular system keeps its natural pivots.  Rational rows (Fraction or
-    int) go through the fraction-free _bareiss_inplace; complex rows are
+    int) go through numcore's fraction-free elimination; complex rows are
     reduced directly, each pivot row scaled by 1/pivot.
     """
     if not M:
         return []
     if _is_rational_rows(M):
-        return _bareiss_inplace(M)[0]
+        return _exact_rref_inplace(M)
     ncols = len(M[0])
     pivots = []
     r = 0

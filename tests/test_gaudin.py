@@ -13,7 +13,6 @@ from gaudinlab import (
     joint_spectrum,
     match_spectrum_to_scheme,
     polynomial_valued_kernel,
-    weight_function,
 )
 from gaudinlab.cli import run_pipeline
 from gaudinlab.gaudin import (
@@ -204,12 +203,12 @@ class TestFloatRestrictions:
         points = match_spectrum_to_scheme(finst, spec).points
         assert points
         for p in points:
-            omega = weight_function(finst, p.a).to_array(finst)
+            bv = bethe_vector(finst, sysd, p)
+            omega = bv.weights
             coords = np.linalg.lstsq(S, omega, rcond=None)[0]
             off = max_abs(omega - S @ coords)
             assert off <= 1e-8 * max_abs(omega)
             assert max_abs(omega[free] - coords) <= off + 1e-12 * max(1.0, max_abs(coords))
-            bv = bethe_vector(finst, sysd, p)
             assert not bv.via_subspace
             assert np.array_equal(bv.omega_L, sysd.shq.sh @ omega[free])
 

@@ -68,6 +68,12 @@ class TestProblemInstance:
         assert E1.exact
         assert not E1.to_float().exact
 
+    def test_float_twin_of_a_float_instance_is_itself(self, E1):
+        # one object per float instance, which z_tables dedupes by identity
+        twin = E1.to_float()
+        assert twin.to_float() is twin
+        assert twin.z == (0j, 1 + 0j) and E1.to_float() is not twin
+
     def test_equality_and_hash_keep_the_lane(self):
         # Fraction(k) == complex(k) and their hashes agree, so comparing z
         # alone would make an exact instance equal to its float twin
@@ -360,9 +366,16 @@ class TestIntegerShQuotient:
 
 class TestWeightVector:
     def test_roundtrip(self, E2):
+        # from_array keeps the nonzero coefficients, each at its basis
+        # multi-index, as from_dict does
         arr = np.array([F(1), F(-2), F(0)], dtype=object)
         wv = WeightVector.from_array(arr, E2, 1)
-        assert (wv.to_array(E2) == arr).all()
+        basis, pos = _weight_basis(E2.n, 1)
+        assert wv == WeightVector.from_dict(dict(zip(basis, arr)), 1)
+        back = np.array([F(0)] * len(basis), dtype=object)
+        for j, c in wv.coeffs:
+            back[pos[j]] = c
+        assert (back == arr).all()
 
     def test_level_mismatch(self):
         with pytest.raises(ValueError):
@@ -377,7 +390,8 @@ class TestWeightSpaceBasis:
         assert isinstance(basis, tuple) and _weight_basis(E2.n, 2)[0] is basis
         assert [pos[j] for j in basis] == list(range(len(basis)))
         v = np.arange(len(basis))
-        assert WeightVector.from_array(v, E2, 2).to_array(E2).tolist() == v.tolist()
+        coeffs = WeightVector.from_array(v, E2, 2).coeffs
+        assert [(pos[j], c) for j, c in coeffs] == list(enumerate(v.tolist()))[1:]
 
     def test_negative_level_is_empty(self, E2):
         assert _weight_basis(E2.n, -1)[0] == ()

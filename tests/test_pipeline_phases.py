@@ -408,6 +408,42 @@ class TestStackedSchemePass:
         assert _scheme_residuals([empty, empty], Tolerances()) == [[], []]
 
 
+class TestFloatTwinBoundary:
+    """The stages past the joint spectrum (scheme matching, Bethe vectors,
+    Grothendieck weights) see only float instances and float systems, also
+    in an exact run."""
+
+    @pytest.mark.parametrize("config", [
+        FOUR_SPINS,
+        # Sing_L = 0: no quotient point, so no Grothendieck weights
+        {"m": [1, 1, 1], "l": 2, "z": ["0", "1", "2"], "seed": 0},
+    ])
+    def test_exact_spectrum(self, monkeypatch, config):
+        seen = {}
+
+        def spy(name, lanes):
+            real = getattr(cli, name)
+
+            def wrapped(groups, *args):
+                groups = list(groups)
+                seen.setdefault(name, []).extend(lanes(groups))
+                return real(groups, *args)
+            monkeypatch.setattr(cli, name, wrapped)
+
+        spy("match_spectra_to_scheme", lambda gs: [inst.exact for inst, _ in gs])
+        spy("stacked_grothendieck_weights", lambda gs: [inst.exact for inst, _ in gs])
+        spy("stacked_bethe_vectors",
+            lambda gs: [x.exact for inst, sysd, _ in gs for x in (inst, sysd.inst)])
+        assert load_config(config)[1] == "exact"
+        report, failures = cmd_spectrum(config)
+        assert failures == []
+        points = report["spectrum_sing_l"]["points"]
+        assert seen["match_spectra_to_scheme"] == [False, False]
+        assert seen["stacked_bethe_vectors"] == [False, False]
+        assert seen.get("stacked_grothendieck_weights", []) == ([False] if points else [])
+        assert (report["grothendieck"] is None) == (not points)
+
+
 class TestOnePassPerCommand:
     @pytest.fixture
     def passes(self, monkeypatch):

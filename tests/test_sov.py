@@ -120,21 +120,26 @@ class TestWeightFunction:
 
 class TestBetheVector:
     def test_E1_exact(self, E1):
-        s = build_gaudin(E1)
+        # the closed-form point, given exactly, on the float twin's system:
+        # its weight vector (1/2, -1/2) and its relations are exact in floats
+        finst = E1.to_float()
         pt = SchemePoint(h=(F(-2), F(2)), a=(F(-1, 2),), atilde=(F(0),),
                          multiplicity=1, residuals={})
-        bv = bethe_vector(E1, s, pt)
+        bv = bethe_vector(finst, build_gaudin(finst), pt)
+        assert bv.weights.tolist() == [0.5, -0.5]
         assert bv.eigen_residuals == (0.0, 0.0) and bv.e12_residual == 0.0
         assert max_abs(bv.omega_L) > 0
         assert not bv.via_subspace
+        with pytest.raises(DomainError):
+            bethe_vector(E1, build_gaudin(E1), pt)
 
     def test_l0_highest_weight(self):
-        inst = ProblemInstance([2, 1], 0, [0, 1])
+        inst = ProblemInstance([2, 1], 0, [0, 1]).to_float()
         s = build_gaudin(inst)
         pt = SchemePoint(h=(F(0), F(0)), a=(), atilde=None,
                          multiplicity=1, residuals={})
         bv = bethe_vector(inst, s, pt)
-        assert dict(bv.omega_M.coeffs) == {(0, 0): F(1)}
+        assert bv.weights.tolist() == [1]
         assert bv.e12_residual == 0.0
 
     def test_E2_spans_quotient(self, E2):
@@ -154,11 +159,11 @@ class TestBetheVector:
             bethe_vector(E2, s, rep.points[0])
 
     def test_wrong_point_rejected(self, E1):
-        s = build_gaudin(E1)
+        finst = E1.to_float()
         pt = SchemePoint(h=(F(-2), F(2)), a=(F(1),), atilde=None,
                          multiplicity=1, residuals={})
         with pytest.raises(VerificationError):
-            bethe_vector(E1, s, pt)
+            bethe_vector(finst, build_gaudin(finst), pt)
 
     def test_eigen_relations_sampled(self, rng):
         for _ in range(3):

@@ -34,7 +34,7 @@ from gaudinlab.opscheme import (
 )
 
 import scheme_reference
-from conftest import LADDER, pipeline_spectrum, random_dominant_float_instance
+from conftest import LADDER, oracle_det, pipeline_spectrum, random_dominant_float_instance
 
 
 def sorted_schur_reference(mats, seed, tol=Tolerances()):
@@ -414,7 +414,7 @@ class TestStackedPointChecks:
     def test_equals_per_point_reference(self, case):
         inst, seed = STACKED_CASES[case]
         tol = Tolerances()
-        finst = inst.to_float() if inst.exact else inst
+        finst = inst.to_float()
         s = build_gaudin(inst)
         for mats in (s.H_L, s.H_sing):
             spec = pipeline_spectrum(list(mats), seed) if mats[0].shape[0] else []
@@ -589,12 +589,24 @@ MULTIROW_POINTS = [
 ]
 
 
+def exact_weight(inst, pt):
+    """The inverse-Jacobian weight at the exact point pt of the exact
+    instance inst: 1 / det of the exact stacked_jacobian, the determinant
+    by Laplace expansion."""
+    J = stacked_jacobian(inst.tables, [0], np.array([pt.h], dtype=object),
+                         np.array([pt.a], dtype=object).reshape(1, inst.l))[0]
+    return 1 / oracle_det(J.tolist())
+
+
 class TestGrothendieck:
     def test_E1_weight_exact_vs_numeric(self, E1):
         pt = SchemePoint(h=(F(-2), F(2)), a=(F(-1, 2),), atilde=None,
                          multiplicity=1, residuals={})
-        (w_exact,) = grothendieck_weights(E1, [pt])
+        w_exact = exact_weight(E1, pt)
         assert w_exact == 1            # det [[1,1],[z1,z2]] = z2 - z1 = 1
+        # the one-group call takes the float twin, also from exact input
+        (w,) = grothendieck_weights(E1, [pt])
+        assert type(w) is complex and abs(w - 1) < 1e-12
         ptf = SchemePoint(h=(-2 + 0j, 2 + 0j), a=(-0.5 + 0j,), atilde=None,
                           multiplicity=1, residuals={})
         (w_float,) = grothendieck_weights(E1.to_float(), [ptf])
@@ -608,7 +620,7 @@ class TestGrothendieck:
         # carries a = a(h), as match_spectrum_to_scheme builds it
         a = _a_of_h_raw(DhOperator(inst, h))
         pt = SchemePoint(h=h, a=tuple(a), atilde=None, multiplicity=1, residuals={})
-        (w_exact,) = grothendieck_weights(inst, [pt])
+        w_exact = exact_weight(inst, pt)
         ptf = SchemePoint(h=tuple(complex(v) for v in h), a=tuple(complex(v) for v in a),
                           atilde=None, multiplicity=1, residuals={})
         (w_float,) = grothendieck_weights(inst.to_float(), [ptf])

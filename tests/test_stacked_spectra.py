@@ -20,7 +20,7 @@ from gaudinlab import cli, spectral
 from gaudinlab.cli import GaudinFrame, _sample_z, cmd_spectrum, cmd_verify, load_config
 from gaudinlab.gaudin import build_gaudin, build_gaudins
 from gaudinlab.gl2rep import ProblemInstance
-from gaudinlab.numcore import DEFAULT_TOL, Tolerances, max_abs, to_float_array
+from gaudinlab.numcore import DEFAULT_TOL, DomainError, Tolerances, max_abs, to_float_array
 from gaudinlab.sov import (
     VerificationError,
     _eigenline_via_subspace,
@@ -298,7 +298,7 @@ def quotient_points(draws):
 def vector_bits(bv):
     if isinstance(bv, VerificationError):
         return str(bv)
-    return (repr(bv.omega_M.coeffs), np.asarray(bv.omega_L).tobytes(),
+    return (bv.weights.tobytes(), np.asarray(bv.omega_L).tobytes(),
             repr(bv.eigen_residuals), repr(bv.e12_residual), bv.via_subspace, repr(bv.roots))
 
 
@@ -318,10 +318,23 @@ class TestStackedBack:
                 assert [vector_bits(b) for b in got] == [vector_bits(b) for b in want]
 
     def test_bethe_vectors_keep_one_lane(self):
+        # the float lane only: an exact system is rejected, with points or
+        # without, alone or beside a float one
         inst = ProblemInstance([1] * 4, 2, range(4))
         exact, fl = build_gaudin(inst), build_gaudin(inst.to_float())
-        with pytest.raises(ValueError, match="share a lane"):
-            stacked_bethe_vectors([(inst, exact, []), (inst.to_float(), fl, [])])
+        for groups in ([(inst, exact, [])], [(inst, exact, []), (inst.to_float(), fl, [])]):
+            with pytest.raises(DomainError, match="exact system"):
+                stacked_bethe_vectors(groups)
+        assert stacked_bethe_vectors([(inst.to_float(), fl, [])]) == [[]]
+
+    def test_scheme_and_weights_take_float_twins(self):
+        # an exact instance is rejected; the one-group calls pass its twin
+        inst = ProblemInstance([1] * 4, 2, range(4))
+        for stage in (match_spectra_to_scheme, stacked_grothendieck_weights):
+            with pytest.raises(DomainError, match="float twin"):
+                stage([(inst, [])])
+        assert stacked_grothendieck_weights([(inst.to_float(), [])]) == [[]]
+        assert grothendieck_weights(inst, []) == []
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_grothendieck_weights_equal_one_group_calls(self, seed):

@@ -5,8 +5,9 @@ equilibrated SVD gate and the determinants), and opscheme's scheme stages in
 both lanes, with their single-point calls.
 
 The reference functions below are that per-point code, kept verbatim apart
-from their names; the scheme stages' reference is scheme_reference.  The
-float cases are the benchmark's four ladder rungs at ten z each, drawn as
+from their names and from the exact branches the stages past the joint
+spectrum no longer have; the scheme stages' reference is scheme_reference.
+The float cases are the benchmark's four ladder rungs at ten z each, drawn as
 cmd_verify draws them (cli._sample_z, seed 0), on both the quotient and the
 singular-space spectrum, plus l = 0, n = 2, no point and one point; the
 exact cases are stacks of two groups of one (m, l), with E1's and E3's
@@ -34,6 +35,7 @@ from gaudinlab import (
     bethe_vector,
     bethe_vectors,
     build_gaudin,
+    exponents_at,
     grothendieck_weights,
     h_of_a,
     joint_spectrum,
@@ -42,25 +44,24 @@ from gaudinlab import (
     ptilde_solve,
     residual_system,
     weight_function,
+    wronskian_check,
 )
 from gaudinlab.cli import _sample_z
 from gaudinlab.gaudin import GaudinFrame
-from gaudinlab.gl2rep import WeightVector, z_tables
+from gaudinlab.gl2rep import WeightVector, _weight_basis, z_tables
 from gaudinlab.numcore import (
     DEFAULT_TOL,
     DomainError,
     InconsistentSystemError,
     UniPoly,
-    is_exact_array,
-    is_exact_scalar,
     max_abs,
     scalar_one,
-    to_float_array,
 )
 from gaudinlab.opscheme import (
     _a_of_h_raw,
     constraint_plane,
     dh_matrices,
+    h_from_numerator,
     p_coefficients,
     p_of_a,
     ptilde_of,
@@ -79,10 +80,10 @@ from conftest import LADDER, pipeline_spectrum, random_exact_instance
 from scheme_reference import _jacobian as reference_jacobian
 
 # Bounds on the differences from the reference.  Measured on these cases:
-# omega_M 1.3e-14, the residuals 2.8e-14, omega_L 1.2e-14, the Jacobians
-# 1.7e-14 and the Grothendieck weights 1.6e-8; the Bethe roots are
+# the weight vectors 1.3e-14, the residuals 2.8e-14, omega_L 1.2e-14, the
+# Jacobians 1.7e-14 and the Grothendieck weights 1.6e-8; the Bethe roots are
 # bit-identical.
-WEIGHT_VECTOR_REL = 1e-13   # omega_M, relative to its largest entry
+WEIGHT_VECTOR_REL = 1e-13   # the weight vector, relative to its largest entry
 RESIDUAL_ABS = 1e-12        # eigen and E12 residuals (gate 1e-8)
 OMEGA_L_REL = 1e-10         # omega_L, relative to its largest entry
 JACOBIAN_REL = 1e-13        # each Jacobian, relative to its largest entry
@@ -124,15 +125,18 @@ def reference_bethe_vector(inst, sys, point, tol=DEFAULT_TOL):
         raise VerificationError(err.residual, f"{err}; {cause}") from err
 
 
+def weight_array(wv, n):
+    """The coefficients of the weight vector wv on the level basis, as a
+    complex array."""
+    basis, pos = _weight_basis(n, wv.k)
+    arr = np.zeros(len(basis), dtype=complex)
+    for j, c in wv.coeffs:
+        arr[pos[j]] = c
+    return arr
+
+
 def _reference_bethe_vector(inst, sys, point, tol):
-    point_exact = all(is_exact_scalar(v) for v in point.a) and \
-        all(is_exact_scalar(v) for v in point.h)
-    if sys.inst.exact and not point_exact:
-        raise DomainError("float point on an exact system; pass the float system")
-    omega = reference_weight_function(inst, point.a)
-    arr = omega.to_array(inst)
-    if is_exact_array(arr) and not sys.inst.exact:
-        arr = to_float_array(arr)
+    arr = weight_array(reference_weight_function(inst, point.a), inst.n)
     nrm = max_abs(arr)
     if nrm == 0:
         raise VerificationError(float("inf"), "weight function vanished")
@@ -167,7 +171,7 @@ def reference_roots(p, l):
 
 def reference_weights(inst, points, tol=DEFAULT_TOL):
     """The float branch of grothendieck_weights, one point at a time."""
-    finst = inst.to_float() if inst.exact else inst
+    finst = inst.to_float()
     weights = []
     for p in points:
         if p.multiplicity != 1:
@@ -242,10 +246,7 @@ def assert_same_bethe_vector(got, want, l):
     assert not isinstance(got, VerificationError), str(got)
     assert got.via_subspace == want.via_subspace
     assert list(got.roots) == reference_roots(want.point, l)
-    ref = dict(want.omega_M.coeffs)
-    vec = dict(got.omega_M.coeffs)
-    keys = sorted(set(ref) | set(vec))
-    assert rel([vec.get(j, 0) for j in keys], [ref.get(j, 0) for j in keys]) <= WEIGHT_VECTOR_REL
+    assert rel(got.weights, want.weights) <= WEIGHT_VECTOR_REL
     assert np.abs(np.subtract(got.eigen_residuals, want.eigen_residuals)).max() <= RESIDUAL_ABS
     assert abs(got.e12_residual - want.e12_residual) <= RESIDUAL_ABS
     line, ref_line = (np.asarray(v, dtype=complex) for v in (got.omega_L, want.omega_L))
@@ -289,22 +290,24 @@ class TestStackedBetheVectors:
                            [want.get(j, 0) for j in keys]) <= WEIGHT_VECTOR_REL
 
     def test_exact_points_on_the_exact_system(self):
-        # the exact lane stacks exact weight vectors: a scheme point of E1
-        # passes with zero residuals next to a point that is not one
+        # the exact system is rejected, exact points or float ones; on the
+        # float twin's system a scheme point of E1, given exactly, passes
+        # with zero residuals next to a point that is not one
         inst = ProblemInstance([1, 1], 1, [0, 1])
-        gsys = build_gaudin(inst)
         good = SchemePoint(h=(Fraction(-2), Fraction(2)), a=(Fraction(-1, 2),), atilde=None,
                            multiplicity=1, residuals={})
         bad = SchemePoint(h=good.h, a=(Fraction(1),), atilde=None, multiplicity=1, residuals={})
-        bv, err = bethe_vectors(inst, gsys, [good, bad])
-        assert all(isinstance(c, Fraction) for _, c in bv.omega_M.coeffs)
+        near = SchemePoint(h=(-2 + 0j, 2 + 0j), a=(-0.5 + 0j,), atilde=None, multiplicity=1,
+                           residuals={})
+        for points in ([good, bad], [good, near]):
+            with pytest.raises(DomainError):
+                bethe_vectors(inst, build_gaudin(inst), points)
+        finst = inst.to_float()
+        bv, err = bethe_vectors(finst, build_gaudin(finst), [good, bad])
+        assert bv.weights.tolist() == [0.5, -0.5]
         assert bv.eigen_residuals == (0.0, 0.0) and bv.e12_residual == 0.0
         assert bv.roots == (0.5 + 0j,)
         assert isinstance(err, VerificationError)
-        with pytest.raises(DomainError):
-            bethe_vectors(inst, gsys, [good, SchemePoint(h=(-2 + 0j, 2 + 0j), a=(-0.5 + 0j,),
-                                                         atilde=None, multiplicity=1,
-                                                         residuals={})])
 
 
 class TestStackedJacobians:
@@ -480,30 +483,41 @@ class TestExactStages:
 
     @pytest.mark.parametrize("case", range(len(EXACT_CASES)))
     def test_scheme_pass_at_literal_zero(self, case):
-        # the closed-form points of E1 and E3 pass every check at literal
-        # zero, in a stack with off-scheme points and a second group
-        groups = [(f, H) for f, H, _ in EXACT_CASES[case]]
+        # the exact stages put the closed-form points of E1 and E3, and the
+        # points h_of_a gives, on the constraint plane with the exponents
+        # {-l, l - 1 - sum(m)} at infinity, at literal zero; 1e-12 off the
+        # plane is off it in the exact lane
+        for f, H, _ in EXACT_CASES[case]:
+            for h in H.tolist():
+                qm1, q0, _ = constraint_plane(f, h)
+                assert qm1 == q0 == 0
+                assert sorted(exponents_at(DhOperator(f, tuple(h)), None)) == \
+                    sorted([-f.l, f.l - 1 - sum(f.m)])
+                with pytest.raises(OffPlaneError):
+                    exponents_at(DhOperator(f, (h[0] + TINY, *h[1:])), None)
+        # the scheme pass runs on the float twins, in a stack with
+        # off-scheme points and a second group: each point as a pass over
+        # its group alone gives it, on the plane to rounding
+        groups = [(f.to_float(), H.astype(complex)) for f, H, _ in EXACT_CASES[case]]
         stacked = _scheme_residuals(groups, DEFAULT_TOL)
         assert repr(stacked) == repr([_scheme_residuals([g], DEFAULT_TOL)[0] for g in groups])
-        for (f, H), out in zip(groups, stacked):
-            for h, (a, atilde, res) in zip(H.tolist(), out):
-                assert list(a) == scheme_reference._a_of_h_raw(DhOperator(f, tuple(h)))
-                assert res["q_minus1"] == res["q_0"] == res["exponents"] == 0
-        # 1e-12 off the plane is off it in the exact lane
-        f, H = groups[0]
-        off = H.copy()
-        off[:, 0] += TINY
-        for _, _, res in _scheme_residuals([(f, off)], DEFAULT_TOL)[0]:
-            assert res["exponents"] == float("inf") and "exponents_error" in res
-            if f.ltilde > f.l:
-                assert res["ptilde_error"].startswith("h is off the constraint plane")
+        for out in stacked:
+            for _, _, res in out:
+                worst = max(res["q_minus1"], res["q_0"], res["exponents"])
+                assert worst <= DEFAULT_TOL.residual
         if case < 2:
-            a, atilde, res = stacked[0][0]
-            assert a == ((Fraction(-1, 2),), (Fraction(-1), Fraction(1, 3)))[case]
-            assert atilde == (Fraction(0),) * (case + 1)
-            for key in ("scheme", "ptilde", "wronskian", "kernel_pair_roundtrip", "b2_leading"):
-                assert res[key] == 0, key
-            assert not any(key.endswith("_error") for key in res)
+            # the closed-form point passes every exact check at literal zero
+            f, H, _ = EXACT_CASES[case][0]
+            h = tuple(H[0])
+            a = a_of_h(f, h)
+            assert a == ([Fraction(-1, 2)], [Fraction(-1), Fraction(1, 3)])[case]
+            assert not any(residual_system(f, a))
+            atilde = ptilde_solve(DhOperator(f, h))
+            assert atilde == [Fraction(0)] * (case + 1)
+            assert not any(wronskian_check(f, atilde, a).coeffs)
+            b = operator_from_kernel_pair(f, ptilde_of(f, atilde), p_of_a(a))
+            assert h_from_numerator(f, b[2]) == list(h)
+            assert b[2].coeffs[f.n - 2] == f.ltilde * f.l
 
     @pytest.mark.parametrize("case", range(len(EXACT_CASES)))
     def test_single_point_calls_raise_as_the_reference(self, case):
