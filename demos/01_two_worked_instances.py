@@ -6,16 +6,16 @@ E3: two spin-1 marked points, two excitations (m = (2,2), l = 2).
 For n = 2 the commuting family on the singular subspace is pinned by two
 linear identities (the Hamiltonians sum to zero, and their z-weighted sum
 is l(sum(m)+1-l) times the identity), so every number below has a closed
-form to check against.
+form to check against.  Polynomials print as tuples of ascending
+coefficients, the form the z-tables and the stacked scheme stages use; D_h
+is the matrix dh_matrices(inst, [h])[0] on such coefficient vectors.
 """
 
 from fractions import Fraction as F
 
 from gaudinlab import (
-    DhOperator,
     ProblemInstance,
     a_of_h,
-    apply_Dh,
     build_gaudin,
     exponents_at,
     h_of_a,
@@ -24,7 +24,7 @@ from gaudinlab import (
     residual_system,
     wronskian_check,
 )
-from gaudinlab.opscheme import h_from_numerator, p_of_a, ptilde_of
+from gaudinlab.opscheme import dh_matrices, h_from_numerator, p_of_a, ptilde_of
 
 for label, m, l in [("E1", [1, 1], 1), ("E3", [2, 2], 2)]:
     inst = ProblemInstance(m, l, [0, 1])
@@ -47,19 +47,19 @@ for label, m, l in [("E1", [1, 1], 1), ("E3", [2, 2], 2)]:
     print("defining residuals at a:", residual_system(inst, a))
 
     # the second kernel polynomial, with its x^l coefficient pinned to 0
-    op = DhOperator(inst, h)
-    atilde = ptilde_solve(op)
+    atilde = ptilde_solve(inst, h)
     pt = ptilde_of(inst, atilde)
     print("second kernel polynomial:", pt)
 
-    # both really are annihilated
-    print("operator applied to p:", apply_Dh(op, p_of_a(a)),
-          " to ptilde:", apply_Dh(op, pt))
+    # both really are annihilated: D_h on ascending coefficient vectors
+    D = dh_matrices(inst, [h])[0]
+    print("operator applied to p:", (D[:, :l + 1] @ p_of_a(a)).tolist(),
+          " to ptilde:", (D @ pt).tolist())
 
     # exponent data at the marked points and at infinity
     for s in range(2):
-        print(f"exponents at z_{s + 1}:", exponents_at(op, s))
-    print("exponents at infinity:", exponents_at(op, None))
+        print(f"exponents at z_{s + 1}:", exponents_at(inst, h, s))
+    print("exponents at infinity:", exponents_at(inst, h, None))
 
     # the pair sits on the cycle: Wronskian matches the prescribed divisor
     print("Wronskian residual:", wronskian_check(inst, atilde, a))

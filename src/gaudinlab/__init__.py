@@ -4,7 +4,9 @@ second-order operators with prescribed exponents and polynomial kernels.
 Exact rational matrices carry the algebraic identities; the joint spectrum
 is float in both lanes, so everything past it (scheme matching, Bethe
 vectors, Grothendieck weights) runs on the instance's float twin, and the
-two sides are matched point by point there.
+two sides are matched point by point there.  A polynomial is its ascending
+coefficients, as in the z-tables (gl2rep.ZTables), and the single-point
+scheme calls are the P = 1 calls of opscheme's stacked stages.
 """
 
 from .numcore import (
@@ -12,7 +14,6 @@ from .numcore import (
     InconsistentSystemError,
     SingularMatrixError,
     Tolerances,
-    UniPoly,
 )
 from .gl2rep import (
     NonSeparatingError,
@@ -33,13 +34,11 @@ from .gaudin import (
     polynomial_valued_kernel,
 )
 from .opscheme import (
-    DhOperator,
     MalformedPairError,
     NotAdmissibleError,
     OffPlaneError,
     SchemePoint,
     a_of_h,
-    apply_Dh,
     exponents_at,
     h_of_a,
     operator_from_kernel_pair,

@@ -30,7 +30,7 @@ from .gaudin import (
     build_gaudins,
     induced_map_kernel,
 )
-from .gl2rep import ProblemInstance, weight_space_dim, z_tables
+from .gl2rep import ProblemInstance, marked_products, weight_space_dim, z_tables
 from .numcore import Tolerances, as_float, max_abs, rank_of
 from .opscheme import schubert_dimension
 from .sov import VerificationError, stacked_bethe_vectors
@@ -173,6 +173,9 @@ def load_config(config: dict):
         raise ConfigError(f"z entries must be finite rationals: {err}") from None
     if len(set(zz)) != len(zz) or len(set(twin)) != len(twin):
         raise ConfigError("marked points z must be pairwise distinct, also as floats")
+    if not np.all(marked_products(np.array([twin], dtype=object), 1 + 0j) != 0):
+        raise ConfigError("marked points z too close: a product prod_{r != s} (z_s - z_r) "
+                          "underflows to 0 as floats")
     inst = ProblemInstance(config["m"], config["l"], zz)
     return inst, mode, int(config.get("seed", 0)), _tolerances(config)
 

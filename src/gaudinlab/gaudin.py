@@ -335,11 +335,11 @@ def build_gaudins(insts, frame: GaudinFrame) -> list:
 def _universal_operator(sys: GaudinSystem, space: str, deg: int):
     """(H_s on space, M0, M) of the universal operator
     A d^2/dx^2 + B d/dx + sum_s H_s A_s on vector polynomials of degree deg:
-    M0 and M are the leading deg + n rows and deg + 1 columns of
-    inst.dh_blocks."""
+    M0 and M are the leading deg + n rows and deg + 1 columns of the
+    instance's ZTables.M0 and .M."""
     if space not in ("sing_m", "sing_l"):
         raise ValueError("space must be 'sing_m' or 'sing_l'")
-    M0, M = sys.inst.dh_blocks
+    M0, M = sys.inst.tables.M0[0], sys.inst.tables.M[0]
     rows, cols = deg + sys.inst.n, deg + 1
     return list(sys.H_sing if space == "sing_m" else sys.H_L), M0[:rows, :cols], M[:, :rows, :cols]
 

@@ -20,9 +20,11 @@ kept as integer numerators, each field formed in the lane that reads it.
 
 The operator side's z-dependent data, polynomials in prod_s (x - z_s), is
 built here too: z_tables forms every table of a stack of instances of one
-(m, l) at once (ZTables), and ProblemInstance reads its own at S = 1.  It
-runs CPython's scalar arithmetic on object arrays of Fractions or complex,
-and float tables become complex128 once, when built.
+(m, l) at once (ZTables), and ProblemInstance reads its own at S = 1
+(inst.tables.<field>[0]).  The tables' ascending coefficient arrays are the
+package's one form of a polynomial.  The build runs CPython's scalar
+arithmetic on object arrays of Fractions or complex, and float tables
+become complex128 once, when built.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from functools import cache, cached_property
 import numpy as np
 
 from .numcore import (
-    UniPoly,
     as_exact,
     as_float,
     fraction_array,
@@ -124,40 +125,9 @@ class ProblemInstance:
 
     @cached_property
     def tables(self) -> "ZTables":
-        """This instance's z-tables (z_tables at S = 1), built on first read;
-        the properties below read them."""
+        """This instance's z-tables (z_tables at S = 1), built on first read:
+        its polynomials in prod_s (x - z_s) are the fields' sample 0."""
         return _build_tables([self])
-
-    @property
-    def zpolys(self) -> tuple:
-        """(A, B, (A_1, ..., A_n)) as UniPolys: A = prod_s (x - z_s),
-        A_s = prod_{r != s} (x - z_r) and B = -sum_s m_s A_s, which lead the
-        operator A d^2/dx^2 + B d/dx + C of both sides."""
-        t = self.tables
-        return UniPoly(t.A[0].tolist()), UniPoly(t.B[0].tolist()), \
-            tuple(UniPoly(row) for row in t.A_s[0].tolist())
-
-    @property
-    def dh_blocks(self) -> tuple:
-        """(M0, M): D_h u = (M0 + sum_s h_s M[s]) u (ZTables.M0, ZTables.M)."""
-        return self.tables.M0[0], self.tables.M[0]
-
-    @property
-    def kernel_pair_polys(self) -> tuple:
-        """(W, den, extra) as UniPolys (ZTables.W, .den, .extra)."""
-        t = self.tables
-        return tuple(UniPoly(c[0].tolist()) for c in (t.W, t.den, t.extra))
-
-    @property
-    def partial_fractions(self) -> np.ndarray:
-        """g -> (g(z_s) / prod_{r != s}(z_s - z_r))_s (ZTables.partial_fractions)."""
-        return self.tables.partial_fractions[0]
-
-    @property
-    def marked_exponents(self) -> tuple:
-        """Indicial roots (0, m_s + 1) at each marked point, as computed
-        (ZTables.marked_exponents)."""
-        return tuple(map(tuple, self.tables.marked_exponents[0].tolist()))
 
     def to_float(self) -> "ProblemInstance":
         """The float twin: z rounded once; a float instance is its own."""
@@ -184,9 +154,9 @@ def _products(Z, c, powers, exact: bool):
     (S x n), as ascending coefficients (S x rows x (1 + max degree)).
 
     The factors multiply onto c in order of s, every row that takes a
-    factor in one step, and each product adds its terms as UniPoly does:
-    from 0, in ascending order of the left factor's coefficients.  A row's
-    zero coefficients above its degree change nothing.
+    factor in one step, and each product adds its terms as a schoolbook
+    product does: from 0, in ascending order of the left factor's
+    coefficients.  A row's zero coefficients above its degree change nothing.
     """
     powers, one = np.array(powers), scalar_one(exact)
     P = _zeros((len(Z), len(c), 1 + powers.sum(axis=1).max()), exact)
@@ -219,7 +189,7 @@ def _power(x, j: int, exact: bool):
 
 def _horner(C, x, exact: bool):
     """The polynomials of ascending coefficients C (S x k) at each column of
-    x (S x n), by Horner's rule from 0, as UniPoly evaluates them."""
+    x (S x n), by Horner's rule from 0."""
     acc = _zeros(x.shape, exact)
     for j in range(C.shape[1] - 1, -1, -1):
         acc = acc * x + C[:, j, None]
@@ -256,8 +226,9 @@ class ZTables:
       them (0, m_s + 1), and they do not depend on h.
 
     Entries are Fractions (object arrays) in the exact lane and complex128
-    otherwise, each formed by CPython's scalar arithmetic, as UniPoly forms
-    it; the arrays are read-only, and tables are not compared.
+    otherwise, each formed by CPython's scalar arithmetic in the order of the
+    schoolbook products and Horner's rule, so the float bits do not depend on
+    the stack; the arrays are read-only, and tables are not compared.
     """
 
     m: tuple
@@ -307,6 +278,19 @@ def z_tables(insts) -> ZTables:
         tables.take([pos[id(f)][0] for f in insts])
 
 
+@np.errstate(over="ignore", invalid="ignore")    # inf fails by name downstream
+def marked_products(Z, one):
+    """prod_{r != s} (z_s - z_r) at every s of each row of Z (S x n, object),
+    multiplied onto one in order of r: the tables' partial fraction divisors."""
+    d, cols = one, np.arange(Z.shape[1])
+    for r in range(Z.shape[1]):
+        d = np.where(cols != r, (Z - Z[:, r, None]) * d, d)
+    return d
+
+
+# Float z far apart (about 1e100) overflow the tables; the scheme, exponents
+# and bethe_vector checks then fail the point by name.
+@np.errstate(over="ignore", invalid="ignore")
 def _build_tables(insts) -> ZTables:
     """The one builder of the z-tables: every table of every instance of
     insts at once, each step one array operation over the stack."""
@@ -352,10 +336,7 @@ def _build_tables(insts) -> ZTables:
             R[:, :, kk - dd:kk + 1] = R[:, :, kk - dd:kk + 1] - q[:, :, None] * den[:, None, :]
         rem = R[:, :, :dd]
 
-    # prod_{r != s} (z_s - z_r), multiplied in order of r, at every s
-    d, cols = one, np.arange(n)
-    for r in range(n):
-        d = np.where(cols != r, (Z - Z[:, r, None]) * d, d)
+    d = marked_products(Z, one)
     P = _zeros((S, n, max(n - 1, 0)), exact)
     for j in range(n - 1):
         P[:, :, j] = _power(Z, j, exact) / d

@@ -1,4 +1,4 @@
-"""Scalar domains, dense univariate polynomials, and linear-algebra kernels.
+"""Scalar domains and linear-algebra kernels.
 
 Two scalar domains are supported and never mixed silently:
 
@@ -37,7 +37,6 @@ __all__ = [
     "SingularMatrixError",
     "InconsistentSystemError",
     "Tolerances",
-    "UniPoly",
     "as_exact",
     "as_float",
     "is_exact_array",
@@ -66,7 +65,6 @@ __all__ = [
     "kernel_basis",
     "solve_linear",
     "solve_consistent",
-    "wronskian",
 ]
 
 
@@ -141,136 +139,6 @@ def exact_sqrt(x: Fraction) -> Fraction:
     if a * a != x.numerator or b * b != x.denominator:
         raise ValueError(f"{x} is not a perfect rational square")
     return Fraction(a, b)
-
-
-# ---------------------------------------------------------------------------
-# dense univariate polynomials
-
-class UniPoly:
-    """Dense univariate polynomial, coefficients in ascending degree.
-
-    Coefficients live in one scalar domain (Fraction or complex);
-    trailing zeros are trimmed so the leading coefficient of a nonzero
-    polynomial is nonzero.  Instances are immutable.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    # -- constructors
-    @staticmethod
-    def zero():
-        return UniPoly(())
-
-    @staticmethod
-    def const(c):
-        return UniPoly((c,))
-
-    @staticmethod
-    def monomial(k, c):
-        return UniPoly((0 * c,) * k + (c,))
-
-    # -- queries
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __getitem__(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    # -- arithmetic
-    def __add__(self, o):
-        if not isinstance(o, UniPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(tuple(self[k] + o[k] for k in range(n)))
-
-    def __sub__(self, o):
-        if not isinstance(o, UniPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(tuple(self[k] - o[k] for k in range(n)))
-
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, o):
-        if isinstance(o, UniPoly):
-            if self.is_zero() or o.is_zero():
-                return UniPoly.zero()
-            out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return UniPoly(tuple(out))
-        return UniPoly(tuple(c * o for c in self.coeffs))
-
-    def deriv(self) -> "UniPoly":
-        return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, d: "UniPoly"):
-        """Euclidean division; exact over Fractions, naive over floats."""
-        if d.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = d.degree
-        lead = d.coeffs[-1]
-        if len(rem) - 1 < dd:
-            return UniPoly.zero(), self
-        q = [0] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k] / lead
-            q[k - dd] = c
-            if c:
-                for j in range(dd + 1):
-                    rem[k - dd + j] = rem[k - dd + j] - c * d.coeffs[j]
-        return UniPoly(tuple(q)), UniPoly(tuple(rem[:dd]))
-
-    def max_abs(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(abs(as_float(c)) for c in self.coeffs)
-
-    def to_float(self) -> "UniPoly":
-        return UniPoly(tuple(as_float(c) for c in self.coeffs))
-
-    def __eq__(self, o):
-        return isinstance(o, UniPoly) and self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "UniPoly(0)"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"({c})*x^{k}" if k else f"({c})")
-        return "UniPoly(" + " + ".join(terms) + ")"
-
-
-def wronskian(f: UniPoly, g: UniPoly) -> UniPoly:
-    """f'g - fg'."""
-    return f.deriv() * g - f * g.deriv()
 
 
 # ---------------------------------------------------------------------------

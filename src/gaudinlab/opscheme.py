@@ -14,12 +14,13 @@ Coordinates and conventions:
   polynomial D_h(p(.,a)); q_1..q_l are triangular in a with diagonal
   i(sum(m)-2l+i+1), nonzero as every ProblemInstance is separating.
 
-D_h u is linear in u and in h.  Everything z-dependent is polynomial data
-of prod_s (x - z_s), built once per stack of instances (gl2rep.ZTables,
+Every polynomial is a sequence of ascending coefficients, the z-tables' own
+form.  D_h u is linear in u and in h.  Everything z-dependent is polynomial
+data of prod_s (x - z_s), built once per stack of instances (gl2rep.ZTables,
 ProblemInstance.tables at one instance).  dh_stack forms D_h on ascending
-coefficient vectors at a stack of points from those h-independent blocks;
-dh_matrices is its one-instance call, DhOperator.matrix one of them, and
-apply_Dh the polynomial form of the same operator.
+coefficient vectors at a stack of points from those h-independent blocks
+(ZTables.M0 and .M), and dh_matrices is its one-instance call: D_h u is
+dh_matrices(inst, [h])[0] @ u.
 
 Each linear system of the scheme has one implementation, a stage over a
 stack of P points (stacked_*): a(h), h(a) with the scheme residual, the
@@ -32,16 +33,19 @@ index into it (sample, P ints).  Its elementwise work is one operation over
 every point, each gathering its own sample's tables.  A group is a run of
 consecutive points on one sample.  A 2-D product whose rows are points
 rounds by its row count, so each group takes its own product, and a point's
-values do not depend on the other groups.  a_of_h, h_of_a, residual_system,
-ptilde_solve and operator_from_kernel_pair are the stages' P = 1 calls,
-generic over the scalar domain.
+values do not depend on the other groups.  The single-point calls (a_of_h,
+h_of_a, residual_system, ptilde_solve, exponents_at, wronskian_check,
+operator_from_kernel_pair, h_from_numerator) are the stages' P = 1 calls on
+(inst, h) or coefficient sequences, generic over the scalar domain: exact
+when the instance and the arguments are, which keeps literal zeros.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import reduce
 
 import cmath
 import numpy as np
@@ -52,29 +56,25 @@ from .numcore import (
     DomainError,
     InconsistentSystemError,
     Tolerances,
-    UniPoly,
     exact_sqrt,
     is_exact_scalar,
     rowmax,
     scalar_one,
     solve_rows,
-    wronskian,
 )
 
 __all__ = [
     "NotAdmissibleError",
     "MalformedPairError",
     "OffPlaneError",
-    "DhOperator",
     "SchemePoint",
     "p_of_a",
+    "poly_value",
     "root_on_marked_point",
     "ptilde_of",
-    "apply_Dh",
     "dh_matrices",
     "dh_stack",
     "PLANE_PRE_GATE",
-    "constraint_plane",
     "off_plane",
     "a_of_h",
     "h_of_a",
@@ -101,16 +101,19 @@ class OffPlaneError(ValueError):
 
 
 # Relative gate on q_{-1}, q_0 before the triangular solves (scale from
-# constraint_plane); it only screens out points far off the plane.
+# _plane); it only screens out points far off the plane.
 PLANE_PRE_GATE = 1e-6
 
 
-def p_of_a(a) -> UniPoly:
-    """Monic polynomial x^l + a_1 x^{l-1} + ... + a_l."""
+def p_of_a(a) -> tuple:
+    """Ascending coefficients of the monic x^l + a_1 x^{l-1} + ... + a_l."""
     a = list(a)
-    l = len(a)
-    one = scalar_one(all(map(is_exact_scalar, a)))
-    return UniPoly(tuple(reversed(a)) + (one,)) if l else UniPoly.const(one)
+    return tuple(reversed(a)) + (scalar_one(all(map(is_exact_scalar, a))),)
+
+
+def poly_value(p, x):
+    """The polynomial of ascending coefficients p at x, by Horner's rule from 0."""
+    return reduce(lambda acc, c: acc * x + c, reversed(p), 0)
 
 
 def root_on_marked_point(inst: ProblemInstance, a, tol: Tolerances = DEFAULT_TOL):
@@ -123,16 +126,17 @@ def root_on_marked_point(inst: ProblemInstance, a, tol: Tolerances = DEFAULT_TOL
     p = p_of_a(a)
     exact = inst.exact and all(map(is_exact_scalar, a))
     for s, zs in enumerate(inst.z):
-        v = p(zs)
+        v = poly_value(p, zs)
         if v == 0 or not exact and abs(v) <= tol.residual * sum(
-                abs(c) * abs(zs) ** k for k, c in enumerate(p.coeffs)):
+                abs(c) * abs(zs) ** k for k, c in enumerate(p)):
             shown = zs.real if isinstance(zs, complex) and not zs.imag else zs
             return f"a Bethe root lies on the marked point z_{s} = {shown}"
     return None
 
 
-def ptilde_of(inst: ProblemInstance, atilde) -> UniPoly:
-    """Monic degree-lt polynomial with zero x^l coefficient.
+def ptilde_of(inst: ProblemInstance, atilde) -> tuple:
+    """Ascending coefficients of the monic degree-lt polynomial with zero x^l
+    coefficient.
 
     atilde lists the coefficients indexed 1..lt with index lt-l skipped,
     matching the omitted coordinate of the second kernel polynomial.
@@ -147,7 +151,7 @@ def ptilde_of(inst: ProblemInstance, atilde) -> UniPoly:
     coeffs = [one * 0] * lt + [one]
     for k, v in zip(_atilde_columns(lt, l), atilde):
         coeffs[k] = v
-    return UniPoly(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _atilde_columns(lt: int, l: int) -> list:
@@ -171,27 +175,13 @@ class SchemePoint:
     residuals: dict
 
 
-@dataclass(frozen=True)
-class DhOperator:
-    """The cleared-denominator operator  A u'' + B u' + C u  on polynomials."""
-
-    inst: ProblemInstance
-    h: tuple
-
-    def __post_init__(self):
-        if self.inst.exact and any(isinstance(v, complex) for v in self.h):
-            raise DomainError("float h on an exact instance; convert the instance first")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """M0 + sum_s h_s M[s] from inst.tables: D_h on ascending
-        coefficient vectors of degree up to max(l, lt)."""
-        return dh_matrices(self.inst, [self.h])[0]
-
-
 def dh_matrices(inst: ProblemInstance, H) -> np.ndarray:
-    """D_h (dh_stack) at each row h of H on inst's blocks, stacked."""
+    """D_h (dh_stack) at each row h of H on inst's blocks, stacked; D_h of
+    the ascending coefficients u of a polynomial of degree d is the leading
+    (d + n) x (d + 1) block times u."""
     H = np.array(H, dtype=inst.tables.M0.dtype).reshape(-1, inst.n)
+    if inst.exact and any(isinstance(v, complex) for v in H.ravel().tolist()):
+        raise DomainError("float h on an exact instance; convert the instance first")
     return dh_stack(inst.tables, np.zeros(len(H), dtype=int), H)
 
 
@@ -213,31 +203,15 @@ def dh_stack(tables: ZTables, sample, H: np.ndarray) -> np.ndarray:
     return D
 
 
-def apply_Dh(op: DhOperator, u: UniPoly) -> UniPoly:
-    """prod(x-z_s) * [u'' - sum m_s/(x-z_s) u' + sum h_s/(x-z_s) u]."""
-    A, B, A_s = op.inst.zpolys
-    C = sum((As * hs for As, hs in zip(A_s, op.h)), UniPoly.zero())
-    return A * u.deriv().deriv() + B * u.deriv() + C * u
-
-
-def constraint_plane(inst: ProblemInstance, H):
-    """(q_{-1}, q_0, scale) at each point of the stack H (P x n), each an
-    array over the points; one point h (length n) gives three scalars.
+def _plane(Z, H, llt):
+    """(q_{-1}, q_0, scale) at the points H (P x n) with marked points the
+    rows of Z (P x n, or 1 x n for one instance), l * lt = llt, each an array
+    over the points.
 
     q_{-1} = sum h_s and q_0 = sum z_s h_s - l * lt, summed in order of s;
     scale = max(1, max |h_s|, l * lt) is the size the float gates on them
     are relative to.
     """
-    H = np.asarray(H)
-    if H.ndim == 1:
-        return tuple(v.tolist()[0] for v in constraint_plane(inst, H[None]))
-    return _plane(np.array([inst.z], dtype=object if inst.exact else complex), H,
-                  inst.l * inst.ltilde)
-
-
-def _plane(Z, H, llt):
-    """constraint_plane at the points H with marked points the rows of Z
-    (P x n, or 1 x n for one instance), l * lt = llt."""
     qm1 = sum((H[:, s] for s in range(1, H.shape[1])), H[:, 0])
     q0 = sum(Z[:, s] * H[:, s] for s in range(H.shape[1])) - llt
     scale = np.maximum(np.maximum(1.0, np.abs(H).max(axis=1).astype(float)), float(abs(llt)))
@@ -249,14 +223,6 @@ def off_plane(qm1, q0, scale, tol: float):
     if abs(qm1) > tol * scale or abs(q0) > tol * scale:
         return f"h is off the constraint plane: q_-1 = {qm1}, q_0 = {q0}"
     return None
-
-
-def _plane_scale(inst: ProblemInstance, h, tol: float) -> float:
-    """constraint_plane's scale; OffPlaneError if |q_{-1}| or |q_0| > tol * scale."""
-    qm1, q0, scale = constraint_plane(inst, h)
-    if err := off_plane(qm1, q0, scale, tol):
-        raise OffPlaneError(err)
-    return scale
 
 
 # --- the stacked stages -----------------------------------------------------
@@ -289,9 +255,17 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x minimising |A x - b| at each A (of full column rank) of the stack:
     numpy's pinv on a complex stack, the normal equations A^H A x = A^H b
     solved exactly on an exact one, whose residual is then zero exactly when
-    the system is consistent."""
+    the system is consistent.  If the stacked SVD does not converge, each A
+    takes its own, and x is NaN (failing its gate) where that does not."""
     if A.dtype != object:
-        return (np.linalg.pinv(A) @ b[:, :, None])[:, :, 0]
+        try:
+            Ap = np.linalg.pinv(A)
+        except np.linalg.LinAlgError:
+            Ap = np.full(A.transpose(0, 2, 1).shape, np.nan, dtype=A.dtype)
+            for i, Ai in enumerate(A):
+                with suppress(np.linalg.LinAlgError):
+                    Ap[i] = np.linalg.pinv(Ai)
+        return (Ap @ b[:, :, None])[:, :, 0]
     Ah = A.conj().transpose(0, 2, 1)
     return _solve(Ah @ A, Ah @ b[:, :, None])[:, :, 0]
 
@@ -336,7 +310,7 @@ def stacked_second_kernel(inst: ProblemInstance, D: np.ndarray, hscale, tol: Tol
     second kernel polynomial (every coefficient of D_h ptilde vanishes; pt
     its ascending coefficients) and err[i] why point i has none, or None.
     No plane pre-gate; the residual is gated at tol.residual (0 on an exact
-    stack) times hscale (constraint_plane's scale) if lt = 1, else times
+    stack) times hscale (_plane's scale) if lt = 1, else times
     max(1, max |M| * max(1, max |atilde|))."""
     l, n, lt = inst.l, inst.n, inst.ltilde
     exact = D.dtype == object
@@ -372,6 +346,15 @@ def _pair_forms(lt: int, l: int) -> np.ndarray:
     return S
 
 
+def _pair_operator(tables: ZTables, sample, pt: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The coefficients of B0, B1, B2 (P x 3 x (l + lt)) of the operator
+    B0 u'' + B1 u' + B2 u annihilating span(ptilde, p) at each pair of rows
+    of pt and p (_pair_forms), one product per group."""
+    forms = _pair_forms(tables.ltilde, tables.l)
+    return _by_group(sample, (pt[:, :, None] * p[:, None, :]).reshape(len(p), len(forms)),
+                     np.broadcast_to(forms, (len(tables),) + forms.shape)).reshape(len(p), 3, -1)
+
+
 def stacked_kernel_pair(tables: ZTables, sample, pt: np.ndarray, p: np.ndarray,
                         tol: Tolerances):
     """(b, h, wronsk, err) of the kernel pairs (ascending coefficients pt of
@@ -382,10 +365,8 @@ def stacked_kernel_pair(tables: ZTables, sample, pt: np.ndarray, p: np.ndarray,
     check failing at point i, or None; gated at tol.residual relative, 0 on
     an exact stack."""
     l, n, lt = tables.l, tables.n, tables.ltilde
-    gate, forms = (0 if pt.dtype == object else tol.residual), _pair_forms(lt, l)
-    # the operator B0 u'' + B1 u' + B2 u annihilating span(ptilde, p)
-    B = _by_group(sample, (pt[:, :, None] * p[:, None, :]).reshape(len(p), (lt + 1) * (l + 1)),
-                  np.broadcast_to(forms, (len(tables),) + forms.shape)).reshape(len(p), 3, l + lt)
+    gate = 0 if pt.dtype == object else tol.residual
+    B = _pair_operator(tables, sample, pt, p)
     # admissible: no marked point where both polynomials vanish
     zpow = (tables.z[:, :, None] ** np.arange(lt + 1)).transpose(0, 2, 1)
     vscale = np.maximum(1.0, np.maximum(rowmax(pt), rowmax(p)))[:, None]
@@ -393,7 +374,7 @@ def stacked_kernel_pair(tables: ZTables, sample, pt: np.ndarray, p: np.ndarray,
         (np.abs(_by_group(sample, p, zpow[:, :l + 1])) <= gate * vscale)
     # (B_i * extra) divmod den, then b0 = A and h from b2's partial fractions
     b = B @ tables.quo[sample].transpose(0, 2, 1)
-    escale = np.array([max(1.0, UniPoly(e).max_abs()) for e in tables.extra.tolist()])
+    escale = np.maximum(1.0, rowmax(tables.extra).astype(float))
     cscale = np.maximum(1.0, np.abs(B).max(axis=(1, 2))) * escale[sample]
     h = _by_group(sample, b[:, 2, :n - 1], tables.partial_fractions.transpose(0, 2, 1))
     wronsk = rowmax(B[:, 0] - tables.W[sample])
@@ -447,9 +428,15 @@ def _one_point(inst: ProblemInstance, a):
     return inst.tables, [0], p_coefficients(A)
 
 
-def _a_of_h_raw(op: DhOperator):
-    """a(h) at op's h without precondition checks (stacked_a_of_h)."""
-    return stacked_a_of_h(op.inst, op.matrix[None])[0].tolist()
+def _point_plane(inst: ProblemInstance, h):
+    """_plane's (q_{-1}, q_0, scale) at the one point h, as scalars."""
+    H = np.asarray(h)[None]
+    return tuple(v.tolist()[0] for v in _plane(inst.tables.z, H, inst.l * inst.ltilde))
+
+
+def _a_of_h_raw(inst: ProblemInstance, h):
+    """a(h) without precondition checks (stacked_a_of_h)."""
+    return stacked_a_of_h(inst, dh_matrices(inst, [h]))[0].tolist()
 
 
 def a_of_h(inst: ProblemInstance, h, tol: float = PLANE_PRE_GATE):
@@ -458,8 +445,9 @@ def a_of_h(inst: ProblemInstance, h, tol: float = PLANE_PRE_GATE):
     Requires q_{-1}(h) = q_0(h) = 0 (within tol * scale in float mode);
     OffPlaneError otherwise.
     """
-    _plane_scale(inst, h, tol)
-    return _a_of_h_raw(DhOperator(inst, tuple(h)))
+    if err := off_plane(*_point_plane(inst, h), tol):
+        raise OffPlaneError(err)
+    return _a_of_h_raw(inst, h)
 
 
 def h_of_a(inst: ProblemInstance, a):
@@ -467,12 +455,14 @@ def h_of_a(inst: ProblemInstance, a):
     return stacked_h_of_a(*_one_point(inst, a))[0][0].tolist()
 
 
-def h_from_numerator(inst: ProblemInstance, g: UniPoly):
-    """Partial fractions: h_s = g(z_s) / prod_{r != s}(z_s - z_r)."""
-    if g.degree > inst.n - 2:
+def h_from_numerator(inst: ProblemInstance, g):
+    """Partial fractions of g / prod(x - z_s), g the ascending coefficients
+    of the numerator: h_s = g(z_s) / prod_{r != s}(z_s - z_r)."""
+    g = list(g)
+    if any(g[inst.n - 1:]):
         raise ValueError("numerator degree exceeds n - 2")
-    P = inst.partial_fractions[:, :len(g.coeffs)]
-    return (P @ np.array(g.coeffs, dtype=P.dtype)).tolist()
+    P = inst.tables.partial_fractions[0][:, :len(g)]
+    return (P @ np.array(g[:inst.n - 1], dtype=P.dtype)).tolist()
 
 
 def residual_system(inst: ProblemInstance, a):
@@ -483,54 +473,55 @@ def residual_system(inst: ProblemInstance, a):
     return stacked_h_of_a(*_one_point(inst, a))[1][0, ::-1].tolist()
 
 
-def ptilde_solve(op: DhOperator, tol: Tolerances = DEFAULT_TOL):
-    """atilde of op's second kernel polynomial (stacked_second_kernel) after
-    the plane pre-gate; InconsistentSystemError means it has none (a point
-    of the degree-l scheme off the all-polynomial one)."""
-    inst = op.inst
+def ptilde_solve(inst: ProblemInstance, h, tol: Tolerances = DEFAULT_TOL):
+    """atilde of the second kernel polynomial of D_h (stacked_second_kernel)
+    after the plane pre-gate; InconsistentSystemError means it has none (a
+    point of the degree-l scheme off the all-polynomial one)."""
     if inst.ltilde <= inst.l:
         raise ValueError("second kernel polynomial needs sum(m) + 1 - l > l")
-    scale = _plane_scale(inst, op.h, max(tol.residual, PLANE_PRE_GATE))
-    x, _, (err,) = stacked_second_kernel(inst, op.matrix[None], [scale], tol)
+    qm1, q0, scale = _point_plane(inst, h)
+    if err := off_plane(qm1, q0, scale, max(tol.residual, PLANE_PRE_GATE)):
+        raise OffPlaneError(err)
+    x, _, (err,) = stacked_second_kernel(inst, dh_matrices(inst, [h]), [scale], tol)
     if err is not None:
         raise InconsistentSystemError(err)
     return list(x[0])
 
 
-def operator_from_kernel_pair(inst: ProblemInstance, ptilde: UniPoly, p: UniPoly,
-                              tol: Tolerances = DEFAULT_TOL):
+def operator_from_kernel_pair(inst: ProblemInstance, ptilde, p, tol: Tolerances = DEFAULT_TOL):
     """Monic-free form (b0, b1, b2) of the operator annihilating span(ptilde, p)
-    (stacked_kernel_pair): B0 u'' + B1 u' + B2 u from the 3x3 kernel
-    determinant, B0 = Wr(ptilde, p), each divided by (lt-l) prod
-    (x-z_s)^{m_s-1}; b0 = prod(x-z_s), b2 has degree n-2 and leading
-    coefficient lt*l, and the residues of b2/b0 are the point's h."""
+    (stacked_kernel_pair), each as n + 1 ascending coefficients, from those
+    of ptilde and p: B0 u'' + B1 u' + B2 u from the 3x3 kernel determinant,
+    B0 = Wr(ptilde, p), each divided by (lt-l) prod (x-z_s)^{m_s-1}; b0 =
+    prod(x-z_s), b2 has degree n-2 and leading coefficient lt*l, and the
+    residues of b2/b0 are the point's h."""
     lt, l = inst.ltilde, inst.l
-    if ptilde.degree > lt or p.degree > l:
+    if any(ptilde[lt + 1:]) or any(p[l + 1:]):
         raise MalformedPairError(f"kernel pair degrees exceed (lt, l) = ({lt}, {l})")
     zero = scalar_one(inst.exact) * 0
-    pt, pp = (np.array([list(q.coeffs) + [zero] * (d + 1 - len(q.coeffs))],
+    pt, pp = (np.array([list(q[:d + 1]) + [zero] * (d + 1 - len(q[:d + 1]))],
                        dtype=object if inst.exact else complex) for q, d in ((ptilde, lt), (p, l)))
     b, _, _, (err,) = stacked_kernel_pair(inst.tables, [0], pt, pp, tol)
     if err is not None:
         raise (NotAdmissibleError if err[0] == "admissible_error" else MalformedPairError)(err[1])
-    return tuple(UniPoly(tuple(row)) for row in b[0].tolist())
+    return tuple(map(tuple, b[0].tolist()))
 
 
-def exponents_at(op: DhOperator, s: int | None):
-    """Indicial roots at the marked point z_s (s = 0..n-1) or infinity (None).
+def exponents_at(inst: ProblemInstance, h, s: int | None):
+    """Indicial roots of D_h at the marked point z_s (s = 0..n-1) or
+    infinity (None).
 
     Finite points return (0, m_s + 1)-ordered roots, which do not depend on
-    h (ProblemInstance.marked_exponents); infinity returns the pair of
-    roots of e^2 + (1 + sum(m)) e + C_{n-2}, descending for display.  As a
-    set they are {-l, l - 1 - sum(m)} exactly when C_{n-2} = l * lt.
+    h (ZTables.marked_exponents); infinity returns the pair of roots of
+    e^2 + (1 + sum(m)) e + C_{n-2}, descending for display.  As a set they
+    are {-l, l - 1 - sum(m)} exactly when C_{n-2} = l * lt.
     """
-    inst = op.inst
     if s is not None:
-        return inst.marked_exponents[s]
-    qm1, _, scale = constraint_plane(inst, op.h)
+        return tuple(inst.tables.marked_exponents[0, s].tolist())
+    qm1, _, scale = _point_plane(inst, h)
     if (qm1 != 0) if inst.exact else abs(qm1) > PLANE_PRE_GATE * scale:
         raise OffPlaneError("exponents at infinity need q_{-1}(h) = 0")
-    cinf = op.matrix[inst.n - 2, 0]    # column 0 of matrix is D_h 1 = C
+    cinf = dh_matrices(inst, [h])[0, inst.n - 2, 0]    # column 0 is D_h 1 = C
     tr = 1 + sum(inst.m)
     disc = tr * tr - 4 * cinf
     if isinstance(cinf, (Fraction, int)):
@@ -543,9 +534,14 @@ def exponents_at(op: DhOperator, s: int | None):
     return (r1, r2)
 
 
-def wronskian_check(inst: ProblemInstance, atilde, a) -> UniPoly:
-    """Wr(ptilde, p) - (lt - l) prod (x - z_s)^{m_s}; zero on the cycle."""
-    return wronskian(ptilde_of(inst, atilde), p_of_a(a)) - inst.kernel_pair_polys[0]
+def wronskian_check(inst: ProblemInstance, atilde, a) -> tuple:
+    """Ascending coefficients of Wr(ptilde, p) - (lt - l) prod (x -
+    z_s)^{m_s} (_pair_operator's B0 less ZTables.W); zero on the cycle."""
+    exact = inst.exact and all(map(is_exact_scalar, [*atilde, *a]))
+    tables = (inst if exact else inst.to_float()).tables
+    pt, p = (np.array([q], dtype=object if exact else complex)
+             for q in (ptilde_of(inst, atilde), p_of_a(a)))
+    return tuple((_pair_operator(tables, [0], pt, p)[0, 0] - tables.W[0]).tolist())
 
 
 def schubert_dimension(m, l: int) -> int:

@@ -37,7 +37,6 @@ from .numcore import (
     DEFAULT_TOL,
     DomainError,
     Tolerances,
-    UniPoly,
     as_float,
     identity,
     is_exact_scalar,
@@ -46,7 +45,7 @@ from .numcore import (
     scalar_one,
     zeros_like_domain,
 )
-from .opscheme import SchemePoint, p_of_a, root_on_marked_point
+from .opscheme import SchemePoint, p_of_a, poly_value, root_on_marked_point
 
 __all__ = [
     "DegenerateCoordinatesError",
@@ -85,23 +84,21 @@ def change_of_variables(inst: ProblemInstance, x):
     u = sum(x)
     if abs(u) <= 1e-14 * max(1.0, max(abs(v) for v in x) if x else 0.0):
         raise DegenerateCoordinatesError("sum of coordinates vanishes")
-    numer = UniPoly.zero()
-    for xs, As in zip(x, inst.zpolys[2]):
-        numer = numer + As * xs
-    if numer.degree <= 0:
-        return u, ()
-    roots = np.roots(list(reversed(numer.coeffs)))
+    # the numerator sum_s x_s W_s, whose leading coefficient is u
+    numer = [sum(c * xs for xs, c in zip(x, col)) for col in zip(*inst.tables.A_s[0].tolist())]
+    roots = np.roots(numer[::-1])
     y = sorted((complex(r) for r in roots), key=DEFAULT_TOL.cluster_key)
     return u, tuple(y)
 
 
-def _companion(p: UniPoly) -> np.ndarray:
-    l = p.degree
+def _companion(p) -> np.ndarray:
+    """The companion matrix of the monic p (ascending coefficients)."""
+    l = len(p) - 1
     C = zeros_like_domain((l, l), True)
     for j in range(l - 1):
         C[j + 1, j] = Fraction(1)
     for i in range(l):
-        C[i, l - 1] = -p.coeffs[i]
+        C[i, l - 1] = -p[i]
     return C
 
 
@@ -159,8 +156,8 @@ def weight_function(inst: ProblemInstance, a) -> WeightVector:
     powers = [identity(l)]
     for _ in range(n - 1):
         powers.append(powers[-1] @ C)
-    A = [sum((powers[k] * w[k] for k in range(1, w.degree + 1)), powers[0] * w[0])
-         for w in inst.zpolys[2]]
+    A = [sum((powers[k] * w[k] for k in range(1, len(w))), powers[0] * w[0])
+         for w in inst.tables.A_s[0].tolist()]
     forms = [[[A[s][i, j] for s in range(n)] for j in range(l)]
              for i in range(l)]
     det = _linear_form_det(forms, l, tuple(range(l)), {})
@@ -170,7 +167,8 @@ def weight_function(inst: ProblemInstance, a) -> WeightVector:
 
 def _roots(A: np.ndarray) -> np.ndarray:
     """Roots of p(a) at each row a of A (P x l), as np.roots finds them: the
-    eigenvalues of the companion matrices, in one stacked call."""
+    eigenvalues of the companion matrices, in one stacked call.  A row of A
+    that is not finite has NaN roots, so _eigen_gate fails its point."""
     P, l = A.shape
     if l == 0:
         return np.zeros((P, 0), dtype=complex)
@@ -179,7 +177,10 @@ def _roots(A: np.ndarray) -> np.ndarray:
     # zero imaginary parts; the eigenvalues' last bits depend on it
     C[:, 0, :] = -A / (1 + 0j)
     C[:, np.arange(1, l), np.arange(l - 1)] = 1
-    return np.linalg.eigvals(C)
+    finite = np.isfinite(A).all(axis=1)
+    roots = np.full((P, l), np.nan, dtype=complex)
+    roots[finite] = np.linalg.eigvals(C[finite])
+    return roots
 
 
 @cache
@@ -201,7 +202,7 @@ def _float_weights(W: np.ndarray, T: np.ndarray) -> np.ndarray:
     P, l = T.shape
     n = W.shape[1]
     ws = np.zeros((P, l, n), dtype=complex)
-    for j in range(W.shape[2] - 1, -1, -1):     # W_s(t) by Horner, as UniPoly evaluates it
+    for j in range(W.shape[2] - 1, -1, -1):     # W_s(t) by Horner's rule from 0
         ws = ws * T[:, :, None] + W[:, None, :, j]
     V = np.ones((P, 1), dtype=complex)
     for k in range(l):
@@ -216,10 +217,10 @@ def _float_weights(W: np.ndarray, T: np.ndarray) -> np.ndarray:
 def separated_form_value(inst: ProblemInstance, a, x):
     """(-1)^{l n} u^l prod_{j=1}^{n-1} p(y^(j), a) at a numeric point x."""
     u, y = change_of_variables(inst, x)
-    p = p_of_a([as_float(v) for v in a]).to_float()
+    p = p_of_a([as_float(v) for v in a])
     val = (-1) ** (inst.l * inst.n) * u ** inst.l
     for yk in y:
-        val *= p(yk)
+        val *= poly_value(p, yk)
     return val
 
 

@@ -225,6 +225,9 @@ def _schur_bases(Tn, centers, clusters, mats, tol):
     return out
 
 
+# D_h's entries grow like |z|^n, so z far apart (about 1e100) overflow its
+# products; each value is a residual (NaN recorded as inf) or a check's error.
+@np.errstate(over="ignore", invalid="ignore")
 def _scheme_residuals(groups, tol: Tolerances, tables: ZTables | None = None):
     """Every scheme-side check at the points of every group, in one pass:
     one list per group of one (a, atilde, residuals) per point.

@@ -11,6 +11,13 @@ q_coefficients and image read the q_i off D_h; solve_rows is numcore's
 with the plain complex Gauss-Jordan it had before the exact elimination
 took rational rows only, which the float reference bodies solve with.
 
+The polynomial form the package used before the z-tables' coefficient
+arrays became its only one is kept here verbatim as well: UniPoly with its
+arithmetic and wronskian (from numcore), and DhOperator, p_of_a,
+ptilde_of, apply_Dh, constraint_plane and _plane_scale (from opscheme),
+apply_Dh reading zpolys(op.inst) below where it read the instance's
+property of that name.
+
 The z-tables these bodies read (zpolys, dh_blocks, kernel_pair_polys,
 kernel_pair_maps, partial_fractions, marked_exponents, w_coeffs) are
 ProblemInstance's UniPoly bodies as they stood before gl2rep.z_tables
@@ -19,34 +26,245 @@ argument: the reference the stacked tables are compared against, bit for
 bit.
 """
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from gaudinlab.gl2rep import ProblemInstance
 from gaudinlab.numcore import (
     DEFAULT_TOL,
+    DomainError,
     zeros_like_domain,
     InconsistentSystemError,
     SingularMatrixError,
     Tolerances,
-    UniPoly,
     _is_rational_rows,
     _rref_inplace as _exact_rref_inplace,
     as_float,
     is_exact_scalar,
     scalar_one,
     solve_consistent,
-    wronskian,
 )
 from gaudinlab.opscheme import (
     PLANE_PRE_GATE,
-    DhOperator,
     MalformedPairError,
     NotAdmissibleError,
-    _plane_scale,
-    constraint_plane,
-    p_of_a,
+    OffPlaneError,
+    _atilde_columns,
+    _plane,
+    dh_matrices,
+    off_plane,
 )
 
+
+# --- the polynomial form ----------------------------------------------------
+
+
+class UniPoly:
+    """Dense univariate polynomial, coefficients in ascending degree.
+
+    Coefficients live in one scalar domain (Fraction or complex);
+    trailing zeros are trimmed so the leading coefficient of a nonzero
+    polynomial is nonzero.  Instances are immutable.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    # -- constructors
+    @staticmethod
+    def zero():
+        return UniPoly(())
+
+    @staticmethod
+    def const(c):
+        return UniPoly((c,))
+
+    @staticmethod
+    def monomial(k, c):
+        return UniPoly((0 * c,) * k + (c,))
+
+    # -- queries
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __getitem__(self, k):
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return 0
+
+    # -- arithmetic
+    def __add__(self, o):
+        if not isinstance(o, UniPoly):
+            return NotImplemented
+        n = max(len(self.coeffs), len(o.coeffs))
+        return UniPoly(tuple(self[k] + o[k] for k in range(n)))
+
+    def __sub__(self, o):
+        if not isinstance(o, UniPoly):
+            return NotImplemented
+        n = max(len(self.coeffs), len(o.coeffs))
+        return UniPoly(tuple(self[k] - o[k] for k in range(n)))
+
+    def __neg__(self):
+        return UniPoly(tuple(-c for c in self.coeffs))
+
+    def __mul__(self, o):
+        if isinstance(o, UniPoly):
+            if self.is_zero() or o.is_zero():
+                return UniPoly.zero()
+            out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                if not a:
+                    continue
+                for j, b in enumerate(o.coeffs):
+                    out[i + j] = out[i + j] + a * b
+            return UniPoly(tuple(out))
+        return UniPoly(tuple(c * o for c in self.coeffs))
+
+    def deriv(self) -> "UniPoly":
+        return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
+
+    def __call__(self, x):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def divmod(self, d: "UniPoly"):
+        """Euclidean division; exact over Fractions, naive over floats."""
+        if d.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dd = d.degree
+        lead = d.coeffs[-1]
+        if len(rem) - 1 < dd:
+            return UniPoly.zero(), self
+        q = [0] * (len(rem) - dd)
+        for k in range(len(rem) - 1, dd - 1, -1):
+            c = rem[k] / lead
+            q[k - dd] = c
+            if c:
+                for j in range(dd + 1):
+                    rem[k - dd + j] = rem[k - dd + j] - c * d.coeffs[j]
+        return UniPoly(tuple(q)), UniPoly(tuple(rem[:dd]))
+
+    def max_abs(self) -> float:
+        if not self.coeffs:
+            return 0.0
+        return max(abs(as_float(c)) for c in self.coeffs)
+
+    def to_float(self) -> "UniPoly":
+        return UniPoly(tuple(as_float(c) for c in self.coeffs))
+
+    def __eq__(self, o):
+        return isinstance(o, UniPoly) and self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        if self.is_zero():
+            return "UniPoly(0)"
+        terms = []
+        for k, c in enumerate(self.coeffs):
+            if c:
+                terms.append(f"({c})*x^{k}" if k else f"({c})")
+        return "UniPoly(" + " + ".join(terms) + ")"
+
+
+def wronskian(f: UniPoly, g: UniPoly) -> UniPoly:
+    """f'g - fg'."""
+    return f.deriv() * g - f * g.deriv()
+
+
+
+@dataclass(frozen=True)
+class DhOperator:
+    """The cleared-denominator operator  A u'' + B u' + C u  on polynomials."""
+
+    inst: ProblemInstance
+    h: tuple
+
+    def __post_init__(self):
+        if self.inst.exact and any(isinstance(v, complex) for v in self.h):
+            raise DomainError("float h on an exact instance; convert the instance first")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """M0 + sum_s h_s M[s] from inst.tables: D_h on ascending
+        coefficient vectors of degree up to max(l, lt)."""
+        return dh_matrices(self.inst, [self.h])[0]
+
+
+def p_of_a(a) -> UniPoly:
+    """Monic polynomial x^l + a_1 x^{l-1} + ... + a_l."""
+    a = list(a)
+    l = len(a)
+    one = scalar_one(all(map(is_exact_scalar, a)))
+    return UniPoly(tuple(reversed(a)) + (one,)) if l else UniPoly.const(one)
+
+
+def ptilde_of(inst: ProblemInstance, atilde) -> UniPoly:
+    """Monic degree-lt polynomial with zero x^l coefficient.
+
+    atilde lists the coefficients indexed 1..lt with index lt-l skipped,
+    matching the omitted coordinate of the second kernel polynomial.
+    """
+    lt, l = inst.ltilde, inst.l
+    if lt <= l:
+        raise ValueError("second kernel polynomial needs sum(m) + 1 - l > l")
+    atilde = list(atilde)
+    if len(atilde) != lt - 1:
+        raise ValueError(f"expected {lt - 1} coefficients, got {len(atilde)}")
+    one = scalar_one(all(map(is_exact_scalar, atilde)))
+    coeffs = [one * 0] * lt + [one]
+    for k, v in zip(_atilde_columns(lt, l), atilde):
+        coeffs[k] = v
+    return UniPoly(tuple(coeffs))
+
+
+def apply_Dh(op: DhOperator, u: UniPoly) -> UniPoly:
+    """prod(x-z_s) * [u'' - sum m_s/(x-z_s) u' + sum h_s/(x-z_s) u]."""
+    A, B, A_s = zpolys(op.inst)
+    C = sum((As * hs for As, hs in zip(A_s, op.h)), UniPoly.zero())
+    return A * u.deriv().deriv() + B * u.deriv() + C * u
+
+
+def constraint_plane(inst: ProblemInstance, H):
+    """(q_{-1}, q_0, scale) at each point of the stack H (P x n), each an
+    array over the points; one point h (length n) gives three scalars.
+
+    q_{-1} = sum h_s and q_0 = sum z_s h_s - l * lt, summed in order of s;
+    scale = max(1, max |h_s|, l * lt) is the size the float gates on them
+    are relative to.
+    """
+    H = np.asarray(H)
+    if H.ndim == 1:
+        return tuple(v.tolist()[0] for v in constraint_plane(inst, H[None]))
+    return _plane(np.array([inst.z], dtype=object if inst.exact else complex), H,
+                  inst.l * inst.ltilde)
+
+
+def _plane_scale(inst: ProblemInstance, h, tol: float) -> float:
+    """constraint_plane's scale; OffPlaneError if |q_{-1}| or |q_0| > tol * scale."""
+    qm1, q0, scale = constraint_plane(inst, h)
+    if err := off_plane(qm1, q0, scale, tol):
+        raise OffPlaneError(err)
+    return scale
+
+
+# --- the single-point scheme functions ---------------------------------------
 
 def _rref_inplace(M: list) -> list:
     """Gauss-Jordan on a list of rows in place; returns the pivot columns.

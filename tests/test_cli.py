@@ -87,6 +87,21 @@ class TestConfig:
         assert main(["spectrum", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: z entries")
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_marked_products_underflowing_exit_2(self, mode, tmp_path, capsys):
+        # z about 1e-150 apart: prod_{r != s} (z_s - z_r) underflows to 0 as
+        # floats, which the z-tables' partial fractions would divide by
+        config = {"m": [1, 1, 1, 1], "l": 2, "z": ["0", "1e-150", "2e-150", "3e-150"],
+                  "mode": mode}
+        with pytest.raises(ConfigError, match="underflows to 0 as floats"):
+            load_config(config)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["spectrum", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: marked points z too close")
+        # 1e-100 apart the products are about 1e-300, and the config loads
+        load_config({**config, "z": ["0", "1e-100", "2e-100", "3e-100"]})
+
     def test_tiny_z_has_a_float_twin(self):
         # 1e-400 = 1/10^400: both parts overflow a float, the value rounds to 0
         inst, _, _, _ = load_config({"m": [1, 1], "l": 1, "z": ["1", "1e-400"]})

@@ -41,6 +41,7 @@ from gaudinlab.numcore import (
 
 import conftest
 from conftest import LADDER, random_exact_instance, random_float_z
+from scheme_reference import zpolys
 
 
 def exact_vec(vals):
@@ -94,7 +95,7 @@ class TestBuildGaudin:
             s = build_gaudin(inst)
             if s.dim_sing_m:
                 tgt = identity(s.dim_sing_m) * F(inst.l * inst.ltilde)
-                A_s = inst.zpolys[2]
+                A_s = inst.tables.A_s[0]
                 g0 = sum(H * A_s[k][inst.n - 2] for k, H in enumerate(s.H_sing))
                 assert max_abs(g0 - tgt) == 0.0
 
@@ -390,7 +391,7 @@ def reference_matrix_numerator_for(inst: ProblemInstance, mats):
     d = mats[0].shape[0]
     exact = inst.exact
     N = [zeros_like_domain((d, d), exact) for _ in range(inst.n)]
-    for s, w in enumerate(inst.zpolys[2]):
+    for s, w in enumerate(zpolys(inst)[2]):
         for k in range(w.degree + 1):
             if w[k]:
                 N[k] = N[k] + mats[s] * w[k]
@@ -400,7 +401,7 @@ def reference_matrix_numerator_for(inst: ProblemInstance, mats):
 def reference_universal_operator(sys, space: str, coeffs):
     """Coefficient vectors of  A v'' + B v' + N v  for a vector polynomial,
     coefficient by coefficient of A, B and N (the loop apply_universal_operator
-    replaced by its read of inst.dh_blocks).
+    replaced by its read of the z-tables' M0 and M).
 
     coeffs lists the vector coefficients of v(x) in descending powers
     (v = coeffs[0] x^deg + ... + coeffs[deg]); the result is ascending.
@@ -410,7 +411,7 @@ def reference_universal_operator(sys, space: str, coeffs):
     d = mats[0].shape[0] if mats[0].size else 0
     exact = inst.exact
     deg = len(coeffs) - 1
-    A, B, _ = inst.zpolys
+    A, B, _ = zpolys(inst)
     N = reference_matrix_numerator_for(inst, mats)
     top = deg + inst.n - 1
     out = [zeros_like_domain((d,), exact) for _ in range(top + 1)]
@@ -429,7 +430,7 @@ def reference_universal_operator(sys, space: str, coeffs):
 
 class TestUniversalOperator:
     """apply_universal_operator is D U = U M0^T + sum_s H_s U M[s]^T on the
-    block U of ascending coefficients, read off inst.dh_blocks; the loop
+    block U of ascending coefficients, read off the z-tables' M0 and M; the loop
     over the coefficients of A, B and the A_s is its reference."""
 
     def test_matches_loop_reference(self, rng):

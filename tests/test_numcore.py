@@ -7,7 +7,6 @@ from gaudinlab.numcore import (
     DomainError,
     InconsistentSystemError,
     SingularMatrixError,
-    UniPoly,
     as_float,
     exact_array,
     exact_sqrt,
@@ -28,10 +27,10 @@ from gaudinlab.numcore import (
     solve_linear,
     solve_rows,
     to_float_array,
-    wronskian,
 )
 
 import scheme_reference
+from scheme_reference import UniPoly, wronskian
 from conftest import oracle_det
 
 

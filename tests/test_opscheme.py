@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from gaudinlab import (
-    DhOperator,
     MalformedPairError,
     NotAdmissibleError,
     ProblemInstance,
     a_of_h,
-    apply_Dh,
     exponents_at,
     h_of_a,
     operator_from_kernel_pair,
@@ -21,7 +19,6 @@ from gaudinlab import (
 from gaudinlab.numcore import (
     InconsistentSystemError,
     Tolerances,
-    UniPoly,
     solve_consistent,
     solve_rows,
 )
@@ -33,7 +30,9 @@ from gaudinlab.opscheme import (
 )
 
 from conftest import random_exact_instance
-from scheme_reference import image, q_coefficients, q_values
+import scheme_reference
+from scheme_reference import DhOperator, UniPoly, apply_Dh, image, q_coefficients, q_values, zpolys
+from scheme_reference import p_of_a as p_poly, ptilde_of as ptilde_poly
 from test_gl2rep import cg_multiplicity_bruteforce
 
 
@@ -46,7 +45,7 @@ def from_roots(roots):
     p = UniPoly.const(1 + 0j)
     for r in roots:
         p = p * UniPoly((-r, 1 + 0j))
-    return p
+    return p.coeffs
 
 
 H1 = (F(-2), F(2))    # the scheme point of E1
@@ -75,7 +74,7 @@ class TestApplyDh:
             a = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
                  for _ in range(inst.l)]
             h = h_of_a(inst, a)   # lands on the constraint plane by construction
-            w = apply_Dh(DhOperator(inst, tuple(h)), p_of_a(a))
+            w = apply_Dh(DhOperator(inst, tuple(h)), p_poly(a))
             assert w.degree <= inst.l + inst.n - 3
 
 
@@ -90,14 +89,14 @@ def _probed_rows(f, k):
 
 def _probed_a_of_h(op):
     l, n = op.inst.l, op.inst.n
-    rows = _probed_rows(lambda a: q_values(apply_Dh(op, p_of_a(a)), l, n)[:l], l)
+    rows = _probed_rows(lambda a: q_values(apply_Dh(op, p_poly(a)), l, n)[:l], l)
     return [row[0] for row in solve_rows(rows, l)]
 
 
 def _probed_h_of_a(inst, a):
     l, n = inst.l, inst.n
-    A, B, _ = inst.zpolys
-    p = p_of_a(a)
+    A, B, _ = zpolys(inst)
+    p = p_poly(a)
     g0 = F(l * inst.ltilde)
 
     def qhat(grest):
@@ -105,18 +104,18 @@ def _probed_h_of_a(inst, a):
         return q_values(A * p.deriv().deriv() + B * p.deriv() + g * p, l, n)[:n - 2]
 
     grest = [row[0] for row in solve_rows(_probed_rows(qhat, n - 2), n - 2)]
-    return h_from_numerator(inst, UniPoly(tuple(reversed([g0] + grest))))
+    return h_from_numerator(inst, tuple(reversed([g0] + grest)))
 
 
 def _probed_residual_system(inst, a):
     op = DhOperator(inst, tuple(_probed_h_of_a(inst, a)))
-    return q_values(apply_Dh(op, p_of_a(a)), inst.l, inst.n)[inst.n - 2:]
+    return q_values(apply_Dh(op, p_poly(a)), inst.l, inst.n)[inst.n - 2:]
 
 
 def _probed_ptilde_solve(op):
     inst = op.inst
     rows = _probed_rows(
-        lambda at: q_values(apply_Dh(op, ptilde_of(inst, at)), inst.ltilde, inst.n),
+        lambda at: q_values(apply_Dh(op, ptilde_poly(inst, at)), inst.ltilde, inst.n),
         inst.ltilde - 1)
     if inst.ltilde == 1:
         if any(r[0] for r in rows):
@@ -134,8 +133,8 @@ def _outcome(f, *args):
 
 
 class TestOperatorBlocks:
-    """The per-point checks read D_h off inst.dh_blocks; apply_Dh and the
-    probed affine systems are the reference, compared exactly."""
+    """The per-point checks read D_h off the z-tables (dh_matrices); apply_Dh
+    and the probed affine systems are the reference, compared exactly."""
 
     def test_columns_are_apply_Dh_of_monomials(self, rng):
         for _ in range(10):
@@ -166,12 +165,11 @@ class TestOperatorBlocks:
             op = DhOperator(inst, tuple(h))
             assert a_of_h(inst, h) == _probed_a_of_h(op)
             if inst.ltilde > inst.l:
-                got = _outcome(ptilde_solve, op)
+                got = _outcome(ptilde_solve, inst, tuple(h))
                 assert got == _outcome(_probed_ptilde_solve, op)
                 consistent += got is not InconsistentSystemError
         for inst, h in ((E1, H1), (E3, H3)):
-            op = DhOperator(inst, h)
-            assert ptilde_solve(op) == _probed_ptilde_solve(op)
+            assert ptilde_solve(inst, h) == _probed_ptilde_solve(DhOperator(inst, h))
         assert consistent
 
 
@@ -293,16 +291,16 @@ class TestResidualSystem:
 
 class TestPtilde:
     def test_E1(self, E1):
-        assert ptilde_solve(DhOperator(E1, H1)) == [F(0)]
-        assert ptilde_of(E1, [F(0)]) == P(0, 0, 1)
+        assert ptilde_solve(E1, H1) == [F(0)]
+        assert ptilde_of(E1, [F(0)]) == (0, 0, 1)
 
     def test_E3(self, E3):
-        assert ptilde_solve(DhOperator(E3, H3)) == [F(0), F(0)]
-        assert ptilde_of(E3, [F(0), F(0)]) == P(0, 0, 0, 1)
+        assert ptilde_solve(E3, H3) == [F(0), F(0)]
+        assert ptilde_of(E3, [F(0), F(0)]) == (0, 0, 0, 1)
 
     def test_off_plane_precondition(self, E1):
         with pytest.raises(ValueError):
-            ptilde_solve(DhOperator(E1, (F(0), F(1))))
+            ptilde_solve(E1, (F(0), F(1)))
 
     def test_x_l_coefficient_pinned(self, rng):
         for _ in range(6):
@@ -314,53 +312,51 @@ class TestPtilde:
 
 class TestExponents:
     def test_E1(self, E1):
-        op = DhOperator(E1, H1)
-        assert exponents_at(op, 0) == (F(0), F(2))
-        assert exponents_at(op, None) == (F(-1), F(-2))
+        assert exponents_at(E1, H1, 0) == (F(0), F(2))
+        assert exponents_at(E1, H1, None) == (F(-1), F(-2))
 
     def test_E3_finite(self, E3):
-        op = DhOperator(E3, H3)
-        assert exponents_at(op, 1) == (F(0), F(3))
-        assert exponents_at(op, None) == (F(-2), F(-3))
+        assert exponents_at(E3, H3, 1) == (F(0), F(3))
+        assert exponents_at(E3, H3, None) == (F(-2), F(-3))
 
     def test_any_h_on_plane(self, rng):
         # exponents depend only on the constraint plane, not the point
         for _ in range(6):
             inst = random_exact_instance(rng, max_level_dim=18)
             a = [F(int(rng.integers(-2, 3))) for _ in range(inst.l)]
-            op = DhOperator(inst, tuple(h_of_a(inst, a)))
+            h = tuple(h_of_a(inst, a))
             for s in range(inst.n):
-                assert exponents_at(op, s) == (F(0), F(inst.m[s] + 1))
-            assert exponents_at(op, None) == \
+                assert exponents_at(inst, h, s) == (F(0), F(inst.m[s] + 1))
+            assert exponents_at(inst, h, None) == \
                 (F(-inst.l), F(inst.l - 1 - sum(inst.m)))
 
 
 class TestWronskianCheck:
     def test_E1_zero(self, E1):
-        assert wronskian_check(E1, [F(0)], [F(-1, 2)]).is_zero()
+        assert not any(wronskian_check(E1, [F(0)], [F(-1, 2)]))
 
     def test_E3_zero(self, E3):
-        assert wronskian_check(E3, [F(0), F(0)], [F(-1), F(1, 3)]).is_zero()
+        assert not any(wronskian_check(E3, [F(0), F(0)], [F(-1), F(1, 3)]))
 
     def test_E1_off_point(self, E1):
         r = wronskian_check(E1, [F(0)], [F(0)])
-        assert r == P(0, 1)    # Wr(x^2, x) - x(x-1) = x
+        assert r == (0, 1, 0)    # Wr(x^2, x) - x(x-1) = x
 
 
 class TestKernelPairOperator:
     def test_E1(self, E1):
-        b0, b1, b2 = operator_from_kernel_pair(E1, P(0, 0, 1), P(F(-1, 2), 1))
-        assert b0 == P(0, -1, 1)
-        assert b1 == P(1, -2)
-        assert b2 == P(2)
+        b0, b1, b2 = operator_from_kernel_pair(E1, (0, 0, 1), (F(-1, 2), 1))
+        assert b0 == (0, -1, 1)
+        assert b1 == (1, -2, 0)
+        assert b2 == (2, 0, 0)
         assert h_from_numerator(E1, b2) == [F(-2), F(2)]
 
     def test_E3_leading(self, E3):
         b0, b1, b2 = operator_from_kernel_pair(
-            E3, P(0, 0, 0, 1), P(F(1, 3), -1, 1))
-        assert b2 == P(6)          # lt * l = 6
-        assert b0 == P(0, -1, 1)
-        assert b1 == P(2, -4)
+            E3, (0, 0, 0, 1), (F(1, 3), -1, 1))
+        assert b2 == (6, 0, 0)          # lt * l = 6
+        assert b0 == (0, -1, 1)
+        assert b1 == (2, -4, 0)
 
     def test_roundtrip_through_scheme(self, rng):
         for _ in range(5):
@@ -375,12 +371,75 @@ class TestKernelPairOperator:
                 operator_from_kernel_pair(
                     finst,
                     from_roots([complex(z) for z in finst.z] + [0j] * (inst.ltilde - inst.n))
-                    if inst.ltilde >= inst.n else UniPoly((0j, 1 + 0j)),
+                    if inst.ltilde >= inst.n else (0j, 1 + 0j),
                     from_roots([complex(finst.z[0])] * inst.l))
 
     def test_malformed_pair(self, E1):
         with pytest.raises(MalformedPairError):
-            operator_from_kernel_pair(E1, P(0, 0, 1), P(1, 1))
+            operator_from_kernel_pair(E1, (0, 0, 1), (1, 1))
+
+
+class TestCoefficientFormsAgainstUniPoly:
+    """wronskian_check, operator_from_kernel_pair and h_from_numerator on
+    coefficient sequences against the UniPoly reference, coefficient for
+    coefficient, in the exact lane."""
+
+    @staticmethod
+    def same(got, want):
+        # the reference trims trailing zeros; every coefficient is a Fraction
+        assert all(type(v) is F for v in got), got
+        assert list(got) == list(want.coeffs) + [0] * (len(got) - len(want.coeffs))
+
+    def test_random_exact_instances(self, rng):
+        def rand(k):
+            return [F(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in range(k)]
+
+        pairs = 0
+        for _ in range(16):
+            inst = random_exact_instance(rng, max_level_dim=20)
+            g = rand(inst.n - 1)
+            got = h_from_numerator(inst, g)
+            assert all(type(v) is F for v in got)
+            assert got == scheme_reference.h_from_numerator(inst, UniPoly(tuple(g)))
+            if inst.ltilde <= inst.l:
+                continue
+            at, a = rand(inst.ltilde - 1), rand(inst.l)
+            want = scheme_reference.wronskian(ptilde_poly(inst, at), p_poly(a)) - \
+                scheme_reference.kernel_pair_polys(inst)[0]
+            self.same(wronskian_check(inst, at, a), want)
+            pair = (ptilde_of(inst, at), p_of_a(a))
+            try:
+                got = operator_from_kernel_pair(inst, *pair)
+            except (NotAdmissibleError, MalformedPairError) as err:
+                with pytest.raises(type(err)):
+                    scheme_reference.operator_from_kernel_pair(inst, *map(UniPoly, pair))
+            else:
+                for b, w in zip(got, scheme_reference.operator_from_kernel_pair(
+                        inst, *map(UniPoly, pair))):
+                    self.same(b, w)
+            pairs += 1
+        assert pairs
+
+    def test_kernel_pairs_on_their_cycle(self, rng):
+        # ptilde = x^lt + k (x - c)^l and p = (x - c)^l have the Wronskian
+        # (lt - l) x^{lt-1} (x - c)^{l-1} (x - lt c / (lt - l)): a pair on the
+        # cycle of m = (lt - 1, l - 1, 1) at z = (0, c, lt c / (lt - l))
+        for _ in range(8):
+            l = int(rng.integers(1, 4))
+            lt = l + int(rng.integers(1, 3))
+            c = F(int(rng.integers(1, 7)), int(rng.integers(1, 4))) * int(rng.choice([-1, 1]))
+            k = F(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
+            inst = ProblemInstance([lt - 1, l - 1, 1], l, [0, c, lt * c / (lt - l)])
+            p = UniPoly.const(F(1))
+            for _ in range(l):
+                p = p * UniPoly((-c, F(1)))
+            pt = UniPoly.monomial(lt, F(1)) + p * k
+            want = scheme_reference.operator_from_kernel_pair(inst, pt, p)
+            got = operator_from_kernel_pair(inst, pt.coeffs, p.coeffs)
+            for b, w in zip(got, want):
+                self.same(b, w)
+            assert h_from_numerator(inst, got[2]) == \
+                scheme_reference.h_from_numerator(inst, want[2])
 
 
 class TestSchubert:

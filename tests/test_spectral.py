@@ -20,20 +20,16 @@ from gaudinlab import (
 from gaudinlab import gl2rep, opscheme, spectral
 from gaudinlab.numcore import InconsistentSystemError, Tolerances, max_abs, to_float_array
 from gaudinlab.opscheme import (
-    DhOperator,
     MalformedPairError,
     NotAdmissibleError,
     OffPlaneError,
     _a_of_h_raw,
-    constraint_plane,
     exponents_at,
-    p_of_a,
-    ptilde_of,
     stacked_jacobian,
-    wronskian_check,
 )
 
 import scheme_reference
+from scheme_reference import DhOperator, constraint_plane, p_of_a, ptilde_of
 from conftest import LADDER, oracle_det, pipeline_spectrum, random_dominant_float_instance
 
 
@@ -172,13 +168,13 @@ def reference_residuals(finst, h, tol):
     res["scheme"] = max((abs(v) for v in scheme_reference.residual_system(finst, a)),
                         default=0.0) / ascale
     try:
-        exponents_at(op, None)
+        exponents_at(finst, h, None)
     except OffPlaneError as err:
         res["exponents"] = float("inf")
         res["exponents_error"] = str(err)
     else:
         marked = max(max(abs(e[0]), abs(e[1] - (finst.m[s] + 1)))
-                     for s, e in enumerate(exponents_at(op, s) for s in range(n)))
+                     for s, e in enumerate(exponents_at(finst, h, s) for s in range(n)))
         res["exponents"] = max(marked, abs(op.matrix[n - 2, 0] - l * lt) / hscale)
     atilde = None
     if lt > l:
@@ -191,7 +187,9 @@ def reference_residuals(finst, h, tol):
         pscale = max(ascale, max((abs(v) for v in atilde), default=0.0))
         res["ptilde"] = max_abs(scheme_reference.image(op, ptilde_of(finst, atilde).coeffs)) \
             / pscale
-        res["wronskian"] = wronskian_check(finst, atilde, a).max_abs() / pscale
+        wr = scheme_reference.wronskian(ptilde_of(finst, atilde), p_of_a(a)) - \
+            scheme_reference.kernel_pair_polys(finst)[0]
+        res["wronskian"] = wr.max_abs() / pscale
         try:
             _, _, b2 = scheme_reference.operator_from_kernel_pair(
                 finst, ptilde_of(finst, atilde), p_of_a(a), tol=tol)
@@ -484,13 +482,13 @@ class TestMatchSpectrum:
                     assert v < 1e-8, (k, v)
 
     def test_operator_blocks_built_once_and_apply_Dh_unused(self, monkeypatch):
-        # the point checks read D_h off the instance's blocks: no probing
-        # through apply_Dh, one block build per instance, no single-point
-        # a(h) in the pipeline and one stacked a(h) solve per spectrum
+        # the point checks read D_h off the instance's blocks: one block
+        # build per instance, no single-point call in the pipeline and one
+        # stacked a(h) solve per spectrum
         inst = ProblemInstance([2] * 4, 3, [0.0, 1.0, 3.0, 7.0])
         s = build_gaudin(inst)
         spectra = [joint_spectrum(list(H), seed=0) for H in (s.H_L, s.H_sing)]
-        single = ("apply_Dh", "_a_of_h_raw", "residual_system", "ptilde_solve",
+        single = ("_a_of_h_raw", "residual_system", "ptilde_solve",
                   "exponents_at", "wronskian_check", "operator_from_kernel_pair",
                   "h_from_numerator")
         calls = dict.fromkeys(single, 0)
@@ -618,7 +616,7 @@ class TestGrothendieck:
         h = tuple(h_of_a(inst, [F(v) for v in a]))
         # these h are off the scheme, where a(h) need not be a; a point
         # carries a = a(h), as match_spectrum_to_scheme builds it
-        a = _a_of_h_raw(DhOperator(inst, h))
+        a = _a_of_h_raw(inst, h)
         pt = SchemePoint(h=h, a=tuple(a), atilde=None, multiplicity=1, residuals={})
         w_exact = exact_weight(inst, pt)
         ptf = SchemePoint(h=tuple(complex(v) for v in h), a=tuple(complex(v) for v in a),
@@ -649,7 +647,7 @@ class TestGrothendieck:
         inst = ProblemInstance(m, l, z).to_float()
 
         def equations(h):
-            a = _a_of_h_raw(DhOperator(inst, tuple(h)))
+            a = _a_of_h_raw(inst, tuple(h))
             qm1, q0, qs = scheme_reference.q_coefficients(inst, a, h)
             return np.array([qm1, q0] + qs[l:], dtype=complex)
 
@@ -658,7 +656,7 @@ class TestGrothendieck:
         assert points
         for h in points:
             h = np.array(h, dtype=complex)
-            a = np.array(_a_of_h_raw(DhOperator(inst, tuple(h))), dtype=complex)
+            a = np.array(_a_of_h_raw(inst, tuple(h)), dtype=complex)
             J = stacked_jacobian(inst.tables, [0], h[None], a[None])[0]
             step = 1e-6 * max(1.0, np.abs(h).max())
             fd = np.empty_like(J)
@@ -768,7 +766,8 @@ class TestSchemePointsViaRootSearch:
         # polynomial and root-finding, keep those admitting the second
         # kernel polynomial, and match each against the quotient spectrum.
         from gaudinlab import ptilde_solve, residual_system
-        from gaudinlab.numcore import InconsistentSystemError, UniPoly
+        from gaudinlab.numcore import InconsistentSystemError
+        from scheme_reference import UniPoly
         from gaudinlab.opscheme import h_of_a
         from conftest import random_dominant_float_instance
         found_any = False
@@ -800,7 +799,7 @@ class TestSchemePointsViaRootSearch:
             for r in roots:
                 h = tuple(h_of_a(inst, [complex(r)]))
                 try:
-                    ptilde_solve(DhOperator(inst, h))
+                    ptilde_solve(inst, h)
                 except InconsistentSystemError:
                     continue   # on the degree-l scheme but not the full one
                 dists = [max(abs(a - b) for a, b in zip(h, hs))
@@ -820,7 +819,7 @@ class TestSchemePointsViaRootSearch:
         a = a_of_h(inst, h)
         assert all(v == 0 for v in residual_system(inst, a))
         with pytest.raises(InconsistentSystemError):
-            ptilde_solve(DhOperator(inst, h))
+            ptilde_solve(inst, h)
 
 
 class TestDiagonalizability:

@@ -16,11 +16,12 @@ import warnings
 import numpy as np
 import pytest
 
-from gaudinlab import cli, spectral
+from gaudinlab import cli, opscheme, sov, spectral
 from gaudinlab.cli import GaudinFrame, _sample_z, cmd_spectrum, cmd_verify, load_config
 from gaudinlab.gaudin import build_gaudin, build_gaudins
 from gaudinlab.gl2rep import ProblemInstance
 from gaudinlab.numcore import DEFAULT_TOL, DomainError, Tolerances, max_abs, to_float_array
+from gaudinlab.opscheme import dh_matrices
 from gaudinlab.sov import (
     VerificationError,
     _eigenline_via_subspace,
@@ -475,6 +476,57 @@ class TestDegeneratePoints:
         assert rep["spectrum_sing_l"]["residual_summary"]["scheme"] == "inf"
         assert {p["residuals"]["scheme"] for p in rep["spectrum_sing_m"]["points"]} == {"inf"}
         json.dumps(rep, allow_nan=False)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("far", ["1e100", "1e150"])
+    def test_far_apart_points_fail_by_name_without_warnings(self, far, mode):
+        # (1^4),2 at z about 1e100 and 1e150 apart: the z-tables and the
+        # products on D_h overflow.  At 1e150 the stacked SVD of the second
+        # kernel's least squares does not converge: each point takes its own,
+        # the unconverged ones fail ptilde, and their NaN a have NaN Bethe
+        # roots, which fail bethe_vector.  numpy warns of nothing
+        z = ["0", far] + [f"{k}{far[1:]}" for k in (2, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep, fails = cmd_spectrum({"m": [1, 1, 1, 1], "l": 2, "z": z, "mode": mode,
+                                       "seed": 0})
+        assert {"sing_l_scheme", "sing_l_ptilde", "sing_m_scheme", "bethe_vector"} <= set(fails)
+        assert rep["failures"] == fails
+        errors = {p["residuals"].get("ptilde_error") for p in rep["spectrum_sing_l"]["points"]}
+        assert all(e.startswith("least-squares residual") for e in errors)
+        assert rep["bethe_vectors"][0]["error"] == "eigen-relation residual inf"
+
+    def test_unconverged_least_squares_fails_its_point_only(self, monkeypatch):
+        # a second kernel stack whose pinv fails as a whole and then at one
+        # matrix: that point fails ptilde, the others keep their solutions
+        ((inst, _, points),) = quotient_points(verify_draws(0)[0][:1])
+        D = dh_matrices(inst, [p.h for p in points])
+        hscale = [1.0] * len(D)
+        want = opscheme.stacked_second_kernel(inst, D, hscale, DEFAULT_TOL)
+        real = np.linalg.pinv
+
+        def flaky(A):
+            if A.ndim == 3 or np.array_equal(A, bad):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(A)
+
+        lt, l = inst.ltilde, inst.l
+        bad = D[1][lt + inst.n - 3::-1][:, opscheme._atilde_columns(lt, l)]
+        monkeypatch.setattr(np.linalg, "pinv", flaky)
+        x, pt, err = opscheme.stacked_second_kernel(inst, D, hscale, DEFAULT_TOL)
+        assert err[1] == "least-squares residual nan exceeds gate"
+        assert np.isnan(x[1]).all()
+        keep = [i for i in range(len(D)) if i != 1]
+        assert [err[i] for i in keep] == [want[2][i] for i in keep]
+        assert x[keep].tobytes() == want[0][keep].tobytes()
+
+    def test_non_finite_a_has_nan_roots(self):
+        # a row of a with a NaN has NaN roots; the finite row keeps its own
+        A = np.array([[1 + 0j, -2 + 0j], [np.nan, 1 + 0j]])
+        roots = sov._roots(A)
+        assert np.isnan(roots[1]).all()
+        assert roots[0].tobytes() == sov._roots(A[:1])[0].tobytes()
+        assert sorted(roots[0].real.round(12)) == [-2, 1]
 
     def test_nan_residual_is_recorded_as_inf(self):
         run = cli._Run(build_gaudin(ProblemInstance([1, 1], 1, [0, 1])), 0, DEFAULT_TOL)

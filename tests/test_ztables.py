@@ -45,9 +45,9 @@ def reference(inst) -> dict:
 def padded(value, shape, exact):
     """A reference table as an array of the stack's shape: a polynomial's
     trimmed coefficients padded with zeros, as UniPoly leaves them."""
-    if isinstance(value, gl2rep.UniPoly):
+    if isinstance(value, scheme_reference.UniPoly):
         value = [value]
-    if isinstance(value, tuple) and isinstance(value[0], gl2rep.UniPoly):
+    if isinstance(value, tuple) and isinstance(value[0], scheme_reference.UniPoly):
         value = list(value)
     if isinstance(value, list):
         rows = [list(p.coeffs) + [0] * (shape[-1] - len(p.coeffs)) for p in value]
@@ -86,9 +86,6 @@ def test_float_stack_is_the_reference_and_its_single_reads(case):
             assert not got.flags.writeable
             assert_same(got[i], padded(want[name], got.shape[1:], False), False, (name, i))
             assert_same(getattr(one, name)[0], got[i], False, (name, i))
-        assert inst.zpolys == (want["A"], want["B"], want["A_s"])
-        assert inst.kernel_pair_polys == (want["W"], want["den"], want["extra"])
-        assert inst.marked_exponents == want["marked_exponents"]
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))
