@@ -9,6 +9,7 @@ otherwise the failed check names are listed on standard error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -23,12 +24,9 @@ from .gaudin import (
     IDENTITIES,
     GaudinFrame,
     GaudinSystem,
-    _cyclic_block,
-    annihilator_ideal,
-    bethe_algebra_basis,
     build_gaudin,
     build_gaudins,
-    induced_map_kernel,
+    stacked_algebra_dims,
 )
 from .gl2rep import ProblemInstance, marked_products, weight_space_dim, z_tables
 from .numcore import Tolerances, as_float, max_abs, rank_of
@@ -181,15 +179,19 @@ def load_config(config: dict):
 
 
 def _ser(v):
+    """v as the report carries it: a Fraction as "p/q", a complex as
+    [re, im], and a float that is not finite (inf, -inf, nan; in a complex
+    part too) as that string, so every report is strict JSON."""
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, complex):
-        return [v.real, v.imag]
+        return [v.real, v.imag] if cmath.isfinite(v) else [_ser(v.real), _ser(v.imag)]
     if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, float) and v == float("inf"):
-        return "inf"
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(v)
     return v
+
 
 def _ser_seq(seq):
     return [_ser(v) for v in seq]
@@ -218,31 +220,35 @@ class _Run:
         return _ser(residual)
 
 
-def _front(sysd: GaudinSystem, seed: int, tol: Tolerances) -> _Run:
-    """The pipeline's per-system front: the algebra side, and the
-    certificate and dimension gates."""
+def _front(systems, seeds, tol: Tolerances) -> list:
+    """The pipeline's front over systems of one frame and one lane: the
+    algebra side of every system in one stage (stacked_algebra_dims), then
+    each system's run with its dimensions and its certificate and dimension
+    gates."""
+    algebra = stacked_algebra_dims([sysd.H_sing for sysd in systems], systems[0].shq.sh, tol)
+    return [_gates(sysd, seed, tol, dims) for sysd, seed, dims in zip(systems, seeds, algebra)]
+
+
+def _gates(sysd: GaudinSystem, seed: int, tol: Tolerances, algebra) -> _Run:
+    """A system's run, its dims and its certificate and dimension gates, from
+    the dimensions (B, kernel, annihilator) of its algebra on Sing."""
     run = _Run(sysd, seed, tol)
     inst = sysd.inst
     n, l = inst.n, inst.l
     dim_m, dim_l = sysd.dim_sing_m, sysd.dim_sing_l
     schub = schubert_dimension(inst.m, l)
-
-    alg_m = bethe_algebra_basis(list(sysd.H_sing), tol) if dim_m else []
-    # one cyclic block serves the quotient kernel and the annihilator
-    V = _cyclic_block(alg_m, tol) if alg_m else None
-    ker = induced_map_kernel(alg_m, sysd.shq.sh, tol, V) if alg_m else []
-    ann = annihilator_ideal(alg_m, ker, tol, V) if alg_m else []
+    dim_bethe_m, dim_ker, dim_ann = algebra
     # the certified P Omega_hat = Omega_tilde P makes f -> f~ (P f = f~ P) a map
     # of the algebra onto B_L with kernel ker: dim B_L = dim B - dim ker
-    dim_bethe_l = len(alg_m) - len(ker)
+    dim_bethe_l = dim_bethe_m - dim_ker
     run.dims = {
         "weight_space": weight_space_dim(n, l),
         "sing_m": dim_m,
         "sing_l": dim_l,
         "schubert": schub,
-        "bethe_algebra_sing_m": len(alg_m),
+        "bethe_algebra_sing_m": dim_bethe_m,
         "bethe_algebra_sing_l": dim_bethe_l,
-        "annihilator": len(ann),
+        "annihilator": dim_ann,
     }
 
     dim_checks = {
@@ -250,7 +256,7 @@ def _front(sysd: GaudinSystem, seed: int, tol: Tolerances) -> _Run:
             abs(dim_m - (weight_space_dim(n, l) - weight_space_dim(n, l - 1))),
         "dim_sing_l_vs_schubert": abs(dim_l - schub),
         "bethe_dim_vs_sing_l": abs(dim_bethe_l - dim_l),
-        "annihilator_dim_vs_sing_l": abs(len(ann) - dim_l),
+        "annihilator_dim_vs_sing_l": abs(dim_ann - dim_l),
     }
     # Every H_s is the frame's combination at this z, so the identities hold
     # for every z once the frame certificate (integer, computed once per
@@ -442,15 +448,16 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     """Check everything for one built system; returns (report dict, failures,
     spec_l), spec_l being H_L's joint spectrum ([] if no seed separated it).
 
-    The pipeline computes in phases, then serialises: the per-system front
-    (_front), then the joint spectra (_draw_spectra), the scheme pass over
-    both spectra (_check_schemes) and the back (_back), these two on the
-    float instance's z-tables (_share_tables).  cmd_verify runs the same
-    phases with each of the later ones a single pass over every sample; this
-    is its one-system case.
+    The pipeline computes in phases, then serialises: the front (_front:
+    the algebra stage, which at one system is the per-system closure,
+    cyclic block, kernel and annihilator, then the gates), the joint
+    spectra (_draw_spectra), the scheme pass over both spectra
+    (_check_schemes) and the back (_back), these two on the float
+    instance's z-tables (_share_tables).  cmd_verify runs the same phases,
+    each a single pass over every sample; this is its one-system case.
     """
     t0 = time.perf_counter()
-    run = _front(sysd, seed, tol)
+    (run,) = _front([sysd], [seed], tol)
     _draw_spectra([run], tol)
     _share_tables([run])
     _check_schemes([run], tol)
@@ -503,11 +510,12 @@ def cmd_verify(config: dict, samples: int):
     simple, honestly diagonalizable spectrum.  Every draw is built on one
     frame, its Hamiltonians formed for every draw at once (build_gaudins);
     a gate that fails in one draw is listed in that draw's entry.  The
-    draws run run_pipeline's phases: every draw's front (the algebra side,
-    per draw), then one pass over every draw for the joint spectra, the
-    scheme checks and the back, which read one stack of every draw's
-    z-tables (_share_tables), then one diagonalizability pass over the real
-    draws; no point or Bethe-vector report is built.  Every draw's z is
+    draws run run_pipeline's phases, each one pass over every draw: the
+    front (one algebra closure, on the first draw, whose words certify and
+    reduce every draw as one stack: stacked_algebra_dims), the joint
+    spectra, the scheme checks and the back, which read one stack of every
+    draw's z-tables (_share_tables), then one diagonalizability pass over
+    the real draws; no point or Bethe-vector report is built.  Every draw's z is
     complex, so the samples always run in the float lane, and the config's
     mode reaches only the report's instance.mode.
     """
@@ -517,8 +525,8 @@ def cmd_verify(config: dict, samples: int):
     rng = np.random.default_rng(seed)
     kinds = ["real" if k % 2 == 0 else "complex" for k in range(samples)]
     insts = [ProblemInstance(inst0.m, inst0.l, _sample_z(rng, inst0.n, kind)) for kind in kinds]
-    runs = [_front(sysd, seed + 1000 * k, tol)
-            for k, sysd in enumerate(build_gaudins(insts, GaudinFrame(inst0)))]
+    runs = _front(build_gaudins(insts, GaudinFrame(inst0)),
+                  [seed + 1000 * k for k in range(samples)], tol)
     _draw_spectra(runs, tol)
     _share_tables(runs)
     _check_schemes(runs, tol)

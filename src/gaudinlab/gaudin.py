@@ -61,6 +61,7 @@ __all__ = [
     "apply_universal_operator",
     "bethe_algebra_basis",
     "span_closure",
+    "stacked_algebra_dims",
     "induced_map_kernel",
     "annihilator_ideal",
 ]
@@ -492,30 +493,36 @@ class _FloatReducer:
         self.k += 1
 
 
-def span_closure(start, mats, act, tol: Tolerances = DEFAULT_TOL):
+def span_closure(start, mats, act, tol: Tolerances = DEFAULT_TOL, words=None):
     """Basis of the smallest span holding start and closed under v -> act(v, H).
 
     Breadth first: each level's images act(v, H), for v among the previous
     level's new vectors and H in mats, are reduced against the span in that
     order, and each image the span does not already contain is kept; exact
     when start is, else gated at tol.svd_rel relative.  start itself is
-    dropped if zero.
+    dropped if zero.  If words is a list, it receives each kept element's
+    word: None for start, (i, j) for act(basis[i], mats[j]).
     """
     red = _ExactReducer() if is_exact_array(start) else _FloatReducer(tol.svd_rel)
-    basis, level = [], [start]
+    basis, level, born = [], [start], [None]
     while level:
-        level = [w for w, new in zip(level, red.add_level([w.reshape(-1) for w in level]))
-                 if new]
+        new = red.add_level([w.reshape(-1) for w in level])
+        level = [w for w, keep in zip(level, new) if keep]
+        if words is not None:
+            words += [b for b, keep in zip(born, new) if keep]
+            born = [(i, j) for i in range(len(basis), len(basis) + len(level))
+                    for j in range(len(mats))]
         basis += level
         level = [act(v, H) for v in level for H in mats]
     return basis
 
 
-def bethe_algebra_basis(mats, tol: Tolerances = DEFAULT_TOL):
+def bethe_algebra_basis(mats, tol: Tolerances = DEFAULT_TOL, words=None):
     """Basis of the unital matrix algebra generated by a commuting family.
 
     Monomial closure degree by degree with rank checks; terminates because
-    the dimension is bounded by (matrix size)^2.
+    the dimension is bounded by (matrix size)^2.  words receives each
+    element's word in mats, as span_closure records it.
     """
     if not mats:
         raise ValueError("need at least one generator")
@@ -523,25 +530,57 @@ def bethe_algebra_basis(mats, tol: Tolerances = DEFAULT_TOL):
     if d == 0:
         return []
     eye = identity(d, is_exact_array(mats[0]))
-    return span_closure(eye, mats, matmul, tol)
+    return span_closure(eye, mats, matmul, tol, words)
+
+
+def _stacked(algebra) -> bool:
+    """True for an algebra stack with a leading sample axis (S x m x d x d)."""
+    return isinstance(algebra, np.ndarray) and algebra.ndim == 4
 
 
 def _side_by_side(mats, V) -> np.ndarray:
-    """[M_1 V | ... | M_c V] for square matrices M_i, as one product."""
+    """[M_1 V | ... | M_c V] for square matrices M_i, as one product; for a
+    float stack mats (S x c x d x d), one such block per sample."""
+    if _stacked(mats):
+        S, c, d, _ = mats.shape
+        return (mats.reshape(S, c * d, d) @ V).reshape(S, c, d, -1) \
+            .transpose(0, 2, 1, 3).reshape(S, d, -1)
     c, (d, k) = len(mats), V.shape
     return matmul(np.vstack(mats), V).reshape(c, d, k).transpose(1, 0, 2).reshape(d, c * k)
 
 
-def _cyclic_block(algebra, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def _cyclic_block(algebra, tol: Tolerances = DEFAULT_TOL):
     """V (d x k) with rank [F_1 V | ... | F_m V] = d over the algebra basis.
 
     V is the all-ones column, then the unit columns e_0, e_1, ... until the
     rank is d: exact on an exact algebra, else gated at tol.svd_rel.  The
     identity is in the algebra, so k <= d + 1, and at k = d + 1 (which
-    skips the check) f V holds every column of f.  On a commutative algebra
-    f -> f V is injective: f V = 0 gives f g V = g f V = 0 for every g, and
-    the g V span the space.
+    skips the check) f V holds every column of f.
+
+    On a commutative algebra f -> f V is injective: f V = 0 gives
+    f g V = g f V = 0 for every g, and the g V span the space.  So m
+    commuting matrices whose vectors F_i 1 are d independent vectors
+    (m = d, 1 the all-ones vector) are a basis of the algebra they
+    generate, which has dimension d: the certificate stacked_algebra_dims
+    reads.
+
+    With a leading sample axis on algebra (S x m x d x d), one block per
+    sample, as a list: the all-ones test of every float sample is one
+    batched SVD, and a sample that fails it, or an exact one, searches on
+    its own.
     """
+    if not _stacked(algebra):
+        return _cyclic_search(algebra, tol)
+    if is_exact_array(algebra):
+        return [_cyclic_search(list(F), tol) for F in algebra]
+    d = algebra.shape[2]
+    ones = np.ones((d, 1), dtype=complex)
+    ranks = rank_of(_side_by_side(algebra, ones), tol.svd_rel)
+    return [ones if r == d else _cyclic_search(list(F), tol) for F, r in zip(algebra, ranks)]
+
+
+def _cyclic_search(algebra, tol: Tolerances) -> np.ndarray:
+    """_cyclic_block of one algebra basis."""
     d = algebra[0].shape[0]
     one = identity(d, is_exact_array(algebra[0]))
     cands = np.hstack([one.sum(axis=1, keepdims=True), one])
@@ -549,6 +588,14 @@ def _cyclic_block(algebra, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         if rank_of(_side_by_side(algebra, cands[:, :k]), tol.svd_rel) == d:
             return cands[:, :k]
     return cands
+
+
+def _stack_block(algebra, tol: Tolerances, V=None) -> np.ndarray:
+    """One V for every sample of a stacked algebra: V itself, or the widest
+    of the samples' _cyclic_blocks.  Each block leads the same candidates
+    (the all-ones column, then unit columns), so the widest holds each
+    sample's own and serves them all."""
+    return max(_cyclic_block(algebra, tol), key=lambda v: v.shape[1]) if V is None else V
 
 
 def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL, V=None):
@@ -562,9 +609,22 @@ def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL, V
     so sh f = 0 exactly when sh f V = 0: the images reduced are the blocks
     sh F V, not the matrices sh F.  V is computed here unless the caller
     passes the algebra's _cyclic_block.
+
+    With a leading sample axis on algebra (S x m x d x d), one kernel per
+    sample, as a list, and V one block for every sample (_stack_block): an
+    exact sample reduces on its own, the float samples as one batched SVD.
     """
-    if not algebra:
+    if len(algebra) == 0:
         return []
+    if _stacked(algebra):
+        V = _stack_block(algebra, tol, V)
+        if is_exact_array(algebra):
+            return [induced_map_kernel(list(F), sh, tol, V) for F in algebra]
+        (S, m), r, k = algebra.shape[:2], sh.shape[0], V.shape[1]
+        # image (a, b) of element j: (sh F_j V)[a, b]
+        PFV = (sh @ _side_by_side(algebra, V)).reshape(S, r, m, k)
+        return _vanishing_combinations(algebra, PFV.transpose(0, 1, 3, 2).reshape(S, r * k, m),
+                                       tol)
     V = _cyclic_block(algebra, tol) if V is None else V
     k = V.shape[1]
     # column block j is sh F_j V
@@ -580,9 +640,30 @@ def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL, V=None):
     algebra, so f g = 0 exactly when f g V = 0, V = _cyclic_block: the
     images reduced are F [g_1 V | ... | g_c V], not F [g_1 | ... | g_c].
     V is computed here unless the caller passes it.
+
+    With a leading sample axis on algebra (S x m x d x d), kernel holds one
+    kernel per sample, V is one block for every sample (_stack_block), and
+    the result is one ideal per sample: an exact sample reduces on its own,
+    the float samples as one batched SVD, each kernel padded with zero
+    matrices to the longest (a zero matrix adds only zero images).
     """
-    if not algebra:
+    if len(algebra) == 0:
         return []
+    if _stacked(algebra):
+        V = _stack_block(algebra, tol, V)
+        if is_exact_array(algebra):
+            return [annihilator_ideal(list(F), g, tol, V) for F, g in zip(algebra, kernel)]
+        if not any(len(g) for g in kernel):
+            return [list(F) for F in algebra]
+        S, m, d, _ = algebra.shape
+        K = np.zeros((S, max(len(g) for g in kernel), d, d), dtype=complex)
+        for s, g in enumerate(kernel):
+            if g:
+                K[s, :len(g)] = g
+        # row j of sample s is F_j [g_1 V | ... | g_c V], flattened
+        images = (algebra.reshape(S, m * d, d) @ _side_by_side(K, V)).reshape(S, m, -1)
+        ideals = _vanishing_combinations(algebra, images.transpose(0, 2, 1), tol)
+        return [J if g else list(F) for F, g, J in zip(algebra, kernel, ideals)]
     if not kernel:
         return list(algebra)
     KV = _side_by_side(kernel, _cyclic_block(algebra, tol) if V is None else V)
@@ -595,11 +676,81 @@ def _vanishing_combinations(algebra, images, tol):
     """Elements sum_j c_j algebra[j] with sum_j c_j images[j] = 0, as a basis.
 
     images[j] is the flattened image of algebra[j] under a fixed linear map.
+    For a float stack algebra (S x m x d x d), images is the stack
+    (S x r x m) of each sample's images as columns, and the result one
+    basis per sample.
     """
+    if _stacked(algebra):
+        return [_combinations(F, c) for F, c in zip(algebra, kernel_basis(images, tol.svd_rel))]
     exact = is_exact_array(algebra[0])
-    combos = kernel_basis(np.stack(images, axis=1), 0 if exact else tol.svd_rel)
+    return _combinations(algebra, kernel_basis(np.stack(images, axis=1),
+                                               0 if exact else tol.svd_rel))
+
+
+def _combinations(algebra, combos) -> list:
+    """sum_i c[i] algebra[i] for each vector c of combos."""
     if not combos:
         return []
     # row j of the product is the flattened sum_i combos[j][i] algebra[i]
-    flat = matmul(np.stack(combos), np.stack([F.reshape(-1) for F in algebra]))
-    return [row.reshape(algebra[0].shape) for row in flat]
+    flat = matmul(np.stack(combos), np.reshape(algebra, (len(algebra), -1)))
+    return list(flat.reshape((len(combos),) + algebra[0].shape))
+
+
+def _word_stack(families, basis, words) -> np.ndarray:
+    """The elements of basis, words in the H_s of families[0] (as
+    span_closure records them), formed at every family: an S x m x d x d
+    stack whose first slice is basis itself, each further word one batched
+    product over the other families (exact: one product per family)."""
+    S, exact = len(families), is_exact_array(basis[0])
+    W = np.empty((S, len(basis)) + basis[0].shape, dtype=basis[0].dtype)
+    W[0] = np.stack(basis)
+    H = np.stack([np.stack(f) for f in families[1:]]) if S > 1 else None
+    for i, word in enumerate(words if S > 1 else ()):
+        if word is None:
+            W[1:, i] = identity(W.shape[2], exact)
+        elif exact:
+            for s in range(1, S):
+                W[s, i] = matmul(W[s, word[0]], H[s - 1, word[1]])
+        else:
+            W[1:, i] = W[1:, word[0]] @ H[:, word[1]]
+    return W
+
+
+def stacked_algebra_dims(families, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list:
+    """(dim B, dim ker, dim Ann) of each family of families, B the algebra
+    its H_s generate on Sing, ker the kernel of B's map to the quotient
+    (induced_map_kernel, sh) and Ann its annihilator (annihilator_ideal).
+
+    families holds the H_s on Sing of systems of one frame and one lane,
+    which share sh.  The closure (bethe_algebra_basis) runs on the first
+    family only, recording each element's word in the H_s, and each word is
+    formed at every family (_word_stack).  A family whose d word matrices
+    pass _cyclic_block's test at the all-ones vector has them as a basis of
+    its B (the certificate in _cyclic_block's docstring); the kernels and
+    annihilators of the certified families are one batched reduction each.
+    A family that fails the certificate takes the per-family path: its own
+    closure (the first family's is the one above), cyclic block, kernel and
+    annihilator.  At one family this is the per-family path's arithmetic.
+    """
+    if not families or families[0][0].shape[0] == 0:
+        return [(0, 0, 0)] * len(families)
+    d, words = families[0][0].shape[0], []
+    basis = bethe_algebra_basis(list(families[0]), tol, words)
+    V, out = [None] * len(families), [None] * len(families)
+    if len(basis) == d:
+        W = _word_stack(families, basis, words)
+        V = _cyclic_block(W, tol)
+        cert = [s for s, v in enumerate(V) if v.shape[1] == 1]
+        if cert:
+            Wc, ones = W[cert], V[cert[0]]
+            kernels = induced_map_kernel(Wc, sh, tol, ones)
+            ideals = annihilator_ideal(Wc, kernels, tol, ones)
+            for s, g, J in zip(cert, kernels, ideals):
+                out[s] = (d, len(g), len(J))
+    for s, family in enumerate(families):
+        if out[s] is None:
+            alg = basis if s == 0 else bethe_algebra_basis(list(family), tol)
+            v = _cyclic_block(alg, tol) if s or V[0] is None else V[0]
+            kernel = induced_map_kernel(alg, sh, tol, v)
+            out[s] = (len(alg), len(kernel), len(annihilator_ideal(alg, kernel, tol, v)))
+    return out

@@ -177,13 +177,15 @@ def _products(Z, c, powers, exact: bool):
 def _power(x, j: int, exact: bool):
     """x ** j for an integer j >= 0, by CPython's binary powering (c_powi),
     one product at a time: a product that overflows is inf, where complex
-    ** raises OverflowError."""
+    ** raises OverflowError.  x is squared only while a higher bit of j
+    needs it, so no product past x ** j is formed."""
     r, mask = scalar_one(exact), 1
     while mask <= j:
         if j & mask:
             r = x * r
         mask <<= 1
-        x = x * x
+        if mask <= j:
+            x = x * x
     return r
 
 

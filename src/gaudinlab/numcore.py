@@ -406,40 +406,55 @@ def solve_rows(M: list, n: int) -> list:
     return [row[n:] for row in M]
 
 
-def rank_of(A: np.ndarray, tol: float | None = None) -> int:
+def rank_of(A: np.ndarray, tol: float | None = None):
+    """Rank of A; of each matrix of a float stack A (S x m x n) too, as an
+    int array, from one batched SVD.  A float rank counts the singular
+    values above tol * the largest (default 1e-10 relative)."""
     if A.size == 0:
         return 0
     if is_exact_array(A):
         return len(rref(A)[1])
     tol = DEFAULT_TOL.svd_rel if tol is None else tol
+    if A.ndim == 2:
+        return int(_svd_ranks(A[None], tol)[0])
+    return _svd_ranks(A, tol)
+
+
+def _svd_ranks(A: np.ndarray, tol: float) -> np.ndarray:
     s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return np.sum(s > tol * s[:, :1], axis=1)
 
 
 def kernel_basis(A: np.ndarray, tol: float | None = None) -> list:
     """Basis of the right null space as a list of 1-D vectors.
 
     Exact mode demands tol in {None, 0}; float mode counts singular values
-    below tol * max(singular values) as zero (default 1e-10 relative).
+    below tol * max(singular values) as zero (default 1e-10 relative).  A
+    float stack A (S x m x n) gives one basis per matrix, from one batched
+    SVD.
     """
-    m, n = A.shape
-    if n == 0:
-        return []
     if is_exact_array(A):
         if tol not in (None, 0):
             raise DomainError("exact kernel_basis takes tol = 0")
-        return rref_kernel(*rref(A))
+        return rref_kernel(*rref(A)) if A.shape[1] else []
     tol = DEFAULT_TOL.svd_rel if tol is None else tol
+    if A.ndim == 2:
+        return _svd_kernels(A[None], tol)[0]
+    return _svd_kernels(A, tol)
+
+
+def _svd_kernels(A: np.ndarray, tol: float) -> list:
+    """kernel_basis of each matrix of the float stack A (S x m x n)."""
+    m, n = A.shape[1:]
+    if n == 0:
+        return [[] for _ in A]
     if m == 0:
-        return [np.eye(n, dtype=complex)[:, j] for j in range(n)]
+        return [[np.eye(n, dtype=complex)[:, j] for j in range(n)] for _ in A]
     # a wide A needs the full vh for its null space; the full u of a tall A
     # can run to gigabytes and is never used
     u, s, vh = np.linalg.svd(A, full_matrices=m < n)
-    smax = s[0] if s.size else 0.0
-    nz = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return [vh[i].conj() for i in range(nz, n)]
+    nz = np.sum(s > tol * s[:, :1], axis=1)
+    return [list(v[k:].conj()) for v, k in zip(vh, nz)]
 
 
 def solve_linear(A: np.ndarray, rhs: np.ndarray, tol: float | None = None) -> np.ndarray:

@@ -335,11 +335,14 @@ def match_spectra_to_scheme(spectra, tol: Tolerances = DEFAULT_TOL,
         points = [SchemePoint(h=h, a=a, atilde=atilde, multiplicity=mult,
                               residuals={k: float("inf") if v != v else v for k, v in res.items()})
                   for h, (_, mult, _), (a, atilde, res) in zip(hs, spectrum, checked)]
+        # each numeric residual's largest value over the points, one max over
+        # its list, keys in the order they first appear (the order its gates
+        # fail in)
         summary = {}
-        for p in points:
-            for k, v in p.residuals.items():
-                if isinstance(v, (int, float)):
-                    summary[k] = max(summary.get(k, 0.0), float(v))
+        for k in dict.fromkeys(k for p in points for k in p.residuals):
+            vals = [p.residuals[k] for p in points if k in p.residuals]
+            if isinstance(vals[0], (int, float)):
+                summary[k] = float(max([0.0, *vals]))
         reports.append(SpectrumReport(points=points,
                                       total_multiplicity=sum(p.multiplicity for p in points),
                                       all_simple=all(p.multiplicity == 1 for p in points),

@@ -14,7 +14,8 @@ from gaudinlab import (
     match_spectrum_to_scheme,
     polynomial_valued_kernel,
 )
-from gaudinlab.cli import run_pipeline
+from gaudinlab import gaudin
+from gaudinlab.cli import _sample_z, run_pipeline
 from gaudinlab.gaudin import (
     IDENTITIES,
     GaudinFrame,
@@ -22,7 +23,9 @@ from gaudinlab.gaudin import (
     _FloatReducer,
     _cyclic_block,
     _vanishing_combinations,
+    build_gaudins,
     span_closure,
+    stacked_algebra_dims,
     apply_universal_operator,
 )
 from gaudinlab.numcore import (
@@ -640,14 +643,14 @@ class TestQuotientAlgebraDimension:
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_one_closure_per_pipeline(self, monkeypatch, mode):
-        import gaudinlab.cli as cli
+        import gaudinlab.gaudin as gaudin
         calls = []
 
-        def counted(mats, tol=Tolerances()):
+        def counted(mats, *args):
             calls.append(len(mats))
-            return bethe_algebra_basis(mats, tol)
+            return bethe_algebra_basis(mats, *args)
 
-        monkeypatch.setattr(cli, "bethe_algebra_basis", counted)
+        monkeypatch.setattr(gaudin, "bethe_algebra_basis", counted)
         z = [0, 1, 2, 3] if mode == "exact" else [0.0, 1.0, 2.0, 3.0]
         rep, fails, _ = run_pipeline(build_gaudin(ProblemInstance([1] * 4, 2, z)), 0,
                                      Tolerances())
@@ -932,6 +935,102 @@ class TestCyclicBlock:
         assert len(alg) == dims[0]
         k, dim_ker, dim_ann = self.assert_matches_reference(alg, sh)
         assert k >= 2 and (dim_ker, dim_ann) == dims[1:]
+
+
+def per_family_dims(family, sh, tol=Tolerances()):
+    """(dim B, dim kernel, dim annihilator) of one family on its own: its
+    closure, cyclic block, quotient kernel and annihilator."""
+    alg = bethe_algebra_basis(list(family), tol)
+    V = _cyclic_block(alg, tol)
+    ker = induced_map_kernel(alg, sh, tol, V)
+    return len(alg), len(ker), len(annihilator_ideal(alg, ker, tol, V))
+
+
+class TestStackedAlgebraDims:
+    """stacked_algebra_dims closes the first family only and certifies its
+    words at every other family; its dimensions are the per-family path's."""
+
+    # the shapes of the verify comparison: two float-verify rungs, n = 5, a
+    # mixed m, and (1^6),3
+    SHAPES = (((2,) * 4, 3), ((3,) * 4, 4), ((1,) * 5, 2), ((1, 2, 3), 2), ((1,) * 6, 3))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", range(len(SHAPES)))
+    def test_verify_draws_match_per_family(self, shape, seed):
+        m, l = self.SHAPES[shape]
+        rng = np.random.default_rng(seed)
+        insts = [ProblemInstance(m, l, _sample_z(rng, len(m), "real" if k % 2 == 0 else "complex"))
+                 for k in range(4)]
+        systems = build_gaudins(insts, GaudinFrame(insts[0]))
+        sh = systems[0].shq.sh
+        assert stacked_algebra_dims([s.H_sing for s in systems], sh) == \
+            [per_family_dims(s.H_sing, sh) for s in systems]
+
+    def test_exact_families(self):
+        # the exact lane forms each word family by family, and reduces
+        # sample by sample
+        m, l = (2,) * 4, 3
+        insts = [ProblemInstance(m, l, z) for z in ([0, 1, 3, 7], [F(-1, 2), 2, 5, F(7, 3)])]
+        systems = build_gaudins(insts, GaudinFrame(insts[0]))
+        sh = systems[0].shq.sh
+        got = stacked_algebra_dims([s.H_sing for s in systems], sh)
+        assert got == [per_family_dims(s.H_sing, sh) for s in systems] == [(10, 4, 6)] * 2
+
+    @staticmethod
+    def families(exact):
+        """A diagonal family, on which the all-ones vector is cyclic, then
+        a family with the all-ones vector as a common eigenvector, and e_0^T,
+        which intertwines both; each has four joint eigenvalues."""
+        Hs, sh = TestCyclicBlock.eigenvector_family(([1, 2, 3, 4], [0, 5, -1, 2]), [0])
+        diag = [exact_array(np.diag(lam).tolist()) for lam in ([4, 3, 2, 1], [1, 0, 2, 7])]
+        families = [diag, Hs]
+        if not exact:
+            families = [[to_float_array(H) for H in f] for f in families]
+            sh = to_float_array(sh)
+        return families, sh
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_uncertified_family_takes_the_per_family_path(self, monkeypatch, exact):
+        families, sh = self.families(exact)
+        closures = []
+        real = gaudin.bethe_algebra_basis
+        monkeypatch.setattr(gaudin, "bethe_algebra_basis",
+                            lambda mats, *args: closures.append(len(mats)) or real(mats, *args))
+        got = stacked_algebra_dims(families, sh)
+        # the first family's words give 1 one line at the second: its own closure
+        assert closures == [2, 2]
+        assert got == [per_family_dims(f, sh) for f in families] == [(4, 3, 1)] * 2
+
+    def test_stacked_calls_match_per_sample_calls(self):
+        # one float stack whose samples need blocks of different widths:
+        # the widest serves both
+        families, sh = self.families(False)
+        algebras = [bethe_algebra_basis(f) for f in families]
+        stack = np.stack([np.stack(a) for a in algebras])
+        V = _cyclic_block(stack)
+        assert [v.shape[1] for v in V] == [1, 2]
+        kernels = induced_map_kernel(stack, sh)
+        ideals = annihilator_ideal(stack, kernels)
+        for alg, v, ker, J in zip(algebras, V, kernels, ideals):
+            assert np.array_equal(v, _cyclic_block(alg))
+            assert (len(ker), len(J)) == (3, 1)
+            assert len(annihilator_ideal(alg, induced_map_kernel(alg, sh))) == len(J)
+        # a sample with no kernel: its ideal is the whole algebra
+        ideals = annihilator_ideal(stack, [kernels[0], []])
+        assert len(ideals[0]) == 1 and np.array_equal(np.stack(ideals[1]), stack[1])
+
+    def test_empty_spaces(self):
+        assert stacked_algebra_dims([], np.zeros((0, 0))) == []
+        empty = (np.zeros((0, 0), dtype=complex),) * 2
+        assert stacked_algebra_dims([empty] * 2, np.zeros((0, 0))) == [(0, 0, 0)] * 2
+        # Sing_L = 0: the whole algebra is the kernel, and its annihilator is 0
+        insts = [ProblemInstance([1, 1, 1], 2, random_float_z(np.random.default_rng(k), 3))
+                 for k in range(2)]
+        systems = build_gaudins(insts, GaudinFrame(insts[0]))
+        sh = systems[0].shq.sh
+        assert sh.shape == (0, 3)
+        assert stacked_algebra_dims([s.H_sing for s in systems], sh) == \
+            [per_family_dims(s.H_sing, sh) for s in systems] == [(3, 3, 0)] * 2
 
 
 # the exact-ladder rungs, (m, l)

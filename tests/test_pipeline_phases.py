@@ -282,7 +282,11 @@ def without_timing(report) -> dict:
 
 VERIFY_CASES = [(call.config, call.samples) for seed in (0, 1)
                 for call in load_perfbench("workloads").float_verify(seed)] + \
-    [(config, k) for config in (E1_CONFIG, FOUR_SPINS) for k in (1, 4)]
+    [(config, k) for config in (E1_CONFIG, FOUR_SPINS) for k in (1, 4)] + \
+    [({"m": list(m), "l": l, "z": [str(v) for v in range(len(m))], "mode": "float",
+       "seed": seed}, 2)
+     for m, l in (((2,) * 4, 3), ((3,) * 4, 4), ((1,) * 5, 2), ((1, 2, 3), 2), ((1,) * 6, 3))
+     for seed in range(6)]
 
 SPECTRUM_CASES = [
     E1_CONFIG, FOUR_SPINS, {**FOUR_SPINS, "mode": "float"},
@@ -466,7 +470,8 @@ class TestOnePassPerCommand:
         cmd_spectrum(FOUR_SPINS)
         assert passes == [2]
 
-    def test_cyclic_block_once_per_system(self, monkeypatch):
+    def test_cyclic_block_once_per_command(self, monkeypatch):
+        # one call per command, on the stack of every system's words
         calls = []
         real = gaudin._cyclic_block
 
@@ -474,9 +479,17 @@ class TestOnePassPerCommand:
             calls.append(len(algebra))
             return real(algebra, tol)
 
-        for module in (gaudin, cli):
-            monkeypatch.setattr(module, "_cyclic_block", spy)
+        monkeypatch.setattr(gaudin, "_cyclic_block", spy)
         cmd_spectrum(FOUR_SPINS)
-        assert len(calls) == 1
+        assert calls == [1]
         cmd_verify(FOUR_SPINS, 4)
-        assert len(calls) == 5
+        assert calls == [1, 4]
+
+    @pytest.mark.parametrize("config", [FOUR_SPINS, {**FOUR_SPINS, "m": [3] * 4, "l": 4}])
+    def test_closure_once_per_command(self, monkeypatch, config):
+        calls = []
+        real = gaudin.bethe_algebra_basis
+        monkeypatch.setattr(gaudin, "bethe_algebra_basis",
+                            lambda mats, *args: calls.append(len(mats)) or real(mats, *args))
+        _, failures = cmd_verify(config, 6)
+        assert calls == [4] and failures == []

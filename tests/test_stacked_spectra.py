@@ -365,8 +365,10 @@ class TestStackedBack:
 
 class TestOnePassPerStage:
     def test_verify(self, monkeypatch):
-        # cmd_verify(FOUR_SPINS, 4): one batched eig per space, one SVD of
-        # every Jacobian
+        # cmd_verify(FOUR_SPINS, 4): one batched SVD per algebra reduction
+        # (the cyclic block, the quotient kernel, the annihilator), one
+        # batched eig per space, each sample's Bethe span rank, and one SVD
+        # of every Jacobian
         eigs, svds = [], []
         real_eig, real_svd = np.linalg.eig, np.linalg.svd
 
@@ -384,8 +386,10 @@ class TestOnePassPerStage:
         report, _ = cmd_verify(FOUR_SPINS, 4)
         sysd = build_gaudin(ProblemInstance([1] * 4, 2, range(4)))
         assert eigs == [(4,) + (sysd.dim_sing_l,) * 2, (4,) + (sysd.dim_sing_m,) * 2]
-        points = sum(s["distinct_points"]["sing_l"] for s in report["samples"])
-        assert svds == [(points, 4, 4)]
+        points = [s["distinct_points"]["sing_l"] for s in report["samples"]]
+        dm, dl = sysd.dim_sing_m, sysd.dim_sing_l
+        assert svds == [(4, dm, dm), (4, dl, dm), (4, dm * (dm - dl), dm)] + \
+            [(1, dl, p) for p in points] + [(sum(points), 4, 4)]
 
     def test_each_stage_once(self, monkeypatch):
         calls = []
@@ -495,6 +499,20 @@ class TestDegeneratePoints:
         errors = {p["residuals"].get("ptilde_error") for p in rep["spectrum_sing_l"]["points"]}
         assert all(e.startswith("least-squares residual") for e in errors)
         assert rep["bethe_vectors"][0]["error"] == "eigen-relation residual inf"
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_non_finite_values_are_strict_json(self, mode):
+        # (1^4),2 at z about 1e150 apart: every point's a is NaN, and the
+        # report writes it (and any other non-finite float) as a string
+        import jsonschema
+        from pathlib import Path
+        rep, _ = cmd_spectrum({"m": [1, 1, 1, 1], "l": 2,
+                               "z": ["0", "1e150", "2e150", "3e150"], "mode": mode, "seed": 0})
+        text = json.dumps(rep, allow_nan=False)
+        assert all(v == ["nan", "nan"] for p in rep["spectrum_sing_l"]["points"] for v in p["a"])
+        schema = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json")
+                            .read_text())
+        jsonschema.validate(json.loads(text), schema)
 
     def test_unconverged_least_squares_fails_its_point_only(self, monkeypatch):
         # a second kernel stack whose pinv fails as a whole and then at one

@@ -147,6 +147,16 @@ def test_huge_float_z_powers_by_products():
         assert tables.partial_fractions[0, s].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("j", [2, 3])
+def test_power_squares_no_further_than_j(j):
+    # at |z| about 1e100, z ** j is finite and one more square of z ** 2
+    # would overflow: none is formed
+    Z = np.array([[1e100 + 0j, -2e100 + 1e99j]], dtype=object)
+    with np.errstate(over="raise"):
+        got = gl2rep._power(Z, j, False)
+    assert got.tolist() == [[z ** j for z in Z[0]]]
+
+
 def test_repeated_instances_are_built_once(monkeypatch):
     builds = []
     real = gl2rep._build_tables
