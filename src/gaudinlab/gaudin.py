@@ -534,28 +534,28 @@ def bethe_algebra_basis(mats, tol: Tolerances = DEFAULT_TOL, words=None):
 
 
 def _stacked(algebra) -> bool:
-    """True for an algebra stack with a leading sample axis (S x m x d x d)."""
+    """True for a float algebra stack with a leading sample axis (S x m x d x d)."""
     return isinstance(algebra, np.ndarray) and algebra.ndim == 4
 
 
 def _side_by_side(mats, V) -> np.ndarray:
     """[M_1 V | ... | M_c V] for square matrices M_i, as one product; for a
-    float stack mats (S x c x d x d), one such block per sample."""
-    if _stacked(mats):
-        S, c, d, _ = mats.shape
-        return (mats.reshape(S, c * d, d) @ V).reshape(S, c, d, -1) \
-            .transpose(0, 2, 1, 3).reshape(S, d, -1)
-    c, (d, k) = len(mats), V.shape
-    return matmul(np.vstack(mats), V).reshape(c, d, k).transpose(1, 0, 2).reshape(d, c * k)
+    stack mats (S x c x d x d), one such block per sample."""
+    M = np.asarray(mats)
+    *lead, c, d, _ = M.shape
+    return matmul(M.reshape(-1, d), V).reshape(*lead, c, d, -1) \
+        .swapaxes(-3, -2).reshape(*lead, d, -1)
 
 
-def _cyclic_block(algebra, tol: Tolerances = DEFAULT_TOL):
+def _cyclic_block(algebra, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """V (d x k) with rank [F_1 V | ... | F_m V] = d over the algebra basis.
 
     V is the all-ones column, then the unit columns e_0, e_1, ... until the
     rank is d: exact on an exact algebra, else gated at tol.svd_rel.  The
     identity is in the algebra, so k <= d + 1, and at k = d + 1 (which
-    skips the check) f V holds every column of f.
+    skips the check) f V holds every column of f.  Each block leads the same
+    candidates, so a wider block holds every narrower one and serves its
+    algebra too.
 
     On a commutative algebra f -> f V is injective: f V = 0 gives
     f g V = g f V = 0 for every g, and the g V span the space.  So m
@@ -563,24 +563,7 @@ def _cyclic_block(algebra, tol: Tolerances = DEFAULT_TOL):
     (m = d, 1 the all-ones vector) are a basis of the algebra they
     generate, which has dimension d: the certificate stacked_algebra_dims
     reads.
-
-    With a leading sample axis on algebra (S x m x d x d), one block per
-    sample, as a list: the all-ones test of every float sample is one
-    batched SVD, and a sample that fails it, or an exact one, searches on
-    its own.
     """
-    if not _stacked(algebra):
-        return _cyclic_search(algebra, tol)
-    if is_exact_array(algebra):
-        return [_cyclic_search(list(F), tol) for F in algebra]
-    d = algebra.shape[2]
-    ones = np.ones((d, 1), dtype=complex)
-    ranks = rank_of(_side_by_side(algebra, ones), tol.svd_rel)
-    return [ones if r == d else _cyclic_search(list(F), tol) for F, r in zip(algebra, ranks)]
-
-
-def _cyclic_search(algebra, tol: Tolerances) -> np.ndarray:
-    """_cyclic_block of one algebra basis."""
     d = algebra[0].shape[0]
     one = identity(d, is_exact_array(algebra[0]))
     cands = np.hstack([one.sum(axis=1, keepdims=True), one])
@@ -588,14 +571,6 @@ def _cyclic_search(algebra, tol: Tolerances) -> np.ndarray:
         if rank_of(_side_by_side(algebra, cands[:, :k]), tol.svd_rel) == d:
             return cands[:, :k]
     return cands
-
-
-def _stack_block(algebra, tol: Tolerances, V=None) -> np.ndarray:
-    """One V for every sample of a stacked algebra: V itself, or the widest
-    of the samples' _cyclic_blocks.  Each block leads the same candidates
-    (the all-ones column, then unit columns), so the widest holds each
-    sample's own and serves them all."""
-    return max(_cyclic_block(algebra, tol), key=lambda v: v.shape[1]) if V is None else V
 
 
 def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL, V=None):
@@ -610,27 +585,26 @@ def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL, V
     sh F V, not the matrices sh F.  V is computed here unless the caller
     passes the algebra's _cyclic_block.
 
-    With a leading sample axis on algebra (S x m x d x d), one kernel per
-    sample, as a list, and V one block for every sample (_stack_block): an
-    exact sample reduces on its own, the float samples as one batched SVD.
+    A float algebra reduces as a stack with a leading sample axis
+    (S x m x d x d, a float list being the one-sample stack) in one batched
+    SVD, one kernel per sample; the caller of a stack passes one V for
+    every sample.
     """
     if len(algebra) == 0:
         return []
-    if _stacked(algebra):
-        V = _stack_block(algebra, tol, V)
-        if is_exact_array(algebra):
-            return [induced_map_kernel(list(F), sh, tol, V) for F in algebra]
-        (S, m), r, k = algebra.shape[:2], sh.shape[0], V.shape[1]
-        # image (a, b) of element j: (sh F_j V)[a, b]
-        PFV = (sh @ _side_by_side(algebra, V)).reshape(S, r, m, k)
-        return _vanishing_combinations(algebra, PFV.transpose(0, 1, 3, 2).reshape(S, r * k, m),
-                                       tol)
-    V = _cyclic_block(algebra, tol) if V is None else V
-    k = V.shape[1]
-    # column block j is sh F_j V
-    PFV = matmul(sh, _side_by_side(algebra, V))
-    return _vanishing_combinations(
-        algebra, [PFV[:, j * k:(j + 1) * k].reshape(-1) for j in range(len(algebra))], tol)
+    if not _stacked(algebra):
+        V = _cyclic_block(algebra, tol) if V is None else V
+        if not is_exact_array(algebra[0]):
+            return induced_map_kernel(np.stack(algebra)[None], sh, tol, V)[0]
+        k = V.shape[1]
+        # column block j is sh F_j V
+        PFV = matmul(sh, _side_by_side(algebra, V))
+        return _vanishing_combinations(
+            algebra, [PFV[:, j * k:(j + 1) * k].reshape(-1) for j in range(len(algebra))], tol)
+    (S, m), r, k = algebra.shape[:2], sh.shape[0], V.shape[1]
+    # image (a, b) of element j: (sh F_j V)[a, b]
+    PFV = (sh @ _side_by_side(algebra, V)).reshape(S, r, m, k)
+    return _vanishing_combinations(algebra, PFV.transpose(0, 1, 3, 2).reshape(S, r * k, m), tol)
 
 
 def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL, V=None):
@@ -641,50 +615,51 @@ def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL, V=None):
     images reduced are F [g_1 V | ... | g_c V], not F [g_1 | ... | g_c].
     V is computed here unless the caller passes it.
 
-    With a leading sample axis on algebra (S x m x d x d), kernel holds one
-    kernel per sample, V is one block for every sample (_stack_block), and
-    the result is one ideal per sample: an exact sample reduces on its own,
-    the float samples as one batched SVD, each kernel padded with zero
-    matrices to the longest (a zero matrix adds only zero images).
+    A float algebra reduces as a stack with a leading sample axis
+    (S x m x d x d, a float list being the one-sample stack) in one batched
+    SVD: kernel holds one kernel per sample, each padded with zero matrices
+    to the longest (a zero matrix adds only zero images), the caller of a
+    stack passes one V for every sample, and the result is one ideal per
+    sample.
     """
     if len(algebra) == 0:
         return []
-    if _stacked(algebra):
-        V = _stack_block(algebra, tol, V)
-        if is_exact_array(algebra):
-            return [annihilator_ideal(list(F), g, tol, V) for F, g in zip(algebra, kernel)]
-        if not any(len(g) for g in kernel):
-            return [list(F) for F in algebra]
-        S, m, d, _ = algebra.shape
-        K = np.zeros((S, max(len(g) for g in kernel), d, d), dtype=complex)
-        for s, g in enumerate(kernel):
-            if g:
-                K[s, :len(g)] = g
-        # row j of sample s is F_j [g_1 V | ... | g_c V], flattened
-        images = (algebra.reshape(S, m * d, d) @ _side_by_side(K, V)).reshape(S, m, -1)
-        ideals = _vanishing_combinations(algebra, images.transpose(0, 2, 1), tol)
-        return [J if g else list(F) for F, g, J in zip(algebra, kernel, ideals)]
-    if not kernel:
-        return list(algebra)
-    KV = _side_by_side(kernel, _cyclic_block(algebra, tol) if V is None else V)
-    # row j is F_j KV, flattened
-    images = matmul(np.vstack(algebra), KV).reshape(len(algebra), -1)
-    return _vanishing_combinations(algebra, list(images), tol)
+    if not _stacked(algebra):
+        if not kernel:
+            return list(algebra)
+        V = _cyclic_block(algebra, tol) if V is None else V
+        if not is_exact_array(algebra[0]):
+            return annihilator_ideal(np.stack(algebra)[None], [kernel], tol, V)[0]
+        # row j is F_j [g_1 V | ... | g_c V], flattened
+        images = matmul(np.vstack(algebra), _side_by_side(kernel, V)).reshape(len(algebra), -1)
+        return _vanishing_combinations(algebra, list(images), tol)
+    if not any(len(g) for g in kernel):
+        return [list(F) for F in algebra]
+    S, m, d, _ = algebra.shape
+    K = np.zeros((S, max(len(g) for g in kernel), d, d), dtype=complex)
+    for s, g in enumerate(kernel):
+        if g:
+            K[s, :len(g)] = g
+    # row j of sample s is F_j [g_1 V | ... | g_c V], flattened
+    images = (algebra.reshape(S, m * d, d) @ _side_by_side(K, V)).reshape(S, m, -1)
+    ideals = _vanishing_combinations(algebra, images.transpose(0, 2, 1), tol)
+    return [J if g else list(F) for F, g, J in zip(algebra, kernel, ideals)]
 
 
 def _vanishing_combinations(algebra, images, tol):
     """Elements sum_j c_j algebra[j] with sum_j c_j images[j] = 0, as a basis.
 
     images[j] is the flattened image of algebra[j] under a fixed linear map.
-    For a float stack algebra (S x m x d x d), images is the stack
-    (S x r x m) of each sample's images as columns, and the result one
-    basis per sample.
+    A float algebra reduces as a stack (S x m x d x d, a float list being
+    the one-sample stack), with images the stack (S x r x m) of each
+    sample's images as columns, and the result one basis per sample.
     """
     if _stacked(algebra):
         return [_combinations(F, c) for F, c in zip(algebra, kernel_basis(images, tol.svd_rel))]
-    exact = is_exact_array(algebra[0])
-    return _combinations(algebra, kernel_basis(np.stack(images, axis=1),
-                                               0 if exact else tol.svd_rel))
+    if not is_exact_array(algebra[0]):
+        return _vanishing_combinations(np.stack(algebra)[None],
+                                       np.stack(images, axis=1)[None], tol)[0]
+    return _combinations(algebra, kernel_basis(np.stack(images, axis=1), 0))
 
 
 def _combinations(algebra, combos) -> list:
@@ -698,21 +673,14 @@ def _combinations(algebra, combos) -> list:
 
 def _word_stack(families, basis, words) -> np.ndarray:
     """The elements of basis, words in the H_s of families[0] (as
-    span_closure records them), formed at every family: an S x m x d x d
-    stack whose first slice is basis itself, each further word one batched
-    product over the other families (exact: one product per family)."""
-    S, exact = len(families), is_exact_array(basis[0])
-    W = np.empty((S, len(basis)) + basis[0].shape, dtype=basis[0].dtype)
-    W[0] = np.stack(basis)
-    H = np.stack([np.stack(f) for f in families[1:]]) if S > 1 else None
-    for i, word in enumerate(words if S > 1 else ()):
-        if word is None:
-            W[1:, i] = identity(W.shape[2], exact)
-        elif exact:
-            for s in range(1, S):
-                W[s, i] = matmul(W[s, word[0]], H[s - 1, word[1]])
-        else:
-            W[1:, i] = W[1:, word[0]] @ H[:, word[1]]
+    span_closure records them), formed at every float family: an
+    S x m x d x d stack whose first slice is basis itself, each further
+    word one batched product over the other families."""
+    H = np.array(families[1:])
+    W = np.empty((len(families), len(basis)) + basis[0].shape, dtype=complex)
+    W[0] = basis
+    for i, word in enumerate(words):
+        W[1:, i] = np.eye(W.shape[2]) if word is None else W[1:, word[0]] @ H[:, word[1]]
     return W
 
 
@@ -723,34 +691,34 @@ def stacked_algebra_dims(families, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL
 
     families holds the H_s on Sing of systems of one frame and one lane,
     which share sh.  The closure (bethe_algebra_basis) runs on the first
-    family only, recording each element's word in the H_s, and each word is
-    formed at every family (_word_stack).  A family whose d word matrices
-    pass _cyclic_block's test at the all-ones vector has them as a basis of
-    its B (the certificate in _cyclic_block's docstring); the kernels and
-    annihilators of the certified families are one batched reduction each.
-    A family that fails the certificate takes the per-family path: its own
-    closure (the first family's is the one above), cyclic block, kernel and
-    annihilator.  At one family this is the per-family path's arithmetic.
+    family only, recording each element's word in the H_s.  With two or
+    more float families, each word is formed at every family (_word_stack),
+    and a family whose d word matrices W_i have rank [W_1 1 | ... | W_d 1]
+    = d has them as a basis of its B (the certificate in _cyclic_block's
+    docstring); the kernels and annihilators of the certified families are
+    one batched reduction each, at V = 1.  Every other family takes the
+    per-family path: its own closure (the first family's is the one above),
+    cyclic block, kernel and annihilator.  An exact lane or a single family
+    takes the per-family path throughout.
     """
     if not families or families[0][0].shape[0] == 0:
         return [(0, 0, 0)] * len(families)
     d, words = families[0][0].shape[0], []
     basis = bethe_algebra_basis(list(families[0]), tol, words)
-    V, out = [None] * len(families), [None] * len(families)
-    if len(basis) == d:
+    out = [None] * len(families)
+    if len(families) > 1 and len(basis) == d and not is_exact_array(basis[0]):
         W = _word_stack(families, basis, words)
-        V = _cyclic_block(W, tol)
-        cert = [s for s, v in enumerate(V) if v.shape[1] == 1]
-        if cert:
-            Wc, ones = W[cert], V[cert[0]]
-            kernels = induced_map_kernel(Wc, sh, tol, ones)
-            ideals = annihilator_ideal(Wc, kernels, tol, ones)
+        ones = np.ones((d, 1), dtype=complex)
+        cert = np.flatnonzero(rank_of(_side_by_side(W, ones), tol.svd_rel) == d)
+        if cert.size:
+            kernels = induced_map_kernel(W[cert], sh, tol, ones)
+            ideals = annihilator_ideal(W[cert], kernels, tol, ones)
             for s, g, J in zip(cert, kernels, ideals):
                 out[s] = (d, len(g), len(J))
     for s, family in enumerate(families):
         if out[s] is None:
             alg = basis if s == 0 else bethe_algebra_basis(list(family), tol)
-            v = _cyclic_block(alg, tol) if s or V[0] is None else V[0]
-            kernel = induced_map_kernel(alg, sh, tol, v)
-            out[s] = (len(alg), len(kernel), len(annihilator_ideal(alg, kernel, tol, v)))
+            V = _cyclic_block(alg, tol)
+            kernel = induced_map_kernel(alg, sh, tol, V)
+            out[s] = (len(alg), len(kernel), len(annihilator_ideal(alg, kernel, tol, V)))
     return out

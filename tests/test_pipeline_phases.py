@@ -470,8 +470,9 @@ class TestOnePassPerCommand:
         cmd_spectrum(FOUR_SPINS)
         assert passes == [2]
 
-    def test_cyclic_block_once_per_command(self, monkeypatch):
-        # one call per command, on the stack of every system's words
+    def test_cyclic_block_only_on_the_per_system_path(self, monkeypatch):
+        # spectrum searches its system's block once; a verify whose samples
+        # all pass the all-ones certificate searches none
         calls = []
         real = gaudin._cyclic_block
 
@@ -481,9 +482,9 @@ class TestOnePassPerCommand:
 
         monkeypatch.setattr(gaudin, "_cyclic_block", spy)
         cmd_spectrum(FOUR_SPINS)
-        assert calls == [1]
+        assert len(calls) == 1
         cmd_verify(FOUR_SPINS, 4)
-        assert calls == [1, 4]
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("config", [FOUR_SPINS, {**FOUR_SPINS, "m": [3] * 4, "l": 4}])
     def test_closure_once_per_command(self, monkeypatch, config):
