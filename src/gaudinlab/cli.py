@@ -222,9 +222,9 @@ class _Run:
 
 def _front(systems, seeds, tol: Tolerances) -> list:
     """The pipeline's front over systems of one frame and one lane: the
-    algebra side of every system in one stage (stacked_algebra_dims), then
-    each system's run with its dimensions and its certificate and dimension
-    gates."""
+    algebra side of every system in one stage (stacked_algebra_dims, on
+    coefficient vectors, no matrix), then each system's run with its
+    dimensions and its certificate and dimension gates."""
     algebra = stacked_algebra_dims([sysd.H_sing for sysd in systems], systems[0].shq.sh, tol)
     return [_gates(sysd, seed, tol, dims) for sysd, seed, dims in zip(systems, seeds, algebra)]
 
@@ -511,13 +511,13 @@ def cmd_verify(config: dict, samples: int):
     frame, its Hamiltonians formed for every draw at once (build_gaudins);
     a gate that fails in one draw is listed in that draw's entry.  The
     draws run run_pipeline's phases, each one pass over every draw: the
-    front (one algebra closure, on the first draw, whose words certify and
-    reduce every draw as one stack: stacked_algebra_dims), the joint
-    spectra, the scheme checks and the back, which read one stack of every
-    draw's z-tables (_share_tables), then one diagonalizability pass over
-    the real draws; no point or Bethe-vector report is built.  Every draw's z is
-    complex, so the samples always run in the float lane, and the config's
-    mode reaches only the report's instance.mode.
+    front (one algebra closure, on the first draw, whose words walked on
+    the ones vector certify and reduce every draw as one stack:
+    stacked_algebra_dims), the joint spectra, the scheme checks and the
+    back, which read one stack of every draw's z-tables (_share_tables),
+    then one diagonalizability pass over the real draws; no point or
+    Bethe-vector report is built.  Every draw's z is complex, so the
+    samples run in the float lane; the config's mode sets only instance.mode.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")

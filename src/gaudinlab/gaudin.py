@@ -533,18 +533,23 @@ def bethe_algebra_basis(mats, tol: Tolerances = DEFAULT_TOL, words=None):
     return span_closure(eye, mats, matmul, tol, words)
 
 
-def _stacked(algebra) -> bool:
-    """True for a float algebra stack with a leading sample axis (S x m x d x d)."""
-    return isinstance(algebra, np.ndarray) and algebra.ndim == 4
+def _acting(algebras):
+    """images_of for a stack of matrix algebras F (S x m x d x d): X
+    (S x d x c) -> the blocks F_j X (S x m x d x c), one product."""
+    S, m, d, _ = algebras.shape
+    F = algebras.reshape(S, m * d, d)
+    return lambda X: matmul(F, X).reshape(S, m, d, X.shape[-1])
 
 
-def _side_by_side(mats, V) -> np.ndarray:
-    """[M_1 V | ... | M_c V] for square matrices M_i, as one product; for a
-    stack mats (S x c x d x d), one such block per sample."""
-    M = np.asarray(mats)
-    *lead, c, d, _ = M.shape
-    return matmul(M.reshape(-1, d), V).reshape(*lead, c, d, -1) \
-        .swapaxes(-3, -2).reshape(*lead, d, -1)
+def _word_walk(H, words):
+    """images_of for the closure's words (span_closure) in the H_s of each
+    family of H (S x n x d x d): one batched product per word, no matrix."""
+    def images_of(X):
+        Y = np.empty((len(H), len(words)) + X.shape[1:], dtype=complex)
+        for i, word in enumerate(words):
+            Y[:, i] = X if word is None else H[:, word[1]] @ Y[:, word[0]]
+        return Y
+    return images_of
 
 
 def _cyclic_block(algebra, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -558,108 +563,51 @@ def _cyclic_block(algebra, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     algebra too.
 
     On a commutative algebra f -> f V is injective: f V = 0 gives
-    f g V = g f V = 0 for every g, and the g V span the space.  So m
-    commuting matrices whose vectors F_i 1 are d independent vectors
-    (m = d, 1 the all-ones vector) are a basis of the algebra they
-    generate, which has dimension d: the certificate stacked_algebra_dims
-    reads.
+    f g V = g f V = 0 for every g, and the g V span the space.  So the
+    blocks F_j V stand for the F_j in every linear relation (_reduce), and
+    commuting F_1..F_d whose F_i 1 (1 the all-ones vector) are independent
+    are a basis of the d-dimensional algebra they generate: the certificate
+    stacked_algebra_dims reads off the walk of the closure's words on 1.
     """
     d = algebra[0].shape[0]
     one = identity(d, is_exact_array(algebra[0]))
     cands = np.hstack([one.sum(axis=1, keepdims=True), one])
+    images_of = _acting(np.stack(algebra)[None])
     for k in range(1, d + 1):
-        if rank_of(_side_by_side(algebra, cands[:, :k]), tol.svd_rel) == d:
+        U = images_of(cands[None, :, :k])[0]
+        if rank_of(U.transpose(1, 0, 2).reshape(d, len(algebra) * k), tol.svd_rel) == d:
             return cands[:, :k]
     return cands
 
 
-def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL, V=None):
-    """Elements of span(algebra) whose composition with sh vanishes.
-
-    These are exactly the operators mapping the singular subspace into the
-    radical, i.e. the kernel of the quotient-algebra map.  The algebra must
-    be commutative and sh must intertwine it (sh g = g~ sh for some g~,
-    which the frame certifies for the Bethe algebra).  Then
-    sh f g V = g~ sh f V, and the g V span the space (V = _cyclic_block),
-    so sh f = 0 exactly when sh f V = 0: the images reduced are the blocks
-    sh F V, not the matrices sh F.  V is computed here unless the caller
-    passes the algebra's _cyclic_block.
-
-    A float algebra reduces as a stack with a leading sample axis
-    (S x m x d x d, a float list being the one-sample stack) in one batched
-    SVD, one kernel per sample; the caller of a stack passes one V for
-    every sample.
-    """
-    if len(algebra) == 0:
-        return []
-    if not _stacked(algebra):
-        V = _cyclic_block(algebra, tol) if V is None else V
-        if not is_exact_array(algebra[0]):
-            return induced_map_kernel(np.stack(algebra)[None], sh, tol, V)[0]
-        k = V.shape[1]
-        # column block j is sh F_j V
-        PFV = matmul(sh, _side_by_side(algebra, V))
-        return _vanishing_combinations(
-            algebra, [PFV[:, j * k:(j + 1) * k].reshape(-1) for j in range(len(algebra))], tol)
-    (S, m), r, k = algebra.shape[:2], sh.shape[0], V.shape[1]
-    # image (a, b) of element j: (sh F_j V)[a, b]
-    PFV = (sh @ _side_by_side(algebra, V)).reshape(S, r, m, k)
-    return _vanishing_combinations(algebra, PFV.transpose(0, 1, 3, 2).reshape(S, r * k, m), tol)
+def _annihilators(images_of, X, tol: Tolerances) -> list:
+    """For each sample s, a basis of the coefficient vectors a with
+    sum_j a_j f_j X[s] = 0, X (S x d x c), images_of(X) the blocks f_j X."""
+    Y = images_of(X)
+    S, m, d, c = Y.shape
+    return kernel_basis(Y.reshape(S, m, d * c).transpose(0, 2, 1), tol.svd_rel)
 
 
-def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL, V=None):
-    """Basis of J = { f in span(algebra) : f g = 0 for every g in kernel }.
+def _reduce(U, images_of, sh: np.ndarray, tol: Tolerances) -> list:
+    """(kernel, annihilator) of each sample's algebra as coefficient bases
+    over its elements f_j, from the blocks U[s, j] = f_j V (S x m x d x k;
+    an exact lane is the one-sample stack), images_of applying every f_j to
+    a block (_acting, _word_walk).  No matrix of the algebra is formed.
 
-    The algebra must be commutative and hold kernel.  Then f g is in the
-    algebra, so f g = 0 exactly when f g V = 0, V = _cyclic_block: the
-    images reduced are F [g_1 V | ... | g_c V], not F [g_1 | ... | g_c].
-    V is computed here unless the caller passes it.
-
-    A float algebra reduces as a stack with a leading sample axis
-    (S x m x d x d, a float list being the one-sample stack) in one batched
-    SVD: kernel holds one kernel per sample, each padded with zero matrices
-    to the longest (a zero matrix adds only zero images), the caller of a
-    stack passes one V for every sample, and the result is one ideal per
-    sample.
-    """
-    if len(algebra) == 0:
-        return []
-    if not _stacked(algebra):
-        if not kernel:
-            return list(algebra)
-        V = _cyclic_block(algebra, tol) if V is None else V
-        if not is_exact_array(algebra[0]):
-            return annihilator_ideal(np.stack(algebra)[None], [kernel], tol, V)[0]
-        # row j is F_j [g_1 V | ... | g_c V], flattened
-        images = matmul(np.vstack(algebra), _side_by_side(kernel, V)).reshape(len(algebra), -1)
-        return _vanishing_combinations(algebra, list(images), tol)
-    if not any(len(g) for g in kernel):
-        return [list(F) for F in algebra]
-    S, m, d, _ = algebra.shape
-    K = np.zeros((S, max(len(g) for g in kernel), d, d), dtype=complex)
-    for s, g in enumerate(kernel):
-        if g:
-            K[s, :len(g)] = g
-    # row j of sample s is F_j [g_1 V | ... | g_c V], flattened
-    images = (algebra.reshape(S, m * d, d) @ _side_by_side(K, V)).reshape(S, m, -1)
-    ideals = _vanishing_combinations(algebra, images.transpose(0, 2, 1), tol)
-    return [J if g else list(F) for F, g, J in zip(algebra, kernel, ideals)]
-
-
-def _vanishing_combinations(algebra, images, tol):
-    """Elements sum_j c_j algebra[j] with sum_j c_j images[j] = 0, as a basis.
-
-    images[j] is the flattened image of algebra[j] under a fixed linear map.
-    A float algebra reduces as a stack (S x m x d x d, a float list being
-    the one-sample stack), with images the stack (S x r x m) of each
-    sample's images as columns, and the result one basis per sample.
-    """
-    if _stacked(algebra):
-        return [_combinations(F, c) for F, c in zip(algebra, kernel_basis(images, tol.svd_rel))]
-    if not is_exact_array(algebra[0]):
-        return _vanishing_combinations(np.stack(algebra)[None],
-                                       np.stack(images, axis=1)[None], tol)[0]
-    return _combinations(algebra, kernel_basis(np.stack(images, axis=1), 0))
+    The kernel { f : sh f = 0 } is sh f V = 0: sh intertwines the algebra
+    (sh g = g~ sh, certified by the frame), so sh f g V = g~ sh f V.  Its
+    annihilator is f g V = 0 (f g is in the algebra) on the blocks
+    g V = sum_j c_j U[s, j], each kernel padded with zero vectors."""
+    S, m, d, k = U.shape
+    PU = matmul(sh, U.transpose(2, 0, 1, 3).reshape(d, S * m * k))
+    # column j of sample s is (sh U[s, j]) flattened
+    kernels = kernel_basis(PU.reshape(-1, S, m, k).transpose(1, 0, 3, 2)
+                           .reshape(S, -1, m), tol.svd_rel)
+    C = np.zeros((S, max(map(len, kernels)), m), dtype=U.dtype)
+    for s, g in enumerate(kernels):
+        C[s, :len(g)] = np.reshape(g, (len(g), m))
+    X = matmul(C, U.reshape(S, m, d * k)).reshape(S, -1, d, k).transpose(0, 2, 1, 3)
+    return list(zip(kernels, _annihilators(images_of, X.reshape(S, d, -1), tol)))
 
 
 def _combinations(algebra, combos) -> list:
@@ -671,35 +619,45 @@ def _combinations(algebra, combos) -> list:
     return list(flat.reshape((len(combos),) + algebra[0].shape))
 
 
-def _word_stack(families, basis, words) -> np.ndarray:
-    """The elements of basis, words in the H_s of families[0] (as
-    span_closure records them), formed at every float family: an
-    S x m x d x d stack whose first slice is basis itself, each further
-    word one batched product over the other families."""
-    H = np.array(families[1:])
-    W = np.empty((len(families), len(basis)) + basis[0].shape, dtype=complex)
-    W[0] = basis
-    for i, word in enumerate(words):
-        W[1:, i] = np.eye(W.shape[2]) if word is None else W[1:, word[0]] @ H[:, word[1]]
-    return W
+def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL, V=None):
+    """Elements of span(algebra) whose composition with sh vanishes: the
+    kernel of the quotient-algebra map, for a commutative algebra that sh
+    intertwines.  _reduce's kernel at V = _cyclic_block (unless the caller
+    passes V), formed as matrices."""
+    if len(algebra) == 0:
+        return []
+    V = _cyclic_block(algebra, tol) if V is None else V
+    images_of = _acting(np.stack(algebra)[None])
+    return _combinations(algebra, _reduce(images_of(V[None]), images_of, sh, tol)[0][0])
+
+
+def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL, V=None):
+    """Basis of J = { f in span(algebra) : f g = 0 for every g in kernel }.
+
+    The algebra must be commutative and hold kernel; J comes from the
+    blocks F [g_1 V | ... | g_c V], V = _cyclic_block unless the caller
+    passes it (_annihilators), and is formed as matrices.
+    """
+    if len(algebra) == 0 or not kernel:
+        return list(algebra)
+    V = _cyclic_block(algebra, tol) if V is None else V
+    X = _acting(np.stack(kernel)[None])(V[None]).transpose(0, 2, 1, 3).reshape(1, len(V), -1)
+    return _combinations(algebra, _annihilators(_acting(np.stack(algebra)[None]), X, tol)[0])
 
 
 def stacked_algebra_dims(families, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list:
     """(dim B, dim ker, dim Ann) of each family of families, B the algebra
     its H_s generate on Sing, ker the kernel of B's map to the quotient
-    (induced_map_kernel, sh) and Ann its annihilator (annihilator_ideal).
+    (sh) and Ann its annihilator, counted off _reduce's coefficient bases.
 
     families holds the H_s on Sing of systems of one frame and one lane,
     which share sh.  The closure (bethe_algebra_basis) runs on the first
-    family only, recording each element's word in the H_s.  With two or
-    more float families, each word is formed at every family (_word_stack),
-    and a family whose d word matrices W_i have rank [W_1 1 | ... | W_d 1]
-    = d has them as a basis of its B (the certificate in _cyclic_block's
-    docstring); the kernels and annihilators of the certified families are
-    one batched reduction each, at V = 1.  Every other family takes the
-    per-family path: its own closure (the first family's is the one above),
-    cyclic block, kernel and annihilator.  An exact lane or a single family
-    takes the per-family path throughout.
+    family only, recording each element's word in the H_s.  Over two or
+    more float families the words are walked on the all-ones vector 1
+    (_word_walk); a family whose d vectors W_i 1 have rank d has the words as
+    a basis of its B (_cyclic_block), and these reduce as one stack at V = 1
+    on the same walk.  Every other family, an exact lane and a lone family
+    take the per-family path: own closure, cyclic block V, blocks F V.
     """
     if not families or families[0][0].shape[0] == 0:
         return [(0, 0, 0)] * len(families)
@@ -707,18 +665,16 @@ def stacked_algebra_dims(families, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL
     basis = bethe_algebra_basis(list(families[0]), tol, words)
     out = [None] * len(families)
     if len(families) > 1 and len(basis) == d and not is_exact_array(basis[0]):
-        W = _word_stack(families, basis, words)
-        ones = np.ones((d, 1), dtype=complex)
-        cert = np.flatnonzero(rank_of(_side_by_side(W, ones), tol.svd_rel) == d)
+        H = np.array(families)
+        U = _word_walk(H, words)(np.ones((len(H), d, 1), dtype=complex))
+        cert = np.flatnonzero(rank_of(U[..., 0], tol.svd_rel) == d)
         if cert.size:
-            kernels = induced_map_kernel(W[cert], sh, tol, ones)
-            ideals = annihilator_ideal(W[cert], kernels, tol, ones)
-            for s, g, J in zip(cert, kernels, ideals):
+            for s, (g, J) in zip(cert, _reduce(U[cert], _word_walk(H[cert], words), sh, tol)):
                 out[s] = (d, len(g), len(J))
     for s, family in enumerate(families):
         if out[s] is None:
             alg = basis if s == 0 else bethe_algebra_basis(list(family), tol)
-            V = _cyclic_block(alg, tol)
-            kernel = induced_map_kernel(alg, sh, tol, V)
-            out[s] = (len(alg), len(kernel), len(annihilator_ideal(alg, kernel, tol, V)))
+            images_of = _acting(np.stack(alg)[None])
+            ((g, J),) = _reduce(images_of(_cyclic_block(alg, tol)[None]), images_of, sh, tol)
+            out[s] = (len(alg), len(g), len(J))
     return out

@@ -219,11 +219,14 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Two exact (2-D) operands are scaled to Python-int numerators over one
     denominator each and multiplied as integers; every entry comes back as a
-    Fraction in lowest terms.  Float operands and empty shapes use A @ B
-    itself.
+    Fraction in lowest terms.  Two exact stacks of one length (S x m x k,
+    S x k x n) multiply slice by slice.  Float operands and empty shapes
+    use A @ B itself.
     """
     if not (is_exact_array(A) and is_exact_array(B)) or 0 in A.shape + B.shape:
         return A @ B
+    if A.ndim == 3:
+        return np.stack([matmul(a, b) for a, b in zip(A, B)])
     (m, k), n = A.shape, B.shape[1]
     na, da = integer_numerators(A.reshape(-1).tolist())
     nb, db = integer_numerators(B.reshape(-1).tolist())
@@ -428,19 +431,16 @@ def _svd_ranks(A: np.ndarray, tol: float) -> np.ndarray:
 def kernel_basis(A: np.ndarray, tol: float | None = None) -> list:
     """Basis of the right null space as a list of 1-D vectors.
 
-    Exact mode demands tol in {None, 0}; float mode counts singular values
-    below tol * max(singular values) as zero (default 1e-10 relative).  A
-    float stack A (S x m x n) gives one basis per matrix, from one batched
-    SVD.
+    Float mode counts singular values below tol * max(singular values) as
+    zero (default 1e-10 relative); exact mode is exact, whatever tol.  A
+    stack A (S x m x n) gives one basis per matrix, a float stack from one
+    batched SVD.
     """
-    if is_exact_array(A):
-        if tol not in (None, 0):
-            raise DomainError("exact kernel_basis takes tol = 0")
-        return rref_kernel(*rref(A)) if A.shape[1] else []
-    tol = DEFAULT_TOL.svd_rel if tol is None else tol
     if A.ndim == 2:
-        return _svd_kernels(A[None], tol)[0]
-    return _svd_kernels(A, tol)
+        return kernel_basis(A[None], tol)[0]
+    if is_exact_array(A):
+        return [rref_kernel(*rref(a)) if A.shape[2] else [] for a in A]
+    return _svd_kernels(A, DEFAULT_TOL.svd_rel if tol is None else tol)
 
 
 def _svd_kernels(A: np.ndarray, tol: float) -> list:

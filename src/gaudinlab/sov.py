@@ -18,6 +18,7 @@ Bethe vectors are built on float systems only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -183,6 +184,35 @@ def _roots(A: np.ndarray) -> np.ndarray:
     return roots
 
 
+def _multiple_roots(a, roots, tol: Tolerances) -> list:
+    """The roots of p = p_of_a(a), each group of k roots within
+    10 tol.cluster max(1, |r|) of the group's first moved to one point r*,
+    by Newton's method on p^(k-1) from the group's mean: companion
+    eigenvalues put the copies of a k-fold root about eps^(1/k) apart.  r*
+    is kept only if |p(r*)| <= tol.residual sum_j |p_j| |r*|^j (the scale of
+    root_on_marked_point); otherwise the group keeps its roots."""
+    groups = []
+    for r in roots:
+        g = next((g for g in groups
+                  if abs(r - g[0]) <= 10 * tol.cluster * max(1.0, abs(g[0]))), None)
+        if g is None:
+            groups.append(g := [])
+        g.append(r)
+    if len(groups) == len(roots):
+        return roots
+    p, out = [complex(c) for c in p_of_a(a)], []
+    for g in groups:
+        k = len(g)
+        q = [math.perm(j, k - 1) * c for j, c in enumerate(p)][k - 1:]
+        r, dq = sum(g) / k, [j * c for j, c in enumerate(q)][1:]
+        for _ in range(8 if k > 1 else 0):
+            slope = poly_value(dq, r)
+            r -= poly_value(q, r) / slope if slope else 0
+        ok = abs(poly_value(p, r)) <= tol.residual * poly_value([abs(c) for c in p], abs(r))
+        out += [r] * k if k > 1 and ok else g
+    return out
+
+
 @cache
 def _raise_maps(n: int, k: int) -> np.ndarray:
     """Position of mu + e_s in the level-(k+1) basis, for each multi-index mu
@@ -331,7 +361,8 @@ def _group_vectors(inst: ProblemInstance, sys: GaudinSystem, points, V: np.ndarr
             point=p, weights=V[i], omega_L=line,
             eigen_residuals=tuple(float(r) for r in resids[i]),
             e12_residual=float(e12r[i]), via_subspace=via_subspace,
-            roots=tuple(sorted(roots[i].tolist(), key=tol.cluster_key))))
+            roots=tuple(sorted(_multiple_roots(p.a, roots[i].tolist(), tol),
+                               key=tol.cluster_key))))
     return out
 
 

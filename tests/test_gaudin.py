@@ -21,8 +21,10 @@ from gaudinlab.gaudin import (
     GaudinFrame,
     _ExactReducer,
     _FloatReducer,
+    _acting,
+    _annihilators,
     _cyclic_block,
-    _vanishing_combinations,
+    _reduce,
     build_gaudins,
     span_closure,
     stacked_algebra_dims,
@@ -724,11 +726,11 @@ def reference_algebra(mats):
                         _FractionReducer())
 
 
-def reference_vanishing(algebra, images):
-    """sum_j c_j algebra[j] for each kernel vector c of the stacked images,
-    summed term by term."""
+def reference_vanishing(algebra, images, tol=None):
+    """sum_j c_j algebra[j] for each kernel vector c of the stacked images
+    (a float kernel cut at tol relative), summed term by term."""
     out = []
-    for c in kernel_basis(np.stack(images, axis=1)):
+    for c in kernel_basis(np.stack(images, axis=1), tol):
         acc = algebra[0] * c[0]
         for M, x in zip(algebra[1:], c[1:]):
             acc = acc + M * x
@@ -823,14 +825,14 @@ class TestFractionFree:
             if not ker:
                 continue
             images = [np.concatenate([matmul(F_, K).reshape(-1) for K in ker]) for F_ in alg]
-            assert_same_matrices(annihilator_ideal(alg, ker),
-                                 _vanishing_combinations(alg, images, Tolerances()))
+            assert_same_matrices(annihilator_ideal(alg, ker), reference_vanishing(alg, images))
             seen += 1
 
 
 def matrix_image_induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = Tolerances()):
     """induced_map_kernel on the matrices sh F: the earlier code, kept
-    verbatim (only its name, this line and its default tol changed).
+    verbatim but for its name, this line, its default tol and its
+    reduction, now reference_vanishing.
 
     Elements of span(algebra) whose composition with sh vanishes.
 
@@ -839,14 +841,14 @@ def matrix_image_induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = T
     """
     if not algebra:
         return []
-    return _vanishing_combinations(algebra, [matmul(sh, F).reshape(-1) for F in algebra],
-                                   tol)
+    return reference_vanishing(algebra, [matmul(sh, F).reshape(-1) for F in algebra],
+                               tol.svd_rel)
 
 
 def matrix_image_annihilator_ideal(algebra, kernel, tol: Tolerances = Tolerances()):
     """annihilator_ideal on the matrices F [g_1 | ... | g_c]: the earlier
-    code, kept verbatim (only its name, this line and its default tol
-    changed).
+    code, kept verbatim but for its name, this line, its default tol and
+    its reduction, now reference_vanishing.
 
     Basis of J = { f in span(algebra) : f g = 0 for every g in kernel }."""
     if not algebra:
@@ -855,7 +857,7 @@ def matrix_image_annihilator_ideal(algebra, kernel, tol: Tolerances = Tolerances
         return list(algebra)
     # f g = 0 for every g in kernel exactly when f kills every column of each g
     K = np.hstack(kernel)
-    return _vanishing_combinations(algebra, [matmul(F, K).reshape(-1) for F in algebra], tol)
+    return reference_vanishing(algebra, [matmul(F, K).reshape(-1) for F in algebra], tol.svd_rel)
 
 
 class TestCyclicBlock:
@@ -1002,19 +1004,29 @@ class TestStackedAlgebraDims:
 
     def test_stacked_calls_match_per_sample_calls(self):
         # one float stack whose samples need blocks of widths 1 and 2: the
-        # wider block serves both
+        # wider block serves both, and each sample's kernel and annihilator
+        # are the ones its own one-sample stack and the adapters give
         families, sh = self.families(False)
         algebras = [bethe_algebra_basis(f) for f in families]
         assert [_cyclic_block(alg).shape[1] for alg in algebras] == [1, 2]
-        stack, V = np.stack([np.stack(alg) for alg in algebras]), _cyclic_block(algebras[1])
-        kernels = induced_map_kernel(stack, sh, V=V)
-        ideals = annihilator_ideal(stack, kernels, V=V)
-        for alg, ker, J in zip(algebras, kernels, ideals):
-            assert (len(ker), len(J)) == (3, 1)
-            assert len(annihilator_ideal(alg, induced_map_kernel(alg, sh))) == len(J)
-        # a sample with no kernel: its ideal is the whole algebra
-        ideals = annihilator_ideal(stack, [kernels[0], []], V=V)
-        assert len(ideals[0]) == 1 and np.array_equal(np.stack(ideals[1]), stack[1])
+        images_of = _acting(np.stack([np.stack(alg) for alg in algebras]))
+        U = images_of(_cyclic_block(algebras[1])[None])
+        got = _reduce(U, images_of, sh, Tolerances())
+        for alg, (c, a) in zip(algebras, got):
+            one = _acting(np.stack(alg)[None])
+            ((c1, a1),) = _reduce(one(_cyclic_block(alg)[None]), one, sh, Tolerances())
+            ker = induced_map_kernel(alg, sh)
+            assert (len(c), len(a)) == (len(c1), len(a1)) == (3, 1) == \
+                (len(ker), len(annihilator_ideal(alg, ker)))
+            # the coefficient vectors name elements that really vanish
+            g = [sum(x * F_ for x, F_ in zip(v, alg)) for v in c]
+            f = sum(x * F_ for x, F_ in zip(a[0], alg))
+            assert max(max_abs(sh @ g_) for g_ in g) < 1e-12
+            assert max(max_abs(f @ g_) for g_ in g) < 1e-12 < max_abs(f)
+        # a sample whose blocks are zero (no kernel): the whole algebra
+        X = np.zeros((2, 4, 3 * 2), dtype=complex)
+        X[0] = np.hstack([np.tensordot(v, U[0], 1) for v in got[0][0]])
+        assert [len(a) for a in _annihilators(images_of, X, Tolerances())] == [1, 4]
 
     def test_empty_spaces(self):
         assert stacked_algebra_dims([], np.zeros((0, 0))) == []

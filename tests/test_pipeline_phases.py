@@ -486,6 +486,18 @@ class TestOnePassPerCommand:
         cmd_verify(FOUR_SPINS, 4)
         assert len(calls) == 1
 
+    def test_algebra_stage_forms_no_matrices(self, monkeypatch):
+        # the kernel and annihilator are counted from coefficient vectors,
+        # on the per-system path (spectrum) and the certified stack (verify)
+        calls = []
+        real = gaudin._combinations
+        monkeypatch.setattr(gaudin, "_combinations",
+                            lambda algebra, combos: calls.append(len(combos)) or
+                            real(algebra, combos))
+        cmd_spectrum(FOUR_SPINS)
+        cmd_verify(FOUR_SPINS, 4)
+        assert calls == []
+
     @pytest.mark.parametrize("config", [FOUR_SPINS, {**FOUR_SPINS, "m": [3] * 4, "l": 4}])
     def test_closure_once_per_command(self, monkeypatch, config):
         calls = []

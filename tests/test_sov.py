@@ -243,3 +243,23 @@ class TestBetheRootOrder:
             assert len(roots) == 2 and roots[0].real != roots[1].real
             orders.append([np.sign(r.imag) for r in roots])
         assert orders[0] == orders[1] == [-1.0, 1.0]
+
+    def test_double_root_is_refined(self):
+        # (1,0,1,2),2 at z = -1, 1/2, 5, 8 has one Bethe vector, whose roots
+        # are those of (x - 5)^2; the companion eigenvalues give 5 +- 9.5e-8i
+        from gaudinlab.cli import cmd_spectrum
+        report, _ = cmd_spectrum({"m": [1, 0, 1, 2], "l": 2, "z": ["-1", "1/2", "5", "8"],
+                                  "seed": 0})
+        (bv,) = report["bethe_vectors"]
+        assert bv["bethe_roots"] == [[5.0, 0.0], [5.0, 0.0]]
+
+    def test_multiple_roots_keep_what_fails_the_residual(self):
+        from gaudinlab.sov import _multiple_roots
+        tol = Tolerances()
+        # x^2 - 1: simple roots stay as found
+        assert _multiple_roots([0.0, -1.0], [-1.0, 1.0 + 1e-12], tol) == [-1.0, 1.0 + 1e-12]
+        # a close pair merges where p' vanishes, on p's own scale
+        assert _multiple_roots([-2.0, 1.0], [1 + 1e-8j, 1 - 1e-8j], tol) == [1.0, 1.0]
+        # the pair 3, 3 + 1e-7 is not near a root of x^2 - 1: p(0) = -1
+        # fails the residual, so the roots are kept
+        assert _multiple_roots([0.0, -1.0], [3.0, 3.0 + 1e-7], tol) == [3.0, 3.0 + 1e-7]

@@ -94,7 +94,9 @@ def test_float_verify_matches_reference():
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
+    # a RuntimeWarning (overflow, invalid value) fails the demo
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          str(ROOT / "demos" / demo)], cwd=ROOT,
                          capture_output=True, text=True, timeout=300,
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0, out.stderr
