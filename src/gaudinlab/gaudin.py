@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -85,15 +86,17 @@ def _term(c: int, W: np.ndarray) -> np.ndarray:
     return int_array(c * np.eye(W.shape[0], dtype=object) - W.astype(object))
 
 
-def _bracket(A: np.ndarray, *Bs) -> np.ndarray:
-    """[A, sum(Bs)] of integer arrays as one int_matmul product."""
-    return int_matmul(np.hstack([A] * len(Bs) + list(Bs)),
-                      np.vstack(list(Bs) + [-A] * len(Bs)))
+def _times(c: int, W: np.ndarray) -> np.ndarray:
+    """c W for an integer array W, as an int_array."""
+    return int_array(c * W.astype(object))
 
 
-def _scalar(c: int, A: np.ndarray) -> np.ndarray:
-    """c I of A's size, as an int_array."""
-    return int_array(c * np.eye(A.shape[0], dtype=object))
+def _sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X + Y of integer arrays, exactly: in int64 when max|X| + max|Y| < 2^63
+    bounds every sum, else on Python ints."""
+    if int_bound(X) + int_bound(Y) < 2**63:
+        return X + Y
+    return X.astype(object) + Y
 
 
 @dataclass(frozen=True)
@@ -111,11 +114,13 @@ class GaudinFrame:
     Each Omega_{s,r} is built once, as an integer array, from the integer
     generator and degree matrices of the instance given (its z is not read),
     and so are E12 and the Shapovalov quotient, whose integer numerators
-    (shq.numerators) the frame reads.  Omega restricts to Sing as
+    (shq.numerators) the frame reads; the quotient's singular basis is the
+    kernel of this E12.  Omega restricts to Sing as
     Omega_hat = (Omega S)[shq.free]: S is the identity on its free rows, so
     Omega S = S Omega_hat.  On the quotient it is Omega_tilde = P Omega_hat C
     (P = shq.sh, C = shq.lift).  Both are kept as integer numerators over one
-    denominator per space.
+    denominator per space.  Each of the three is one int_matmul stack over
+    the pairs s < r, read as dicts of views keyed by (s, r) and (r, s).
 
     combination forms the Hamiltonians on the one space asked;
     lane(exact) gives E12 and shq in one scalar domain the first time an
@@ -138,28 +143,23 @@ class GaudinFrame:
         t11 = [self.m[s] * np.eye(degs[s].shape[0], dtype=np.int64) - degs[s]
                for s in range(n)]
         # Omega = t11 (x) t11 + t22 (x) t22 + e12 (x) e21 + e21 (x) e12, one product
-        self.omega = {}
-        for s in range(n):
-            left = np.hstack([t11[s], degs[s], e12_hi[s], e21_lo[s]])
-            for r in range(s + 1, n):
-                right = np.vstack([t11[r], degs[r], e21_hi[r], e12_lo[r]])
-                self.omega[s, r] = self.omega[r, s] = _readonly(int_matmul(left, right))
+        pairs = list(combinations(range(n), 2))
+        left = [np.hstack([t11[s], degs[s], e12_hi[s], e21_lo[s]]) for s in range(n)]
+        right = [np.vstack([t11[r], degs[r], e21_hi[r], e12_lo[r]]) for r in range(n)]
+        omega = int_matmul(np.stack([left[s] for s, _ in pairs]),
+                           np.stack([right[r] for _, r in pairs]))
         self.E12 = _readonly(sum(e12_lo[1:], e12_lo[0]))
-        self._shq = sh_quotient(inst)
+        self._shq = sh_quotient(inst, self.E12)
         nums = self._shq.numerators
         for N, _ in nums.values():
             _readonly(N)
         (NS, self._DS), (NP, self._DP) = nums["sing"], nums["sh"]
         NC, self._NG = nums["lift"][0], nums["gram"][0]
-        free = self._shq.free
         self._NS, self._NP = NS, NP
-        self.omega_sing, self.omega_L = {}, {}
-        for s in range(n):
-            for r in range(s + 1, n):
-                K = int_matmul(self.omega[s, r], NS)[free]
-                self.omega_sing[s, r] = self.omega_sing[r, s] = _readonly(K)
-                self.omega_L[s, r] = self.omega_L[r, s] = _readonly(
-                    int_matmul(int_matmul(NP, K), NC))
+        K = int_matmul(omega, NS)[:, self._shq.free]
+        self.omega, self.omega_sing, self.omega_L = (
+            {key: _readonly(W)[i] for i, p in enumerate(pairs) for key in (p, p[::-1])}
+            for W in (omega, K, int_matmul(int_matmul(NP, K), NC)))
         self._lanes = {}
 
     def lane(self, exact: bool) -> FrameLane:
@@ -228,34 +228,46 @@ class GaudinFrame:
         restriction defects, Omega S = S Omega_hat and
         P Omega_hat = Omega_tilde P, through which Sing and the quotient
         inherit it.
+
+        The frame's dicts are stacked when this runs, and each family is one
+        int_matmul over its stack: every bracket [A, B] as [A, B] [B; -A],
+        G A - A^T G, N_S K - A (D_S N_S) and N_P (D_P K) - L N_P.  A defect
+        is the largest entry of its stack in absolute value.
         """
         n = len(self.m)
         om, NS, DS, NP, DP, NG = (self.omega, self._NS, self._DS, self._NP, self._DP,
                                   self._NG)
-        pairs = [(s, r) for s in range(n) for r in range(s + 1, n)]
-        yb = shap = restricted = 0
-        for s, r in pairs:
-            A, K, L = om[s, r], self.omega_sing[s, r], self.omega_L[s, r]
-            for k in range(n):
-                if k not in (s, r):
-                    yb = max(yb, int_bound(_bracket(A, om[s, k], om[r, k])))
-            for k, j in pairs:
-                if k > s and not {k, j} & {s, r}:
-                    yb = max(yb, int_bound(_bracket(A, om[k, j])))
-            shap = max(shap, int_bound(int_matmul(np.hstack([NG, A.T]),
-                                               np.vstack([A, -NG]))))
-            # N_S K - D_S (Omega N_S) and D_P (N_P K) - L N_P
-            OS, PK = int_matmul(A, NS), int_matmul(NP, K)
-            restricted = max(
-                restricted,
-                int_bound(int_matmul(np.hstack([NS, OS]), np.vstack([K, _scalar(-DS, K)]))),
-                int_bound(int_matmul(np.hstack([_scalar(DP, L), L]), np.vstack([PK, -NP]))))
+        pairs = list(combinations(range(n), 2))
+        A = np.stack([om[p] for p in pairs])
+        K = np.stack([self.omega_sing[p] for p in pairs])
+        L = np.stack([self.omega_L[p] for p in pairs])
+
+        def each(N):
+            return np.broadcast_to(N, (len(pairs),) + N.shape)
+
+        zero = np.zeros_like(A[0])
+        brackets = [(i, om[s, k], om[r, k]) for i, (s, r) in enumerate(pairs)
+                    for k in range(n) if k not in (s, r)]
+        brackets += [(i, om[k, j], zero) for i, (s, r) in enumerate(pairs)
+                     for k, j in pairs if k > s and not {k, j} & {s, r}]
+        yb = 0
+        if brackets:
+            idx, B1, B2 = zip(*brackets)
+            Ab, B = A[list(idx)], _sum(np.stack(B1), np.stack(B2))
+            yb = int_bound(int_matmul(np.concatenate([Ab, B], axis=2),
+                                      np.concatenate([B, -Ab], axis=1)))
+        shap = int_bound(int_matmul(np.concatenate([each(NG), A.transpose(0, 2, 1)], axis=2),
+                                    np.concatenate([A, each(-NG)], axis=1)))
+        restricted = max(
+            int_bound(int_matmul(np.concatenate([each(NS), A], axis=2),
+                                 np.concatenate([K, each(_times(-DS, NS))], axis=1))),
+            int_bound(int_matmul(np.concatenate([each(NP), L], axis=2),
+                                 np.concatenate([_times(DP, K), each(-NP)], axis=1))))
         sym = max((int_bound(W[s, r].astype(object) - W[r, s].astype(object))
                    for W in (om, self.omega_sing, self.omega_L) for s, r in pairs
                    if not np.array_equal(W[s, r], W[r, s])), default=0)
         mm = sum(self.m[s] * self.m[r] for s, r in pairs)
-        rule = int_bound(_term(DS * (mm - self.l * self.ltilde),
-                            sum(self.omega_sing[p].astype(object) for p in pairs)))
+        rule = int_bound(_term(DS * (mm - self.l * self.ltilde), K.astype(object).sum(axis=0)))
         defects = {"commutators": yb, "hamiltonian_sum": sym, "z_weighted_identity": rule,
                    "g0_identity": rule, "shapovalov_symmetry": shap}
         return {name: max(v, restricted) for name, v in defects.items()}

@@ -460,10 +460,11 @@ class WeightVector:
         return WeightVector(tuple((j, c) for j, c in zip(basis, v) if c), k)
 
 
-def _singular_numerators(inst: ProblemInstance):
+def _singular_numerators(inst: ProblemInstance, E12: np.ndarray | None = None):
     """(N, D), N / D the rref_kernel basis of ker E12 inside the level-l space
-    in numerator_array's form, found by eliminating the integer E12."""
-    E12 = sum(generator_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n))
+    in numerator_array's form, found by eliminating the integer E12 (inst's)."""
+    if E12 is None:
+        E12 = sum(generator_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n))
     return lowest_terms(*int_kernel(*int_rref(E12)))
 
 
@@ -536,9 +537,10 @@ class ShQuotient:
         return self.numerators["sh"][0].shape[0]
 
 
-def sh_quotient(inst: ProblemInstance) -> ShQuotient:
-    """The exact ShQuotient of inst's (m, l), computed on integer numerators."""
-    NS, DS = _singular_numerators(inst)
+def sh_quotient(inst: ProblemInstance, E12: np.ndarray | None = None) -> ShQuotient:
+    """The exact ShQuotient of inst's (m, l), computed on integer numerators;
+    E12 is inst's integer raising operator at level l, built here if None."""
+    NS, DS = _singular_numerators(inst, E12)
     NG = shapovalov_gram(inst, inst.l)
     # R = S^T G S = NR / DS^2
     NR = int_matmul(int_matmul(NS.T, NG), NS)

@@ -12,15 +12,16 @@ float domain is entered for eigen-decomposition and root-finding only.
 Exact matrix products go through ``matmul``, which multiplies integer
 numerators over one common denominator per operand instead of forming a
 ``Fraction`` for every partial product; ``int_matmul`` multiplies integer
-arrays in int64 where a bound rules out overflow, else on Python ints.
+arrays (or stacks of them) as float64 BLAS when max|A| max|B| k < 2^53
+proves every partial sum exact, in int64 below 2^63, else on Python ints.
 The one Gauss-Jordan elimination behind ``rref``, ``kernel_basis``,
-``rank_of``, ``solve_linear``, ``solve_consistent`` and ``solve_rows`` is
-fraction-free (Bareiss 1968): rational rows are scaled to
-integers and each step divides exactly by the previous pivot, so no
+``rank_of``, ``solve_linear``, ``solve_consistent``, ``solve_rows`` and
+``int_rref`` is fraction-free (Bareiss 1968), one array expression per
+pivot, in int64 while a bound rules out overflow: rational rows are scaled
+to integers and each step divides exactly by the previous pivot, so no
 ``Fraction`` arithmetic runs inside the loop.  It takes rational rows only;
 a row holding any other scalar raises ``DomainError``, and float systems go
-to LAPACK.  ``int_rref`` and ``int_kernel`` run that elimination on an
-integer array and stop before any ``Fraction`` is formed.
+to LAPACK.  ``int_rref`` and ``int_kernel`` stop before any ``Fraction``.
 """
 
 from __future__ import annotations
@@ -257,13 +258,18 @@ def int_bound(A: np.ndarray) -> int:
 
 
 def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B of integer arrays (int64 or Python ints), exactly.
+    """A @ B of integer arrays or stacks (int64 or Python ints), exactly.
 
-    When max|A| max|B| k < 2^63 bounds every partial sum of the k-term dot
-    products, the product runs in int64; otherwise on Python ints.  Either
-    way the values are the same.
+    With a = max|A|, b = max|B| over the whole stack and k = A.shape[-1]:
+    when a, b and a b k are below 2^53, every product and partial sum is an
+    integer below 2^53, so float64 BLAS is exact in any summation order;
+    below 2^63 the product runs in int64, else on Python ints.
     """
-    if int_bound(A) * int_bound(B) * A.shape[1] < 2**63:
+    a, b = int_bound(A), int_bound(B)
+    bound = max(a, b, a * b * A.shape[-1])
+    if bound < 2**53:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    if bound < 2**63:
         return A.astype(np.int64) @ B.astype(np.int64)
     return A.astype(object) @ B.astype(object)
 
@@ -274,59 +280,60 @@ def primitive(v: list) -> list:
     return [x // g for x in v] if g > 1 else v
 
 
-def row_update(a: int, v: list, b: int, row: list, d: int = 1) -> list:
-    """(a v - b row) / d on integer rows; d must divide every entry exactly."""
-    if d == 1:
-        return [a * x - b * y for x, y in zip(v, row)]
-    return [(a * x - b * y) // d for x, y in zip(v, row)]
+def row_update(a: int, v: list, b: int, row: list) -> list:
+    """a v - b row on integer rows."""
+    return [a * x - b * y for x, y in zip(v, row)]
 
 
 def _is_rational_rows(M: list) -> bool:
     return all(isinstance(v, (Fraction, int)) for row in M for v in row)
 
 
-def _bareiss_rows(M: list):
-    """Fraction-free Gauss-Jordan (Bareiss 1968) on integer rows in place.
+def _bareiss(M: np.ndarray):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on an integer array.
 
-    The step at pivot p in column c maps each other row v to
-    (p v - v[c] pivot_row) / prev, an exact integer division by the previous
+    The step at pivot p in column c maps M to (p M - M[:, c] (x) prow) / prev
+    and restores the pivot row prow: an exact division by the previous
     pivot, so entries stay minors of the matrix.  Each step also scales the
     earlier pivot rows by p / prev, so every pivot row ends with the last
     pivot d in its pivot column, the rows below them are zero, and the rref
-    is M / d.  Returns (pivots, d).
+    is M / d.  Steps run in int64 while (|p| + max|M[:, c]|) max|M| < 2^63
+    bounds p M - M[:, c] (x) prow, then on Python ints.  Returns the reduced
+    (M, pivots, d); the rows of the array passed in may be swapped.
     """
-    ncols = len(M[0])
-    pivots = []
-    prev, r = 1, 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if pr is None:
+    m, n = M.shape
+    pivots, prev, r = [], 1, 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = M[r:, c].nonzero()[0]
+        if not nz.size:
             continue
-        if pr != r:
-            M[r], M[pr] = M[pr], M[r]
-        p, prow = M[r][c], M[r]
-        for i in range(len(M)):
-            # a row with a zero in column c only rescales by p / prev
-            if i != r and (M[i][c] or p != prev):
-                M[i] = row_update(p, M[i], M[i][c], prow, prev)
+        if nz[0]:
+            M[[r, r + nz[0]]] = M[[r + nz[0], r]]
+        p, col = int(M[r, c]), M[:, c].copy()
+        if M.dtype != object and (abs(p) + int_bound(col)) * int_bound(M) >= 2**63:
+            M, col = M.astype(object), col.astype(object)
+        prow = M[r].copy()
+        M = p * M - np.multiply.outer(col, prow)
+        if prev != 1:
+            M //= prev
+        M[r] = prow
         prev = p
         pivots.append(c)
         r += 1
-        if r == len(M):
-            break
-    return pivots, prev
+    return M, pivots, prev
 
 
 def int_rref(N: np.ndarray):
     """rref of an integer array N, kept on integers: (R, pivots, d).
 
     R (an int_array) holds the pivot rows of the fraction-free elimination
-    (_bareiss_rows), so rref(N) is R / d followed by zero rows; d is the
-    last pivot, and R is d on its pivot columns.
+    (_bareiss), so rref(N) is R / d followed by zero rows; d is the last
+    pivot, and R is d on its pivot columns.
     """
-    M = N.tolist()
-    pivots, d = _bareiss_rows(M) if M else ([], 1)
-    return int_array(M[:len(pivots)]).reshape(len(pivots), N.shape[1]), pivots, d
+    M, pivots, d = _bareiss(int_array(N).copy())
+    return int_array(M[:len(pivots)]), pivots, d
 
 
 def int_kernel(R: np.ndarray, pivots: list, d: int):
@@ -353,7 +360,7 @@ def lowest_terms(N: np.ndarray, D: int):
 
 
 def _rref_inplace(M: list) -> list:
-    """Gauss-Jordan (_bareiss_rows) on a list of rational rows in place;
+    """Gauss-Jordan (_bareiss) on a list of rational rows in place;
     returns the pivot columns.  The pivot is the first nonzero entry at or
     below the current row, so a triangular system keeps its natural pivots.
     Each row is scaled to integers first; at the end each pivot row is
@@ -363,14 +370,10 @@ def _rref_inplace(M: list) -> list:
         return []
     if not _is_rational_rows(M):
         raise DomainError("the exact elimination takes rational rows only")
-    ncols = len(M[0])
-    for i, row in enumerate(M):
-        M[i] = integer_numerators(row)[0]
-    pivots, _ = _bareiss_rows(M)
+    N, pivots, d = _bareiss(int_array([integer_numerators(row)[0] for row in M]))
     r = len(pivots)
-    for i in range(len(M)):
-        M[i] = ([Fraction(x, M[i][pivots[i]]) for x in M[i]] if i < r
-                else [Fraction(0)] * ncols)
+    M[r:] = [[Fraction(0)] * N.shape[1] for _ in range(len(M) - r)]
+    M[:r] = [[Fraction(x, d) for x in row] for row in N[:r].tolist()]
     return pivots
 
 

@@ -482,9 +482,9 @@ class TestFrameSharing:
         one_sample = dict(calls)
         assert all(one_sample[name] == 1 for name in self.ONCE), one_sample
         assert all(one_sample[name] == 0 for name in self.NEVER), one_sample
-        # one frame's generator matrices: four families for Omega and one
-        # for the singular basis's E12, one matrix per factor
-        assert one_sample["generator_matrix"] == 5 * 4
+        # one frame's generator matrices: the four families for Omega, one
+        # matrix per factor; the singular basis reads the frame's E12
+        assert one_sample["generator_matrix"] == 4 * 4
         calls.update(dict.fromkeys(self.COUNTED, 0))
         cmd_verify(FOUR_SPINS, 4)
         assert calls == one_sample
@@ -494,7 +494,7 @@ class TestFrameSharing:
         assert rep["spectrum_sing_l"]["points"]  # so the float twin is built
         assert all(calls[name] == 1 for name in self.ONCE), calls
         assert all(calls[name] == 0 for name in self.NEVER), calls
-        assert calls["generator_matrix"] == 5 * 2
+        assert calls["generator_matrix"] == 4 * 2
 
     def test_no_frame_kept_between_commands(self, calls):
         cmd_verify(FOUR_SPINS, 4)

@@ -46,6 +46,7 @@ from gaudinlab.numcore import (
 
 import conftest
 from conftest import LADDER, random_exact_instance, random_float_z
+from integer_reference import frame_certificate
 from scheme_reference import zpolys
 
 
@@ -381,6 +382,38 @@ class TestFrameCertificate:
             inst = ProblemInstance([1, 1, 1, 1], 2, z)
             run_pipeline(build_gaudin(inst, frame), 0, Tolerances())
         assert calls == [frame]
+
+
+class TestStackedCertificate:
+    """The stacked certificate against the per-pair loop it replaced
+    (integer_reference.frame_certificate): the five defects are equal on
+    sound frames and with one entry of one family corrupted after the
+    build, under one key of its pair or both."""
+
+    def test_sound_frames(self, rng):
+        for _ in range(6):
+            frame = GaudinFrame(random_exact_instance(rng, max_level_dim=20))
+            assert frame.certificate == frame_certificate(frame)
+
+    @pytest.mark.parametrize("keys", ["one", "both"])
+    @pytest.mark.parametrize("family", ["omega", "omega_sing", "omega_L"])
+    def test_one_corrupt_entry(self, rng, family, keys):
+        checked = 0
+        while checked < 5:
+            frame = GaudinFrame(random_exact_instance(rng, max_level_dim=20))
+            W = getattr(frame, family)
+            s, r = (int(v) for v in rng.choice(len(frame.m), 2, replace=False))
+            if W[s, r].size == 0:
+                continue
+            bad = W[s, r].copy()
+            bad[tuple(rng.integers(bad.shape))] += int(rng.choice([-3, -1, 1, 2]))
+            W[s, r] = bad
+            if keys == "both":
+                W[r, s] = bad
+            want = frame_certificate(frame)
+            assert frame.certificate == want
+            assert want["hamiltonian_sum"] > 0 or keys == "both"
+            checked += 1
 
 
 def reference_space_mats(sys, space: str):

@@ -12,6 +12,7 @@ from gaudinlab.numcore import (
     exact_sqrt,
     identity,
     int_array,
+    int_bound,
     int_kernel,
     int_matmul,
     int_rref,
@@ -32,6 +33,7 @@ from gaudinlab.numcore import (
 import scheme_reference
 from scheme_reference import UniPoly, wronskian
 from conftest import oracle_det
+from integer_reference import bareiss_rows
 
 
 def P(*asc):
@@ -435,6 +437,56 @@ class TestIntMatmul:
         assert small.dtype == np.int64 and big.dtype == object
         assert (big == small.astype(object) * 2**80).all()
 
+    @staticmethod
+    def assert_object_product(A, B):
+        P = int_matmul(A, B)
+        assert P.shape == (A @ B).shape
+        assert P.tolist() == (A.astype(object) @ B.astype(object)).tolist()
+        return P
+
+    def test_float_path_at_the_bound(self, rng):
+        # max|A| max|B| k = 2^53 - 2^29 (k = 4) runs as float64 BLAS, exactly
+        a, b = 2**27, 2**24 - 1
+        for _ in range(5):
+            A = rng.integers(-a, a + 1, size=(6, 4))
+            B = rng.integers(-b, b + 1, size=(4, 5))
+            A[0], B[:, 0] = a, b
+            assert self.assert_object_product(A, B).dtype == np.int64
+
+    def test_past_the_float_bound(self, rng):
+        # a b k > 2^53: the dot product 3 a b is odd and above 2^53, which a
+        # float64 product rounds, so int_matmul must not take that path
+        a, b = 2**27 + 1, 2**25 - 1
+        A = rng.integers(-a, a + 1, size=(3, 4))
+        B = rng.integers(-b, b + 1, size=(4, 3))
+        A[0], B[:, 0] = [a, a, a, 0], [b, b, b, 0]
+        naive = (A.astype(float) @ B.astype(float)).astype(np.int64)
+        assert naive[0, 0] != 3 * a * b
+        assert self.assert_object_product(A, B)[0, 0] == 3 * a * b
+
+    def test_zero_next_to_huge_python_ints(self):
+        # the bound a b k is 0, but casting the other operand to float64
+        # (or int64) overflows
+        Z = np.zeros((2, 3), dtype=np.int64)
+        H = np.full((3, 2), 2**1100 + 1, dtype=object)
+        H[1, 1] = -(2**1030)
+        assert self.assert_object_product(Z, H).tolist() == [[0, 0], [0, 0]]
+        assert self.assert_object_product(H.T, Z.T).tolist() == [[0, 0], [0, 0]]
+        assert self.assert_object_product(np.ones((1, 2), dtype=np.int64), H[:2]).tolist() \
+            == [[2**1101 + 2, 2**1100 + 1 - 2**1030]]
+
+    @pytest.mark.parametrize("hi", [9, 2**20, 2**40])
+    def test_stacks(self, rng, hi):
+        # one bound for the whole stack; 2-D times stack broadcasts too
+        A = rng.integers(-hi, hi + 1, size=(5, 4, 6)).astype(object)
+        B = rng.integers(-hi, hi + 1, size=(5, 6, 3)).astype(object)
+        A[2, 0, 0] = hi**2      # one slice alone decides the path
+        P = self.assert_object_product(A, B)
+        assert all(P[i].tolist() == self.python_product(A[i], B[i]) for i in range(5))
+        self.assert_object_product(A[0], B)
+        self.assert_object_product(A, B[0])
+        assert self.assert_object_product(A[:, :, :0], B[:, :0]).shape == (5, 4, 3)
+
     def test_int_array(self):
         assert int_array([1, -2]).dtype == np.int64
         assert int_array([2**63, 1]).dtype == object
@@ -442,7 +494,9 @@ class TestIntMatmul:
 
 
 class TestIntegerElimination:
-    """int_rref and int_kernel against the Fraction rref and rref_kernel."""
+    """int_rref and int_kernel against the Fraction rref and rref_kernel
+    (which now run the same elimination), and int_rref against the
+    row-by-row loop it replaced (integer_reference.bareiss_rows)."""
 
     @pytest.mark.parametrize("shape, rank, big", [
         ((6, 9), 4, False), ((9, 6), 6, False), ((7, 7), 3, False), ((5, 8), 5, True),
@@ -466,6 +520,52 @@ class TestIntegerElimination:
         assert K.shape == (n, len(ker)) and dk == d
         for j, v in enumerate(ker):
             assert [F(x, dk) for x in K[:, j].tolist()] == v.tolist()
+
+    @staticmethod
+    def assert_matches_loop_elimination(N):
+        M = N.tolist()
+        want, want_d = bareiss_rows(M) if M else ([], 1)
+        R, pivots, d = int_rref(N)
+        assert pivots == want and d == want_d and type(d) is int
+        assert R.shape == (len(pivots), N.shape[1])
+        assert R.tolist() == M[:len(pivots)]
+        assert R.dtype == int_array(M[:len(pivots)]).dtype
+        return R
+
+    @pytest.mark.parametrize("shape, rank", [
+        ((6, 9), 4), ((9, 6), 6), ((7, 7), 3), ((8, 8), 8), ((1, 5), 1), ((5, 1), 1),
+        ((0, 3), 0), ((3, 0), 0), ((4, 4), 0)])
+    def test_matches_loop_elimination(self, rng, shape, rank):
+        # the array elimination against the row-by-row loop it replaced:
+        # the same pivot rows, pivots and last pivot, rank deficient or not
+        m, n = shape
+        for hi in (3, 40):
+            N = (rng.integers(-hi, hi + 1, size=(m, rank)) @ rng.integers(-hi, hi + 1, size=(rank, n))
+                 if rank else np.zeros(shape, dtype=np.int64))
+            if m > 1 and n:
+                N[0] = 0            # a zero row to swap past
+            self.assert_matches_loop_elimination(N)
+
+    @pytest.mark.parametrize("n, rank", [(6, 6), (8, 5)])
+    def test_switch_to_python_ints_mid_run(self, rng, n, rank):
+        # entries near 2^20 start in int64, and the minors pass 2^63 a few
+        # pivots in, so the same steps carry on in Python ints
+        N = rng.integers(2**19, 2**20, size=(n, rank)) @ rng.integers(-1, 2, size=(rank, n))
+        N[rng.random(N.shape) < 0.2] = 0
+        N[0, 0] = 0
+        assert int_bound(N) ** 2 * 2 < 2**63
+        R = self.assert_matches_loop_elimination(N)
+        assert R.dtype == object and int_bound(R) >= 2**63
+
+    def test_python_int_input(self, rng):
+        N = rng.integers(-9, 10, size=(5, 7)).astype(object) * 2**70 + 1
+        self.assert_matches_loop_elimination(N)
+        # Python ints that fit in int64; the array passed in is left as it was
+        N = rng.integers(-9, 10, size=(5, 7)).astype(object)
+        N[0, 0] = 0
+        before = N.copy()
+        self.assert_matches_loop_elimination(N)
+        assert (N == before).all()
 
     def test_lowest_terms_is_numerator_array(self, rng):
         for D in (6, -6, 35, -1):
