@@ -222,9 +222,9 @@ class _Run:
 
 def _front(systems, seeds, tol: Tolerances) -> list:
     """The pipeline's front over systems of one frame and one lane: the
-    algebra side of every system in one stage (stacked_algebra_dims, on
-    coefficient vectors, no matrix), then each system's run with its
-    dimensions and its certificate and dimension gates."""
+    algebra side of every system in one stage (stacked_algebra_dims: one
+    loop, each system reduced on a closure's word walk, no matrix), then
+    each system's run with its dimensions and its gates."""
     algebra = stacked_algebra_dims([sysd.H_sing for sysd in systems], systems[0].shq.sh, tol)
     return [_gates(sysd, seed, tol, dims) for sysd, seed, dims in zip(systems, seeds, algebra)]
 
@@ -449,8 +449,8 @@ def run_pipeline(sysd: GaudinSystem, seed: int, tol: Tolerances):
     spec_l), spec_l being H_L's joint spectrum ([] if no seed separated it).
 
     The pipeline computes in phases, then serialises: the front (_front:
-    the algebra stage, which at one system is the per-system closure,
-    cyclic block, kernel and annihilator, then the gates), the joint
+    the algebra stage, here one round of its loop: the closure, its words'
+    walk, cyclic block, kernel and annihilator, then the gates), the joint
     spectra (_draw_spectra), the scheme pass over both spectra
     (_check_schemes) and the back (_back), these two on the float
     instance's z-tables (_share_tables).  cmd_verify runs the same phases,
@@ -511,9 +511,8 @@ def cmd_verify(config: dict, samples: int):
     frame, its Hamiltonians formed for every draw at once (build_gaudins);
     a gate that fails in one draw is listed in that draw's entry.  The
     draws run run_pipeline's phases, each one pass over every draw: the
-    front (one algebra closure, on the first draw, whose words walked on
-    the ones vector certify and reduce every draw as one stack:
-    stacked_algebra_dims), the joint spectra, the scheme checks and the
+    front (stacked_algebra_dims: one closure's words certify and reduce
+    the draws as one stack), the joint spectra, the scheme checks and the
     back, which read one stack of every draw's z-tables (_share_tables),
     then one diagonalizability pass over the real draws; no point or
     Bethe-vector report is built.  Every draw's z is complex, so the

@@ -554,42 +554,43 @@ def _acting(algebras):
 
 
 def _word_walk(H, words):
-    """images_of for the closure's words (span_closure) in the H_s of each
-    family of H (S x n x d x d): one batched product per word, no matrix."""
+    """images_of for the closure's words (span_closure) at each family of H
+    (S x n x d x d, either lane): one batched matmul per word, no matrix."""
     def images_of(X):
-        Y = np.empty((len(H), len(words)) + X.shape[1:], dtype=complex)
+        Y = np.empty((len(H), len(words)) + X.shape[1:], dtype=H.dtype)
         for i, word in enumerate(words):
-            Y[:, i] = X if word is None else H[:, word[1]] @ Y[:, word[0]]
+            Y[:, i] = X if word is None else matmul(H[:, word[1]], Y[:, word[0]])
         return Y
     return images_of
 
 
-def _cyclic_block(algebra, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """V (d x k) with rank [F_1 V | ... | F_m V] = d over the algebra basis.
+def _cyclic_block(images_of, one: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """(V, U, cyclic) for the algebras whose blocks images_of gives (X, S x
+    d x c -> f_j X, S x m x d x c), one the lane's identity: V (d x k) with
+    rank [f_1 V | ... | f_m V] = d at the first sample, U = images_of(V),
+    and cyclic, whether each sample has that rank at k = 1 (a batched rank).
+    V is the all-ones column 1, then e_0, e_1, ... (exact on an exact lane,
+    else gated at tol.svd_rel); at k = d + 1 f V holds every column of f.
 
-    V is the all-ones column, then the unit columns e_0, e_1, ... until the
-    rank is d: exact on an exact algebra, else gated at tol.svd_rel.  The
-    identity is in the algebra, so k <= d + 1, and at k = d + 1 (which
-    skips the check) f V holds every column of f.  Each block leads the same
-    candidates, so a wider block holds every narrower one and serves its
-    algebra too.
-
-    On a commutative algebra f -> f V is injective: f V = 0 gives
+    On a commutative algebra f -> f V is then injective: f V = 0 gives
     f g V = g f V = 0 for every g, and the g V span the space.  So the
-    blocks F_j V stand for the F_j in every linear relation (_reduce), and
-    commuting F_1..F_d whose F_i 1 (1 the all-ones vector) are independent
-    are a basis of the d-dimensional algebra they generate: the certificate
-    stacked_algebra_dims reads off the walk of the closure's words on 1.
+    blocks f_j V stand for the f_j in every linear relation (_reduce), a
+    wider block serves too, and d commuting f_j with independent f_j 1 are
+    a basis of the algebra they generate (stacked_algebra_dims).
     """
-    d = algebra[0].shape[0]
-    one = identity(d, is_exact_array(algebra[0]))
+    d = len(one)
     cands = np.hstack([one.sum(axis=1, keepdims=True), one])
-    images_of = _acting(np.stack(algebra)[None])
-    for k in range(1, d + 1):
-        U = images_of(cands[None, :, :k])[0]
-        if rank_of(U.transpose(1, 0, 2).reshape(d, len(algebra) * k), tol.svd_rel) == d:
-            return cands[:, :k]
-    return cands
+    for k in range(1, d + 2):
+        U = images_of(cands[None, :, :k])
+        if k > d:
+            break
+        # one row per vector f_j V e_c of a sample; past k = 1 only the first
+        rows = U.transpose(0, 1, 3, 2).reshape(len(U), -1, d)
+        full = rank_of(rows if k == 1 else rows[:1], tol.svd_rel) == d
+        cyclic = full if k == 1 else cyclic
+        if full[0]:
+            break
+    return cands[:, :k], U, cyclic
 
 
 def _annihilators(images_of, X, tol: Tolerances) -> list:
@@ -631,30 +632,34 @@ def _combinations(algebra, combos) -> list:
     return list(flat.reshape((len(combos),) + algebra[0].shape))
 
 
-def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL, V=None):
-    """Elements of span(algebra) whose composition with sh vanishes: the
-    kernel of the quotient-algebra map, for a commutative algebra that sh
-    intertwines.  _reduce's kernel at V = _cyclic_block (unless the caller
-    passes V), formed as matrices."""
+def _adapter_block(algebra, tol: Tolerances):
+    """(images_of, V, U): _acting and _cyclic_block on a list of matrices."""
+    images_of = _acting(np.stack(algebra)[None])
+    one = identity(len(algebra[0]), is_exact_array(algebra[0]))
+    return (images_of,) + _cyclic_block(images_of, one, tol)[:2]
+
+
+def induced_map_kernel(algebra, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """Elements of span(algebra) whose composition with sh vanishes, for a
+    commutative algebra that sh intertwines: _reduce's kernel as matrices."""
     if len(algebra) == 0:
         return []
-    V = _cyclic_block(algebra, tol) if V is None else V
-    images_of = _acting(np.stack(algebra)[None])
-    return _combinations(algebra, _reduce(images_of(V[None]), images_of, sh, tol)[0][0])
+    images_of, _, U = _adapter_block(algebra, tol)
+    return _combinations(algebra, _reduce(U, images_of, sh, tol)[0][0])
 
 
-def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL, V=None):
+def annihilator_ideal(algebra, kernel, tol: Tolerances = DEFAULT_TOL):
     """Basis of J = { f in span(algebra) : f g = 0 for every g in kernel }.
 
     The algebra must be commutative and hold kernel; J comes from the
-    blocks F [g_1 V | ... | g_c V], V = _cyclic_block unless the caller
-    passes it (_annihilators), and is formed as matrices.
+    blocks F [g_1 V | ... | g_c V], V = _cyclic_block (_annihilators), and
+    is formed as matrices.
     """
     if len(algebra) == 0 or not kernel:
         return list(algebra)
-    V = _cyclic_block(algebra, tol) if V is None else V
+    images_of, V, _ = _adapter_block(algebra, tol)
     X = _acting(np.stack(kernel)[None])(V[None]).transpose(0, 2, 1, 3).reshape(1, len(V), -1)
-    return _combinations(algebra, _annihilators(_acting(np.stack(algebra)[None]), X, tol)[0])
+    return _combinations(algebra, _annihilators(images_of, X, tol)[0])
 
 
 def stacked_algebra_dims(families, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list:
@@ -663,30 +668,25 @@ def stacked_algebra_dims(families, sh: np.ndarray, tol: Tolerances = DEFAULT_TOL
     (sh) and Ann its annihilator, counted off _reduce's coefficient bases.
 
     families holds the H_s on Sing of systems of one frame and one lane,
-    which share sh.  The closure (bethe_algebra_basis) runs on the first
-    family only, recording each element's word in the H_s.  Over two or
-    more float families the words are walked on the all-ones vector 1
-    (_word_walk); a family whose d vectors W_i 1 have rank d has the words as
-    a basis of its B (_cyclic_block), and these reduce as one stack at V = 1
-    on the same walk.  Every other family, an exact lane and a lone family
-    take the per-family path: own closure, cyclic block V, blocks F V.
+    which share sh.  Each round closes the first open family, recording
+    each element's word, and runs _cyclic_block on the words' walk at every
+    open family (_word_walk).  The first family, and each whose d words have
+    rank d on the all-ones vector (so are a basis of its B), reduce as one
+    stack at the first family's block; the rest open the next round.
     """
     if not families or families[0][0].shape[0] == 0:
         return [(0, 0, 0)] * len(families)
-    d, words = families[0][0].shape[0], []
-    basis = bethe_algebra_basis(list(families[0]), tol, words)
-    out = [None] * len(families)
-    if len(families) > 1 and len(basis) == d and not is_exact_array(basis[0]):
-        H = np.array(families)
-        U = _word_walk(H, words)(np.ones((len(H), d, 1), dtype=complex))
-        cert = np.flatnonzero(rank_of(U[..., 0], tol.svd_rel) == d)
-        if cert.size:
-            for s, (g, J) in zip(cert, _reduce(U[cert], _word_walk(H[cert], words), sh, tol)):
-                out[s] = (d, len(g), len(J))
-    for s, family in enumerate(families):
-        if out[s] is None:
-            alg = basis if s == 0 else bethe_algebra_basis(list(family), tol)
-            images_of = _acting(np.stack(alg)[None])
-            ((g, J),) = _reduce(images_of(_cyclic_block(alg, tol)[None]), images_of, sh, tol)
-            out[s] = (len(alg), len(g), len(J))
+    H = np.array(families)
+    one = identity(H.shape[-1], is_exact_array(H))
+    out, todo = [None] * len(H), np.arange(len(H))
+    while todo.size:
+        words = []
+        bethe_algebra_basis(list(families[todo[0]]), tol, words)
+        _, U, keep = _cyclic_block(_word_walk(H[todo], words), one, tol)
+        keep &= len(words) == len(one)
+        keep[0] = True
+        ids = todo[keep]
+        for s, (g, J) in zip(ids, _reduce(U[keep], _word_walk(H[ids], words), sh, tol)):
+            out[s] = (len(words), len(g), len(J))
+        todo = todo[~keep]
     return out

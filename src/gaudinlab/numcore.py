@@ -413,13 +413,13 @@ def solve_rows(M: list, n: int) -> list:
 
 
 def rank_of(A: np.ndarray, tol: float | None = None):
-    """Rank of A; of each matrix of a float stack A (S x m x n) too, as an
-    int array, from one batched SVD.  A float rank counts the singular
-    values above tol * the largest (default 1e-10 relative)."""
+    """Rank of A; of each matrix of a stack A (S x m x n) too, as an int
+    array, a float stack from one batched SVD.  A float rank counts the
+    singular values above tol * the largest (default 1e-10 relative)."""
     if A.size == 0:
         return 0
     if is_exact_array(A):
-        return len(rref(A)[1])
+        return len(rref(A)[1]) if A.ndim == 2 else np.array([rank_of(a) for a in A])
     tol = DEFAULT_TOL.svd_rel if tol is None else tol
     if A.ndim == 2:
         return int(_svd_ranks(A[None], tol)[0])

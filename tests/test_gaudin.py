@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -414,6 +416,39 @@ class TestStackedCertificate:
             assert frame.certificate == want
             assert want["hamiltonian_sum"] > 0 or keys == "both"
             checked += 1
+
+    @pytest.mark.parametrize("n, l", [(4, 2), (5, 2), (6, 3)])
+    def test_bracket_stack_holds_each_bracket_once(self, monkeypatch, n, l):
+        # the largest defect cannot tell a certificate that skips a bracket,
+        # so read the bracket product's operands [A | B] and [B; -A]: they
+        # must hold [Omega_sr, Omega_sk + Omega_rk] for each pair s < r and
+        # each k outside it, and [Omega_p, Omega_q] for each two disjoint
+        # pairs, each once
+        frame = GaudinFrame(ProblemInstance([1] * n, l, list(range(n))))
+        om, d = frame.omega, frame.omega[0, 1].shape[0]
+        pairs = list(combinations(range(n), 2))
+
+        def key(W):
+            return np.asarray(W, dtype=np.int64).tobytes()
+
+        name = {key(om[p]): p for p in pairs}
+        assert len(name) == len(pairs)
+        products = []
+        real = gaudin.int_matmul
+        monkeypatch.setattr(gaudin, "int_matmul",
+                            lambda A, B: products.append(A) or real(A, B))
+        frame._certify()
+        (stack,) = [A for A in products if A.shape[1:] == (d, 2 * d)
+                    and all(key(a) in name for a in A[:, :, :d])]
+        got = Counter()
+        for a, b in zip(stack[:, :, :d], stack[:, :, d:]):
+            s, r = name[key(a)]
+            yb = {key(om[s, k] + om[r, k]): (s, r, k) for k in range(n) if k not in (s, r)}
+            got[yb.get(key(b)) or frozenset([(s, r), name.get(key(b))])] += 1
+        want = Counter([(s, r, k) for s, r in pairs for k in range(n) if k not in (s, r)] +
+                       [frozenset(pq) for pq in combinations(pairs, 2)
+                        if not set(pq[0]) & set(pq[1])])
+        assert got == want
 
 
 def reference_space_mats(sys, space: str):
@@ -893,13 +928,19 @@ def matrix_image_annihilator_ideal(algebra, kernel, tol: Tolerances = Tolerances
     return reference_vanishing(algebra, [matmul(F, K).reshape(-1) for F in algebra], tol.svd_rel)
 
 
+def block_width(alg, tol=Tolerances()) -> int:
+    """The columns of alg's _cyclic_block, as the adapters search it."""
+    one = identity(alg[0].shape[0], is_exact_array(alg[0]))
+    return _cyclic_block(_acting(np.stack(alg)[None]), one, tol)[0].shape[1]
+
+
 class TestCyclicBlock:
     """induced_map_kernel and annihilator_ideal reduce the vectors F V,
-    V = _cyclic_block(algebra), where the matrix-image references reduce
-    matrices.  In the exact lane both reduce images with the same null
-    space, whose rref basis is unique, so the results are the same
-    matrices (and so the same spans); in the float lane they have the same
-    dimensions."""
+    V the block _cyclic_block finds (block_width), where the matrix-image
+    references reduce matrices.  In the exact lane both reduce images with
+    the same null space, whose rref basis is unique, so the results are the
+    same matrices (and so the same spans); in the float lane they have the
+    same dimensions."""
 
     @staticmethod
     def assert_matches_reference(alg, sh):
@@ -914,7 +955,7 @@ class TestCyclicBlock:
             assert_same_matrices(ann, ref_ann)
         else:
             assert (len(ker), len(ann)) == (len(ref_ker), len(ref_ann))
-        return _cyclic_block(alg, tol).shape[1], len(ker), len(ann)
+        return block_width(alg, tol), len(ker), len(ann)
 
     def check_system(self, s):
         alg = bethe_algebra_basis(list(s.H_sing)) if s.dim_sing_m else []
@@ -974,16 +1015,25 @@ class TestCyclicBlock:
 
 def per_family_dims(family, sh, tol=Tolerances()):
     """(dim B, dim kernel, dim annihilator) of one family on its own: its
-    closure, cyclic block, quotient kernel and annihilator."""
+    closure, then the adapters' quotient kernel and annihilator."""
     alg = bethe_algebra_basis(list(family), tol)
-    V = _cyclic_block(alg, tol)
-    ker = induced_map_kernel(alg, sh, tol, V)
-    return len(alg), len(ker), len(annihilator_ideal(alg, ker, tol, V))
+    ker = induced_map_kernel(alg, sh, tol)
+    return len(alg), len(ker), len(annihilator_ideal(alg, ker, tol))
+
+
+def count_calls(monkeypatch, name, record):
+    """Spy on gaudin.name: record(args) is appended to the returned list at
+    each call."""
+    calls, real = [], getattr(gaudin, name)
+    monkeypatch.setattr(gaudin, name,
+                        lambda *args: calls.append(record(*args)) or real(*args))
+    return calls
 
 
 class TestStackedAlgebraDims:
-    """stacked_algebra_dims closes the first family only and certifies its
-    words at every other family; its dimensions are the per-family path's."""
+    """stacked_algebra_dims closes the first open family of each round and
+    certifies its words at every other open family; its dimensions are
+    each family's own (per_family_dims)."""
 
     # the shapes of the verify comparison: two float-verify rungs, n = 5, a
     # mixed m, and (1^6),3
@@ -1001,53 +1051,77 @@ class TestStackedAlgebraDims:
         assert stacked_algebra_dims([s.H_sing for s in systems], sh) == \
             [per_family_dims(s.H_sing, sh) for s in systems]
 
-    def test_exact_families(self):
-        # the exact lane takes the per-family path: one closure per family
+    def test_exact_families(self, monkeypatch):
+        # the exact lane takes the same loop: the first family's words
+        # certify the second, exactly, so one closure serves both
         m, l = (2,) * 4, 3
         insts = [ProblemInstance(m, l, z) for z in ([0, 1, 3, 7], [F(-1, 2), 2, 5, F(7, 3)])]
         systems = build_gaudins(insts, GaudinFrame(insts[0]))
         sh = systems[0].shq.sh
+        want = [per_family_dims(s.H_sing, sh) for s in systems]
+        closures = count_calls(monkeypatch, "bethe_algebra_basis", lambda mats, *args: len(mats))
         got = stacked_algebra_dims([s.H_sing for s in systems], sh)
-        assert got == [per_family_dims(s.H_sing, sh) for s in systems] == [(10, 4, 6)] * 2
+        assert got == want == [(10, 4, 6)] * 2
+        assert closures == [4]
 
     @staticmethod
     def families(exact):
         """A diagonal family, on which the all-ones vector is cyclic, then
-        a family with the all-ones vector as a common eigenvector, and e_0^T,
-        which intertwines both; each has four joint eigenvalues."""
+        a family with the all-ones vector as a common eigenvector, then a
+        second diagonal family, and e_0^T, which intertwines all three; each
+        has four joint eigenvalues.  The first family's words, 1, H_1, H_2
+        and H_2 H_1, take the all-ones vector to a basis at the third
+        family, and to one line at the second."""
         Hs, sh = TestCyclicBlock.eigenvector_family(([1, 2, 3, 4], [0, 5, -1, 2]), [0])
-        diag = [exact_array(np.diag(lam).tolist()) for lam in ([4, 3, 2, 1], [1, 0, 2, 7])]
-        families = [diag, Hs]
+        diag, diag2 = ([exact_array(np.diag(lam).tolist()) for lam in lams]
+                       for lams in (([4, 3, 2, 1], [1, 0, 2, 7]), ([1, 2, 3, 4], [2, -1, 0, 3])))
+        families = [diag, Hs, diag2]
         if not exact:
             families = [[to_float_array(H) for H in f] for f in families]
             sh = to_float_array(sh)
         return families, sh
 
     @pytest.mark.parametrize("exact", [True, False])
-    def test_uncertified_family_takes_the_per_family_path(self, monkeypatch, exact):
+    def test_uncertified_family_opens_a_round(self, monkeypatch, exact):
         families, sh = self.families(exact)
-        closures = []
-        real = gaudin.bethe_algebra_basis
-        monkeypatch.setattr(gaudin, "bethe_algebra_basis",
-                            lambda mats, *args: closures.append(len(mats)) or real(mats, *args))
+        want = [per_family_dims(f, sh) for f in families]
+        closures = count_calls(monkeypatch, "bethe_algebra_basis", lambda mats, *args: len(mats))
         got = stacked_algebra_dims(families, sh)
-        # the first family's words give 1 one line at the second: its own closure
+        # the first round closes the first family and certifies the third;
+        # the second closes the second family on its own
         assert closures == [2, 2]
-        assert got == [per_family_dims(f, sh) for f in families] == [(4, 3, 1)] * 2
+        assert got == want == [(4, 3, 1)] * 3
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_no_family_certifies_another(self, monkeypatch, exact):
+        # copies of the eigenvector family, whose all-ones vector is one line:
+        # one round, and one closure, per family, from one call
+        families, sh = self.families(exact)
+        copies = [families[1]] * 4
+        want = per_family_dims(copies[0], sh)
+        closures = count_calls(monkeypatch, "bethe_algebra_basis", lambda mats, *args: len(mats))
+        entries = count_calls(monkeypatch, "stacked_algebra_dims", lambda *args: len(args[0]))
+        assert gaudin.stacked_algebra_dims(copies, sh) == [want] * 4
+        assert closures == [2] * 4 and entries == [4]
 
     def test_stacked_calls_match_per_sample_calls(self):
         # one float stack whose samples need blocks of widths 1 and 2: the
-        # wider block serves both, and each sample's kernel and annihilator
-        # are the ones its own one-sample stack and the adapters give
+        # search gives the first sample's block and which samples one column
+        # serves, the wider block serves both, and each sample's kernel and
+        # annihilator are the ones its own one-sample stack and the adapters
+        # give
         families, sh = self.families(False)
-        algebras = [bethe_algebra_basis(f) for f in families]
-        assert [_cyclic_block(alg).shape[1] for alg in algebras] == [1, 2]
+        algebras = [bethe_algebra_basis(f) for f in families[:2]]
+        assert [block_width(alg) for alg in algebras] == [1, 2]
         images_of = _acting(np.stack([np.stack(alg) for alg in algebras]))
-        U = images_of(_cyclic_block(algebras[1])[None])
+        V, _, cyclic = _cyclic_block(_acting(np.stack([np.stack(alg) for alg in algebras[::-1]])),
+                                     identity(4, False))
+        assert V.shape[1] == 2 and cyclic.tolist() == [False, True]
+        U = images_of(V[None])
         got = _reduce(U, images_of, sh, Tolerances())
         for alg, (c, a) in zip(algebras, got):
             one = _acting(np.stack(alg)[None])
-            ((c1, a1),) = _reduce(one(_cyclic_block(alg)[None]), one, sh, Tolerances())
+            ((c1, a1),) = _reduce(_cyclic_block(one, identity(4, False))[1], one, sh, Tolerances())
             ker = induced_map_kernel(alg, sh)
             assert (len(c), len(a)) == (len(c1), len(a1)) == (3, 1) == \
                 (len(ker), len(annihilator_ideal(alg, ker)))

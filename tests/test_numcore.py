@@ -329,6 +329,15 @@ class TestExactElimination:
             solve_consistent(A, b)
         assert ei.value.defect == 2
 
+    def test_rank_of_exact_stack(self, rng):
+        # one rank per matrix of an exact stack, as a float stack gives them
+        ranks = [3, 0, 5, 1]
+        A = np.stack([exact_array(rand_rational(rng, 5, 6, rank=r)) if r else
+                      exact_array([[0] * 6] * 5) for r in ranks])
+        got = rank_of(A)
+        assert got.tolist() == ranks == rank_of(to_float_array(A)).tolist()
+        assert [rank_of(a) for a in A] == ranks
+
     def test_solve_consistent_tall_roundtrip(self, rng):
         A = rand_rational(rng, 30, 6)
         x = exact_array(rand_rational(rng, 6, 2))

@@ -470,21 +470,22 @@ class TestOnePassPerCommand:
         cmd_spectrum(FOUR_SPINS)
         assert passes == [2]
 
-    def test_cyclic_block_only_on_the_per_system_path(self, monkeypatch):
-        # spectrum searches its system's block once; a verify whose samples
-        # all pass the all-ones certificate searches none
+    def test_cyclic_block_once_per_round(self, monkeypatch):
+        # one block search per round of the algebra stage, over every open
+        # sample: spectrum's one system, then a verify whose samples all pass
+        # the all-ones certificate of the first sample's words
         calls = []
         real = gaudin._cyclic_block
 
-        def spy(algebra, tol):
-            calls.append(len(algebra))
-            return real(algebra, tol)
+        def spy(images_of, one, tol):
+            V, U, cyclic = real(images_of, one, tol)
+            calls.append((len(U), V.shape[1], cyclic.tolist()))
+            return V, U, cyclic
 
         monkeypatch.setattr(gaudin, "_cyclic_block", spy)
         cmd_spectrum(FOUR_SPINS)
-        assert len(calls) == 1
         cmd_verify(FOUR_SPINS, 4)
-        assert len(calls) == 1
+        assert calls == [(1, 1, [True]), (4, 1, [True] * 4)]
 
     def test_algebra_stage_forms_no_matrices(self, monkeypatch):
         # the kernel and annihilator are counted from coefficient vectors,
