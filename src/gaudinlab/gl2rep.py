@@ -461,7 +461,7 @@ class WeightVector:
 
 
 def _singular_numerators(inst: ProblemInstance, E12: np.ndarray | None = None):
-    """(N, D), N / D the rref_kernel basis of ker E12 inside the level-l space
+    """(N, D), N / D kernel_basis's basis of ker E12 inside the level-l space
     in numerator_array's form, found by eliminating the integer E12 (inst's)."""
     if E12 is None:
         E12 = sum(generator_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n))
@@ -469,8 +469,8 @@ def _singular_numerators(inst: ProblemInstance, E12: np.ndarray | None = None):
 
 
 def singular_matrix(inst: ProblemInstance) -> np.ndarray:
-    """Columns spanning ker E12 inside the level-l space (exact): the
-    rref_kernel basis."""
+    """Columns spanning ker E12 inside the level-l space (exact):
+    kernel_basis's basis."""
     return fraction_array(*_singular_numerators(inst))
 
 
@@ -552,7 +552,7 @@ def sh_quotient(inst: ProblemInstance, E12: np.ndarray | None = None) -> ShQuoti
     nums = {"sing": (NS, DS), "gram": (NG, 1), "sh": lowest_terms(NP, d), "lift": (NC, 1),
             "radical": lowest_terms(*int_kernel(NP, pivots, d)),
             "gram_sing": lowest_terms(NR, DS * DS)}
-    # S is rref_kernel's basis: column j is 1 on its free row, its last nonzero entry
+    # S is kernel_basis's basis: column j is 1 on its free row, its last nonzero entry
     free = np.array([np.flatnonzero(NS[:, j])[-1] for j in range(NS.shape[1])], dtype=int)
     free.flags.writeable = False
     return ShQuotient(numerators=nums, free=free)

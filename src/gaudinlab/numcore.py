@@ -14,14 +14,15 @@ numerators over one common denominator per operand instead of forming a
 ``Fraction`` for every partial product; ``int_matmul`` multiplies integer
 arrays (or stacks of them) as float64 BLAS when max|A| max|B| k < 2^53
 proves every partial sum exact, in int64 below 2^63, else on Python ints.
-The one Gauss-Jordan elimination behind ``rref``, ``kernel_basis``,
-``rank_of``, ``solve_linear``, ``solve_consistent``, ``solve_rows`` and
-``int_rref`` is fraction-free (Bareiss 1968), one array expression per
-pivot, in int64 while a bound rules out overflow: rational rows are scaled
-to integers and each step divides exactly by the previous pivot, so no
-``Fraction`` arithmetic runs inside the loop.  It takes rational rows only;
-a row holding any other scalar raises ``DomainError``, and float systems go
-to LAPACK.  ``int_rref`` and ``int_kernel`` stop before any ``Fraction``.
+Every exact elimination goes through ``int_rref``: ``rref``, ``rank_of``,
+``kernel_basis`` (through ``int_kernel``), ``solve_linear`` and
+``solve_consistent`` scale each rational row to integers and hand the array
+to it.  Its Gauss-Jordan is fraction-free (Bareiss 1968), one array
+expression per pivot, in int64 while a bound rules out overflow: each step
+divides exactly by the previous pivot, so no ``Fraction`` arithmetic runs
+inside the loop, and ``Fraction`` entries are formed only for the result.
+It takes rational rows only; a row holding any other scalar raises
+``DomainError``, and float systems go to LAPACK.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ __all__ = [
     "row_update",
     "matmul",
     "rref",
-    "rref_kernel",
-    "solve_rows",
     "rank_of",
     "kernel_basis",
     "solve_linear",
@@ -285,10 +284,6 @@ def row_update(a: int, v: list, b: int, row: list) -> list:
     return [a * x - b * y for x, y in zip(v, row)]
 
 
-def _is_rational_rows(M: list) -> bool:
-    return all(isinstance(v, (Fraction, int)) for row in M for v in row)
-
-
 def _bareiss(M: np.ndarray):
     """Fraction-free Gauss-Jordan (Bareiss 1968) on an integer array.
 
@@ -338,7 +333,7 @@ def int_rref(N: np.ndarray):
 
 def int_kernel(R: np.ndarray, pivots: list, d: int):
     """Right null space from int_rref's (R, pivots, d), as (K, d): column j
-    of K / d is rref_kernel's j-th vector, 1 at the j-th free column f and
+    of K / d is kernel_basis's j-th vector, 1 at the j-th free column f and
     -R[:, f] / d at the pivots."""
     n = R.shape[1]
     free = [j for j in range(n) if j not in pivots]
@@ -359,67 +354,51 @@ def lowest_terms(N: np.ndarray, D: int):
     return int_array([x // g for x in N.reshape(-1).tolist()]).reshape(N.shape), D // g
 
 
-def _rref_inplace(M: list) -> list:
-    """Gauss-Jordan (_bareiss) on a list of rational rows in place;
-    returns the pivot columns.  The pivot is the first nonzero entry at or
-    below the current row, so a triangular system keeps its natural pivots.
-    Each row is scaled to integers first; at the end each pivot row is
-    divided by its pivot and the other rows are zero, all as Fractions.
-    """
-    if not M:
-        return []
-    if not _is_rational_rows(M):
+def _exact_rref(A: np.ndarray):
+    """int_rref of an exact matrix A, each row scaled to integers first:
+    (R, pivots, d), rref(A) being R / d above zero rows.  The pivot is the
+    first nonzero entry at or below the current row, so a triangular system
+    keeps its natural pivots.  A row holding any scalar other than a
+    Fraction or an int raises DomainError."""
+    rows = A.tolist()
+    if not all(isinstance(v, (Fraction, int)) for row in rows for v in row):
         raise DomainError("the exact elimination takes rational rows only")
-    N, pivots, d = _bareiss(int_array([integer_numerators(row)[0] for row in M]))
-    r = len(pivots)
-    M[r:] = [[Fraction(0)] * N.shape[1] for _ in range(len(M) - r)]
-    M[:r] = [[Fraction(x, d) for x in row] for row in N[:r].tolist()]
-    return pivots
+    return int_rref(int_array([integer_numerators(row)[0] for row in rows]).reshape(A.shape))
 
 
 def rref(A: np.ndarray):
     """Reduced row echelon form of an exact matrix; (R, pivot columns)."""
     if not is_exact_array(A):
         raise DomainError("rref is exact-mode only")
-    M = [list(row) for row in A]
-    pivots = _rref_inplace(M)
-    return exact_array(M) if M else A.copy(), pivots
+    R, pivots, d = _exact_rref(A)
+    out = zeros_like_domain(A.shape, True)
+    out[:len(pivots)] = fraction_array(R, d)
+    return out, pivots
 
 
-def rref_kernel(R: np.ndarray, pivots: list) -> list:
-    """Right null space of a matrix from its rref (R, pivots): one vector
-    per free column f, with 1 at f and -R[:, f] at the pivots."""
-    n = R.shape[1]
-    basis = []
-    for f in (j for j in range(n) if j not in pivots):
-        v = zeros_like_domain((n,), True)
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -R[r, f]
-        basis.append(v)
-    return basis
-
-
-def solve_rows(M: list, n: int) -> list:
-    """Rows of X from the augmented rows M = [A | B] of a square A (n x n).
-
-    M is reduced in place by _rref_inplace; a rank-deficient A raises
-    SingularMatrixError with its rank defect.
-    """
-    pivots = _rref_inplace(M)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise SingularMatrixError(n - sum(1 for p in pivots if p < n))
-    return [row[n:] for row in M]
+def _exact_solve(A: np.ndarray, B: np.ndarray, consistent: bool = False) -> np.ndarray:
+    """X (n x k) with A X = B, exact A (m x n) and B (m x k), from one
+    elimination of [A | B].  If B is outside A's column space and consistent
+    is set, InconsistentSystemError; then if rank A < n, SingularMatrixError
+    with the rank defect."""
+    n = A.shape[1]
+    R, pivots, d = _exact_rref(np.hstack([A, B]))
+    r = sum(p < n for p in pivots)
+    if consistent and r < len(pivots):
+        raise InconsistentSystemError("exact system has no solution")
+    if r < n:
+        raise SingularMatrixError(n - r, "underdetermined system" if consistent else None)
+    return fraction_array(R[:n, n:], d)
 
 
 def rank_of(A: np.ndarray, tol: float | None = None):
     """Rank of A; of each matrix of a stack A (S x m x n) too, as an int
     array, a float stack from one batched SVD.  A float rank counts the
     singular values above tol * the largest (default 1e-10 relative)."""
-    if A.size == 0:
-        return 0
     if is_exact_array(A):
-        return len(rref(A)[1]) if A.ndim == 2 else np.array([rank_of(a) for a in A])
+        if A.ndim == 2:
+            return len(_exact_rref(A)[1])
+        return np.array([len(_exact_rref(a)[1]) for a in A], dtype=int)
     tol = DEFAULT_TOL.svd_rel if tol is None else tol
     if A.ndim == 2:
         return int(_svd_ranks(A[None], tol)[0])
@@ -442,7 +421,8 @@ def kernel_basis(A: np.ndarray, tol: float | None = None) -> list:
     if A.ndim == 2:
         return kernel_basis(A[None], tol)[0]
     if is_exact_array(A):
-        return [rref_kernel(*rref(a)) if A.shape[2] else [] for a in A]
+        kernels = [int_kernel(*_exact_rref(a)) for a in A]
+        return [list(fraction_array(K.T, d)) for K, d in kernels]
     return _svd_kernels(A, DEFAULT_TOL.svd_rel if tol is None else tol)
 
 
@@ -466,9 +446,7 @@ def solve_linear(A: np.ndarray, rhs: np.ndarray, tol: float | None = None) -> np
     if A.shape[1] != n:
         raise ValueError("solve_linear expects a square matrix")
     if is_exact_array(A):
-        rhs2 = rhs.reshape(n, -1)
-        X = exact_array(solve_rows([list(A[i]) + list(rhs2[i]) for i in range(n)], n))
-        return X.reshape(rhs.shape)
+        return _exact_solve(A, rhs.reshape(n, -1)).reshape(rhs.shape)
     tol = DEFAULT_TOL.svd_rel if tol is None else tol
     r = rank_of(A, tol)
     if r < n:
@@ -485,18 +463,7 @@ def solve_consistent(A: np.ndarray, rhs: np.ndarray, tol: float | None = None) -
     m, n = A.shape
     rhs2 = rhs.reshape(m, -1)
     if is_exact_array(A):
-        M = [list(A[i]) + list(rhs2[i]) for i in range(m)]
-        pivots = _rref_inplace(M)
-        k = rhs2.shape[1]
-        for p in pivots:
-            if p >= n:
-                raise InconsistentSystemError("exact system has no solution")
-        for i in range(len(pivots), m):
-            if any(M[i][n + j] != 0 for j in range(k)):
-                raise InconsistentSystemError("exact system has no solution")
-        if len(pivots) < n:
-            raise SingularMatrixError(n - len(pivots), "underdetermined system")
-        X = exact_array([M[r][n:] for r in range(n)])
+        X = _exact_solve(A, rhs2, consistent=True)
         return X.reshape(n) if rhs.ndim == 1 else X
     tol = DEFAULT_TOL.residual if tol is None else tol
     x, *_ = np.linalg.lstsq(A, rhs2, rcond=None)

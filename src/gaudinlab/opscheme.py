@@ -26,7 +26,7 @@ Each linear system of the scheme has one implementation, a stage over a
 stack of P points (stacked_*): a(h), h(a) with the scheme residual, the
 second kernel polynomial, the kernel-pair operator and the Jacobian.  A
 complex stack is the float lane (batched solve and pseudo-inverse, gates at
-tol.residual), an object stack of Fractions the exact lane (solve_rows
+tol.residual), an object stack of Fractions the exact lane (_exact_solve
 point by point, least squares by the normal equations, gates at literal
 zero).  A stage that reads z takes a table stack and each point's sample
 index into it (sample, P ints).  Its elementwise work is one operation over
@@ -56,11 +56,11 @@ from .numcore import (
     DomainError,
     InconsistentSystemError,
     Tolerances,
+    _exact_solve,
     exact_sqrt,
     is_exact_scalar,
     rowmax,
     scalar_one,
-    solve_rows,
 )
 
 __all__ = [
@@ -244,11 +244,11 @@ def _by_group(sample, X: np.ndarray, R) -> np.ndarray:
 
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """X with A X = B at each square A of the stack: numpy's batched solve on
-    a complex stack, solve_rows point by point on an exact one."""
+    a complex stack, _exact_solve point by point on an exact one."""
     if A.dtype != object:
         return np.linalg.solve(A, B)
-    return np.array([solve_rows([r + s for r, s in zip(Ai.tolist(), Bi.tolist())], A.shape[1])
-                     for Ai, Bi in zip(A, B)], dtype=object).reshape(B.shape)
+    return np.array([_exact_solve(Ai, Bi) for Ai, Bi in zip(A, B)],
+                    dtype=object).reshape(B.shape)
 
 
 def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:

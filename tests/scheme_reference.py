@@ -11,6 +11,13 @@ q_coefficients and image read the q_i off D_h; solve_rows is numcore's
 with the plain complex Gauss-Jordan it had before the exact elimination
 took rational rows only, which the float reference bodies solve with.
 
+Its rational branch is numcore's elimination on Fraction rows as it stood
+before every exact elimination went through int_rref: _exact_rref_inplace
+with _is_rational_rows, and rref, rref_kernel and the exact branches of
+solve_linear (with solve_rows inlined) and solve_consistent read off it,
+verbatim apart from running integer_reference.bareiss_rows where it ran
+numcore's _bareiss: the reference for numcore's public exact functions.
+
 The polynomial form the package used before the z-tables' coefficient
 arrays became its only one is kept here verbatim as well: UniPoly with its
 arithmetic and wronskian (from numcore), and DhOperator, p_of_a,
@@ -27,6 +34,7 @@ bit.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -39,9 +47,10 @@ from gaudinlab.numcore import (
     InconsistentSystemError,
     SingularMatrixError,
     Tolerances,
-    _is_rational_rows,
-    _rref_inplace as _exact_rref_inplace,
     as_float,
+    exact_array,
+    integer_numerators,
+    is_exact_array,
     is_exact_scalar,
     scalar_one,
     solve_consistent,
@@ -56,6 +65,8 @@ from gaudinlab.opscheme import (
     dh_matrices,
     off_plane,
 )
+
+from integer_reference import bareiss_rows
 
 
 # --- the polynomial form ----------------------------------------------------
@@ -262,6 +273,86 @@ def _plane_scale(inst: ProblemInstance, h, tol: float) -> float:
     if err := off_plane(qm1, q0, scale, tol):
         raise OffPlaneError(err)
     return scale
+
+
+# --- the exact elimination on Fraction rows ---------------------------------
+
+def _is_rational_rows(M: list) -> bool:
+    return all(isinstance(v, (Fraction, int)) for row in M for v in row)
+
+
+def _exact_rref_inplace(M: list) -> list:
+    """Gauss-Jordan (bareiss_rows) on a list of rational rows in place;
+    returns the pivot columns.  The pivot is the first nonzero entry at or
+    below the current row, so a triangular system keeps its natural pivots.
+    Each row is scaled to integers first; at the end each pivot row is
+    divided by its pivot and the other rows are zero, all as Fractions.
+    """
+    if not M:
+        return []
+    if not _is_rational_rows(M):
+        raise DomainError("the exact elimination takes rational rows only")
+    N = [integer_numerators(row)[0] for row in M]
+    pivots, d = bareiss_rows(N)
+    r = len(pivots)
+    M[r:] = [[Fraction(0)] * len(N[0]) for _ in range(len(M) - r)]
+    M[:r] = [[Fraction(x, d) for x in row] for row in N[:r]]
+    return pivots
+
+
+def rref(A: np.ndarray):
+    """Reduced row echelon form of an exact matrix; (R, pivot columns)."""
+    if not is_exact_array(A):
+        raise DomainError("rref is exact-mode only")
+    M = [list(row) for row in A]
+    pivots = _exact_rref_inplace(M)
+    return exact_array(M) if M else A.copy(), pivots
+
+
+def rref_kernel(R: np.ndarray, pivots: list) -> list:
+    """Right null space of a matrix from its rref (R, pivots): one vector
+    per free column f, with 1 at f and -R[:, f] at the pivots."""
+    n = R.shape[1]
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = zeros_like_domain((n,), True)
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -R[r, f]
+        basis.append(v)
+    return basis
+
+
+def exact_solve_linear(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """solve_linear's exact branch: a rank-deficient A raises
+    SingularMatrixError with its rank defect."""
+    n = A.shape[0]
+    rhs2 = rhs.reshape(n, -1)
+    M = [list(A[i]) + list(rhs2[i]) for i in range(n)]
+    pivots = _exact_rref_inplace(M)
+    if len(pivots) < n or any(p >= n for p in pivots):
+        raise SingularMatrixError(n - sum(1 for p in pivots if p < n))
+    return exact_array([row[n:] for row in M]).reshape(rhs.shape)
+
+
+def exact_solve_consistent(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """solve_consistent's exact branch: Gaussian elimination with a
+    consistency check."""
+    m, n = A.shape
+    rhs2 = rhs.reshape(m, -1)
+    M = [list(A[i]) + list(rhs2[i]) for i in range(m)]
+    pivots = _exact_rref_inplace(M)
+    k = rhs2.shape[1]
+    for p in pivots:
+        if p >= n:
+            raise InconsistentSystemError("exact system has no solution")
+    for i in range(len(pivots), m):
+        if any(M[i][n + j] != 0 for j in range(k)):
+            raise InconsistentSystemError("exact system has no solution")
+    if len(pivots) < n:
+        raise SingularMatrixError(n - len(pivots), "underdetermined system")
+    X = exact_array([M[r][n:] for r in range(n)])
+    return X.reshape(n) if rhs.ndim == 1 else X
 
 
 # --- the single-point scheme functions ---------------------------------------

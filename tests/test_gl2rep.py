@@ -14,16 +14,14 @@ from gaudinlab import (
 from gaudinlab.gl2rep import WeightVector, _weight_basis, degree_diagonal, singular_matrix
 from gaudinlab.numcore import (
     fraction_array,
-    kernel_basis,
     matmul,
     max_abs,
     numerator_array,
     rank_of,
-    rref,
-    rref_kernel,
     zeros_like_domain,
 )
 
+import scheme_reference
 from conftest import load_perfbench, random_exact_instance, random_rational_z
 
 
@@ -325,16 +323,16 @@ class TestShQuotient:
 def fraction_sh_quotient(inst):
     """Reference: the ShQuotient fields by Fraction arithmetic, from the
     integer generator and Gram matrices, taken as Fractions, through
-    kernel_basis, matmul and rref."""
+    matmul and the Fraction-row rref and rref_kernel of scheme_reference."""
     E12 = fraction_array(sum(generator_matrix(inst, 1, 2, s, inst.l) for s in range(inst.n)), 1)
-    cols = kernel_basis(E12)
+    cols = scheme_reference.rref_kernel(*scheme_reference.rref(E12))
     S = np.empty((weight_space_dim(inst.n, inst.l), len(cols)), dtype=object)
     for j, v in enumerate(cols):
         S[:, j] = v
     G = fraction_array(shapovalov_gram(inst, inst.l), 1)
     R = matmul(matmul(S.T, G), S)
-    Rr, pivots = rref(R)
-    ker = rref_kernel(Rr, pivots)
+    Rr, pivots = scheme_reference.rref(R)
+    ker = scheme_reference.rref_kernel(Rr, pivots)
     lift = zeros_like_domain((S.shape[1], len(pivots)), True)
     for c, p in enumerate(pivots):
         lift[p, c] = F(1)

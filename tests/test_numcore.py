@@ -23,11 +23,10 @@ from gaudinlab.numcore import (
     numerator_array,
     rank_of,
     rref,
-    rref_kernel,
     solve_consistent,
     solve_linear,
-    solve_rows,
     to_float_array,
+    zeros_like_domain,
 )
 
 import scheme_reference
@@ -338,6 +337,16 @@ class TestExactElimination:
         assert got.tolist() == ranks == rank_of(to_float_array(A)).tolist()
         assert [rank_of(a) for a in A] == ranks
 
+    @pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0), (2, 0, 0), (0, 3, 4)],
+                             ids=["no-rows", "no-columns", "0x0", "no-matrices"])
+    def test_rank_of_empty_stack(self, shape):
+        # one rank per matrix in both lanes, also when the matrices are empty
+        for exact in (True, False):
+            got = rank_of(zeros_like_domain(shape, exact))
+            assert isinstance(got, np.ndarray) and got.dtype.kind == "i"
+            assert got.tolist() == [0] * shape[0]
+            assert rank_of(zeros_like_domain(shape[1:], exact)) == 0
+
     def test_solve_consistent_tall_roundtrip(self, rng):
         A = rand_rational(rng, 30, 6)
         x = exact_array(rand_rational(rng, 6, 2))
@@ -345,17 +354,18 @@ class TestExactElimination:
 
     @pytest.mark.parametrize("rank, defect", [(2, 3), (4, 1), (0, 5)])
     def test_solve_rows_defect(self, rng, rank, defect):
+        # a square solve of rank-deficient rows [A | B] names the rank defect
         A = rand_rational(rng, 5, 5, rank=rank) if rank else [[F(0)] * 5] * 5
-        rows = [row + [F(1), F(-2)] for row in A]
         with pytest.raises(SingularMatrixError) as ei:
-            solve_rows(rows, 5)
+            solve_linear(exact_array(A), exact_array([[F(1), F(-2)]] * 5))
         assert ei.value.defect == defect
 
     def test_solve_rows_matches_oracle(self, rng):
-        rows = [row + extra for row, extra in
-                zip(rand_rational(rng, 6, 6), rand_rational(rng, 6, 3))]
-        want, _ = oracle_rref(rows)
-        assert solve_rows([r[:] for r in rows], 6) == [r[6:] for r in want]
+        A, B = rand_rational(rng, 6, 6), rand_rational(rng, 6, 3)
+        want, _ = oracle_rref([a + b for a, b in zip(A, B)])
+        X = solve_linear(exact_array(A), exact_array(B))
+        assert X.tolist() == [r[6:] for r in want]
+        assert all(type(v) is F for v in X.flat)
 
     def test_complex_rows_bit_identical_to_plain_gauss_jordan(self, rng):
         # the float reference bodies' elimination (scheme_reference); the
@@ -365,10 +375,11 @@ class TestExactElimination:
         got = scheme_reference.solve_rows([r[:] for r in rows], 5)
         assert got == [r[5:] for r in oracle_rref(rows)[0]]
         assert all(type(v) is complex for r in got for v in r)
+        A = np.array(rows, dtype=object)
         with pytest.raises(DomainError):
-            solve_rows([r[:] for r in rows], 5)
+            solve_linear(A[:, :5], A[:, 5:])
         with pytest.raises(DomainError):
-            rref(np.array(rows, dtype=object))
+            rref(A)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_det_matches_oracle(self, rng, n):
@@ -382,6 +393,133 @@ class TestExactElimination:
             det = oracle_det(N.tolist())
             _, pivots, d = int_rref(N)
             assert len(pivots) == n and abs(d) == abs(det) != 0
+
+
+def rational_case(rng, m, n, rank=None, zero_rows=(), zero_cols=(), big=False):
+    """rand_rational rows with zero_cols set to zero; big scales row i by
+    (2^(64 + i) + 1) / (i + 2), so each nonzero row has entries past 2^63."""
+    A = rand_rational(rng, m, n, rank=rank, zero_rows=zero_rows)
+    for row in A:
+        for j in zero_cols:
+            row[j] = F(0)
+    if big:
+        A = [[v * F(2**(64 + i) + 1, i + 2) for v in row] for i, row in enumerate(A)]
+    return A
+
+
+def outcome(f, *args):
+    """f's value (shape and entries, each a Fraction), or the type, message
+    and rank defect of the error it raises."""
+    try:
+        X = f(*args)
+    except (DomainError, InconsistentSystemError, SingularMatrixError) as e:
+        return type(e), str(e), getattr(e, "defect", None)
+    assert all(type(v) is F for v in X.flat)
+    return X.shape, X.tolist()
+
+
+class TestExactRouteMatchesReference:
+    """rref, rank_of, kernel_basis, solve_linear and solve_consistent against
+    the elimination on Fraction rows they replaced (scheme_reference), value
+    for value and error for error."""
+
+    CASES = {
+        "square": ((6, 6), {}),
+        "rank-deficient": ((7, 7), {"rank": 4}),
+        "tall": ((9, 5), {}),
+        "tall-rank-deficient": ((9, 5), {"rank": 3}),
+        "wide": ((4, 8), {}),
+        "zero-rows-and-columns": ((7, 7), {"zero_rows": (1, 5), "zero_cols": (0, 4)}),
+        "zero": ((4, 5), {"rank": 0}),
+        "no-columns": ((4, 0), {}),
+        "past-2^63": ((6, 6), {"big": True}),
+        "past-2^63-rank-deficient": ((8, 6), {"rank": 4, "big": True, "zero_cols": (2,)}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rref_rank_kernel(self, rng, case):
+        shape, kw = self.CASES[case]
+        A = exact_array(rational_case(rng, *shape, **kw))
+        want, pivots = scheme_reference.rref(A)
+        R, got = rref(A)
+        assert got == pivots and R.shape == want.shape and R.tolist() == want.tolist()
+        assert all(type(v) is F for v in R.flat)
+        assert rank_of(A) == len(pivots)
+        ker = kernel_basis(A)
+        assert [v.tolist() for v in ker] == [
+            v.tolist() for v in scheme_reference.rref_kernel(want, pivots)]
+        assert all(type(x) is F for v in ker for x in v)
+
+    def test_stacks(self, rng):
+        # one rank and one basis per matrix, empty matrices included
+        kws = [{}, {"rank": 3}, {"rank": 0}, {"rank": 4, "big": True}, {"zero_cols": (1, 2)}]
+        stack = np.stack([exact_array(rational_case(rng, 6, 6, **kw)) for kw in kws])
+        for A in (stack, zeros_like_domain((3, 0, 4), True), zeros_like_domain((3, 4, 0), True)):
+            want = [scheme_reference.rref(a) for a in A]
+            assert rank_of(A).tolist() == [len(pivots) for _, pivots in want]
+            assert [[v.tolist() for v in ker] for ker in kernel_basis(A)] == [
+                [v.tolist() for v in scheme_reference.rref_kernel(*w)] for w in want]
+
+    def test_solves(self, rng):
+        seen = set()
+        for shape, kw in self.CASES.values():
+            m, n = shape
+            A = exact_array(rational_case(rng, m, n, **kw))
+            if not n:
+                # no unknowns: X is 0 x 2 (the reference built a 0 x 0 array)
+                assert solve_consistent(A, zeros_like_domain((m, 2), True)).shape == (0, 2)
+                continue
+            b = matmul(A, exact_array(rand_rational(rng, n, 2)))
+            off = b.copy()
+            off[-1, 0] += F(1, 7)     # outside the column space unless rank A = m
+            for rhs in (b, b[:, 0], off, off[:, 0]):
+                got = outcome(solve_consistent, A, rhs)
+                assert got == outcome(scheme_reference.exact_solve_consistent, A, rhs)
+                seen.add(got[0] if isinstance(got[0], type) else "solved")
+                if m == n:
+                    got = outcome(solve_linear, A, rhs)
+                    assert got == outcome(scheme_reference.exact_solve_linear, A, rhs)
+        assert seen == {"solved", InconsistentSystemError, SingularMatrixError}
+
+    def test_error_order(self, rng):
+        # rank deficient, and b outside the column space: solve_consistent
+        # names the inconsistency first, solve_linear the rank defect
+        A = exact_array(rational_case(rng, 6, 6, rank=4))
+        b = exact_array(rand_rational(rng, 6, 1))
+        with pytest.raises(InconsistentSystemError):
+            solve_consistent(A, b)
+        with pytest.raises(SingularMatrixError) as ei:
+            solve_linear(A, b)
+        assert ei.value.defect == 2
+        assert outcome(solve_consistent, A, b) == outcome(
+            scheme_reference.exact_solve_consistent, A, b)
+        assert outcome(solve_linear, A, b) == outcome(scheme_reference.exact_solve_linear, A, b)
+        # consistent but rank deficient: the defect, as an underdetermined system
+        b = matmul(A, exact_array(rand_rational(rng, 6, 1)))
+        with pytest.raises(SingularMatrixError, match="underdetermined") as ei:
+            solve_consistent(A, b)
+        assert ei.value.defect == 2
+
+    def test_complex_entry_raises(self, rng):
+        A = exact_array(rational_case(rng, 5, 5))
+        b = exact_array(rand_rational(rng, 5, 1))
+        Ac = A.copy()
+        Ac[2, 3] = 1 + 2j
+        bc = b.copy()
+        bc[4, 0] = 0.5j
+        for f, ref, args in [
+                (solve_linear, scheme_reference.exact_solve_linear, (Ac, b)),
+                (solve_linear, scheme_reference.exact_solve_linear, (A, bc)),
+                (solve_consistent, scheme_reference.exact_solve_consistent, (Ac, b)),
+                (solve_consistent, scheme_reference.exact_solve_consistent, (A, bc))]:
+            assert outcome(f, *args) == outcome(ref, *args) != outcome(f, A, b)
+            assert outcome(f, *args)[0] is DomainError
+        for f in (rref, scheme_reference.rref, rank_of, kernel_basis):
+            with pytest.raises(DomainError):
+                f(Ac)
+        for f in (rank_of, kernel_basis):
+            with pytest.raises(DomainError):
+                f(np.stack([A, Ac]))
 
 
 class TestScalars:
@@ -503,9 +641,9 @@ class TestIntMatmul:
 
 
 class TestIntegerElimination:
-    """int_rref and int_kernel against the Fraction rref and rref_kernel
-    (which now run the same elimination), and int_rref against the
-    row-by-row loop it replaced (integer_reference.bareiss_rows)."""
+    """int_rref and int_kernel against the rref and rref_kernel on Fraction
+    rows (scheme_reference), and int_rref against the row-by-row loop it
+    replaced (integer_reference.bareiss_rows)."""
 
     @pytest.mark.parametrize("shape, rank, big", [
         ((6, 9), 4, False), ((9, 6), 6, False), ((7, 7), 3, False), ((5, 8), 5, True),
@@ -518,14 +656,14 @@ class TestIntegerElimination:
             N = N.astype(object) * 2**70 + 1
         R, pivots, d = int_rref(N)
         A = exact_array(N.tolist()) if m else np.empty(shape, dtype=object)
-        want, want_pivots = rref(A)
+        want, want_pivots = scheme_reference.rref(A)
         assert pivots == want_pivots
         assert R.shape == (len(pivots), n)
         assert all(R[i, c] == d for i, c in enumerate(pivots))
         for got_row, want_row in zip(R.tolist(), want.tolist()):
             assert [F(x, d) for x in got_row] == want_row
         K, dk = int_kernel(R, pivots, d)
-        ker = rref_kernel(want, want_pivots)
+        ker = scheme_reference.rref_kernel(want, want_pivots)
         assert K.shape == (n, len(ker)) and dk == d
         for j, v in enumerate(ker):
             assert [F(x, dk) for x in K[:, j].tolist()] == v.tolist()

@@ -20,7 +20,6 @@ from gaudinlab.numcore import (
     InconsistentSystemError,
     Tolerances,
     solve_consistent,
-    solve_rows,
 )
 from gaudinlab.opscheme import (
     h_from_numerator,
@@ -31,7 +30,8 @@ from gaudinlab.opscheme import (
 
 from conftest import random_exact_instance
 import scheme_reference
-from scheme_reference import DhOperator, UniPoly, apply_Dh, image, q_coefficients, q_values, zpolys
+from scheme_reference import (DhOperator, UniPoly, apply_Dh, image, q_coefficients, q_values,
+                              solve_rows, zpolys)
 from scheme_reference import p_of_a as p_poly, ptilde_of as ptilde_poly
 from test_gl2rep import cg_multiplicity_bruteforce
 
